@@ -4,17 +4,19 @@
 
 Run from the repository root.  The job list is made from ``--seed``
 (see ``workloads.py``) and sized from ``--seconds`` at today's cost per
-round, so a run is a fixed list of jobs, never a fixed duration.  A
-worker process (``worker.py``) imports varleb from ``src/``, runs the
-first round once untimed, then runs the whole list
-``PASSES`` times, one job at a time.  This process then checks every
+round, so a run is a fixed list of jobs run a fixed number of times,
+never a fixed duration.  A worker process (``worker.py``) imports varleb
+from ``src/``, runs the first round once untimed, then runs the whole
+list ``passes`` times, one job at a time.  This process then checks every
 report against computations made apart from varleb and prints, as its
 last line, one JSON object:
 
-* ``--trace 0``: ``jobs_per_s`` (median over passes), ``job_p50_s``
-  (median over every job run), ``setup_s`` (median cold start of
-  ``python3 -c 'import varleb.cli'``) and ``peak_rss_mib`` (the worker's
-  peak resident set);
+* ``--trace 0``: ``jobs_per_s`` (jobs over the sum of their job
+  times), ``job_p50_s`` (median job time), ``setup_s`` (median cold
+  start of ``python3 -c 'import varleb.cli'``) and ``peak_rss_mib`` (the
+  worker's peak resident set).  A job time is the median over passes of
+  the job's wall time scaled to the reference host speed (see
+  ``scaled_job_times``); the unscaled figures go to standard error;
 * ``--trace 1``: one traced pass, and the per-layer metrics of
   ``layers.py``.
 
@@ -46,9 +48,42 @@ ROUND_SECONDS = {
     "compactness": 0.85,
     "norm-batch": 0.18,
 }
-PASSES = 5
+TARGET_PASSES = 8
+MIN_PASSES = 5
+# The worker's probe() takes about this long on a quiet 2-vCPU virtual
+# machine (Python 3.11, numpy 2.4); job times are scaled to that speed.
+PROBE_REF_S = 0.0035
+# about this many seconds of jobs between probes; the spacing is fixed
+# in jobs, not measured, so that every run allocates in the same order
+PROBE_EVERY_S = 0.25
 SETUP_SAMPLES = 5
 WORKER_TIMEOUT_S = 150
+
+
+def run_size(workload, seconds):
+    """Rounds in the job list and passes over it: as many rounds as leave
+    about ``TARGET_PASSES`` passes in ``seconds``, then as many passes
+    as fill them, never fewer than ``MIN_PASSES``."""
+    round_s = ROUND_SECONDS[workload]
+    rounds = max(1, round(seconds / (TARGET_PASSES * round_s)))
+    passes = max(MIN_PASSES, round(seconds / (rounds * round_s)))
+    return rounds, passes
+
+
+def scaled_job_times(worker):
+    """Each job's time at the reference host speed, and unscaled.
+
+    On a host shared with other tenants the speed drifts by 2-3x within
+    an hour and by tens of percent within seconds, for varleb and for
+    any other code alike.  So a pass's job times are
+    scaled by ``PROBE_REF_S`` over the median time of the probes run
+    between that pass's jobs, and a job's time is the median of its
+    scaled passes.  The probe calls no varleb code, so a change to varleb
+    moves the scaled times exactly as it moves the wall times."""
+    scaled = [[t * PROBE_REF_S / statistics.median(pr) for t in ts]
+              for ts, pr in zip(worker["times"], worker["probes"])]
+    return ([statistics.median(t) for t in zip(*scaled)],
+            [statistics.median(t) for t in zip(*worker["times"])])
 
 
 def child_env():
@@ -72,7 +107,7 @@ def measure_setup(env):
     return statistics.median(samples)
 
 
-def write_manifest(out_dir, jobs, warmup, passes, trace):
+def write_manifest(out_dir, jobs, warmup, passes, trace, probe_every):
     entries = []
     for i, job in enumerate(jobs):
         cfg = os.path.join(out_dir, f"config_{i:04d}.json")
@@ -84,6 +119,7 @@ def write_manifest(out_dir, jobs, warmup, passes, trace):
     manifest = os.path.join(out_dir, "manifest.json")
     with open(manifest, "w") as fh:
         json.dump({"jobs": entries, "warmup": warmup, "passes": passes, "trace": trace,
+                   "probe_every": probe_every,
                    "result": os.path.join(out_dir, "result.json")}, fh)
     return manifest, entries
 
@@ -132,15 +168,18 @@ def main(argv=None):
         print(f"error: cannot import varleb.cli from {ROOT}/src: {exc}", file=sys.stderr)
         return 1
 
-    rounds = max(1, round(args.seconds / (PASSES * ROUND_SECONDS[args.workload])))
+    rounds, passes = run_size(args.workload, args.seconds)
     jobs = workloads.make_jobs(args.workload, args.seed, rounds)
-    passes = 1 if args.trace else PASSES
+    if args.trace:
+        passes = 1
 
     out_dir = os.path.join(HERE, "_out", f"{args.workload}-{args.seed}-{os.getpid()}")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        manifest, entries = write_manifest(out_dir, jobs, len(jobs) // rounds, passes,
-                                           bool(args.trace))
+        per_round = len(jobs) // rounds
+        probe_every = max(1, round(PROBE_EVERY_S * per_round / ROUND_SECONDS[args.workload]))
+        manifest, entries = write_manifest(out_dir, jobs, per_round, passes, bool(args.trace),
+                                           probe_every)
         try:
             proc = subprocess.run([sys.executable, os.path.join(HERE, "worker.py"), manifest],
                                   env=env, cwd=ROOT, timeout=WORKER_TIMEOUT_S)
@@ -165,13 +204,16 @@ def main(argv=None):
                 correct = False
                 print(f"job {i} ({job['command']}): " + "; ".join(found), file=sys.stderr)
 
-    # a job's time is the median over its passes, which drops the bursts
-    # of a shared host; every job of the list counts in the throughput
-    job_s = [statistics.median(t) for t in zip(*worker["times"])]
+    # every job of the list counts in the throughput
+    job_s, wall_s = scaled_job_times(worker)
     jobs_per_s = len(job_s) / sum(job_s)
+    probe_s = statistics.median(x for pr in worker["probes"] for x in pr)
+    print(f"{'traced ' if args.trace else ''}jobs_per_s {jobs_per_s:.4f}, job_p50_s "
+          f"{statistics.median(job_s):.5f}; unscaled {len(wall_s) / sum(wall_s):.4f} and "
+          f"{statistics.median(wall_s):.5f}; probe median {probe_s * 1e3:.3f} ms",
+          file=sys.stderr)
     if args.trace:
         metrics = worker["layers"]
-        print(f"traced jobs_per_s {jobs_per_s:.4f}", file=sys.stderr)
     else:
         metrics = {
             "jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
