@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -151,7 +150,8 @@ def _jsonable(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        # standard JSON has no inf or NaN; _s_value reads "inf" back
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -376,14 +376,16 @@ _OVERRIDES = (("seed", "seed"), ("resolution", "resolution"),
 
 
 def _provenance(seed, started: float) -> dict:
-    threads = os.environ.get("VARLEB_THREADS")
     return {"tool": "varleb", "version": __version__, "seed": seed,
-            "threads": int(threads) if threads else None,
             "wall_time_s": round(time.monotonic() - started, 3)}
 
 
+def _dumps(report: dict) -> str:
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+
+
 def _emit(report: dict, out_path, quiet: bool) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _dumps(report)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -403,7 +405,7 @@ def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
     except (VarlebError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = {"command": command, "config": cfg, "results": _jsonable(results),
+    report = {"command": command, "config": cfg, "results": results,
               "warnings": warns,
               "provenance": _provenance(cfg.get("seed"), started)}
     _emit(report, out_path, quiet)
@@ -438,15 +440,14 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     new_json = json.dumps(_jsonable(results), sort_keys=True)
-    old_json = json.dumps(old.get("results"), sort_keys=True)
+    old_json = json.dumps(_jsonable(old.get("results")), sort_keys=True)
     match = new_json == old_json
-    report = {"command": command, "config": cfg,
-              "results": _jsonable(results),
+    report = {"command": command, "config": cfg, "results": results,
               "warnings": warns + run_warns + ([] if match else ["replay mismatch"]),
               "replay_match": match,
               "provenance": _provenance(cfg.get("seed"), started)}
     if not quiet:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     if not match:
         print("replay mismatch: results differ from the stored report",
               file=sys.stderr)

@@ -9,8 +9,8 @@ bugs.  The subclasses follow the failure modes of the numerical contracts:
 * :class:`RangeError` -- a derived exponent left the admissible range
   (for example an inverted blend produced a nonpositive reciprocal).
   Carries the violating point when one is known.
-* :class:`ConvergenceError` -- an iterative solve (norm bisection,
-  bracketing) failed to converge within its iteration budget.
+* :class:`ConvergenceError` -- an iterative solve (the Newton
+  Luxemburg solve) failed to converge within its evaluation budget.
 * :class:`EmptyRegionError` -- a region of integration contains no grid
   node at the current resolution.
 * :class:`OverflowToInfinityError` -- a weight-constant scan produced a

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,14 +51,16 @@ class ExponentField:
     """Exponent function on a box with certified bounds."""
 
     box: Box
-    # fn takes part in equality/hash so that value caches keyed by the
-    # field never identify two different formulas with equal bounds
+    # fn takes part in equality/hash so that two different formulas
+    # with equal bounds never compare equal
     fn: Callable[[np.ndarray], np.ndarray]
     p_minus: float
     p_plus: float
     scan_shape: tuple[int, ...]
     descriptor: dict | None = field(default=None, compare=False)
     p_infinity: float | None = None
+    # values_on results per grid; they live and die with the field
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.p_minus <= self.p_plus < math.inf):
@@ -78,7 +79,13 @@ class ExponentField:
     def values_on(self, grid: Grid) -> np.ndarray:
         if grid.box != self.box:
             raise DomainError("grid box does not match exponent domain")
-        return _values_on(self, grid)
+        out = self._values.get(grid)
+        if out is None:
+            out = np.broadcast_to(np.asarray(self.fn(grid.coords), dtype=float),
+                                  grid.shape).copy()
+            out.flags.writeable = False
+            self._values[grid] = out
+        return out
 
     @property
     def scan_grid(self) -> Grid:
@@ -263,14 +270,6 @@ def _multilinear(sample: Grid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
         (i0, fx), (j0, fy) = idx_frac
         out = (arr[i0, j0] * (1 - fx) * (1 - fy) + arr[i0 + 1, j0] * fx * (1 - fy)
                + arr[i0, j0 + 1] * (1 - fx) * fy + arr[i0 + 1, j0 + 1] * fx * fy)
-    return out
-
-
-@lru_cache(maxsize=256)
-def _values_on(p: ExponentField, grid: Grid) -> np.ndarray:
-    out = np.asarray(p.fn(grid.coords), dtype=float)
-    out = np.broadcast_to(out, grid.shape).copy()
-    out.flags.writeable = False
     return out
 
 

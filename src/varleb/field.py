@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatchError, DomainError, EmptyRegionError, SchemaError
+from .errors import DomainError, EmptyRegionError, SchemaError
 
 BALL_SHRINK = 1.0 - 1e-12
 _BOX_EDGE_TOL = 1e-12
@@ -625,10 +625,3 @@ def read_grid_csv(path: str, grid: Grid) -> GridFunction:
     if not np.allclose(body[:, : grid.dim], coords, atol=1e-9 * scale, rtol=0.0):
         raise SchemaError(f"{path}: node coordinates do not match the grid (row-major order)")
     return GridFunction(grid, body[:, -1].reshape(grid.shape))
-
-
-def as_tuple(fs) -> tuple:
-    """Normalize an input collection to a tuple, for arity checks."""
-    if isinstance(fs, (list, tuple)):
-        return tuple(fs)
-    raise ArityMismatchError("expected a list or tuple of inputs")

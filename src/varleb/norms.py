@@ -6,11 +6,13 @@ functional
 
     ||f||_p = inf { lam > 0 : rho(f / lam) <= 1 },
 
-computed by bracketing and bisection on ``lam -> rho(f/lam)``, which is
-strictly decreasing, continuous, and spans (0, inf) for nonzero ``f``
-with finite exponents.  Weighted norms follow the convention
-``||f||_{p,w} = || f w ||_p`` (the weight multiplies the function, it
-does not change the measure).
+computed by Newton's method on ``g(t) = log rho(f / e^t)``.  Over the
+nonzero nodes ``g`` is convex and decreasing with slope in ``[-p_+,
+-p_-]``, so Newton iterates started at ``t = log sup|f|`` rise
+monotonically to the root, and the slope bounds turn the last value of
+``g`` into a certified bracket for the norm.  Weighted norms follow the
+convention ``||f||_{p,w} = || f w ||_p`` (the weight multiplies the
+function, it does not change the measure).
 
 A mixed norm of a bivariate function first reduces the second axis by a
 constant-exponent integral norm, then applies a variable-exponent
@@ -29,17 +31,13 @@ from .exponent import ExponentField, dual_exponent
 from .field import (Box, Grid, GridFunction, WeightField, box_slices,
                     random_simple_function)
 
-MAX_BRACKET_STEPS = 200
-
-# Function values whose magnitude stays below this (after the volume
-# scale) are treated as exact zeros by the norm solver.
-ZERO_FLOOR = 1e-250
+MAX_EVALUATIONS = 100
 
 
 @dataclass(frozen=True)
 class NormResult:
-    """Outcome of a Luxemburg solve: the norm value, the iteration
-    count (bracketing plus bisection), the final bracket, and the
+    """Outcome of a Luxemburg solve: the norm value, the number of
+    modular evaluations, a certified bracket for the norm, and the
     modular of ``f / value``."""
 
     value: float
@@ -74,12 +72,20 @@ def _region_arrays(f: GridFunction, p: ExponentField, region):
     return np.abs(vals[mask]), pv[mask], qw[mask]
 
 
-def modular_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray) -> float:
+def _nonzero_nodes(a: np.ndarray, p: np.ndarray, qw: np.ndarray):
+    """The (|f|, p, weights) entries where ``|f| > 0``; a NaN value is
+    refused rather than read as zero."""
+    nan = np.flatnonzero(np.isnan(a))
+    if nan.size:
+        raise DomainError(f"function value is NaN at flat node index {int(nan[0])}")
     nz = a > 0.0
-    if not nz.any():
-        return 0.0
+    return a[nz], p[nz], qw[nz]
+
+
+def modular_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray) -> float:
+    a, p, qw = _nonzero_nodes(a, p, qw)
     with np.errstate(over="ignore"):
-        return float(np.sum(qw[nz] * np.exp(p[nz] * np.log(a[nz]))))
+        return float(np.sum(qw * np.exp(p * np.log(a))))
 
 
 def modular(f: GridFunction, p: ExponentField, region=None) -> float:
@@ -89,85 +95,48 @@ def modular(f: GridFunction, p: ExponentField, region=None) -> float:
 
 
 def lux_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray,
-             rel_tol: float = 1e-10, scale: float = 1.0) -> NormResult:
+             rel_tol: float = 1e-10) -> NormResult:
     """Luxemburg solve on flat node data.
 
-    ``scale`` seeds the initial bracket guess ``lam_0 = max(1e-300,
-    sup|f| * scale)``; any positive value works, a volume-like scale
-    just shortens the bracketing walk.
+    Newton steps on ``g(t) = log sum qw exp(p (log a - t))`` stop once
+    ``|g| <= p_- log1p(rel_tol)``; since ``|g'| >= p_-``, the root lies
+    within ``|g| / p_-`` of ``t`` on the side given by the sign of ``g``,
+    which is the returned bracket.  A constant exponent makes ``g``
+    affine and finishes in two evaluations; an infinite value gives an
+    infinite norm.
     """
     if not 0.0 < rel_tol <= 1e-2:
         raise DomainError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
-    nz = a > 0.0
-    if not nz.any():
+    a, p, qw = _nonzero_nodes(a, p, qw)
+    if a.size == 0:
         return NormResult(0.0, 0, (0.0, 0.0), 0.0)
-    if float(a.max()) * max(scale, 1.0) < ZERO_FLOOR:
-        # Underflowed slivers (for example the far tail of a gaussian)
-        # would drag the bracketing iteration into subnormal territory;
-        # anything this small is an exact zero for every caller.
-        return NormResult(0.0, 0, (0.0, 0.0), 0.0)
-    a = a[nz]
-    p = p[nz]
-    qw = qw[nz]
+    top = float(a.max())
+    if top == math.inf:
+        return NormResult(math.inf, 0, (math.inf, math.inf), math.inf)
     la = np.log(a)
-
-    if float(np.ptp(p)) == 0.0:
-        # constant exponent: rho(lam) = S * lam^(-p) with one reduction
-        pc = float(p[0])
-        log_s = math.log(float(np.sum(qw * np.exp(pc * (la - la.max()))))) + pc * float(la.max())
-
-        def rho(lam: float) -> float:
+    lq = np.log(qw)
+    p_lo = float(p.min())
+    tol = p_lo * math.log1p(rel_tol)
+    t = math.log(top)
+    for evals in range(1, MAX_EVALUATIONS + 1):
+        x = lq + p * (la - t)
+        shift = float(x.max())
+        e = np.exp(x - shift)
+        s = float(e.sum())
+        g = shift + math.log(s)
+        if abs(g) <= tol:
             with np.errstate(over="ignore"):
-                return math.exp(min(log_s - pc * math.log(lam), 709.0)) if lam > 0 else math.inf
-    else:
-        def rho(lam: float) -> float:
-            with np.errstate(over="ignore"):
-                return float(np.sum(qw * np.exp(p * (la - math.log(lam)))))
-
-    lam = max(1e-300, float(a.max()) * scale)
-    iters = 1
-    r = rho(lam)
-    if r > 1.0:
-        for _ in range(MAX_BRACKET_STEPS):
-            lam *= 2.0
-            iters += 1
-            r = rho(lam)
-            if r <= 1.0:
-                break
-        else:
-            raise ConvergenceError("no upper bracket for the Luxemburg norm in 200 doublings")
-        lo, hi = lam / 2.0, lam
-    elif r < 1.0:
-        for _ in range(MAX_BRACKET_STEPS):
-            lam /= 2.0
-            iters += 1
-            r = rho(lam)
-            if r >= 1.0:
-                break
-        else:
-            raise ConvergenceError("no lower bracket for the Luxemburg norm in 200 halvings")
-        lo, hi = lam, lam * 2.0
-    else:
-        return NormResult(lam, iters, (lam, lam), 1.0)
-
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if iters > 5000:
-            raise ConvergenceError("Luxemburg bisection failed to contract; "
-                                   f"bracket ({lo:.6g}, {hi:.6g})")
-        if rho(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    value = 0.5 * (lo + hi)
-    return NormResult(value, iters, (lo, hi), rho(value))
+                lo, value, hi = np.exp([t + min(g, 0.0) / p_lo, t, t + max(g, 0.0) / p_lo])
+            return NormResult(float(value), evals, (float(lo), float(hi)), math.exp(g))
+        t += g * s / float(p @ e)
+    raise ConvergenceError(f"Luxemburg Newton solve left |log rho| = {abs(g):.3g} "
+                           f"above {tol:.3g} after {MAX_EVALUATIONS} evaluations")
 
 
 def luxemburg_norm(f: GridFunction, p: ExponentField, region=None,
                    rel_tol: float = 1e-10) -> NormResult:
     a, pv, qw = _region_arrays(f, p, region)
-    return lux_flat(a, pv, qw, rel_tol, scale=f.grid.box.volume)
+    return lux_flat(a, pv, qw, rel_tol)
 
 
 def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = None,

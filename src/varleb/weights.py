@@ -89,9 +89,9 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
         measure = float(np.sum(wq))
         value = measure ** measure_power
         for vals, pv, sign in arrays:
-            nrm = lux_flat(vals[sl].ravel(), pv[sl].ravel(), wq, rel_tol,
-                           scale=cube.box.volume).value
-            eff = math.inf if (nrm == 0.0 and sign < 0) else nrm ** sign
+            nrm = lux_flat(vals[sl].ravel(), pv[sl].ravel(), wq, rel_tol).value
+            # 1 / nrm overflows a float (OverflowError) below about 5.6e-309
+            eff = math.inf if (nrm < 1e-300 and sign < 0) else nrm ** sign
             if eff > OVERFLOW_THRESHOLD:
                 if not allow_overflow:
                     raise OverflowToInfinityError(

@@ -272,6 +272,50 @@ def test_replay_of_norm_report_matches(tmp_path, capsys):
     assert replayed["results"]["norm"] == report["results"]["norm"]
 
 
+def test_nan_amplitude_exits_one_and_names_the_fault(tmp_path, capsys):
+    cfg = {"box": [[0.0, 1.0]], "resolution": 256,
+           "exponent": {"kind": "constant", "value": 2.0},
+           "function": {"kind": "gaussian", "center": [0.5], "width": 0.2,
+                        "amplitude": math.nan}}
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "NaN" in err
+    assert "Traceback" not in err
+
+
+def _infinite_norm_config():
+    return {"box": [[0.0, 1.0]], "resolution": 256,
+            "exponent": {"kind": "constant", "value": 2.0},
+            "function": {"kind": "power", "exponent": -1}}
+
+
+def test_infinite_norm_is_a_json_string_and_replays(tmp_path, capsys):
+    rc, report, out_path = _run(tmp_path, "norm", _infinite_norm_config())
+    assert rc == 0
+    assert report["results"]["norm"] == "inf"
+    assert "Infinity" not in out_path.read_text()
+    rc = main(["norm", "replay", "--report", str(out_path)])
+    replayed = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert replayed["replay_match"]
+
+
+def test_legacy_report_with_bare_infinity_still_replays(tmp_path, capsys):
+    rc, report, out_path = _run(tmp_path, "norm", _infinite_norm_config())
+    assert rc == 0
+    results = report["results"]
+    for key in ("norm", "modular_at_value"):
+        results[key] = math.inf
+    results["bracket"] = [math.inf, math.inf]
+    out_path.write_text(json.dumps(report))
+    assert "Infinity" in out_path.read_text()
+    rc = main(["norm", "replay", "--report", str(out_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["replay_match"]
+
+
 def test_replay_warns_on_version_drift_but_still_runs(tmp_path, capsys):
     rc, report, out_path = _run(tmp_path, "norm", _norm_config())
     assert rc == 0

@@ -1,6 +1,8 @@
 """Exponent fields, reciprocal algebra, log-Hoelder estimates, quadruples."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +63,18 @@ def test_descriptor_round_trip():
     with pytest.raises(SchemaError):
         ExponentField.from_descriptor({"kind": "affine", "box": [[0, 1]],
                                        "base": 2.0, "slopes": [0.5], "typo": 1})
+
+
+def test_values_on_is_cached_per_field_and_freed_with_it():
+    desc = {"kind": "affine", "box": [[0.0, 1.0]], "base": 2.0, "slopes": [0.5]}
+    p = ExponentField.from_descriptor(desc)
+    assert values(p) is values(p)
+    # equal descriptors parse to distinct fields, each with its own values
+    assert values(ExponentField.from_descriptor(desc)) is not values(p)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def test_shifted_reciprocal_descriptor():

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varleb import (Box, DomainError, ExponentField, Grid, GridFunction,
                     WeightField, duality_pairing_lower_bound, holder_constant,
                     luxemburg_norm, mixed_norm, modular, pairing,
-                    realize_function, scale_exponent, weighted_norm)
+                    random_simple_function, realize_function, scale_exponent,
+                    weighted_norm)
 
 from _support import UNIT, grid1d, rand_exponent
 
@@ -171,6 +174,85 @@ def test_lux_scalar_homogeneity():
         n1 = weighted_norm(f * 7.0, p).value
         n2 = 7.0 * weighted_norm(f, p).value
         assert n1 == pytest.approx(n2, rel=1e-10)
+
+
+def test_lux_rejects_nan_and_names_the_node():
+    g = grid1d(65)
+    p = ExponentField.constant(g.box, 2.0)
+    vals = np.ones(g.shape)
+    vals[17] = np.nan
+    for solve in (luxemburg_norm, modular):
+        with pytest.raises(DomainError, match="index 17"):
+            solve(GridFunction(g, vals), p)
+
+
+def test_lux_infinite_value_gives_infinite_norm():
+    g = grid1d(65)
+    vals = np.ones(g.shape)
+    vals[0] = np.inf
+    res = luxemburg_norm(GridFunction(g, vals), ExponentField.affine(g.box, 1.5, (1.0,)))
+    assert res.value == math.inf and res.bracket == (math.inf, math.inf)
+
+
+# -- solver properties --------------------------------------------------------
+
+
+def _random_case(seed, n):
+    """A seeded function (simple or gaussian, amplitude 1e-4 to 1e4) and
+    exponent (p in [0.3, 8]) on [0, 1] with n nodes."""
+    rng = np.random.default_rng(seed)
+    g = grid1d(n)
+    if rng.random() < 0.5:
+        f = random_simple_function(g, rng)
+    else:
+        x = g.coords[..., 0]
+        width = rng.uniform(0.02, 0.5)
+        f = GridFunction(g, 10.0 ** rng.uniform(-4.0, 4.0)
+                         * np.exp(-(((x - rng.uniform()) / width) ** 2)))
+    return f, rand_exponent(g.box, rng, lo=0.3, hi=8.0)
+
+
+def _log_modular(f, p, lam):
+    """``log rho(f / lam)`` by a log-sum-exp reduction of its own."""
+    a = np.abs(f.values).ravel()
+    nz = a > 0.0
+    x = (np.log(f.grid.quad_weights.ravel()[nz])
+         + p.values_on(f.grid).ravel()[nz] * (np.log(a[nz]) - math.log(lam)))
+    return float(np.logaddexp.reduce(x))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+SIZES = st.sampled_from([65, 257, 1025])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=SIZES, k=st.integers(-300, 300))
+def test_lux_homogeneous_at_every_scale(seed, n, k):
+    f, p = _random_case(seed, n)
+    c = 10.0 ** k
+    got = luxemburg_norm(f * c, p).value
+    want = c * luxemburg_norm(f, p).value
+    assert abs(got - want) <= 1e-9 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=SIZES, k=st.integers(-300, 300))
+def test_lux_bracket_straddles_modular_one(seed, n, k):
+    f, p = _random_case(seed, n)
+    f = f * 10.0 ** k
+    res = luxemburg_norm(f, p)
+    lo, hi = res.bracket
+    assert lo <= res.value <= hi <= lo * (1.0 + 1e-10 + 1e-14)  # rel_tol, to rounding
+    assert _log_modular(f, p, lo) >= -1e-12
+    assert _log_modular(f, p, hi) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, value=st.floats(0.2, 10.0))
+def test_lux_constant_exponent_takes_two_evaluations(seed, n, value):
+    f, _ = _random_case(seed, n)
+    res = luxemburg_norm(f, ExponentField.constant(f.grid.box, value))
+    assert res.iterations <= 2
 
 
 # -- weighted norms ---------------------------------------------------------
