@@ -13,7 +13,7 @@ from .exponent import (ExponentField, LogHolderReport, QuadrupleSpec,
                        theta_blend, theta_invert, two_to_one_data,
                        validate_quadruple)
 from .field import (Box, Cube, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    ball_average, ball_mask, box_mask, integrate,
+                    ball_mask, box_mask, integrate,
                     random_simple_function, read_grid_csv, realize_function,
                     region_measure, shift_function, write_grid_csv)
 from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,

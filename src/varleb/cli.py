@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (HypothesisFailureError, OverflowToInfinityError,
-                     SchemaError, VarlebError, VersionMismatchWarning)
+                     SchemaError, VarlebError, VersionMismatchWarning,
+                     check_keys)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (EndpointSpace, OperatorSpec, run_extrapolation_workflow,
@@ -49,17 +50,6 @@ EXIT_VIOLATION = 2
 
 # ---------------------------------------------------------------------------
 # config helpers
-
-
-def _check_keys(cfg: dict, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(cfg, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise SchemaError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - set(cfg)
-    if missing:
-        raise SchemaError(f"missing keys {sorted(missing)} in {where}")
 
 
 def _grid_from(cfg: dict) -> Grid:
@@ -91,7 +81,7 @@ def _s_value(raw) -> float:
 
 
 def _quadruple_from(block: dict, box: Box, where: str) -> QuadrupleSpec:
-    _check_keys(block, {"p_vec", "q", "r_vec", "s"}, {"gamma"}, where)
+    check_keys(block, {"p_vec", "q", "r_vec", "s"}, {"gamma"}, where)
     p_vec = tuple(_exponent_from(d, box) for d in block["p_vec"])
     q = _exponent_from(block["q"], box)
     r_vec = tuple(float(r) for r in block["r_vec"])
@@ -101,7 +91,7 @@ def _quadruple_from(block: dict, box: Box, where: str) -> QuadrupleSpec:
 
 
 def _operator_from(block: dict) -> OperatorSpec:
-    _check_keys(block, {"kind", "arity"}, {"alpha", "radius"}, "operator")
+    check_keys(block, {"kind", "arity"}, {"alpha", "radius"}, "operator")
     return OperatorSpec(block["kind"], int(block["arity"]),
                         alpha=float(block.get("alpha", 0.0)),
                         radius=float(block.get("radius", 0.0)))
@@ -116,18 +106,11 @@ _FAMILY_PARAMS = {
 
 
 def _family_from(block: dict, grid: Grid):
-    _check_keys(block, {"kind", "base", "count"},
-                {"step", "base_frequency", "growth", "ratio", "sigma"}, "family")
-    kind = block["kind"]
-    if kind not in _FAMILY_PARAMS:
-        raise SchemaError(f"unknown family kind '{kind}'")
+    kind = block.get("kind") if isinstance(block, dict) else None
+    if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
+        raise SchemaError(f"family needs a 'kind' among {sorted(_FAMILY_PARAMS)}")
     required, optional = _FAMILY_PARAMS[kind]
-    extras = set(block) - {"kind", "base", "count"} - required - optional
-    if extras:
-        raise SchemaError(f"keys {sorted(extras)} do not apply to '{kind}' families")
-    missing = required - set(block)
-    if missing:
-        raise SchemaError(f"family kind '{kind}' needs keys {sorted(missing)}")
+    check_keys(block, {"kind", "base", "count"} | required, optional, f"family '{kind}'")
     base = realize_function(block["base"], grid)
     count = int(block["count"])
     if kind == "translate":
@@ -168,8 +151,8 @@ def _jsonable(obj):
 
 
 def _run_norm(cfg):
-    _check_keys(cfg, {"box", "exponent", "function"},
-                {"resolution", "weight", "rel_tol"}, "norm config")
+    check_keys(cfg, {"box", "exponent", "function"},
+               {"resolution", "weight", "rel_tol"}, "norm config")
     grid = _grid_from(cfg)
     p = _exponent_from(cfg["exponent"], grid.box)
     f = realize_function(cfg["function"], grid)
@@ -181,7 +164,7 @@ def _run_norm(cfg):
 
 
 def _run_modular(cfg):
-    _check_keys(cfg, {"box", "exponent", "function"}, {"resolution"}, "modular config")
+    check_keys(cfg, {"box", "exponent", "function"}, {"resolution"}, "modular config")
     grid = _grid_from(cfg)
     p = _exponent_from(cfg["exponent"], grid.box)
     f = realize_function(cfg["function"], grid)
@@ -189,8 +172,8 @@ def _run_modular(cfg):
 
 
 def _run_weight_constant(cfg):
-    _check_keys(cfg, {"box", "exponent", "weight"},
-                {"resolution", "cube_depth", "rel_tol"}, "weight-constant config")
+    check_keys(cfg, {"box", "exponent", "weight"},
+               {"resolution", "cube_depth", "rel_tol"}, "weight-constant config")
     grid = _grid_from(cfg)
     p = _exponent_from(cfg["exponent"], grid.box)
     w = _weight_from(cfg["weight"], grid)
@@ -202,8 +185,8 @@ def _run_weight_constant(cfg):
 
 
 def _run_multilinear_constant(cfg):
-    _check_keys(cfg, {"box", "quadruple", "weights"},
-                {"resolution", "cube_depth", "rel_tol"}, "multilinear-constant config")
+    check_keys(cfg, {"box", "quadruple", "weights"},
+               {"resolution", "cube_depth", "rel_tol"}, "multilinear-constant config")
     grid = _grid_from(cfg)
     spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
     if len(cfg["weights"]) != spec.m:
@@ -221,8 +204,8 @@ def _run_multilinear_constant(cfg):
 
 
 def _run_two_to_one(cfg):
-    _check_keys(cfg, {"box", "quadruple", "weight"},
-                {"resolution", "cube_depth", "rel_tol", "tol"}, "two-to-one config")
+    check_keys(cfg, {"box", "quadruple", "weight"},
+               {"resolution", "cube_depth", "rel_tol", "tol"}, "two-to-one config")
     grid = _grid_from(cfg)
     spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
     w = _weight_from(cfg["weight"], grid)
@@ -237,8 +220,8 @@ def _run_two_to_one(cfg):
 
 
 def _run_maximal(cfg):
-    _check_keys(cfg, {"box", "exponent", "function", "qtilde"},
-                {"resolution", "weight", "radii_count", "rel_tol"}, "maximal config")
+    check_keys(cfg, {"box", "exponent", "function", "qtilde"},
+               {"resolution", "weight", "radii_count", "rel_tol"}, "maximal config")
     grid = _grid_from(cfg)
     p = _exponent_from(cfg["exponent"], grid.box)
     f = realize_function(cfg["function"], grid)
@@ -256,9 +239,9 @@ def _run_maximal(cfg):
 
 
 def _run_rk_classify(cfg):
-    _check_keys(cfg, {"box", "exponent", "weight", "qtilde", "family"},
-                {"resolution", "cube_depth", "rel_tol", "threshold_factor"},
-                "rk-classify config")
+    check_keys(cfg, {"box", "exponent", "weight", "qtilde", "family"},
+               {"resolution", "cube_depth", "rel_tol", "threshold_factor"},
+               "rk-classify config")
     grid = _grid_from(cfg)
     p = _exponent_from(cfg["exponent"], grid.box)
     w = _weight_from(cfg["weight"], grid)
@@ -283,7 +266,7 @@ def _run_rk_classify(cfg):
 
 
 def _endpoint_from(block: dict, grid: Grid, where: str) -> EndpointSpace:
-    _check_keys(block, {"p_vec", "q", "weights", "v"}, {"bound"}, where)
+    check_keys(block, {"p_vec", "q", "weights", "v"}, {"bound"}, where)
     p_vec = tuple(_exponent_from(d, grid.box) for d in block["p_vec"])
     if len(block["weights"]) != len(p_vec):
         raise SchemaError(f"one weight per input exponent is required in {where}")
@@ -294,9 +277,9 @@ def _endpoint_from(block: dict, grid: Grid, where: str) -> EndpointSpace:
 
 
 def _run_interp_verify(cfg):
-    _check_keys(cfg, {"box", "operator", "endpoint0", "endpoint1", "theta"},
-                {"resolution", "trials", "seed", "safety", "slack", "rel_tol", "mixed"},
-                "interp-verify config")
+    check_keys(cfg, {"box", "operator", "endpoint0", "endpoint1", "theta"},
+               {"resolution", "trials", "seed", "safety", "slack", "rel_tol", "mixed"},
+               "interp-verify config")
     grid = _grid_from(cfg)
     op = _operator_from(cfg["operator"])
     s0 = _endpoint_from(cfg["endpoint0"], grid, "endpoint0")
@@ -311,7 +294,7 @@ def _run_interp_verify(cfg):
                "certificates": _jsonable(rep.certificates), "trials": rep.trials}
     code = EXIT_OK if rep.passed else EXIT_VIOLATION
     if "mixed" in cfg:
-        _check_keys(cfg["mixed"], {"qtilde"}, {"offset_count"}, "mixed block")
+        check_keys(cfg["mixed"], {"qtilde"}, {"offset_count"}, "mixed block")
         mrep = verify_mixed_interpolation_bound(
             op, s0, s1, float(cfg["theta"]), float(cfg["mixed"]["qtilde"]),
             offset_count=int(cfg["mixed"].get("offset_count", 8)), **kwargs)
@@ -324,10 +307,10 @@ def _run_interp_verify(cfg):
 
 
 def _run_extrapolate(cfg):
-    _check_keys(cfg, {"box", "target", "weights", "endpoint1", "weights1",
-                      "thetas", "operator", "family"},
-                {"resolution", "cube_depth", "qtilde", "rel_tol", "roundtrip_tol"},
-                "extrapolate config")
+    check_keys(cfg, {"box", "target", "weights", "endpoint1", "weights1",
+                     "thetas", "operator", "family"},
+               {"resolution", "cube_depth", "qtilde", "rel_tol", "roundtrip_tol"},
+               "extrapolate config")
     grid = _grid_from(cfg)
     target = _quadruple_from(cfg["target"], grid.box, "target")
     spec1 = _quadruple_from(cfg["endpoint1"], grid.box, "endpoint1")

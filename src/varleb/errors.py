@@ -80,3 +80,16 @@ class SpecMismatchError(VarlebError):
 
 class VersionMismatchWarning(UserWarning):
     """A replayed report was produced by a different library version."""
+
+
+def check_keys(desc, required: set[str], optional: set[str], where: str) -> None:
+    """Raise SchemaError unless ``desc`` is a dict holding every required
+    key and no key outside ``required | optional``."""
+    if not isinstance(desc, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = set(desc) - required - optional
+    if unknown:
+        raise SchemaError(f"unknown keys {sorted(unknown)} in {where}")
+    missing = required - set(desc)
+    if missing:
+        raise SchemaError(f"missing keys {sorted(missing)} in {where}")

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, RangeError, SchemaError, SpecMismatchError
+from .errors import DomainError, RangeError, SchemaError, SpecMismatchError, check_keys
 from .field import Box, Grid
 
 DEFAULT_SCAN_1D = 4096
@@ -202,44 +202,44 @@ class ExponentField:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "ExponentField":
-        if not isinstance(desc, dict) or "kind" not in desc or "box" not in desc:
-            raise SchemaError("exponent descriptor needs 'kind' and 'box'")
+        kind = desc.get("kind") if isinstance(desc, dict) else None
+        if not isinstance(kind, str) or kind not in _EXPONENT_KINDS:
+            raise SchemaError(f"exponent descriptor needs a 'kind' among {sorted(_EXPONENT_KINDS)}")
+        required, optional = _EXPONENT_KINDS[kind]
+        check_keys(desc, required | {"kind", "box"}, optional | {"scan_resolution"},
+                   f"exponent '{kind}'")
         box = Box.from_pairs(desc["box"])
         scan = tuple(desc["scan_resolution"]) if "scan_resolution" in desc else None
-        kind = desc["kind"]
-        known = {"kind", "box", "scan_resolution"}
         if kind == "constant":
-            _strict(desc, known | {"value"})
             return cls.constant(box, desc["value"], scan)
         if kind == "affine":
-            _strict(desc, known | {"base", "slopes"})
             return cls.affine(box, desc["base"], desc["slopes"], scan)
         if kind == "log_decay":
-            _strict(desc, known | {"p_infinity", "amplitude"})
             return cls.log_decay(box, desc["p_infinity"], desc["amplitude"], scan)
         if kind == "piecewise":
-            _strict(desc, known | {"breakpoints", "values"})
             return cls.piecewise(box, desc["breakpoints"], desc["values"], scan)
         if kind == "grid":
-            _strict(desc, known | {"values", "resolution"})
             arr = np.asarray(desc["values"], dtype=float)
             if "resolution" in desc:
                 arr = arr.reshape(tuple(desc["resolution"]))
             return cls.from_grid(box, arr, scan)
-        if kind == "shifted_reciprocal":
-            # 1/result = 1/inner - gamma; how an output exponent with a
-            # constant smoothing offset from the input is written down
-            _strict(desc, known | {"inner", "gamma"})
-            inner = cls.from_descriptor({**desc["inner"], "box": desc["box"]})
-            return reciprocal_affine((inner,), (1.0,), -float(desc["gamma"]),
-                                     what="shifted reciprocal exponent")
-        raise SchemaError(f"unknown exponent kind '{kind}'")
+        # shifted_reciprocal: 1/result = 1/inner - gamma; how an output
+        # exponent with a constant smoothing offset from the input is
+        # written down
+        inner = cls.from_descriptor({**desc["inner"], "box": desc["box"]})
+        return reciprocal_affine((inner,), (1.0,), -float(desc["gamma"]),
+                                 what="shifted reciprocal exponent")
 
 
-def _strict(desc: dict, allowed: set[str]) -> None:
-    unknown = set(desc) - allowed
-    if unknown:
-        raise SchemaError(f"unknown keys {sorted(unknown)} in exponent descriptor")
+# kind -> (required, optional) keys besides "kind", "box" and "scan_resolution"
+_EXPONENT_KINDS = {
+    "constant": ({"value"}, set()),
+    "affine": ({"base", "slopes"}, set()),
+    "log_decay": ({"p_infinity", "amplitude"}, set()),
+    "piecewise": ({"breakpoints", "values"}, set()),
+    "grid": ({"values"}, {"resolution"}),
+    "shifted_reciprocal": ({"inner", "gamma"}, set()),
+}
 
 
 def _radial_range(box: Box) -> tuple[float, float]:

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptyRegionError, SchemaError
+from .errors import DomainError, EmptyRegionError, SchemaError, check_keys
 
 BALL_SHRINK = 1.0 - 1e-12
 _BOX_EDGE_TOL = 1e-12
@@ -58,6 +58,9 @@ class Box:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Box":
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+            raise SchemaError("box must be a list of [lo, hi] pairs")
         return cls(tuple(float(p[0]) for p in pairs), tuple(float(p[1]) for p in pairs))
 
     @property
@@ -250,6 +253,15 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    @staticmethod
+    def product(fs: Sequence["GridFunction"]) -> "GridFunction":
+        """Left-fold product ``(f_1 f_2) f_3 ...``; a product of weight
+        fields is a weight field."""
+        out = fs[0]
+        for f in fs[1:]:
+            out = out * f
+        return out
+
 
 class WeightField(GridFunction):
     """Strictly positive grid function, closed under power and product."""
@@ -349,23 +361,6 @@ def region_measure(grid: Grid, region: Box | np.ndarray | None = None) -> float:
     return integrate(GridFunction(grid, np.ones(grid.shape)), region)
 
 
-def ball_average(f: GridFunction, center: Sequence[float], radius: float, qtilde: float) -> float:
-    """``((1/|B|) * int_B |f|^qtilde)^(1/qtilde)`` over the discrete ball.
-
-    ``|B|`` is the quadrature measure of the ball intersected with the
-    grid, so averages near the box boundary see only in-box nodes.
-    """
-    if qtilde <= 0.0:
-        raise DomainError("qtilde must be positive")
-    mask = ball_mask(f.grid, center, radius)
-    if not mask.any():
-        raise EmptyRegionError(f"ball B({tuple(center)}, {radius}) captures no node")
-    qw = f.grid.quad_weights[mask]
-    vals = np.abs(f.values[mask])
-    measure = float(np.sum(qw))
-    return float((np.sum(qw * vals ** qtilde) / measure) ** (1.0 / qtilde))
-
-
 # ---------------------------------------------------------------------------
 # dyadic cubes
 
@@ -423,27 +418,19 @@ class DyadicCubeSet:
 # ---------------------------------------------------------------------------
 # function descriptors
 
+# kind -> (required, optional) keys besides "kind"
 _FUNCTION_KINDS = {
-    "gaussian": {"center", "width", "amplitude"},
-    "indicator": {"box"},
-    "power": {"exponent", "center", "floor"},
-    "bump": {"center", "radius", "amplitude"},
-    "sine": {"frequency", "phase", "amplitude"},
-    "translate": {"inner", "shift"},
-    "dilate": {"inner", "scale"},
-    "sum": {"terms"},
-    "product": {"terms"},
-    "grid_csv": {"path"},
+    "gaussian": (set(), {"center", "width", "amplitude"}),
+    "indicator": ({"box"}, set()),
+    "power": (set(), {"exponent", "center", "floor"}),
+    "bump": (set(), {"center", "radius", "amplitude"}),
+    "sine": (set(), {"frequency", "phase", "amplitude"}),
+    "translate": ({"inner", "shift"}, set()),
+    "dilate": ({"inner", "scale"}, set()),
+    "sum": ({"terms"}, set()),
+    "product": ({"terms"}, set()),
+    "grid_csv": ({"path"}, set()),
 }
-
-
-def _require_keys(desc: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(desc) - allowed
-    if unknown:
-        raise SchemaError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - set(desc)
-    if missing:
-        raise SchemaError(f"missing keys {sorted(missing)} in {where}")
 
 
 def _radial(coords: np.ndarray, center: Sequence[float]) -> np.ndarray:
@@ -454,16 +441,17 @@ def _radial(coords: np.ndarray, center: Sequence[float]) -> np.ndarray:
 def realize_function(desc: dict, grid: Grid) -> GridFunction:
     """Build a grid function from a JSON-style descriptor.
 
-    Unknown keys are rejected; see the CLI schema notes in the README
-    for the per-kind parameter lists.
+    Unknown and missing keys are rejected against the per-kind table
+    ``_FUNCTION_KINDS``.
     """
     if not isinstance(desc, dict) or "kind" not in desc:
         raise SchemaError("function descriptor must be a dict with a 'kind'")
     kind = desc["kind"]
-    if kind not in _FUNCTION_KINDS:
+    if not isinstance(kind, str) or kind not in _FUNCTION_KINDS:
         raise SchemaError(f"unknown function kind '{kind}'")
+    required, optional = _FUNCTION_KINDS[kind]
+    check_keys(desc, required | {"kind"}, optional, f"function '{kind}'")
     params = {k: v for k, v in desc.items() if k != "kind"}
-    _require_keys(params | {"kind": kind}, _FUNCTION_KINDS[kind] | {"kind"}, set(), f"function '{kind}'")
     coords = grid.coords
 
     if kind == "gaussian":
@@ -476,8 +464,6 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
         return GridFunction(grid, amp * np.exp(-((r / width) ** 2)))
 
     if kind == "indicator":
-        if "box" not in params:
-            raise SchemaError("indicator needs a 'box'")
         mask = box_mask(grid, Box.from_pairs(params["box"]))
         return GridFunction(grid, mask.astype(float))
 
@@ -534,8 +520,8 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
         return GridFunction(grid, vals)
 
     if kind in ("sum", "product"):
-        terms = params.get("terms", [])
-        if not terms:
+        terms = params["terms"]
+        if not isinstance(terms, list) or not terms:
             raise SchemaError(f"'{kind}' needs a nonempty 'terms' list")
         acc = realize_function(terms[0], grid)
         for t in terms[1:]:

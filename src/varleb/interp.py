@@ -93,10 +93,7 @@ def apply_operator(op: OperatorSpec, fs: Sequence[GridFunction]) -> GridFunction
         return GridFunction(grid, vals)
 
     if op.kind == "ball_average_product":
-        prod = fs[0]
-        for f in fs[1:]:
-            prod = prod * f
-        return ball_mean(prod, op.radius)
+        return ball_mean(GridFunction.product(fs), op.radius)
 
     if grid.dim != 1:
         raise DomainError("fractional kernels are 1D only")
@@ -476,12 +473,9 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
     """
     w_vec = tuple(w_vec)
     w1_vec = tuple(w1_vec)
-    grid = w_vec[0].grid
     outputs = FunctionFamily(tuple(apply_operator(op, fs) for fs in inputs),
                              "operator outputs")
-    nu = w_vec[0]
-    for w in w_vec[1:]:
-        nu = nu * w
+    nu = WeightField.product(w_vec)
     if qtilde is None:
         qtilde = 1.0 / (1.0 / target.r - target.gamma)
     rk = classify(outputs, target.q, nu, qtilde, cubes=cubes, rel_tol=rel_tol,
@@ -497,7 +491,7 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
                                       float("nan"), False, float("nan"), str(exc)))
             continue
         space0 = EndpointSpace(built.spec0.p_vec, built.spec0.q, built.w0_vec,
-                               _product(built.w0_vec))
+                               WeightField.product(built.w0_vec))
         worst = 0.0
         for fs, Tf in zip(inputs, outputs.members):
             den = 1.0
@@ -513,10 +507,3 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
                                   built.constant0.constant,
                                   built.constant0.overflow, worst))
     return WorkflowReport(qtilde, tuple(entries), rk)
-
-
-def _product(weights) -> WeightField:
-    out = weights[0]
-    for w in weights[1:]:
-        out = out * w
-    return out

@@ -7,18 +7,22 @@ The q-mean maximal function of a grid function is
 with the supremum taken over a finite radius sweep and every ball
 truncated to the grid box (the measure in the average is the
 quadrature measure of the in-box discrete ball).  Balls are open with
-the same deterministic shrink as the field module, so the smallest
-admissible radius (one grid step) reduces the ball to its center node
-and ``M_q f >= |f|`` holds exactly at the nodes.
+the same deterministic shrink as the field module, so on a grid with
+equal steps the smallest admissible radius (one grid step) reduces the
+ball to its center node and ``M_q f >= |f|`` holds at the nodes up to
+the rounding of ``(qw |f|^q / qw)^(1/q)``, which is exact for
+``qtilde = 1`` and power-of-two quadrature weights.
 
 The oscillation average pairs with the equicontinuity condition of the
 compactness criterion:
 
     osc_{q,r} f(x) = ( (1/|B(x,r)|) int_{B(x,r)} |f(x) - f(y)|^q dy )^(1/q).
 
-Ball sums for the maximal function are evaluated by FFT convolution
-against a 0/1 ball kernel, which is exact up to floating-point
-roundoff and keeps a 64-radius sweep cheap at the default resolutions.
+Ball sums for the maximal function are differences of one prefix sum
+per row: each lattice ball is a stack of row intervals, so a radius
+costs O(rows of the ball x nodes), and a ball sum of a nonnegative
+array is never negative.  One helper states which lattice offsets lie
+in a ball; the ball sums and the oscillation offsets both read it.
 """
 
 from __future__ import annotations
@@ -77,37 +81,65 @@ class RadiusSweep:
                 f"largest radius {self.radii[-1]} exceeds the box diameter")
 
 
-def _ball_kernel(grid: Grid, radius: float) -> np.ndarray:
-    r_eff = radius * BALL_SHRINK
-    ks = []
-    for h in grid.steps:
-        k = int(math.floor(r_eff / h))
-        ks.append(np.arange(-k, k + 1) * h)
+def _row_reach(grid: Grid, r_eff: float) -> list[int]:
+    """The open lattice ball of radius ``r_eff``, row by row.
+
+    Entry ``k1`` is the largest ``k2 >= 0`` with ``(k1 h1)^2 + (k2 h2)^2
+    < r_eff^2``, for ``k1 = 0, 1, ...`` while that row is nonempty; a 1D
+    grid is the single row ``k1 = 0``, tested as ``k2 h < r_eff``.  This
+    is the only statement of lattice-ball membership.
+    """
+    h1, h2 = grid.steps[0], grid.steps[-1]
     if grid.dim == 1:
-        mask = np.abs(ks[0]) < r_eff
+        def inside(k1, k2):
+            return k1 == 0 and k2 * h2 < r_eff
     else:
-        d2 = ks[0][:, None] ** 2 + ks[1][None, :] ** 2
-        mask = d2 < r_eff ** 2
-    return mask.astype(float)
-
-
-def _convolve_same(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    shape = tuple(n + k - 1 for n, k in zip(arr.shape, kernel.shape))
-    axes = tuple(range(arr.ndim))
-    fa = np.fft.rfftn(arr, shape, axes)
-    fk = np.fft.rfftn(kernel, shape, axes)
-    full = np.fft.irfftn(fa * fk, shape, axes)
-    sl = tuple(slice((k - 1) // 2, (k - 1) // 2 + n) for n, k in zip(arr.shape, kernel.shape))
-    return full[sl]
+        def inside(k1, k2):
+            return (k1 * h1) ** 2 + (k2 * h2) ** 2 < r_eff ** 2
+    reach = []
+    while inside(len(reach), 0):
+        k1 = len(reach)
+        # the answer in real arithmetic, then settled by the rounded test
+        k2 = int(math.sqrt(max(r_eff ** 2 - (k1 * h1) ** 2, 0.0)) / h2)
+        while inside(k1, k2 + 1):
+            k2 += 1
+        while not inside(k1, k2):
+            k2 -= 1
+        reach.append(k2)
+    return reach
 
 
 def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     """For every node x, the sum of ``arr`` over in-box nodes of the
-    open ball B(x, radius)."""
-    kernel = _ball_kernel(grid, radius)
-    if kernel.size == 1:
+    open ball B(x, radius).
+
+    Row-interval sums are differences of one prefix sum along the last
+    axis (the summed-area idea of Crow, SIGGRAPH 1984), padded with
+    zeros on the left and the row total on the right so that both
+    window ends are slices; in 2D each row adds the interval sums of
+    the rows ``k1`` above and below it.  For ``arr >= 0`` every window
+    of the nondecreasing prefix sum is ``>= 0``, and each row of a ball
+    is off by at most about (row length) x eps x (row total).
+    """
+    reach = _row_reach(grid, radius * BALL_SHRINK)
+    if reach == [0]:
         return arr.copy()
-    return _convolve_same(arr, kernel)
+    n = arr.shape[-1]
+    pad = min(reach[0], n - 1)
+    csum = np.cumsum(arr, axis=-1)
+    padded = np.concatenate([np.zeros(arr.shape[:-1] + (pad + 1,)), csum,
+                             np.repeat(csum[..., -1:], pad, axis=-1)], axis=-1)
+
+    def interval(rows, k2):
+        k2 = min(k2, n - 1)
+        return (padded[rows, pad + k2 + 1:pad + k2 + 1 + n]
+                - padded[rows, pad - k2:pad - k2 + n])
+
+    out = interval(Ellipsis, reach[0])
+    for k1 in range(1, min(len(reach), arr.shape[0])):
+        out[:-k1] += interval(slice(k1, None), reach[k1])
+        out[k1:] += interval(slice(None, -k1), reach[k1])
+    return out
 
 
 def ball_mean(f: GridFunction, radius: float) -> GridFunction:
@@ -122,11 +154,15 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
     if qtilde <= 0.0 or not math.isfinite(qtilde):
         raise DomainError("qtilde must be a finite positive constant")
     sweep.validate_for(f.grid)
+    bad = np.flatnonzero(~np.isfinite(f.values))
+    if bad.size:
+        raise DomainError(f"function value is {f.values.flat[bad[0]]} at flat node "
+                          f"index {int(bad[0])}; the maximal function needs finite values")
     qw = f.grid.quad_weights
     powed = qw * np.abs(f.values) ** qtilde
     best = np.zeros(f.grid.shape)
     for r in sweep.radii:
-        num = np.maximum(ball_sums(powed, f.grid, r), 0.0)
+        num = ball_sums(powed, f.grid, r)
         den = ball_sums(qw, f.grid, r)
         np.maximum(best, num / np.maximum(den, 1e-300), out=best)
     return GridFunction(f.grid, best ** (1.0 / qtilde))
@@ -156,15 +192,12 @@ def oscillation_average(f: GridFunction, qtilde: float, radius: float) -> GridFu
 
 
 def _offset_list(grid: Grid, r_eff: float):
-    axes = []
-    for h in grid.steps:
-        k = int(math.floor(r_eff / h))
-        axes.append(range(-k, k + 1))
+    # offsets of a whole grid length or more reach no node
+    reach = [min(k2, grid.shape[-1] - 1) for k2 in _row_reach(grid, r_eff)[:grid.shape[0]]]
     if grid.dim == 1:
-        return [(k,) for k in axes[0] if abs(k) * grid.steps[0] < r_eff]
-    h1, h2 = grid.steps
-    return [(k1, k2) for k1 in axes[0] for k2 in axes[1]
-            if (k1 * h1) ** 2 + (k2 * h2) ** 2 < r_eff ** 2]
+        return [(k,) for k in range(-reach[0], reach[0] + 1)]
+    rows = range(1 - len(reach), len(reach))
+    return [(k1, k2) for k1 in rows for k2 in range(-reach[abs(k1)], reach[abs(k1)] + 1)]
 
 
 def _shift_slices(shape, delta):

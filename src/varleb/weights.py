@@ -147,11 +147,8 @@ def multilinear_constant(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     for w in w_vec[1:]:
         if w.grid != grid:
             raise DomainError("weight components live on different grids")
-    nu = w_vec[0]
-    for w in w_vec[1:]:
-        nu = nu * w
     e_nu = nu_exponent(spec.q, spec.s)
-    factors = [(nu, e_nu)]
+    factors = [(WeightField.product(w_vec), e_nu)]
     for w, p_j, r_j in zip(w_vec, spec.p_vec, spec.r_vec):
         factors.append((w.inverse(), component_exponent(p_j, r_j)))
     inv_s = 0.0 if math.isinf(spec.s) else 1.0 / spec.s
@@ -341,11 +338,8 @@ def componentwise_characterize(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
                                        -(1.0 / r_j - inv_sigma), rel_tol,
                                        True, "two-index"))
 
-    nu = w_vec[0]
-    for w in w_vec[1:]:
-        nu = nu * w
     nu_spec = QuadrupleSpec((spec.p_combined,), spec.q, (spec.r,), spec.s)
-    nu_report = multilinear_constant((nu,), nu_spec, cubes, rel_tol, allow_overflow=True)
+    nu_report = multilinear_constant((WeightField.product(w_vec),), nu_spec, cubes, rel_tol, allow_overflow=True)
     joint = multilinear_constant(w_vec, spec, cubes, rel_tol, allow_overflow=True)
 
     all_finite = (not nu_report.overflow) and all(not r.overflow for r in comp_reports)

@@ -285,6 +285,43 @@ def test_nan_amplitude_exits_one_and_names_the_fault(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
+
+
+@pytest.mark.parametrize("patch, fault", [
+    ({"function": {"kind": "translate", "inner": _GAUSS}}, "missing keys ['shift']"),
+    ({"function": {"kind": "dilate", "inner": _GAUSS}}, "missing keys ['scale']"),
+    ({"function": {"kind": "grid_csv"}}, "missing keys ['path']"),
+    ({"function": {"kind": "indicator"}}, "missing keys ['box']"),
+    ({"function": {"kind": "sum"}}, "missing keys ['terms']"),
+    ({"exponent": {"kind": "constant"}}, "missing keys ['value']"),
+    ({"box": 5}, "box must be a list of [lo, hi] pairs"),
+    ({"box": [0.0, 1.0]}, "box must be a list of [lo, hi] pairs"),
+], ids=["translate-shift", "dilate-scale", "grid_csv-path", "indicator-box", "sum-terms",
+        "constant-value", "box-int", "box-flat"])
+def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, patch, fault):
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS, **patch}
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert fault in err
+    assert "Traceback" not in err
+
+
+def test_maximal_of_an_infinite_value_exits_one_and_names_the_node(tmp_path, capsys):
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64, "qtilde": 1.0, "radii_count": 8,
+           "exponent": {"kind": "constant", "value": 2.0},
+           "function": {"kind": "power", "exponent": -1}}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "function value is inf at flat node index 0" in err
+    assert "Traceback" not in err
+
+
 def _infinite_norm_config():
     return {"box": [[0.0, 1.0]], "resolution": 256,
             "exponent": {"kind": "constant", "value": 2.0},

@@ -65,6 +65,20 @@ def test_descriptor_round_trip():
                                        "base": 2.0, "slopes": [0.5], "typo": 1})
 
 
+@pytest.mark.parametrize("desc, key", [
+    ({"kind": "constant"}, "value"),
+    ({"kind": "affine", "base": 2.0}, "slopes"),
+    ({"kind": "log_decay", "amplitude": 0.5}, "p_infinity"),
+    ({"kind": "piecewise", "values": [2.0]}, "breakpoints"),
+    ({"kind": "grid"}, "values"),
+    ({"kind": "shifted_reciprocal", "inner": {"kind": "constant", "value": 2.0}},
+     "gamma"),
+])
+def test_descriptor_requires_the_keys_of_its_kind(desc, key):
+    with pytest.raises(SchemaError, match=f"missing keys \\['{key}'\\]"):
+        ExponentField.from_descriptor({**desc, "box": [[0.0, 1.0]]})
+
+
 def test_values_on_is_cached_per_field_and_freed_with_it():
     desc = {"kind": "affine", "box": [[0.0, 1.0]], "base": 2.0, "slopes": [0.5]}
     p = ExponentField.from_descriptor(desc)

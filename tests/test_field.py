@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from varleb import (Box, DyadicCubeSet, Grid, GridFunction, SchemaError,
-                    WeightField, ball_average, ball_mask, box_mask, integrate,
+                    WeightField, ball_mask, ball_mean, box_mask, integrate,
                     read_grid_csv, realize_function, region_measure,
                     shift_function, write_grid_csv)
 
@@ -125,29 +125,45 @@ def test_ball_mask_is_open():
     assert m.tolist() == [False, False, True, False, False]
 
 
+# The ball average is node-centred: ``ball_mean`` averages over the in-box
+# open ball around every node at once.
+
+
 def test_ball_average_constant():
     g = grid1d(1025)
     c = GridFunction(g, np.full(g.shape, 3.7))
-    assert ball_average(c, (0.5,), 0.1, 1.0) == pytest.approx(3.7, abs=1e-12)
+    assert np.allclose(ball_mean(c, 0.1).values, 3.7, rtol=0.0, atol=1e-12)
 
 
 def test_ball_average_indicator_interior_and_edge():
     g = Grid(Box((-1.0,), (2.0,)), (3073,))
     chi = GridFunction.from_callable(
         g, lambda pts: ((pts[..., 0] >= 0.0) & (pts[..., 0] <= 1.0)).astype(float))
-    assert ball_average(chi, (0.5,), 0.25, 1.0) == pytest.approx(1.0, abs=1e-9)
+    x = g.coords[..., 0]
+    mid, edge = int(np.argmin(np.abs(x - 0.5))), int(np.argmin(np.abs(x - 1.0)))
+    assert x[mid] == 0.5 and x[edge] == 1.0
+    assert ball_mean(chi, 0.25).values[mid] == pytest.approx(1.0, abs=1e-9)
     # centered at the edge, half the ball sees the support
-    assert ball_average(chi, (1.0,), 0.5, 1.0) == pytest.approx(
-        0.5, abs=2.0 * g.max_step)
+    assert ball_mean(chi, 0.5).values[edge] == pytest.approx(0.5, abs=2.0 * g.max_step)
 
 
 def test_ball_average_affine_midpoint():
     """Averaging a linear function over an in-box ball returns the
-    center value (qtilde = 1)."""
+    center value."""
     g = grid1d(2049)
     f = GridFunction.from_callable(g, lambda pts: 2.0 * pts[..., 0] - 0.3)
-    got = ball_average(f, (0.5,), 0.125, 1.0)
+    got = ball_mean(f, 0.125).values[1024]
+    assert g.coords[1024, 0] == 0.5
     assert got == pytest.approx(2.0 * 0.5 - 0.3, abs=1e-9)
+
+
+def test_grid_function_product_is_a_left_fold():
+    g = grid1d(9)
+    ws = [WeightField(g, np.full(g.shape, c)) for c in (0.1, 0.7, 3.0)]
+    nu = GridFunction.product(ws)
+    assert isinstance(nu, WeightField)
+    assert np.array_equal(nu.values, (ws[0].values * ws[1].values) * ws[2].values)
+    assert GridFunction.product(ws[:1]) is ws[0]
 
 
 # -- dyadic cube families ------------------------------------------------

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
                     GridFunction, HypothesisFailureError, RadiusSweep,
-                    WeightField, ball_mean, maximal_boundedness_probe,
-                    maximal_function, oscillation_average)
+                    WeightField, ball_mask, ball_mean, ball_sums,
+                    maximal_boundedness_probe, maximal_function,
+                    oscillation_average)
+from varleb.maximal import _offset_list
 
 from _support import UNIT, grid1d
 
@@ -53,6 +58,73 @@ def test_sweep_validation_against_grid():
         RadiusSweep((g.max_step, 5.0)).validate_for(g)
 
 
+# -- ball sums -----------------------------------------------------------
+
+
+@st.composite
+def grid_and_radius(draw):
+    """A 1D or anisotropic 2D grid and a radius that is an exact multiple
+    of a step, the box diameter, or anything in between."""
+    dim = draw(st.sampled_from([1, 2]))
+    widths = tuple(draw(st.sampled_from([0.5, 0.7, 1.0, 1.3, 3.0])) for _ in range(dim))
+    shape = tuple(draw(st.integers(2, 40 if dim == 1 else 16)) for _ in range(dim))
+    grid = Grid(Box((0.0,) * dim, widths), shape)
+    radius = draw(st.one_of(
+        st.builds(lambda k, h: k * h, st.integers(1, 12), st.sampled_from(grid.steps)),
+        st.just(grid.box.diameter),
+        st.floats(min(grid.steps), grid.box.diameter)))
+    return grid, radius
+
+
+def brute_ball_sums(arr, grid, radius):
+    return np.array([np.sum(arr[ball_mask(grid, grid.coords[idx], radius)])
+                     for idx in np.ndindex(*grid.shape)]).reshape(grid.shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_and_radius(), st.data())
+def test_ball_sums_match_brute_force_masks(case, data):
+    grid, radius = case
+    # entries are 0 or in [1/4, 1], so no window is tiny against a row total
+    arr = data.draw(arrays(float, grid.shape, elements=st.one_of(
+        st.just(0.0), st.floats(0.25, 1.0))))
+    np.testing.assert_allclose(ball_sums(arr, grid, radius),
+                               brute_ball_sums(arr, grid, radius), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_and_radius(), st.data())
+def test_ball_sums_error_is_bounded_by_the_row_totals(case, data):
+    """For any nonnegative input the prefix-sum windows are nonnegative,
+    and each of a ball's rows is off by at most (row length) x eps x
+    (row total)."""
+    grid, radius = case
+    arr = data.draw(arrays(float, grid.shape, elements=st.floats(0.0, 1e6)))
+    got = ball_sums(arr, grid, radius)
+    want = brute_ball_sums(arr, grid, radius)
+    bound = 1e-12 * want + 2.0 * grid.size * np.finfo(float).eps * arr.sum(axis=-1).max()
+    assert np.all(got >= 0.0)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_ball_of_one_step_is_the_centre_node():
+    g = Grid(Box((0.0, 0.0), (1.0, 1.0)), (17, 17))
+    arr = np.random.default_rng(0).uniform(size=g.shape)
+    assert np.array_equal(ball_sums(arr, g, g.max_step), arr)
+
+
+def test_oscillation_offsets_are_the_ball_mask_in_row_order():
+    g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
+    # radii away from every lattice distance, where the two tests agree
+    for r in (0.071, 0.21, 0.31):
+        offsets = _offset_list(g, r)
+        assert offsets == sorted(offsets)
+        centre = (10, 7)
+        mask = ball_mask(g, g.coords[centre], r)
+        assert {(i - centre[0], j - centre[1]) for i, j in zip(*np.nonzero(mask))} \
+            == set(offsets)
+
+
 # -- maximal function -----------------------------------------------------
 
 
@@ -81,7 +153,26 @@ def test_maximal_dominates_pointwise():
     f = GridFunction.from_callable(
         g, lambda pts: np.exp(-(((pts[..., 0] - 0.5) / 0.15) ** 2)))
     mf = maximal_function(f, 1.0, RadiusSweep.geometric(g, 32))
-    assert np.all(mf.values >= np.abs(f.values) - 1e-9)
+    assert np.all(mf.values >= np.abs(f.values))
+
+
+def test_maximal_dominates_pointwise_in_2d():
+    """The smallest radius is one step, whose ball on a square grid is the
+    centre node; with power-of-two quadrature weights and qtilde = 1 the
+    centre average ``qw |f| / qw`` is exactly ``|f|``."""
+    g = Grid(Box((0.0, 0.0), (1.0, 1.0)), (65, 65))
+    f = GridFunction(g, np.random.default_rng(3).normal(size=g.shape))
+    mf = maximal_function(f, 1.0, RadiusSweep.geometric(g, 16))
+    assert np.all(mf.values >= np.abs(f.values))
+
+
+def test_maximal_rejects_non_finite_values():
+    g = grid1d(65)
+    vals = np.ones(g.shape)
+    vals[5] = math.inf
+    vals[9] = math.nan
+    with pytest.raises(DomainError, match="inf at flat node index 5"):
+        maximal_function(GridFunction(g, vals), 1.0, RadiusSweep.geometric(g, 8))
 
 
 def test_maximal_sublinear_at_qtilde_one():
@@ -165,6 +256,16 @@ def test_oscillation_lipschitz_bound():
     r = 0.03
     osc = oscillation_average(f, 2.0, r)
     assert float(osc.values.max()) <= 3.0 * r + 2.0 * g.max_step
+
+
+def test_oscillation_radius_beyond_the_box_covers_the_box():
+    g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (7, 5))
+    f = GridFunction(g, np.random.default_rng(8).normal(size=g.shape))
+    qw, vals = g.quad_weights, f.values
+    want = [np.sum(qw * np.abs(vals[idx] - vals) ** 1.5) / np.sum(qw)
+            for idx in np.ndindex(*g.shape)]
+    osc = oscillation_average(f, 1.5, 2.0 * g.box.diameter)
+    np.testing.assert_allclose(osc.values.ravel() ** 1.5, want, rtol=1e-12)
 
 
 # -- boundedness probe ---------------------------------------------------------
