@@ -112,7 +112,10 @@ def _family_from(block: dict, grid: Grid):
     required, optional = _FAMILY_PARAMS[kind]
     check_keys(block, {"kind", "base", "count"} | required, optional, f"family '{kind}'")
     base = realize_function(block["base"], grid)
-    count = int(block["count"])
+    count = block["count"]
+    if isinstance(count, bool) or not isinstance(count, (int, float)):
+        raise SchemaError(f"family '{kind}' key 'count' must be a number, got {count!r}")
+    count = int(count)
     if kind == "translate":
         return translate_family(base, count, float(block["step"]))
     if kind == "modulate":
@@ -189,6 +192,9 @@ def _run_multilinear_constant(cfg):
                {"resolution", "cube_depth", "rel_tol"}, "multilinear-constant config")
     grid = _grid_from(cfg)
     spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
+    if not isinstance(cfg["weights"], list):
+        raise SchemaError("multilinear-constant config key 'weights' must be a list of "
+                          "weight descriptors")
     if len(cfg["weights"]) != spec.m:
         raise SchemaError("one weight per input exponent is required")
     w_vec = tuple(_weight_from(d, grid) for d in cfg["weights"])
@@ -442,21 +448,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="varleb",
         description="variable-exponent norms, weight constants, and diagnostics")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        cp = sub.add_parser(name)
-        modes = cp.add_subparsers(dest="mode", required=True)
-        runp = modes.add_parser("run")
-        runp.add_argument("--config", required=True, help="JSON config path")
-        runp.add_argument("--out", help="write the report here instead of stdout")
-        runp.add_argument("--seed", type=int)
-        runp.add_argument("--resolution", type=int)
-        runp.add_argument("--cube-depth", dest="cube_depth", type=int)
-        runp.add_argument("--tol", type=float, help="override the norm solver rel_tol")
-        runp.add_argument("--quiet", action="store_true")
-        rep = modes.add_parser("replay")
-        rep.add_argument("--report", required=True, help="previously written report")
-        rep.add_argument("--quiet", action="store_true")
+    parser.add_argument("command", choices=_RUNNERS, metavar="command",
+                        help="one of " + ", ".join(_RUNNERS))
+    modes = parser.add_subparsers(dest="mode", required=True, prog="varleb <command>")
+    runp = modes.add_parser("run")
+    runp.add_argument("--config", required=True, help="JSON config path")
+    runp.add_argument("--out", help="write the report here instead of stdout")
+    runp.add_argument("--seed", type=int)
+    runp.add_argument("--resolution", type=int)
+    runp.add_argument("--cube-depth", dest="cube_depth", type=int)
+    runp.add_argument("--tol", type=float, help="override the norm solver rel_tol")
+    runp.add_argument("--quiet", action="store_true")
+    rep = modes.add_parser("replay")
+    rep.add_argument("--report", required=True, help="previously written report")
+    rep.add_argument("--quiet", action="store_true")
 
     args = parser.parse_args(argv)
     if args.mode == "replay":

@@ -213,6 +213,9 @@ class ExponentField:
         if kind == "constant":
             return cls.constant(box, desc["value"], scan)
         if kind == "affine":
+            if not isinstance(desc["slopes"], (list, tuple)):
+                raise SchemaError("exponent 'affine' key 'slopes' must be a list of numbers, "
+                                  "one per axis")
             return cls.affine(box, desc["base"], desc["slopes"], scan)
         if kind == "log_decay":
             return cls.log_decay(box, desc["p_infinity"], desc["amplitude"], scan)
@@ -226,6 +229,9 @@ class ExponentField:
         # shifted_reciprocal: 1/result = 1/inner - gamma; how an output
         # exponent with a constant smoothing offset from the input is
         # written down
+        if not isinstance(desc["inner"], dict):
+            raise SchemaError("exponent 'shifted_reciprocal' key 'inner' must be an "
+                              "exponent descriptor object")
         inner = cls.from_descriptor({**desc["inner"], "box": desc["box"]})
         return reciprocal_affine((inner,), (1.0,), -float(desc["gamma"]),
                                  what="shifted reciprocal exponent")

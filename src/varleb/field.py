@@ -300,20 +300,24 @@ class WeightField(GridFunction):
 # regions
 
 
-def box_slices(grid: Grid, box: Box) -> tuple[slice, ...]:
-    """Index slices of the nodes lying in an axis-aligned sub-box.
+def _axis_ranges(ax: np.ndarray, width: float, lo, hi):
+    """First and one-past-last index of the nodes of axis ``ax`` (of a box
+    of this width) in ``[lo, hi]``, for scalar or array bounds; nodes on
+    the boundary are included up to a 1e-12 relative tolerance, so dyadic
+    corners computed two different ways agree."""
+    tol = _BOX_EDGE_TOL * width
+    return (np.searchsorted(ax, lo - tol, side="left"),
+            np.searchsorted(ax, hi + tol, side="right"))
 
-    Nodes on the sub-box boundary are included (up to a 1e-12 relative
-    tolerance, so dyadic corners computed two different ways agree).
-    """
+
+def box_slices(grid: Grid, box: Box) -> tuple[slice, ...]:
+    """Index slices of the nodes lying in an axis-aligned sub-box."""
     if box.dim != grid.dim:
         raise DomainError("region dimension does not match grid")
     out = []
     for ax, lo, hi, w in zip(grid.axes, box.lo, box.hi, grid.box.widths):
-        tol = _BOX_EDGE_TOL * w
-        i0 = int(np.searchsorted(ax, lo - tol, side="left"))
-        i1 = int(np.searchsorted(ax, hi + tol, side="right"))
-        out.append(slice(i0, i1))
+        i0, i1 = _axis_ranges(ax, w, lo, hi)
+        out.append(slice(int(i0), int(i1)))
     return tuple(out)
 
 
@@ -396,23 +400,61 @@ class DyadicCubeSet:
         if self.max_depth < 0:
             raise DomainError("max_depth must be nonnegative")
 
-    def cubes(self) -> Iterator[Cube]:
-        n = self.root.dim
+    def groups(self) -> Iterator["CubeGroup"]:
+        """The scan order: per depth the dyadic cubes, then the shifted ones."""
         lo = np.array(self.root.lo)
-        widths = np.array(self.root.widths)
+        side_0 = np.array(self.root.widths)
         for depth in range(self.max_depth + 1):
             k = 2 ** depth
-            side = widths / k
-            for idx in np.ndindex(*([k] * n)):
-                c_lo = lo + np.array(idx) * side
-                yield Cube(Box(tuple(c_lo), tuple(c_lo + side)), depth, False, idx)
+            side = side_0 / k
+            yield CubeGroup(depth, False, tuple(a + np.arange(k) * s for a, s in zip(lo, side)), side)
             if self.shifted and depth >= 1:
-                for idx in np.ndindex(*([k - 1] * n)):
-                    c_lo = lo + (np.array(idx) + 0.5) * side
-                    yield Cube(Box(tuple(c_lo), tuple(c_lo + side)), depth, True, idx)
+                yield CubeGroup(depth, True,
+                                tuple(a + (np.arange(k - 1) + 0.5) * s for a, s in zip(lo, side)), side)
+
+    def cubes(self) -> Iterator[Cube]:
+        for group in self.groups():
+            for idx in np.ndindex(*group.shape):
+                yield group.cube(idx)
 
     def count(self) -> int:
-        return sum(1 for _ in self.cubes())
+        return sum(math.prod(group.shape) for group in self.groups())
+
+
+@dataclass(frozen=True, eq=False)
+class CubeGroup:
+    """The cubes of one depth, dyadic or shifted: the products of the
+    per-axis lower corners, in C order, each of side ``side``."""
+
+    depth: int
+    shifted: bool
+    corners: tuple[np.ndarray, ...]
+    side: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(c.size for c in self.corners)
+
+    def cube(self, index: Sequence[int]) -> Cube:
+        c_lo = np.array([c[i] for c, i in zip(self.corners, index)])
+        return Cube(Box(tuple(c_lo), tuple(c_lo + self.side)), self.depth, self.shifted,
+                    tuple(int(i) for i in index))
+
+    def node_rows(self, grid: Grid) -> np.ndarray:
+        """Flat indices of each cube's nodes, one row per cube in scan
+        order and the nodes in C order, padded with ``grid.size``."""
+        dim = grid.dim
+        flat, inside, stride = 0, True, 1
+        for axis in reversed(range(dim)):
+            lo = self.corners[axis]
+            i0, i1 = _axis_ranges(grid.axes[axis], grid.box.widths[axis], lo, lo + self.side[axis])
+            local = np.arange((i1 - i0).max(initial=0))
+            shape = [1] * (2 * dim)
+            shape[axis], shape[dim + axis] = lo.size, local.size
+            flat = flat + ((i0[:, None] + local) * stride).reshape(shape)
+            inside = inside & (local < (i1 - i0)[:, None]).reshape(shape)
+            stride *= grid.shape[axis]
+        return np.where(inside, flat, grid.size).reshape(math.prod(self.shape), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +476,11 @@ _FUNCTION_KINDS = {
 
 
 def _radial(coords: np.ndarray, center: Sequence[float]) -> np.ndarray:
-    delta = coords - np.asarray(center, dtype=float)
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != coords.shape[-1:]:
+        raise SchemaError(f"center has {center.size} coordinates, expected "
+                          f"{coords.shape[-1]} (one per grid axis)")
+    delta = coords - center
     return np.sqrt(np.sum(delta ** 2, axis=-1))
 
 

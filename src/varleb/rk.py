@@ -35,7 +35,7 @@ from .exponent import ExponentField, scale_exponent
 from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
                     ball_mask, shift_function)
 from .maximal import RadiusSweep, oscillation_average
-from .norms import weight_measure, weighted_norm
+from .norms import weight_measure, weighted_norms
 from .weights import WeightConstantReport, ap_constant
 
 
@@ -177,7 +177,7 @@ class EquiIntegrabilityReport:
 def uniform_bound_profile(family: FunctionFamily, p: ExponentField,
                           w: WeightField | None = None,
                           rel_tol: float = 1e-10) -> UniformBoundReport:
-    norms = tuple(weighted_norm(f, p, w, rel_tol=rel_tol).value for f in family.members)
+    norms = tuple(weighted_norms(family.members, p, w, rel_tol).tolist())
     return UniformBoundReport(norms, max(norms))
 
 
@@ -188,13 +188,9 @@ def equicontinuity_profile(family: FunctionFamily, p: ExponentField,
     """Sup over members of the weighted norm of the oscillation average,
     per sweep radius; passes when the smallest radius lands below the
     threshold."""
-    profile = []
-    for r in sweep.radii:
-        worst = 0.0
-        for f in family.members:
-            osc = oscillation_average(f, qtilde, r)
-            worst = max(worst, weighted_norm(osc, p, w, rel_tol=rel_tol).value)
-        profile.append(worst)
+    profile = [float(weighted_norms([oscillation_average(f, qtilde, r) for f in family.members],
+                                    p, w, rel_tol).max())
+               for r in sweep.radii]
     return EquicontinuityReport(sweep.radii, tuple(profile), threshold,
                                 profile[0] < threshold)
 
@@ -212,9 +208,8 @@ def vanishing_profile(family: FunctionFamily, p: ExponentField,
     profile = []
     for R in radii:
         outside = ~ball_mask(grid, center, R)
-        worst = max(weighted_norm(f.restrict(outside), p, w, rel_tol=rel_tol).value
-                    for f in family.members)
-        profile.append(worst)
+        profile.append(float(weighted_norms([f.restrict(outside) for f in family.members],
+                                            p, w, rel_tol).max()))
     return VanishingReport(center, radii, tuple(profile), threshold,
                            profile[-1] < threshold)
 
@@ -231,8 +226,8 @@ def equi_integrability_measure(family: FunctionFamily, p: ExponentField,
     for E in shrinking_sets:
         from .field import box_mask
         mask = box_mask(family.grid, E)
-        profile.append(max(weighted_norm(f.restrict(mask), p, w, rel_tol=rel_tol).value
-                           for f in family.members))
+        profile.append(float(weighted_norms([f.restrict(mask) for f in family.members],
+                                            p, w, rel_tol).max()))
     return EquiIntegrabilityReport(tuple(measures), tuple(profile))
 
 
@@ -252,12 +247,14 @@ class NetReport:
 def family_distance_matrix(family: FunctionFamily, p: ExponentField,
                            w: WeightField | None = None,
                            rel_tol: float = 1e-10) -> np.ndarray:
+    """Pairwise distances ``|| (f_i - f_j) w ||_p``, every pair solved in
+    one `lux_rows` call."""
     n = len(family)
     d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = weighted_norm(
-                family.members[i] - family.members[j], p, w, rel_tol=rel_tol).value
+    i, j = np.triu_indices(n, 1)
+    if i.size:
+        m = family.members
+        d[i, j] = d[j, i] = weighted_norms([m[a] - m[b] for a, b in zip(i, j)], p, w, rel_tol)
     return d
 
 

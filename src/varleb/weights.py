@@ -25,6 +25,14 @@ with ``nu = prod_j w_j``.  Three conventions are fixed throughout:
 The non-symmetric convention, where a density ``u = w^p(.)`` is tested
 through ``u^(1/p(.))``, is exposed via the density conversion helpers
 and produces the same constant as the symmetric form.
+
+The scan works one (depth, shifted) group of cubes at a time.  Each
+factor's ``log|f|`` and exponent are evaluated once on the grid; a group
+gathers them with one fancy index into a ``(cubes, nodes)`` matrix, one
+row per cube in scan order, padded with zero-valued nodes, and solves
+every row in one `norms.lux_rows` call.  Cube measures, products, the
+overflow test and the argmax (the first maximal cube in scan order) are
+array operations on the group.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from .errors import (ArityMismatchError, DomainError, EmptyRegionError,
 from .exponent import (ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
                        reciprocal_affine, two_to_one_data, validate_quadruple)
-from .field import Cube, DyadicCubeSet, Grid, WeightField, box_slices
-from .norms import holder_constant, lux_flat
+from .field import Cube, DyadicCubeSet, Grid, WeightField
+from .norms import holder_constant, log_abs, lux_rows
 
 OVERFLOW_THRESHOLD = 1e150
 
@@ -55,8 +63,10 @@ class WeightConstantReport:
     convention: str
 
 
-def _factor_arrays(grid: Grid, factors):
-    """Evaluate (values, exponent) pairs once on the grid."""
+def _factor_terms(grid: Grid, factors):
+    """Per factor ``(log|f|, p, sign)`` once on the flattened grid, each
+    with one zero-valued padding node appended, so a gather of padded
+    cube rows reads nothing but zeros past a cube."""
     out = []
     for factor in factors:
         wf, ef = factor[:2]
@@ -64,48 +74,75 @@ def _factor_arrays(grid: Grid, factors):
         # instead of multiplying (the negative-reciprocal-exponent
         # convention ||f||_t = ||1/f||_that^-1 for 1/t < 0)
         sign = factor[2] if len(factor) > 2 else 1.0
-        out.append((np.abs(wf.values), ef.values_on(grid), sign))
+        out.append((np.append(log_abs(wf.values), -math.inf),
+                    np.append(ef.values_on(grid), 1.0), sign))
     return out
+
+
+def _group_values(rows: np.ndarray, qw: np.ndarray, lq: np.ndarray, terms,
+                  measure_power: float, rel_tol: float):
+    """Per-cube values of a group of padded node rows, the mask
+    ``(factors, cubes)`` of factors past the overflow threshold, and the
+    factor values."""
+    lq = lq[rows]
+    value = qw[rows].sum(axis=1) ** measure_power
+    effs = []
+    for la, pv, sign in terms:
+        nrm = lux_rows(la[rows], pv[rows], lq, rel_tol).value
+        if sign < 0:
+            # 1 / nrm overflows a float below about 5.6e-309
+            with np.errstate(divide="ignore"):
+                nrm = np.where(nrm < 1e-300, math.inf, 1.0 / nrm)
+        effs.append(nrm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = value * nrm
+    over = np.array(effs) > OVERFLOW_THRESHOLD
+    return np.where(over.any(axis=0), math.inf, value), over, effs
 
 
 def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
                rel_tol: float, allow_overflow: bool, convention: str) -> WeightConstantReport:
+    """Scan the cube family one (depth, shifted) group at a time: every
+    cube of a group is a padded row of node indices, so each factor is
+    one `lux_rows` solve per group."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
-    arrays = _factor_arrays(grid, factors)
-    qw = grid.quad_weights
-    best = -math.inf
-    best_cube = None
-    per_cube = []
+    terms = _factor_terms(grid, factors)
+    qw = grid.quad_weights.ravel()
+    qw, lq = np.append(qw, 0.0), np.append(np.log(qw), 0.0)
+    groups, values = [], []
     overflow = False
-    count = 0
-    for cube in cubes.cubes():
-        count += 1
-        sl = box_slices(grid, cube.box)
-        wq = qw[sl].ravel()
-        if wq.size == 0:
+    for group in cubes.groups():
+        rows = group.node_rows(grid)
+        # a cube with no node holds only padding, from its first entry on
+        empty = np.flatnonzero(rows[:, 0] == grid.size)
+        stop = int(empty[0]) if empty.size else rows.shape[0]
+        value, over, effs = _group_values(rows[:stop], qw, lq, terms, measure_power, rel_tol)
+        hit = over.any(axis=0)
+        if hit.any():
+            if not allow_overflow:
+                cube = int(np.argmax(hit))
+                factor = int(np.argmax(over[:, cube]))
+                raise OverflowToInfinityError(
+                    f"per-cube norm factor {effs[factor][cube]:.3e} beyond "
+                    f"{OVERFLOW_THRESHOLD:.0e} on cube "
+                    f"{group.cube(np.unravel_index(cube, group.shape)).label()}")
+            overflow = True
+        if empty.size:
             raise EmptyRegionError(
-                f"cube {cube.label()} contains no grid node; lower max_depth or refine the grid")
-        measure = float(np.sum(wq))
-        value = measure ** measure_power
-        for vals, pv, sign in arrays:
-            nrm = lux_flat(vals[sl].ravel(), pv[sl].ravel(), wq, rel_tol).value
-            # 1 / nrm overflows a float (OverflowError) below about 5.6e-309
-            eff = math.inf if (nrm < 1e-300 and sign < 0) else nrm ** sign
-            if eff > OVERFLOW_THRESHOLD:
-                if not allow_overflow:
-                    raise OverflowToInfinityError(
-                        f"per-cube norm factor {eff:.3e} beyond {OVERFLOW_THRESHOLD:.0e} "
-                        f"on cube {cube.label()}")
-                overflow = True
-                value = math.inf
-                break
-            value *= eff
-        per_cube.append(value)
-        if value > best:
-            best = value
-            best_cube = cube
-    return WeightConstantReport(best, overflow, best_cube, count, tuple(per_cube), convention)
+                f"cube {group.cube(np.unravel_index(stop, group.shape)).label()} contains "
+                "no grid node; lower max_depth or refine the grid")
+        groups.append(group)
+        values.append(value)
+    per_cube = np.concatenate(values)
+    best = int(np.argmax(per_cube))
+    for group, value in zip(groups, values):
+        if best < value.size:
+            break
+        best -= value.size
+    return WeightConstantReport(float(value[best]), overflow,
+                                group.cube(np.unravel_index(best, group.shape)),
+                                per_cube.size, tuple(per_cube.tolist()), convention)
 
 
 def ap_constant(w: WeightField, p: ExponentField, cubes: DyadicCubeSet,

@@ -297,8 +297,15 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
     ({"exponent": {"kind": "constant"}}, "missing keys ['value']"),
     ({"box": 5}, "box must be a list of [lo, hi] pairs"),
     ({"box": [0.0, 1.0]}, "box must be a list of [lo, hi] pairs"),
+    ({"function": dict(_GAUSS, center=[0.1, 0.2, 0.3])},
+     "center has 3 coordinates, expected 1"),
+    ({"exponent": {"kind": "affine", "base": 2.0, "slopes": 1.0}},
+     "exponent 'affine' key 'slopes' must be a list"),
+    ({"exponent": {"kind": "shifted_reciprocal", "inner": 5, "gamma": 0.1}},
+     "exponent 'shifted_reciprocal' key 'inner' must be an exponent descriptor"),
 ], ids=["translate-shift", "dilate-scale", "grid_csv-path", "indicator-box", "sum-terms",
-        "constant-value", "box-int", "box-flat"])
+        "constant-value", "box-int", "box-flat", "center-length", "affine-slopes-type",
+        "shifted-reciprocal-inner-type"])
 def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, patch, fault):
     cfg = {"box": [[0.0, 1.0]], "resolution": 64,
            "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS, **patch}
@@ -308,6 +315,39 @@ def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, p
     assert report is None
     assert fault in err
     assert "Traceback" not in err
+
+
+_QUAD = {"p_vec": [{"kind": "constant", "value": 3.0}], "q": {"kind": "constant", "value": 3.0},
+         "r_vec": [1.0], "s": "inf"}
+
+
+@pytest.mark.parametrize("command, cfg, fault", [
+    ("multilinear-constant", {"box": [[0.0, 1.0]], "resolution": 64, "quadruple": _QUAD,
+                              "weights": 5},
+     "multilinear-constant config key 'weights' must be a list"),
+    ("rk-classify", {"box": [[0.0, 1.0]], "resolution": 64, "qtilde": 1.0,
+                     "exponent": {"kind": "constant", "value": 2.0}, "weight": CONST_ONE,
+                     "family": {"kind": "translate", "count": None, "step": 0.1,
+                                "base": _GAUSS}},
+     "family 'translate' key 'count' must be a number, got None"),
+], ids=["multilinear-weights-type", "rk-family-count-type"])
+def test_wrong_typed_config_value_exits_one_and_names_the_key(tmp_path, capsys, command,
+                                                              cfg, fault):
+    rc, report, _ = _run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert fault in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["bogus", "run", "--config", "c.json"], ["norm"]],
+                         ids=["unknown-command", "missing-mode"])
+def test_bad_command_line_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_maximal_of_an_infinite_value_exits_one_and_names_the_node(tmp_path, capsys):

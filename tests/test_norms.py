@@ -13,6 +13,8 @@ from varleb import (Box, DomainError, ExponentField, Grid, GridFunction,
                     random_simple_function, realize_function, scale_exponent,
                     weighted_norm)
 
+from varleb.norms import log_abs, lux_flat, lux_rows
+
 from _support import UNIT, grid1d, rand_exponent
 
 
@@ -354,3 +356,45 @@ def test_pairing_requires_shared_grid():
     h = GridFunction(grid1d(129), np.ones(129))
     with pytest.raises(DomainError):
         pairing(f, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, rows=st.integers(1, 6), k=st.integers(-300, 300))
+def test_lux_rows_solves_each_row_as_lux_flat_with_a_certified_bracket(seed, rows, k):
+    """Rows of different lengths and exponents, with zero nodes inside and
+    padding after them, solved in one call."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(rows):
+        f, p = _random_case(seed + i, int(rng.choice([65, 257, 1025])))
+        a = np.abs(f.values) * 10.0 ** k
+        a[rng.random(a.size) < 0.2] = 0.0
+        cases.append((a, p.values_on(f.grid), f.grid.quad_weights))
+    width = max(a.size for a, _, _ in cases)
+    la = np.full((rows, width), -math.inf)
+    pv, lq = np.ones((rows, width)), np.zeros((rows, width))
+    for i, (a, p, qw) in enumerate(cases):
+        la[i, :a.size], pv[i, :a.size], lq[i, :a.size] = log_abs(a), p, np.log(qw)
+    res = lux_rows(la, pv, lq)
+    for i, (a, p, qw) in enumerate(cases):
+        want = lux_flat(a, p, qw)
+        assert abs(res.value[i] - want.value) <= 1e-12 * want.value
+        assert res.iterations[i] == want.iterations
+        t, g, p_lo = res.log_value[i], res.log_modular[i], res.p_lo[i]
+        lo, hi = np.exp([t + min(g, 0.0) / p_lo, t + max(g, 0.0) / p_lo])
+        assert lo <= res.value[i] <= hi
+        nz = a > 0.0
+        for lam, side in ((lo, 1.0), (hi, -1.0)):
+            log_rho = float(np.logaddexp.reduce(np.log(qw[nz]) + p[nz] * (np.log(a[nz]) - math.log(lam))))
+            assert side * log_rho >= -1e-12
+
+
+def test_lux_rows_zero_and_infinite_rows_need_no_evaluation():
+    la = np.array([[-math.inf, -math.inf], [0.0, math.inf], [0.0, -math.inf]])
+    res = lux_rows(la, np.full(la.shape, 2.0), np.full(la.shape, math.log(0.5)))
+    assert res.value[0] == 0.0 and res.value[1] == math.inf
+    assert res.value[2] == pytest.approx(0.5 ** 0.5, rel=1e-12)   # rho(f / lam) = 0.5 lam^-2
+    assert list(res.iterations[:2]) == [0, 0]
+    with pytest.raises(DomainError, match="NaN at flat node index 1 of row 2$"):
+        lux_rows(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, math.nan]]), np.ones((3, 2)),
+                 np.zeros((3, 2)))

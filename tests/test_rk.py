@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import varleb.norms as norms_module
 from varleb.errors import DomainError, HypothesisFailureError
 from varleb.exponent import ExponentField
 from varleb.field import Box, Grid, GridFunction, WeightField
 from varleb.maximal import RadiusSweep
+from varleb.norms import weighted_norm
 from varleb.rk import (FunctionFamily, classify, dilate_family,
                        eps_net_oracle, equi_integrability_measure,
                        equicontinuity_profile, family_distance_matrix,
@@ -432,3 +434,33 @@ def test_classify_default_ladder_spans_the_diameter():
     assert len(report.eps_ladder) == 7
     assert abs(report.eps_ladder[0] - report.diameter) < 1e-15
     assert abs(report.eps_ladder[-1] - report.diameter / 64.0) < 1e-15
+
+
+def test_family_profiles_solve_each_family_in_one_row_call(monkeypatch):
+    """A work-count guard: the distance matrix solves all pairs in one
+    call and the uniform bound all members in one, each row as
+    `weighted_norm` solves it alone."""
+    calls = []
+    real = norms_module.lux_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    box = Box((0.0,), (4.0,))
+    g = Grid(box, (801,))
+    p = ExponentField.affine(box, 1.5, (0.5,))
+    w = WeightField(g, 1.0 + g.coords[..., 0])
+    fam = translate_family(_gaussian(g, 20.0, 1.0), 6, 0.4)
+    monkeypatch.setattr(norms_module, "lux_rows", counting)
+    d = family_distance_matrix(fam, p, w)
+    assert len(calls) == 1 and calls[0][0] == 15
+    bound = uniform_bound_profile(fam, p, w)
+    assert len(calls) == 2 and calls[1][0] == 6
+    monkeypatch.undo()
+    for i in range(6):
+        assert bound.per_member[i] == pytest.approx(
+            weighted_norm(fam.members[i], p, w).value, rel=1e-12)
+        for j in range(6):
+            want = 0.0 if i == j else weighted_norm(fam.members[i] - fam.members[j], p, w).value
+            assert d[i, j] == pytest.approx(want, rel=1e-12)

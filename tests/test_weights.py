@@ -4,15 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varleb import (ArityMismatchError, Box, DyadicCubeSet, ExponentField,
-                    Grid, QuadrupleSpec, RangeError, SpecMismatchError,
-                    WeightField, ap_constant, ap_constant_density,
-                    blend_constant_check, componentwise_characterize,
-                    containment_check, density_from_weight, multilinear_constant,
+import varleb.weights as weights_module
+from varleb import (ArityMismatchError, Box, DomainError, DyadicCubeSet,
+                    EmptyRegionError, ExponentField, Grid, GridFunction,
+                    OverflowToInfinityError, QuadrupleSpec, RangeError,
+                    SpecMismatchError, WeightField, ap_constant,
+                    ap_constant_density, blend_constant_check,
+                    component_exponent, componentwise_characterize,
+                    containment_check, density_from_weight, dual_exponent,
+                    multilinear_constant, nu_exponent, reciprocal_affine,
                     two_to_one_check, weight_from_density)
+from varleb.field import box_slices
+from varleb.norms import lux_flat
+from varleb.weights import OVERFLOW_THRESHOLD, _cube_scan
 
-from _support import UNIT, SYM, rand_weight
+from _support import UNIT, SYM, rand_exponent, rand_weight
 
 GRID = Grid(UNIT, (1025,))
 CUBES = DyadicCubeSet(UNIT, 3)
@@ -318,3 +327,181 @@ def test_componentwise_refuses_negative_sigma():
     ones = WeightField.ones(GRID)
     with pytest.raises(RangeError):
         componentwise_characterize((ones, ones), spec, CUBES)
+
+
+# -- batched cube scan against a per-cube loop -----------------------------
+
+
+def _loop_scan(grid, cubes, factors, power, allow_overflow):
+    """The cube scan as one `lux_flat` solve per cube and factor, in scan
+    order, as a reference for the batched `_cube_scan`."""
+    qw = grid.quad_weights
+    best, best_cube, per_cube, overflow = -math.inf, None, [], False
+    for cube in cubes.cubes():
+        sl = box_slices(grid, cube.box)
+        wq = qw[sl].ravel()
+        if wq.size == 0:
+            raise EmptyRegionError(
+                f"cube {cube.label()} contains no grid node; lower max_depth or refine the grid")
+        value = float(np.sum(wq)) ** power
+        for factor in factors:
+            wf, ef = factor[:2]
+            sign = factor[2] if len(factor) > 2 else 1.0
+            nrm = lux_flat(np.abs(wf.values)[sl].ravel(), ef.values_on(grid)[sl].ravel(), wq).value
+            eff = math.inf if (nrm < 1e-300 and sign < 0) else nrm ** sign
+            if eff > OVERFLOW_THRESHOLD:
+                if not allow_overflow:
+                    raise OverflowToInfinityError(
+                        f"per-cube norm factor {eff:.3e} beyond {OVERFLOW_THRESHOLD:.0e} "
+                        f"on cube {cube.label()}")
+                overflow, value = True, math.inf
+                break
+            value *= eff
+        per_cube.append(value)
+        if value > best:
+            best, best_cube = value, cube
+    return per_cube, best_cube, overflow
+
+
+def _assert_scan_matches_loop(rep, grid, cubes, factors, power, allow_overflow=False):
+    per_cube, best_cube, overflow = _loop_scan(grid, cubes, factors, power, allow_overflow)
+    assert rep.cube_count == len(per_cube) == cubes.count()
+    for got, want in zip(rep.per_cube, per_cube):
+        assert got == want or abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+    assert rep.argmax_cube.label() == best_cube.label()
+    assert rep.argmax_cube.box == best_cube.box
+    labels = [cube.label() for cube in cubes.cubes()]
+    assert rep.constant == max(rep.per_cube)
+    assert labels.index(rep.argmax_cube.label()) == rep.per_cube.index(rep.constant)
+    assert rep.overflow == overflow
+
+
+def _scan_case(seed, dim, depth):
+    """A 1D or anisotropic 2D grid fine enough that no cube of the family
+    is empty, a smooth random weight and an exponent in the class P."""
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        box = Box((0.0,), (float(rng.uniform(0.5, 3.0)),))
+        grid = Grid(box, (int(rng.integers(2 ** depth + 1, 300)),))
+        p = rand_exponent(box, rng, lo=1.3, hi=5.0)
+    else:
+        box = Box((0.0, -1.0), (1.0, float(rng.uniform(0.0, 2.0))))
+        grid = Grid(box, tuple(int(n) for n in rng.integers(2 ** depth + 1, 40, size=2)))
+        p = ExponentField.affine(box, float(rng.uniform(2.0, 3.0)),
+                                 tuple(float(s) for s in rng.uniform(-0.5, 0.5, size=2)))
+    x = grid.coords
+    a, b, c = rng.uniform(-1.0, 1.0, size=3)
+    w = WeightField(grid, np.exp(a * np.sin(3.0 * x[..., 0] + c) + b * x[..., -1]))
+    return grid, DyadicCubeSet(box, depth), w, p, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]), depth=st.integers(0, 3))
+def test_batched_ap_constant_matches_a_per_cube_loop(seed, dim, depth):
+    grid, cubes, w, p, _ = _scan_case(seed, dim, depth)
+    rep = ap_constant(w, p, cubes)
+    _assert_scan_matches_loop(rep, grid, cubes, [(w, p), (w.inverse(), dual_exponent(p))], -1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]), depth=st.integers(0, 3))
+def test_batched_multilinear_constant_matches_a_per_cube_loop(seed, dim, depth):
+    grid, cubes, w1, p, rng = _scan_case(seed, dim, depth)
+    w2 = w1.power(float(rng.uniform(-1.0, 1.0))) * float(rng.uniform(0.5, 2.0))
+    p_vec = (p, ExponentField.constant(grid.box, float(rng.uniform(3.0, 5.0))))
+    r_vec = tuple(float(rng.uniform(1.0, 1.2)) for _ in p_vec)
+    q = reciprocal_affine(p_vec, (1.0, 1.0), 0.0)
+    spec = QuadrupleSpec(p_vec, q, r_vec, math.inf)
+    rep = multilinear_constant((w1, w2), spec, cubes)
+    factors = [(WeightField.product((w1, w2)), nu_exponent(spec.q, spec.s))]
+    factors += [(w.inverse(), component_exponent(p_j, r_j))
+                for w, p_j, r_j in zip((w1, w2), p_vec, r_vec)]
+    _assert_scan_matches_loop(rep, grid, cubes, factors, spec.gamma - 1.0 / spec.r)
+
+
+def _edge_grid():
+    return Grid(UNIT, (65,)), DyadicCubeSet(UNIT, 3), const_p(2.5)
+
+
+def test_cube_scan_zero_weight_cube_gives_an_infinite_reciprocal_factor():
+    grid, cubes, p = _edge_grid()
+    x = grid.coords[..., 0]
+    f = GridFunction(grid, np.where(x <= 0.25, 0.0, 1.0 + x))
+    factors = [(f, p), (f, dual_exponent(p), -1.0)]
+    rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10, True, "test")
+    _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0, allow_overflow=True)
+    assert rep.overflow and rep.constant == math.inf and rep.argmax_cube.label() == "d2u0"
+
+
+def test_cube_scan_infinite_node_overflows_every_cube_holding_it():
+    grid, cubes, p = _edge_grid()
+    vals = 1.0 + grid.coords[..., 0]
+    vals[40] = math.inf
+    f = GridFunction(grid, vals)
+    for factors in ([(f, p), (f, p, -1.0)], [(f, p, -1.0), (f, p)]):
+        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10, True, "test")
+        _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0, allow_overflow=True)
+        assert rep.overflow and rep.per_cube[0] == math.inf
+
+
+def test_cube_scan_refuses_a_nan_node_and_names_it():
+    grid, cubes, p = _edge_grid()
+    vals = 1.0 + grid.coords[..., 0]
+    vals[17] = math.nan
+    factors = [(GridFunction(grid, vals), p)]
+    with pytest.raises(DomainError) as want:
+        _loop_scan(grid, cubes, factors, -1.0, True)
+    with pytest.raises(DomainError, match="NaN at flat node index 17$") as got:
+        _cube_scan(grid, cubes, factors, -1.0, 1e-10, True, "test")
+    assert str(got.value) == str(want.value)
+
+
+def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
+    box = Box((-2.0,), (2.0,))
+    grid, cubes = Grid(box, (7,)), DyadicCubeSet(box, 4)
+    w, p = WeightField.ones(grid), const_p(2.0, box)
+    with pytest.raises(EmptyRegionError) as want:
+        _loop_scan(grid, cubes, [(w, p)], -1.0, True)
+    with pytest.raises(EmptyRegionError) as got:
+        ap_constant(w, p, cubes)
+    assert str(got.value) == str(want.value)
+    assert "cube d3s1 " in str(got.value)
+
+
+def test_cube_scan_overflow_error_names_the_first_overflowing_cube():
+    grid, cubes, p = _edge_grid()
+    x = grid.coords[..., 0]
+    ones = GridFunction(grid, np.ones(grid.shape))
+    huge = GridFunction(grid, np.where(x >= 0.6, 1e200, 1.0))
+    tiny = GridFunction(grid, np.where((x <= 0.3) | (x >= 0.7), 1e-200, 1.0))
+    for factors, cube in (([(huge, p)], "d0u0"), ([(ones, p), (huge, p)], "d0u0"),
+                          ([(ones, p), (tiny, p, -1.0)], "d2u0")):
+        with pytest.raises(OverflowToInfinityError) as want:
+            _loop_scan(grid, cubes, factors, -1.0, False)
+        with pytest.raises(OverflowToInfinityError) as got:
+            _cube_scan(grid, cubes, factors, -1.0, 1e-10, False, "test")
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"on cube {cube}")
+
+
+def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
+    """A work-count guard: a fall-back to per-cube solves would make one
+    call per cube (here 1 + 4 + 16 + 64 + 256 dyadic cubes plus the
+    shifted ones) instead of one per (depth, shifted) group."""
+    calls = []
+    real = weights_module.lux_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weights_module, "lux_rows", counting)
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    grid = Grid(box, (33, 65))
+    depth = 4
+    cubes = DyadicCubeSet(box, depth)
+    w = WeightField(grid, 1.0 + grid.coords[..., 0] * grid.coords[..., 1])
+    rep = ap_constant(w, const_p(2.0, box), cubes)
+    factors = 2
+    assert len(calls) <= (depth + 1) * 2 * factors
+    assert sum(calls) == factors * rep.cube_count == factors * cubes.count()
