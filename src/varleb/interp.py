@@ -8,11 +8,15 @@ satisfy the blended bound
         <= M_0^(1-th) M_1^th  prod_j ||f_j||_{p_th_j, w_th_j}
 
 where reciprocal exponents and weights blend geometrically at parameter
-``th``.  This module certifies the endpoint bounds over a random corpus
-(inflating a supplied ``M_i`` when the corpus exceeds it), then asserts
-the blended inequality trial by trial, with a small multiplicative
-slack for norm-solver tolerance.  A mixed-norm variant runs the same
-pipeline on difference fields ``S(x, y) = T(x) - T(x + y)``.
+``th``.  One pipeline checks it: it certifies the endpoint bounds over
+a random corpus (inflating a supplied ``M_i`` when the corpus exceeds
+it), then asserts the blended inequality trial by trial, with a small
+multiplicative slack for norm-solver tolerance, and shrinks a witness
+for each violation.  Every ratio comes from one helper that solves the
+norms of a whole corpus slot in one batched call.  The mixed-norm
+bound is the same pipeline with an output map: ``T f`` is replaced by
+the profile ``x -> ||S(x, .)||_{qtilde}`` of the difference field
+``S(x, y) = T(x) - T(x + y)``.
 
 The extrapolation half inverts the blend: given a target space tuple, a
 second endpoint, and ``th``, it reconstructs the other endpoint (spaces
@@ -33,9 +37,10 @@ from .errors import (ArityMismatchError, DomainError, RangeError,
 from .exponent import (ExponentField, QuadrupleSpec, QuadrupleVerdict,
                        blend_quadruple, theta_blend, theta_invert,
                        validate_quadruple)
-from .field import Box, DyadicCubeSet, Grid, GridFunction, WeightField
+from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
+                    random_simple_function)
 from .maximal import ball_mean
-from .norms import mixed_norm, weighted_norm
+from .norms import inner_norm, weighted_norms
 from .rk import FunctionFamily, RKReport, classify
 from .weights import WeightConstantReport, multilinear_constant
 
@@ -52,7 +57,8 @@ class OperatorSpec:
       product              prod_j f_j(x)
       ball_average_product mean of prod_j f_j over B(x, radius)
       fractional_kernel    int (sum_j |x - y_j|)^(alpha - m) prod f_j(y_j) dy
-                           (1D, m <= 2, 0 < alpha < m, diagonal cell dropped)
+                           (1D, m <= 2, 0 < alpha < m; only the singular
+                           cell y_1 = .. = y_m = x is dropped)
     """
     kind: str
     arity: int
@@ -87,10 +93,7 @@ def apply_operator(op: OperatorSpec, fs: Sequence[GridFunction]) -> GridFunction
             raise DomainError("operator inputs live on different grids")
 
     if op.kind == "product":
-        vals = fs[0].values.copy()
-        for f in fs[1:]:
-            vals = vals * f.values
-        return GridFunction(grid, vals)
+        return GridFunction.product(fs)
 
     if op.kind == "ball_average_product":
         return ball_mean(GridFunction.product(fs), op.radius)
@@ -111,7 +114,6 @@ def apply_operator(op: OperatorSpec, fs: Sequence[GridFunction]) -> GridFunction
     power = op.alpha - 2.0
     for i in range(x.size):
         d = np.abs(x[i] - x)
-        d[i] = 1.0
         pair = d[:, None] + d[None, :]
         pair[i, i] = np.inf  # the only genuinely singular cell
         out[i] = a @ (pair ** power) @ b
@@ -198,28 +200,33 @@ class InterpolationReport:
 
 def _draw_corpus(grid: Grid, m: int, trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    from .field import random_simple_function
     return [tuple(random_simple_function(grid, rng) for _ in range(m))
             for _ in range(trials)]
 
 
-def _certify(space: EndpointSpace, corpus, outputs, norm_out, safety: float,
-             rel_tol: float) -> EndpointCertificate:
-    worst = 0.0
-    for fs, Tf in zip(corpus, outputs):
-        den = 1.0
-        for f, p, w in zip(fs, space.p_vec, space.w_vec):
-            den *= weighted_norm(f, p, w, rel_tol=rel_tol).value
-        if den <= 0.0:
-            continue
-        worst = max(worst, norm_out(Tf, space) / den)
+def _corpus_ratios(corpus, outputs, space: EndpointSpace, scale: float,
+                   rel_tol: float) -> np.ndarray:
+    """Per-trial ``||T f||_{q,v} / (scale prod_j ||f_j||_{p_j,w_j})``
+    over a corpus of m-tuples and their outputs, 0 where an input norm
+    vanishes: one batched `weighted_norms` call per input slot and one
+    for the outputs.  The denominator is the left fold ``scale n_1 n_2
+    ..``."""
+    den = np.full(len(corpus), scale)
+    for j, (p, w) in enumerate(zip(space.p_vec, space.w_vec)):
+        den = den * weighted_norms([fs[j] for fs in corpus], p, w, rel_tol=rel_tol)
+    num = weighted_norms(outputs, space.q, space.v, rel_tol=rel_tol)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _certify(space: EndpointSpace, ratios: np.ndarray, safety: float) -> EndpointCertificate:
+    worst = float(ratios.max())
     if space.bound is not None and worst <= space.bound:
         return EndpointCertificate(space.bound, worst, space.bound, False)
     return EndpointCertificate(space.bound, worst, safety * worst,
                                space.bound is not None)
 
 
-def _shrink_witness(op: OperatorSpec, fs, violates) -> tuple:
+def _shrink_witness(fs, violates) -> tuple:
     """Chop supports in half while the inequality still fails, to hand
     back the smallest witness the reduction finds."""
     fs = list(fs)
@@ -243,6 +250,38 @@ def _shrink_witness(op: OperatorSpec, fs, violates) -> tuple:
     return tuple(fs)
 
 
+def _verify(op: OperatorSpec, space0: EndpointSpace, space1: EndpointSpace,
+            theta: float, trials: int, seed: int, safety: float, slack: float,
+            rel_tol: float, out_map):
+    """The pipeline of both verifiers, on the outputs ``out_map(T f)``:
+    certify both endpoints over one random corpus, then assert the
+    blended bound on every corpus member and shrink a witness for each
+    violation.  Returns the certificates, the worst blended ratio and
+    the violations."""
+    if op.arity != space0.m:
+        raise ArityMismatchError("operator arity does not match the endpoint spaces")
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
+    blended = blend_spaces(space0, space1, theta)
+    corpus = _draw_corpus(blended.grid, op.arity, trials, seed)
+    outputs = [out_map(apply_operator(op, fs)) for fs in corpus]
+    certs = tuple(_certify(s, _corpus_ratios(corpus, outputs, s, 1.0, rel_tol), safety)
+                  for s in (space0, space1))
+    m_blend = certs[0].bound ** (1.0 - theta) * certs[1].bound ** theta
+    ratios = _corpus_ratios(corpus, outputs, blended, m_blend, rel_tol)
+
+    def violates(fs):
+        out = out_map(apply_operator(op, fs))
+        return _corpus_ratios([fs], [out], blended, m_blend, rel_tol)[0] > 1.0 + slack
+
+    violations = []
+    for t in np.flatnonzero(ratios > 1.0 + slack):
+        small = _shrink_witness(corpus[t], violates)
+        cells = sum(int(np.count_nonzero(f.values)) for f in small)
+        violations.append(Violation(int(t), float(ratios[t]), cells))
+    return certs, float(ratios.max()), tuple(violations)
+
+
 def verify_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
                                space1: EndpointSpace, theta: float,
                                trials: int = 100, seed: int = 0,
@@ -256,39 +295,9 @@ def verify_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
     blended inequality then has no free constant left; violations
     beyond ``1 + slack`` are reported with shrunken witnesses.
     """
-    if op.arity != space0.m:
-        raise ArityMismatchError("operator arity does not match the endpoint spaces")
-    blended = blend_spaces(space0, space1, theta)
-    grid = blended.grid
-    corpus = _draw_corpus(grid, op.arity, trials, seed)
-    outputs = [apply_operator(op, fs) for fs in corpus]
-
-    def norm_out(Tf, space):
-        return weighted_norm(Tf, space.q, space.v, rel_tol=rel_tol).value
-
-    certs = (_certify(space0, corpus, outputs, norm_out, safety, rel_tol),
-             _certify(space1, corpus, outputs, norm_out, safety, rel_tol))
-    m_blend = certs[0].bound ** (1.0 - theta) * certs[1].bound ** theta
-
-    def ratio_of(fs, Tf=None):
-        Tf = apply_operator(op, fs) if Tf is None else Tf
-        den = m_blend
-        for f, p, w in zip(fs, blended.p_vec, blended.w_vec):
-            den *= weighted_norm(f, p, w, rel_tol=rel_tol).value
-        if den <= 0.0:
-            return 0.0
-        return norm_out(Tf, blended) / den
-
-    worst = 0.0
-    violations = []
-    for t, (fs, Tf) in enumerate(zip(corpus, outputs)):
-        ratio = ratio_of(fs, Tf)
-        worst = max(worst, ratio)
-        if ratio > 1.0 + slack:
-            small = _shrink_witness(op, fs, lambda g: ratio_of(g) > 1.0 + slack)
-            cells = sum(int(np.count_nonzero(f.values)) for f in small)
-            violations.append(Violation(t, ratio, cells))
-    return InterpolationReport(theta, trials, certs, worst, tuple(violations), slack)
+    certs, worst, violations = _verify(op, space0, space1, theta, trials, seed,
+                                       safety, slack, rel_tol, lambda Tf: Tf)
+    return InterpolationReport(theta, trials, certs, worst, violations, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -337,38 +346,16 @@ def verify_mixed_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
                                      rel_tol: float = 1e-10) -> MixedInterpolationReport:
     """Blended bound for ``x -> ||S(x, .)||_{qtilde}`` where S differences
     the operator output over node-aligned offsets; requires ``qtilde``
-    below both endpoint output lower bounds."""
+    below both endpoint output lower bounds.  This is the plain bound
+    on that output profile in place of ``T f``."""
     limit = min(space0.q.p_minus, space1.q.p_minus)
     if not 0.0 < qtilde < limit:
         raise DomainError(f"qtilde must lie in (0, {limit}), got {qtilde}")
-    if op.arity != space0.m:
-        raise ArityMismatchError("operator arity does not match the endpoint spaces")
-    blended = blend_spaces(space0, space1, theta)
-    grid = blended.grid
-    corpus = _draw_corpus(grid, op.arity, trials, seed)
-    fields = [difference_field(apply_operator(op, fs), offset_count) for fs in corpus]
-
-    def norm_out(S, space):
-        return mixed_norm(S, qtilde, space.q, space.v, rel_tol=rel_tol).value
-
-    certs = (_certify(space0, corpus, fields, norm_out, safety, rel_tol),
-             _certify(space1, corpus, fields, norm_out, safety, rel_tol))
-    m_blend = certs[0].bound ** (1.0 - theta) * certs[1].bound ** theta
-
-    worst = 0.0
-    violations = []
-    for t, (fs, S) in enumerate(zip(corpus, fields)):
-        den = m_blend
-        for f, p, w in zip(fs, blended.p_vec, blended.w_vec):
-            den *= weighted_norm(f, p, w, rel_tol=rel_tol).value
-        if den <= 0.0:
-            continue
-        ratio = norm_out(S, blended) / den
-        worst = max(worst, ratio)
-        if ratio > 1.0 + slack:
-            violations.append(Violation(t, ratio, -1))
+    certs, worst, violations = _verify(
+        op, space0, space1, theta, trials, seed, safety, slack, rel_tol,
+        lambda Tf: inner_norm(difference_field(Tf, offset_count), qtilde))
     return MixedInterpolationReport(theta, qtilde, offset_count, trials, certs,
-                                    worst, tuple(violations), slack)
+                                    worst, violations, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +479,8 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
             continue
         space0 = EndpointSpace(built.spec0.p_vec, built.spec0.q, built.w0_vec,
                                WeightField.product(built.w0_vec))
-        worst = 0.0
-        for fs, Tf in zip(inputs, outputs.members):
-            den = 1.0
-            for f, p, w in zip(fs, space0.p_vec, space0.w_vec):
-                den *= weighted_norm(f, p, w, rel_tol=rel_tol).value
-            if den > 0.0:
-                worst = max(worst, weighted_norm(Tf, space0.q, space0.v,
-                                                 rel_tol=rel_tol).value / den)
+        worst = float(_corpus_ratios(inputs, outputs.members, space0, 1.0,
+                                     rel_tol).max())
         ok = (built.roundtrip_exponent_error <= roundtrip_tol
               and built.roundtrip_weight_error <= roundtrip_tol)
         entries.append(ThetaEntry(theta, True, built.verdict0.admissible,

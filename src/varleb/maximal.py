@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, HypothesisFailureError, OverflowToInfinityError
 from .exponent import ExponentField, scale_exponent
 from .field import BALL_SHRINK, DyadicCubeSet, Grid, GridFunction, WeightField
-from .norms import weighted_norm
+from .norms import weighted_norms
 from .weights import WeightConstantReport, ap_constant
 
 
@@ -237,13 +237,10 @@ def maximal_boundedness_probe(corpus: Sequence[GridFunction], p: ExponentField,
         gate = ap_constant(w.power(qtilde), gate_p, cubes, rel_tol, allow_overflow=False)
     except OverflowToInfinityError as exc:
         raise HypothesisFailureError(f"gate weight condition fails: {exc}") from exc
-    ratios = []
-    for f in corpus:
-        fn = weighted_norm(f, p, w, rel_tol=rel_tol).value
-        if fn <= 0.0:
-            continue
-        mf = maximal_function(f, qtilde, sweep)
-        ratios.append(weighted_norm(mf, p, w, rel_tol=rel_tol).value / fn)
-    if not ratios:
+    fn = weighted_norms(corpus, p, w, rel_tol=rel_tol) if len(corpus) else np.zeros(0)
+    live = np.flatnonzero(fn > 0.0)
+    if not live.size:
         raise DomainError("probe corpus contains only zero functions")
+    mf = [maximal_function(corpus[i], qtilde, sweep) for i in live]
+    ratios = (weighted_norms(mf, p, w, rel_tol=rel_tol) / fn[live]).tolist()
     return ProbeReport(gate, qtilde, tuple(ratios), max(ratios))

@@ -24,8 +24,8 @@ Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure).
 
 A mixed norm of a bivariate function first reduces the second axis by a
-constant-exponent integral norm, then applies a variable-exponent
-Luxemburg norm in the first axis.
+constant-exponent integral norm (`inner_norm`), then applies a
+variable-exponent Luxemburg norm in the first axis.
 """
 
 from __future__ import annotations
@@ -271,6 +271,21 @@ def weight_measure(w: WeightField, p: ExponentField, region=None) -> float:
     return modular(w, p, region)
 
 
+def inner_norm(F: GridFunction, inner_exponent: float) -> GridFunction:
+    """The profile ``x -> ||F(x, .)||_{L^inner}`` of a bivariate grid
+    function, on the 1D grid of its first axis; the inner exponent is a
+    positive constant."""
+    if F.grid.dim != 2:
+        raise DomainError("mixed norms need a bivariate grid function")
+    if inner_exponent <= 0.0 or not math.isfinite(inner_exponent):
+        raise DomainError("inner exponent must be a finite positive constant")
+    wy = F.grid.axis_grid(1).quad_weights
+    with np.errstate(over="ignore"):
+        inner = np.sum(wy[None, :] * np.abs(F.values) ** inner_exponent, axis=1) ** (
+            1.0 / inner_exponent)
+    return GridFunction(F.grid.axis_grid(0), inner)
+
+
 def mixed_norm(F: GridFunction, inner_exponent: float, outer_p: ExponentField,
                outer_weight: WeightField | None = None,
                rel_tol: float = 1e-10) -> NormResult:
@@ -280,18 +295,8 @@ def mixed_norm(F: GridFunction, inner_exponent: float, outer_p: ExponentField,
     The inner exponent is a positive constant; the outer exponent and
     weight live on the first-axis 1D grid.
     """
-    if F.grid.dim != 2:
-        raise DomainError("mixed norms need a bivariate grid function")
-    if inner_exponent <= 0.0 or not math.isfinite(inner_exponent):
-        raise DomainError("inner exponent must be a finite positive constant")
-    x_grid = F.grid.axis_grid(0)
-    y_grid = F.grid.axis_grid(1)
-    wy = y_grid.quad_weights
-    with np.errstate(over="ignore"):
-        inner = np.sum(wy[None, :] * np.abs(F.values) ** inner_exponent, axis=1) ** (
-            1.0 / inner_exponent)
-    g = GridFunction(x_grid, inner)
-    return weighted_norm(g, outer_p, outer_weight, rel_tol=rel_tol)
+    return weighted_norm(inner_norm(F, inner_exponent), outer_p, outer_weight,
+                         rel_tol=rel_tol)
 
 
 def holder_constant(p: ExponentField) -> float:

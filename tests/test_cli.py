@@ -262,6 +262,21 @@ def test_seeded_interp_verify_replays_to_identical_worst_ratio(tmp_path, capsys)
     assert replayed["results"]["worst_ratio"] == report["results"]["worst_ratio"]
 
 
+def test_interp_verify_with_no_trials_exits_one_and_names_the_fault(tmp_path, capsys):
+    endpoint = {"p_vec": [{"kind": "constant", "value": 3.0}],
+                "q": {"kind": "constant", "value": 3.0},
+                "weights": [CONST_ONE], "v": CONST_ONE}
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64, "theta": 0.5, "trials": 0,
+           "operator": {"kind": "product", "arity": 1},
+           "endpoint0": endpoint, "endpoint1": endpoint, "mixed": {"qtilde": 1.5}}
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "trials" in err
+    assert "Traceback" not in err
+
+
 def test_replay_of_norm_report_matches(tmp_path, capsys):
     rc, report, out_path = _run(tmp_path, "norm", _norm_config())
     assert rc == 0

@@ -5,19 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varleb import interp, norms
 from varleb.errors import (ArityMismatchError, DomainError, RangeError,
                            SchemaError, SpecMismatchError)
 from varleb.exponent import ExponentField, QuadrupleSpec
-from varleb.field import Box, Grid, GridFunction, WeightField
-from varleb.interp import (EndpointSpace, OperatorSpec, apply_operator,
+from varleb.field import (Box, Grid, GridFunction, WeightField,
+                          random_simple_function)
+from varleb.interp import (EndpointSpace, OperatorSpec, _corpus_ratios,
+                           _draw_corpus, apply_operator,
                            blend_spaces, build_extrapolation_family,
                            difference_field, run_extrapolation_workflow,
                            verify_interpolation_bound,
                            verify_mixed_interpolation_bound)
+from varleb.norms import weighted_norm
 from varleb.rk import mollify_family
 
-from _support import SYM, UNIT
+from _support import SYM, UNIT, rand_exponent, rand_weight
 
 
 def _ones(grid: Grid) -> WeightField:
@@ -118,6 +124,29 @@ def test_fractional_kernel_matches_analytic_value_off_support():
     assert x[i] == 2.0
     # int_0^1 |2 - y|^(-1/2) dy
     assert abs(out.values[i] - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-3
+
+
+@pytest.mark.parametrize("m, alpha", [(1, 0.25), (1, 0.75), (2, 0.75), (2, 1.3)])
+def test_fractional_kernel_matches_a_direct_sum(m, alpha):
+    # sum over every node tuple y of (sum_j |x - y_j|)^(alpha - m)
+    # prod_j f_j(y_j) qw, dropping only the cell y_1 = .. = y_m = x
+    rng = np.random.default_rng(29)
+    g = Grid(UNIT, (129,))
+    x = g.coords[..., 0]
+    fs = tuple(GridFunction(g, rng.uniform(0.5, 1.5, size=g.shape)) for _ in range(m))
+    dist = np.abs(x[:, None] - x[None, :])
+    if m == 1:
+        s = dist
+        weights = fs[0].values * g.quad_weights
+    else:
+        s = dist[:, :, None] + dist[:, None, :]
+        weights = np.multiply.outer(fs[0].values * g.quad_weights,
+                                    fs[1].values * g.quad_weights)
+    with np.errstate(divide="ignore"):
+        kernel = np.where(s > 0.0, s, np.inf) ** (alpha - m)
+    direct = (kernel * weights).reshape(x.size, -1).sum(axis=1)
+    out = apply_operator(OperatorSpec("fractional_kernel", m, alpha=alpha), fs)
+    assert np.max(np.abs(out.values / direct - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +268,96 @@ def test_verification_is_deterministic_per_seed():
     a = verify_interpolation_bound(op, space0, space1, 0.3, trials=30, seed=21)
     b = verify_interpolation_bound(op, space0, space1, 0.3, trials=30, seed=21)
     assert a == b
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 2), trials=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+       weighted=st.booleans(), scale=st.floats(0.1, 10.0), zero=st.integers(0, 9))
+def test_corpus_ratios_match_a_per_trial_norm_loop(m, trials, seed, weighted, scale, zero):
+    rng = np.random.default_rng(seed)
+    g = Grid(UNIT, (129,))
+    weight = (lambda: rand_weight(g, rng)) if weighted else (lambda: _ones(g))
+    space = EndpointSpace(tuple(rand_exponent(g.box, rng) for _ in range(m)),
+                          rand_exponent(g.box, rng),
+                          tuple(weight() for _ in range(m)), weight())
+    corpus = [tuple(random_simple_function(g, rng) for _ in range(m))
+              for _ in range(trials)]
+    if zero < trials:  # one trial with a zero input
+        corpus[zero] = (GridFunction(g, np.zeros(g.shape)),) + corpus[zero][1:]
+    outputs = [apply_operator(OperatorSpec("product", m), fs) for fs in corpus]
+    ratios = _corpus_ratios(corpus, outputs, space, scale, 1e-10)
+    for fs, Tf, got in zip(corpus, outputs, ratios):
+        den = scale
+        for f, p, w in zip(fs, space.p_vec, space.w_vec):
+            den *= weighted_norm(f, p, w).value
+        want = weighted_norm(Tf, space.q, space.v).value / den if den > 0.0 else 0.0
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_verifiers_reject_an_empty_corpus():
+    g = Grid(UNIT, (65,))
+    space = _const_space(g, (4.0, 4.0), 2.0)
+    op = OperatorSpec("product", 2)
+    for trials in (0, -3):
+        with pytest.raises(DomainError, match="trials"):
+            verify_interpolation_bound(op, space, space, 0.5, trials=trials)
+        with pytest.raises(DomainError, match="trials"):
+            verify_mixed_interpolation_bound(op, space, space, 0.5, qtilde=0.75,
+                                             trials=trials)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_halved_certificates_report_shrunken_violations(mixed):
+    # safety 0.5 halves both certified bounds, so the blended bound fails
+    # on the trials that came close to the endpoint bounds
+    g = Grid(UNIT, (129,))
+    space0 = _const_space(g, (4.0, 4.0), 2.0)
+    space1 = _const_space(g, (2.0, 2.0), 1.0)
+    op = OperatorSpec("product", 2)
+    kwargs = dict(trials=20, seed=3, safety=0.5)
+    if mixed:
+        report = verify_mixed_interpolation_bound(op, space0, space1, 0.5,
+                                                  qtilde=0.75, offset_count=4, **kwargs)
+    else:
+        report = verify_interpolation_bound(op, space0, space1, 0.5, **kwargs)
+    assert not report.passed
+    trials = [v.trial for v in report.violations]
+    assert trials == sorted(set(trials))
+    corpus = _draw_corpus(g, 2, 20, 3)
+    for v in report.violations:
+        assert v.ratio > 1.0 + report.slack
+        assert v.ratio <= report.worst_ratio
+        support = sum(int(np.count_nonzero(f.values)) for f in corpus[v.trial])
+        assert 1 <= v.support_cells <= support
+
+
+def _count_solves(monkeypatch):
+    """Count `norms.lux_rows` calls, the one Luxemburg solver."""
+    calls = []
+    solve = norms.lux_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "lux_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_passing_verification_solves_three_batches_per_slot(monkeypatch, m):
+    g = Grid(UNIT, (129,))
+    op = OperatorSpec("product", m)
+    space0 = _const_space(g, (4.0,) * m, 4.0 / m)
+    space1 = _const_space(g, (2.0,) * m, 2.0 / m)
+    calls = _count_solves(monkeypatch)
+    for trials in (1, 7, 40):
+        for verify, extra in ((verify_interpolation_bound, {}),
+                              (verify_mixed_interpolation_bound, {"qtilde": 0.5})):
+            calls.clear()
+            report = verify(op, space0, space1, 0.5, trials=trials, seed=1, **extra)
+            assert report.passed
+            assert len(calls) == 3 * (m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +521,34 @@ def test_workflow_isolates_an_invalid_theta():
     assert not bad.built
     assert "reciprocal" in bad.error or "range" in bad.error.lower()
     assert math.isnan(bad.constant0)
+
+
+def test_workflow_solves_one_batch_per_slot_per_built_theta(monkeypatch):
+    g = Grid(SYM, (512,))
+    x = g.coords[..., 0]
+    target = _quadruple(SYM, (8.0 / 3.0,), 8.0 / 3.0, (1.5,), 6.0)
+    spec1 = _quadruple(SYM, (2.0,), 2.0, (1.5,), 6.0)
+    fam = mollify_family(GridFunction(g, np.exp(-4.0 * x ** 2)), 4,
+                         sigma=0.15, ratio=0.01)
+    calls = _count_solves(monkeypatch)
+    inside = []  # solves made by the classification and the cube scans
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            before = len(calls)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.append(len(calls) - before)
+        return wrapped
+
+    monkeypatch.setattr(interp, "classify", counting(interp.classify))
+    monkeypatch.setattr(interp, "multilinear_constant",
+                        counting(interp.multilinear_constant))
+    report = run_extrapolation_workflow(OperatorSpec("product", 1),
+                                        [(f,) for f in fam.members], target,
+                                        (_abs_power(g, 0.0625),), spec1, (_ones(g),),
+                                        thetas=(0.3, 0.5, 0.99))
+    built = sum(e.built for e in report.entries)
+    assert built == 2
+    assert len(calls) - sum(inside) == 2 * built
