@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import (HypothesisFailureError, OverflowToInfinityError,
                      SchemaError, VarlebError, VersionMismatchWarning,
-                     check_keys)
+                     check_keys, read_number)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (EndpointSpace, OperatorSpec, run_extrapolation_workflow,
@@ -52,13 +52,18 @@ EXIT_VIOLATION = 2
 # config helpers
 
 
-def _grid_from(cfg: dict) -> Grid:
+def _grid_from(cfg: dict, where: str) -> Grid:
     box = Box.from_pairs(cfg["box"])
     res = cfg.get("resolution", 4096 if box.dim == 1 else 256)
-    shape = tuple(int(r) for r in res) if isinstance(res, (list, tuple)) \
-        else (int(res),) * box.dim
-    shape = tuple(n + 1 for n in shape)  # n cells -> n + 1 nodes
-    return Grid(box, shape)
+    cells = res if isinstance(res, (list, tuple)) else [res] * box.dim
+    # n cells -> n + 1 nodes
+    return Grid(box, tuple(read_number(n, "resolution", where, integer=True) + 1
+                           for n in cells))
+
+
+def _num(block: dict, key: str, where: str, default=None, integer: bool = False):
+    """``block[key]``, or ``default`` when the key is absent, as a number."""
+    return read_number(block.get(key, default), key, where, integer)
 
 
 def _exponent_from(desc: dict, box: Box) -> ExponentField:
@@ -74,27 +79,27 @@ def _weight_from(desc: dict, grid: Grid) -> WeightField:
     return WeightField(grid, f.values)
 
 
-def _s_value(raw) -> float:
+def _s_value(raw, where: str) -> float:
     if raw in ("inf", "Infinity", None):
         return math.inf
-    return float(raw)
+    return read_number(raw, "s", where)
 
 
 def _quadruple_from(block: dict, box: Box, where: str) -> QuadrupleSpec:
     check_keys(block, {"p_vec", "q", "r_vec", "s"}, {"gamma"}, where)
     p_vec = tuple(_exponent_from(d, box) for d in block["p_vec"])
     q = _exponent_from(block["q"], box)
-    r_vec = tuple(float(r) for r in block["r_vec"])
+    r_vec = tuple(read_number(r, "r_vec", where) for r in block["r_vec"])
     gamma = block.get("gamma")
-    return QuadrupleSpec(p_vec, q, r_vec, _s_value(block["s"]),
-                         None if gamma is None else float(gamma))
+    return QuadrupleSpec(p_vec, q, r_vec, _s_value(block["s"], where),
+                         None if gamma is None else read_number(gamma, "gamma", where))
 
 
 def _operator_from(block: dict) -> OperatorSpec:
     check_keys(block, {"kind", "arity"}, {"alpha", "radius"}, "operator")
-    return OperatorSpec(block["kind"], int(block["arity"]),
-                        alpha=float(block.get("alpha", 0.0)),
-                        radius=float(block.get("radius", 0.0)))
+    return OperatorSpec(block["kind"], _num(block, "arity", "operator", integer=True),
+                        alpha=_num(block, "alpha", "operator", 0.0),
+                        radius=_num(block, "radius", "operator", 0.0))
 
 
 _FAMILY_PARAMS = {
@@ -110,21 +115,19 @@ def _family_from(block: dict, grid: Grid):
     if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
         raise SchemaError(f"family needs a 'kind' among {sorted(_FAMILY_PARAMS)}")
     required, optional = _FAMILY_PARAMS[kind]
-    check_keys(block, {"kind", "base", "count"} | required, optional, f"family '{kind}'")
+    where = f"family '{kind}'"
+    check_keys(block, {"kind", "base", "count"} | required, optional, where)
     base = realize_function(block["base"], grid)
-    count = block["count"]
-    if isinstance(count, bool) or not isinstance(count, (int, float)):
-        raise SchemaError(f"family '{kind}' key 'count' must be a number, got {count!r}")
-    count = int(count)
+    count = _num(block, "count", where, integer=True)
     if kind == "translate":
-        return translate_family(base, count, float(block["step"]))
+        return translate_family(base, count, _num(block, "step", where))
     if kind == "modulate":
-        return modulate_family(base, count, float(block.get("base_frequency", 1.0)),
-                               growth=float(block.get("growth", 2.0)))
+        return modulate_family(base, count, _num(block, "base_frequency", where, 1.0),
+                               growth=_num(block, "growth", where, 2.0))
     if kind == "dilate":
-        return dilate_family(base, count, float(block.get("ratio", 0.5)))
-    return mollify_family(base, count, float(block["sigma"]),
-                          ratio=float(block.get("ratio", 0.1)))
+        return dilate_family(base, count, _num(block, "ratio", where, 0.5))
+    return mollify_family(base, count, _num(block, "sigma", where),
+                          ratio=_num(block, "ratio", where, 0.1))
 
 
 def _jsonable(obj):
@@ -150,47 +153,48 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
-# command runners; each returns (results, warnings, exit_code)
+# command runners; each takes the config and its name for messages and
+# returns (results, warnings, exit_code)
 
 
-def _run_norm(cfg):
+def _run_norm(cfg, where):
     check_keys(cfg, {"box", "exponent", "function"},
-               {"resolution", "weight", "rel_tol"}, "norm config")
-    grid = _grid_from(cfg)
+               {"resolution", "weight", "rel_tol"}, where)
+    grid = _grid_from(cfg, where)
     p = _exponent_from(cfg["exponent"], grid.box)
     f = realize_function(cfg["function"], grid)
     w = _weight_from(cfg["weight"], grid) if "weight" in cfg else None
-    res = weighted_norm(f, p, w, rel_tol=float(cfg.get("rel_tol", 1e-10)))
+    res = weighted_norm(f, p, w, rel_tol=_num(cfg, "rel_tol", where, 1e-10))
     return ({"norm": res.value, "iterations": res.iterations,
              "bracket": list(res.bracket), "modular_at_value": res.modular_at_value},
             [], EXIT_OK)
 
 
-def _run_modular(cfg):
-    check_keys(cfg, {"box", "exponent", "function"}, {"resolution"}, "modular config")
-    grid = _grid_from(cfg)
+def _run_modular(cfg, where):
+    check_keys(cfg, {"box", "exponent", "function"}, {"resolution"}, where)
+    grid = _grid_from(cfg, where)
     p = _exponent_from(cfg["exponent"], grid.box)
     f = realize_function(cfg["function"], grid)
     return ({"modular": modular(f, p)}, [], EXIT_OK)
 
 
-def _run_weight_constant(cfg):
+def _run_weight_constant(cfg, where):
     check_keys(cfg, {"box", "exponent", "weight"},
-               {"resolution", "cube_depth", "rel_tol"}, "weight-constant config")
-    grid = _grid_from(cfg)
+               {"resolution", "cube_depth", "rel_tol"}, where)
+    grid = _grid_from(cfg, where)
     p = _exponent_from(cfg["exponent"], grid.box)
     w = _weight_from(cfg["weight"], grid)
-    cubes = DyadicCubeSet(grid.box, int(cfg.get("cube_depth", 4)))
-    rep = ap_constant(w, p, cubes, float(cfg.get("rel_tol", 1e-10)), allow_overflow=True)
+    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 4, integer=True))
+    rep = ap_constant(w, p, cubes, _num(cfg, "rel_tol", where, 1e-10), allow_overflow=True)
     return ({"constant": rep.constant, "overflow": rep.overflow,
              "argmax_cube": rep.argmax_cube.label() if rep.argmax_cube else None,
              "cube_count": rep.cube_count}, [], EXIT_OK)
 
 
-def _run_multilinear_constant(cfg):
+def _run_multilinear_constant(cfg, where):
     check_keys(cfg, {"box", "quadruple", "weights"},
-               {"resolution", "cube_depth", "rel_tol"}, "multilinear-constant config")
-    grid = _grid_from(cfg)
+               {"resolution", "cube_depth", "rel_tol"}, where)
+    grid = _grid_from(cfg, where)
     spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
     if not isinstance(cfg["weights"], list):
         raise SchemaError("multilinear-constant config key 'weights' must be a list of "
@@ -199,8 +203,8 @@ def _run_multilinear_constant(cfg):
         raise SchemaError("one weight per input exponent is required")
     w_vec = tuple(_weight_from(d, grid) for d in cfg["weights"])
     verdict = validate_quadruple(spec)
-    cubes = DyadicCubeSet(grid.box, int(cfg.get("cube_depth", 4)))
-    rep = multilinear_constant(w_vec, spec, cubes, float(cfg.get("rel_tol", 1e-10)),
+    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 4, integer=True))
+    rep = multilinear_constant(w_vec, spec, cubes, _num(cfg, "rel_tol", where, 1e-10),
                                allow_overflow=True)
     return ({"constant": rep.constant, "overflow": rep.overflow,
              "argmax_cube": rep.argmax_cube.label() if rep.argmax_cube else None,
@@ -209,15 +213,15 @@ def _run_multilinear_constant(cfg):
              "clauses": _jsonable(verdict.clauses)}, [], EXIT_OK)
 
 
-def _run_two_to_one(cfg):
+def _run_two_to_one(cfg, where):
     check_keys(cfg, {"box", "quadruple", "weight"},
-               {"resolution", "cube_depth", "rel_tol", "tol"}, "two-to-one config")
-    grid = _grid_from(cfg)
+               {"resolution", "cube_depth", "rel_tol", "tol"}, where)
+    grid = _grid_from(cfg, where)
     spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
     w = _weight_from(cfg["weight"], grid)
-    cubes = DyadicCubeSet(grid.box, int(cfg.get("cube_depth", 4)))
-    rep = two_to_one_check(w, spec, cubes, float(cfg.get("rel_tol", 1e-10)))
-    tol = float(cfg.get("tol", 1e-6))
+    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 4, integer=True))
+    rep = two_to_one_check(w, spec, cubes, _num(cfg, "rel_tol", where, 1e-10))
+    tol = _num(cfg, "tol", where, 1e-6)
     code = EXIT_OK if rep.rel_error <= tol else EXIT_VIOLATION
     return ({"lhs_constant": rep.lhs_constant, "rhs_constant": rep.rhs_constant,
              "a": rep.a, "rel_error": rep.rel_error,
@@ -225,17 +229,17 @@ def _run_two_to_one(cfg):
              "passed": code == EXIT_OK}, [], code)
 
 
-def _run_maximal(cfg):
+def _run_maximal(cfg, where):
     check_keys(cfg, {"box", "exponent", "function", "qtilde"},
-               {"resolution", "weight", "radii_count", "rel_tol"}, "maximal config")
-    grid = _grid_from(cfg)
+               {"resolution", "weight", "radii_count", "rel_tol"}, where)
+    grid = _grid_from(cfg, where)
     p = _exponent_from(cfg["exponent"], grid.box)
     f = realize_function(cfg["function"], grid)
     w = _weight_from(cfg["weight"], grid) if "weight" in cfg else None
-    qt = float(cfg["qtilde"])
-    sweep = RadiusSweep.geometric(grid, int(cfg.get("radii_count", 64)))
+    qt = _num(cfg, "qtilde", where)
+    sweep = RadiusSweep.geometric(grid, _num(cfg, "radii_count", where, 64, integer=True))
     Mf = maximal_function(f, qt, sweep)
-    rel_tol = float(cfg.get("rel_tol", 1e-10))
+    rel_tol = _num(cfg, "rel_tol", where, 1e-10)
     nf = weighted_norm(f, p, w, rel_tol=rel_tol).value
     nM = weighted_norm(Mf, p, w, rel_tol=rel_tol).value
     dom = float(np.min(Mf.values - np.abs(f.values)))
@@ -244,18 +248,17 @@ def _run_maximal(cfg):
              "dominance_min": dom, "radii_count": len(sweep.radii)}, [], EXIT_OK)
 
 
-def _run_rk_classify(cfg):
+def _run_rk_classify(cfg, where):
     check_keys(cfg, {"box", "exponent", "weight", "qtilde", "family"},
-               {"resolution", "cube_depth", "rel_tol", "threshold_factor"},
-               "rk-classify config")
-    grid = _grid_from(cfg)
+               {"resolution", "cube_depth", "rel_tol", "threshold_factor"}, where)
+    grid = _grid_from(cfg, where)
     p = _exponent_from(cfg["exponent"], grid.box)
     w = _weight_from(cfg["weight"], grid)
     family = _family_from(cfg["family"], grid)
-    cubes = DyadicCubeSet(grid.box, int(cfg.get("cube_depth", 3)))
-    rep = classify(family, p, w, float(cfg["qtilde"]), cubes=cubes,
-                   threshold_factor=float(cfg.get("threshold_factor", 1e-2)),
-                   rel_tol=float(cfg.get("rel_tol", 1e-10)))
+    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 3, integer=True))
+    rep = classify(family, p, w, _num(cfg, "qtilde", where), cubes=cubes,
+                   threshold_factor=_num(cfg, "threshold_factor", where, 1e-2),
+                   rel_tol=_num(cfg, "rel_tol", where, 1e-10))
     return ({"verdict": rep.verdict, "net_sizes": list(rep.net_sizes),
              "eps_ladder": list(rep.eps_ladder), "plateau": rep.plateau,
              "growth": rep.growth, "family_size": len(family),
@@ -278,32 +281,35 @@ def _endpoint_from(block: dict, grid: Grid, where: str) -> EndpointSpace:
         raise SchemaError(f"one weight per input exponent is required in {where}")
     w_vec = tuple(_weight_from(d, grid) for d in block["weights"])
     v = _weight_from(block["v"], grid)
-    bound = float(block["bound"]) if "bound" in block else None
+    bound = _num(block, "bound", where) if "bound" in block else None
     return EndpointSpace(p_vec, _exponent_from(block["q"], grid.box), w_vec, v, bound)
 
 
-def _run_interp_verify(cfg):
+def _run_interp_verify(cfg, where):
     check_keys(cfg, {"box", "operator", "endpoint0", "endpoint1", "theta"},
-               {"resolution", "trials", "seed", "safety", "slack", "rel_tol", "mixed"},
-               "interp-verify config")
-    grid = _grid_from(cfg)
+               {"resolution", "trials", "seed", "safety", "slack", "rel_tol", "mixed"}, where)
+    grid = _grid_from(cfg, where)
     op = _operator_from(cfg["operator"])
     s0 = _endpoint_from(cfg["endpoint0"], grid, "endpoint0")
     s1 = _endpoint_from(cfg["endpoint1"], grid, "endpoint1")
-    kwargs = dict(trials=int(cfg.get("trials", 100)), seed=int(cfg.get("seed", 0)),
-                  safety=float(cfg.get("safety", 1.05)),
-                  slack=float(cfg.get("slack", 1e-6)),
-                  rel_tol=float(cfg.get("rel_tol", 1e-10)))
-    rep = verify_interpolation_bound(op, s0, s1, float(cfg["theta"]), **kwargs)
+    theta = _num(cfg, "theta", where)
+    kwargs = dict(trials=_num(cfg, "trials", where, 100, integer=True),
+                  seed=_num(cfg, "seed", where, 0, integer=True),
+                  safety=_num(cfg, "safety", where, 1.05),
+                  slack=_num(cfg, "slack", where, 1e-6),
+                  rel_tol=_num(cfg, "rel_tol", where, 1e-10))
+    rep = verify_interpolation_bound(op, s0, s1, theta, **kwargs)
     results = {"passed": rep.passed, "worst_ratio": rep.worst_ratio,
                "violations": _jsonable(rep.violations),
                "certificates": _jsonable(rep.certificates), "trials": rep.trials}
     code = EXIT_OK if rep.passed else EXIT_VIOLATION
     if "mixed" in cfg:
-        check_keys(cfg["mixed"], {"qtilde"}, {"offset_count"}, "mixed block")
+        mixed = cfg["mixed"]
+        check_keys(mixed, {"qtilde"}, {"offset_count"}, "mixed block")
         mrep = verify_mixed_interpolation_bound(
-            op, s0, s1, float(cfg["theta"]), float(cfg["mixed"]["qtilde"]),
-            offset_count=int(cfg["mixed"].get("offset_count", 8)), **kwargs)
+            op, s0, s1, theta, _num(mixed, "qtilde", "mixed block"),
+            offset_count=_num(mixed, "offset_count", "mixed block", 8, integer=True),
+            **kwargs)
         results["mixed"] = {"passed": mrep.passed, "worst_ratio": mrep.worst_ratio,
                             "qtilde": mrep.qtilde,
                             "certificates": _jsonable(mrep.certificates)}
@@ -312,12 +318,11 @@ def _run_interp_verify(cfg):
     return (results, [], code)
 
 
-def _run_extrapolate(cfg):
+def _run_extrapolate(cfg, where):
     check_keys(cfg, {"box", "target", "weights", "endpoint1", "weights1",
                      "thetas", "operator", "family"},
-               {"resolution", "cube_depth", "qtilde", "rel_tol", "roundtrip_tol"},
-               "extrapolate config")
-    grid = _grid_from(cfg)
+               {"resolution", "cube_depth", "qtilde", "rel_tol", "roundtrip_tol"}, where)
+    grid = _grid_from(cfg, where)
     target = _quadruple_from(cfg["target"], grid.box, "target")
     spec1 = _quadruple_from(cfg["endpoint1"], grid.box, "endpoint1")
     w_vec = tuple(_weight_from(d, grid) for d in cfg["weights"])
@@ -325,13 +330,13 @@ def _run_extrapolate(cfg):
     op = _operator_from(cfg["operator"])
     family = _family_from(cfg["family"], grid)
     inputs = tuple((f,) * op.arity for f in family.members)
-    cubes = DyadicCubeSet(grid.box, int(cfg.get("cube_depth", 3)))
+    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 3, integer=True))
     rep = run_extrapolation_workflow(
         op, inputs, target, w_vec, spec1, w1_vec,
-        tuple(float(t) for t in cfg["thetas"]),
-        qtilde=float(cfg["qtilde"]) if "qtilde" in cfg else None,
-        cubes=cubes, roundtrip_tol=float(cfg.get("roundtrip_tol", 1e-10)),
-        rel_tol=float(cfg.get("rel_tol", 1e-10)))
+        tuple(read_number(t, "thetas", where) for t in cfg["thetas"]),
+        qtilde=_num(cfg, "qtilde", where) if "qtilde" in cfg else None,
+        cubes=cubes, roundtrip_tol=_num(cfg, "roundtrip_tol", where, 1e-10),
+        rel_tol=_num(cfg, "rel_tol", where, 1e-10))
     entries = [{"theta": e.theta, "built": e.built, "admissible": e.admissible,
                 "proper": e.proper, "roundtrip_ok": e.roundtrip_ok,
                 "constant0": e.constant0, "constant0_overflow": e.constant0_overflow,
@@ -387,7 +392,7 @@ def _emit(report: dict, out_path, quiet: bool) -> None:
 def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
     started = time.monotonic()
     try:
-        results, warns, code = _RUNNERS[command](cfg)
+        results, warns, code = _RUNNERS[command](cfg, f"{command} config")
     except (HypothesisFailureError, OverflowToInfinityError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -421,7 +426,7 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
     cfg = old.get("config", {})
     started = time.monotonic()
     try:
-        results, run_warns, code = _RUNNERS[command](cfg)
+        results, run_warns, code = _RUNNERS[command](cfg, f"{command} config")
     except (HypothesisFailureError, OverflowToInfinityError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -431,17 +436,49 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
     new_json = json.dumps(_jsonable(results), sort_keys=True)
     old_json = json.dumps(_jsonable(old.get("results")), sort_keys=True)
     match = new_json == old_json
+    mismatch = [] if match else [_replay_diff(json.loads(old_json), json.loads(new_json))]
     report = {"command": command, "config": cfg, "results": results,
-              "warnings": warns + run_warns + ([] if match else ["replay mismatch"]),
+              "warnings": warns + run_warns + mismatch,
               "replay_match": match,
               "provenance": _provenance(cfg.get("seed"), started)}
     if not quiet:
         print(_dumps(report))
     if not match:
-        print("replay mismatch: results differ from the stored report",
-              file=sys.stderr)
+        print(mismatch[0], file=sys.stderr)
         return EXIT_VIOLATION
     return code
+
+
+def _replay_diff(old, new) -> str:
+    """Say where two JSON result trees differ: how many leaves, the
+    first few paths, the keys on one side only, and the largest relative
+    difference over numeric leaves."""
+    leaves, one_sided = [], []
+
+    def walk(a, b, path):
+        if isinstance(a, dict) and isinstance(b, dict):
+            one_sided.extend(f"{path}.{k} ({'stored' if k in a else 'replayed'} only)"
+                             for k in sorted(set(a) ^ set(b)))
+            for k in sorted(set(a) & set(b)):
+                walk(a[k], b[k], f"{path}.{k}")
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{path}[{i}]")
+        elif type(a) is not type(b) or a != b:
+            leaves.append((path, a, b))
+
+    walk(old, new, "results")
+    msg = f"replay mismatch: {len(leaves)} differing leaves"
+    if leaves:
+        more = ", ..." if len(leaves) > 3 else ""
+        msg += " (" + ", ".join(path for path, _, _ in leaves[:3]) + more + ")"
+    if one_sided:
+        msg += "; keys on one side only: " + ", ".join(one_sided)
+    rel = [abs(a - b) / max(abs(a), abs(b)) for _, a, b in leaves
+           if a != b and all(type(v) in (int, float) for v in (a, b))]
+    if rel:
+        msg += f"; largest relative difference {max(rel):.3g}"
+    return msg
 
 
 def main(argv=None) -> int:

@@ -93,3 +93,13 @@ def check_keys(desc, required: set[str], optional: set[str], where: str) -> None
     missing = required - set(desc)
     if missing:
         raise SchemaError(f"missing keys {sorted(missing)} in {where}")
+
+
+def read_number(value, key: str, where: str, integer: bool = False):
+    """Return a config value as a float, or as an int when ``integer``;
+    raise SchemaError naming ``where`` and ``key`` for null, bools,
+    strings, lists and, for integer keys, non-integral numbers."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integer and not float(value).is_integer()):
+        raise SchemaError(f"{where} key '{key}' must be a number, got {value!r}")
+    return int(value) if integer else float(value)

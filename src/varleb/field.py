@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptyRegionError, SchemaError, check_keys
+from .errors import DomainError, EmptyRegionError, SchemaError, check_keys, read_number
 
 BALL_SHRINK = 1.0 - 1e-12
 _BOX_EDGE_TOL = 1e-12
@@ -61,7 +61,8 @@ class Box:
         if not isinstance(pairs, (list, tuple)) or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
             raise SchemaError("box must be a list of [lo, hi] pairs")
-        return cls(tuple(float(p[0]) for p in pairs), tuple(float(p[1]) for p in pairs))
+        return cls(tuple(read_number(p[0], "lo", "box pair") for p in pairs),
+                   tuple(read_number(p[1], "hi", "box pair") for p in pairs))
 
     @property
     def dim(self) -> int:

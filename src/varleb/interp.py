@@ -16,7 +16,9 @@ for each violation.  Every ratio comes from one helper that solves the
 norms of a whole corpus slot in one batched call.  The mixed-norm
 bound is the same pipeline with an output map: ``T f`` is replaced by
 the profile ``x -> ||S(x, .)||_{qtilde}`` of the difference field
-``S(x, y) = T(x) - T(x + y)``.
+``S(x, y) = T(x) - T(x + y)``.  The m-linear fractional kernel, at any
+m, convolves per-node distance histograms of its inputs and dots the
+result with ``K(s) = (s h)^(alpha - m)``.
 
 The extrapolation half inverts the blend: given a target space tuple, a
 second endpoint, and ``th``, it reconstructs the other endpoint (spaces
@@ -28,6 +30,7 @@ compactness classification of the operator outputs at the target space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +60,8 @@ class OperatorSpec:
       product              prod_j f_j(x)
       ball_average_product mean of prod_j f_j over B(x, radius)
       fractional_kernel    int (sum_j |x - y_j|)^(alpha - m) prod f_j(y_j) dy
-                           (1D, m <= 2, 0 < alpha < m; only the singular
-                           cell y_1 = .. = y_m = x is dropped)
+                           (1D, 0 < alpha < m; only the singular cell
+                           y_1 = .. = y_m = x is dropped)
     """
     kind: str
     arity: int
@@ -70,11 +73,8 @@ class OperatorSpec:
             raise SchemaError(f"unknown operator kind '{self.kind}'")
         if self.arity < 1:
             raise SchemaError("operator arity must be at least 1")
-        if self.kind == "fractional_kernel":
-            if self.arity > 2:
-                raise SchemaError("fractional kernels are implemented for m <= 2")
-            if not 0.0 < self.alpha < self.arity:
-                raise RangeError(f"alpha must lie in (0, {self.arity}), got {self.alpha}")
+        if self.kind == "fractional_kernel" and not 0.0 < self.alpha < self.arity:
+            raise RangeError(f"alpha must lie in (0, {self.arity}), got {self.alpha}")
         if self.kind == "ball_average_product" and self.radius <= 0.0:
             raise SchemaError("ball averaging needs a positive radius")
 
@@ -100,23 +100,18 @@ def apply_operator(op: OperatorSpec, fs: Sequence[GridFunction]) -> GridFunction
 
     if grid.dim != 1:
         raise DomainError("fractional kernels are 1D only")
-    x = grid.axes[0]
-    qw = grid.quad_weights
-    if op.arity == 1:
-        dist = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(dist, 1.0)
-        kernel = dist ** (op.alpha - 1.0)
-        np.fill_diagonal(kernel, 0.0)
-        return GridFunction(grid, kernel @ (fs[0].values * qw))
-    a = fs[0].values * qw
-    b = fs[1].values * qw
-    out = np.empty_like(x)
-    power = op.alpha - 2.0
-    for i in range(x.size):
-        d = np.abs(x[i] - x)
-        pair = d[:, None] + d[None, :]
-        pair[i, i] = np.inf  # the only genuinely singular cell
-        out[i] = a @ (pair ** power) @ b
+    n = grid.size
+    s = np.arange(1, op.arity * (n - 1) + 1) * grid.steps[0]
+    kernel = np.concatenate([[0.0], s ** (op.alpha - op.arity)])  # K(0) = 0
+    pad = np.zeros(n - 1)
+    padded = [np.concatenate([pad, f.values * grid.quad_weights, pad]) for f in fs]
+    out = np.empty(n)
+    for i in range(n):
+        # A(d) = (f qw)(i + d) + (f qw)(i - d) for d = 0 .. n - 1, zero past the ends
+        hists = [a[i + n - 1:i + 2 * n - 1] + a[i + n - 1::-1][:n] for a in padded]
+        for hist in hists:
+            hist[0] *= 0.5  # distance 0 is one node, not two
+        out[i] = reduce(np.convolve, hists) @ kernel
     return GridFunction(grid, out)
 
 
@@ -458,6 +453,9 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
     ``qtilde = 1 / (1/r - gamma)`` always sits below the target output
     lower bound for admissible targets.
     """
+    if op.arity != target.m:
+        raise ArityMismatchError(f"operator arity {op.arity} does not match the "
+                                 f"target's {target.m} inputs")
     w_vec = tuple(w_vec)
     w1_vec = tuple(w1_vec)
     outputs = FunctionFamily(tuple(apply_operator(op, fs) for fs in inputs),

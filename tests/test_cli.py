@@ -448,3 +448,112 @@ def test_quiet_flag_suppresses_stdout(tmp_path, capsys):
     cfg_path = _write(tmp_path, "config.json", _norm_config())
     assert main(["norm", "run", "--config", cfg_path, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def _interp_config(arity=1, **top):
+    endpoint = {"p_vec": [{"kind": "constant", "value": 3.0}] * arity,
+                "q": {"kind": "constant", "value": 3.0 / arity},
+                "weights": [CONST_ONE] * arity, "v": CONST_ONE}
+    return {"box": [[0.0, 1.0]], "resolution": 64, "theta": 0.5, "trials": 5, "seed": 3,
+            "operator": {"kind": "product", "arity": arity},
+            "endpoint0": endpoint, "endpoint1": endpoint, **top}
+
+
+@pytest.mark.parametrize("command, cfg, fault", [
+    ("norm", dict(_norm_config(), rel_tol=None), "norm config key 'rel_tol' must be a number, "
+                                                 "got None"),
+    ("norm", dict(_norm_config(), resolution="128"),
+     "norm config key 'resolution' must be a number, got '128'"),
+    ("norm", dict(_norm_config(), box=[[0.0, None]]),
+     "box pair key 'hi' must be a number, got None"),
+    ("interp-verify", _interp_config(theta=None),
+     "interp-verify config key 'theta' must be a number, got None"),
+    ("interp-verify", _interp_config(operator={"kind": "product", "arity": None}),
+     "operator key 'arity' must be a number, got None"),
+    ("interp-verify", _interp_config(operator={"kind": "product", "arity": 2.7}),
+     "operator key 'arity' must be a number, got 2.7"),
+    ("interp-verify", _interp_config(trials=3.9),
+     "interp-verify config key 'trials' must be a number, got 3.9"),
+    ("interp-verify", _interp_config(seed=True),
+     "interp-verify config key 'seed' must be a number, got True"),
+    ("interp-verify", _interp_config(slack=[1e-6]),
+     "interp-verify config key 'slack' must be a number, got [1e-06]"),
+], ids=["rel_tol-null", "resolution-string", "box-null", "theta-null", "arity-null",
+        "arity-fraction", "trials-fraction", "seed-bool", "slack-list"])
+def test_non_number_config_value_exits_one_and_names_the_key(tmp_path, capsys, command,
+                                                             cfg, fault):
+    rc, report, _ = _run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert fault in err
+    assert "Traceback" not in err
+
+
+def test_quadruple_s_reads_null_and_inf_as_infinity(tmp_path):
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64, "quadruple": _QUAD, "weights": [CONST_ONE]}
+    results = []
+    for s in ("inf", None):
+        rc, report, _ = _run(tmp_path, "multilinear-constant",
+                             dict(cfg, quadruple=dict(_QUAD, s=s)))
+        assert rc == 0
+        results.append(report["results"])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+def test_extrapolate_with_a_wrong_operator_arity_exits_one(tmp_path, capsys, arity):
+    quad = {"p_vec": [{"kind": "constant", "value": 4.0}] * 2,
+            "q": {"kind": "constant", "value": 2.0}, "r_vec": [1.5, 1.5], "s": 6.0}
+    cfg = {"box": [[-2.0, 2.0]], "resolution": 128, "target": quad, "endpoint1": quad,
+           "weights": [CONST_ONE] * 2, "weights1": [CONST_ONE] * 2, "thetas": [0.5],
+           "operator": {"kind": "product", "arity": arity},
+           "family": {"kind": "mollify", "count": 3, "sigma": 0.15,
+                      "base": {"kind": "gaussian", "center": [0.0], "width": 0.5}}}
+    rc, report, _ = _run(tmp_path, "extrapolate", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"operator arity {arity} does not match the target's 2 inputs" in err
+    assert "Traceback" not in err
+
+
+def test_three_linear_fractional_interp_verify_passes(tmp_path):
+    alpha = 1.2
+
+    def endpoint(p):
+        return {"p_vec": [{"kind": "constant", "value": p}] * 3,
+                "q": {"kind": "constant", "value": 1.0 / (3.0 / p - alpha / 3.0)},
+                "weights": [CONST_ONE] * 3, "v": CONST_ONE}
+    cfg = {"box": [[0.0, 1.0]], "resolution": 32, "theta": 0.5, "trials": 12, "seed": 5,
+           "operator": {"kind": "fractional_kernel", "arity": 3, "alpha": alpha},
+           "endpoint0": endpoint(4.0), "endpoint1": endpoint(5.0)}
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
+    assert rc == 0
+    assert report["results"]["passed"] is True
+    assert all(c["max_ratio"] > 0.0 for c in report["results"]["certificates"])
+
+
+@pytest.mark.parametrize("edit, named, rel", [
+    (lambda res: res["certificates"][1].update(
+        bound=math.nextafter(res["certificates"][1]["bound"], math.inf)),
+     "1 differing leaves (results.certificates[1].bound)", 2.3e-16),
+    (lambda res: res.update(extra=1), "results.extra (stored only)", None),
+], ids=["one-ulp", "extra-key"])
+def test_diverging_replay_names_what_differs(tmp_path, capsys, edit, named, rel):
+    rc, report, out_path = _run(tmp_path, "interp-verify", _interp_config())
+    assert rc == 0
+    edit(report["results"])
+    out_path.write_text(json.dumps(report))
+    rc = main(["interp-verify", "replay", "--report", str(out_path)])
+    captured = capsys.readouterr()
+    replayed = json.loads(captured.out)
+    assert rc == 2
+    assert not replayed["replay_match"]
+    assert named in captured.err
+    assert any(named in w for w in replayed["warnings"])
+    largest = re.search(r"largest relative difference (\S+)", captured.err)
+    if rel is None:
+        assert largest is None
+    else:
+        assert 0.0 < float(largest.group(1)) <= rel

@@ -52,8 +52,9 @@ def test_operator_spec_guards():
         OperatorSpec("squaring", 1)
     with pytest.raises(SchemaError):
         OperatorSpec("product", 0)
-    with pytest.raises(SchemaError):
-        OperatorSpec("fractional_kernel", 3, alpha=0.5)
+    assert OperatorSpec("fractional_kernel", 3, alpha=2.5).gamma == 2.5
+    with pytest.raises(RangeError):
+        OperatorSpec("fractional_kernel", 3, alpha=3.0)
     with pytest.raises(RangeError):
         OperatorSpec("fractional_kernel", 1, alpha=1.5)
     with pytest.raises(SchemaError):
@@ -97,22 +98,21 @@ def test_operators_are_multilinear_on_random_probes():
     g = Grid(UNIT, (129,))
     ops = (OperatorSpec("product", 2),
            OperatorSpec("ball_average_product", 2, radius=0.1),
-           OperatorSpec("fractional_kernel", 2, alpha=0.75))
+           OperatorSpec("fractional_kernel", 2, alpha=0.75),
+           OperatorSpec("fractional_kernel", 3, alpha=1.5))
     for op in ops:
         f = GridFunction(g, rng.normal(size=g.shape))
         gfun = GridFunction(g, rng.normal(size=g.shape))
-        other = GridFunction(g, rng.normal(size=g.shape))
+        others = [GridFunction(g, rng.normal(size=g.shape)) for _ in range(op.arity - 1)]
         a, b = 1.7, -0.4
-        left = apply_operator(op, (a * f + b * gfun, other))
-        right = (a * apply_operator(op, (f, other))
-                 + b * apply_operator(op, (gfun, other)))
-        scale = max(np.max(np.abs(left.values)), 1.0)
-        assert np.max(np.abs(left.values - right.values)) <= 1e-12 * scale
-        # linearity in the second slot as well
-        left = apply_operator(op, (other, a * f + b * gfun))
-        right = (a * apply_operator(op, (other, f))
-                 + b * apply_operator(op, (other, gfun)))
-        assert np.max(np.abs(left.values - right.values)) <= 1e-12 * scale
+        scale = None
+        for j in range(op.arity):  # linearity in every slot
+            def at(h):
+                return apply_operator(op, others[:j] + [h] + others[j:])
+            left = at(a * f + b * gfun)
+            right = a * at(f) + b * at(gfun)
+            scale = scale or max(np.max(np.abs(left.values)), 1.0)
+            assert np.max(np.abs(left.values - right.values)) <= 1e-12 * scale
 
 
 def test_fractional_kernel_matches_analytic_value_off_support():
@@ -126,27 +126,34 @@ def test_fractional_kernel_matches_analytic_value_off_support():
     assert abs(out.values[i] - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-3
 
 
-@pytest.mark.parametrize("m, alpha", [(1, 0.25), (1, 0.75), (2, 0.75), (2, 1.3)])
+@pytest.mark.parametrize("m, alpha", [(1, 0.25), (1, 0.75), (2, 0.75), (2, 1.3),
+                                      (3, 0.5), (3, 2.2)])
 def test_fractional_kernel_matches_a_direct_sum(m, alpha):
     # sum over every node tuple y of (sum_j |x - y_j|)^(alpha - m)
     # prod_j f_j(y_j) qw, dropping only the cell y_1 = .. = y_m = x
     rng = np.random.default_rng(29)
-    g = Grid(UNIT, (129,))
+    n = 33 if m == 3 else 129
+    g = Grid(UNIT, (n,))
     x = g.coords[..., 0]
-    fs = tuple(GridFunction(g, rng.uniform(0.5, 1.5, size=g.shape)) for _ in range(m))
     dist = np.abs(x[:, None] - x[None, :])
-    if m == 1:
-        s = dist
-        weights = fs[0].values * g.quad_weights
-    else:
-        s = dist[:, :, None] + dist[:, None, :]
-        weights = np.multiply.outer(fs[0].values * g.quad_weights,
-                                    fs[1].values * g.quad_weights)
+    s = dist
+    for j in range(1, m):
+        s = s[..., None] + dist.reshape((n,) + (1,) * j + (n,))
     with np.errstate(divide="ignore"):
         kernel = np.where(s > 0.0, s, np.inf) ** (alpha - m)
-    direct = (kernel * weights).reshape(x.size, -1).sum(axis=1)
-    out = apply_operator(OperatorSpec("fractional_kernel", m, alpha=alpha), fs)
-    assert np.max(np.abs(out.values / direct - 1.0)) <= 1e-12
+    op = OperatorSpec("fractional_kernel", m, alpha=alpha)
+    for signed in (False, True):
+        fs = tuple(GridFunction(g, rng.normal(size=g.shape) if signed
+                                else rng.uniform(0.5, 1.5, size=g.shape)) for _ in range(m))
+        weights = fs[0].values * g.quad_weights
+        for f in fs[1:]:
+            weights = np.multiply.outer(weights, f.values * g.quad_weights)
+        direct = (kernel * weights).reshape(n, -1).sum(axis=1)
+        out = apply_operator(op, fs).values
+        if signed:
+            assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(direct))
+        else:
+            assert np.max(np.abs(out / direct - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
