@@ -24,7 +24,7 @@ from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
                      verify_mixed_interpolation_bound)
 from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_sums,
                       maximal_boundedness_probe, maximal_function,
-                      oscillation_average)
+                      oscillation_average, oscillation_profiles)
 from .norms import (NormResult, duality_pairing_lower_bound, holder_constant,
                     luxemburg_norm, mixed_norm, modular, pairing,
                     weight_measure, weighted_norm)

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import (HypothesisFailureError, OverflowToInfinityError,
                      SchemaError, VarlebError, VersionMismatchWarning,
-                     check_keys, read_number)
+                     check_keys, read_list, read_number, read_numbers)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (EndpointSpace, OperatorSpec, run_extrapolation_workflow,
@@ -87,9 +87,9 @@ def _s_value(raw, where: str) -> float:
 
 def _quadruple_from(block: dict, box: Box, where: str) -> QuadrupleSpec:
     check_keys(block, {"p_vec", "q", "r_vec", "s"}, {"gamma"}, where)
-    p_vec = tuple(_exponent_from(d, box) for d in block["p_vec"])
+    p_vec = tuple(_exponent_from(d, box) for d in read_list(block["p_vec"], "p_vec", where))
     q = _exponent_from(block["q"], box)
-    r_vec = tuple(read_number(r, "r_vec", where) for r in block["r_vec"])
+    r_vec = tuple(read_numbers(block["r_vec"], "r_vec", where))
     gamma = block.get("gamma")
     return QuadrupleSpec(p_vec, q, r_vec, _s_value(block["s"], where),
                          None if gamma is None else read_number(gamma, "gamma", where))
@@ -196,12 +196,10 @@ def _run_multilinear_constant(cfg, where):
                {"resolution", "cube_depth", "rel_tol"}, where)
     grid = _grid_from(cfg, where)
     spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
-    if not isinstance(cfg["weights"], list):
-        raise SchemaError("multilinear-constant config key 'weights' must be a list of "
-                          "weight descriptors")
-    if len(cfg["weights"]) != spec.m:
+    weights = read_list(cfg["weights"], "weights", where)
+    if len(weights) != spec.m:
         raise SchemaError("one weight per input exponent is required")
-    w_vec = tuple(_weight_from(d, grid) for d in cfg["weights"])
+    w_vec = tuple(_weight_from(d, grid) for d in weights)
     verdict = validate_quadruple(spec)
     cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 4, integer=True))
     rep = multilinear_constant(w_vec, spec, cubes, _num(cfg, "rel_tol", where, 1e-10),
@@ -276,10 +274,11 @@ def _run_rk_classify(cfg, where):
 
 def _endpoint_from(block: dict, grid: Grid, where: str) -> EndpointSpace:
     check_keys(block, {"p_vec", "q", "weights", "v"}, {"bound"}, where)
-    p_vec = tuple(_exponent_from(d, grid.box) for d in block["p_vec"])
-    if len(block["weights"]) != len(p_vec):
+    p_vec = tuple(_exponent_from(d, grid.box) for d in read_list(block["p_vec"], "p_vec", where))
+    weights = read_list(block["weights"], "weights", where)
+    if len(weights) != len(p_vec):
         raise SchemaError(f"one weight per input exponent is required in {where}")
-    w_vec = tuple(_weight_from(d, grid) for d in block["weights"])
+    w_vec = tuple(_weight_from(d, grid) for d in weights)
     v = _weight_from(block["v"], grid)
     bound = _num(block, "bound", where) if "bound" in block else None
     return EndpointSpace(p_vec, _exponent_from(block["q"], grid.box), w_vec, v, bound)
@@ -325,15 +324,15 @@ def _run_extrapolate(cfg, where):
     grid = _grid_from(cfg, where)
     target = _quadruple_from(cfg["target"], grid.box, "target")
     spec1 = _quadruple_from(cfg["endpoint1"], grid.box, "endpoint1")
-    w_vec = tuple(_weight_from(d, grid) for d in cfg["weights"])
-    w1_vec = tuple(_weight_from(d, grid) for d in cfg["weights1"])
+    w_vec = tuple(_weight_from(d, grid) for d in read_list(cfg["weights"], "weights", where))
+    w1_vec = tuple(_weight_from(d, grid) for d in read_list(cfg["weights1"], "weights1", where))
     op = _operator_from(cfg["operator"])
     family = _family_from(cfg["family"], grid)
     inputs = tuple((f,) * op.arity for f in family.members)
     cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 3, integer=True))
     rep = run_extrapolation_workflow(
         op, inputs, target, w_vec, spec1, w1_vec,
-        tuple(read_number(t, "thetas", where) for t in cfg["thetas"]),
+        tuple(read_numbers(cfg["thetas"], "thetas", where)),
         qtilde=_num(cfg, "qtilde", where) if "qtilde" in cfg else None,
         cubes=cubes, roundtrip_tol=_num(cfg, "roundtrip_tol", where, 1e-10),
         rel_tol=_num(cfg, "rel_tol", where, 1e-10))

@@ -103,3 +103,16 @@ def read_number(value, key: str, where: str, integer: bool = False):
             or integer and not float(value).is_integer()):
         raise SchemaError(f"{where} key '{key}' must be a number, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def read_list(value, key: str, where: str) -> list:
+    """Return a config value that must be a list (or tuple); raise
+    SchemaError naming ``where`` and ``key`` for anything else."""
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{where} key '{key}' must be a list, got {value!r}")
+    return list(value)
+
+
+def read_numbers(value, key: str, where: str) -> list[float]:
+    """A list-valued config key whose entries are numbers."""
+    return [read_number(v, key, where) for v in read_list(value, key, where)]

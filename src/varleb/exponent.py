@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, RangeError, SchemaError, SpecMismatchError, check_keys
+from .errors import (DomainError, RangeError, SchemaError, SpecMismatchError, check_keys,
+                     read_number, read_numbers)
 from .field import Box, Grid
 
 DEFAULT_SCAN_1D = 4096
@@ -206,21 +207,21 @@ class ExponentField:
         if not isinstance(kind, str) or kind not in _EXPONENT_KINDS:
             raise SchemaError(f"exponent descriptor needs a 'kind' among {sorted(_EXPONENT_KINDS)}")
         required, optional = _EXPONENT_KINDS[kind]
-        check_keys(desc, required | {"kind", "box"}, optional | {"scan_resolution"},
-                   f"exponent '{kind}'")
+        where = f"exponent '{kind}'"
+        check_keys(desc, required | {"kind", "box"}, optional | {"scan_resolution"}, where)
         box = Box.from_pairs(desc["box"])
         scan = tuple(desc["scan_resolution"]) if "scan_resolution" in desc else None
         if kind == "constant":
-            return cls.constant(box, desc["value"], scan)
+            return cls.constant(box, read_number(desc["value"], "value", where), scan)
         if kind == "affine":
-            if not isinstance(desc["slopes"], (list, tuple)):
-                raise SchemaError("exponent 'affine' key 'slopes' must be a list of numbers, "
-                                  "one per axis")
-            return cls.affine(box, desc["base"], desc["slopes"], scan)
+            return cls.affine(box, read_number(desc["base"], "base", where),
+                              read_numbers(desc["slopes"], "slopes", where), scan)
         if kind == "log_decay":
-            return cls.log_decay(box, desc["p_infinity"], desc["amplitude"], scan)
+            return cls.log_decay(box, read_number(desc["p_infinity"], "p_infinity", where),
+                                 read_number(desc["amplitude"], "amplitude", where), scan)
         if kind == "piecewise":
-            return cls.piecewise(box, desc["breakpoints"], desc["values"], scan)
+            return cls.piecewise(box, read_numbers(desc["breakpoints"], "breakpoints", where),
+                                 read_numbers(desc["values"], "values", where), scan)
         if kind == "grid":
             arr = np.asarray(desc["values"], dtype=float)
             if "resolution" in desc:
@@ -233,7 +234,7 @@ class ExponentField:
             raise SchemaError("exponent 'shifted_reciprocal' key 'inner' must be an "
                               "exponent descriptor object")
         inner = cls.from_descriptor({**desc["inner"], "box": desc["box"]})
-        return reciprocal_affine((inner,), (1.0,), -float(desc["gamma"]),
+        return reciprocal_affine((inner,), (1.0,), -read_number(desc["gamma"], "gamma", where),
                                  what="shifted reciprocal exponent")
 
 

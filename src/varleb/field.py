@@ -497,14 +497,18 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
     if not isinstance(kind, str) or kind not in _FUNCTION_KINDS:
         raise SchemaError(f"unknown function kind '{kind}'")
     required, optional = _FUNCTION_KINDS[kind]
-    check_keys(desc, required | {"kind"}, optional, f"function '{kind}'")
+    where = f"function '{kind}'"
+    check_keys(desc, required | {"kind"}, optional, where)
     params = {k: v for k, v in desc.items() if k != "kind"}
     coords = grid.coords
 
+    def number(key, default=None):
+        return read_number(params.get(key, default), key, where)
+
     if kind == "gaussian":
         center = params.get("center", grid.box.center)
-        width = float(params.get("width", 1.0))
-        amp = float(params.get("amplitude", 1.0))
+        width = number("width", 1.0)
+        amp = number("amplitude", 1.0)
         if width <= 0:
             raise SchemaError("gaussian width must be positive")
         r = _radial(coords, center)
@@ -515,9 +519,9 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
         return GridFunction(grid, mask.astype(float))
 
     if kind == "power":
-        e = float(params["exponent"]) if "exponent" in params else 1.0
+        e = number("exponent", 1.0)
         center = params.get("center", (0.0,) * grid.dim)
-        floor = float(params.get("floor", 0.0))
+        floor = number("floor", 0.0)
         r = _radial(coords, center)
         with np.errstate(divide="ignore"):
             vals = np.where(r > 0, r, 1.0) ** e
@@ -528,8 +532,8 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
 
     if kind == "bump":
         center = params.get("center", grid.box.center)
-        radius = float(params.get("radius", 1.0))
-        amp = float(params.get("amplitude", 1.0))
+        radius = number("radius", 1.0)
+        amp = number("amplitude", 1.0)
         if radius <= 0:
             raise SchemaError("bump radius must be positive")
         t2 = (_radial(coords, center) / radius) ** 2
@@ -539,10 +543,11 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
 
     if kind == "sine":
         freq = params.get("frequency", (1.0,) * grid.dim)
-        if np.isscalar(freq):
-            freq = (float(freq),) * grid.dim
-        phase = float(params.get("phase", 0.0))
-        amp = float(params.get("amplitude", 1.0))
+        if not isinstance(freq, (list, tuple)):
+            freq = (freq,) * grid.dim
+        freq = [read_number(om, "frequency", where) for om in freq]
+        phase = number("phase", 0.0)
+        amp = number("amplitude", 1.0)
         arg = phase
         for axis, om in enumerate(freq):
             arg = arg + 2.0 * np.pi * om * coords[..., axis]
@@ -550,13 +555,14 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
 
     if kind == "translate":
         shift = params["shift"]
-        if np.isscalar(shift):
-            shift = (float(shift),) * grid.dim
+        if not isinstance(shift, (list, tuple)):
+            shift = (shift,) * grid.dim
+        shift = [read_number(s, "shift", where) for s in shift]
         inner = realize_function(params["inner"], grid)
         return shift_function(inner, shift)
 
     if kind == "dilate":
-        scale = float(params["scale"])
+        scale = number("scale")
         if scale <= 0:
             raise SchemaError("dilate scale must be positive")
         if grid.dim != 1:

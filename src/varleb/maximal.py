@@ -23,13 +23,23 @@ per row: each lattice ball is a stack of row intervals, so a radius
 costs O(rows of the ball x nodes), and a ball sum of a nonnegative
 array is never negative.  One helper states which lattice offsets lie
 in a ball; the ball sums and the oscillation offsets both read it.
+
+Oscillation averages are summed offset by offset over a whole family
+and a whole radius sweep in one pass.  The balls of increasing radii
+are nested, so the pass walks the offsets of the largest ball once, in
+radius order, and takes a snapshot of numerator over denominator after
+each radius.  Offsets delta and -delta share one array
+``|f(x) - f(x + delta)|^q``: it is added at x weighted by the node
+x + delta and at x + delta weighted by x.  The numerator is stacked
+over the members; the denominator does not depend on f and is summed
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -170,25 +180,50 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
 
 def oscillation_average(f: GridFunction, qtilde: float, radius: float) -> GridFunction:
     """``osc_{qtilde, radius} f`` at every node, in-box truncated."""
+    osc = next(oscillation_profiles(f.values[None], f.grid, qtilde, RadiusSweep((radius,))))
+    return GridFunction(f.grid, osc[0])
+
+
+def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
+                         sweep: RadiusSweep) -> Iterator[np.ndarray]:
+    """``osc_{qtilde, r}`` of every member of an ``(M, *grid.shape)``
+    stack, yielded as an ``(M, *grid.shape)`` array once per sweep
+    radius in increasing order (checks run at the first ``next``).
+
+    The offsets of the largest ball are walked once: each radius adds
+    the offsets of its ball that the previous radius did not cover, and
+    an offset and its negative share one difference power.
+    """
     if qtilde <= 0.0 or not math.isfinite(qtilde):
         raise DomainError("qtilde must be a finite positive constant")
-    if radius < f.grid.max_step * (1.0 - 1e-9):
+    if sweep.radii[0] < grid.max_step * (1.0 - 1e-9):
         raise DomainError("oscillation radius must be at least the grid step")
-    grid = f.grid
-    # Closed offset ball, unlike the open balls elsewhere: at the
-    # smallest admissible radius (one grid step) the open convention
-    # would leave only the zero offset and a vacuous oscillation.
-    r_eff = radius * (1.0 + 1e-9)
-    vals = f.values
     qw = grid.quad_weights
-    num = np.zeros(grid.shape)
+    num = np.zeros(values.shape)
     den = np.zeros(grid.shape)
-    offsets = _offset_list(grid, r_eff)
-    for delta in offsets:
-        dst, src = _shift_slices(grid.shape, delta)
-        num[dst] += qw[src] * np.abs(vals[dst] - vals[src]) ** qtilde
-        den[dst] += qw[src]
-    return GridFunction(grid, (num / np.maximum(den, 1e-300)) ** (1.0 / qtilde))
+    walked: set = set()
+    for radius in sweep.radii:
+        # Closed offset ball, unlike the open balls elsewhere: at the
+        # smallest admissible radius (one grid step) the open convention
+        # would leave only the zero offset and a vacuous oscillation.
+        offsets = _offset_list(grid, radius * (1.0 + 1e-9))
+        # the list is sorted and symmetric: zero, then one of each pair
+        for delta in offsets[len(offsets) // 2:]:
+            if delta in walked:
+                continue
+            walked.add(delta)
+            dst, src = _shift_slices(grid.shape, delta)
+            den[dst] += qw[src]
+            if dst == src:
+                continue
+            den[src] += qw[dst]
+            powed = np.abs(values[(Ellipsis,) + dst] - values[(Ellipsis,) + src])
+            if qtilde != 1.0:
+                powed **= qtilde
+            num[(Ellipsis,) + dst] += qw[src] * powed
+            num[(Ellipsis,) + src] += qw[dst] * powed
+        mean = num / np.maximum(den, 1e-300)
+        yield mean if qtilde == 1.0 else mean ** (1.0 / qtilde)
 
 
 def _offset_list(grid: Grid, r_eff: float):

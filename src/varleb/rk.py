@@ -33,8 +33,8 @@ import numpy as np
 from .errors import DomainError, HypothesisFailureError, OverflowToInfinityError
 from .exponent import ExponentField, scale_exponent
 from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    ball_mask, shift_function)
-from .maximal import RadiusSweep, oscillation_average
+                    ball_mask, box_mask, shift_function)
+from .maximal import RadiusSweep, oscillation_profiles
 from .norms import weight_measure, weighted_norms
 from .weights import WeightConstantReport, ap_constant
 
@@ -188,9 +188,10 @@ def equicontinuity_profile(family: FunctionFamily, p: ExponentField,
     """Sup over members of the weighted norm of the oscillation average,
     per sweep radius; passes when the smallest radius lands below the
     threshold."""
-    profile = [float(weighted_norms([oscillation_average(f, qtilde, r) for f in family.members],
-                                    p, w, rel_tol).max())
-               for r in sweep.radii]
+    grid = family.grid
+    stack = np.stack([f.values for f in family.members])
+    profile = [float(weighted_norms([GridFunction(grid, o) for o in osc], p, w, rel_tol).max())
+               for osc in oscillation_profiles(stack, grid, qtilde, sweep)]
     return EquicontinuityReport(sweep.radii, tuple(profile), threshold,
                                 profile[0] < threshold)
 
@@ -224,7 +225,6 @@ def equi_integrability_measure(family: FunctionFamily, p: ExponentField,
         raise DomainError("shrinking sets must have nonincreasing w-measure")
     profile = []
     for E in shrinking_sets:
-        from .field import box_mask
         mask = box_mask(family.grid, E)
         profile.append(float(weighted_norms([f.restrict(mask) for f in family.members],
                                             p, w, rel_tol).max()))

@@ -332,6 +332,53 @@ def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, p
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("patch, fault", [
+    ({"function": dict(_GAUSS, width=None)}, "function 'gaussian' key 'width' must be a number"),
+    ({"function": dict(_GAUSS, amplitude="big")}, "function 'gaussian' key 'amplitude'"),
+    ({"function": {"kind": "power", "exponent": None}}, "function 'power' key 'exponent'"),
+    ({"function": {"kind": "power", "floor": [1.0]}}, "function 'power' key 'floor'"),
+    ({"function": {"kind": "bump", "radius": True}}, "function 'bump' key 'radius'"),
+    ({"function": {"kind": "bump", "amplitude": None}}, "function 'bump' key 'amplitude'"),
+    ({"function": {"kind": "sine", "frequency": None}}, "function 'sine' key 'frequency'"),
+    ({"function": {"kind": "sine", "frequency": [None]}}, "function 'sine' key 'frequency'"),
+    ({"function": {"kind": "sine", "phase": None}}, "function 'sine' key 'phase'"),
+    ({"function": {"kind": "sine", "amplitude": None}}, "function 'sine' key 'amplitude'"),
+    ({"function": {"kind": "translate", "shift": None, "inner": _GAUSS}},
+     "function 'translate' key 'shift'"),
+    ({"function": {"kind": "translate", "shift": ["a"], "inner": _GAUSS}},
+     "function 'translate' key 'shift'"),
+    ({"function": {"kind": "dilate", "scale": None, "inner": _GAUSS}},
+     "function 'dilate' key 'scale'"),
+    ({"exponent": {"kind": "constant", "value": None}},
+     "exponent 'constant' key 'value' must be a number, got None"),
+    ({"exponent": {"kind": "affine", "base": None, "slopes": [0.0]}},
+     "exponent 'affine' key 'base'"),
+    ({"exponent": {"kind": "affine", "base": 2.0, "slopes": [None]}},
+     "exponent 'affine' key 'slopes' must be a number"),
+    ({"exponent": {"kind": "log_decay", "p_infinity": None, "amplitude": 0.5}},
+     "exponent 'log_decay' key 'p_infinity'"),
+    ({"exponent": {"kind": "piecewise", "breakpoints": 0.5, "values": [2.0, 3.0]}},
+     "exponent 'piecewise' key 'breakpoints' must be a list, got 0.5"),
+    ({"exponent": {"kind": "shifted_reciprocal", "gamma": None,
+                   "inner": {"kind": "constant", "value": 2.0}}},
+     "exponent 'shifted_reciprocal' key 'gamma'"),
+], ids=["gaussian-width", "gaussian-amplitude", "power-exponent", "power-floor",
+        "bump-radius", "bump-amplitude", "sine-frequency", "sine-frequency-list",
+        "sine-phase", "sine-amplitude", "translate-shift", "translate-shift-list",
+        "dilate-scale", "constant-value", "affine-base", "affine-slope-entry",
+        "log-decay-p-infinity", "piecewise-breakpoints-scalar", "shifted-reciprocal-gamma"])
+def test_non_numeric_descriptor_value_exits_one_and_names_the_key(tmp_path, capsys, patch,
+                                                                   fault):
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS, **patch}
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert fault in err
+    assert "Traceback" not in err
+
+
 _QUAD = {"p_vec": [{"kind": "constant", "value": 3.0}], "q": {"kind": "constant", "value": 3.0},
          "r_vec": [1.0], "s": "inf"}
 
@@ -345,7 +392,29 @@ _QUAD = {"p_vec": [{"kind": "constant", "value": 3.0}], "q": {"kind": "constant"
                      "family": {"kind": "translate", "count": None, "step": 0.1,
                                 "base": _GAUSS}},
      "family 'translate' key 'count' must be a number, got None"),
-], ids=["multilinear-weights-type", "rk-family-count-type"])
+    ("multilinear-constant", {"box": [[0.0, 1.0]], "resolution": 64,
+                              "quadruple": dict(_QUAD, r_vec=3), "weights": [CONST_ONE]},
+     "quadruple key 'r_vec' must be a list, got 3"),
+    ("multilinear-constant", {"box": [[0.0, 1.0]], "resolution": 64,
+                              "quadruple": dict(_QUAD, p_vec=3), "weights": [CONST_ONE]},
+     "quadruple key 'p_vec' must be a list, got 3"),
+    ("extrapolate", {"box": [[-2.0, 2.0]], "resolution": 128, "target": _QUAD,
+                     "endpoint1": _QUAD, "weights": [CONST_ONE], "weights1": [CONST_ONE],
+                     "thetas": 0.5, "operator": {"kind": "product", "arity": 1},
+                     "family": {"kind": "mollify", "count": 3, "sigma": 0.15,
+                                "base": _GAUSS}},
+     "extrapolate config key 'thetas' must be a list, got 0.5"),
+    ("interp-verify", {"box": [[0.0, 1.0]], "resolution": 64, "theta": 0.5,
+                       "operator": {"kind": "product", "arity": 1},
+                       "endpoint0": {"p_vec": [{"kind": "constant", "value": 2.0}],
+                                     "q": {"kind": "constant", "value": 2.0},
+                                     "weights": 3, "v": CONST_ONE},
+                       "endpoint1": {"p_vec": [{"kind": "constant", "value": 2.0}],
+                                     "q": {"kind": "constant", "value": 2.0},
+                                     "weights": [CONST_ONE], "v": CONST_ONE}},
+     "endpoint0 key 'weights' must be a list, got 3"),
+], ids=["multilinear-weights-type", "rk-family-count-type", "quadruple-r_vec-scalar",
+        "quadruple-p_vec-scalar", "extrapolate-thetas-scalar", "endpoint-weights-scalar"])
 def test_wrong_typed_config_value_exits_one_and_names_the_key(tmp_path, capsys, command,
                                                               cfg, fault):
     rc, report, _ = _run(tmp_path, command, cfg)

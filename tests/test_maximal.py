@@ -12,7 +12,8 @@ from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
                     GridFunction, HypothesisFailureError, RadiusSweep,
                     WeightField, ball_mask, ball_mean, ball_sums,
                     maximal_boundedness_probe, maximal_function,
-                    oscillation_average)
+                    oscillation_average, oscillation_profiles)
+import varleb.maximal as maximal_module
 from varleb.maximal import _offset_list
 
 from _support import UNIT, grid1d
@@ -266,6 +267,91 @@ def test_oscillation_radius_beyond_the_box_covers_the_box():
             for idx in np.ndindex(*g.shape)]
     osc = oscillation_average(f, 1.5, 2.0 * g.box.diameter)
     np.testing.assert_allclose(osc.values.ravel() ** 1.5, want, rtol=1e-12)
+
+
+@st.composite
+def member_stack_and_sweep(draw):
+    """A 1D or anisotropic 2D grid, a stack of members (zero members
+    included) and a sweep from one step up to past the box diameter."""
+    dim = draw(st.sampled_from([1, 2]))
+    widths = tuple(draw(st.sampled_from([0.5, 0.7, 1.0, 1.3, 3.0])) for _ in range(dim))
+    shape = tuple(draw(st.integers(2, 40 if dim == 1 else 12)) for _ in range(dim))
+    grid = Grid(Box((0.0,) * dim, widths), shape)
+    count = draw(st.integers(1, 4))
+    members = draw(st.lists(st.one_of(
+        st.just(np.zeros(shape)),
+        arrays(float, shape, elements=st.floats(-1e3, 1e3))), min_size=count, max_size=count))
+    h = grid.max_step
+    radii = draw(st.lists(st.one_of(
+        st.builds(lambda k: k * h, st.integers(1, 12)),
+        st.floats(h, 2.0 * grid.box.diameter)), min_size=1, max_size=4, unique=True))
+    return grid, np.stack(members), RadiusSweep(tuple(sorted(radii)))
+
+
+def looped_oscillation(vals, grid, qtilde, radius):
+    """One member at one radius, one offset at a time: every offset of
+    the closed ball adds its own difference power and weight."""
+    qw = grid.quad_weights
+    num, den = np.zeros(grid.shape), np.zeros(grid.shape)
+    for delta in _offset_list(grid, radius * (1.0 + 1e-9)):
+        dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(grid.shape, delta))
+        src = tuple(slice(max(k, 0), n - max(-k, 0)) for n, k in zip(grid.shape, delta))
+        num[dst] += qw[src] * np.abs(vals[dst] - vals[src]) ** qtilde
+        den[dst] += qw[src]
+    return (num / den) ** (1.0 / qtilde)
+
+
+@settings(max_examples=60, deadline=None)
+@given(member_stack_and_sweep(), st.sampled_from([1.0, 1.37, 2.0]))
+def test_oscillation_profiles_match_the_per_member_per_radius_loop(case, qtilde):
+    grid, stack, sweep = case
+    got = list(oscillation_profiles(stack, grid, qtilde, sweep))
+    assert len(got) == len(sweep.radii)
+    for r, osc in zip(sweep.radii, got):
+        assert osc.shape == stack.shape
+        for vals, row in zip(stack, osc):
+            np.testing.assert_allclose(row, looped_oscillation(vals, grid, qtilde, r),
+                                       rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(member_stack_and_sweep())
+def test_oscillation_profiles_power_each_offset_pair_once(case):
+    """Per family the pass slices the half ball of the largest radius
+    (the zero offset and one of each pair +-delta) once, whatever the
+    number of members and radii."""
+    grid, stack, sweep = case
+    calls = []
+    original = maximal_module._shift_slices
+
+    def counting(shape, delta):
+        calls.append(delta)
+        return original(shape, delta)
+
+    maximal_module._shift_slices = counting
+    try:
+        list(oscillation_profiles(stack, grid, 1.37, sweep))
+    finally:
+        maximal_module._shift_slices = original
+    largest = _offset_list(grid, sweep.radii[-1] * (1.0 + 1e-9))
+    assert len(calls) == len(set(calls)) == (len(largest) + 1) // 2
+
+
+def test_oscillation_average_is_the_one_member_one_radius_pass():
+    g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
+    f = GridFunction(g, np.random.default_rng(9).normal(size=g.shape))
+    r = 4.0 * g.max_step
+    (osc,) = oscillation_profiles(f.values[None], g, 1.5, RadiusSweep((r,)))
+    assert np.array_equal(oscillation_average(f, 1.5, r).values, osc[0])
+
+
+def test_oscillation_profiles_refuse_a_radius_below_the_step():
+    g = grid1d(65)
+    with pytest.raises(DomainError, match="at least the grid step"):
+        next(oscillation_profiles(np.ones((2, 65)), g, 1.0,
+                                  RadiusSweep((g.max_step / 2.0, g.max_step))))
+    with pytest.raises(DomainError, match="qtilde"):
+        next(oscillation_profiles(np.ones((2, 65)), g, 0.0, RadiusSweep((g.max_step,))))
 
 
 # -- boundedness probe ---------------------------------------------------------

@@ -196,6 +196,17 @@ def test_equicontinuity_fast_oscillation_family_fails():
     assert report.profile[0] > 0.1
 
 
+def test_equicontinuity_refuses_a_nan_member_naming_its_node():
+    g = Grid(UNIT, (65,))
+    p = ExponentField.constant(UNIT, 2.0)
+    bad = np.ones(g.shape)
+    bad[30] = math.nan
+    fam = FunctionFamily((GridFunction(g, np.ones(g.shape)), GridFunction(g, bad)))
+    sweep = RadiusSweep((g.steps[0], 2.0 * g.steps[0]))
+    with pytest.raises(DomainError, match="NaN at flat node index 29 of row 1"):
+        equicontinuity_profile(fam, p, None, 1.0, sweep, threshold=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # vanishing profile
 
