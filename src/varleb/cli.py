@@ -29,9 +29,9 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import (HypothesisFailureError, OverflowToInfinityError,
-                     SchemaError, VarlebError, VersionMismatchWarning,
-                     check_keys, read_list, read_number, read_numbers)
+from .errors import (REQUIRED, HypothesisFailureError, OverflowToInfinityError, VarlebError,
+                     VersionMismatchWarning, block, descriptor, each_axis, integer, list_of,
+                     number, per_axis, read_fields, read_kind, string)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (EndpointSpace, OperatorSpec, run_extrapolation_workflow,
@@ -49,85 +49,63 @@ EXIT_VIOLATION = 2
 
 
 # ---------------------------------------------------------------------------
-# config helpers
+# config tables and the helpers that build objects from what they read
 
 
-def _grid_from(cfg: dict, where: str) -> Grid:
-    box = Box.from_pairs(cfg["box"])
-    res = cfg.get("resolution", 4096 if box.dim == 1 else 256)
-    cells = res if isinstance(res, (list, tuple)) else [res] * box.dim
-    # n cells -> n + 1 nodes
-    return Grid(box, tuple(read_number(n, "resolution", where, integer=True) + 1
-                           for n in cells))
+def _s_value(value, key, where) -> float:
+    """The reader of a quadruple's s: a number, or inf as "inf" or null."""
+    return math.inf if value in ("inf", "Infinity", None) else number(value, key, where)
 
 
-def _num(block: dict, key: str, where: str, default=None, integer: bool = False):
-    """``block[key]``, or ``default`` when the key is absent, as a number."""
-    return read_number(block.get(key, default), key, where, integer)
-
-
-def _exponent_from(desc: dict, box: Box) -> ExponentField:
-    if not isinstance(desc, dict):
-        raise SchemaError("exponent descriptor must be a JSON object")
-    merged = dict(desc)
-    merged.setdefault("box", box.as_pairs())
-    return ExponentField.from_descriptor(merged)
-
-
-def _weight_from(desc: dict, grid: Grid) -> WeightField:
-    f = realize_function(desc, grid)
-    return WeightField(grid, f.values)
-
-
-def _s_value(raw, where: str) -> float:
-    if raw in ("inf", "Infinity", None):
-        return math.inf
-    return read_number(raw, "s", where)
-
-
-def _quadruple_from(block: dict, box: Box, where: str) -> QuadrupleSpec:
-    check_keys(block, {"p_vec", "q", "r_vec", "s"}, {"gamma"}, where)
-    p_vec = tuple(_exponent_from(d, box) for d in read_list(block["p_vec"], "p_vec", where))
-    q = _exponent_from(block["q"], box)
-    r_vec = tuple(read_numbers(block["r_vec"], "r_vec", where))
-    gamma = block.get("gamma")
-    return QuadrupleSpec(p_vec, q, r_vec, _s_value(block["s"], where),
-                         None if gamma is None else read_number(gamma, "gamma", where))
-
-
-def _operator_from(block: dict) -> OperatorSpec:
-    check_keys(block, {"kind", "arity"}, {"alpha", "radius"}, "operator")
-    return OperatorSpec(block["kind"], _num(block, "arity", "operator", integer=True),
-                        alpha=_num(block, "alpha", "operator", 0.0),
-                        radius=_num(block, "radius", "operator", 0.0))
-
-
-_FAMILY_PARAMS = {
-    "translate": ({"step"}, set()),
-    "modulate": (set(), {"base_frequency", "growth"}),
-    "dilate": (set(), {"ratio"}),
-    "mollify": ({"sigma"}, {"ratio"}),
+_EXPONENT = descriptor("an exponent")
+_FUNCTION = descriptor("a function")
+# resolution counts cells per axis; its default depends on the dimension
+_GRID = {"box": (Box.from_pairs, REQUIRED), "resolution": (per_axis(integer), None)}
+_QUADRUPLE = block({"p_vec": (list_of(_EXPONENT), REQUIRED), "q": (_EXPONENT, REQUIRED),
+                    "r_vec": (list_of(number), REQUIRED), "s": (_s_value, REQUIRED),
+                    "gamma": (number, None)})
+_OPERATOR = block({"kind": (string, REQUIRED), "arity": (integer, REQUIRED),
+                   "alpha": (number, 0.0), "radius": (number, 0.0)})
+_ENDPOINT = block({"p_vec": (list_of(_EXPONENT), REQUIRED), "q": (_EXPONENT, REQUIRED),
+                   "weights": (list_of(_FUNCTION), REQUIRED), "v": (_FUNCTION, REQUIRED),
+                   "bound": (number, None)})
+_MIXED = block({"qtilde": (number, REQUIRED), "offset_count": (integer, 8)})
+_MEMBERS = {"base": (_FUNCTION, REQUIRED), "count": (integer, REQUIRED)}
+# kind -> its keys besides "kind", named as the arguments of its builder
+_FAMILIES = {
+    "translate": {**_MEMBERS, "step": (number, REQUIRED)},
+    "modulate": {**_MEMBERS, "base_frequency": (number, 1.0), "growth": (number, 2.0)},
+    "dilate": {**_MEMBERS, "ratio": (number, 0.5)},
+    "mollify": {**_MEMBERS, "sigma": (number, REQUIRED), "ratio": (number, 0.1)},
 }
 
 
-def _family_from(block: dict, grid: Grid):
-    kind = block.get("kind") if isinstance(block, dict) else None
-    if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
-        raise SchemaError(f"family needs a 'kind' among {sorted(_FAMILY_PARAMS)}")
-    required, optional = _FAMILY_PARAMS[kind]
-    where = f"family '{kind}'"
-    check_keys(block, {"kind", "base", "count"} | required, optional, where)
-    base = realize_function(block["base"], grid)
-    count = _num(block, "count", where, integer=True)
-    if kind == "translate":
-        return translate_family(base, count, _num(block, "step", where))
-    if kind == "modulate":
-        return modulate_family(base, count, _num(block, "base_frequency", where, 1.0),
-                               growth=_num(block, "growth", where, 2.0))
-    if kind == "dilate":
-        return dilate_family(base, count, _num(block, "ratio", where, 0.5))
-    return mollify_family(base, count, _num(block, "sigma", where),
-                          ratio=_num(block, "ratio", where, 0.1))
+def _grid_from(c: dict) -> Grid:
+    box, cells = c["box"], c["resolution"]
+    if cells is None:
+        cells = 4096 if box.dim == 1 else 256
+    # n cells -> n + 1 nodes
+    return Grid(box, tuple(n + 1 for n in each_axis(cells, box.dim, "resolution")))
+
+
+def _exponent_from(desc: dict, box: Box) -> ExponentField:
+    return ExponentField.from_descriptor({"box": box.as_pairs(), **desc})
+
+
+def _weight_from(desc: dict, grid: Grid) -> WeightField:
+    return WeightField(grid, realize_function(desc, grid).values)
+
+
+def _quadruple_from(q: dict, box: Box) -> QuadrupleSpec:
+    return QuadrupleSpec(tuple(_exponent_from(d, box) for d in q["p_vec"]),
+                         _exponent_from(q["q"], box), tuple(q["r_vec"]), q["s"], q["gamma"])
+
+
+def _family_from(desc, grid: Grid):
+    kind, f = read_kind(desc, _FAMILIES, "family")
+    build = {"translate": translate_family, "modulate": modulate_family,
+             "dilate": dilate_family, "mollify": mollify_family}[kind]
+    return build(**{**f, "base": realize_function(f["base"], grid)})
 
 
 def _jsonable(obj):
@@ -153,57 +131,63 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
-# command runners; each takes the config and its name for messages and
-# returns (results, warnings, exit_code)
+# command runners; each is registered with its config table, takes the
+# config as read by it and returns (results, warnings, exit_code)
+
+_RUNNERS: dict = {}
 
 
-def _run_norm(cfg, where):
-    check_keys(cfg, {"box", "exponent", "function"},
-               {"resolution", "weight", "rel_tol"}, where)
-    grid = _grid_from(cfg, where)
-    p = _exponent_from(cfg["exponent"], grid.box)
-    f = realize_function(cfg["function"], grid)
-    w = _weight_from(cfg["weight"], grid) if "weight" in cfg else None
-    res = weighted_norm(f, p, w, rel_tol=_num(cfg, "rel_tol", where, 1e-10))
+def _command(name: str, **table):
+    def register(run):
+        _RUNNERS[name] = (run, {**_GRID, **table})
+        return run
+    return register
+
+
+@_command("norm", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
+          weight=(_FUNCTION, None), rel_tol=(number, 1e-10))
+def _run_norm(c):
+    grid = _grid_from(c)
+    p = _exponent_from(c["exponent"], grid.box)
+    f = realize_function(c["function"], grid)
+    w = _weight_from(c["weight"], grid) if c["weight"] is not None else None
+    res = weighted_norm(f, p, w, rel_tol=c["rel_tol"])
     return ({"norm": res.value, "iterations": res.iterations,
              "bracket": list(res.bracket), "modular_at_value": res.modular_at_value},
             [], EXIT_OK)
 
 
-def _run_modular(cfg, where):
-    check_keys(cfg, {"box", "exponent", "function"}, {"resolution"}, where)
-    grid = _grid_from(cfg, where)
-    p = _exponent_from(cfg["exponent"], grid.box)
-    f = realize_function(cfg["function"], grid)
+@_command("modular", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED))
+def _run_modular(c):
+    grid = _grid_from(c)
+    p = _exponent_from(c["exponent"], grid.box)
+    f = realize_function(c["function"], grid)
     return ({"modular": modular(f, p)}, [], EXIT_OK)
 
 
-def _run_weight_constant(cfg, where):
-    check_keys(cfg, {"box", "exponent", "weight"},
-               {"resolution", "cube_depth", "rel_tol"}, where)
-    grid = _grid_from(cfg, where)
-    p = _exponent_from(cfg["exponent"], grid.box)
-    w = _weight_from(cfg["weight"], grid)
-    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 4, integer=True))
-    rep = ap_constant(w, p, cubes, _num(cfg, "rel_tol", where, 1e-10), allow_overflow=True)
+@_command("weight-constant", exponent=(_EXPONENT, REQUIRED), weight=(_FUNCTION, REQUIRED),
+          cube_depth=(integer, 4), rel_tol=(number, 1e-10))
+def _run_weight_constant(c):
+    grid = _grid_from(c)
+    p = _exponent_from(c["exponent"], grid.box)
+    w = _weight_from(c["weight"], grid)
+    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
+    rep = ap_constant(w, p, cubes, c["rel_tol"], allow_overflow=True)
     return ({"constant": rep.constant, "overflow": rep.overflow,
              "argmax_cube": rep.argmax_cube.label() if rep.argmax_cube else None,
              "cube_count": rep.cube_count}, [], EXIT_OK)
 
 
-def _run_multilinear_constant(cfg, where):
-    check_keys(cfg, {"box", "quadruple", "weights"},
-               {"resolution", "cube_depth", "rel_tol"}, where)
-    grid = _grid_from(cfg, where)
-    spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
-    weights = read_list(cfg["weights"], "weights", where)
-    if len(weights) != spec.m:
-        raise SchemaError("one weight per input exponent is required")
-    w_vec = tuple(_weight_from(d, grid) for d in weights)
+@_command("multilinear-constant", quadruple=(_QUADRUPLE, REQUIRED),
+          weights=(list_of(_FUNCTION), REQUIRED), cube_depth=(integer, 4),
+          rel_tol=(number, 1e-10))
+def _run_multilinear_constant(c):
+    grid = _grid_from(c)
+    spec = _quadruple_from(c["quadruple"], grid.box)
+    w_vec = tuple(_weight_from(d, grid) for d in c["weights"])
     verdict = validate_quadruple(spec)
-    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 4, integer=True))
-    rep = multilinear_constant(w_vec, spec, cubes, _num(cfg, "rel_tol", where, 1e-10),
-                               allow_overflow=True)
+    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
+    rep = multilinear_constant(w_vec, spec, cubes, c["rel_tol"], allow_overflow=True)
     return ({"constant": rep.constant, "overflow": rep.overflow,
              "argmax_cube": rep.argmax_cube.label() if rep.argmax_cube else None,
              "cube_count": rep.cube_count, "admissible": verdict.admissible,
@@ -211,52 +195,50 @@ def _run_multilinear_constant(cfg, where):
              "clauses": _jsonable(verdict.clauses)}, [], EXIT_OK)
 
 
-def _run_two_to_one(cfg, where):
-    check_keys(cfg, {"box", "quadruple", "weight"},
-               {"resolution", "cube_depth", "rel_tol", "tol"}, where)
-    grid = _grid_from(cfg, where)
-    spec = _quadruple_from(cfg["quadruple"], grid.box, "quadruple")
-    w = _weight_from(cfg["weight"], grid)
-    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 4, integer=True))
-    rep = two_to_one_check(w, spec, cubes, _num(cfg, "rel_tol", where, 1e-10))
-    tol = _num(cfg, "tol", where, 1e-6)
-    code = EXIT_OK if rep.rel_error <= tol else EXIT_VIOLATION
+@_command("two-to-one", quadruple=(_QUADRUPLE, REQUIRED), weight=(_FUNCTION, REQUIRED),
+          cube_depth=(integer, 4), rel_tol=(number, 1e-10), tol=(number, 1e-6))
+def _run_two_to_one(c):
+    grid = _grid_from(c)
+    spec = _quadruple_from(c["quadruple"], grid.box)
+    w = _weight_from(c["weight"], grid)
+    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
+    rep = two_to_one_check(w, spec, cubes, c["rel_tol"])
+    code = EXIT_OK if rep.rel_error <= c["tol"] else EXIT_VIOLATION
     return ({"lhs_constant": rep.lhs_constant, "rhs_constant": rep.rhs_constant,
              "a": rep.a, "rel_error": rep.rel_error,
-             "max_cube_rel_error": rep.max_cube_rel_error, "tol": tol,
+             "max_cube_rel_error": rep.max_cube_rel_error, "tol": c["tol"],
              "passed": code == EXIT_OK}, [], code)
 
 
-def _run_maximal(cfg, where):
-    check_keys(cfg, {"box", "exponent", "function", "qtilde"},
-               {"resolution", "weight", "radii_count", "rel_tol"}, where)
-    grid = _grid_from(cfg, where)
-    p = _exponent_from(cfg["exponent"], grid.box)
-    f = realize_function(cfg["function"], grid)
-    w = _weight_from(cfg["weight"], grid) if "weight" in cfg else None
-    qt = _num(cfg, "qtilde", where)
-    sweep = RadiusSweep.geometric(grid, _num(cfg, "radii_count", where, 64, integer=True))
-    Mf = maximal_function(f, qt, sweep)
-    rel_tol = _num(cfg, "rel_tol", where, 1e-10)
-    nf = weighted_norm(f, p, w, rel_tol=rel_tol).value
-    nM = weighted_norm(Mf, p, w, rel_tol=rel_tol).value
+@_command("maximal", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
+          qtilde=(number, REQUIRED), weight=(_FUNCTION, None), radii_count=(integer, 64),
+          rel_tol=(number, 1e-10))
+def _run_maximal(c):
+    grid = _grid_from(c)
+    p = _exponent_from(c["exponent"], grid.box)
+    f = realize_function(c["function"], grid)
+    w = _weight_from(c["weight"], grid) if c["weight"] is not None else None
+    sweep = RadiusSweep.geometric(grid, c["radii_count"])
+    Mf = maximal_function(f, c["qtilde"], sweep)
+    nf = weighted_norm(f, p, w, rel_tol=c["rel_tol"]).value
+    nM = weighted_norm(Mf, p, w, rel_tol=c["rel_tol"]).value
     dom = float(np.min(Mf.values - np.abs(f.values)))
     return ({"norm_input": nf, "norm_maximal": nM,
              "ratio": nM / nf if nf > 0 else math.inf,
              "dominance_min": dom, "radii_count": len(sweep.radii)}, [], EXIT_OK)
 
 
-def _run_rk_classify(cfg, where):
-    check_keys(cfg, {"box", "exponent", "weight", "qtilde", "family"},
-               {"resolution", "cube_depth", "rel_tol", "threshold_factor"}, where)
-    grid = _grid_from(cfg, where)
-    p = _exponent_from(cfg["exponent"], grid.box)
-    w = _weight_from(cfg["weight"], grid)
-    family = _family_from(cfg["family"], grid)
-    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 3, integer=True))
-    rep = classify(family, p, w, _num(cfg, "qtilde", where), cubes=cubes,
-                   threshold_factor=_num(cfg, "threshold_factor", where, 1e-2),
-                   rel_tol=_num(cfg, "rel_tol", where, 1e-10))
+@_command("rk-classify", exponent=(_EXPONENT, REQUIRED), weight=(_FUNCTION, REQUIRED),
+          qtilde=(number, REQUIRED), family=(descriptor("a family"), REQUIRED),
+          cube_depth=(integer, 3), rel_tol=(number, 1e-10), threshold_factor=(number, 1e-2))
+def _run_rk_classify(c):
+    grid = _grid_from(c)
+    p = _exponent_from(c["exponent"], grid.box)
+    w = _weight_from(c["weight"], grid)
+    family = _family_from(c["family"], grid)
+    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
+    rep = classify(family, p, w, c["qtilde"], cubes=cubes,
+                   threshold_factor=c["threshold_factor"], rel_tol=c["rel_tol"])
     return ({"verdict": rep.verdict, "net_sizes": list(rep.net_sizes),
              "eps_ladder": list(rep.eps_ladder), "plateau": rep.plateau,
              "growth": rep.growth, "family_size": len(family),
@@ -272,43 +254,29 @@ def _run_rk_classify(cfg, where):
                            "threshold": rep.vanishing.threshold}}, [], EXIT_OK)
 
 
-def _endpoint_from(block: dict, grid: Grid, where: str) -> EndpointSpace:
-    check_keys(block, {"p_vec", "q", "weights", "v"}, {"bound"}, where)
-    p_vec = tuple(_exponent_from(d, grid.box) for d in read_list(block["p_vec"], "p_vec", where))
-    weights = read_list(block["weights"], "weights", where)
-    if len(weights) != len(p_vec):
-        raise SchemaError(f"one weight per input exponent is required in {where}")
-    w_vec = tuple(_weight_from(d, grid) for d in weights)
-    v = _weight_from(block["v"], grid)
-    bound = _num(block, "bound", where) if "bound" in block else None
-    return EndpointSpace(p_vec, _exponent_from(block["q"], grid.box), w_vec, v, bound)
+def _endpoint_from(e: dict, grid: Grid) -> EndpointSpace:
+    p_vec = tuple(_exponent_from(d, grid.box) for d in e["p_vec"])
+    w_vec = tuple(_weight_from(d, grid) for d in e["weights"])
+    v = _weight_from(e["v"], grid)
+    return EndpointSpace(p_vec, _exponent_from(e["q"], grid.box), w_vec, v, e["bound"])
 
 
-def _run_interp_verify(cfg, where):
-    check_keys(cfg, {"box", "operator", "endpoint0", "endpoint1", "theta"},
-               {"resolution", "trials", "seed", "safety", "slack", "rel_tol", "mixed"}, where)
-    grid = _grid_from(cfg, where)
-    op = _operator_from(cfg["operator"])
-    s0 = _endpoint_from(cfg["endpoint0"], grid, "endpoint0")
-    s1 = _endpoint_from(cfg["endpoint1"], grid, "endpoint1")
-    theta = _num(cfg, "theta", where)
-    kwargs = dict(trials=_num(cfg, "trials", where, 100, integer=True),
-                  seed=_num(cfg, "seed", where, 0, integer=True),
-                  safety=_num(cfg, "safety", where, 1.05),
-                  slack=_num(cfg, "slack", where, 1e-6),
-                  rel_tol=_num(cfg, "rel_tol", where, 1e-10))
-    rep = verify_interpolation_bound(op, s0, s1, theta, **kwargs)
+@_command("interp-verify", operator=(_OPERATOR, REQUIRED), endpoint0=(_ENDPOINT, REQUIRED),
+          endpoint1=(_ENDPOINT, REQUIRED), theta=(number, REQUIRED), trials=(integer, 100),
+          seed=(integer, 0), safety=(number, 1.05), slack=(number, 1e-6),
+          rel_tol=(number, 1e-10), mixed=(_MIXED, None))
+def _run_interp_verify(c):
+    grid = _grid_from(c)
+    op = OperatorSpec(**c["operator"])
+    s0, s1 = _endpoint_from(c["endpoint0"], grid), _endpoint_from(c["endpoint1"], grid)
+    kwargs = {key: c[key] for key in ("trials", "seed", "safety", "slack", "rel_tol")}
+    rep = verify_interpolation_bound(op, s0, s1, c["theta"], **kwargs)
     results = {"passed": rep.passed, "worst_ratio": rep.worst_ratio,
                "violations": _jsonable(rep.violations),
                "certificates": _jsonable(rep.certificates), "trials": rep.trials}
     code = EXIT_OK if rep.passed else EXIT_VIOLATION
-    if "mixed" in cfg:
-        mixed = cfg["mixed"]
-        check_keys(mixed, {"qtilde"}, {"offset_count"}, "mixed block")
-        mrep = verify_mixed_interpolation_bound(
-            op, s0, s1, theta, _num(mixed, "qtilde", "mixed block"),
-            offset_count=_num(mixed, "offset_count", "mixed block", 8, integer=True),
-            **kwargs)
+    if c["mixed"] is not None:
+        mrep = verify_mixed_interpolation_bound(op, s0, s1, c["theta"], **c["mixed"], **kwargs)
         results["mixed"] = {"passed": mrep.passed, "worst_ratio": mrep.worst_ratio,
                             "qtilde": mrep.qtilde,
                             "certificates": _jsonable(mrep.certificates)}
@@ -317,25 +285,24 @@ def _run_interp_verify(cfg, where):
     return (results, [], code)
 
 
-def _run_extrapolate(cfg, where):
-    check_keys(cfg, {"box", "target", "weights", "endpoint1", "weights1",
-                     "thetas", "operator", "family"},
-               {"resolution", "cube_depth", "qtilde", "rel_tol", "roundtrip_tol"}, where)
-    grid = _grid_from(cfg, where)
-    target = _quadruple_from(cfg["target"], grid.box, "target")
-    spec1 = _quadruple_from(cfg["endpoint1"], grid.box, "endpoint1")
-    w_vec = tuple(_weight_from(d, grid) for d in read_list(cfg["weights"], "weights", where))
-    w1_vec = tuple(_weight_from(d, grid) for d in read_list(cfg["weights1"], "weights1", where))
-    op = _operator_from(cfg["operator"])
-    family = _family_from(cfg["family"], grid)
+@_command("extrapolate", target=(_QUADRUPLE, REQUIRED), weights=(list_of(_FUNCTION), REQUIRED),
+          endpoint1=(_QUADRUPLE, REQUIRED), weights1=(list_of(_FUNCTION), REQUIRED),
+          thetas=(list_of(number), REQUIRED), operator=(_OPERATOR, REQUIRED),
+          family=(descriptor("a family"), REQUIRED), cube_depth=(integer, 3),
+          qtilde=(number, None), rel_tol=(number, 1e-10), roundtrip_tol=(number, 1e-10))
+def _run_extrapolate(c):
+    grid = _grid_from(c)
+    target = _quadruple_from(c["target"], grid.box)
+    spec1 = _quadruple_from(c["endpoint1"], grid.box)
+    w_vec = tuple(_weight_from(d, grid) for d in c["weights"])
+    w1_vec = tuple(_weight_from(d, grid) for d in c["weights1"])
+    op = OperatorSpec(**c["operator"])
+    family = _family_from(c["family"], grid)
     inputs = tuple((f,) * op.arity for f in family.members)
-    cubes = DyadicCubeSet(grid.box, _num(cfg, "cube_depth", where, 3, integer=True))
+    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = run_extrapolation_workflow(
-        op, inputs, target, w_vec, spec1, w1_vec,
-        tuple(read_numbers(cfg["thetas"], "thetas", where)),
-        qtilde=_num(cfg, "qtilde", where) if "qtilde" in cfg else None,
-        cubes=cubes, roundtrip_tol=_num(cfg, "roundtrip_tol", where, 1e-10),
-        rel_tol=_num(cfg, "rel_tol", where, 1e-10))
+        op, inputs, target, w_vec, spec1, w1_vec, tuple(c["thetas"]), qtilde=c["qtilde"],
+        cubes=cubes, roundtrip_tol=c["roundtrip_tol"], rel_tol=c["rel_tol"])
     entries = [{"theta": e.theta, "built": e.built, "admissible": e.admissible,
                 "proper": e.proper, "roundtrip_ok": e.roundtrip_ok,
                 "constant0": e.constant0, "constant0_overflow": e.constant0_overflow,
@@ -346,18 +313,6 @@ def _run_extrapolate(cfg, where):
     return ({"qtilde": rep.qtilde, "verdict": rep.verdict,
              "net_sizes": list(rep.rk.net_sizes), "entries": entries}, [], code)
 
-
-_RUNNERS = {
-    "norm": _run_norm,
-    "modular": _run_modular,
-    "weight-constant": _run_weight_constant,
-    "multilinear-constant": _run_multilinear_constant,
-    "two-to-one": _run_two_to_one,
-    "maximal": _run_maximal,
-    "rk-classify": _run_rk_classify,
-    "interp-verify": _run_interp_verify,
-    "extrapolate": _run_extrapolate,
-}
 
 # flags that override config keys when given
 _OVERRIDES = (("seed", "seed"), ("resolution", "resolution"),
@@ -388,20 +343,29 @@ def _emit(report: dict, out_path, quiet: bool) -> None:
         print(text)
 
 
-def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
+def _run(command: str, cfg) -> tuple[dict | None, int]:
+    """Run a command on a config read by its table: the report and exit
+    code, or None and the exit code once the error is printed."""
     started = time.monotonic()
+    run, table = _RUNNERS[command]
     try:
-        results, warns, code = _RUNNERS[command](cfg, f"{command} config")
+        results, warns, code = run(read_fields(cfg, table, f"{command} config"))
     except (HypothesisFailureError, OverflowToInfinityError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (VarlebError, OSError, json.JSONDecodeError, ValueError) as exc:
+        return None, EXIT_VIOLATION
+    # a float that overflows on its way to an integer raises OverflowError
+    # where NaN raises ValueError
+    except (VarlebError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    report = {"command": command, "config": cfg, "results": results,
-              "warnings": warns,
-              "provenance": _provenance(cfg.get("seed"), started)}
-    _emit(report, out_path, quiet)
+        return None, EXIT_CONFIG
+    return {"command": command, "config": cfg, "results": results, "warnings": warns,
+            "provenance": _provenance(cfg.get("seed"), started)}, code
+
+
+def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
+    report, code = _run(command, cfg)
+    if report is not None:
+        _emit(report, out_path, quiet)
     return code
 
 
@@ -422,24 +386,14 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
         msg = f"report version {old_version} differs from {__version__}"
         warnings.warn(msg, VersionMismatchWarning)
         warns.append(msg)
-    cfg = old.get("config", {})
-    started = time.monotonic()
-    try:
-        results, run_warns, code = _RUNNERS[command](cfg, f"{command} config")
-    except (HypothesisFailureError, OverflowToInfinityError) as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (VarlebError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    new_json = json.dumps(_jsonable(results), sort_keys=True)
+    report, code = _run(command, old.get("config", {}))
+    if report is None:
+        return code
+    new_json = json.dumps(_jsonable(report["results"]), sort_keys=True)
     old_json = json.dumps(_jsonable(old.get("results")), sort_keys=True)
     match = new_json == old_json
     mismatch = [] if match else [_replay_diff(json.loads(old_json), json.loads(new_json))]
-    report = {"command": command, "config": cfg, "results": results,
-              "warnings": warns + run_warns + mismatch,
-              "replay_match": match,
-              "provenance": _provenance(cfg.get("seed"), started)}
+    report.update(warnings=warns + report["warnings"] + mismatch, replay_match=match)
     if not quiet:
         print(_dumps(report))
     if not match:

@@ -82,37 +82,112 @@ class VersionMismatchWarning(UserWarning):
     """A replayed report was produced by a different library version."""
 
 
-def check_keys(desc, required: set[str], optional: set[str], where: str) -> None:
-    """Raise SchemaError unless ``desc`` is a dict holding every required
-    key and no key outside ``required | optional``."""
+# ---------------------------------------------------------------------------
+# config schema: every config block and descriptor kind is a table
+# ``key -> (reader, default)``.  A reader takes ``(value, key, where)`` and
+# returns the value read, or raises SchemaError naming ``where`` and ``key``.
+
+REQUIRED = object()
+
+
+def read_fields(desc, table: dict, where: str) -> dict:
+    """Check ``desc`` against ``table`` and return every key of the table,
+    read by its reader, or its default when absent (REQUIRED: the key must
+    be present; None: the code that uses the key says what absence means)."""
     if not isinstance(desc, dict):
         raise SchemaError(f"{where} must be a JSON object")
-    unknown = set(desc) - required - optional
+    unknown = desc.keys() - table.keys()
     if unknown:
         raise SchemaError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - set(desc)
+    missing = [key for key, (_, default) in table.items()
+               if default is REQUIRED and key not in desc]
     if missing:
         raise SchemaError(f"missing keys {sorted(missing)} in {where}")
+    return {key: reader(desc[key], key, where) if key in desc else default
+            for key, (reader, default) in table.items()}
 
 
-def read_number(value, key: str, where: str, integer: bool = False):
-    """Return a config value as a float, or as an int when ``integer``;
-    raise SchemaError naming ``where`` and ``key`` for null, bools,
-    strings, lists and, for integer keys, non-integral numbers."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or integer and not float(value).is_integer()):
-        raise SchemaError(f"{where} key '{key}' must be a number, got {value!r}")
-    return int(value) if integer else float(value)
+def read_kind(desc, kinds: dict, noun: str) -> tuple[str, dict]:
+    """Read a tagged descriptor: its ``kind`` and the rest of it, read by
+    the table of that kind in ``kinds``."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SchemaError(f"{noun} needs a 'kind' among {sorted(kinds)}")
+    rest = {key: value for key, value in desc.items() if key != "kind"}
+    return kind, read_fields(rest, kinds[kind], f"{noun} '{kind}'")
 
 
-def read_list(value, key: str, where: str) -> list:
-    """Return a config value that must be a list (or tuple); raise
-    SchemaError naming ``where`` and ``key`` for anything else."""
+def _refuse(noun: str, value, key: str, where: str):
+    raise SchemaError(f"{where} key '{key}' must be {noun}, got {value!r}")
+
+
+def number(value, key: str, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _refuse("a number", value, key, where)
+    return float(value)
+
+
+def integer(value, key: str, where: str) -> int:
+    if not number(value, key, where).is_integer():
+        _refuse("a number", value, key, where)
+    if abs(value) > 2 ** 53:  # the largest integers JSON carries exactly (RFC 8259)
+        _refuse("an integer of at most 2**53 in magnitude", value, key, where)
+    return int(value)
+
+
+def string(value, key: str, where: str) -> str:
+    if not isinstance(value, str):
+        _refuse("a string", value, key, where)
+    return value
+
+
+def array(value, key: str, where: str):
+    """A number, or a list of numbers or of such lists."""
+    return (list_of(array) if isinstance(value, (list, tuple)) else number)(value, key, where)
+
+
+def descriptor(noun: str):
+    """Reader of a JSON object left to its kind table; ``noun``: "an exponent"."""
+    def read(value, key, where):
+        if not isinstance(value, dict):
+            _refuse(f"{noun} descriptor object", value, key, where)
+        return value
+    return read
+
+
+def block(table: dict):
+    """Reader of a JSON object read by ``table``; its faults name the key."""
+    return lambda value, key, where: read_fields(value, table, key)
+
+
+def list_of(reader):
+    def read(value, key, where):
+        if not isinstance(value, (list, tuple)):
+            _refuse("a list", value, key, where)
+        return [reader(v, key, where) for v in value]
+    return read
+
+
+def per_axis(reader):
+    """Reader of one value for every axis, or a list of one per axis."""
+    return lambda value, key, where: (list_of(reader) if isinstance(value, (list, tuple))
+                                      else reader)(value, key, where)
+
+
+def each_axis(value, dim: int, key: str) -> list:
+    """A value of ``key`` read by ``per_axis`` as a list of one per axis."""
     if not isinstance(value, (list, tuple)):
-        raise SchemaError(f"{where} key '{key}' must be a list, got {value!r}")
+        return [value] * dim
+    if len(value) != dim:
+        raise SchemaError(f"{key} has {len(value)} coordinates, expected {dim} "
+                          "(one per grid axis)")
     return list(value)
 
 
-def read_numbers(value, key: str, where: str) -> list[float]:
-    """A list-valued config key whose entries are numbers."""
-    return [read_number(v, key, where) for v in read_list(value, key, where)]
+def box(value, key: str, where: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The corners ``(lo, hi)`` of a list of [lo, hi] pairs."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
+        raise SchemaError(f"{key} must be a list of [lo, hi] pairs")
+    return (tuple(number(p[0], "lo", f"{key} pair") for p in value),
+            tuple(number(p[1], "hi", f"{key} pair") for p in value))

@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, RangeError, SchemaError, SpecMismatchError, check_keys,
-                     read_number, read_numbers)
+from .errors import (REQUIRED, DomainError, RangeError, SchemaError, SpecMismatchError, array,
+                     descriptor, integer, list_of, number, read_kind)
 from .field import Box, Grid
 
 DEFAULT_SCAN_1D = 4096
@@ -203,49 +203,41 @@ class ExponentField:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "ExponentField":
-        kind = desc.get("kind") if isinstance(desc, dict) else None
-        if not isinstance(kind, str) or kind not in _EXPONENT_KINDS:
-            raise SchemaError(f"exponent descriptor needs a 'kind' among {sorted(_EXPONENT_KINDS)}")
-        required, optional = _EXPONENT_KINDS[kind]
-        where = f"exponent '{kind}'"
-        check_keys(desc, required | {"kind", "box"}, optional | {"scan_resolution"}, where)
-        box = Box.from_pairs(desc["box"])
-        scan = tuple(desc["scan_resolution"]) if "scan_resolution" in desc else None
+        kind, f = read_kind(desc, _EXPONENTS, "exponent")
+        box, scan = f["box"], tuple(f["scan_resolution"])
         if kind == "constant":
-            return cls.constant(box, read_number(desc["value"], "value", where), scan)
+            return cls.constant(box, f["value"], scan)
         if kind == "affine":
-            return cls.affine(box, read_number(desc["base"], "base", where),
-                              read_numbers(desc["slopes"], "slopes", where), scan)
+            return cls.affine(box, f["base"], f["slopes"], scan)
         if kind == "log_decay":
-            return cls.log_decay(box, read_number(desc["p_infinity"], "p_infinity", where),
-                                 read_number(desc["amplitude"], "amplitude", where), scan)
+            return cls.log_decay(box, f["p_infinity"], f["amplitude"], scan)
         if kind == "piecewise":
-            return cls.piecewise(box, read_numbers(desc["breakpoints"], "breakpoints", where),
-                                 read_numbers(desc["values"], "values", where), scan)
+            return cls.piecewise(box, f["breakpoints"], f["values"], scan)
         if kind == "grid":
-            arr = np.asarray(desc["values"], dtype=float)
-            if "resolution" in desc:
-                arr = arr.reshape(tuple(desc["resolution"]))
+            arr = np.asarray(f["values"], dtype=float)
+            if f["resolution"] is not None:
+                arr = arr.reshape(tuple(f["resolution"]))
             return cls.from_grid(box, arr, scan)
         # shifted_reciprocal: 1/result = 1/inner - gamma; how an output
         # exponent with a constant smoothing offset from the input is
         # written down
-        if not isinstance(desc["inner"], dict):
-            raise SchemaError("exponent 'shifted_reciprocal' key 'inner' must be an "
-                              "exponent descriptor object")
-        inner = cls.from_descriptor({**desc["inner"], "box": desc["box"]})
-        return reciprocal_affine((inner,), (1.0,), -read_number(desc["gamma"], "gamma", where),
+        inner = cls.from_descriptor({**f["inner"], "box": desc["box"]})
+        return reciprocal_affine((inner,), (1.0,), -f["gamma"],
                                  what="shifted reciprocal exponent")
 
 
-# kind -> (required, optional) keys besides "kind", "box" and "scan_resolution"
-_EXPONENT_KINDS = {
-    "constant": ({"value"}, set()),
-    "affine": ({"base", "slopes"}, set()),
-    "log_decay": ({"p_infinity", "amplitude"}, set()),
-    "piecewise": ({"breakpoints", "values"}, set()),
-    "grid": ({"values"}, {"resolution"}),
-    "shifted_reciprocal": ({"inner", "gamma"}, set()),
+# an empty scan_resolution is the default scan shape
+_SHARED = {"box": (Box.from_pairs, REQUIRED), "scan_resolution": (list_of(integer), ())}
+# kind -> its keys besides "kind"
+_EXPONENTS = {
+    "constant": {**_SHARED, "value": (number, REQUIRED)},
+    "affine": {**_SHARED, "base": (number, REQUIRED), "slopes": (list_of(number), REQUIRED)},
+    "log_decay": {**_SHARED, "p_infinity": (number, REQUIRED), "amplitude": (number, REQUIRED)},
+    "piecewise": {**_SHARED, "breakpoints": (list_of(number), REQUIRED),
+                  "values": (list_of(number), REQUIRED)},
+    "grid": {**_SHARED, "values": (array, REQUIRED), "resolution": (list_of(integer), None)},
+    "shifted_reciprocal": {**_SHARED, "inner": (descriptor("an exponent"), REQUIRED),
+                           "gamma": (number, REQUIRED)},
 }
 
 

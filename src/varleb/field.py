@@ -32,7 +32,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptyRegionError, SchemaError, check_keys, read_number
+from .errors import (REQUIRED, DomainError, EmptyRegionError, SchemaError, box, descriptor,
+                     each_axis, list_of, number, per_axis, read_kind, string)
 
 BALL_SHRINK = 1.0 - 1e-12
 _BOX_EDGE_TOL = 1e-12
@@ -57,12 +58,11 @@ class Box:
                 raise DomainError(f"degenerate box axis [{a}, {b}]")
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Box":
-        if not isinstance(pairs, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
-            raise SchemaError("box must be a list of [lo, hi] pairs")
-        return cls(tuple(read_number(p[0], "lo", "box pair") for p in pairs),
-                   tuple(read_number(p[1], "hi", "box pair") for p in pairs))
+    def from_pairs(cls, pairs: Sequence[Sequence[float]], key: str = "box",
+                   where: str = "") -> "Box":
+        """The box of a list of [lo, hi] pairs; with the reader signature
+        of ``errors``, the reader of box-valued config keys."""
+        return cls(*box(pairs, key, where))
 
     @property
     def dim(self) -> int:
@@ -449,7 +449,8 @@ class CubeGroup:
         for axis in reversed(range(dim)):
             lo = self.corners[axis]
             i0, i1 = _axis_ranges(grid.axes[axis], grid.box.widths[axis], lo, lo + self.side[axis])
-            local = np.arange((i1 - i0).max(initial=0))
+            # one column at least: a group of empty cubes is all padding
+            local = np.arange((i1 - i0).max(initial=1))
             shape = [1] * (2 * dim)
             shape[axis], shape[dim + axis] = lo.size, local.size
             flat = flat + ((i0[:, None] + local) * stride).reshape(shape)
@@ -461,120 +462,91 @@ class CubeGroup:
 # ---------------------------------------------------------------------------
 # function descriptors
 
-# kind -> (required, optional) keys besides "kind"
-_FUNCTION_KINDS = {
-    "gaussian": (set(), {"center", "width", "amplitude"}),
-    "indicator": ({"box"}, set()),
-    "power": (set(), {"exponent", "center", "floor"}),
-    "bump": (set(), {"center", "radius", "amplitude"}),
-    "sine": (set(), {"frequency", "phase", "amplitude"}),
-    "translate": ({"inner", "shift"}, set()),
-    "dilate": ({"inner", "scale"}, set()),
-    "sum": ({"terms"}, set()),
-    "product": ({"terms"}, set()),
-    "grid_csv": ({"path"}, set()),
+_FUNCTION = descriptor("a function")
+_TERMS = {"terms": (list_of(_FUNCTION), REQUIRED)}
+
+# kind -> its keys besides "kind"
+_FUNCTIONS = {
+    "gaussian": {"center": (per_axis(number), None), "width": (number, 1.0),
+                 "amplitude": (number, 1.0)},
+    "indicator": {"box": (Box.from_pairs, REQUIRED)},
+    "power": {"exponent": (number, 1.0), "center": (per_axis(number), 0.0),
+              "floor": (number, 0.0)},
+    "bump": {"center": (per_axis(number), None), "radius": (number, 1.0),
+             "amplitude": (number, 1.0)},
+    "sine": {"frequency": (per_axis(number), 1.0), "phase": (number, 0.0),
+             "amplitude": (number, 1.0)},
+    "translate": {"inner": (_FUNCTION, REQUIRED), "shift": (per_axis(number), REQUIRED)},
+    "dilate": {"inner": (_FUNCTION, REQUIRED), "scale": (number, REQUIRED)},
+    "sum": _TERMS,
+    "product": _TERMS,
+    "grid_csv": {"path": (string, REQUIRED)},
 }
 
 
-def _radial(coords: np.ndarray, center: Sequence[float]) -> np.ndarray:
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != coords.shape[-1:]:
-        raise SchemaError(f"center has {center.size} coordinates, expected "
-                          f"{coords.shape[-1]} (one per grid axis)")
-    delta = coords - center
+def _radial(grid: Grid, center) -> np.ndarray:
+    """Distance of every node from ``center``; None is the box center."""
+    center = grid.box.center if center is None else center
+    delta = grid.coords - np.asarray(each_axis(center, grid.dim, "center"), dtype=float)
     return np.sqrt(np.sum(delta ** 2, axis=-1))
 
 
 def realize_function(desc: dict, grid: Grid) -> GridFunction:
-    """Build a grid function from a JSON-style descriptor.
-
-    Unknown and missing keys are rejected against the per-kind table
-    ``_FUNCTION_KINDS``.
-    """
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise SchemaError("function descriptor must be a dict with a 'kind'")
-    kind = desc["kind"]
-    if not isinstance(kind, str) or kind not in _FUNCTION_KINDS:
-        raise SchemaError(f"unknown function kind '{kind}'")
-    required, optional = _FUNCTION_KINDS[kind]
-    where = f"function '{kind}'"
-    check_keys(desc, required | {"kind"}, optional, where)
-    params = {k: v for k, v in desc.items() if k != "kind"}
-    coords = grid.coords
-
-    def number(key, default=None):
-        return read_number(params.get(key, default), key, where)
+    """Build a grid function from a JSON-style descriptor, read by the
+    table of its kind in ``_FUNCTIONS``."""
+    kind, f = read_kind(desc, _FUNCTIONS, "function")
 
     if kind == "gaussian":
-        center = params.get("center", grid.box.center)
-        width = number("width", 1.0)
-        amp = number("amplitude", 1.0)
-        if width <= 0:
+        if f["width"] <= 0:
             raise SchemaError("gaussian width must be positive")
-        r = _radial(coords, center)
-        return GridFunction(grid, amp * np.exp(-((r / width) ** 2)))
+        r = _radial(grid, f["center"])
+        return GridFunction(grid, f["amplitude"] * np.exp(-((r / f["width"]) ** 2)))
 
     if kind == "indicator":
-        mask = box_mask(grid, Box.from_pairs(params["box"]))
-        return GridFunction(grid, mask.astype(float))
+        return GridFunction(grid, box_mask(grid, f["box"]).astype(float))
 
     if kind == "power":
-        e = number("exponent", 1.0)
-        center = params.get("center", (0.0,) * grid.dim)
-        floor = number("floor", 0.0)
-        r = _radial(coords, center)
+        e = f["exponent"]
+        r = _radial(grid, f["center"])
         with np.errstate(divide="ignore"):
             vals = np.where(r > 0, r, 1.0) ** e
             vals = np.where(r > 0, vals, 0.0 if e > 0 else np.inf)
-        if floor > 0:
-            vals = np.maximum(vals, floor)
+        if f["floor"] > 0:
+            vals = np.maximum(vals, f["floor"])
         return GridFunction(grid, vals)
 
     if kind == "bump":
-        center = params.get("center", grid.box.center)
-        radius = number("radius", 1.0)
-        amp = number("amplitude", 1.0)
-        if radius <= 0:
+        if f["radius"] <= 0:
             raise SchemaError("bump radius must be positive")
-        t2 = (_radial(coords, center) / radius) ** 2
+        t2 = (_radial(grid, f["center"]) / f["radius"]) ** 2
         with np.errstate(divide="ignore", over="ignore"):
             vals = np.where(t2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t2, 1e-300)), 0.0)
-        return GridFunction(grid, amp * vals)
+        return GridFunction(grid, f["amplitude"] * vals)
 
     if kind == "sine":
-        freq = params.get("frequency", (1.0,) * grid.dim)
-        if not isinstance(freq, (list, tuple)):
-            freq = (freq,) * grid.dim
-        freq = [read_number(om, "frequency", where) for om in freq]
-        phase = number("phase", 0.0)
-        amp = number("amplitude", 1.0)
-        arg = phase
-        for axis, om in enumerate(freq):
-            arg = arg + 2.0 * np.pi * om * coords[..., axis]
-        return GridFunction(grid, amp * np.sin(arg))
+        arg = f["phase"]
+        for axis, om in enumerate(each_axis(f["frequency"], grid.dim, "frequency")):
+            arg = arg + 2.0 * np.pi * om * grid.coords[..., axis]
+        return GridFunction(grid, f["amplitude"] * np.sin(arg))
 
     if kind == "translate":
-        shift = params["shift"]
-        if not isinstance(shift, (list, tuple)):
-            shift = (shift,) * grid.dim
-        shift = [read_number(s, "shift", where) for s in shift]
-        inner = realize_function(params["inner"], grid)
-        return shift_function(inner, shift)
+        inner = realize_function(f["inner"], grid)
+        return shift_function(inner, each_axis(f["shift"], grid.dim, "shift"))
 
     if kind == "dilate":
-        scale = number("scale")
+        scale = f["scale"]
         if scale <= 0:
             raise SchemaError("dilate scale must be positive")
         if grid.dim != 1:
             raise SchemaError("dilate descriptors are 1D only")
-        inner = realize_function(params["inner"], grid)
+        inner = realize_function(f["inner"], grid)
         x = grid.axes[0]
         vals = np.interp(x / scale, x, inner.values, left=0.0, right=0.0)
         return GridFunction(grid, vals)
 
     if kind in ("sum", "product"):
-        terms = params["terms"]
-        if not isinstance(terms, list) or not terms:
+        terms = f["terms"]
+        if not terms:
             raise SchemaError(f"'{kind}' needs a nonempty 'terms' list")
         acc = realize_function(terms[0], grid)
         for t in terms[1:]:
@@ -583,7 +555,7 @@ def realize_function(desc: dict, grid: Grid) -> GridFunction:
         return acc
 
     # grid_csv
-    return read_grid_csv(params["path"], grid)
+    return read_grid_csv(f["path"], grid)
 
 
 def shift_function(f: GridFunction, shift: Sequence[float]) -> GridFunction:

@@ -457,6 +457,8 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
         raise ArityMismatchError(f"operator arity {op.arity} does not match the "
                                  f"target's {target.m} inputs")
     w_vec = tuple(w_vec)
+    if len(w_vec) != target.m:
+        raise ArityMismatchError(f"{len(w_vec)} weights against arity {target.m}")
     w1_vec = tuple(w1_vec)
     outputs = FunctionFamily(tuple(apply_operator(op, fs) for fs in inputs),
                              "operator outputs")

@@ -1,12 +1,18 @@
 """End-to-end tests of the command line driver: config parsing, report
 emission, replay, overrides, and exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varleb import Box, Grid, realize_function, write_grid_csv
 from varleb.cli import main
 from varleb.errors import VersionMismatchWarning
 
@@ -318,9 +324,23 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
      "exponent 'affine' key 'slopes' must be a list"),
     ({"exponent": {"kind": "shifted_reciprocal", "inner": 5, "gamma": 0.1}},
      "exponent 'shifted_reciprocal' key 'inner' must be an exponent descriptor"),
+    ({"function": {"kind": "grid_csv", "path": 0}},
+     "function 'grid_csv' key 'path' must be a string, got 0"),
+    ({"function": {"kind": "grid_csv", "path": 5}},
+     "function 'grid_csv' key 'path' must be a string, got 5"),
+    ({"exponent": {"kind": "constant", "value": 2.0, "scan_resolution": 5}},
+     "exponent 'constant' key 'scan_resolution' must be a list, got 5"),
+    ({"exponent": {"kind": "constant", "value": 2.0, "scan_resolution": "ab"}},
+     "exponent 'constant' key 'scan_resolution' must be a list, got 'ab'"),
+    ({"exponent": {"kind": "constant", "value": 2.0, "scan_resolution": [None]}},
+     "exponent 'constant' key 'scan_resolution' must be a number, got None"),
+    ({"exponent": {"kind": "grid", "values": [2.0, 3.0, 2.0], "resolution": 7}},
+     "exponent 'grid' key 'resolution' must be a list, got 7"),
 ], ids=["translate-shift", "dilate-scale", "grid_csv-path", "indicator-box", "sum-terms",
         "constant-value", "box-int", "box-flat", "center-length", "affine-slopes-type",
-        "shifted-reciprocal-inner-type"])
+        "shifted-reciprocal-inner-type", "grid_csv-path-stdin", "grid_csv-path-fd",
+        "scan-resolution-int", "scan-resolution-string", "scan-resolution-null",
+        "grid-resolution-int"])
 def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, patch, fault):
     cfg = {"box": [[0.0, 1.0]], "resolution": 64,
            "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS, **patch}
@@ -362,11 +382,16 @@ def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, p
     ({"exponent": {"kind": "shifted_reciprocal", "gamma": None,
                    "inner": {"kind": "constant", "value": 2.0}}},
      "exponent 'shifted_reciprocal' key 'gamma'"),
+    ({"function": dict(_GAUSS, center=[None])},
+     "function 'gaussian' key 'center' must be a number, got None"),
+    ({"exponent": {"kind": "grid", "values": [2.0, None, 2.0]}},
+     "exponent 'grid' key 'values' must be a number, got None"),
 ], ids=["gaussian-width", "gaussian-amplitude", "power-exponent", "power-floor",
         "bump-radius", "bump-amplitude", "sine-frequency", "sine-frequency-list",
         "sine-phase", "sine-amplitude", "translate-shift", "translate-shift-list",
         "dilate-scale", "constant-value", "affine-base", "affine-slope-entry",
-        "log-decay-p-infinity", "piecewise-breakpoints-scalar", "shifted-reciprocal-gamma"])
+        "log-decay-p-infinity", "piecewise-breakpoints-scalar", "shifted-reciprocal-gamma",
+        "gaussian-center-entry", "grid-values-entry"])
 def test_non_numeric_descriptor_value_exits_one_and_names_the_key(tmp_path, capsys, patch,
                                                                    fault):
     cfg = {"box": [[0.0, 1.0]], "resolution": 64,
@@ -490,6 +515,22 @@ def test_replay_warns_on_version_drift_but_still_runs(tmp_path, capsys):
     assert any("version" in w for w in replayed["warnings"])
 
 
+def test_replay_of_a_report_whose_csv_is_gone_exits_one_and_names_the_file(tmp_path,
+                                                                           capsys):
+    csv_path = tmp_path / "f.csv"
+    write_grid_csv(realize_function(_GAUSS, Grid(Box((0.0,), (1.0,)), (65,))), str(csv_path))
+    cfg = dict(_norm_config(64), function={"kind": "grid_csv", "path": str(csv_path)})
+    rc, _, out_path = _run(tmp_path, "norm", cfg)
+    assert rc == 0
+    csv_path.unlink()
+    capsys.readouterr()
+    rc = main(["norm", "replay", "--report", str(out_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(csv_path) in err
+    assert "Traceback" not in err
+
+
 def test_replay_rejects_a_report_from_another_command(tmp_path, capsys):
     rc, _, out_path = _run(tmp_path, "norm", _norm_config())
     assert rc == 0
@@ -547,8 +588,10 @@ def _interp_config(arity=1, **top):
      "interp-verify config key 'seed' must be a number, got True"),
     ("interp-verify", _interp_config(slack=[1e-6]),
      "interp-verify config key 'slack' must be a number, got [1e-06]"),
+    ("interp-verify", _interp_config(trials=1e308),
+     "interp-verify config key 'trials' must be an integer of at most 2**53 in magnitude"),
 ], ids=["rel_tol-null", "resolution-string", "box-null", "theta-null", "arity-null",
-        "arity-fraction", "trials-fraction", "seed-bool", "slack-list"])
+        "arity-fraction", "trials-fraction", "seed-bool", "slack-list", "trials-huge"])
 def test_non_number_config_value_exits_one_and_names_the_key(tmp_path, capsys, command,
                                                              cfg, fault):
     rc, report, _ = _run(tmp_path, command, cfg)
@@ -626,3 +669,82 @@ def test_diverging_replay_names_what_differs(tmp_path, capsys, edit, named, rel)
         assert largest is None
     else:
         assert 0.0 < float(largest.group(1)) <= rel
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: a valid config of each command with one key dropped, or one value
+# swapped for another type, null, NaN, 1e308 or itself nested in a list
+
+_FUZZ_QUAD = {"p_vec": [{"kind": "constant", "value": 4.0}],
+              "q": {"kind": "constant", "value": 4.0}, "r_vec": [1.5], "s": "inf"}
+_FUZZ_ENDPOINT = {"p_vec": [{"kind": "constant", "value": 2.0}],
+                  "q": {"kind": "constant", "value": 2.0},
+                  "weights": [CONST_ONE], "v": CONST_ONE, "bound": 1.0}
+_FUZZ_CONFIGS = {
+    "norm": dict(_norm_config(16), weight=CONST_ONE, rel_tol=1e-8),
+    "modular": {"box": [[0.0, 1.0], [0.0, 1.0]], "resolution": [8, 8],
+                "exponent": {"kind": "constant", "value": 2.0, "scan_resolution": [9, 9]},
+                "function": {"kind": "sine", "frequency": [1.0, 2.0], "phase": 0.5}},
+    "weight-constant": {"box": [[0.0, 1.0]], "resolution": 16, "cube_depth": 2,
+                        "exponent": {"kind": "piecewise", "breakpoints": [0.5],
+                                     "values": [2.0, 3.0]},
+                        "weight": {"kind": "power", "exponent": 0.2, "center": [0.5],
+                                   "floor": 0.01}},
+    "multilinear-constant": {"box": [[0.0, 1.0]], "resolution": 16, "cube_depth": 2,
+                             "quadruple": dict(_FUZZ_QUAD, gamma=0.0),
+                             "weights": [{"kind": "bump", "radius": 2.0}]},
+    "two-to-one": {"box": [[0.0, 1.0]], "resolution": 16, "cube_depth": 2, "tol": 1e-6,
+                   "quadruple": _FUZZ_QUAD,
+                   "weight": {"kind": "sum", "terms": [CONST_ONE, _GAUSS]}},
+    "maximal": {"box": [[0.0, 1.0]], "resolution": 16, "qtilde": 1.0, "radii_count": 4,
+                "exponent": {"kind": "grid", "values": [2.0, 3.0, 2.0], "resolution": [3]},
+                "function": {"kind": "translate", "shift": 0.1, "inner": _GAUSS}},
+    "rk-classify": {"box": [[0.0, 1.0]], "resolution": 32, "qtilde": 1.0, "cube_depth": 1,
+                    "exponent": {"kind": "constant", "value": 2.0}, "weight": CONST_ONE,
+                    "family": {"kind": "translate", "count": 3, "step": 0.1, "base": _GAUSS}},
+    "interp-verify": dict(_interp_config(), resolution=16, trials=2, endpoint0=_FUZZ_ENDPOINT,
+                          endpoint1=_FUZZ_ENDPOINT, mixed={"qtilde": 1.5, "offset_count": 2}),
+    "extrapolate": {"box": [[-2.0, 2.0]], "resolution": 32, "cube_depth": 1,
+                    "target": _FUZZ_QUAD, "endpoint1": _FUZZ_QUAD,
+                    "weights": [CONST_ONE], "weights1": [CONST_ONE], "thetas": [0.5],
+                    "operator": {"kind": "product", "arity": 1},
+                    "family": {"kind": "mollify", "count": 3, "sigma": 0.3,
+                               "base": {"kind": "gaussian", "center": [0.0], "width": 0.5}}},
+}
+_SWAPS = ("text", True, 2.5, [1.0], {"kind": "constant"})
+
+
+def _fuzz_paths(node, path=()):
+    """The path of every value below a config tree's root."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _fuzz_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_configs_exit_cleanly(tmp_path_factory, command, data):
+    cfg = copy.deepcopy(_FUZZ_CONFIGS[command])
+    *parents, key = data.draw(st.sampled_from(list(_fuzz_paths(cfg))))
+    node = cfg
+    for step in parents:
+        node = node[step]
+    old = node[key]
+    mutation = data.draw(st.sampled_from(
+        ["drop", None, math.nan, 1e308, "nest",
+         *(v for v in _SWAPS if type(v) is not type(old))]))
+    if mutation == "drop":
+        del node[key]
+    else:
+        node[key] = [old] if mutation == "nest" else copy.deepcopy(mutation)
+    cfg_path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([command, "run", "--config", str(cfg_path),
+                   "--out", str(cfg_path.with_name("report.json")), "--quiet"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
