@@ -22,8 +22,8 @@ from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
                      build_extrapolation_family, difference_field,
                      run_extrapolation_workflow, verify_interpolation_bound,
                      verify_mixed_interpolation_bound)
-from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_sums,
-                      maximal_boundedness_probe, maximal_function,
+from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_measure,
+                      ball_sums, maximal_boundedness_probe, maximal_function,
                       oscillation_average, oscillation_profiles)
 from .norms import (NormResult, duality_pairing_lower_bound, holder_constant,
                     luxemburg_norm, mixed_norm, modular, pairing,

@@ -376,6 +376,10 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not isinstance(old, dict) or not isinstance(old.get("provenance", {}), dict):
+        what = "report" if not isinstance(old, dict) else "report key 'provenance'"
+        print(f"error: {what} must be a JSON object", file=sys.stderr)
+        return EXIT_CONFIG
     if old.get("command") != command:
         print(f"error: report was produced by '{old.get('command')}', "
               f"not '{command}'", file=sys.stderr)

@@ -623,7 +623,7 @@ def write_grid_csv(f: GridFunction, path: str) -> None:
 def read_grid_csv(path: str, grid: Grid) -> GridFunction:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][-1] != "value":
+    if not rows or rows[0][-1:] != ["value"]:
         raise SchemaError(f"{path}: expected a 'x[,y],value' CSV header")
     body = np.array([[float(c) for c in row] for row in rows[1:]])
     if body.shape[0] != grid.size or body.shape[1] != grid.dim + 1:

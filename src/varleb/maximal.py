@@ -19,10 +19,17 @@ compactness criterion:
     osc_{q,r} f(x) = ( (1/|B(x,r)|) int_{B(x,r)} |f(x) - f(y)|^q dy )^(1/q).
 
 Ball sums for the maximal function are differences of one prefix sum
-per row: each lattice ball is a stack of row intervals, so a radius
-costs O(rows of the ball x nodes), and a ball sum of a nonnegative
-array is never negative.  One helper states which lattice offsets lie
-in a ball; the ball sums and the oscillation offsets both read it.
+per row: each lattice ball is a stack of row intervals, and the
+interval of row offset k1 is computed once and added at +k1 and -k1,
+so a radius costs one subtraction (none when the half-width repeats
+the row before) and two additions of the grid per row offset of the
+ball, and a ball sum of a nonnegative array is never negative.  The
+ball measure in the denominator does not depend on f and is not a
+ball sum: the quadrature weights are the outer product of two 1D
+trapezoid factors, so the measure is one window of w in 1D and one
+(nodes x rows of the ball)(rows of the ball x nodes) matrix product in
+2D.  One helper states which lattice offsets lie in a ball; the ball
+sums, the ball measure and the oscillation offsets all read it.
 
 Oscillation averages are summed offset by offset over a whole family
 and a whole radius sweep in one pass.  The balls of increasing radii
@@ -92,14 +99,17 @@ class RadiusSweep:
 
 
 def _row_reach(grid: Grid, r_eff: float) -> list[int]:
-    """The open lattice ball of radius ``r_eff``, row by row.
+    """The open lattice ball of radius ``r_eff``, row by row, cut to the
+    offsets that reach a node of the grid.
 
     Entry ``k1`` is the largest ``k2 >= 0`` with ``(k1 h1)^2 + (k2 h2)^2
-    < r_eff^2``, for ``k1 = 0, 1, ...`` while that row is nonempty; a 1D
-    grid is the single row ``k1 = 0``, tested as ``k2 h < r_eff``.  This
-    is the only statement of lattice-ball membership.
+    < r_eff^2``, capped at ``n2 - 1``, for ``k1 = 0, 1, ...`` while that
+    row is nonempty and ``k1 < n1``; a 1D grid is the single row
+    ``k1 = 0``, tested as ``k2 h < r_eff``.  This is the only statement
+    of lattice-ball membership.
     """
-    h1, h2 = grid.steps[0], grid.steps[-1]
+    steps = grid.steps
+    h1, h2 = steps[0], steps[-1]
     if grid.dim == 1:
         def inside(k1, k2):
             return k1 == 0 and k2 * h2 < r_eff
@@ -107,7 +117,7 @@ def _row_reach(grid: Grid, r_eff: float) -> list[int]:
         def inside(k1, k2):
             return (k1 * h1) ** 2 + (k2 * h2) ** 2 < r_eff ** 2
     reach = []
-    while inside(len(reach), 0):
+    while len(reach) < grid.shape[0] and inside(len(reach), 0):
         k1 = len(reach)
         # the answer in real arithmetic, then settled by the rounded test
         k2 = int(math.sqrt(max(r_eff ** 2 - (k1 * h1) ** 2, 0.0)) / h2)
@@ -115,19 +125,37 @@ def _row_reach(grid: Grid, r_eff: float) -> list[int]:
             k2 += 1
         while not inside(k1, k2):
             k2 -= 1
-        reach.append(k2)
+        reach.append(min(k2, grid.shape[-1] - 1))
     return reach
+
+
+def _prefix(arr: np.ndarray, widest: int) -> np.ndarray:
+    """Prefix sums of ``arr`` along its last axis, padded with
+    ``widest + 1`` zeros on the left and ``widest`` copies of the row
+    total on the right, so that every window of half-width at most
+    ``widest``, clipped to the box, is a difference of two slices (the
+    summed-area idea of Crow, SIGGRAPH 1984)."""
+    csum = np.cumsum(arr, axis=-1)
+    return np.concatenate([np.zeros(arr.shape[:-1] + (widest + 1,)), csum,
+                           np.repeat(csum[..., -1:], widest, axis=-1)], axis=-1)
+
+
+def _window(padded: np.ndarray, widest: int, k2: int, n: int, out=None) -> np.ndarray:
+    """At every j < n, the in-box sum over ``|k - j| <= k2`` read off a
+    ``_prefix(arr, widest)`` array."""
+    return np.subtract(padded[..., widest + k2 + 1:widest + k2 + 1 + n],
+                       padded[..., widest - k2:widest - k2 + n], out=out)
 
 
 def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     """For every node x, the sum of ``arr`` over in-box nodes of the
     open ball B(x, radius).
 
-    Row-interval sums are differences of one prefix sum along the last
-    axis (the summed-area idea of Crow, SIGGRAPH 1984), padded with
-    zeros on the left and the row total on the right so that both
-    window ends are slices; in 2D each row adds the interval sums of
-    the rows ``k1`` above and below it.  For ``arr >= 0`` every window
+    Each row of a ball is an interval, the difference of two slices of
+    one padded prefix sum along the last axis.  In 2D the interval of
+    row offset ``k1`` is computed once per radius into one reused
+    buffer, or kept from ``k1 - 1`` when the half-width is the same,
+    and added at ``+k1`` and at ``-k1``.  For ``arr >= 0`` every window
     of the nondecreasing prefix sum is ``>= 0``, and each row of a ball
     is off by at most about (row length) x eps x (row total).
     """
@@ -135,46 +163,64 @@ def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     if reach == [0]:
         return arr.copy()
     n = arr.shape[-1]
-    pad = min(reach[0], n - 1)
-    csum = np.cumsum(arr, axis=-1)
-    padded = np.concatenate([np.zeros(arr.shape[:-1] + (pad + 1,)), csum,
-                             np.repeat(csum[..., -1:], pad, axis=-1)], axis=-1)
-
-    def interval(rows, k2):
-        k2 = min(k2, n - 1)
-        return (padded[rows, pad + k2 + 1:pad + k2 + 1 + n]
-                - padded[rows, pad - k2:pad - k2 + n])
-
-    out = interval(Ellipsis, reach[0])
-    for k1 in range(1, min(len(reach), arr.shape[0])):
-        out[:-k1] += interval(slice(k1, None), reach[k1])
-        out[k1:] += interval(slice(None, -k1), reach[k1])
+    padded = _prefix(arr, reach[0])
+    out = _window(padded, reach[0], reach[0], n)
+    row = None
+    for k1 in range(1, len(reach)):
+        if row is None or reach[k1] != reach[k1 - 1]:
+            row = _window(padded, reach[0], reach[k1], n, out=row)
+        out[:-k1] += row[k1:]
+        out[k1:] += row[:-k1]
     return out
+
+
+def ball_measure(grid: Grid, radius: float) -> np.ndarray:
+    """The quadrature measure of the in-box open ball B(x, radius) at
+    every node: ``ball_sums(grid.quad_weights, grid, radius)`` up to
+    rounding, and equal to it where the sums are exact (dyadic steps).
+
+    In 1D it is one window of the trapezoid weights.  In 2D the weights
+    are the outer product of 1D factors w1 and w2, so with ``V[m, j]``
+    the window of w2 of half-width ``reach[m]`` and ``T[i, m] =
+    w1[i - m] + w1[i + m]`` over the in-box rows (``T[i, 0] = w1[i]``),
+    the measure is the one product ``T @ V``, of order (rows) x (rows
+    of the ball) x (columns) per radius.
+    """
+    reach = _row_reach(grid, radius * BALL_SHRINK)
+    if reach == [0]:
+        return grid.quad_weights.copy()
+    widest, n = reach[0], grid.shape[-1]
+    if grid.dim == 1:
+        return _window(_prefix(grid.quad_weights, widest), widest, widest, n)
+    w1, w2 = (grid.axis_grid(axis).quad_weights for axis in (0, 1))
+    k2 = np.array(reach)[:, None]
+    cols = np.arange(n)
+    padded = _prefix(w2, widest)
+    v = padded[widest + k2 + 1 + cols] - padded[widest - k2 + cols]
+    rows, m = len(reach), np.arange(len(reach))
+    i = np.arange(grid.shape[0])[:, None]
+    zero_padded = np.concatenate([np.zeros(rows), w1, np.zeros(rows)])
+    t = zero_padded[rows + i - m] + zero_padded[rows + i + m]
+    t[:, 0] = w1
+    return t @ v
 
 
 def ball_mean(f: GridFunction, radius: float) -> GridFunction:
     """Signed in-box ball average of f at every node (linear in f)."""
-    qw = f.grid.quad_weights
-    num = ball_sums(qw * f.values, f.grid, radius)
-    den = ball_sums(qw, f.grid, radius)
-    return GridFunction(f.grid, num / np.maximum(den, 1e-300))
+    num = ball_sums(f.grid.quad_weights * f.values, f.grid, radius)
+    return GridFunction(f.grid, num / np.maximum(ball_measure(f.grid, radius), 1e-300))
 
 
 def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> GridFunction:
     if qtilde <= 0.0 or not math.isfinite(qtilde):
         raise DomainError("qtilde must be a finite positive constant")
     sweep.validate_for(f.grid)
-    bad = np.flatnonzero(~np.isfinite(f.values))
-    if bad.size:
-        raise DomainError(f"function value is {f.values.flat[bad[0]]} at flat node "
-                          f"index {int(bad[0])}; the maximal function needs finite values")
-    qw = f.grid.quad_weights
-    powed = qw * np.abs(f.values) ** qtilde
+    _refuse_non_finite(f.values, f.grid, "the maximal function")
+    powed = f.grid.quad_weights * np.abs(f.values) ** qtilde
     best = np.zeros(f.grid.shape)
     for r in sweep.radii:
         num = ball_sums(powed, f.grid, r)
-        den = ball_sums(qw, f.grid, r)
-        np.maximum(best, num / np.maximum(den, 1e-300), out=best)
+        np.maximum(best, num / np.maximum(ball_measure(f.grid, r), 1e-300), out=best)
     return GridFunction(f.grid, best ** (1.0 / qtilde))
 
 
@@ -198,6 +244,7 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
         raise DomainError("qtilde must be a finite positive constant")
     if sweep.radii[0] < grid.max_step * (1.0 - 1e-9):
         raise DomainError("oscillation radius must be at least the grid step")
+    _refuse_non_finite(values, grid, "the oscillation average")
     qw = grid.quad_weights
     num = np.zeros(values.shape)
     den = np.zeros(grid.shape)
@@ -226,9 +273,20 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
         yield mean if qtilde == 1.0 else mean ** (1.0 / qtilde)
 
 
+def _refuse_non_finite(values: np.ndarray, grid: Grid, needs: str) -> None:
+    """Raise DomainError naming the first non-finite value of a grid
+    array, or of an ``(M, *grid.shape)`` member stack, by its flat node
+    index (and member)."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        member, node = divmod(int(bad[0]), grid.size)
+        of_member = f" of member {member}" if values.ndim > grid.dim else ""
+        raise DomainError(f"function value is {values.flat[bad[0]]} at flat node index "
+                          f"{node}{of_member}; {needs} needs finite values")
+
+
 def _offset_list(grid: Grid, r_eff: float):
-    # offsets of a whole grid length or more reach no node
-    reach = [min(k2, grid.shape[-1] - 1) for k2 in _row_reach(grid, r_eff)[:grid.shape[0]]]
+    reach = _row_reach(grid, r_eff)
     if grid.dim == 1:
         return [(k,) for k in range(-reach[0], reach[0] + 1)]
     rows = range(1 - len(reach), len(reach))

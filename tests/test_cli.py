@@ -6,12 +6,17 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varleb
 from varleb import Box, Grid, realize_function, write_grid_csv
 from varleb.cli import main
 from varleb.errors import VersionMismatchWarning
@@ -529,6 +534,55 @@ def test_replay_of_a_report_whose_csv_is_gone_exits_one_and_names_the_file(tmp_p
     assert rc == 1
     assert str(csv_path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda report: [1, 2], "report must be a JSON object"),
+    (lambda report: dict(report, provenance=3), "report key 'provenance' must be a JSON object"),
+], ids=["list", "provenance-int"])
+def test_replay_of_a_non_object_report_exits_one_and_names_the_fault(tmp_path, capsys,
+                                                                    edit, fault):
+    rc, report, out_path = _run(tmp_path, "norm", _norm_config(64))
+    assert rc == 0
+    out_path.write_text(json.dumps(edit(report)))
+    capsys.readouterr()
+    rc = main(["norm", "replay", "--report", str(out_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert fault in err
+    assert "Traceback" not in err
+
+
+def test_grid_csv_with_a_blank_first_line_exits_one_and_names_the_header(tmp_path, capsys):
+    csv_path = tmp_path / "f.csv"
+    write_grid_csv(realize_function(_GAUSS, Grid(Box((0.0,), (1.0,)), (65,))), str(csv_path))
+    csv_path.write_text("\n" + csv_path.read_text())
+    cfg = dict(_norm_config(64), function={"kind": "grid_csv", "path": str(csv_path)})
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "expected a 'x[,y],value' CSV header" in err
+    assert "Traceback" not in err
+
+
+def test_maximal_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The 2D ball measure is a matrix product; on a grid whose steps are
+    not dyadic its sums round, and a replay must not see the BLAS thread
+    count."""
+    cfg_path = _write(tmp_path, "config.json", {
+        "box": [[0.0, 1.3], [0.0, 0.7]], "resolution": [90, 75], "qtilde": 1.2,
+        "radii_count": 24, "exponent": {"kind": "constant", "value": 2.0},
+        "function": {"kind": "gaussian", "center": [0.4, 0.3], "width": 0.2}})
+    src = str(Path(varleb.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "varleb.cli", "maximal", "run", "--config",
+                        cfg_path, "--out", str(out), "--quiet"], env=env, check=True)
+        results.append(json.dumps(json.loads(out.read_text())["results"], sort_keys=True))
+    assert results[0] == results[1]
 
 
 def test_replay_rejects_a_report_from_another_command(tmp_path, capsys):

@@ -10,11 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
                     GridFunction, HypothesisFailureError, RadiusSweep,
-                    WeightField, ball_mask, ball_mean, ball_sums,
+                    WeightField, ball_mask, ball_mean, ball_measure, ball_sums,
                     maximal_boundedness_probe, maximal_function,
                     oscillation_average, oscillation_profiles)
 import varleb.maximal as maximal_module
-from varleb.maximal import _offset_list
+from varleb.field import BALL_SHRINK
+from varleb.maximal import _offset_list, _row_reach
 
 from _support import UNIT, grid1d
 
@@ -106,6 +107,84 @@ def test_ball_sums_error_is_bounded_by_the_row_totals(case, data):
     bound = 1e-12 * want + 2.0 * grid.size * np.finfo(float).eps * arr.sum(axis=-1).max()
     assert np.all(got >= 0.0)
     assert np.all(np.abs(got - want) <= bound)
+
+
+def two_interval_ball_sums(arr, grid, radius):
+    """The earlier form of the row loop: every row offset k1 computes its
+    interval twice, once for the rows above and once for the rows below."""
+    reach = _row_reach(grid, radius * BALL_SHRINK)
+    if reach == [0]:
+        return arr.copy()
+    n = arr.shape[-1]
+    pad = min(reach[0], n - 1)
+    csum = np.cumsum(arr, axis=-1)
+    padded = np.concatenate([np.zeros(arr.shape[:-1] + (pad + 1,)), csum,
+                             np.repeat(csum[..., -1:], pad, axis=-1)], axis=-1)
+
+    def interval(rows, k2):
+        k2 = min(k2, n - 1)
+        return (padded[rows, pad + k2 + 1:pad + k2 + 1 + n]
+                - padded[rows, pad - k2:pad - k2 + n])
+
+    out = interval(Ellipsis, reach[0])
+    for k1 in range(1, min(len(reach), arr.shape[0])):
+        out[:-k1] += interval(slice(k1, None), reach[k1])
+        out[k1:] += interval(slice(None, -k1), reach[k1])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_and_radius(), st.data())
+def test_ball_sums_are_bit_identical_to_the_two_interval_loop(case, data):
+    """One interval per row offset, added at +k1 and -k1, makes the same
+    subtractions and the same additions in the same order."""
+    grid, radius = case
+    arr = data.draw(arrays(float, grid.shape, elements=st.floats(-1e6, 1e6)))
+    assert np.array_equal(ball_sums(arr, grid, radius),
+                          two_interval_ball_sums(arr, grid, radius))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_and_radius())
+def test_ball_measure_matches_brute_force_masks(case):
+    grid, radius = case
+    got = ball_measure(grid, radius)
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, brute_ball_sums(grid.quad_weights, grid, radius),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("lo, hi, shape", [
+    ((0.0,), (1.0,), (65,)),
+    ((0.0, 0.0), (1.0, 1.0), (33, 33)),
+    ((0.0, -1.0), (2.0, 1.0), (17, 65)),
+    ((0.0, 0.0), (0.5, 4.0), (33, 9)),
+], ids=["1d", "square", "anisotropic", "wide"])
+def test_ball_measure_is_the_ball_sums_of_the_weights_on_dyadic_grids(lo, hi, shape):
+    """With power-of-two steps every partial sum of the weights is exact,
+    so the tensor product and the row prefix sums give the same bits."""
+    g = Grid(Box(lo, hi), shape)
+    for r in RadiusSweep.geometric(g, 24).radii:
+        assert np.array_equal(ball_measure(g, r), ball_sums(g.quad_weights, g, r))
+
+
+def test_maximal_function_sums_f_once_per_radius_and_never_the_weights(monkeypatch):
+    g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
+    f = GridFunction(g, np.random.default_rng(4).normal(size=g.shape))
+    sweep = RadiusSweep.geometric(g, 12)
+    seen = []
+    original = maximal_module.ball_sums
+
+    def counting(arr, grid, radius):
+        seen.append(arr)
+        return original(arr, grid, radius)
+
+    monkeypatch.setattr(maximal_module, "ball_sums", counting)
+    maximal_function(f, 1.3, sweep)
+    assert len(seen) == len(sweep.radii)
+    ball_mean(f, 0.2)
+    assert len(seen) == len(sweep.radii) + 1
+    assert not any(np.array_equal(arr, g.quad_weights) for arr in seen)
 
 
 def test_ball_of_one_step_is_the_centre_node():
@@ -343,6 +422,14 @@ def test_oscillation_average_is_the_one_member_one_radius_pass():
     r = 4.0 * g.max_step
     (osc,) = oscillation_profiles(f.values[None], g, 1.5, RadiusSweep((r,)))
     assert np.array_equal(oscillation_average(f, 1.5, r).values, osc[0])
+
+
+def test_oscillation_profiles_refuse_a_non_finite_member_naming_its_node():
+    g = grid1d(65)
+    stack = np.ones((3, 65))
+    stack[2, 40] = math.inf
+    with pytest.raises(DomainError, match="inf at flat node index 40 of member 2;"):
+        next(oscillation_profiles(stack, g, 1.0, RadiusSweep((g.max_step,))))
 
 
 def test_oscillation_profiles_refuse_a_radius_below_the_step():
