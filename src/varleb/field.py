@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -114,7 +114,7 @@ class Grid:
     def dim(self) -> int:
         return self.box.dim
 
-    @property
+    @cached_property
     def steps(self) -> tuple[float, ...]:
         return tuple(w / (n - 1) for w, n in zip(self.box.widths, self.shape))
 
@@ -244,12 +244,6 @@ class GridFunction:
         e = exponent.values if isinstance(exponent, GridFunction) else exponent
         return GridFunction(self.grid, np.abs(self.values) ** np.asarray(e, dtype=float))
 
-    def restrict(self, mask: np.ndarray) -> "GridFunction":
-        """Zero the function outside a boolean node mask."""
-        if mask.shape != self.grid.shape:
-            raise DomainError("mask shape does not match grid")
-        return GridFunction(self.grid, np.where(mask, self.values, 0.0))
-
     @property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -297,6 +291,21 @@ class WeightField(GridFunction):
         return cls(grid, np.ones(grid.shape))
 
 
+def refuse_non_finite(values: np.ndarray, nodes: int, needs: str | None = None) -> None:
+    """Raise DomainError naming the first NaN of a table of ``nodes`` values,
+    or of a stack of such tables, by flat node index (and member); with
+    ``needs`` (what requires finite values) an infinity too."""
+    bad = np.isnan(values) if needs is None else ~np.isfinite(values)
+    if bad.any():
+        first = int(np.argmax(bad))
+        member, node = divmod(first, nodes)
+        value = values.flat[first]
+        raise DomainError(
+            f"function value is {'NaN' if np.isnan(value) else value} at flat node index {node}"
+            + (f" of member {member}" if values.size > nodes else "")
+            + ("" if needs is None else f"; {needs} needs finite values"))
+
+
 # ---------------------------------------------------------------------------
 # regions
 
@@ -342,23 +351,28 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     return d2 < (radius * BALL_SHRINK) ** 2
 
 
+def region_nodes(grid: Grid, region: Box | np.ndarray | None) -> slice | np.ndarray:
+    """Index of a region's nodes in the flattened grid: every node (a
+    full slice) for None, else the flat indices, in C order, of the nodes
+    of a Box or of a boolean node mask."""
+    if region is None:
+        return slice(None)
+    if isinstance(region, Box):
+        mask, empty = box_mask(grid, region), f"no grid node inside region {region.as_pairs()}"
+    else:
+        mask, empty = np.asarray(region, dtype=bool), "region mask selects no grid node"
+        if mask.shape != grid.shape:
+            raise DomainError("region mask shape does not match grid")
+    nodes = np.flatnonzero(mask)
+    if not nodes.size:
+        raise EmptyRegionError(empty)
+    return nodes
+
+
 def integrate(f: GridFunction, region: Box | np.ndarray | None = None) -> float:
     """Trapezoid-weighted sum of ``f`` over the box or a masked region."""
-    qw = f.grid.quad_weights
-    if region is None:
-        return float(np.sum(qw * f.values))
-    if isinstance(region, Box):
-        sl = box_slices(f.grid, region)
-        sub = qw[sl] * f.values[sl]
-        if sub.size == 0:
-            raise EmptyRegionError(f"no grid node inside region {region.as_pairs()}")
-        return float(np.sum(sub))
-    mask = np.asarray(region, dtype=bool)
-    if mask.shape != f.grid.shape:
-        raise DomainError("region mask shape does not match grid")
-    if not mask.any():
-        raise EmptyRegionError("region mask selects no grid node")
-    return float(np.sum(qw[mask] * f.values[mask]))
+    nodes = region_nodes(f.grid, region)
+    return float(np.sum(f.grid.quad_weights.ravel()[nodes] * f.values.ravel()[nodes]))
 
 
 def region_measure(grid: Grid, region: Box | np.ndarray | None = None) -> float:

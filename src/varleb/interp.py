@@ -208,8 +208,10 @@ def _corpus_ratios(corpus, outputs, space: EndpointSpace, scale: float,
     ..``."""
     den = np.full(len(corpus), scale)
     for j, (p, w) in enumerate(zip(space.p_vec, space.w_vec)):
-        den = den * weighted_norms([fs[j] for fs in corpus], p, w, rel_tol=rel_tol)
-    num = weighted_norms(outputs, space.q, space.v, rel_tol=rel_tol)
+        den = den * weighted_norms(np.stack([fs[j].values for fs in corpus]), corpus[0][j].grid,
+                                   p, w, rel_tol)
+    num = weighted_norms(np.stack([g.values for g in outputs]), outputs[0].grid, space.q,
+                         space.v, rel_tol)
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 

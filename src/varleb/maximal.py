@@ -52,7 +52,8 @@ import numpy as np
 
 from .errors import DomainError, HypothesisFailureError, OverflowToInfinityError
 from .exponent import ExponentField, scale_exponent
-from .field import BALL_SHRINK, DyadicCubeSet, Grid, GridFunction, WeightField
+from .field import (BALL_SHRINK, DyadicCubeSet, Grid, GridFunction, WeightField,
+                    refuse_non_finite)
 from .norms import weighted_norms
 from .weights import WeightConstantReport, ap_constant
 
@@ -108,24 +109,25 @@ def _row_reach(grid: Grid, r_eff: float) -> list[int]:
     ``k1 = 0``, tested as ``k2 h < r_eff``.  This is the only statement
     of lattice-ball membership.
     """
-    steps = grid.steps
-    h1, h2 = steps[0], steps[-1]
+    h1, h2 = grid.steps[0], grid.steps[-1]
     if grid.dim == 1:
-        def inside(k1, k2):
-            return k1 == 0 and k2 * h2 < r_eff
-    else:
-        def inside(k1, k2):
-            return (k1 * h1) ** 2 + (k2 * h2) ** 2 < r_eff ** 2
-    reach = []
-    while len(reach) < grid.shape[0] and inside(len(reach), 0):
-        k1 = len(reach)
         # the answer in real arithmetic, then settled by the rounded test
-        k2 = int(math.sqrt(max(r_eff ** 2 - (k1 * h1) ** 2, 0.0)) / h2)
-        while inside(k1, k2 + 1):
+        k2 = int(r_eff / h2)
+        while (k2 + 1) * h2 < r_eff:
             k2 += 1
-        while not inside(k1, k2):
+        while not k2 * h2 < r_eff:
             k2 -= 1
-        reach.append(min(k2, grid.shape[-1] - 1))
+        return [min(k2, grid.shape[0] - 1)]
+    r2 = r_eff ** 2
+    reach = []
+    while len(reach) < grid.shape[0] and (len(reach) * h1) ** 2 < r2:
+        row = (len(reach) * h1) ** 2
+        k2 = int(math.sqrt(max(r2 - row, 0.0)) / h2)
+        while row + ((k2 + 1) * h2) ** 2 < r2:
+            k2 += 1
+        while not row + (k2 * h2) ** 2 < r2:
+            k2 -= 1
+        reach.append(min(k2, grid.shape[1] - 1))
     return reach
 
 
@@ -215,7 +217,7 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
     if qtilde <= 0.0 or not math.isfinite(qtilde):
         raise DomainError("qtilde must be a finite positive constant")
     sweep.validate_for(f.grid)
-    _refuse_non_finite(f.values, f.grid, "the maximal function")
+    refuse_non_finite(f.values, f.grid.size, "the maximal function")
     powed = f.grid.quad_weights * np.abs(f.values) ** qtilde
     best = np.zeros(f.grid.shape)
     for r in sweep.radii:
@@ -244,7 +246,7 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
         raise DomainError("qtilde must be a finite positive constant")
     if sweep.radii[0] < grid.max_step * (1.0 - 1e-9):
         raise DomainError("oscillation radius must be at least the grid step")
-    _refuse_non_finite(values, grid, "the oscillation average")
+    refuse_non_finite(values, grid.size, "the oscillation average")
     qw = grid.quad_weights
     num = np.zeros(values.shape)
     den = np.zeros(grid.shape)
@@ -271,18 +273,6 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
             num[(Ellipsis,) + src] += qw[dst] * powed
         mean = num / np.maximum(den, 1e-300)
         yield mean if qtilde == 1.0 else mean ** (1.0 / qtilde)
-
-
-def _refuse_non_finite(values: np.ndarray, grid: Grid, needs: str) -> None:
-    """Raise DomainError naming the first non-finite value of a grid
-    array, or of an ``(M, *grid.shape)`` member stack, by its flat node
-    index (and member)."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        member, node = divmod(int(bad[0]), grid.size)
-        of_member = f" of member {member}" if values.ndim > grid.dim else ""
-        raise DomainError(f"function value is {values.flat[bad[0]]} at flat node index "
-                          f"{node}{of_member}; {needs} needs finite values")
 
 
 def _offset_list(grid: Grid, r_eff: float):
@@ -330,10 +320,13 @@ def maximal_boundedness_probe(corpus: Sequence[GridFunction], p: ExponentField,
         gate = ap_constant(w.power(qtilde), gate_p, cubes, rel_tol, allow_overflow=False)
     except OverflowToInfinityError as exc:
         raise HypothesisFailureError(f"gate weight condition fails: {exc}") from exc
-    fn = weighted_norms(corpus, p, w, rel_tol=rel_tol) if len(corpus) else np.zeros(0)
+    fn = np.zeros(0)
+    if len(corpus):
+        grid = corpus[0].grid
+        fn = weighted_norms(np.stack([f.values for f in corpus]), grid, p, w, rel_tol)
     live = np.flatnonzero(fn > 0.0)
     if not live.size:
         raise DomainError("probe corpus contains only zero functions")
-    mf = [maximal_function(corpus[i], qtilde, sweep) for i in live]
-    ratios = (weighted_norms(mf, p, w, rel_tol=rel_tol) / fn[live]).tolist()
+    mf = np.stack([maximal_function(corpus[i], qtilde, sweep).values for i in live])
+    ratios = (weighted_norms(mf, grid, p, w, rel_tol) / fn[live]).tolist()
     return ProbeReport(gate, qtilde, tuple(ratios), max(ratios))

@@ -12,13 +12,16 @@ nonzero nodes ``g`` is convex and decreasing with slope in ``[-p_+,
 monotonically to the root, and the slope bounds turn the last value of
 ``g`` into a certified bracket for the norm.
 
-The solver, `lux_rows`, runs on a ``(rows, n)`` array of ``log|f|``:
-each row is an independent solve, padded with zero-valued nodes
-(``log|f| = -inf``, which add nothing to the modular), and all rows take
-their Newton steps together; a row that has converged keeps its ``t``.
-`lux_flat` is its one-row case, `weighted_norms` solves a whole family
-of functions at once and the weight-constant cube scan a whole group of
-cubes.
+Every norm is solved in one row format: a `NodeTable` of per-node
+``log|f|`` (one row per member of a value stack, refusing NaN by node and
+member), exponent and log quadrature weight, and rows of node indices
+padded with a node whose ``log|f| = -inf`` adds nothing to a modular.
+`NodeTable.solve` is the one way into `lux_rows`, whose Newton steps run
+on all rows together.  The default rows are each member's nonzero nodes:
+one for `lux_flat` (so `luxemburg_norm`), one per member for
+`weighted_norms`; ``rk`` cuts them by a node mask and the cube scan of
+``weights`` passes cube rows.  `field.region_nodes` turns a region into
+nodes.
 
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure).
@@ -32,14 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, EmptyRegionError
+from .errors import ConvergenceError, DomainError
 from .exponent import ExponentField, dual_exponent
-from .field import (Box, Grid, GridFunction, WeightField, box_slices,
-                    random_simple_function)
+from .field import (Grid, GridFunction, WeightField, random_simple_function, refuse_non_finite,
+                    region_nodes)
 
 MAX_EVALUATIONS = 100
 
@@ -59,63 +62,15 @@ class NormResult:
         return self.value
 
 
-def _region_arrays(f: GridFunction, p: ExponentField, region):
-    """Flat (|f|, p, weights) arrays over the region's nodes."""
-    if p.box != f.grid.box:
-        raise DomainError("exponent domain does not match the function's box")
-    vals = f.values
-    pv = p.values_on(f.grid)
-    qw = f.grid.quad_weights
-    if region is None:
-        return np.abs(vals).ravel(), pv.ravel(), qw.ravel()
-    if isinstance(region, Box):
-        sl = box_slices(f.grid, region)
-        sub = vals[sl]
-        if sub.size == 0:
-            raise EmptyRegionError(f"no grid node inside region {region.as_pairs()}")
-        return np.abs(sub).ravel(), pv[sl].ravel(), qw[sl].ravel()
-    mask = np.asarray(region, dtype=bool)
-    if mask.shape != f.grid.shape:
-        raise DomainError("region mask shape does not match grid")
-    if not mask.any():
-        raise EmptyRegionError("region mask selects no grid node")
-    return np.abs(vals[mask]), pv[mask], qw[mask]
-
-
-def _refuse_nan(a: np.ndarray) -> None:
-    """Raise DomainError naming the first NaN node of a flat array, or of
-    an array of rows, so a NaN is never read as zero."""
-    bad = np.flatnonzero(np.isnan(a))
-    if bad.size:
-        row, node = divmod(int(bad[0]), a.shape[-1])
-        of_row = f" of row {row}" if a.ndim > 1 and a.shape[0] > 1 else ""
-        raise DomainError(f"function value is NaN at flat node index {node}{of_row}")
-
-
-def _nonzero_nodes(a: np.ndarray, p: np.ndarray, qw: np.ndarray):
-    """The (|f|, p, weights) entries where ``|f| > 0``; a NaN value is
-    refused rather than read as zero."""
-    _refuse_nan(a)
-    nz = a > 0.0
-    return a[nz], p[nz], qw[nz]
-
-
-def modular_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray) -> float:
-    a, p, qw = _nonzero_nodes(a, p, qw)
-    with np.errstate(over="ignore"):
-        return float(np.sum(qw * np.exp(p * np.log(a))))
-
-
 def modular(f: GridFunction, p: ExponentField, region=None) -> float:
     """``int_region |f|^p(x) dx``; may overflow to inf."""
-    a, pv, qw = _region_arrays(f, p, region)
-    return modular_flat(a, pv, qw)
-
-
-def log_abs(values: np.ndarray) -> np.ndarray:
-    """``log|f|``, ``-inf`` at zero nodes and NaN at NaN nodes."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(values))
+    nodes = region_nodes(f.grid, region)
+    a = np.abs(f.values).ravel()[nodes]
+    refuse_non_finite(a, a.size)
+    nz = a > 0.0
+    pv, qw = p.values_on(f.grid).ravel()[nodes][nz], f.grid.quad_weights.ravel()[nodes][nz]
+    with np.errstate(over="ignore"):
+        return float(np.sum(qw * np.exp(pv * np.log(a[nz]))))
 
 
 class RowNorms(NamedTuple):
@@ -141,9 +96,9 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     """Luxemburg solves of the independent rows of ``(rows, n)`` arrays,
     or of a single ``(n,)`` row (then every result is a scalar).
 
-    Row ``i`` holds ``la = log|f|`` (see `log_abs`), the exponent ``p``
-    and the log quadrature weights ``lq``.  A zero or padding node has
-    ``la = -inf`` and adds nothing to the modular.  Newton steps on
+    Row ``i`` holds ``la = log|f|``, the exponent ``p`` and the log
+    quadrature weights ``lq``.  A zero or padding node has ``la = -inf``
+    and adds nothing to the modular.  Newton steps on
     ``g(t) = log sum exp(lq + p (la - t))``, started at ``t = max la``,
     run on all rows at once; a row stops once ``|g| <= p_-
     log1p(rel_tol)``, with ``p_-`` taken over its nonzero nodes, and
@@ -160,7 +115,7 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     live = np.isfinite(t)
     if np.count_nonzero(live) == t.size > 0:
         return _newton_rows(la, p, lq, t, rel_tol)
-    _refuse_nan(la)
+    refuse_non_finite(la, la.shape[-1])
     # t = -inf: no nonzero node, so log rho = -inf; t = inf: an infinite value
     out = RowNorms(t, np.copy(t), np.ones_like(t), np.zeros(np.shape(t), dtype=int))
     if live.any():
@@ -209,12 +164,63 @@ def _newton_rows(la, p, lq, t, rel_tol: float) -> RowNorms:
         f"{np.ravel(tol)[worst]:.3g} after {MAX_EVALUATIONS} evaluations")
 
 
+class NodeTable(NamedTuple):
+    """Per-node tables of a ``(members, n)`` value stack: ``log|f|`` per
+    member, with a padding node at index ``n`` where it is ``-inf``, the
+    exponent and the log quadrature weights.  A ``-inf`` log|f| cancels
+    its node's exponent and weight, so a gather reads the padding node's
+    from node ``n - 1`` (any finite values would do)."""
+
+    la: np.ndarray
+    p: np.ndarray
+    lq: np.ndarray
+
+    def rows(self, select: np.ndarray | None = None) -> np.ndarray:
+        """Per member, its nonzero nodes (where the node mask ``select``
+        holds, if given) in node order, padded with ``n`` to the longest."""
+        keep = self.la[:, :-1] > -math.inf
+        if select is not None:
+            keep &= select.ravel()
+        nodes = [k.nonzero()[0] for k in keep]
+        rows = np.full((len(nodes), max(k.size for k in nodes)), keep.shape[1])
+        for row, k in zip(rows, nodes):
+            row[:k.size] = k
+        return rows
+
+    def solve(self, rows: np.ndarray | None = None, rel_tol: float = 1e-10) -> RowNorms:
+        """`lux_rows` on ``(rows, k)`` node indices (by default `rows()`),
+        row ``i`` reading member ``i`` or the only member, or on one
+        ``(k,)`` row of the only member: the one way into the solver."""
+        if rows is None:
+            rows = self.rows()
+        la = self.la[0][rows] if len(self.la) == 1 else np.take_along_axis(self.la, rows, axis=1)
+        p, lq = self.p.take(rows, mode="clip"), self.lq.take(rows, mode="clip")
+        del rows  # a default row array is freed before the solve
+        return lux_rows(la, p, lq, rel_tol)
+
+
+def node_table(values: np.ndarray, p: np.ndarray, qw: np.ndarray) -> NodeTable:
+    """The `NodeTable` of a ``(members, *shape)`` value stack (or of one
+    ``shape`` array), an exponent and quadrature weights on ``shape``."""
+    n = p.size
+    refuse_non_finite(values, n)
+    la = np.full((values.size // n if n else 1, n + 1), -math.inf)
+    nz = values.reshape(len(la), n) != 0.0
+    # logs are taken, and pages written, at nonzero nodes only; a node that
+    # is zero in every member keeps log qw = 0, which its -inf log|f| cancels
+    np.abs(values.reshape(nz.shape), out=la[:, :n], where=nz)
+    np.log(la[:, :n], out=la[:, :n], where=nz)
+    lq = np.zeros(n)
+    np.log(qw.ravel(), out=lq, where=nz.any(axis=0))
+    return NodeTable(la, p.ravel(), lq)
+
+
 def lux_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray,
              rel_tol: float = 1e-10) -> NormResult:
-    """Luxemburg solve on flat node data ``a = |f|``: `lux_rows` on the
-    single row of its nonzero nodes."""
-    a, p, qw = _nonzero_nodes(a, p, qw)
-    r = lux_rows(np.log(a), p, np.log(qw), rel_tol)
+    """Luxemburg solve on flat node values ``a`` (of ``|f|`` or ``f``):
+    the one row of its nonzero nodes."""
+    table = node_table(a, p, qw)
+    r = table.solve((table.la[0] > -math.inf).nonzero()[0], rel_tol)
     t, g, p_lo = float(r.log_value), float(r.log_modular), float(r.p_lo)
     with np.errstate(over="ignore"):
         lo, value, hi = np.exp([t + min(g, 0.0) / p_lo, t, t + max(g, 0.0) / p_lo])
@@ -223,8 +229,9 @@ def lux_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray,
 
 def luxemburg_norm(f: GridFunction, p: ExponentField, region=None,
                    rel_tol: float = 1e-10) -> NormResult:
-    a, pv, qw = _region_arrays(f, p, region)
-    return lux_flat(a, pv, qw, rel_tol)
+    nodes = region_nodes(f.grid, region)
+    return lux_flat(f.values.ravel()[nodes], p.values_on(f.grid).ravel()[nodes],
+                    f.grid.quad_weights.ravel()[nodes], rel_tol)
 
 
 def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = None,
@@ -234,36 +241,23 @@ def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = Non
     return luxemburg_norm(g, p, region, rel_tol)
 
 
-def weighted_norms(fs: Sequence[GridFunction], p: ExponentField,
-                   w: WeightField | None = None, rel_tol: float = 1e-10) -> np.ndarray:
-    """``|| f w ||_p`` of each function of a sequence on one grid, solved
-    together as the rows of one `lux_rows` call.  Each row holds its
-    function's nonzero nodes in node order, as `lux_flat` would, padded
-    with zero nodes to the longest row."""
-    grid = fs[0].grid
-    if p.box != grid.box:
-        raise DomainError("exponent domain does not match the function's box")
-    a = np.stack([f.values.ravel() for f in fs])
+def weighted_table(values: np.ndarray, grid: Grid, p: ExponentField,
+                   w: WeightField | None = None) -> NodeTable:
+    """The `NodeTable` of ``f w`` for a ``(members, *grid.shape)`` value
+    stack of functions ``f``."""
     if w is not None:
         if w.grid != grid:
             raise DomainError("grid functions live on different grids")
-        a *= w.values.ravel()
-    with np.errstate(divide="ignore"):
-        a = np.log(np.abs(a, out=a), out=a)
-    _refuse_nan(a)
-    nz = a > -math.inf
-    counts = np.count_nonzero(nz, axis=1)
-    head = np.arange(counts.max(initial=0)) < counts[:, None]
-    # one packed array at a time, so the peak memory stays near the rows
-    la = np.full(head.shape, -math.inf)
-    la[head] = a[nz]
-    del a
-    pv = np.ones(head.shape)
-    pv[head] = np.broadcast_to(p.values_on(grid).ravel(), nz.shape)[nz]
-    lq = np.zeros(head.shape)
-    lq[head] = np.broadcast_to(np.log(grid.quad_weights.ravel()), nz.shape)[nz]
-    del nz, head
-    return lux_rows(la, pv, lq, rel_tol).value
+        values = values * w.values
+    return node_table(values, p.values_on(grid), grid.quad_weights)
+
+
+def weighted_norms(values: np.ndarray, grid: Grid, p: ExponentField,
+                   w: WeightField | None = None, rel_tol: float = 1e-10) -> np.ndarray:
+    """``|| f w ||_p`` of each function of a ``(members, *grid.shape)``
+    value stack, solved together: row ``i`` holds member ``i``'s nonzero
+    nodes, as `lux_flat` would."""
+    return weighted_table(values, grid, p, w).solve(rel_tol=rel_tol).value
 
 
 def weight_measure(w: WeightField, p: ExponentField, region=None) -> float:

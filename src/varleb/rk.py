@@ -35,7 +35,7 @@ from .exponent import ExponentField, scale_exponent
 from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
                     ball_mask, box_mask, shift_function)
 from .maximal import RadiusSweep, oscillation_profiles
-from .norms import weight_measure, weighted_norms
+from .norms import weight_measure, weighted_norms, weighted_table
 from .weights import WeightConstantReport, ap_constant
 
 
@@ -55,6 +55,11 @@ class FunctionFamily:
     @property
     def grid(self) -> Grid:
         return self.members[0].grid
+
+    @property
+    def values(self) -> np.ndarray:
+        """The ``(members, *grid.shape)`` stack of member values."""
+        return np.stack([f.values for f in self.members])
 
     def __len__(self) -> int:
         return len(self.members)
@@ -177,7 +182,7 @@ class EquiIntegrabilityReport:
 def uniform_bound_profile(family: FunctionFamily, p: ExponentField,
                           w: WeightField | None = None,
                           rel_tol: float = 1e-10) -> UniformBoundReport:
-    norms = tuple(weighted_norms(family.members, p, w, rel_tol).tolist())
+    norms = tuple(weighted_norms(family.values, family.grid, p, w, rel_tol).tolist())
     return UniformBoundReport(norms, max(norms))
 
 
@@ -189,9 +194,8 @@ def equicontinuity_profile(family: FunctionFamily, p: ExponentField,
     per sweep radius; passes when the smallest radius lands below the
     threshold."""
     grid = family.grid
-    stack = np.stack([f.values for f in family.members])
-    profile = [float(weighted_norms([GridFunction(grid, o) for o in osc], p, w, rel_tol).max())
-               for osc in oscillation_profiles(stack, grid, qtilde, sweep)]
+    profile = [float(weighted_norms(osc, grid, p, w, rel_tol).max())
+               for osc in oscillation_profiles(family.values, grid, qtilde, sweep)]
     return EquicontinuityReport(sweep.radii, tuple(profile), threshold,
                                 profile[0] < threshold)
 
@@ -206,11 +210,7 @@ def vanishing_profile(family: FunctionFamily, p: ExponentField,
     grid = family.grid
     center = tuple(center) if center is not None else grid.box.center
     radii = tuple(sorted(float(r) for r in radii))
-    profile = []
-    for R in radii:
-        outside = ~ball_mask(grid, center, R)
-        profile.append(float(weighted_norms([f.restrict(outside) for f in family.members],
-                                            p, w, rel_tol).max()))
+    profile = _region_sups(family, p, w, (~ball_mask(grid, center, R) for R in radii), rel_tol)
     return VanishingReport(center, radii, tuple(profile), threshold,
                            profile[-1] < threshold)
 
@@ -223,12 +223,17 @@ def equi_integrability_measure(family: FunctionFamily, p: ExponentField,
     measures = [weight_measure(w, p, E) for E in shrinking_sets]
     if any(m2 > m1 * (1.0 + 1e-9) for m1, m2 in zip(measures, measures[1:])):
         raise DomainError("shrinking sets must have nonincreasing w-measure")
-    profile = []
-    for E in shrinking_sets:
-        mask = box_mask(family.grid, E)
-        profile.append(float(weighted_norms([f.restrict(mask) for f in family.members],
-                                            p, w, rel_tol).max()))
+    profile = _region_sups(family, p, w, (box_mask(family.grid, E) for E in shrinking_sets),
+                           rel_tol)
     return EquiIntegrabilityReport(tuple(measures), tuple(profile))
+
+
+def _region_sups(family: FunctionFamily, p: ExponentField, w: WeightField | None,
+                 masks, rel_tol: float) -> list[float]:
+    """Per node mask, the sup over members of ``||f w chi_mask||_p``: one
+    node table of the family, whose rows of nonzero nodes each mask cuts."""
+    table = weighted_table(family.values, family.grid, p, w)
+    return [float(table.solve(table.rows(mask), rel_tol).value.max()) for mask in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +258,10 @@ def family_distance_matrix(family: FunctionFamily, p: ExponentField,
     d = np.zeros((n, n))
     i, j = np.triu_indices(n, 1)
     if i.size:
-        m = family.members
-        d[i, j] = d[j, i] = weighted_norms([m[a] - m[b] for a, b in zip(i, j)], p, w, rel_tol)
+        v = family.values
+        table = weighted_table(v[i] - v[j], family.grid, p, w)
+        del v  # only the node table of the pair differences outlives this line
+        d[i, j] = d[j, i] = table.solve(rel_tol=rel_tol).value
     return d
 
 

@@ -26,13 +26,15 @@ The non-symmetric convention, where a density ``u = w^p(.)`` is tested
 through ``u^(1/p(.))``, is exposed via the density conversion helpers
 and produces the same constant as the symmetric form.
 
-The scan works one (depth, shifted) group of cubes at a time.  Each
-factor's ``log|f|`` and exponent are evaluated once on the grid; a group
-gathers them with one fancy index into a ``(cubes, nodes)`` matrix, one
-row per cube in scan order, padded with zero-valued nodes, and solves
-every row in one `norms.lux_rows` call.  Cube measures, products, the
-overflow test and the argmax (the first maximal cube in scan order) are
-array operations on the group.
+The scan works one (depth, shifted) group of cubes at a time, in the
+row format of ``norms``.  Each factor becomes one `norms.NodeTable` on
+the grid, built once per scan (a NaN is refused there, at its grid
+node).  A group is one integer array of node rows, one row per cube in
+scan order padded with the table's padding index
+(`field.CubeGroup.node_rows`), and each factor solves every row of the
+group in one `NodeTable.solve`.  Cube measures, products, the overflow
+test and the argmax (the first maximal cube in scan order) are array
+operations on the group.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .exponent import (ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
                        reciprocal_affine, two_to_one_data, validate_quadruple)
 from .field import Cube, DyadicCubeSet, Grid, WeightField
-from .norms import holder_constant, log_abs, lux_rows
+from .norms import holder_constant, node_table
 
 OVERFLOW_THRESHOLD = 1e150
 
@@ -63,32 +65,15 @@ class WeightConstantReport:
     convention: str
 
 
-def _factor_terms(grid: Grid, factors):
-    """Per factor ``(log|f|, p, sign)`` once on the flattened grid, each
-    with one zero-valued padding node appended, so a gather of padded
-    cube rows reads nothing but zeros past a cube."""
-    out = []
-    for factor in factors:
-        wf, ef = factor[:2]
-        # an optional third element of -1.0 divides by the factor norm
-        # instead of multiplying (the negative-reciprocal-exponent
-        # convention ||f||_t = ||1/f||_that^-1 for 1/t < 0)
-        sign = factor[2] if len(factor) > 2 else 1.0
-        out.append((np.append(log_abs(wf.values), -math.inf),
-                    np.append(ef.values_on(grid), 1.0), sign))
-    return out
-
-
-def _group_values(rows: np.ndarray, qw: np.ndarray, lq: np.ndarray, terms,
-                  measure_power: float, rel_tol: float):
+def _group_values(rows: np.ndarray, qw: np.ndarray, terms, measure_power: float,
+                  rel_tol: float):
     """Per-cube values of a group of padded node rows, the mask
     ``(factors, cubes)`` of factors past the overflow threshold, and the
     factor values."""
-    lq = lq[rows]
-    value = qw[rows].sum(axis=1) ** measure_power
+    value = np.where(rows < qw.size, qw.take(rows, mode="clip"), 0.0).sum(axis=1) ** measure_power
     effs = []
-    for la, pv, sign in terms:
-        nrm = lux_rows(la[rows], pv[rows], lq, rel_tol).value
+    for table, sign in terms:
+        nrm = table.solve(rows, rel_tol).value
         if sign < 0:
             # 1 / nrm overflows a float below about 5.6e-309
             with np.errstate(divide="ignore"):
@@ -104,12 +89,15 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
                rel_tol: float, allow_overflow: bool, convention: str) -> WeightConstantReport:
     """Scan the cube family one (depth, shifted) group at a time: every
     cube of a group is a padded row of node indices, so each factor is
-    one `lux_rows` solve per group."""
+    one row solve per group."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
-    terms = _factor_terms(grid, factors)
-    qw = grid.quad_weights.ravel()
-    qw, lq = np.append(qw, 0.0), np.append(np.log(qw), 0.0)
+    qw = grid.quad_weights
+    # an optional third factor element of -1.0 divides by the factor norm
+    # instead of multiplying (the negative-reciprocal-exponent convention
+    # ||f||_t = ||1/f||_that^-1 for 1/t < 0)
+    terms = [(node_table(f[0].values, f[1].values_on(grid), qw), f[2] if len(f) > 2 else 1.0)
+             for f in factors]
     groups, values = [], []
     overflow = False
     for group in cubes.groups():
@@ -117,7 +105,7 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
         # a cube with no node holds only padding, from its first entry on
         empty = np.flatnonzero(rows[:, 0] == grid.size)
         stop = int(empty[0]) if empty.size else rows.shape[0]
-        value, over, effs = _group_values(rows[:stop], qw, lq, terms, measure_power, rel_tol)
+        value, over, effs = _group_values(rows[:stop], qw, terms, measure_power, rel_tol)
         hit = over.any(axis=0)
         if hit.any():
             if not allow_overflow:

@@ -193,6 +193,42 @@ def test_ball_of_one_step_is_the_centre_node():
     assert np.array_equal(ball_sums(arr, g, g.max_step), arr)
 
 
+def looped_row_reach(grid, r_eff):
+    """Lattice-ball reach by one membership test settled per row, in 1D
+    and 2D alike: the reference for `_row_reach`."""
+    h1, h2 = grid.steps[0], grid.steps[-1]
+    if grid.dim == 1:
+        def inside(k1, k2):
+            return k1 == 0 and k2 * h2 < r_eff
+    else:
+        def inside(k1, k2):
+            return (k1 * h1) ** 2 + (k2 * h2) ** 2 < r_eff ** 2
+    reach = []
+    while len(reach) < grid.shape[0] and inside(len(reach), 0):
+        k1 = len(reach)
+        k2 = int(math.sqrt(max(r_eff ** 2 - (k1 * h1) ** 2, 0.0)) / h2)
+        while inside(k1, k2 + 1):
+            k2 += 1
+        while not inside(k1, k2):
+            k2 -= 1
+        reach.append(min(k2, grid.shape[-1] - 1))
+    return reach
+
+
+@pytest.mark.parametrize("box, shape", [
+    (Box((0.0,), (1.0,)), (65,)), (Box((-1.0,), (2.0,)), (4097,)), (Box((0.0,), (0.3,)), (31,)),
+    (Box((0.0, 0.0), (1.0, 1.0)), (33, 33)), (Box((0.0, -1.0), (1.3, 0.7)), (21, 15)),
+    (Box((0.0, 0.0), (0.1, 3.0)), (9, 40))])
+def test_row_reach_matches_the_looped_test_at_and_beside_multiples_of_the_step(box, shape):
+    grid = Grid(box, shape)
+    for h in grid.steps:
+        for k in range(1, 2 * max(shape)):
+            r = k * h
+            for r_eff in (r, np.nextafter(r, 0.0), np.nextafter(r, math.inf),
+                          r * BALL_SHRINK, r * (1.0 + 1e-9)):
+                assert _row_reach(grid, float(r_eff)) == looped_row_reach(grid, float(r_eff))
+
+
 def test_oscillation_offsets_are_the_ball_mask_in_row_order():
     g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
     # radii away from every lattice distance, where the two tests agree

@@ -203,7 +203,7 @@ def test_equicontinuity_refuses_a_nan_member_naming_its_node():
     bad[30] = math.nan
     fam = FunctionFamily((GridFunction(g, np.ones(g.shape)), GridFunction(g, bad)))
     sweep = RadiusSweep((g.steps[0], 2.0 * g.steps[0]))
-    with pytest.raises(DomainError, match="nan at flat node index 30 of member 1"):
+    with pytest.raises(DomainError, match="NaN at flat node index 30 of member 1"):
         equicontinuity_profile(fam, p, None, 1.0, sweep, threshold=1e-9)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import varleb.weights as weights_module
+import varleb.norms as norms_module
 from varleb import (ArityMismatchError, Box, DomainError, DyadicCubeSet,
                     EmptyRegionError, ExponentField, Grid, GridFunction,
                     OverflowToInfinityError, QuadrupleSpec, RangeError,
@@ -387,8 +387,9 @@ def _scan_case(seed, dim, depth):
     else:
         box = Box((0.0, -1.0), (1.0, float(rng.uniform(0.0, 2.0))))
         grid = Grid(box, tuple(int(n) for n in rng.integers(2 ** depth + 1, 40, size=2)))
+        # |slope| <= 0.3 over x in [0, 1], y in [-1, 2] keeps p_- >= 1.1
         p = ExponentField.affine(box, float(rng.uniform(2.0, 3.0)),
-                                 tuple(float(s) for s in rng.uniform(-0.5, 0.5, size=2)))
+                                 tuple(float(s) for s in rng.uniform(-0.3, 0.3, size=2)))
     x = grid.coords
     a, b, c = rng.uniform(-1.0, 1.0, size=3)
     w = WeightField(grid, np.exp(a * np.sin(3.0 * x[..., 0] + c) + b * x[..., -1]))
@@ -456,6 +457,20 @@ def test_cube_scan_refuses_a_nan_node_and_names_it():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("shape, node", [((65,), 40), ((9, 9), 51)])
+def test_cube_scan_names_the_grid_node_of_a_nan_under_a_smaller_root(shape, node):
+    """A cube row starts inside the grid, so a NaN is refused on the
+    factor's node table, where its index is the grid node."""
+    box = Box((0.0,) * len(shape), (1.0,) * len(shape))
+    grid = Grid(box, shape)
+    vals = np.ones(grid.size)
+    vals[node] = math.nan
+    w = GridFunction(grid, vals.reshape(shape))
+    cubes = DyadicCubeSet(Box((0.5,) * len(shape), (1.0,) * len(shape)), 2)
+    with pytest.raises(DomainError, match=f"^function value is NaN at flat node index {node}$"):
+        _cube_scan(grid, cubes, [(w, const_p(2.0, box))], -1.0, 1e-10, True, "test")
+
+
 def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
     box = Box((-2.0,), (2.0,))
     grid, cubes = Grid(box, (7,)), DyadicCubeSet(box, 4)
@@ -489,13 +504,13 @@ def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
     call per cube (here 1 + 4 + 16 + 64 + 256 dyadic cubes plus the
     shifted ones) instead of one per (depth, shifted) group."""
     calls = []
-    real = weights_module.lux_rows
+    real = norms_module.lux_rows
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(weights_module, "lux_rows", counting)
+    monkeypatch.setattr(norms_module, "lux_rows", counting)
     box = Box((0.0, 0.0), (1.0, 2.0))
     grid = Grid(box, (33, 65))
     depth = 4
