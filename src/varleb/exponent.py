@@ -412,53 +412,56 @@ def log_holder_estimate(p: ExponentField, budget: int = 2000, seed: int = 0) -> 
     them.  Fields without a declared limit use the value at the far
     corner of the box as the ``p_inf`` proxy.
     """
+    return _log_holder_reports((p,), budget, seed)[0]
+
+
+def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
+                        seed: int) -> list[LogHolderReport]:
+    """``log_holder_estimate`` of fields on one box, from one pair sample."""
     if budget < 1:
         raise DomainError("budget must be positive")
-    box = p.box
+    box = fields[0].box
+    dim, lo, hi = box.dim, np.array(box.lo), np.array(box.hi)
     diam = box.diameter
     corners = np.array(np.meshgrid(*(np.array([a, b]) for a, b in zip(box.lo, box.hi)),
-                                   indexing="ij")).reshape(box.dim, -1).T
+                                   indexing="ij")).reshape(dim, -1).T
     r_corners = np.sqrt(np.sum(corners ** 2, axis=1))
     far_corner = corners[int(np.argmax(r_corners))]
-    if p.p_infinity is not None:
-        p_inf, declared = float(p.p_infinity), True
-    else:
-        p_inf, declared = float(p(np.array([far_corner]))[0]), False
 
-    # structured pairs: dyadic separations along each axis from fixed anchors
-    anchors = [np.array(box.center)] + [0.75 * np.array(box.center) + 0.25 * c for c in corners]
-    xs, ys = [], []
-    for anchor in anchors:
-        for k in range(1, 24):
-            d = diam * 2.0 ** (-k)
-            for axis in range(box.dim):
-                step = np.zeros(box.dim)
-                step[axis] = d
-                y = np.clip(anchor + step, box.lo, box.hi)
-                xs.append(anchor)
-                ys.append(y)
+    # structured pairs: dyadic separations along each axis from fixed
+    # anchors, rows in (anchor, k, axis) order
+    anchors = np.vstack([box.center, 0.75 * np.array(box.center) + 0.25 * corners])
+    steps = (diam * 2.0 ** -np.arange(1.0, 24.0))[:, None, None] * np.eye(dim)
+    x_dyadic = np.broadcast_to(anchors[:, None, None, :], (len(anchors), *steps.shape))
+    y_dyadic = np.clip(x_dyadic + steps, lo, hi)
 
     rng = np.random.default_rng(seed)
-    draws = rng.uniform(size=(budget, 2 * box.dim + 1))
-    x_rand = np.array(box.lo) + draws[:, : box.dim] * np.array(box.widths)
-    direction = draws[:, box.dim: 2 * box.dim] - 0.5
+    draws = rng.uniform(size=(budget, 2 * dim + 1))
+    x_rand = lo + draws[:, :dim] * np.array(box.widths)
+    direction = draws[:, dim: 2 * dim] - 0.5
     norms = np.maximum(np.sqrt(np.sum(direction ** 2, axis=1)), 1e-12)
     direction = direction / norms[:, None]
     d_rand = diam * np.exp(draws[:, -1] * (math.log(1e-9) - math.log(0.5)) + math.log(0.5))
-    y_rand = np.clip(x_rand + direction * d_rand[:, None], box.lo, box.hi)
-    xs.extend(x_rand)
-    ys.extend(y_rand)
+    y_rand = np.clip(x_rand + direction * d_rand[:, None], lo, hi)
 
-    X = np.asarray(xs)
-    Y = np.asarray(ys)
+    X = np.concatenate([x_dyadic.reshape(-1, dim), x_rand])
+    Y = np.concatenate([y_dyadic.reshape(-1, dim), y_rand])
     dist = np.sqrt(np.sum((X - Y) ** 2, axis=1))
-    px = p(X)
-    py = p(Y)
     near = (dist > 0.0) & (dist < 0.5)
-    c0 = float(np.max(np.abs(px - py)[near] * (-np.log(dist[near])))) if near.any() else 0.0
-    r_all = np.sqrt(np.sum(X ** 2, axis=1))
-    c_inf = float(np.max(np.abs(px - p_inf) * np.log(math.e + r_all)))
-    return LogHolderReport(c0, c_inf, int(near.sum()), p_inf, declared)
+    pairs_used = int(near.sum())
+    neg_log = -np.log(dist[near])
+    log_r = np.log(math.e + np.sqrt(np.sum(X ** 2, axis=1)))
+    reports = []
+    for p in fields:
+        if p.p_infinity is not None:
+            p_inf, declared = float(p.p_infinity), True
+        else:
+            p_inf, declared = float(p(far_corner[None])[0]), False
+        px = p(X)
+        c0 = float(np.max(np.abs(px - p(Y))[near] * neg_log)) if pairs_used else 0.0
+        c_inf = float(np.max(np.abs(px - p_inf) * log_r))
+        reports.append(LogHolderReport(c0, c_inf, pairs_used, p_inf, declared))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +571,7 @@ def validate_quadruple(spec: QuadrupleSpec, tol: float = 1e-9,
             failures.append(f"derived gamma {gamma:.6g} does not match the "
                             f"declared value {spec.gamma_declared:.6g}")
 
-    lh_reports = [log_holder_estimate(f, lh_budget) for f in (*spec.p_vec, spec.q)]
+    lh_reports = _log_holder_reports((*spec.p_vec, spec.q), lh_budget, 0)
     proper = all(r.c_log <= lh_threshold for r in lh_reports)
     clauses["log_holder"] = proper
     if not proper:

@@ -598,6 +598,10 @@ def random_simple_function(grid: Grid, rng: np.random.Generator,
     Uses at most ``max_terms`` boxes with coefficients log-uniform in
     [1e-2, 1e2]; always returns a function that is nonzero somewhere.
     """
+    def index(bounds):  # box_slices of [u, v] bounds drawn inside the grid's box
+        return tuple(slice(*map(int, _axis_ranges(ax, w, u, v)))
+                     for ax, w, (u, v) in zip(grid.axes, grid.box.widths, bounds))
+
     n_terms = int(rng.integers(1, max_terms + 1))
     vals = np.zeros(grid.shape)
     for _ in range(n_terms):
@@ -612,10 +616,9 @@ def random_simple_function(grid: Grid, rng: np.random.Generator,
         coeff = 10.0 ** rng.uniform(-2.0, 2.0)
         if signed and rng.random() < 0.5:
             coeff = -coeff
-        vals[box_slices(grid, Box.from_pairs(pairs))] += coeff
+        vals[index(pairs)] += coeff
     if not vals.any():
-        vals[box_slices(grid, Box.from_pairs([[a, (a + b) / 2] for a, b in
-                                              zip(grid.box.lo, grid.box.hi)]))] += 1.0
+        vals[index([(a, (a + b) / 2) for a, b in zip(grid.box.lo, grid.box.hi)])] += 1.0
     return GridFunction(grid, vals)
 
 

@@ -284,6 +284,78 @@ def test_log_holder_monotone_in_budget():
     assert small <= large
 
 
+def reference_log_holder(p, budget, seed):
+    """The per-pair loop ``log_holder_estimate`` used to run, kept as
+    the reference for the sample's order and values."""
+    from varleb.exponent import LogHolderReport
+    box = p.box
+    diam = box.diameter
+    corners = np.array(np.meshgrid(*(np.array([a, b]) for a, b in zip(box.lo, box.hi)),
+                                   indexing="ij")).reshape(box.dim, -1).T
+    r_corners = np.sqrt(np.sum(corners ** 2, axis=1))
+    far_corner = corners[int(np.argmax(r_corners))]
+    if p.p_infinity is not None:
+        p_inf, declared = float(p.p_infinity), True
+    else:
+        p_inf, declared = float(p(np.array([far_corner]))[0]), False
+    anchors = [np.array(box.center)] + [0.75 * np.array(box.center) + 0.25 * c for c in corners]
+    xs, ys = [], []
+    for anchor in anchors:
+        for k in range(1, 24):
+            d = diam * 2.0 ** (-k)
+            for axis in range(box.dim):
+                step = np.zeros(box.dim)
+                step[axis] = d
+                xs.append(anchor)
+                ys.append(np.clip(anchor + step, box.lo, box.hi))
+    rng = np.random.default_rng(seed)
+    draws = rng.uniform(size=(budget, 2 * box.dim + 1))
+    x_rand = np.array(box.lo) + draws[:, : box.dim] * np.array(box.widths)
+    direction = draws[:, box.dim: 2 * box.dim] - 0.5
+    norms = np.maximum(np.sqrt(np.sum(direction ** 2, axis=1)), 1e-12)
+    direction = direction / norms[:, None]
+    d_rand = diam * np.exp(draws[:, -1] * (math.log(1e-9) - math.log(0.5)) + math.log(0.5))
+    y_rand = np.clip(x_rand + direction * d_rand[:, None], box.lo, box.hi)
+    xs.extend(x_rand)
+    ys.extend(y_rand)
+    X = np.asarray(xs)
+    Y = np.asarray(ys)
+    dist = np.sqrt(np.sum((X - Y) ** 2, axis=1))
+    px = p(X)
+    py = p(Y)
+    near = (dist > 0.0) & (dist < 0.5)
+    c0 = float(np.max(np.abs(px - py)[near] * (-np.log(dist[near])))) if near.any() else 0.0
+    r_all = np.sqrt(np.sum(X ** 2, axis=1))
+    c_inf = float(np.max(np.abs(px - p_inf) * np.log(math.e + r_all)))
+    return LogHolderReport(c0, c_inf, int(near.sum()), p_inf, declared)
+
+
+def sample_fields(box):
+    """One field of each kind on the box, primitive and derived."""
+    lo0, w0 = box.lo[0], box.widths[0]
+    const = ExponentField.constant(box, 2.5)
+    affine = ExponentField.affine(box, 3.0 + sum(abs(a) + abs(b) for a, b in
+                                                 zip(box.lo, box.hi)), (0.3,) * box.dim)
+    decay = ExponentField.log_decay(box, 2.0, 0.7)
+    step = ExponentField.piecewise(box, [lo0 + 0.4 * w0], [1.5, 4.0])
+    return {"constant": const, "affine": affine, "log_decay": decay, "piecewise": step,
+            "theta_invert": theta_invert(const, affine, 0.3),
+            "harmonic_combine": harmonic_combine((affine, decay, step))}
+
+
+LH_BOXES = [UNIT, Box((-3.0,), (0.5,)), Box((2.0,), (7.5,)),
+            Box((0.0, 0.0), (1.0, 1.0)), Box((-1.5, 0.25), (2.0, 4.0))]
+
+
+@pytest.mark.parametrize("box", LH_BOXES, ids=lambda b: str(b.as_pairs()))
+def test_log_holder_sample_matches_reference_loop(box):
+    for name, p in sample_fields(box).items():
+        for budget in (1, 7, 2000):
+            for seed in (0, 11):
+                assert (log_holder_estimate(p, budget, seed)
+                        == reference_log_holder(p, budget, seed)), (name, budget, seed)
+
+
 # -- quadruples ---------------------------------------------------------------
 
 
@@ -369,3 +441,42 @@ def test_nu_and_component_exponent_gates():
     p = ExponentField.constant(UNIT, 2.0)
     with pytest.raises(RangeError):
         component_exponent(p, 2.0)
+
+
+def step_quadruple(q):
+    """On [0, 1]: p_vec = (constant 4, step 1.5 -> 6.0 at 1/2), r = (1, 1)."""
+    p_vec = (ExponentField.constant(UNIT, 4.0), ExponentField.piecewise(UNIT, [0.5], [1.5, 6.0]))
+    return QuadrupleSpec(p_vec, q, (1.0, 1.0), math.inf)
+
+
+@pytest.mark.parametrize("q, worst", [
+    (ExponentField.constant(UNIT, 2.0), 1),
+    (ExponentField.piecewise(UNIT, [0.5], [1.2, 12.0]), 2),
+])
+def test_quadruple_log_holder_clause_names_the_worst_field(q, worst):
+    spec = step_quadruple(q)
+    verdict = validate_quadruple(spec)
+    assert not verdict.proper and not verdict.clauses["log_holder"]
+    c_logs = [log_holder_estimate(f).c_log for f in (*spec.p_vec, spec.q)]
+    assert int(np.argmax(c_logs)) == worst
+    assert f"log-Hoelder estimate {max(c_logs):.3g} exceeds threshold 10" in verdict.failures
+
+
+def test_quadruple_log_holder_message_pins_the_estimate():
+    verdict = validate_quadruple(step_quadruple(ExponentField.constant(UNIT, 2.0)))
+    assert "log-Hoelder estimate 32.5 exceeds threshold 10" in verdict.failures
+
+
+def test_quadruple_draws_one_log_holder_sample(monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    spec = step_quadruple(ExponentField.constant(UNIT, 2.0))
+    assert spec.m == 2
+    validate_quadruple(spec)
+    assert len(made) == 1

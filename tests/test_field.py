@@ -7,8 +7,9 @@ import pytest
 
 from varleb import (Box, DyadicCubeSet, Grid, GridFunction, SchemaError,
                     WeightField, ball_mask, ball_mean, box_mask, integrate,
-                    read_grid_csv, realize_function, region_measure,
-                    shift_function, write_grid_csv)
+                    random_simple_function, read_grid_csv, realize_function,
+                    region_measure, shift_function, write_grid_csv)
+from varleb.field import box_slices
 
 from _support import UNIT, SYM, grid1d
 
@@ -233,6 +234,44 @@ def test_shift_function_node_aligned_zero_fill():
     s = shift_function(f, (0.2,))  # two steps of 0.1
     assert s.values[0] == 0.0 and s.values[1] == 0.0
     assert s.values[2] == 0.0 and s.values[10] == 8.0
+
+
+def reference_simple_function(grid, rng, max_terms=8, signed=True):
+    """``random_simple_function`` as it was built through ``Box`` and
+    ``box_slices``, kept as the reference for its draws and values."""
+    n_terms = int(rng.integers(1, max_terms + 1))
+    vals = np.zeros(grid.shape)
+    for _ in range(n_terms):
+        pairs = []
+        for a, b in zip(grid.box.lo, grid.box.hi):
+            u, v = np.sort(rng.uniform(a, b, size=2))
+            if v - u < 0.05 * (b - a):
+                mid = 0.5 * (u + v)
+                half = 0.025 * (b - a)
+                u, v = max(a, mid - half), min(b, mid + half)
+            pairs.append((u, v))
+        coeff = 10.0 ** rng.uniform(-2.0, 2.0)
+        if signed and rng.random() < 0.5:
+            coeff = -coeff
+        vals[box_slices(grid, Box.from_pairs(pairs))] += coeff
+    if not vals.any():
+        vals[box_slices(grid, Box.from_pairs([[a, (a + b) / 2] for a, b in
+                                              zip(grid.box.lo, grid.box.hi)]))] += 1.0
+    return GridFunction(grid, vals)
+
+
+@pytest.mark.parametrize("grid", [grid1d(129), grid1d(257, SYM), Grid(UNIT, (4,)),
+                                  Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17))],
+                         ids=["1d-129", "1d-257-sym", "1d-4", "2d-33x17"])
+@pytest.mark.parametrize("signed", [True, False])
+def test_random_simple_function_matches_reference(grid, signed):
+    """Same values and the same generator stream, draw after draw."""
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(40):
+        f = random_simple_function(grid, rng, signed=signed)
+        g = reference_simple_function(grid, ref, signed=signed)
+        assert np.array_equal(f.values, g.values)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # -- descriptors ----------------------------------------------------------
