@@ -132,7 +132,8 @@ def _jsonable(obj):
 
 # ---------------------------------------------------------------------------
 # command runners; each is registered with its config table, takes the
-# config as read by it and returns (results, warnings, exit_code)
+# config as read by it and the grid of its box and resolution, and returns
+# (results, exit_code)
 
 _RUNNERS: dict = {}
 
@@ -146,59 +147,55 @@ def _command(name: str, **table):
 
 @_command("norm", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
           weight=(_FUNCTION, None), rel_tol=(number, 1e-10))
-def _run_norm(c):
-    grid = _grid_from(c)
+def _run_norm(c, grid):
     p = _exponent_from(c["exponent"], grid.box)
     f = realize_function(c["function"], grid)
     w = _weight_from(c["weight"], grid) if c["weight"] is not None else None
     res = weighted_norm(f, p, w, rel_tol=c["rel_tol"])
     return ({"norm": res.value, "iterations": res.iterations,
-             "bracket": list(res.bracket), "modular_at_value": res.modular_at_value},
-            [], EXIT_OK)
+             "bracket": list(res.bracket), "modular_at_value": res.modular_at_value}, EXIT_OK)
 
 
 @_command("modular", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED))
-def _run_modular(c):
-    grid = _grid_from(c)
+def _run_modular(c, grid):
     p = _exponent_from(c["exponent"], grid.box)
     f = realize_function(c["function"], grid)
-    return ({"modular": modular(f, p)}, [], EXIT_OK)
+    return {"modular": modular(f, p)}, EXIT_OK
+
+
+def _constant_results(rep) -> dict:
+    """The results shared by the weight-constant commands."""
+    return {"constant": rep.constant, "overflow": rep.overflow,
+            "argmax_cube": rep.argmax_cube.label(), "cube_count": rep.cube_count}
 
 
 @_command("weight-constant", exponent=(_EXPONENT, REQUIRED), weight=(_FUNCTION, REQUIRED),
           cube_depth=(integer, 4), rel_tol=(number, 1e-10))
-def _run_weight_constant(c):
-    grid = _grid_from(c)
+def _run_weight_constant(c, grid):
     p = _exponent_from(c["exponent"], grid.box)
     w = _weight_from(c["weight"], grid)
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = ap_constant(w, p, cubes, c["rel_tol"], allow_overflow=True)
-    return ({"constant": rep.constant, "overflow": rep.overflow,
-             "argmax_cube": rep.argmax_cube.label() if rep.argmax_cube else None,
-             "cube_count": rep.cube_count}, [], EXIT_OK)
+    return _constant_results(rep), EXIT_OK
 
 
 @_command("multilinear-constant", quadruple=(_QUADRUPLE, REQUIRED),
           weights=(list_of(_FUNCTION), REQUIRED), cube_depth=(integer, 4),
           rel_tol=(number, 1e-10))
-def _run_multilinear_constant(c):
-    grid = _grid_from(c)
+def _run_multilinear_constant(c, grid):
     spec = _quadruple_from(c["quadruple"], grid.box)
     w_vec = tuple(_weight_from(d, grid) for d in c["weights"])
     verdict = validate_quadruple(spec)
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = multilinear_constant(w_vec, spec, cubes, c["rel_tol"], allow_overflow=True)
-    return ({"constant": rep.constant, "overflow": rep.overflow,
-             "argmax_cube": rep.argmax_cube.label() if rep.argmax_cube else None,
-             "cube_count": rep.cube_count, "admissible": verdict.admissible,
+    return ({**_constant_results(rep), "admissible": verdict.admissible,
              "proper": verdict.proper, "gamma": verdict.gamma,
-             "clauses": _jsonable(verdict.clauses)}, [], EXIT_OK)
+             "clauses": _jsonable(verdict.clauses)}, EXIT_OK)
 
 
 @_command("two-to-one", quadruple=(_QUADRUPLE, REQUIRED), weight=(_FUNCTION, REQUIRED),
           cube_depth=(integer, 4), rel_tol=(number, 1e-10), tol=(number, 1e-6))
-def _run_two_to_one(c):
-    grid = _grid_from(c)
+def _run_two_to_one(c, grid):
     spec = _quadruple_from(c["quadruple"], grid.box)
     w = _weight_from(c["weight"], grid)
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
@@ -207,14 +204,13 @@ def _run_two_to_one(c):
     return ({"lhs_constant": rep.lhs_constant, "rhs_constant": rep.rhs_constant,
              "a": rep.a, "rel_error": rep.rel_error,
              "max_cube_rel_error": rep.max_cube_rel_error, "tol": c["tol"],
-             "passed": code == EXIT_OK}, [], code)
+             "passed": code == EXIT_OK}, code)
 
 
 @_command("maximal", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
           qtilde=(number, REQUIRED), weight=(_FUNCTION, None), radii_count=(integer, 64),
           rel_tol=(number, 1e-10))
-def _run_maximal(c):
-    grid = _grid_from(c)
+def _run_maximal(c, grid):
     p = _exponent_from(c["exponent"], grid.box)
     f = realize_function(c["function"], grid)
     w = _weight_from(c["weight"], grid) if c["weight"] is not None else None
@@ -225,14 +221,13 @@ def _run_maximal(c):
     dom = float(np.min(Mf.values - np.abs(f.values)))
     return ({"norm_input": nf, "norm_maximal": nM,
              "ratio": nM / nf if nf > 0 else math.inf,
-             "dominance_min": dom, "radii_count": len(sweep.radii)}, [], EXIT_OK)
+             "dominance_min": dom, "radii_count": len(sweep.radii)}, EXIT_OK)
 
 
 @_command("rk-classify", exponent=(_EXPONENT, REQUIRED), weight=(_FUNCTION, REQUIRED),
           qtilde=(number, REQUIRED), family=(descriptor("a family"), REQUIRED),
           cube_depth=(integer, 3), rel_tol=(number, 1e-10), threshold_factor=(number, 1e-2))
-def _run_rk_classify(c):
-    grid = _grid_from(c)
+def _run_rk_classify(c, grid):
     p = _exponent_from(c["exponent"], grid.box)
     w = _weight_from(c["weight"], grid)
     family = _family_from(c["family"], grid)
@@ -244,14 +239,12 @@ def _run_rk_classify(c):
              "growth": rep.growth, "family_size": len(family),
              "uniform_bound": rep.uniform.sup,
              "gate_constant": rep.gate.constant,
-             "equicontinuity": {"passed": rep.equicontinuity.passed,
-                                "radii": list(rep.equicontinuity.radii),
-                                "profile": list(rep.equicontinuity.profile),
-                                "threshold": rep.equicontinuity.threshold},
+             "equicontinuity": _jsonable(rep.equicontinuity),
+             # not the whole VanishingReport, which also carries the center
              "vanishing": {"passed": rep.vanishing.passed,
                            "radii": list(rep.vanishing.radii),
                            "profile": list(rep.vanishing.profile),
-                           "threshold": rep.vanishing.threshold}}, [], EXIT_OK)
+                           "threshold": rep.vanishing.threshold}}, EXIT_OK)
 
 
 def _endpoint_from(e: dict, grid: Grid) -> EndpointSpace:
@@ -265,8 +258,7 @@ def _endpoint_from(e: dict, grid: Grid) -> EndpointSpace:
           endpoint1=(_ENDPOINT, REQUIRED), theta=(number, REQUIRED), trials=(integer, 100),
           seed=(integer, 0), safety=(number, 1.05), slack=(number, 1e-6),
           rel_tol=(number, 1e-10), mixed=(_MIXED, None))
-def _run_interp_verify(c):
-    grid = _grid_from(c)
+def _run_interp_verify(c, grid):
     op = OperatorSpec(**c["operator"])
     s0, s1 = _endpoint_from(c["endpoint0"], grid), _endpoint_from(c["endpoint1"], grid)
     kwargs = {key: c[key] for key in ("trials", "seed", "safety", "slack", "rel_tol")}
@@ -282,7 +274,7 @@ def _run_interp_verify(c):
                             "certificates": _jsonable(mrep.certificates)}
         if not mrep.passed:
             code = EXIT_VIOLATION
-    return (results, [], code)
+    return results, code
 
 
 @_command("extrapolate", target=(_QUADRUPLE, REQUIRED), weights=(list_of(_FUNCTION), REQUIRED),
@@ -290,8 +282,7 @@ def _run_interp_verify(c):
           thetas=(list_of(number), REQUIRED), operator=(_OPERATOR, REQUIRED),
           family=(descriptor("a family"), REQUIRED), cube_depth=(integer, 3),
           qtilde=(number, None), rel_tol=(number, 1e-10), roundtrip_tol=(number, 1e-10))
-def _run_extrapolate(c):
-    grid = _grid_from(c)
+def _run_extrapolate(c, grid):
     target = _quadruple_from(c["target"], grid.box)
     spec1 = _quadruple_from(c["endpoint1"], grid.box)
     w_vec = tuple(_weight_from(d, grid) for d in c["weights"])
@@ -303,15 +294,10 @@ def _run_extrapolate(c):
     rep = run_extrapolation_workflow(
         op, inputs, target, w_vec, spec1, w1_vec, tuple(c["thetas"]), qtilde=c["qtilde"],
         cubes=cubes, roundtrip_tol=c["roundtrip_tol"], rel_tol=c["rel_tol"])
-    entries = [{"theta": e.theta, "built": e.built, "admissible": e.admissible,
-                "proper": e.proper, "roundtrip_ok": e.roundtrip_ok,
-                "constant0": e.constant0, "constant0_overflow": e.constant0_overflow,
-                "endpoint_max_ratio": e.endpoint_max_ratio, "error": e.error}
-               for e in rep.entries]
     bad = [e for e in rep.entries if e.built and not e.roundtrip_ok]
     code = EXIT_VIOLATION if bad else EXIT_OK
     return ({"qtilde": rep.qtilde, "verdict": rep.verdict,
-             "net_sizes": list(rep.rk.net_sizes), "entries": entries}, [], code)
+             "net_sizes": list(rep.rk.net_sizes), "entries": _jsonable(rep.entries)}, code)
 
 
 # flags that override config keys when given
@@ -349,7 +335,8 @@ def _run(command: str, cfg) -> tuple[dict | None, int]:
     started = time.monotonic()
     run, table = _RUNNERS[command]
     try:
-        results, warns, code = run(read_fields(cfg, table, f"{command} config"))
+        c = read_fields(cfg, table, f"{command} config")
+        results, code = run(c, _grid_from(c))
     except (HypothesisFailureError, OverflowToInfinityError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return None, EXIT_VIOLATION
@@ -358,7 +345,7 @@ def _run(command: str, cfg) -> tuple[dict | None, int]:
     except (VarlebError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
-    return {"command": command, "config": cfg, "results": results, "warnings": warns,
+    return {"command": command, "config": cfg, "results": results, "warnings": [],
             "provenance": _provenance(cfg.get("seed"), started)}, code
 
 
@@ -397,7 +384,7 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
     old_json = json.dumps(_jsonable(old.get("results")), sort_keys=True)
     match = new_json == old_json
     mismatch = [] if match else [_replay_diff(json.loads(old_json), json.loads(new_json))]
-    report.update(warnings=warns + report["warnings"] + mismatch, replay_match=match)
+    report.update(warnings=warns + mismatch, replay_match=match)
     if not quiet:
         print(_dumps(report))
     if not match:

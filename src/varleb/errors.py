@@ -29,6 +29,8 @@ bugs.  The subclasses follow the failure modes of the numerical contracts:
 
 from __future__ import annotations
 
+import math
+
 
 class VarlebError(Exception):
     """Base class for all varleb errors."""
@@ -124,6 +126,8 @@ def _refuse(noun: str, value, key: str, where: str):
 def number(value, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _refuse("a number", value, key, where)
+    if math.isnan(value):
+        _refuse("a number other than NaN", value, key, where)
     return float(value)
 
 

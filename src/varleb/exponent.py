@@ -372,10 +372,9 @@ def scale_exponent(p: ExponentField, factor: float) -> ExponentField:
 
 def nu_exponent(q: ExponentField, s: float) -> ExponentField:
     """``1/(1/q - 1/s)``: the norm exponent carried by a product weight."""
-    inv_s = 0.0 if math.isinf(s) else 1.0 / s
     if q.p_plus >= s:
         raise RangeError(f"need q_+ < s, got q_+ = {q.p_plus}, s = {s}")
-    return reciprocal_affine((q,), (1.0,), -inv_s, what="nu exponent")
+    return reciprocal_affine((q,), (1.0,), -1.0 / s, what="nu exponent")
 
 
 def component_exponent(p_j: ExponentField, r_j: float) -> ExponentField:
@@ -603,7 +602,7 @@ def two_to_one_data(spec: QuadrupleSpec):
     1/s)`` and ``a t' = 1/(1/r - 1/p)``."""
     if spec.m != 1:
         raise SpecMismatchError("two-to-one reduction is stated for m = 1")
-    inv_s = 0.0 if math.isinf(spec.s) else 1.0 / spec.s
+    inv_s = 1.0 / spec.s
     gamma = spec.gamma
     denom = 1.0 / spec.r - inv_s - gamma
     if denom <= 0.0:

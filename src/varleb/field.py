@@ -123,10 +123,6 @@ class Grid:
         return max(self.steps)
 
     @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.steps))
-
-    @property
     def size(self) -> int:
         return int(np.prod(self.shape))
 
@@ -289,6 +285,15 @@ class WeightField(GridFunction):
     @classmethod
     def ones(cls, grid: Grid) -> "WeightField":
         return cls(grid, np.ones(grid.shape))
+
+
+def shared_grid(functions: Sequence[GridFunction], what: str) -> Grid:
+    """The grid of a nonempty sequence of grid functions, which must all
+    share it (DomainError saying that ``what`` differ otherwise)."""
+    grid = functions[0].grid
+    if any(f.grid != grid for f in functions[1:]):
+        raise DomainError(f"{what} live on different grids")
+    return grid
 
 
 def refuse_non_finite(values: np.ndarray, nodes: int, needs: str | None = None) -> None:

@@ -41,7 +41,7 @@ from .exponent import (ExponentField, QuadrupleSpec, QuadrupleVerdict,
                        blend_quadruple, theta_blend, theta_invert,
                        validate_quadruple)
 from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    random_simple_function)
+                    random_simple_function, shared_grid)
 from .maximal import ball_mean
 from .norms import inner_norm, weighted_norms
 from .rk import FunctionFamily, RKReport, classify
@@ -87,10 +87,7 @@ class OperatorSpec:
 def apply_operator(op: OperatorSpec, fs: Sequence[GridFunction]) -> GridFunction:
     if len(fs) != op.arity:
         raise ArityMismatchError(f"operator takes {op.arity} inputs, got {len(fs)}")
-    grid = fs[0].grid
-    for f in fs[1:]:
-        if f.grid != grid:
-            raise DomainError("operator inputs live on different grids")
+    grid = shared_grid(fs, "operator inputs")
 
     if op.kind == "product":
         return GridFunction.product(fs)
@@ -131,10 +128,7 @@ class EndpointSpace:
     def __post_init__(self):
         if len(self.p_vec) != len(self.w_vec):
             raise ArityMismatchError("one weight per input exponent is required")
-        grid = self.v.grid
-        for w in self.w_vec:
-            if w.grid != grid:
-                raise DomainError("endpoint weights live on different grids")
+        grid = shared_grid((self.v, *self.w_vec), "endpoint weights")
         for p in self.p_vec + (self.q,):
             if p.box != grid.box:
                 raise DomainError("endpoint exponents live on a different box")
@@ -154,8 +148,6 @@ def blend_spaces(space0: EndpointSpace, space1: EndpointSpace,
         raise ArityMismatchError("endpoints have different arity")
     if space0.grid != space1.grid:
         raise DomainError("endpoints live on different grids")
-    if not 0.0 <= theta <= 1.0:
-        raise DomainError(f"theta must lie in [0, 1], got {theta}")
     p_vec = tuple(theta_blend(a, b, theta) for a, b in zip(space0.p_vec, space1.p_vec))
     q = theta_blend(space0.q, space1.q, theta)
     w_vec = tuple(a.power(1.0 - theta) * b.power(theta)
@@ -302,19 +294,9 @@ def verify_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
 
 
 @dataclass(frozen=True)
-class MixedInterpolationReport:
-    theta: float
+class MixedInterpolationReport(InterpolationReport):
     qtilde: float
     offsets: int
-    trials: int
-    certificates: tuple[EndpointCertificate, EndpointCertificate]
-    worst_ratio: float
-    violations: tuple[Violation, ...]
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def difference_field(Tf: GridFunction, offset_count: int) -> GridFunction:
@@ -351,8 +333,8 @@ def verify_mixed_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
     certs, worst, violations = _verify(
         op, space0, space1, theta, trials, seed, safety, slack, rel_tol,
         lambda Tf: inner_norm(difference_field(Tf, offset_count), qtilde))
-    return MixedInterpolationReport(theta, qtilde, offset_count, trials, certs,
-                                    worst, violations, slack)
+    return MixedInterpolationReport(theta, trials, certs, worst, violations, slack,
+                                    qtilde, offset_count)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +427,7 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
                                thetas: Sequence[float], qtilde: float | None = None,
                                cubes: DyadicCubeSet | None = None,
                                roundtrip_tol: float = 1e-10,
-                               rel_tol: float = 1e-10,
-                               classify_kwargs: dict | None = None) -> WorkflowReport:
+                               rel_tol: float = 1e-10) -> WorkflowReport:
     """Sweep a theta ladder: rebuild endpoint 0 at each theta, certify
     the operator against it over the given inputs, and classify the
     operator outputs in the target output space.
@@ -467,8 +448,7 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
     nu = WeightField.product(w_vec)
     if qtilde is None:
         qtilde = 1.0 / (1.0 / target.r - target.gamma)
-    rk = classify(outputs, target.q, nu, qtilde, cubes=cubes, rel_tol=rel_tol,
-                  **(classify_kwargs or {}))
+    rk = classify(outputs, target.q, nu, qtilde, cubes=cubes, rel_tol=rel_tol)
 
     entries = []
     for theta in thetas:

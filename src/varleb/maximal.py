@@ -50,12 +50,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisFailureError, OverflowToInfinityError
-from .exponent import ExponentField, scale_exponent
+from .errors import DomainError
+from .exponent import ExponentField
 from .field import (BALL_SHRINK, DyadicCubeSet, Grid, GridFunction, WeightField,
                     refuse_non_finite)
 from .norms import weighted_norms
-from .weights import WeightConstantReport, ap_constant
+from .weights import WeightConstantReport, gate_constant
 
 
 @dataclass(frozen=True)
@@ -309,17 +309,11 @@ def maximal_boundedness_probe(corpus: Sequence[GridFunction], p: ExponentField,
     """Empirical norm ratios ``||M_q f|| / ||f||`` under the gating
     weight condition ``w^qtilde`` in the class at exponent ``p/qtilde``.
 
-    Raises HypothesisFailureError when the gate constant overflows or
-    the scaled exponent leaves the class P.
+    The gate is `weights.gate_constant`: DomainError for a qtilde that
+    is not finite and positive, HypothesisFailureError when qtilde is not
+    below p_- or the gate constant overflows.
     """
-    if qtilde >= p.p_minus:
-        raise HypothesisFailureError(
-            f"qtilde = {qtilde} is not below p_- = {p.p_minus}")
-    gate_p = scale_exponent(p, 1.0 / qtilde)
-    try:
-        gate = ap_constant(w.power(qtilde), gate_p, cubes, rel_tol, allow_overflow=False)
-    except OverflowToInfinityError as exc:
-        raise HypothesisFailureError(f"gate weight condition fails: {exc}") from exc
+    gate = gate_constant(w, p, qtilde, cubes, rel_tol)
     fn = np.zeros(0)
     if len(corpus):
         grid = corpus[0].grid

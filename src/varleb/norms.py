@@ -58,9 +58,6 @@ class NormResult:
     bracket: tuple[float, float]
     modular_at_value: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def modular(f: GridFunction, p: ExponentField, region=None) -> float:
     """``int_region |f|^p(x) dx``; may overflow to inf."""

@@ -30,13 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisFailureError, OverflowToInfinityError
-from .exponent import ExponentField, scale_exponent
+from .errors import DomainError
+from .exponent import ExponentField
 from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    ball_mask, box_mask, shift_function)
+                    ball_mask, box_mask, shared_grid, shift_function)
 from .maximal import RadiusSweep, oscillation_profiles
 from .norms import weight_measure, weighted_norms, weighted_table
-from .weights import WeightConstantReport, ap_constant
+from .weights import WeightConstantReport, gate_constant
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ class FunctionFamily:
     def __post_init__(self):
         if not self.members:
             raise DomainError("family must have at least one member")
-        grid = self.members[0].grid
-        for f in self.members[1:]:
-            if f.grid != grid:
-                raise DomainError("family members live on different grids")
+        shared_grid(self.members, "family members")
 
     @property
     def grid(self) -> Grid:
@@ -108,6 +105,8 @@ def dilate_family(base: GridFunction, count: int, ratio: float = 0.5,
     """``f(x / ratio^k)`` on a 1D grid, zero beyond the box."""
     if base.grid.dim != 1:
         raise DomainError("dilate families are 1D only")
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"dilate ratio must be a finite positive number, got {ratio}")
     x = base.grid.axes[0]
     members = []
     for k in range(count):
@@ -338,14 +337,7 @@ def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
     consistent-noncompact; anything else -> inconclusive.
     """
     grid = family.grid
-    if qtilde >= p.p_minus:
-        raise HypothesisFailureError(f"qtilde = {qtilde} is not below p_- = {p.p_minus}")
-    gate_p = scale_exponent(p, 1.0 / qtilde)
-    cubes = cubes or DyadicCubeSet(grid.box, 3)
-    try:
-        gate = ap_constant(w.power(qtilde), gate_p, cubes, rel_tol, allow_overflow=False)
-    except OverflowToInfinityError as exc:
-        raise HypothesisFailureError(f"gate weight condition fails: {exc}") from exc
+    gate = gate_constant(w, p, qtilde, cubes or DyadicCubeSet(grid.box, 3), rel_tol)
 
     uniform = uniform_bound_profile(family, p, w, rel_tol)
     threshold = threshold_factor * uniform.sup

@@ -45,11 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArityMismatchError, DomainError, EmptyRegionError,
-                     OverflowToInfinityError, RangeError, SpecMismatchError)
+                     HypothesisFailureError, OverflowToInfinityError, RangeError,
+                     SpecMismatchError)
 from .exponent import (ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
-                       reciprocal_affine, two_to_one_data, validate_quadruple)
-from .field import Cube, DyadicCubeSet, Grid, WeightField
+                       reciprocal_affine, scale_exponent, two_to_one_data,
+                       validate_quadruple)
+from .field import Cube, DyadicCubeSet, Grid, WeightField, shared_grid
 from .norms import holder_constant, node_table
 
 OVERFLOW_THRESHOLD = 1e150
@@ -142,6 +144,22 @@ def ap_constant(w: WeightField, p: ExponentField, cubes: DyadicCubeSet,
     return _cube_scan(w.grid, cubes, factors, -1.0, rel_tol, allow_overflow, "symmetric")
 
 
+def gate_constant(w: WeightField, p: ExponentField, qtilde: float, cubes: DyadicCubeSet,
+                  rel_tol: float = 1e-10) -> WeightConstantReport:
+    """The gate of the compactness criterion and the maximal probe: the
+    constant of ``w^qtilde`` at exponent ``p/qtilde``.  A qtilde that is
+    not finite and positive is a DomainError; one at or above ``p_-``, or
+    an overflowing constant, fails the hypothesis (HypothesisFailureError)."""
+    if not 0.0 < qtilde < math.inf:
+        raise DomainError(f"qtilde must be a finite positive constant, got {qtilde}")
+    if qtilde >= p.p_minus:
+        raise HypothesisFailureError(f"qtilde = {qtilde} is not below p_- = {p.p_minus}")
+    try:
+        return ap_constant(w.power(qtilde), scale_exponent(p, 1.0 / qtilde), cubes, rel_tol)
+    except OverflowToInfinityError as exc:
+        raise HypothesisFailureError(f"gate weight condition fails: {exc}") from exc
+
+
 def weight_from_density(u: WeightField, p: ExponentField) -> WeightField:
     """``w = u^(1/p(.))`` for a density u = w^p(.)."""
     return u.power(1.0 / p.values_on(u.grid))
@@ -168,16 +186,12 @@ def multilinear_constant(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     w_vec = tuple(w_vec)
     if len(w_vec) != spec.m:
         raise ArityMismatchError(f"{len(w_vec)} weights against arity {spec.m}")
-    grid = w_vec[0].grid
-    for w in w_vec[1:]:
-        if w.grid != grid:
-            raise DomainError("weight components live on different grids")
+    grid = shared_grid(w_vec, "weight components")
     e_nu = nu_exponent(spec.q, spec.s)
     factors = [(WeightField.product(w_vec), e_nu)]
     for w, p_j, r_j in zip(w_vec, spec.p_vec, spec.r_vec):
         factors.append((w.inverse(), component_exponent(p_j, r_j)))
-    inv_s = 0.0 if math.isinf(spec.s) else 1.0 / spec.s
-    power = spec.gamma - (1.0 / spec.r - inv_s)
+    power = spec.gamma - (1.0 / spec.r - 1.0 / spec.s)
     return _cube_scan(grid, cubes, factors, power, rel_tol, allow_overflow, "two-index")
 
 
@@ -274,8 +288,6 @@ def blend_constant_check(w_vec0, w_vec1, spec0: QuadrupleSpec, spec1: QuadrupleS
     the blended factor exponents (exactly 1 when everything is
     constant).
     """
-    if not 0.0 <= theta <= 1.0:
-        raise DomainError(f"theta must lie in [0, 1], got {theta}")
     w_vec0, w_vec1 = tuple(w_vec0), tuple(w_vec1)
     if len(w_vec0) != spec0.m or len(w_vec1) != spec1.m:
         raise ArityMismatchError("weight vector arity does not match its quadruple")
@@ -333,8 +345,7 @@ def componentwise_characterize(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     w_vec = tuple(w_vec)
     if len(w_vec) != spec.m:
         raise ArityMismatchError(f"{len(w_vec)} weights against arity {spec.m}")
-    inv_s = 0.0 if math.isinf(spec.s) else 1.0 / spec.s
-    gap = 1.0 / spec.r - inv_s
+    gap = 1.0 / spec.r - 1.0 / spec.s
 
     sigma_vec = []
     comp_reports = []

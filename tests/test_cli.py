@@ -3,6 +3,7 @@ emission, replay, overrides, and exit codes."""
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -17,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varleb
+import varleb.cli as cli_module
 from varleb import Box, Grid, realize_function, write_grid_csv
 from varleb.cli import main
 from varleb.errors import VersionMismatchWarning
+from varleb.interp import Violation
 
 CONST_ONE = {"kind": "sine", "frequency": 0.0,
              "phase": math.pi / 2.0, "amplitude": 1.0}
@@ -231,6 +234,82 @@ def test_rk_classify_gate_failure_exits_two(tmp_path, capsys):
     assert rc == 2
     assert report is None
     assert "hypothesis failure" in capsys.readouterr().err
+
+
+_QUAD_2 = {"p_vec": [{"kind": "constant", "value": 4.0}] * 2,
+           "q": {"kind": "constant", "value": 2.0}, "r_vec": [1.5, 1.5], "s": 6.0}
+_MOLLIFY_RK = {"box": [[-2.0, 2.0]], "resolution": 1024, "qtilde": 1.0,
+               "exponent": {"kind": "constant", "value": 2.0}, "weight": CONST_ONE,
+               "family": {"kind": "mollify", "count": 5, "sigma": 0.15, "ratio": 0.01,
+                          "base": {"kind": "gaussian", "center": [0.0], "width": 0.5}}}
+_EXTRAPOLATE = {"box": [[-2.0, 2.0]], "resolution": 128, "cube_depth": 2,
+                "target": _QUAD_2, "endpoint1": _QUAD_2,
+                "weights": [CONST_ONE] * 2, "weights1": [CONST_ONE] * 2, "thetas": [0.5],
+                "operator": {"kind": "product", "arity": 2}, "family": _MOLLIFY_RK["family"]}
+
+
+@pytest.mark.parametrize("command, cfg", [("rk-classify", _MOLLIFY_RK),
+                                          ("extrapolate", _EXTRAPOLATE)])
+@pytest.mark.parametrize("qtilde", [0, 0.0, -1.0])
+def test_a_qtilde_that_is_not_positive_exits_one_and_names_it(tmp_path, capsys, command,
+                                                              cfg, qtilde):
+    rc, report, _ = _run(tmp_path, command, dict(cfg, qtilde=qtilde))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "qtilde must be a finite positive constant" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg", [("rk-classify", _MOLLIFY_RK),
+                                          ("extrapolate", _EXTRAPOLATE)])
+def test_a_qtilde_at_or_above_p_minus_exits_two(tmp_path, capsys, command, cfg):
+    # p_- = 2 in both: the exponent of rk-classify and the target's q
+    for qtilde in (2.0, 3.0):
+        rc, report, _ = _run(tmp_path, command, dict(cfg, qtilde=qtilde))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert report is None
+        assert f"hypothesis failure: qtilde = {qtilde} is not below p_- = 2.0" in err
+
+
+def test_a_nan_config_number_exits_one_and_names_the_key(tmp_path, capsys):
+    rc, report, _ = _run(tmp_path, "rk-classify", _MOLLIFY_RK)
+    assert rc == 0 and report["results"]["verdict"] == "consistent-compact"
+    nan_dir = tmp_path / "nan"
+    nan_dir.mkdir()
+    rc, report, _ = _run(nan_dir, "rk-classify", dict(_MOLLIFY_RK, threshold_factor=math.nan))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert ("rk-classify config key 'threshold_factor' must be a number other than NaN, "
+            "got nan") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ratio", [0, -0.5])
+def test_a_dilate_family_ratio_that_is_not_positive_exits_one_and_names_it(tmp_path, capsys,
+                                                                           ratio):
+    family = {"kind": "dilate", "count": 3, "ratio": ratio, "base": _MOLLIFY_RK["family"]["base"]}
+    rc, report, _ = _run(tmp_path, "rk-classify", dict(_MOLLIFY_RK, family=family))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"dilate ratio must be a finite positive number, got {float(ratio)}" in err
+
+
+def test_interp_verify_exits_two_when_only_the_mixed_bound_fails(tmp_path, monkeypatch):
+    real = cli_module.verify_mixed_interpolation_bound
+
+    def failing(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, violations=(Violation(0, 2.0, 1),))
+    monkeypatch.setattr(cli_module, "verify_mixed_interpolation_bound", failing)
+    cfg = _interp_config(mixed={"qtilde": 1.5, "offset_count": 2})
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
+    assert rc == 2
+    assert report["results"]["passed"] is True
+    assert report["results"]["mixed"]["passed"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +806,8 @@ def test_diverging_replay_names_what_differs(tmp_path, capsys, edit, named, rel)
 
 # ---------------------------------------------------------------------------
 # fuzzing: a valid config of each command with one key dropped, or one value
-# swapped for another type, null, NaN, 1e308 or itself nested in a list
+# swapped for another type, null, NaN, 1e308, 0, -1, -1e308 or itself nested
+# in a list
 
 _FUZZ_QUAD = {"p_vec": [{"kind": "constant", "value": 4.0}],
               "q": {"kind": "constant", "value": 4.0}, "r_vec": [1.5], "s": "inf"}
@@ -788,7 +868,7 @@ def test_mutated_configs_exit_cleanly(tmp_path_factory, command, data):
         node = node[step]
     old = node[key]
     mutation = data.draw(st.sampled_from(
-        ["drop", None, math.nan, 1e308, "nest",
+        ["drop", None, math.nan, 1e308, 0, -1.0, -1e308, "nest",
          *(v for v in _SWAPS if type(v) is not type(old))]))
     if mutation == "drop":
         del node[key]

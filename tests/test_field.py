@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from varleb import (Box, DyadicCubeSet, Grid, GridFunction, SchemaError,
+from varleb import (Box, DomainError, DyadicCubeSet, Grid, GridFunction, SchemaError,
                     WeightField, ball_mask, ball_mean, box_mask, integrate,
                     random_simple_function, read_grid_csv, realize_function,
                     region_measure, shift_function, write_grid_csv)
-from varleb.field import box_slices
+from varleb.field import box_slices, shared_grid
 
 from _support import UNIT, SYM, grid1d
 
@@ -292,6 +292,35 @@ def test_realize_rejects_unknown_kind_and_keys():
         realize_function({"kind": "wavelet"}, g)
     with pytest.raises(SchemaError):
         realize_function({"kind": "gaussian", "sigma": 0.1}, g)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.5])
+def test_realize_dilate_samples_the_inner_function_at_x_over_scale(scale):
+    g = Grid(SYM, (257,))
+    inner = {"kind": "gaussian", "center": [0.2], "width": 0.3}
+    f = realize_function({"kind": "dilate", "scale": scale, "inner": inner}, g)
+    x = g.axes[0]
+    want = np.interp(x / scale, x, realize_function(inner, g).values, left=0.0, right=0.0)
+    assert np.array_equal(f.values, want)
+
+
+def test_realize_dilate_refuses_a_scale_that_is_not_positive_and_a_2d_grid():
+    inner = {"kind": "gaussian", "center": [0.5], "width": 0.3}
+    for scale in (0.0, -1.0):
+        with pytest.raises(SchemaError, match="dilate scale must be positive"):
+            realize_function({"kind": "dilate", "scale": scale, "inner": inner}, grid1d(17))
+    g2 = Grid(Box((0.0, 0.0), (1.0, 1.0)), (9, 9))
+    with pytest.raises(SchemaError, match="dilate descriptors are 1D only"):
+        realize_function({"kind": "dilate", "scale": 2.0,
+                          "inner": {"kind": "gaussian", "center": [0.5, 0.5], "width": 0.3}}, g2)
+
+
+def test_shared_grid_returns_the_common_grid_and_names_what_differs():
+    g, other = grid1d(17), grid1d(33)
+    ones = GridFunction(g, np.ones(g.shape))
+    assert shared_grid((ones,) * 3, "members") is g
+    with pytest.raises(DomainError, match="^family members live on different grids$"):
+        shared_grid((ones, GridFunction(other, np.ones(other.shape))), "family members")
 
 
 def test_realize_sum_product_compose():

@@ -514,3 +514,12 @@ def test_probe_gate_rejects_large_qtilde():
         maximal_boundedness_probe(corpus, p, w, 2.5,
                                   RadiusSweep.geometric(g, 8),
                                   DyadicCubeSet(UNIT, 2))
+
+
+@pytest.mark.parametrize("qtilde", [0.0, -1.0, math.nan])
+def test_probe_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
+    g = grid1d(129)
+    with pytest.raises(DomainError, match="qtilde must be a finite positive constant"):
+        maximal_boundedness_probe([GridFunction(g, np.ones(g.shape))],
+                                  ExponentField.constant(UNIT, 2.0), WeightField.ones(g),
+                                  qtilde, RadiusSweep.geometric(g, 8), DyadicCubeSet(UNIT, 2))

@@ -109,6 +109,13 @@ def test_dilate_family_compresses_and_zero_fills():
         dilate_family(GridFunction(g2, np.ones(g2.shape)), 2)
 
 
+@pytest.mark.parametrize("ratio", [0.0, -0.5, math.inf, math.nan])
+def test_dilate_family_refuses_a_ratio_that_is_not_finite_and_positive(ratio):
+    g = Grid(Box((-2.0,), (2.0,)), (65,))
+    with pytest.raises(DomainError, match="ratio"):
+        dilate_family(_gaussian(g, 1.0), 3, ratio=ratio)
+
+
 # ---------------------------------------------------------------------------
 # uniform bound profile
 
@@ -421,6 +428,14 @@ def test_classify_gate_rejects_qtilde_at_or_above_p_minus():
         classify(fam, p, w, 2.0)
     with pytest.raises(HypothesisFailureError):
         classify(fam, p, w, 2.5)
+
+
+@pytest.mark.parametrize("qtilde", [0.0, -1.0, math.nan, math.inf])
+def test_classify_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
+    g = Grid(UNIT, (129,))
+    fam = FunctionFamily((_gaussian(g, 4.0, center=0.5),))
+    with pytest.raises(DomainError, match="qtilde must be a finite positive constant"):
+        classify(fam, ExponentField.constant(UNIT, 2.0), _ones_weight(g), qtilde)
 
 
 def test_classify_is_deterministic():

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 import varleb.norms as norms_module
 from varleb import (ArityMismatchError, Box, DomainError, DyadicCubeSet,
                     EmptyRegionError, ExponentField, Grid, GridFunction,
-                    OverflowToInfinityError, QuadrupleSpec, RangeError,
+                    HypothesisFailureError, OverflowToInfinityError, QuadrupleSpec, RangeError,
                     SpecMismatchError, WeightField, ap_constant,
                     ap_constant_density, blend_constant_check,
                     component_exponent, componentwise_characterize,
                     containment_check, density_from_weight, dual_exponent,
                     multilinear_constant, nu_exponent, reciprocal_affine,
                     two_to_one_check, weight_from_density)
+from varleb.exponent import scale_exponent
 from varleb.field import box_slices
 from varleb.norms import lux_flat
-from varleb.weights import OVERFLOW_THRESHOLD, _cube_scan
+from varleb.weights import OVERFLOW_THRESHOLD, _cube_scan, gate_constant
 
 from _support import UNIT, SYM, rand_exponent, rand_weight
 
@@ -99,6 +100,35 @@ def test_ap_constant_density_convention_matches():
     dens = ap_constant_density(u, p, CUBES)
     assert dens.constant == pytest.approx(sym.constant, rel=1e-12)
     assert dens.convention == "nonsymmetric-density"
+
+
+# -- gate of the compactness criterion and the maximal probe ------------
+
+
+@pytest.mark.parametrize("seed, qtilde", [(31, 1.0), (32, 0.5), (33, 1.05)])
+def test_gate_constant_is_the_ap_constant_of_the_powered_weight(seed, qtilde):
+    rng = np.random.default_rng(seed)
+    w = rand_weight(GRID, rng)
+    p = rand_exponent(UNIT, rng, lo=1.1, hi=4.0)
+    gate = gate_constant(w, p, qtilde, CUBES)
+    assert gate == ap_constant(w.power(qtilde), scale_exponent(p, 1.0 / qtilde), CUBES)
+
+
+@pytest.mark.parametrize("qtilde", [0.0, -0.0, -1.0, -1e308, math.nan, math.inf])
+def test_gate_constant_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
+    with pytest.raises(DomainError, match="qtilde must be a finite positive constant, got"):
+        gate_constant(WeightField.ones(GRID), const_p(2.0), qtilde, CUBES)
+
+
+def test_gate_constant_fails_the_hypothesis_at_or_above_p_minus_and_on_overflow():
+    w = WeightField.ones(GRID)
+    for qtilde in (2.0, 2.5):
+        with pytest.raises(HypothesisFailureError, match=r"is not below p_- = 2\.0"):
+            gate_constant(w, const_p(2.0), qtilde, CUBES)
+    spike = np.ones(GRID.shape)
+    spike[100] = 1e200
+    with pytest.raises(HypothesisFailureError, match="gate weight condition fails: per-cube"):
+        gate_constant(WeightField(GRID, spike), const_p(2.0), 1.0, CUBES)
 
 
 # -- multilinear constant ------------------------------------------------
