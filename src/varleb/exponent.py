@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +42,10 @@ from .field import Box, Grid
 DEFAULT_SCAN_1D = 4096
 DEFAULT_SCAN_2D = 256
 _SCAN_WIDEN = 1e-6
+# quadruple validation: gamma tolerance, log-Hoelder pair budget and bound
+GAMMA_TOL = 1e-9
+LH_BUDGET = 2000
+LH_THRESHOLD = 10.0
 
 
 def default_scan_shape(box: Box) -> tuple[int, ...]:
@@ -277,8 +282,7 @@ def _multilinear(sample: Grid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
-                      offset: float = 0.0, p_infinity: float | None = None,
-                      what: str = "derived exponent") -> ExponentField:
+                      offset: float = 0.0, what: str = "derived exponent") -> ExponentField:
     """Field with ``1/p_new(x) = offset + sum_j coeffs[j] / p_j(x)``.
 
     Single positive-coefficient terms give exact bounds (the transform
@@ -325,7 +329,8 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
         lo = (1.0 / float(recip.max())) * (1.0 - _SCAN_WIDEN)
         hi = (1.0 / float(recip.min())) * (1.0 + _SCAN_WIDEN)
 
-    if p_infinity is None and all(f.p_infinity is not None for f in fields):
+    p_infinity = None
+    if all(f.p_infinity is not None for f in fields):
         r_inf = offset + sum(c / f.p_infinity for f, c in zip(fields, coeffs))
         if r_inf > 0.0:
             p_infinity = 1.0 / r_inf
@@ -511,13 +516,15 @@ class QuadrupleSpec:
     def p_combined(self) -> ExponentField:
         return harmonic_combine(self.p_vec)
 
-    def gamma_profile(self, grid: Grid | None = None) -> np.ndarray:
-        grid = grid or self.q.scan_grid
+    @cached_property
+    def gamma_profile(self) -> np.ndarray:
+        """``1/p - 1/q`` on the scan grid of ``q``, built once per spec."""
+        grid = self.q.scan_grid
         return 1.0 / self.p_combined.values_on(grid) - 1.0 / self.q.values_on(grid)
 
     @property
     def gamma(self) -> float:
-        prof = self.gamma_profile()
+        prof = self.gamma_profile
         return float(0.5 * (prof.min() + prof.max()))
 
 
@@ -530,57 +537,39 @@ class QuadrupleVerdict:
     failures: tuple[str, ...]
 
 
-def validate_quadruple(spec: QuadrupleSpec, tol: float = 1e-9,
-                       lh_budget: int = 2000, lh_threshold: float = 10.0) -> QuadrupleVerdict:
+def validate_quadruple(spec: QuadrupleSpec) -> QuadrupleVerdict:
     """Check m-admissibility clause by clause.
 
     Admissible means: every ``r_j < (p_j)_-``, ``q_+ < s``, and
-    ``1/p - 1/q`` is a nonnegative constant gamma (within ``tol`` on
-    the scan grid).  Proper additionally demands that every exponent
-    pass the log-Hoelder estimate below ``lh_threshold``.
+    ``1/p - 1/q`` is a nonnegative constant gamma (within ``GAMMA_TOL``
+    on the scan grid), equal to the declared gamma if there is one.
+    Proper additionally demands that every exponent pass the
+    log-Hoelder estimate over ``LH_BUDGET`` random pairs below
+    ``LH_THRESHOLD``.
     """
-    clauses: dict = {}
-    failures: list[str] = []
-
-    ok = all(rj < p.p_minus for rj, p in zip(spec.r_vec, spec.p_vec))
-    clauses["r_below_p_minus"] = ok
-    if not ok:
-        bad = [(j, rj, p.p_minus) for j, (rj, p) in enumerate(zip(spec.r_vec, spec.p_vec))
-               if rj >= p.p_minus]
-        failures.append(f"r_j < (p_j)_- fails at components {bad}")
-
-    ok = spec.q.p_plus < spec.s
-    clauses["q_plus_below_s"] = ok
-    if not ok:
-        failures.append(f"q_+ = {spec.q.p_plus} is not below s = {spec.s}")
-
-    prof = spec.gamma_profile()
-    gamma = float(0.5 * (prof.min() + prof.max()))
-    spread = float(prof.max() - prof.min())
-    clauses["gamma_constant"] = spread <= tol
-    if spread > tol:
-        failures.append(f"1/p - 1/q varies by {spread:.3e} (> tol {tol:.1e})")
-    clauses["gamma_nonnegative"] = gamma >= -tol
-    if gamma < -tol:
-        failures.append(f"gamma = {gamma:.3e} is negative")
+    gamma, spread = spec.gamma, float(np.ptp(spec.gamma_profile))
+    bad_r = [(j, rj, p.p_minus) for j, (rj, p) in enumerate(zip(spec.r_vec, spec.p_vec))
+             if rj >= p.p_minus]
+    c_log = [r.c_log for r in _log_holder_reports((*spec.p_vec, spec.q), LH_BUDGET, 0)]
+    # (clause, holds, failure message); every clause but log_holder decides admissibility
+    checks = [
+        ("r_below_p_minus", not bad_r, f"r_j < (p_j)_- fails at components {bad_r}"),
+        ("q_plus_below_s", spec.q.p_plus < spec.s,
+         f"q_+ = {spec.q.p_plus} is not below s = {spec.s}"),
+        ("gamma_constant", spread <= GAMMA_TOL,
+         f"1/p - 1/q varies by {spread:.3e} (> tol {GAMMA_TOL:.1e})"),
+        ("gamma_nonnegative", gamma >= -GAMMA_TOL, f"gamma = {gamma:.3e} is negative"),
+    ]
     if spec.gamma_declared is not None:
-        ok = abs(gamma - spec.gamma_declared) <= tol
-        clauses["gamma_matches_declared"] = ok
-        if not ok:
-            failures.append(f"derived gamma {gamma:.6g} does not match the "
-                            f"declared value {spec.gamma_declared:.6g}")
-
-    lh_reports = _log_holder_reports((*spec.p_vec, spec.q), lh_budget, 0)
-    proper = all(r.c_log <= lh_threshold for r in lh_reports)
-    clauses["log_holder"] = proper
-    if not proper:
-        worst = max(r.c_log for r in lh_reports)
-        failures.append(f"log-Hoelder estimate {worst:.3g} exceeds threshold {lh_threshold:g}")
-
-    admissible = (clauses["r_below_p_minus"] and clauses["q_plus_below_s"]
-                  and clauses["gamma_constant"] and clauses["gamma_nonnegative"]
-                  and clauses.get("gamma_matches_declared", True))
-    return QuadrupleVerdict(admissible, proper, max(gamma, 0.0), clauses, tuple(failures))
+        checks.append(("gamma_matches_declared", abs(gamma - spec.gamma_declared) <= GAMMA_TOL,
+                       f"derived gamma {gamma:.6g} does not match the "
+                       f"declared value {spec.gamma_declared:.6g}"))
+    checks.append(("log_holder", all(c <= LH_THRESHOLD for c in c_log),
+                   f"log-Hoelder estimate {max(c_log):.3g} exceeds threshold {LH_THRESHOLD:g}"))
+    clauses = {name: holds for name, holds, _ in checks}
+    admissible = all(holds for name, holds, _ in checks[:-1])
+    return QuadrupleVerdict(admissible, clauses["log_holder"], max(gamma, 0.0), clauses,
+                            tuple(msg for _, holds, msg in checks if not holds))
 
 
 def blend_quadruple(spec0: QuadrupleSpec, spec1: QuadrupleSpec, theta: float) -> QuadrupleSpec:

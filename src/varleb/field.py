@@ -87,11 +87,9 @@ class Box:
     def as_pairs(self) -> list[list[float]]:
         return [[a, b] for a, b in zip(self.lo, self.hi)]
 
-    def contains_box(self, other: "Box", tol: float = 1e-9) -> bool:
-        return all(
-            a - tol * w <= oa and ob <= b + tol * w
-            for a, b, oa, ob, w in zip(self.lo, self.hi, other.lo, other.hi, self.widths)
-        )
+    def contains_box(self, other: "Box") -> bool:
+        return all(a - 1e-9 * w <= oa and ob <= b + 1e-9 * w
+                   for a, b, oa, ob, w in zip(self.lo, self.hi, other.lo, other.hi, self.widths))
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,9 @@ class Grid:
         """Node coordinates, shape ``grid.shape + (dim,)``."""
         return _coords(self)
 
-    def refine(self, factor: int = 2) -> "Grid":
-        """Halve the step: a node count of n becomes ``factor*(n-1)+1``."""
-        return Grid(self.box, tuple(factor * (n - 1) + 1 for n in self.shape))
+    def refine(self) -> "Grid":
+        """Halve the step: a node count of n becomes ``2(n-1)+1``."""
+        return Grid(self.box, tuple(2 * (n - 1) + 1 for n in self.shape))
 
     def axis_grid(self, axis: int) -> "Grid":
         """The 1D grid along one axis of a 2D grid."""
@@ -581,11 +579,12 @@ def shift_function(f: GridFunction, shift: Sequence[float]) -> GridFunction:
     """Translate by a node-aligned shift, filling with zeros.
 
     The shift is rounded to the nearest whole number of grid steps per
-    axis so translated copies stay exactly on the node lattice.
+    axis so translated copies stay exactly on the node lattice (after a
+    clip to the n nodes of the axis, so a huge shift gives zeros).
     """
     vals = f.values
-    for axis, (s, h) in enumerate(zip(shift, f.grid.steps)):
-        k = int(round(s / h))
+    for axis, (s, h, n) in enumerate(zip(shift, f.grid.steps, f.grid.shape)):
+        k = int(round(min(max(s / h, -n), n)))
         if k == 0:
             continue
         vals = np.roll(vals, k, axis=axis)
@@ -597,17 +596,17 @@ def shift_function(f: GridFunction, shift: Sequence[float]) -> GridFunction:
 
 
 def random_simple_function(grid: Grid, rng: np.random.Generator,
-                           max_terms: int = 8, signed: bool = True) -> GridFunction:
+                           signed: bool = True) -> GridFunction:
     """Random finite sum of scaled box indicators.
 
-    Uses at most ``max_terms`` boxes with coefficients log-uniform in
+    Uses one to eight boxes with coefficients log-uniform in
     [1e-2, 1e2]; always returns a function that is nonzero somewhere.
     """
     def index(bounds):  # box_slices of [u, v] bounds drawn inside the grid's box
         return tuple(slice(*map(int, _axis_ranges(ax, w, u, v)))
                      for ax, w, (u, v) in zip(grid.axes, grid.box.widths, bounds))
 
-    n_terms = int(rng.integers(1, max_terms + 1))
+    n_terms = int(rng.integers(1, 9))
     vals = np.zeros(grid.shape)
     for _ in range(n_terms):
         pairs = []

@@ -443,8 +443,7 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
     if len(w_vec) != target.m:
         raise ArityMismatchError(f"{len(w_vec)} weights against arity {target.m}")
     w1_vec = tuple(w1_vec)
-    outputs = FunctionFamily(tuple(apply_operator(op, fs) for fs in inputs),
-                             "operator outputs")
+    outputs = FunctionFamily(tuple(apply_operator(op, fs) for fs in inputs))
     nu = WeightField.product(w_vec)
     if qtilde is None:
         qtilde = 1.0 / (1.0 / target.r - target.gamma)

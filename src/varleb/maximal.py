@@ -74,13 +74,11 @@ class RadiusSweep:
             raise DomainError("radii must increase strictly")
 
     @classmethod
-    def geometric(cls, grid: Grid, count: int = 64,
-                  r_min: float | None = None, r_max: float | None = None) -> "RadiusSweep":
+    def geometric(cls, grid: Grid, count: int = 64) -> "RadiusSweep":
         """Geometric ladder from the grid step to the box diameter."""
-        lo = grid.max_step if r_min is None else r_min
-        hi = grid.box.diameter if r_max is None else r_max
+        lo, hi = grid.max_step, grid.box.diameter
         if count < 2 or hi <= lo:
-            raise DomainError("need count >= 2 and r_max > r_min")
+            raise DomainError("need count >= 2 and a box diameter above the grid step")
         return cls(tuple(np.geomspace(lo, hi, count)))
 
     @classmethod

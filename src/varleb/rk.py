@@ -42,7 +42,6 @@ from .weights import WeightConstantReport, gate_constant
 @dataclass(frozen=True)
 class FunctionFamily:
     members: tuple[GridFunction, ...]
-    label: str = ""
 
     def __post_init__(self):
         if not self.members:
@@ -66,19 +65,18 @@ class FunctionFamily:
 # family generators
 
 
-def translate_family(base: GridFunction, count: int, step: float,
-                     label: str = "translates") -> FunctionFamily:
+def translate_family(base: GridFunction, count: int, step: float) -> FunctionFamily:
     """Shifted copies ``f(x - k step)`` along axis 0, zero filled."""
     members = []
     for k in range(count):
         shift = [0.0] * base.grid.dim
         shift[0] = k * step
         members.append(shift_function(base, shift))
-    return FunctionFamily(tuple(members), label)
+    return FunctionFamily(tuple(members))
 
 
 def modulate_family(base: GridFunction, count: int, base_frequency: float = 1.0,
-                    growth: float = 2.0, label: str = "modulates") -> FunctionFamily:
+                    growth: float = 2.0) -> FunctionFamily:
     """``f(x) sin(2 pi w_k x_0)`` with frequencies ``w_k = growth^k w_0``.
 
     The top frequency must stay resolvable (at least four nodes per
@@ -87,7 +85,7 @@ def modulate_family(base: GridFunction, count: int, base_frequency: float = 1.0,
     """
     if growth <= 1.0:
         raise DomainError("frequency growth factor must exceed 1")
-    top = base_frequency * growth ** (count - 1)
+    top = base_frequency * _last_power("modulate", "growth", growth, count)
     if top > 1.0 / (4.0 * base.grid.max_step):
         raise DomainError(
             f"top frequency {top:.6g} exceeds a quarter of the grid rate; "
@@ -97,22 +95,34 @@ def modulate_family(base: GridFunction, count: int, base_frequency: float = 1.0,
     for k in range(count):
         osc = np.sin(2.0 * np.pi * base_frequency * growth ** k * x0)
         members.append(GridFunction(base.grid, base.values * osc))
-    return FunctionFamily(tuple(members), label)
+    return FunctionFamily(tuple(members))
 
 
-def dilate_family(base: GridFunction, count: int, ratio: float = 0.5,
-                  label: str = "dilates") -> FunctionFamily:
+def _last_power(family: str, key: str, value: float, count: int) -> float:
+    """``value ** (count - 1)``, refused naming the key unless a positive float."""
+    try:
+        last = value ** max(count - 1, 0)
+    except OverflowError:
+        last = math.inf
+    if not 0.0 < last < math.inf:
+        raise DomainError(f"{family} {key} {value} to the power count - 1 = {count - 1} "
+                          "leaves the range of positive floats")
+    return last
+
+
+def dilate_family(base: GridFunction, count: int, ratio: float = 0.5) -> FunctionFamily:
     """``f(x / ratio^k)`` on a 1D grid, zero beyond the box."""
     if base.grid.dim != 1:
         raise DomainError("dilate families are 1D only")
     if not 0.0 < ratio < math.inf:
         raise DomainError(f"dilate ratio must be a finite positive number, got {ratio}")
+    _last_power("dilate", "ratio", ratio, count)
     x = base.grid.axes[0]
     members = []
     for k in range(count):
         members.append(GridFunction(
             base.grid, np.interp(x / ratio ** k, x, base.values, left=0.0, right=0.0)))
-    return FunctionFamily(tuple(members), label)
+    return FunctionFamily(tuple(members))
 
 
 def mollify(f: GridFunction, sigma: float) -> GridFunction:
@@ -123,7 +133,10 @@ def mollify(f: GridFunction, sigma: float) -> GridFunction:
     h = f.grid.steps[0]
     if sigma < h:
         return GridFunction(f.grid, f.values.copy())
-    k = int(math.ceil(4.0 * sigma / h))
+    half_width = 4.0 * sigma / h
+    if not math.isfinite(half_width):
+        raise DomainError(f"mollify sigma {sigma} gives an infinite kernel half-width")
+    k = int(math.ceil(half_width))
     t = np.arange(-k, k + 1) * h
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel /= kernel.sum()
@@ -133,16 +146,21 @@ def mollify(f: GridFunction, sigma: float) -> GridFunction:
     return GridFunction(f.grid, smoothed)
 
 
-def mollify_family(base: GridFunction, count: int, sigma: float, ratio: float = 0.1,
-                   label: str = "mollified") -> FunctionFamily:
+def mollify_family(base: GridFunction, count: int, sigma: float,
+                   ratio: float = 0.1) -> FunctionFamily:
     """Mollifications at scales ``sigma * ratio^k``; the scales collapse
     below the grid step, so the tail of the family is Cauchy by
     construction (a sampled convergent sequence).  The smoothing bias
     shrinks like the scale squared, so the default ratio keeps the
     distinct head members separated by whole rungs of the dyadic eps
     ladder used by `classify`."""
+    for key, value in (("sigma", sigma), ("ratio", ratio)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"mollify {key} must be a finite positive number, got {value}")
+    if ratio > 1.0:  # a scale that underflows to 0 is the identity, which is fine
+        _last_power("mollify", "ratio", ratio, count)
     members = tuple(mollify(base, sigma * ratio ** k) for k in range(count))
-    return FunctionFamily(members, label)
+    return FunctionFamily(members)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +338,6 @@ class RKReport:
 
 def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
              qtilde: float, *, cubes: DyadicCubeSet | None = None,
-             eq_sweep: RadiusSweep | None = None,
-             tail_radii: Sequence[float] | None = None,
-             center: Sequence[float] | None = None,
              threshold_factor: float = 1e-2,
              ladder_depth: int = 8,
              rel_tol: float = 1e-10) -> RKReport:
@@ -331,10 +346,12 @@ def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
     Gate: ``w^qtilde`` must have a finite constant at exponent
     ``p/qtilde`` (HypothesisFailureError otherwise).  Thresholds for
     (ii) and (iii) default to ``threshold_factor`` times the uniform
-    bound.  Verdict logic: all conditions pass and the net sizes
-    plateau below the family size -> consistent-compact; a condition
-    fails and the family stays fully separated at the smallest eps ->
-    consistent-noncompact; anything else -> inconclusive.
+    bound; (ii) is probed at the radii ``h 2^k``, ``k < 7`` (h the
+    largest grid step), (iii) outside balls about the box center of
+    radii ``diam * (1/8, 3/16, .., 7/16)``.  Verdict: all pass and the
+    net sizes plateau below the family size -> consistent-compact; a
+    condition fails and the family stays fully separated at the
+    smallest eps -> consistent-noncompact; else inconclusive.
     """
     grid = family.grid
     gate = gate_constant(w, p, qtilde, cubes or DyadicCubeSet(grid.box, 3), rel_tol)
@@ -342,15 +359,12 @@ def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
     uniform = uniform_bound_profile(family, p, w, rel_tol)
     threshold = threshold_factor * uniform.sup
 
-    if eq_sweep is None:
-        h = grid.max_step
-        eq_sweep = RadiusSweep(tuple(h * 2.0 ** k for k in range(7)))
-    equicont = equicontinuity_profile(family, p, w, qtilde, eq_sweep, threshold, rel_tol)
+    sweep = RadiusSweep(tuple(grid.max_step * 2.0 ** k for k in range(7)))
+    equicont = equicontinuity_profile(family, p, w, qtilde, sweep, threshold, rel_tol)
 
-    if tail_radii is None:
-        diam = grid.box.diameter
-        tail_radii = tuple(diam * t for t in (0.125, 0.1875, 0.25, 0.3125, 0.375, 0.4375))
-    vanishing = vanishing_profile(family, p, w, tail_radii, threshold, center, rel_tol)
+    diam = grid.box.diameter
+    tail_radii = tuple(diam * t for t in (0.125, 0.1875, 0.25, 0.3125, 0.375, 0.4375))
+    vanishing = vanishing_profile(family, p, w, tail_radii, threshold, rel_tol=rel_tol)
 
     d = family_distance_matrix(family, p, w, rel_tol)
     diameter = float(d.max())

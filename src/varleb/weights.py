@@ -47,7 +47,7 @@ import numpy as np
 from .errors import (ArityMismatchError, DomainError, EmptyRegionError,
                      HypothesisFailureError, OverflowToInfinityError, RangeError,
                      SpecMismatchError)
-from .exponent import (ExponentField, QuadrupleSpec, blend_quadruple,
+from .exponent import (GAMMA_TOL, ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
                        reciprocal_affine, scale_exponent, two_to_one_data,
                        validate_quadruple)
@@ -55,6 +55,8 @@ from .field import Cube, DyadicCubeSet, Grid, WeightField, shared_grid
 from .norms import holder_constant, node_table
 
 OVERFLOW_THRESHOLD = 1e150
+# slack of the inequalities that the lemma-shaped checks assert
+CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,11 +172,11 @@ def density_from_weight(w: WeightField, p: ExponentField) -> WeightField:
 
 
 def ap_constant_density(u: WeightField, p: ExponentField, cubes: DyadicCubeSet,
-                        rel_tol: float = 1e-10, allow_overflow: bool = False) -> WeightConstantReport:
+                        rel_tol: float = 1e-10) -> WeightConstantReport:
     """Non-symmetric form: the constant of a density ``u = w^p(.)``,
     computed through ``u^(1/p(.))`` and ``u^(-1/p(.))``; coincides with
     the symmetric constant of ``w``."""
-    rep = ap_constant(weight_from_density(u, p), p, cubes, rel_tol, allow_overflow)
+    rep = ap_constant(weight_from_density(u, p), p, cubes, rel_tol)
     return WeightConstantReport(rep.constant, rep.overflow, rep.argmax_cube,
                                 rep.cube_count, rep.per_cube, "nonsymmetric-density")
 
@@ -236,12 +238,11 @@ class ContainmentReport:
     global_ratio: float
     max_cube_ratio: float
     passed: bool
-    tol: float
 
 
 def containment_check(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
-                      rel_tol: float = 1e-10, tol: float = 1e-9) -> ContainmentReport:
-    """Check ``[w]_{(r, inf)} <= C_H [w]_{(r, s)}`` cube by cube.
+                      rel_tol: float = 1e-10) -> ContainmentReport:
+    """Check ``[w]_{(r, inf)} <= C_H [w]_{(r, s)}`` cube by cube (slack ``CHECK_TOL``).
 
     Replacing ``s`` by ``inf`` keeps gamma and the inverse-weight
     factors; the product-weight factor splits by the two-factor Hoelder
@@ -257,8 +258,8 @@ def containment_check(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     ratios = [l / (c_h * r) if r > 0 else math.inf
               for l, r in zip(lhs.per_cube, rhs.per_cube)]
     global_ratio = lhs.constant / (c_h * rhs.constant)
-    passed = global_ratio <= 1.0 + tol and max(ratios) <= 1.0 + tol
-    return ContainmentReport(lhs, rhs, c_h, global_ratio, max(ratios), passed, tol)
+    passed = global_ratio <= 1.0 + CHECK_TOL and max(ratios) <= 1.0 + CHECK_TOL
+    return ContainmentReport(lhs, rhs, c_h, global_ratio, max(ratios), passed)
 
 
 @dataclass(frozen=True)
@@ -272,27 +273,25 @@ class BlendReport:
     passed: bool
     blended_admissible: bool
     gamma: float
-    tol: float
 
 
 def blend_constant_check(w_vec0, w_vec1, spec0: QuadrupleSpec, spec1: QuadrupleSpec,
                          theta: float, cubes: DyadicCubeSet,
-                         rel_tol: float = 1e-10, tol: float = 1e-9,
-                         gamma_tol: float = 1e-9) -> BlendReport:
+                         rel_tol: float = 1e-10) -> BlendReport:
     """Check the constant of blended weights against the geometric mean
-    of the endpoint constants.
+    of the endpoint constants, whose gammas agree to ``GAMMA_TOL``.
 
     The blended weight vector is ``w_j = w_{0,j}^(1-theta) w_{1,j}^theta``
     and the allowed loss is one two-factor Hoelder constant per norm
     factor: ``prod_j holder_constant(e_j) * holder_constant(e_nu)`` at
     the blended factor exponents (exactly 1 when everything is
-    constant).
+    constant), up to a relative ``CHECK_TOL``.
     """
     w_vec0, w_vec1 = tuple(w_vec0), tuple(w_vec1)
     if len(w_vec0) != spec0.m or len(w_vec1) != spec1.m:
         raise ArityMismatchError("weight vector arity does not match its quadruple")
     g0, g1 = spec0.gamma, spec1.gamma
-    if abs(g0 - g1) > gamma_tol:
+    if abs(g0 - g1) > GAMMA_TOL:
         raise SpecMismatchError(f"endpoints have different gamma: {g0} vs {g1}")
     spec = blend_quadruple(spec0, spec1, theta)
     w_vec = tuple(w0.power(1.0 - theta) * w1.power(theta)
@@ -308,9 +307,9 @@ def blend_constant_check(w_vec0, w_vec1, spec0: QuadrupleSpec, spec1: QuadrupleS
 
     bound = factor * c0.constant ** (1.0 - theta) * c1.constant ** theta
     ratio = blended.constant / bound
-    verdict = validate_quadruple(spec, tol=max(gamma_tol, 1e-9))
-    return BlendReport(blended, c0, c1, factor, bound, ratio, ratio <= 1.0 + tol,
-                       verdict.admissible, verdict.gamma, tol)
+    verdict = validate_quadruple(spec)
+    return BlendReport(blended, c0, c1, factor, bound, ratio, ratio <= 1.0 + CHECK_TOL,
+                       verdict.admissible, verdict.gamma)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -296,6 +298,24 @@ def test_a_dilate_family_ratio_that_is_not_positive_exits_one_and_names_it(tmp_p
     assert rc == 1
     assert report is None
     assert f"dilate ratio must be a finite positive number, got {float(ratio)}" in err
+
+
+@pytest.mark.parametrize("family, key", [
+    ({"kind": "mollify", "count": 5, "sigma": 1e308}, "sigma"),
+    ({"kind": "mollify", "count": 5, "sigma": -0.15}, "sigma"),
+    ({"kind": "mollify", "count": 5, "sigma": 0.15, "ratio": 0}, "ratio"),
+    ({"kind": "mollify", "count": 5, "sigma": 0.15, "ratio": -1}, "ratio"),
+    ({"kind": "dilate", "count": 3, "ratio": 1e-200}, "ratio"),
+    ({"kind": "modulate", "count": 3, "growth": 1e308}, "growth"),
+])
+def test_a_family_parameter_out_of_range_exits_one_and_names_it(tmp_path, capsys, family, key):
+    family = dict(family, base=_MOLLIFY_RK["family"]["base"])
+    rc, report, _ = _run(tmp_path, "rk-classify", dict(_MOLLIFY_RK, family=family))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"error: {family['kind']} {key} " in err
+    assert "Traceback" not in err
 
 
 def test_interp_verify_exits_two_when_only_the_mixed_bound_fails(tmp_path, monkeypatch):
@@ -855,6 +875,34 @@ def _fuzz_paths(node, path=()):
     for key, child in items:
         yield path + (key,)
         yield from _fuzz_paths(child, path + (key,))
+
+
+def _numeric_paths(cfg):
+    """The path of every number (not a bool) in a config tree."""
+    for path in _fuzz_paths(cfg):
+        value = reduce(operator.getitem, path, cfg)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))
+def test_every_numeric_config_leaf_at_an_extreme_exits_cleanly(tmp_path, command):
+    """The sampled fuzz below, made exhaustive for the extreme numbers:
+    every numeric leaf of the config set in turn to 0, -1, 1e308 and -1e308."""
+    cfg_path, out = tmp_path / "config.json", str(tmp_path / "report.json")
+    for *parents, key in _numeric_paths(_FUZZ_CONFIGS[command]):
+        for value in (0, -1.0, 1e308, -1e308):
+            cfg = copy.deepcopy(_FUZZ_CONFIGS[command])
+            reduce(operator.getitem, parents, cfg)[key] = value
+            cfg_path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([command, "run", "--config", str(cfg_path), "--out", out, "--quiet"])
+            case = (*parents, key, value, err.getvalue())
+            assert rc in (0, 1, 2), case
+            assert "Traceback" not in err.getvalue(), case
+            assert "cannot convert float" not in err.getvalue(), case
+            assert "Numerical result out of range" not in err.getvalue(), case
 
 
 @pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))

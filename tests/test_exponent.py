@@ -467,6 +467,23 @@ def test_quadruple_log_holder_message_pins_the_estimate():
     assert "log-Hoelder estimate 32.5 exceeds threshold 10" in verdict.failures
 
 
+def test_quadruple_verdict_lists_every_clause_and_failure_in_order():
+    p_vec = (ExponentField.constant(UNIT, 4.0), ExponentField.piecewise(UNIT, [0.5], [1.5, 6.0]))
+    spec = QuadrupleSpec(p_vec, ExponentField.constant(UNIT, 2.0), (1.0, 2.0), 1.5, 1.0)
+    verdict = validate_quadruple(spec)
+    assert list(verdict.clauses.items()) == [
+        ("r_below_p_minus", False), ("q_plus_below_s", False), ("gamma_constant", False),
+        ("gamma_nonnegative", True), ("gamma_matches_declared", False), ("log_holder", False)]
+    assert verdict.failures == (
+        "r_j < (p_j)_- fails at components [(1, 2.0, 1.5)]",
+        "q_+ = 2.0 is not below s = 1.5",
+        "1/p - 1/q varies by 5.000e-01 (> tol 1.0e-09)",
+        "derived gamma 0.166667 does not match the declared value 1",
+        "log-Hoelder estimate 32.5 exceeds threshold 10")
+    assert not verdict.admissible and not verdict.proper
+    assert verdict.gamma == 0.16666666666666657
+
+
 def test_quadruple_draws_one_log_holder_sample(monkeypatch):
     made = []
     real = np.random.default_rng

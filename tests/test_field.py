@@ -236,6 +236,13 @@ def test_shift_function_node_aligned_zero_fill():
     assert s.values[2] == 0.0 and s.values[10] == 8.0
 
 
+@pytest.mark.parametrize("shift", [1.1, 5.0, 1e308, -1.1, -1e308])
+def test_shift_function_past_the_grid_leaves_only_zeros(shift):
+    g = grid1d(11)
+    s = shift_function(GridFunction(g, np.arange(1.0, 12.0)), (shift,))
+    assert not s.values.any()
+
+
 def reference_simple_function(grid, rng, max_terms=8, signed=True):
     """``random_simple_function`` as it was built through ``Box`` and
     ``box_slices``, kept as the reference for its draws and values."""

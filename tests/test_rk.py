@@ -48,7 +48,7 @@ def test_family_rejects_empty_and_mixed_grids():
     with pytest.raises(DomainError):
         FunctionFamily((GridFunction(g, np.ones(g.shape)),
                         GridFunction(other, np.ones(other.shape))))
-    fam = FunctionFamily((GridFunction(g, np.ones(g.shape)),) * 3, "ones")
+    fam = FunctionFamily((GridFunction(g, np.ones(g.shape)),) * 3)
     assert len(fam) == 3
     assert fam.grid == g
 
@@ -123,7 +123,7 @@ def test_dilate_family_refuses_a_ratio_that_is_not_finite_and_positive(ratio):
 def test_uniform_bound_singleton_gaussian_matches_analytic_value():
     g = Grid(Box((-8.0,), (8.0,)), (8193,))
     p = ExponentField.constant(g.box, 2.0)
-    fam = FunctionFamily((_gaussian(g, 1.0),), "gaussian")
+    fam = FunctionFamily((_gaussian(g, 1.0),))
     report = uniform_bound_profile(fam, p)
     assert abs(report.sup - (math.pi / 2.0) ** 0.25) <= 1e-6
 
@@ -132,7 +132,7 @@ def test_uniform_bound_scalar_family_is_ten_times_base_norm():
     g = Grid(UNIT, (1025,))
     p = ExponentField.constant(UNIT, 2.5)
     base = _gaussian(g, 12.0, center=0.5)
-    fam = FunctionFamily(tuple(float(c) * base for c in range(1, 11)), "scaled")
+    fam = FunctionFamily(tuple(float(c) * base for c in range(1, 11)))
     report = uniform_bound_profile(fam, p)
     single = uniform_bound_profile(FunctionFamily((base,)), p).sup
     assert abs(report.sup - 10.0 * single) <= 1e-9
@@ -460,6 +460,17 @@ def test_classify_default_ladder_spans_the_diameter():
     assert len(report.eps_ladder) == 7
     assert abs(report.eps_ladder[0] - report.diameter) < 1e-15
     assert abs(report.eps_ladder[-1] - report.diameter / 64.0) < 1e-15
+
+
+def test_classify_probes_the_fixed_radius_ladders_about_the_box_center():
+    box = Box((0.0,), (4.0,))
+    g = Grid(box, (65,))
+    fam = FunctionFamily((_gaussian(g, 4.0, center=1.5), _gaussian(g, 4.0, center=2.5)))
+    report = classify(fam, ExponentField.constant(box, 2.0), _ones_weight(g), 1.0)
+    # the grid step 1/16 doubled six times, and the diameter 4 times 1/8 .. 7/16
+    assert report.equicontinuity.radii == (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+    assert report.vanishing.radii == (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
+    assert report.vanishing.center == (2.0,)
 
 
 def test_family_profiles_solve_each_family_in_one_row_call(monkeypatch):
