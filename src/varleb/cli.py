@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -425,7 +426,10 @@ def _replay_diff(old, new) -> str:
     return msg
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process at the first ``main``
+    call; ``parse_args`` leaves it as it was, so every call reuses it."""
     parser = argparse.ArgumentParser(
         prog="varleb",
         description="variable-exponent norms, weight constants, and diagnostics")
@@ -443,8 +447,11 @@ def main(argv=None) -> int:
     rep = modes.add_parser("replay")
     rep.add_argument("--report", required=True, help="previously written report")
     rep.add_argument("--quiet", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.mode == "replay":
         return _replay(args.command, args.report, args.quiet)
     try:

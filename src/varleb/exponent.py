@@ -156,7 +156,8 @@ class ExponentField:
         lo, hi = sorted((g(r_min), g(r_max)))
 
         def fn(pts, p_inf=p_inf, amp=amp):
-            r = np.sqrt(np.sum(pts ** 2, axis=-1))
+            # per-axis terms: a reduction over a short last axis is slow
+            r = np.sqrt(sum(pts[..., i] ** 2 for i in range(pts.shape[-1])))
             return p_inf + amp / np.log(math.e + r)
 
         return cls(

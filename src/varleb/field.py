@@ -345,13 +345,19 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
         raise DomainError("ball center dimension does not match grid")
     if radius <= 0.0:
         raise DomainError("ball radius must be positive")
-    d2 = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        ax = grid.axes[axis] - center[axis]
+    return _squared_distance(grid, center) < (radius * BALL_SHRINK) ** 2
+
+
+def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
+    """``sum_i (x_i - c_i)^2`` at every node, broadcast from the 1D axes;
+    per node the same sum in the same order as over ``grid.coords``, so
+    the same bits, without building the coordinates."""
+    d2 = 0.0
+    for axis, (ax, c) in enumerate(zip(grid.axes, center)):
         shape = [1] * grid.dim
         shape[axis] = -1
-        d2 = d2 + (ax ** 2).reshape(shape)
-    return d2 < (radius * BALL_SHRINK) ** 2
+        d2 = d2 + ((ax - c) ** 2).reshape(shape)
+    return d2
 
 
 def region_nodes(grid: Grid, region: Box | np.ndarray | None) -> slice | np.ndarray:
@@ -504,8 +510,7 @@ _FUNCTIONS = {
 def _radial(grid: Grid, center) -> np.ndarray:
     """Distance of every node from ``center``; None is the box center."""
     center = grid.box.center if center is None else center
-    delta = grid.coords - np.asarray(each_axis(center, grid.dim, "center"), dtype=float)
-    return np.sqrt(np.sum(delta ** 2, axis=-1))
+    return np.sqrt(_squared_distance(grid, each_axis(center, grid.dim, "center")))
 
 
 def realize_function(desc: dict, grid: Grid) -> GridFunction:

@@ -85,11 +85,15 @@ def modulate_family(base: GridFunction, count: int, base_frequency: float = 1.0,
     """
     if growth <= 1.0:
         raise DomainError("frequency growth factor must exceed 1")
-    top = base_frequency * _last_power("modulate", "growth", growth, count)
+    # a negative frequency aliases as its absolute value does
+    top = abs(base_frequency * _last_power("modulate", "growth", growth, count))
+    if not math.isfinite(top):
+        raise DomainError(f"modulate base_frequency {base_frequency} gives a top frequency "
+                          f"of {top} after count - 1 = {count - 1} growth steps")
     if top > 1.0 / (4.0 * base.grid.max_step):
         raise DomainError(
-            f"top frequency {top:.6g} exceeds a quarter of the grid rate; "
-            "refine the grid or lower the growth factor")
+            f"modulate base_frequency {base_frequency}: top frequency {top:.6g} exceeds a "
+            "quarter of the grid rate; refine the grid or lower the growth factor")
     x0 = base.grid.coords[..., 0]
     members = []
     for k in range(count):
@@ -127,16 +131,17 @@ def dilate_family(base: GridFunction, count: int, ratio: float = 0.5) -> Functio
 
 def mollify(f: GridFunction, sigma: float) -> GridFunction:
     """Gaussian smoothing at scale sigma (1D); sigma below the grid
-    step returns the function unchanged, matching the identity limit."""
+    step returns the function unchanged, matching the identity limit,
+    and sigma above the box width is refused."""
     if f.grid.dim != 1:
         raise DomainError("mollification is 1D only")
-    h = f.grid.steps[0]
+    h, width = f.grid.steps[0], f.grid.box.widths[0]
     if sigma < h:
         return GridFunction(f.grid, f.values.copy())
-    half_width = 4.0 * sigma / h
-    if not math.isfinite(half_width):
-        raise DomainError(f"mollify sigma {sigma} gives an infinite kernel half-width")
-    k = int(math.ceil(half_width))
+    # the kernel then has about 8 (n - 1) + 1 taps at most
+    if not sigma <= width:
+        raise DomainError(f"mollify sigma {sigma} exceeds the box width {width}")
+    k = int(math.ceil(4.0 * sigma / h))
     t = np.arange(-k, k + 1) * h
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel /= kernel.sum()

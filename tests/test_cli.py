@@ -307,6 +307,11 @@ def test_a_dilate_family_ratio_that_is_not_positive_exits_one_and_names_it(tmp_p
     ({"kind": "mollify", "count": 5, "sigma": 0.15, "ratio": -1}, "ratio"),
     ({"kind": "dilate", "count": 3, "ratio": 1e-200}, "ratio"),
     ({"kind": "modulate", "count": 3, "growth": 1e308}, "growth"),
+    ({"kind": "modulate", "count": 3, "base_frequency": 1000}, "base_frequency"),
+    ({"kind": "modulate", "count": 3, "base_frequency": -1000}, "base_frequency"),
+    ({"kind": "modulate", "count": 3, "base_frequency": -1e308}, "base_frequency"),
+    ({"kind": "mollify", "count": 5, "sigma": 1e9}, "sigma"),
+    ({"kind": "mollify", "count": 5, "sigma": 5.0}, "sigma"),
 ])
 def test_a_family_parameter_out_of_range_exits_one_and_names_it(tmp_path, capsys, family, key):
     family = dict(family, base=_MOLLIFY_RK["family"]["base"])
@@ -316,6 +321,18 @@ def test_a_family_parameter_out_of_range_exits_one_and_names_it(tmp_path, capsys
     assert report is None
     assert f"error: {family['kind']} {key} " in err
     assert "Traceback" not in err
+
+
+def test_a_mollify_sigma_up_to_the_box_width_runs_and_a_wider_one_is_refused(tmp_path, capsys):
+    family = dict(_MOLLIFY_RK["family"], sigma=4.0)
+    rc, report, _ = _run(tmp_path, "rk-classify", dict(_MOLLIFY_RK, family=family))
+    assert rc == 0
+    assert report["results"]["family_size"] == 5
+    family = dict(family, sigma=math.nextafter(4.0, 5.0))
+    (tmp_path / "wider").mkdir()
+    rc, report, _ = _run(tmp_path / "wider", "rk-classify", dict(_MOLLIFY_RK, family=family))
+    assert rc == 1 and report is None
+    assert "mollify sigma 4.000000000000001 exceeds the box width 4.0" in capsys.readouterr().err
 
 
 def test_interp_verify_exits_two_when_only_the_mixed_bound_fails(tmp_path, monkeypatch):
@@ -930,3 +947,37 @@ def test_mutated_configs_exit_cleanly(tmp_path_factory, command, data):
                    "--out", str(cfg_path.with_name("report.json")), "--quiet"])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one process, many jobs: nothing a call caches may leak into the next
+
+
+def test_every_fuzz_config_reports_the_same_bytes_when_run_twice_in_one_process(tmp_path):
+    out = tmp_path / "report.json"
+    for command, cfg in sorted(_FUZZ_CONFIGS.items()):
+        texts = []
+        for _ in range(2):
+            out.unlink(missing_ok=True)
+            rc, report, _ = _run(tmp_path, command, cfg)
+            assert rc == 0, command
+            texts.append(re.sub(r'"wall_time_s": [-0-9.e]+', "", out.read_text()))
+        assert texts[0] == texts[1], command
+
+
+def test_the_argument_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_path, capsys):
+    assert cli_module._parser() is cli_module._parser()
+    cfg = {k: v for k, v in _interp_config(resolution=16, trials=2).items() if k != "seed"}
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg, "--seed", "7")
+    assert rc == 0 and report["config"]["seed"] == 7
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
+    assert rc == 0 and "seed" not in report["config"]
+    assert report["provenance"]["seed"] is None
+    cfg_path = _write(tmp_path, "config.json", _norm_config(16))
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "run", "--config", cfg_path, "--bogus"])
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    rc, report, _ = _run(tmp_path, "norm", _norm_config(16))
+    assert rc == 0 and report["results"]["norm"] > 0

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varleb import (Box, DomainError, DyadicCubeSet, Grid, GridFunction, SchemaError,
-                    WeightField, ball_mask, ball_mean, box_mask, integrate,
+from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid, GridFunction,
+                    SchemaError, WeightField, ball_mask, ball_mean, box_mask, integrate,
                     random_simple_function, read_grid_csv, realize_function,
                     region_measure, shift_function, write_grid_csv)
+from varleb import field
 from varleb.field import box_slices, shared_grid
 
 from _support import UNIT, SYM, grid1d
@@ -291,6 +294,56 @@ def test_realize_gaussian_and_indicator():
     chi = realize_function({"kind": "indicator", "box": [[0.0, 0.5]]}, g)
     # the node at the cut keeps its full trapezoid weight
     assert integrate(chi) == pytest.approx(0.5 + g.max_step / 2.0, abs=1e-12)
+
+
+@st.composite
+def _grid_and_center(draw):
+    """A 1D, square 2D or anisotropic 2D grid, and a centre inside its
+    box, outside it, or None (the box centre)."""
+    shape = draw(st.sampled_from(["1d", "square", "anisotropic"]))
+    dim = 1 if shape == "1d" else 2
+    lo = [draw(st.floats(-5.0, 5.0)) for _ in range(dim)]
+    width = [draw(st.floats(0.1, 10.0)) for _ in range(dim)]
+    nodes = [draw(st.integers(2, 60)) for _ in range(dim)]
+    if shape == "square":
+        width, nodes = [width[0]] * 2, [nodes[0]] * 2
+    grid = Grid(Box(tuple(lo), tuple(a + w for a, w in zip(lo, width))), tuple(nodes))
+    where = draw(st.sampled_from(["inside", "outside", None]))
+    if where is None:
+        return grid, None
+    if where == "inside":
+        return grid, [draw(st.floats(a, a + w)) for a, w in zip(lo, width)]
+    # beyond the box on every axis
+    off = [draw(st.floats(w + 1e-3, 20.0)) * draw(st.sampled_from([-1.0, 1.0])) for w in width]
+    return grid, [a + w / 2 + o for a, w, o in zip(lo, width, off)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_grid_and_center(), p_inf=st.floats(1.1, 4.0), amp=st.floats(-1.0, 1.0))
+def test_axis_built_distances_equal_the_coords_formula_bit_for_bit(case, p_inf, amp):
+    grid, center = case
+    c = np.asarray(grid.box.center if center is None else center, dtype=float)
+    old = np.sqrt(np.sum((grid.coords - c) ** 2, axis=-1))
+    assert np.array_equal(field._radial(grid, center), old)
+    # log_decay sums per axis too, on grids and on flat point sets alike
+    p = ExponentField.log_decay(grid.box, p_inf, amp)
+    for pts in (grid.coords - c, (grid.coords - c).reshape(-1, grid.dim)):
+        r = np.sqrt(np.sum(pts ** 2, axis=-1))
+        assert np.array_equal(p.fn(pts), p_inf + amp / np.log(math.e + r))
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "gaussian", "center": [0.3, -0.2], "width": 0.4},
+    {"kind": "bump", "radius": 0.7},
+    {"kind": "power", "exponent": -0.3, "center": [0.51, 0.77]},
+])
+def test_radial_descriptors_do_not_build_node_coordinates(monkeypatch, desc):
+    def refuse(grid):
+        raise AssertionError("grid.coords was built")
+    monkeypatch.setattr(field, "_coords", refuse)
+    grid = Grid(Box((0.0, -1.0), (1.0, 2.0)), (23, 19))
+    assert realize_function(desc, grid).values.shape == grid.shape
+    assert ball_mask(grid, (0.5, 0.5), 0.3).shape == grid.shape
 
 
 def test_realize_rejects_unknown_kind_and_keys():
