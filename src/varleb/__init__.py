@@ -13,9 +13,8 @@ from .exponent import (ExponentField, LogHolderReport, QuadrupleSpec,
                        theta_blend, theta_invert, two_to_one_data,
                        validate_quadruple)
 from .field import (Box, Cube, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    ball_mask, box_mask, integrate,
-                    random_simple_function, read_grid_csv, realize_function,
-                    region_measure, shift_function, write_grid_csv)
+                    ball_mask, box_mask, integrate, random_simple_function,
+                    read_grid_csv, realize_function, shift_function)
 from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
                      MixedInterpolationReport, OperatorSpec, ThetaEntry,
                      WorkflowReport, apply_operator, blend_spaces,
@@ -25,20 +24,15 @@ from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
 from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_measure,
                       ball_sums, maximal_boundedness_probe, maximal_function,
                       oscillation_average, oscillation_profiles)
-from .norms import (NormResult, duality_pairing_lower_bound, holder_constant,
-                    luxemburg_norm, mixed_norm, modular, pairing,
-                    weight_measure, weighted_norm)
+from .norms import (NormResult, holder_constant, luxemburg_norm, mixed_norm,
+                    modular, pairing, weighted_norm)
 from .rk import (FunctionFamily, NetReport, RKReport, classify, dilate_family,
-                 eps_net_oracle, equi_integrability_measure,
-                 equicontinuity_profile, family_distance_matrix,
+                 eps_net_oracle, equicontinuity_profile, family_distance_matrix,
                  mollify, mollify_family, modulate_family, translate_family,
                  uniform_bound_profile, vanishing_profile)
-from .weights import (BlendReport, ComponentwiseReport, ContainmentReport,
-                      TwoToOneReport, WeightConstantReport, ap_constant,
-                      ap_constant_density, blend_constant_check,
-                      componentwise_characterize, containment_check,
-                      density_from_weight, multilinear_constant,
-                      two_to_one_check, weight_from_density)
+from .weights import (BlendReport, ContainmentReport, TwoToOneReport,
+                      WeightConstantReport, ap_constant, blend_constant_check,
+                      containment_check, multilinear_constant, two_to_one_check)
 
 __version__ = "0.1.0"
 

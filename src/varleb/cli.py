@@ -30,9 +30,9 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import (REQUIRED, HypothesisFailureError, OverflowToInfinityError, VarlebError,
-                     VersionMismatchWarning, block, descriptor, each_axis, integer, list_of,
-                     number, per_axis, read_fields, read_kind, string)
+from .errors import (REQUIRED, DomainError, HypothesisFailureError, OverflowToInfinityError,
+                     VarlebError, VersionMismatchWarning, block, descriptor, each_axis, integer,
+                     list_of, number, per_axis, read_fields, read_kind, string)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (EndpointSpace, OperatorSpec, run_extrapolation_workflow,
@@ -111,8 +111,6 @@ def _family_from(desc, grid: Grid):
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "label") and callable(obj.label):
-            return obj.label()
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, bool):
@@ -218,10 +216,12 @@ def _run_maximal(c, grid):
     sweep = RadiusSweep.geometric(grid, c["radii_count"])
     Mf = maximal_function(f, c["qtilde"], sweep)
     nf = weighted_norm(f, p, w, rel_tol=c["rel_tol"]).value
+    if not 0.0 < nf < math.inf:
+        raise DomainError(f"maximal config key 'function' has weighted norm {float(nf)!r} on the "
+                          "grid; the ratio needs a finite positive input norm")
     nM = weighted_norm(Mf, p, w, rel_tol=c["rel_tol"]).value
     dom = float(np.min(Mf.values - np.abs(f.values)))
-    return ({"norm_input": nf, "norm_maximal": nM,
-             "ratio": nM / nf if nf > 0 else math.inf,
+    return ({"norm_input": nf, "norm_maximal": nM, "ratio": nM / nf,
              "dominance_min": dom, "radii_count": len(sweep.radii)}, EXIT_OK)
 
 

@@ -63,7 +63,6 @@ class ExponentField:
     p_minus: float
     p_plus: float
     scan_shape: tuple[int, ...]
-    descriptor: dict | None = field(default=None, compare=False)
     p_infinity: float | None = None
     # values_on results per grid; they live and die with the field
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -116,15 +115,8 @@ class ExponentField:
     @classmethod
     def constant(cls, box: Box, value: float, scan_shape=None) -> "ExponentField":
         value = float(value)
-        return cls(
-            box,
-            lambda pts, v=value: np.full(pts.shape[:-1], v),
-            value,
-            value,
-            scan_shape or default_scan_shape(box),
-            descriptor={"kind": "constant", "box": box.as_pairs(), "value": value},
-            p_infinity=value,
-        )
+        return cls(box, lambda pts, v=value: np.full(pts.shape[:-1], v), value, value,
+                   scan_shape or default_scan_shape(box), p_infinity=value)
 
     @classmethod
     def affine(cls, box: Box, base: float, slopes: Sequence[float], scan_shape=None) -> "ExponentField":
@@ -139,12 +131,8 @@ class ExponentField:
         def fn(pts, base=float(base), slopes=slopes):
             return base + sum(s * pts[..., i] for i, s in enumerate(slopes))
 
-        return cls(
-            box, fn, min(corner_vals), max(corner_vals),
-            scan_shape or default_scan_shape(box),
-            descriptor={"kind": "affine", "box": box.as_pairs(), "base": float(base),
-                        "slopes": list(slopes)},
-        )
+        return cls(box, fn, min(corner_vals), max(corner_vals),
+                   scan_shape or default_scan_shape(box))
 
     @classmethod
     def log_decay(cls, box: Box, p_infinity: float, amplitude: float, scan_shape=None) -> "ExponentField":
@@ -160,12 +148,7 @@ class ExponentField:
             r = np.sqrt(sum(pts[..., i] ** 2 for i in range(pts.shape[-1])))
             return p_inf + amp / np.log(math.e + r)
 
-        return cls(
-            box, fn, lo, hi, scan_shape or default_scan_shape(box),
-            descriptor={"kind": "log_decay", "box": box.as_pairs(),
-                        "p_infinity": p_inf, "amplitude": amp},
-            p_infinity=p_inf,
-        )
+        return cls(box, fn, lo, hi, scan_shape or default_scan_shape(box), p_infinity=p_inf)
 
     @classmethod
     def piecewise(cls, box: Box, breakpoints: Sequence[float], values: Sequence[float],
@@ -183,11 +166,7 @@ class ExponentField:
             idx = np.searchsorted(breaks, pts[..., 0], side="right")
             return vals[idx]
 
-        return cls(
-            box, fn, min(vals), max(vals), scan_shape or default_scan_shape(box),
-            descriptor={"kind": "piecewise", "box": box.as_pairs(),
-                        "breakpoints": list(breaks), "values": list(vals)},
-        )
+        return cls(box, fn, min(vals), max(vals), scan_shape or default_scan_shape(box))
 
     @classmethod
     def from_grid(cls, box: Box, values, scan_shape=None) -> "ExponentField":
@@ -200,12 +179,8 @@ class ExponentField:
         def fn(pts, arr=arr, sample=sample):
             return _multilinear(sample, arr, pts)
 
-        return cls(
-            box, fn, float(arr.min()), float(arr.max()),
-            scan_shape or default_scan_shape(box),
-            descriptor={"kind": "grid", "box": box.as_pairs(),
-                        "resolution": list(arr.shape), "values": arr.tolist()},
-        )
+        return cls(box, fn, float(arr.min()), float(arr.max()),
+                   scan_shape or default_scan_shape(box))
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "ExponentField":

@@ -384,11 +384,6 @@ def integrate(f: GridFunction, region: Box | np.ndarray | None = None) -> float:
     return float(np.sum(f.grid.quad_weights.ravel()[nodes] * f.values.ravel()[nodes]))
 
 
-def region_measure(grid: Grid, region: Box | np.ndarray | None = None) -> float:
-    """Quadrature measure of a region (the discrete stand-in for |Q|)."""
-    return integrate(GridFunction(grid, np.ones(grid.shape)), region)
-
-
 # ---------------------------------------------------------------------------
 # dyadic cubes
 
@@ -632,18 +627,7 @@ def random_simple_function(grid: Grid, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# CSV grid i/o: header "x[,y],value", row-major node order
-
-
-def write_grid_csv(f: GridFunction, path: str) -> None:
-    coords = f.grid.coords.reshape(-1, f.grid.dim)
-    vals = f.values.reshape(-1)
-    header = ["x", "y"][: f.grid.dim] + ["value"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for pt, v in zip(coords, vals):
-            writer.writerow([repr(float(c)) for c in pt] + [repr(float(v))])
+# CSV grid input: header "x[,y],value", row-major node order
 
 
 def read_grid_csv(path: str, grid: Grid) -> GridFunction:

@@ -197,14 +197,23 @@ def _corpus_ratios(corpus, outputs, space: EndpointSpace, scale: float,
     over a corpus of m-tuples and their outputs, 0 where an input norm
     vanishes: one batched `weighted_norms` call per input slot and one
     for the outputs.  The denominator is the left fold ``scale n_1 n_2
-    ..``."""
+    ..``.  A NaN ratio (an overflowed inf over inf) is a DomainError
+    naming the trial and both sides."""
     den = np.full(len(corpus), scale)
     for j, (p, w) in enumerate(zip(space.p_vec, space.w_vec)):
         den = den * weighted_norms(np.stack([fs[j].values for fs in corpus]), corpus[0][j].grid,
                                    p, w, rel_tol)
     num = weighted_norms(np.stack([g.values for g in outputs]), outputs[0].grid, space.q,
                          space.v, rel_tol)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    # den is a product of nonnegative norms, so != 0 also lets a NaN through
+    with np.errstate(invalid="ignore"):
+        ratios = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    bad = np.flatnonzero(np.isnan(ratios))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"interpolation ratio of trial {i} is NaN: output norm {float(num[i])!r} "
+                          f"over scaled input norm product {float(den[i])!r}")
+    return ratios
 
 
 def _certify(space: EndpointSpace, ratios: np.ndarray, safety: float) -> EndpointCertificate:

@@ -224,6 +224,7 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
     return GridFunction(f.grid, best ** (1.0 / qtilde))
 
 
+# no library caller; bench/layers.py traces it by name until its counters move inside
 def oscillation_average(f: GridFunction, qtilde: float, radius: float) -> GridFunction:
     """``osc_{qtilde, radius} f`` at every node, in-box truncated."""
     osc = next(oscillation_profiles(f.values[None], f.grid, qtilde, RadiusSweep((radius,))))

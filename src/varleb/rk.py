@@ -32,10 +32,10 @@ import numpy as np
 
 from .errors import DomainError
 from .exponent import ExponentField
-from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    ball_mask, box_mask, shared_grid, shift_function)
+from .field import (DyadicCubeSet, Grid, GridFunction, WeightField, ball_mask, shared_grid,
+                    shift_function)
 from .maximal import RadiusSweep, oscillation_profiles
-from .norms import weight_measure, weighted_norms, weighted_table
+from .norms import weighted_norms, weighted_table
 from .weights import WeightConstantReport, gate_constant
 
 
@@ -195,12 +195,6 @@ class VanishingReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class EquiIntegrabilityReport:
-    w_measures: tuple[float, ...]
-    profile: tuple[float, ...]
-
-
 def uniform_bound_profile(family: FunctionFamily, p: ExponentField,
                           w: WeightField | None = None,
                           rel_tol: float = 1e-10) -> UniformBoundReport:
@@ -235,19 +229,6 @@ def vanishing_profile(family: FunctionFamily, p: ExponentField,
     profile = _region_sups(family, p, w, (~ball_mask(grid, center, R) for R in radii), rel_tol)
     return VanishingReport(center, radii, tuple(profile), threshold,
                            profile[-1] < threshold)
-
-
-def equi_integrability_measure(family: FunctionFamily, p: ExponentField,
-                               w: WeightField, shrinking_sets: Sequence[Box],
-                               rel_tol: float = 1e-10) -> EquiIntegrabilityReport:
-    """Sup of ``||f chi_E||_{p,w}`` along sets of shrinking w-measure
-    ``w(E) = int_E w^p(x) dx``."""
-    measures = [weight_measure(w, p, E) for E in shrinking_sets]
-    if any(m2 > m1 * (1.0 + 1e-9) for m1, m2 in zip(measures, measures[1:])):
-        raise DomainError("shrinking sets must have nonincreasing w-measure")
-    profile = _region_sups(family, p, w, (box_mask(family.grid, E) for E in shrinking_sets),
-                           rel_tol)
-    return EquiIntegrabilityReport(tuple(measures), tuple(profile))
 
 
 def _region_sups(family: FunctionFamily, p: ExponentField, w: WeightField | None,

@@ -22,10 +22,6 @@ with ``nu = prod_j w_j``.  Three conventions are fixed throughout:
   default that raises, and with ``allow_overflow=True`` the report
   carries ``constant = inf`` plus an overflow flag instead.
 
-The non-symmetric convention, where a density ``u = w^p(.)`` is tested
-through ``u^(1/p(.))``, is exposed via the density conversion helpers
-and produces the same constant as the symmetric form.
-
 The scan works one (depth, shifted) group of cubes at a time, in the
 row format of ``norms``.  Each factor becomes one `norms.NodeTable` on
 the grid, built once per scan (a NaN is refused there, at its grid
@@ -45,12 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArityMismatchError, DomainError, EmptyRegionError,
-                     HypothesisFailureError, OverflowToInfinityError, RangeError,
+                     HypothesisFailureError, OverflowToInfinityError,
                      SpecMismatchError)
 from .exponent import (GAMMA_TOL, ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
-                       reciprocal_affine, scale_exponent, two_to_one_data,
-                       validate_quadruple)
+                       scale_exponent, two_to_one_data, validate_quadruple)
 from .field import Cube, DyadicCubeSet, Grid, WeightField, shared_grid
 from .norms import holder_constant, node_table
 
@@ -69,20 +64,14 @@ class WeightConstantReport:
     convention: str
 
 
-def _group_values(rows: np.ndarray, qw: np.ndarray, terms, measure_power: float,
+def _group_values(rows: np.ndarray, qw: np.ndarray, tables, measure_power: float,
                   rel_tol: float):
     """Per-cube values of a group of padded node rows, the mask
     ``(factors, cubes)`` of factors past the overflow threshold, and the
     factor values."""
     value = np.where(rows < qw.size, qw.take(rows, mode="clip"), 0.0).sum(axis=1) ** measure_power
-    effs = []
-    for table, sign in terms:
-        nrm = table.solve(rows, rel_tol).value
-        if sign < 0:
-            # 1 / nrm overflows a float below about 5.6e-309
-            with np.errstate(divide="ignore"):
-                nrm = np.where(nrm < 1e-300, math.inf, 1.0 / nrm)
-        effs.append(nrm)
+    effs = [table.solve(rows, rel_tol).value for table in tables]
+    for nrm in effs:
         with np.errstate(over="ignore", invalid="ignore"):
             value = value * nrm
     over = np.array(effs) > OVERFLOW_THRESHOLD
@@ -92,16 +81,12 @@ def _group_values(rows: np.ndarray, qw: np.ndarray, terms, measure_power: float,
 def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
                rel_tol: float, allow_overflow: bool, convention: str) -> WeightConstantReport:
     """Scan the cube family one (depth, shifted) group at a time: every
-    cube of a group is a padded row of node indices, so each factor is
-    one row solve per group."""
+    cube of a group is a padded row of node indices, so each factor, a
+    ``(weight, exponent)`` pair, is one row solve per group."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
     qw = grid.quad_weights
-    # an optional third factor element of -1.0 divides by the factor norm
-    # instead of multiplying (the negative-reciprocal-exponent convention
-    # ||f||_t = ||1/f||_that^-1 for 1/t < 0)
-    terms = [(node_table(f[0].values, f[1].values_on(grid), qw), f[2] if len(f) > 2 else 1.0)
-             for f in factors]
+    tables = [node_table(w.values, p.values_on(grid), qw) for w, p in factors]
     groups, values = [], []
     overflow = False
     for group in cubes.groups():
@@ -109,7 +94,7 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
         # a cube with no node holds only padding, from its first entry on
         empty = np.flatnonzero(rows[:, 0] == grid.size)
         stop = int(empty[0]) if empty.size else rows.shape[0]
-        value, over, effs = _group_values(rows[:stop], qw, terms, measure_power, rel_tol)
+        value, over, effs = _group_values(rows[:stop], qw, tables, measure_power, rel_tol)
         hit = over.any(axis=0)
         if hit.any():
             if not allow_overflow:
@@ -160,25 +145,6 @@ def gate_constant(w: WeightField, p: ExponentField, qtilde: float, cubes: Dyadic
         return ap_constant(w.power(qtilde), scale_exponent(p, 1.0 / qtilde), cubes, rel_tol)
     except OverflowToInfinityError as exc:
         raise HypothesisFailureError(f"gate weight condition fails: {exc}") from exc
-
-
-def weight_from_density(u: WeightField, p: ExponentField) -> WeightField:
-    """``w = u^(1/p(.))`` for a density u = w^p(.)."""
-    return u.power(1.0 / p.values_on(u.grid))
-
-
-def density_from_weight(w: WeightField, p: ExponentField) -> WeightField:
-    return w.power(p.values_on(w.grid))
-
-
-def ap_constant_density(u: WeightField, p: ExponentField, cubes: DyadicCubeSet,
-                        rel_tol: float = 1e-10) -> WeightConstantReport:
-    """Non-symmetric form: the constant of a density ``u = w^p(.)``,
-    computed through ``u^(1/p(.))`` and ``u^(-1/p(.))``; coincides with
-    the symmetric constant of ``w``."""
-    rep = ap_constant(weight_from_density(u, p), p, cubes, rel_tol)
-    return WeightConstantReport(rep.constant, rep.overflow, rep.argmax_cube,
-                                rep.cube_count, rep.per_cube, "nonsymmetric-density")
 
 
 def multilinear_constant(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
@@ -310,75 +276,3 @@ def blend_constant_check(w_vec0, w_vec1, spec0: QuadrupleSpec, spec1: QuadrupleS
     verdict = validate_quadruple(spec)
     return BlendReport(blended, c0, c1, factor, bound, ratio, ratio <= 1.0 + CHECK_TOL,
                        verdict.admissible, verdict.gamma)
-
-
-@dataclass(frozen=True)
-class ComponentwiseReport:
-    sigma_vec: tuple[float, ...]
-    component_reports: tuple[WeightConstantReport, ...]
-    component_admissible: tuple[bool, ...]
-    nu_report: WeightConstantReport
-    multilinear_report: WeightConstantReport
-    all_parts_finite: bool
-    multilinear_finite: bool
-    consistent: bool
-
-
-def componentwise_characterize(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
-                               rel_tol: float = 1e-10) -> ComponentwiseReport:
-    """Split a joint weight condition into per-component conditions.
-
-    Component ``j`` is tested in the 1-linear class with exponents
-    ``(p_j, p_j)``, indices ``(r_j, sigma_j)`` and ``1/sigma_j = 1/r_j -
-    (1/r - 1/s)``; the product weight ``nu`` is tested in the 1-linear
-    class with the combined input exponent.  Finiteness of all parts is
-    expected to coincide with finiteness of the joint constant.
-
-    When ``sigma_j < (p_j)_-`` the weight factor of the component class
-    carries a negative reciprocal exponent ``1/p_j - 1/sigma_j``; it is
-    evaluated as ``||w chi_Q||_t = ||w^-1 chi_Q||_that^-1`` with ``1/that
-    = -1/t``, the reading under which ``||chi_Q||_t = |Q|^(1/t)`` keeps
-    holding.  A sign change of ``1/p_j - 1/sigma_j`` inside the box has
-    no convention to fall back on and is refused.
-    """
-    w_vec = tuple(w_vec)
-    if len(w_vec) != spec.m:
-        raise ArityMismatchError(f"{len(w_vec)} weights against arity {spec.m}")
-    gap = 1.0 / spec.r - 1.0 / spec.s
-
-    sigma_vec = []
-    comp_reports = []
-    comp_adm = []
-    for w, p_j, r_j in zip(w_vec, spec.p_vec, spec.r_vec):
-        inv_sigma = 1.0 / r_j - gap
-        if inv_sigma < 0.0:
-            raise RangeError(f"1/sigma_j = {inv_sigma} is negative; the component "
-                             "scale is outside this implementation's range")
-        sigma = math.inf if inv_sigma == 0.0 else 1.0 / inv_sigma
-        sigma_vec.append(sigma)
-        comp_spec = QuadrupleSpec((p_j,), p_j, (r_j,), sigma)
-        comp_adm.append(validate_quadruple(comp_spec).admissible)
-        if p_j.p_plus < sigma:
-            w_factor = (w, nu_exponent(p_j, sigma))
-        elif inv_sigma > 1.0 / p_j.p_minus:
-            reflected = reciprocal_affine((p_j,), (-1.0,), inv_sigma,
-                                          what="reflected component exponent")
-            w_factor = (w.inverse(), reflected, -1.0)
-        else:
-            raise RangeError(
-                f"1/p_j - 1/sigma_j changes sign over the box for component "
-                f"exponent [{p_j.p_minus}, {p_j.p_plus}] against sigma = {sigma}")
-        inv_factor = (w.inverse(), component_exponent(p_j, r_j))
-        comp_reports.append(_cube_scan(w.grid, cubes, [w_factor, inv_factor],
-                                       -(1.0 / r_j - inv_sigma), rel_tol,
-                                       True, "two-index"))
-
-    nu_spec = QuadrupleSpec((spec.p_combined,), spec.q, (spec.r,), spec.s)
-    nu_report = multilinear_constant((WeightField.product(w_vec),), nu_spec, cubes, rel_tol, allow_overflow=True)
-    joint = multilinear_constant(w_vec, spec, cubes, rel_tol, allow_overflow=True)
-
-    all_finite = (not nu_report.overflow) and all(not r.overflow for r in comp_reports)
-    joint_finite = not joint.overflow
-    return ComponentwiseReport(tuple(sigma_vec), tuple(comp_reports), tuple(comp_adm),
-                               nu_report, joint, all_finite, joint_finite,
-                               all_finite == joint_finite)

@@ -6,9 +6,11 @@ every test is reproducible from its literal seed.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from varleb import Box, ExponentField, Grid, WeightField
+from varleb import Box, ExponentField, Grid, GridFunction, WeightField
 from varleb.exponent import default_scan_shape
 
 UNIT = Box((0.0,), (1.0,))
@@ -61,3 +63,16 @@ def rand_weight(grid: Grid, rng: np.random.Generator,
     vals = np.exp(a * np.sin(2.0 * np.pi * x / width + phase)
                   + b * (x - grid.box.lo[0]) / width + c)
     return WeightField(grid, vals)
+
+
+def write_grid_csv(f: GridFunction, path: str) -> None:
+    """Write ``f`` in the ``grid_csv`` input format: header "x[,y],value",
+    one row per node in row-major order."""
+    coords = f.grid.coords.reshape(-1, f.grid.dim)
+    vals = f.values.reshape(-1)
+    header = ["x", "y"][: f.grid.dim] + ["value"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for pt, v in zip(coords, vals):
+            writer.writerow([repr(float(c)) for c in pt] + [repr(float(v))])

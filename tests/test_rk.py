@@ -13,8 +13,7 @@ from varleb.field import Box, Grid, GridFunction, WeightField
 from varleb.maximal import RadiusSweep
 from varleb.norms import weighted_norm
 from varleb.rk import (FunctionFamily, classify, dilate_family,
-                       eps_net_oracle, equi_integrability_measure,
-                       equicontinuity_profile, family_distance_matrix,
+                       eps_net_oracle, equicontinuity_profile, family_distance_matrix,
                        mollify, mollify_family, modulate_family,
                        translate_family, uniform_bound_profile,
                        vanishing_profile)
@@ -266,53 +265,6 @@ def test_vanishing_profile_nonincreasing_for_arbitrary_family():
                                for _ in range(4)))
     report = vanishing_profile(fam, p, None, (1.0, 2.0, 3.0, 4.0), threshold=1e-2)
     assert all(a >= b - 1e-12 for a, b in zip(report.profile, report.profile[1:]))
-
-
-# ---------------------------------------------------------------------------
-# equi-integrability measure
-
-
-def test_equi_integrability_shrinking_slabs_decay_geometrically():
-    g = Grid(UNIT, (1025,))
-    p = ExponentField.constant(UNIT, 2.0)
-    w = _ones_weight(g)
-    fam = FunctionFamily((GridFunction(g, np.ones(g.shape)),
-                          _gaussian(g, 4.0, center=0.5)))
-    sets = [Box((0.0,), (2.0 ** -k,)) for k in range(6)]
-    report = equi_integrability_measure(fam, p, w, sets)
-    assert all(m1 >= m2 for m1, m2 in zip(report.w_measures, report.w_measures[1:]))
-    for a, b in zip(report.profile, report.profile[1:]):
-        assert b <= 0.8 * a
-
-
-def test_equi_integrability_spike_family_is_bounded_below():
-    g = Grid(UNIT, (1025,))
-    p = ExponentField.constant(UNIT, 2.0)
-    w = _ones_weight(g)
-    spike = 5.0 * _indicator(g, 0.0, 2.0 ** -5)
-    sets = [Box((0.0,), (2.0 ** -k,)) for k in range(6)]
-    report = equi_integrability_measure(FunctionFamily((spike,)), p, w, sets)
-    # the spike sits inside every set of the nest, so nothing decays
-    assert report.profile[-1] >= 0.99 * report.profile[0]
-    assert report.profile[-1] > 0.1
-
-
-def test_equi_integrability_zero_family_is_zero():
-    g = Grid(UNIT, (257,))
-    p = ExponentField.constant(UNIT, 2.0)
-    fam = FunctionFamily((GridFunction(g, np.zeros(g.shape)),))
-    sets = [Box((0.0,), (0.5,)), Box((0.0,), (0.25,))]
-    report = equi_integrability_measure(fam, p, _ones_weight(g), sets)
-    assert report.profile == (0.0, 0.0)
-
-
-def test_equi_integrability_rejects_growing_measures():
-    g = Grid(UNIT, (257,))
-    p = ExponentField.constant(UNIT, 2.0)
-    fam = FunctionFamily((GridFunction(g, np.ones(g.shape)),))
-    sets = [Box((0.0,), (0.25,)), Box((0.0,), (0.75,))]
-    with pytest.raises(DomainError):
-        equi_integrability_measure(fam, p, _ones_weight(g), sets)
 
 
 # ---------------------------------------------------------------------------
