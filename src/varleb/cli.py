@@ -132,7 +132,7 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # command runners; each is registered with its config table, takes the
 # config as read by it and the grid of its box and resolution, and returns
-# (results, exit_code)
+# (results, exit_code), which _run makes JSON-native with the whole report
 
 _RUNNERS: dict = {}
 
@@ -189,7 +189,7 @@ def _run_multilinear_constant(c, grid):
     rep = multilinear_constant(w_vec, spec, cubes, c["rel_tol"], allow_overflow=True)
     return ({**_constant_results(rep), "admissible": verdict.admissible,
              "proper": verdict.proper, "gamma": verdict.gamma,
-             "clauses": _jsonable(verdict.clauses)}, EXIT_OK)
+             "clauses": verdict.clauses}, EXIT_OK)
 
 
 @_command("two-to-one", quadruple=(_QUADRUPLE, REQUIRED), weight=(_FUNCTION, REQUIRED),
@@ -240,7 +240,7 @@ def _run_rk_classify(c, grid):
              "growth": rep.growth, "family_size": len(family),
              "uniform_bound": rep.uniform.sup,
              "gate_constant": rep.gate.constant,
-             "equicontinuity": _jsonable(rep.equicontinuity),
+             "equicontinuity": rep.equicontinuity,
              # not the whole VanishingReport, which also carries the center
              "vanishing": {"passed": rep.vanishing.passed,
                            "radii": list(rep.vanishing.radii),
@@ -265,14 +265,13 @@ def _run_interp_verify(c, grid):
     kwargs = {key: c[key] for key in ("trials", "seed", "safety", "slack", "rel_tol")}
     rep = verify_interpolation_bound(op, s0, s1, c["theta"], **kwargs)
     results = {"passed": rep.passed, "worst_ratio": rep.worst_ratio,
-               "violations": _jsonable(rep.violations),
-               "certificates": _jsonable(rep.certificates), "trials": rep.trials}
+               "violations": rep.violations, "certificates": rep.certificates,
+               "trials": rep.trials}
     code = EXIT_OK if rep.passed else EXIT_VIOLATION
     if c["mixed"] is not None:
         mrep = verify_mixed_interpolation_bound(op, s0, s1, c["theta"], **c["mixed"], **kwargs)
         results["mixed"] = {"passed": mrep.passed, "worst_ratio": mrep.worst_ratio,
-                            "qtilde": mrep.qtilde,
-                            "certificates": _jsonable(mrep.certificates)}
+                            "qtilde": mrep.qtilde, "certificates": mrep.certificates}
         if not mrep.passed:
             code = EXIT_VIOLATION
     return results, code
@@ -298,7 +297,7 @@ def _run_extrapolate(c, grid):
     bad = [e for e in rep.entries if e.built and not e.roundtrip_ok]
     code = EXIT_VIOLATION if bad else EXIT_OK
     return ({"qtilde": rep.qtilde, "verdict": rep.verdict,
-             "net_sizes": list(rep.rk.net_sizes), "entries": _jsonable(rep.entries)}, code)
+             "net_sizes": list(rep.rk.net_sizes), "entries": rep.entries}, code)
 
 
 # flags that override config keys when given
@@ -316,7 +315,7 @@ def _provenance(seed, started: float) -> dict:
 
 
 def _dumps(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _emit(report: dict, out_path, quiet: bool) -> None:
@@ -346,8 +345,9 @@ def _run(command: str, cfg) -> tuple[dict | None, int]:
     except (VarlebError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
-    return {"command": command, "config": cfg, "results": results, "warnings": [],
-            "provenance": _provenance(cfg.get("seed"), started)}, code
+    # the config echo too: json.load reads a bare Infinity as a float
+    return _jsonable({"command": command, "config": cfg, "results": results, "warnings": [],
+                      "provenance": _provenance(cfg.get("seed"), started)}), code
 
 
 def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
@@ -381,10 +381,10 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
     report, code = _run(command, old.get("config", {}))
     if report is None:
         return code
-    new_json = json.dumps(_jsonable(report["results"]), sort_keys=True)
-    old_json = json.dumps(_jsonable(old.get("results")), sort_keys=True)
-    match = new_json == old_json
-    mismatch = [] if match else [_replay_diff(json.loads(old_json), json.loads(new_json))]
+    # a stored report may hold a bare Infinity, which a report writes as "inf"
+    new, old_results = report["results"], _jsonable(old.get("results"))
+    match = json.dumps(new, sort_keys=True) == json.dumps(old_results, sort_keys=True)
+    mismatch = [] if match else [_replay_diff(old_results, new)]
     report.update(warnings=warns + mismatch, replay_match=match)
     if not quiet:
         print(_dumps(report))

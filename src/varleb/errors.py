@@ -11,8 +11,8 @@ bugs.  The subclasses follow the failure modes of the numerical contracts:
   Carries the violating point when one is known.
 * :class:`ConvergenceError` -- an iterative solve (the Newton
   Luxemburg solve) failed to converge within its evaluation budget.
-* :class:`EmptyRegionError` -- a region of integration contains no grid
-  node at the current resolution.
+* :class:`EmptyRegionError` -- a cube of a weight-constant scan contains
+  no grid node at the current resolution.
 * :class:`OverflowToInfinityError` -- a weight-constant scan produced a
   per-cube value beyond the overflow threshold, which we read as "the
   constant is infinite at grid scale".

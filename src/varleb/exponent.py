@@ -300,7 +300,7 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
                 recip = recip + c / f.values_on(scan)
         worst = int(np.argmin(recip))
         if recip.reshape(-1)[worst] <= 0.0:
-            point = tuple(scan.coords.reshape(-1, scan.dim)[worst])
+            point = tuple(scan.coords.reshape(-1, scan.dim)[worst].tolist())
             raise RangeError(f"{what} has nonpositive reciprocal", point=point)
         lo = (1.0 / float(recip.max())) * (1.0 - _SCAN_WIDEN)
         hi = (1.0 / float(recip.min())) * (1.0 + _SCAN_WIDEN)

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (REQUIRED, DomainError, EmptyRegionError, SchemaError, box, descriptor,
+from .errors import (REQUIRED, DomainError, SchemaError, box, descriptor,
                      each_axis, list_of, number, per_axis, read_kind, string)
 
 BALL_SHRINK = 1.0 - 1e-12
@@ -197,35 +198,27 @@ class GridFunction:
         vals = np.asarray(fn(grid.coords), dtype=float)
         return cls(grid, np.broadcast_to(vals, grid.shape).copy())
 
-    def _check_same_grid(self, other: "GridFunction") -> None:
-        if other.grid != self.grid:
-            raise DomainError("grid functions live on different grids")
+    def _pointwise(self, other, op, kind=None) -> "GridFunction":
+        """``op`` of the values and a same-grid function's (or anything
+        numpy broadcasts), as a ``kind``, by default a GridFunction."""
+        if isinstance(other, GridFunction):
+            shared_grid((self, other), "grid functions")
+            other = other.values
+        return (kind or GridFunction)(self.grid, op(self.values, other))
 
     def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_grid(other)
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + other)
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_grid(other)
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - other)
+        return self._pointwise(other, operator.sub)
 
     def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_grid(other)
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * other)
+        return self._pointwise(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_grid(other)
-            return GridFunction(self.grid, self.values / other.values)
-        return GridFunction(self.grid, self.values / other)
+        return self._pointwise(other, operator.truediv)
 
     def __neg__(self):
         return GridFunction(self.grid, -self.values)
@@ -272,8 +265,7 @@ class WeightField(GridFunction):
 
     def __mul__(self, other):
         if isinstance(other, WeightField):
-            self._check_same_grid(other)
-            return WeightField(self.grid, self.values * other.values)
+            return self._pointwise(other, operator.mul, WeightField)
         if np.isscalar(other) and float(other) > 0.0:
             return WeightField(self.grid, self.values * float(other))
         return super().__mul__(other)
@@ -285,11 +277,11 @@ class WeightField(GridFunction):
         return cls(grid, np.ones(grid.shape))
 
 
-def shared_grid(functions: Sequence[GridFunction], what: str) -> Grid:
-    """The grid of a nonempty sequence of grid functions, which must all
-    share it (DomainError saying that ``what`` differ otherwise)."""
-    grid = functions[0].grid
-    if any(f.grid != grid for f in functions[1:]):
+def shared_grid(functions: Sequence[GridFunction], what: str, grid: Grid | None = None) -> Grid:
+    """The grid that grid functions share, ``grid`` if given, else the first
+    one's (DomainError saying that ``what`` differ otherwise)."""
+    grid = functions[0].grid if grid is None else grid
+    if any(f.grid != grid for f in functions):
         raise DomainError(f"{what} live on different grids")
     return grid
 
@@ -309,8 +301,14 @@ def refuse_non_finite(values: np.ndarray, nodes: int, needs: str | None = None) 
             + ("" if needs is None else f"; {needs} needs finite values"))
 
 
+def integrate(f: GridFunction) -> float:
+    """Trapezoid-weighted sum of ``f`` over the grid's box."""
+    return float(np.sum(f.grid.quad_weights.ravel() * f.values.ravel()))
+
+
 # ---------------------------------------------------------------------------
-# regions
+# regions: boolean node masks, which restrict a function by multiplication
+# (``integrate(f * mask)``) and a norm by cutting `norms.NodeTable.rows`
 
 
 def _axis_ranges(ax: np.ndarray, width: float, lo, hi):
@@ -358,30 +356,6 @@ def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
         shape[axis] = -1
         d2 = d2 + ((ax - c) ** 2).reshape(shape)
     return d2
-
-
-def region_nodes(grid: Grid, region: Box | np.ndarray | None) -> slice | np.ndarray:
-    """Index of a region's nodes in the flattened grid: every node (a
-    full slice) for None, else the flat indices, in C order, of the nodes
-    of a Box or of a boolean node mask."""
-    if region is None:
-        return slice(None)
-    if isinstance(region, Box):
-        mask, empty = box_mask(grid, region), f"no grid node inside region {region.as_pairs()}"
-    else:
-        mask, empty = np.asarray(region, dtype=bool), "region mask selects no grid node"
-        if mask.shape != grid.shape:
-            raise DomainError("region mask shape does not match grid")
-    nodes = np.flatnonzero(mask)
-    if not nodes.size:
-        raise EmptyRegionError(empty)
-    return nodes
-
-
-def integrate(f: GridFunction, region: Box | np.ndarray | None = None) -> float:
-    """Trapezoid-weighted sum of ``f`` over the box or a masked region."""
-    nodes = region_nodes(f.grid, region)
-    return float(np.sum(f.grid.quad_weights.ravel()[nodes] * f.values.ravel()[nodes]))
 
 
 # ---------------------------------------------------------------------------

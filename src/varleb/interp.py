@@ -45,7 +45,7 @@ from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
 from .maximal import ball_mean
 from .norms import inner_norm, weighted_norms
 from .rk import FunctionFamily, RKReport, classify
-from .weights import WeightConstantReport, multilinear_constant
+from .weights import WeightConstantReport, multilinear_constant, weight_products
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +146,12 @@ def blend_spaces(space0: EndpointSpace, space1: EndpointSpace,
                  theta: float) -> EndpointSpace:
     if space0.m != space1.m:
         raise ArityMismatchError("endpoints have different arity")
-    if space0.grid != space1.grid:
-        raise DomainError("endpoints live on different grids")
+    shared_grid((space0.v, space1.v), "endpoints")
     p_vec = tuple(theta_blend(a, b, theta) for a, b in zip(space0.p_vec, space1.p_vec))
     q = theta_blend(space0.q, space1.q, theta)
-    w_vec = tuple(a.power(1.0 - theta) * b.power(theta)
-                  for a, b in zip(space0.w_vec, space1.w_vec))
-    v = space0.v.power(1.0 - theta) * space1.v.power(theta)
-    return EndpointSpace(p_vec, q, w_vec, v)
+    *w_vec, v = weight_products((*space0.w_vec, space0.v), (*space1.w_vec, space1.v),
+                                1.0 - theta, theta)
+    return EndpointSpace(p_vec, q, tuple(w_vec), v)
 
 
 @dataclass(frozen=True)
@@ -387,8 +385,7 @@ def build_extrapolation_family(target: QuadrupleSpec, w_vec, spec1: QuadrupleSpe
     verdict0 = validate_quadruple(spec0)
 
     inv = 1.0 / (1.0 - theta)
-    w0_vec = tuple(w.power(inv) * w1.power(-theta * inv)
-                   for w, w1 in zip(w_vec, w1_vec))
+    w0_vec = weight_products(w_vec, w1_vec, inv, -theta * inv)
 
     back = blend_quadruple(spec0, spec1, theta)
     grid = w0_vec[0].grid
@@ -397,14 +394,12 @@ def build_extrapolation_family(target: QuadrupleSpec, w_vec, spec1: QuadrupleSpe
         exp_err = max(exp_err, float(np.max(np.abs(
             1.0 / a.values_on(grid) - 1.0 / b.values_on(grid)))))
     w_err = 0.0
-    for w0, w1, w in zip(w0_vec, w1_vec, w_vec):
-        again = w0.power(1.0 - theta) * w1.power(theta)
+    for again, w in zip(weight_products(w0_vec, w1_vec, 1.0 - theta, theta), w_vec):
         w_err = max(w_err, float(np.max(np.abs(again.values / w.values - 1.0))))
 
     cubes = cubes or DyadicCubeSet(grid.box, 3)
     constant0 = multilinear_constant(w0_vec, spec0, cubes, rel_tol, allow_overflow=True)
-    return ExtrapolationBuild(theta, spec0, tuple(w0_vec), verdict0,
-                              exp_err, w_err, constant0)
+    return ExtrapolationBuild(theta, spec0, w0_vec, verdict0, exp_err, w_err, constant0)
 
 
 @dataclass(frozen=True)
@@ -414,9 +409,9 @@ class ThetaEntry:
     admissible: bool
     proper: bool
     roundtrip_ok: bool
-    constant0: float
+    constant0: float | None  # None, as is the ratio, when endpoint 0 was not built
     constant0_overflow: bool
-    endpoint_max_ratio: float
+    endpoint_max_ratio: float | None
     error: str = ""
 
 
@@ -465,7 +460,7 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
                                                theta, cubes, rel_tol)
         except (RangeError, SpecMismatchError) as exc:
             entries.append(ThetaEntry(theta, False, False, False, False,
-                                      float("nan"), False, float("nan"), str(exc)))
+                                      None, False, None, str(exc)))
             continue
         space0 = EndpointSpace(built.spec0.p_vec, built.spec0.q, built.w0_vec,
                                WeightField.product(built.w0_vec))

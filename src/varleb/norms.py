@@ -20,11 +20,11 @@ padded with a node whose ``log|f| = -inf`` adds nothing to a modular.
 on all rows together.  The default rows are each member's nonzero nodes:
 one for `lux_flat` (so `luxemburg_norm`), one per member for
 `weighted_norms`; ``rk`` cuts them by a node mask and the cube scan of
-``weights`` passes cube rows.  `field.region_nodes` turns a region into
-nodes.
+``weights`` passes cube rows.
 
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
-weight multiplies the function, it does not change the measure).
+weight multiplies the function, it does not change the measure);
+`_times_weight` is the one place where it does.
 
 A mixed norm of a bivariate function first reduces the second axis by a
 constant-exponent integral norm (`inner_norm`), then applies a
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .exponent import ExponentField
-from .field import Grid, GridFunction, WeightField, refuse_non_finite, region_nodes
+from .field import Grid, GridFunction, WeightField, refuse_non_finite, shared_grid
 
 MAX_EVALUATIONS = 100
 
@@ -58,13 +58,12 @@ class NormResult:
     modular_at_value: float
 
 
-def modular(f: GridFunction, p: ExponentField, region=None) -> float:
-    """``int_region |f|^p(x) dx``; may overflow to inf."""
-    nodes = region_nodes(f.grid, region)
-    a = np.abs(f.values).ravel()[nodes]
+def modular(f: GridFunction, p: ExponentField) -> float:
+    """``int |f|^p(x) dx``; may overflow to inf."""
+    a = np.abs(f.values).ravel()
     refuse_non_finite(a, a.size)
     nz = a > 0.0
-    pv, qw = p.values_on(f.grid).ravel()[nodes][nz], f.grid.quad_weights.ravel()[nodes][nz]
+    pv, qw = p.values_on(f.grid).ravel()[nz], f.grid.quad_weights.ravel()[nz]
     with np.errstate(over="ignore"):
         return float(np.sum(qw * np.exp(pv * np.log(a[nz]))))
 
@@ -223,29 +222,30 @@ def lux_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray,
     return NormResult(float(value), int(r.iterations), (float(lo), float(hi)), math.exp(g))
 
 
-def luxemburg_norm(f: GridFunction, p: ExponentField, region=None,
-                   rel_tol: float = 1e-10) -> NormResult:
-    nodes = region_nodes(f.grid, region)
-    return lux_flat(f.values.ravel()[nodes], p.values_on(f.grid).ravel()[nodes],
-                    f.grid.quad_weights.ravel()[nodes], rel_tol)
+def _times_weight(values: np.ndarray, grid: Grid, w: WeightField | None) -> np.ndarray:
+    """``f w`` for values of ``f`` (one function or a stack) on ``grid``."""
+    if w is None:
+        return values
+    shared_grid((w,), "grid functions", grid)
+    return values * w.values
+
+
+def luxemburg_norm(f: GridFunction, p: ExponentField, rel_tol: float = 1e-10) -> NormResult:
+    return weighted_norm(f, p, None, rel_tol)
 
 
 def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = None,
-                  region=None, rel_tol: float = 1e-10) -> NormResult:
+                  rel_tol: float = 1e-10) -> NormResult:
     """``|| f w ||_p``; with ``w`` omitted this is the plain norm."""
-    g = f if w is None else f * w
-    return luxemburg_norm(g, p, region, rel_tol)
+    return lux_flat(_times_weight(f.values, f.grid, w).ravel(), p.values_on(f.grid).ravel(),
+                    f.grid.quad_weights.ravel(), rel_tol)
 
 
 def weighted_table(values: np.ndarray, grid: Grid, p: ExponentField,
                    w: WeightField | None = None) -> NodeTable:
     """The `NodeTable` of ``f w`` for a ``(members, *grid.shape)`` value
     stack of functions ``f``."""
-    if w is not None:
-        if w.grid != grid:
-            raise DomainError("grid functions live on different grids")
-        values = values * w.values
-    return node_table(values, p.values_on(grid), grid.quad_weights)
+    return node_table(_times_weight(values, grid, w), p.values_on(grid), grid.quad_weights)
 
 
 def weighted_norms(values: np.ndarray, grid: Grid, p: ExponentField,
@@ -281,8 +281,7 @@ def mixed_norm(F: GridFunction, inner_exponent: float, outer_p: ExponentField,
     The inner exponent is a positive constant; the outer exponent and
     weight live on the first-axis 1D grid.
     """
-    return weighted_norm(inner_norm(F, inner_exponent), outer_p, outer_weight,
-                         rel_tol=rel_tol)
+    return weighted_norm(inner_norm(F, inner_exponent), outer_p, outer_weight, rel_tol)
 
 
 def holder_constant(p: ExponentField) -> float:
@@ -294,6 +293,5 @@ def holder_constant(p: ExponentField) -> float:
 
 def pairing(f: GridFunction, g: GridFunction) -> float:
     """``int |f g|`` over the shared grid."""
-    if g.grid != f.grid:
-        raise DomainError("pairing requires a shared grid")
-    return float(np.sum(f.grid.quad_weights * np.abs(f.values * g.values)))
+    grid = shared_grid((f, g), "pairing factors")
+    return float(np.sum(grid.quad_weights * np.abs(f.values * g.values)))

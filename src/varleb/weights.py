@@ -228,6 +228,12 @@ def containment_check(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     return ContainmentReport(lhs, rhs, c_h, global_ratio, max(ratios), passed)
 
 
+def weight_products(w0_vec, w1_vec, a: float, b: float) -> tuple[WeightField, ...]:
+    """``w0_j^a w1_j^b`` per component ``j``: the theta blend of two weight
+    vectors (``a, b = 1 - theta, theta``) and its inversion."""
+    return tuple(w0.power(a) * w1.power(b) for w0, w1 in zip(w0_vec, w1_vec))
+
+
 @dataclass(frozen=True)
 class BlendReport:
     blended: WeightConstantReport
@@ -260,8 +266,7 @@ def blend_constant_check(w_vec0, w_vec1, spec0: QuadrupleSpec, spec1: QuadrupleS
     if abs(g0 - g1) > GAMMA_TOL:
         raise SpecMismatchError(f"endpoints have different gamma: {g0} vs {g1}")
     spec = blend_quadruple(spec0, spec1, theta)
-    w_vec = tuple(w0.power(1.0 - theta) * w1.power(theta)
-                  for w0, w1 in zip(w_vec0, w_vec1))
+    w_vec = weight_products(w_vec0, w_vec1, 1.0 - theta, theta)
 
     blended = multilinear_constant(w_vec, spec, cubes, rel_tol)
     c0 = multilinear_constant(w_vec0, spec0, cubes, rel_tol)

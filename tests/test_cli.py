@@ -988,6 +988,32 @@ def test_mutated_configs_exit_cleanly(tmp_path_factory, command, data):
     assert "Traceback" not in err.getvalue()
 
 
+def test_extrapolate_writes_null_for_a_theta_whose_endpoint_cannot_be_built(tmp_path):
+    own = {"p_vec": [{"kind": "constant", "value": 2.0}], "q": {"kind": "constant", "value": 2.0},
+           "r_vec": [1.5], "s": "inf"}
+    cfg = dict(_FUZZ_CONFIGS["extrapolate"], endpoint1=own, thetas=[0.5, 0.9, 0.2])
+    rc, report, out_path = _run(tmp_path, "extrapolate", cfg)
+    assert rc == 0
+    entries = report["results"]["entries"]
+    assert [e["built"] for e in entries] == [False, False, True]
+    for entry in entries[:2]:
+        assert entry["constant0"] is None and entry["endpoint_max_ratio"] is None
+        assert "nonpositive reciprocal (at point (-2.0,))" in entry["error"]
+    assert '"nan"' not in out_path.read_text()
+
+
+def test_an_infinity_literal_in_a_config_is_echoed_as_inf(tmp_path):
+    quad = {"p_vec": [{"kind": "constant", "value": 2.0}], "q": {"kind": "constant", "value": 4.0},
+            "r_vec": [1.0], "s": math.inf}
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64, "cube_depth": 2, "quadruple": quad,
+           "weight": CONST_ONE}
+    rc, report, out_path = _run(tmp_path, "two-to-one", cfg)
+    assert "Infinity" in (tmp_path / "config.json").read_text()
+    assert rc == 0
+    assert report["config"]["quadruple"]["s"] == "inf"
+    assert "Infinity" not in out_path.read_text()
+
+
 # ---------------------------------------------------------------------------
 # one process, many jobs: nothing a call caches may leak into the next
 

@@ -234,6 +234,17 @@ def test_invert_reports_violating_point():
         theta_invert(p, p1, 0.5)
 
 
+def test_a_nonpositive_reciprocal_names_its_point_in_python_floats():
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    p = ExponentField.affine(box, 10.0, (1.0, 0.5))
+    with pytest.raises(RangeError) as exc:
+        theta_invert(p, ExponentField.constant(box, 1.5), 0.5)
+    assert str(exc.value) == ("inverted blend endpoint has nonpositive reciprocal "
+                              "(at point (1.0, 2.0))")
+    assert exc.value.point == (1.0, 2.0)
+    assert all(type(x) is float for x in exc.value.point)
+
+
 def test_scale_exponent():
     p = ExponentField.affine(UNIT, 2.0, (1.0,))
     assert np.allclose(values(scale_exponent(p, 0.5)), values(p) * 0.5)

@@ -527,7 +527,7 @@ def test_workflow_isolates_an_invalid_theta():
     assert good.built and good.error == ""
     assert not bad.built
     assert "reciprocal" in bad.error or "range" in bad.error.lower()
-    assert math.isnan(bad.constant0)
+    assert bad.constant0 is None and bad.endpoint_max_ratio is None
 
 
 def test_workflow_solves_one_batch_per_slot_per_built_theta(monkeypatch):

@@ -14,7 +14,7 @@ from varleb import (Box, DomainError, ExponentField, Grid, GridFunction,
                     weighted_norm)
 
 from varleb.field import box_mask
-from varleb.norms import lux_flat, lux_rows, weighted_norms
+from varleb.norms import lux_flat, lux_rows, weighted_norms, weighted_table
 
 from _support import UNIT, grid1d, rand_exponent
 
@@ -334,7 +334,7 @@ def test_holder_constant_of_an_affine_exponent():
 def test_pairing_requires_shared_grid():
     f = GridFunction(grid1d(65), np.ones(65))
     h = GridFunction(grid1d(129), np.ones(129))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="pairing factors live on different grids"):
         pairing(f, h)
 
 
@@ -384,7 +384,8 @@ def test_lux_rows_zero_and_infinite_rows_need_no_evaluation():
 def _family_case(seed, dim):
     """A 1D or 2D grid, a family of members of mixed support (each zero
     outside its own box and at random nodes inside), an exponent, a
-    weight or none, and a region: None, a Box or a node mask."""
+    weight or none, and the node mask of a region: every node, a Box or
+    random nodes."""
     rng = np.random.default_rng(seed)
     box = Box((0.0,) * dim, tuple(float(b) for b in rng.uniform(0.5, 2.0, size=dim)))
     grid = Grid(box, tuple(int(n) for n in rng.integers(5, 400 if dim == 1 else 40, size=dim)))
@@ -401,32 +402,32 @@ def _family_case(seed, dim):
     w = None if rng.random() < 0.3 else WeightField(grid, np.exp(rng.uniform(-1.0, 1.0, grid.shape)))
     kind = rng.integers(0, 3)
     if kind == 0:
-        region = None
+        inside = np.ones(grid.shape, dtype=bool)
     elif kind == 1:
         lo = rng.uniform(box.lo, box.hi)
-        region = Box(tuple(lo), tuple(lo + rng.uniform(0.3, 1.0) * (np.array(box.hi) - lo)))
+        inside = box_mask(grid, Box(tuple(lo), tuple(
+            lo + rng.uniform(0.3, 1.0) * (np.array(box.hi) - lo))))
     else:
-        region = rng.random(grid.shape) < rng.uniform(0.2, 1.0)
-        region.flat[int(rng.integers(grid.size))] = True
-    return grid, np.stack(members), p, w, region
+        inside = rng.random(grid.shape) < rng.uniform(0.2, 1.0)
+        inside.flat[int(rng.integers(grid.size))] = True
+    return grid, np.stack(members), p, w, inside
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=SEEDS, dim=st.sampled_from([1, 2]))
 def test_weighted_norm_equals_its_row_of_weighted_norms(seed, dim):
-    """One row path: `weighted_norm` of a member over a region is, to the
-    last bit, the one-row `weighted_norms` solve of the member cut to that
-    region.  In a family solve a shorter row is padded to the longest,
-    which regroups its pairwise sums, so there it may move by a few ulps
-    (seed 2645788, dim 2 moves one row by 1 ulp)."""
-    grid, stack, p, w, region = _family_case(seed, dim)
-    inside = np.ones(grid.shape, dtype=bool) if region is None else (
-        box_mask(grid, region) if isinstance(region, Box) else region)
-    if not inside.any():
-        return
+    """One row path: `weighted_norm` of a member cut to a region is, to
+    the last bit, the one-row `weighted_norms` solve of the cut member and
+    the solve of the uncut member's table on its rows cut by the region's
+    node mask.  In a family solve a shorter row is padded to the
+    longest, which regroups its pairwise sums, so there it may move by a
+    few ulps (seed 2645788, dim 2 moves one row by 1 ulp)."""
+    grid, stack, p, w, inside = _family_case(seed, dim)
     cut = np.where(inside, stack, 0.0)
     batch = weighted_norms(cut, grid, p, w)
-    for i, vals in enumerate(stack):
-        want = weighted_norm(GridFunction(grid, vals), p, w, region).value
+    for i in range(len(stack)):
+        want = weighted_norm(GridFunction(grid, cut[i]), p, w).value
         assert weighted_norms(cut[i:i + 1], grid, p, w)[0] == want
+        table = weighted_table(stack[i:i + 1], grid, p, w)
+        assert table.solve(table.rows(inside)).value[0] == want
         assert abs(batch[i] - want) <= 1e-14 * want
