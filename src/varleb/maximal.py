@@ -19,17 +19,23 @@ compactness criterion:
     osc_{q,r} f(x) = ( (1/|B(x,r)|) int_{B(x,r)} |f(x) - f(y)|^q dy )^(1/q).
 
 Ball sums for the maximal function are differences of one prefix sum
-per row: each lattice ball is a stack of row intervals, and the
-interval of row offset k1 is computed once and added at +k1 and -k1,
-so a radius costs one subtraction (none when the half-width repeats
-the row before) and two additions of the grid per row offset of the
-ball, and a ball sum of a nonnegative array is never negative.  The
-ball measure in the denominator does not depend on f and is not a
-ball sum: the quadrature weights are the outer product of two 1D
-trapezoid factors, so the measure is one window of w in 1D and one
-(nodes x rows of the ball)(rows of the ball x nodes) matrix product in
-2D.  One helper states which lattice offsets lie in a ball; the ball
-sums, the ball measure and the oscillation offsets all read it.
+along the rows, built once per sweep: each lattice ball is a stack of
+row intervals, and the interval (window) of half-width c is one
+difference of two slices of the prefix, clipped to the box.  Radii
+whose lattice balls coincide are summed once.  The distinct balls are
+summed four at a time: each distinct half-width of the four is
+windowed once and added at +k1 and -k1 to every ball whose row k1 has
+that half-width.  The half-widths are taken in decreasing order, and a
+ball's half-width does not grow with k1, so every ball still gets its
+rows in increasing k1, each node the same subtractions and additions
+in the same order as a ball summed on its own, and the sums the same
+bits.  A ball sum of a nonnegative array is never negative.  The ball
+measure in the denominator does not depend on f and is not a ball
+sum: the quadrature weights are the outer product of two 1D trapezoid
+factors, so the measure is one window of w in 1D and one (nodes x rows
+of the ball)(rows of the ball x nodes) matrix product in 2D.  One
+helper states which lattice offsets lie in a ball; the ball sums, the
+ball measure and the oscillation offsets all read it.
 
 Oscillation averages are summed offset by offset over a whole family
 and a whole radius sweep in one pass.  The balls of increasing radii
@@ -49,6 +55,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .exponent import ExponentField
@@ -56,6 +63,11 @@ from .field import (BALL_SHRINK, DyadicCubeSet, Grid, GridFunction, WeightField,
                     refuse_non_finite)
 from .norms import weighted_norms
 from .weights import WeightConstantReport, gate_constant
+
+# balls summed together by one pass over their distinct row half-widths
+_BALLS_PER_CHUNK = 4
+# smallest qtilde accepted: M f >= |f| still holds to 1e-12 sup |f| ten times below it
+_QTILDE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,9 @@ class RadiusSweep:
     @classmethod
     def with_radii(cls, grid: Grid, count: int, required: Sequence[float]) -> "RadiusSweep":
         """Geometric ladder thinned to make room for required radii."""
+        if count < len(required):
+            raise DomainError(f"count must be at least the {len(required)} required radii, "
+                              f"got {count}")
         base = np.geomspace(grid.max_step, grid.box.diameter, count - len(required))
         merged = sorted(set(map(float, base)) | set(map(float, required)))
         return cls(tuple(merged))
@@ -129,49 +144,104 @@ def _row_reach(grid: Grid, r_eff: float) -> list[int]:
     return reach
 
 
-def _prefix(arr: np.ndarray, widest: int) -> np.ndarray:
-    """Prefix sums of ``arr`` along its last axis, padded with
-    ``widest + 1`` zeros on the left and ``widest`` copies of the row
-    total on the right, so that every window of half-width at most
-    ``widest``, clipped to the box, is a difference of two slices (the
-    summed-area idea of Crow, SIGGRAPH 1984)."""
-    csum = np.cumsum(arr, axis=-1)
-    return np.concatenate([np.zeros(arr.shape[:-1] + (widest + 1,)), csum,
-                           np.repeat(csum[..., -1:], widest, axis=-1)], axis=-1)
+def _prefix(arr: np.ndarray) -> np.ndarray:
+    """Prefix sums ``P`` of ``arr`` along its last axis, from which every
+    window clipped to the box is one difference (the summed-area idea of
+    Crow, SIGGRAPH 1984)."""
+    return np.cumsum(arr, axis=-1)
 
 
-def _window(padded: np.ndarray, widest: int, k2: int, n: int, out=None) -> np.ndarray:
-    """At every j < n, the in-box sum over ``|k - j| <= k2`` read off a
-    ``_prefix(arr, widest)`` array."""
-    return np.subtract(padded[..., widest + k2 + 1:widest + k2 + 1 + n],
-                       padded[..., widest - k2:widest - k2 + n], out=out)
+def _window(prefix: np.ndarray, k2: int, out: np.ndarray) -> np.ndarray:
+    """At every j < n, the in-box sum over ``|k - j| <= k2`` read off
+    ``prefix = _prefix(arr)`` into ``out``: ``P[min(j + k2, n - 1)]``,
+    less ``P[j - k2 - 1]`` where ``j > k2``.  These are the differences
+    of ``P`` padded with zeros on the left and its total on the right,
+    without the pads, which would be two more grids wide at the widest
+    ball."""
+    n = out.shape[-1]
+    out[..., :n - k2] = prefix[..., k2:]
+    out[..., n - k2:] = prefix[..., -1:]
+    out[..., k2 + 1:] -= prefix[..., :n - k2 - 1]
+    return out
+
+
+def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The sums of ``arr`` over the balls of the ``_row_reach`` lists
+    ``reaches``, yielded in order, each with a scratch array of the same
+    shape; both are the caller's to overwrite until the next ``next``.
+
+    One prefix serves every ball.  The balls are summed
+    ``_BALLS_PER_CHUNK`` at a time: each distinct row half-width ``c``
+    of a chunk is windowed once, in decreasing ``c``, and added at
+    ``+-k1`` to every ball of the chunk with ``reach[k1] == c``.  Reach
+    is non-increasing in ``k1``, so every ball gets its rows in
+    increasing ``k1``, the order of a ball summed on its own.
+    """
+    prefix = _prefix(arr)
+    row = np.empty(arr.shape)
+    sums = [np.empty(arr.shape) for _ in range(min(_BALLS_PER_CHUNK, len(reaches)))]
+    for start in range(0, len(reaches), _BALLS_PER_CHUNK):
+        chunk = list(zip(reaches[start:start + _BALLS_PER_CHUNK], sums))
+        rows_at: dict[int, list] = {}
+        for reach, out in chunk:
+            if reach == [0]:
+                np.copyto(out, arr)  # not the window P[j] - P[j - 1], which rounds
+                continue
+            for k1, c in enumerate(reach):
+                rows_at.setdefault(c, []).append((k1, out))
+        for c in sorted(rows_at, reverse=True):
+            _window(prefix, c, row)
+            for k1, out in rows_at[c]:
+                if k1 == 0:
+                    np.copyto(out, row)
+                else:
+                    out[:-k1] += row[k1:]
+                    out[k1:] += row[:-k1]
+        # a centre-node ball is the smallest, so only the first chunk
+        # copies arr: let a caller's temporary go
+        arr = None
+        for _, out in chunk:
+            yield out, row
 
 
 def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     """For every node x, the sum of ``arr`` over in-box nodes of the
     open ball B(x, radius).
 
-    Each row of a ball is an interval, the difference of two slices of
-    one padded prefix sum along the last axis.  In 2D the interval of
-    row offset ``k1`` is computed once per radius into one reused
-    buffer, or kept from ``k1 - 1`` when the half-width is the same,
-    and added at ``+k1`` and at ``-k1``.  For ``arr >= 0`` every window
-    of the nondecreasing prefix sum is ``>= 0``, and each row of a ball
-    is off by at most about (row length) x eps x (row total).
+    Each row of a ball is an interval, read off one prefix sum along the
+    last axis.  In 2D the interval of row offset ``k1`` is computed once
+    per distinct half-width and added at ``+k1`` and at ``-k1``.  For
+    ``arr >= 0`` every window of the nondecreasing prefix sum is
+    ``>= 0``, and each row of a ball is off by at most about (row
+    length) x eps x (row total).
     """
-    reach = _row_reach(grid, radius * BALL_SHRINK)
+    return next(_ball_sums(arr, [_row_reach(grid, radius * BALL_SHRINK)]))[0]
+
+
+def _ball_measure(grid: Grid, reach: list[int], out: np.ndarray) -> np.ndarray:
     if reach == [0]:
-        return arr.copy()
-    n = arr.shape[-1]
-    padded = _prefix(arr, reach[0])
-    out = _window(padded, reach[0], reach[0], n)
-    row = None
-    for k1 in range(1, len(reach)):
-        if row is None or reach[k1] != reach[k1 - 1]:
-            row = _window(padded, reach[0], reach[k1], n, out=row)
-        out[:-k1] += row[k1:]
-        out[k1:] += row[:-k1]
-    return out
+        np.copyto(out, grid.quad_weights)
+        return out
+    widest, n = reach[0], grid.shape[-1]
+    if grid.dim == 1:
+        return _window(_prefix(grid.quad_weights), widest, out)
+    w1, w2 = (grid.axis_grid(axis).quad_weights for axis in (0, 1))
+    # row s of `starts` is padded[s:s + n], with P of w2 padded by zeros
+    # on the left and its total on the right
+    c2 = _prefix(w2)
+    starts = sliding_window_view(
+        np.concatenate([np.zeros(widest + 1), c2, np.full(widest, c2[-1])]), n)
+    k2 = np.array(reach)
+    v = starts[widest + k2 + 1]
+    v -= starts[widest - k2]
+    # row s of `spans` is zero_padded[s:s + rows], so T[i, m] reads
+    # zero_padded[rows + i - m] at spans[i + 1, rows - 1 - m]
+    rows = len(reach)
+    spans = sliding_window_view(np.concatenate([np.zeros(rows), w1, np.zeros(rows)]), rows)
+    t = spans[1:grid.shape[0] + 1, ::-1] + spans[rows:rows + grid.shape[0]]
+    t[:, 0] = w1
+    return np.matmul(t, v, out=out)
 
 
 def ball_measure(grid: Grid, radius: float) -> np.ndarray:
@@ -186,23 +256,7 @@ def ball_measure(grid: Grid, radius: float) -> np.ndarray:
     the measure is the one product ``T @ V``, of order (rows) x (rows
     of the ball) x (columns) per radius.
     """
-    reach = _row_reach(grid, radius * BALL_SHRINK)
-    if reach == [0]:
-        return grid.quad_weights.copy()
-    widest, n = reach[0], grid.shape[-1]
-    if grid.dim == 1:
-        return _window(_prefix(grid.quad_weights, widest), widest, widest, n)
-    w1, w2 = (grid.axis_grid(axis).quad_weights for axis in (0, 1))
-    k2 = np.array(reach)[:, None]
-    cols = np.arange(n)
-    padded = _prefix(w2, widest)
-    v = padded[widest + k2 + 1 + cols] - padded[widest - k2 + cols]
-    rows, m = len(reach), np.arange(len(reach))
-    i = np.arange(grid.shape[0])[:, None]
-    zero_padded = np.concatenate([np.zeros(rows), w1, np.zeros(rows)])
-    t = zero_padded[rows + i - m] + zero_padded[rows + i + m]
-    t[:, 0] = w1
-    return t @ v
+    return _ball_measure(grid, _row_reach(grid, radius * BALL_SHRINK), np.empty(grid.shape))
 
 
 def ball_mean(f: GridFunction, radius: float) -> GridFunction:
@@ -211,16 +265,32 @@ def ball_mean(f: GridFunction, radius: float) -> GridFunction:
     return GridFunction(f.grid, num / np.maximum(ball_measure(f.grid, radius), 1e-300))
 
 
-def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> GridFunction:
+def _check_qtilde(qtilde: float) -> None:
+    """Below ``_QTILDE_FLOOR`` the root ``(mean of |f|^qtilde)^(1/qtilde)``
+    amplifies the rounding of the power sums by ``1/qtilde``: at 1e-6
+    ``M f >= |f|`` already fails, and at 1e-16 the ratio is off by 1e19."""
     if qtilde <= 0.0 or not math.isfinite(qtilde):
         raise DomainError("qtilde must be a finite positive constant")
+    if qtilde < _QTILDE_FLOOR:
+        raise DomainError(f"qtilde = {qtilde} is below the floor {_QTILDE_FLOOR}, where the "
+                          "1/qtilde root amplifies the rounding of the power sums")
+
+
+def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> GridFunction:
+    _check_qtilde(qtilde)
     sweep.validate_for(f.grid)
     refuse_non_finite(f.values, f.grid.size, "the maximal function")
-    powed = f.grid.quad_weights * np.abs(f.values) ** qtilde
-    best = np.zeros(f.grid.shape)
+    # radii with the same lattice ball give the same ratio: keep the first
+    reaches: list[list[int]] = []
     for r in sweep.radii:
-        num = ball_sums(powed, f.grid, r)
-        np.maximum(best, num / np.maximum(ball_measure(f.grid, r), 1e-300), out=best)
+        reach = _row_reach(f.grid, r * BALL_SHRINK)
+        if not reaches or reach != reaches[-1]:
+            reaches.append(reach)
+    best = np.zeros(f.grid.shape)
+    powed_sums = _ball_sums(f.grid.quad_weights * np.abs(f.values) ** qtilde, reaches)
+    for reach, (num, scratch) in zip(reaches, powed_sums):
+        den = np.maximum(_ball_measure(f.grid, reach, scratch), 1e-300, out=scratch)
+        np.maximum(best, np.divide(num, den, out=num), out=best)
     return GridFunction(f.grid, best ** (1.0 / qtilde))
 
 
@@ -241,8 +311,7 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
     the offsets of its ball that the previous radius did not cover, and
     an offset and its negative share one difference power.
     """
-    if qtilde <= 0.0 or not math.isfinite(qtilde):
-        raise DomainError("qtilde must be a finite positive constant")
+    _check_qtilde(qtilde)
     if sweep.radii[0] < grid.max_step * (1.0 - 1e-9):
         raise DomainError("oscillation radius must be at least the grid step")
     refuse_non_finite(values, grid.size, "the oscillation average")

@@ -277,6 +277,21 @@ def test_a_qtilde_at_or_above_p_minus_exits_two(tmp_path, capsys, command, cfg):
         assert f"hypothesis failure: qtilde = {qtilde} is not below p_- = 2.0" in err
 
 
+def test_a_maximal_qtilde_below_the_floor_exits_one_and_names_it(tmp_path, capsys):
+    """At qtilde = 1e-16 the 1/qtilde root turned the rounding of the power
+    sums into a norm ratio of about 4e19 with exit 0."""
+    cfg = {"box": [[0.0, 1.0]], "resolution": 256, "radii_count": 16, "qtilde": 1e-16,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "qtilde = 1e-16 is below the floor 0.001" in err
+    assert "Traceback" not in err
+    rc, report, _ = _run(tmp_path, "maximal", dict(cfg, qtilde=1e-3))
+    assert rc == 0 and report["results"]["dominance_min"] >= -1e-12
+
+
 def test_a_nan_config_number_exits_one_and_names_the_key(tmp_path, capsys):
     rc, report, _ = _run(tmp_path, "rk-classify", _MOLLIFY_RK)
     assert rc == 0 and report["results"]["verdict"] == "consistent-compact"

@@ -1,6 +1,7 @@
 """Maximal operator, oscillation averages, and the boundedness probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_sweep_with_required_radii():
     g = Grid(Box((-0.5,), (8.5,)), (1025,))
     sweep = RadiusSweep.with_radii(g, 64, (1.5, 2.0, 4.0))
     assert {1.5, 2.0, 4.0} <= set(sweep.radii)
+
+
+def test_sweep_with_required_radii_refuses_a_count_below_their_number():
+    g = grid1d(257)
+    with pytest.raises(DomainError, match="count must be at least the 3 required radii, got 2"):
+        RadiusSweep.with_radii(g, 2, (0.1, 0.2, 0.3))
 
 
 def test_sweep_rejects_disorder():
@@ -168,23 +175,171 @@ def test_ball_measure_is_the_ball_sums_of_the_weights_on_dyadic_grids(lo, hi, sh
         assert np.array_equal(ball_measure(g, r), ball_sums(g.quad_weights, g, r))
 
 
-def test_maximal_function_sums_f_once_per_radius_and_never_the_weights(monkeypatch):
+def test_maximal_function_sums_f_once_per_distinct_ball_and_never_the_weights(monkeypatch):
     g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
     f = GridFunction(g, np.random.default_rng(4).normal(size=g.shape))
     sweep = RadiusSweep.geometric(g, 12)
     seen = []
-    original = maximal_module.ball_sums
+    original = maximal_module._ball_sums
 
-    def counting(arr, grid, radius):
-        seen.append(arr)
-        return original(arr, grid, radius)
+    def counting(arr, reaches):
+        seen.append((arr, list(reaches)))
+        return original(arr, reaches)
 
-    monkeypatch.setattr(maximal_module, "ball_sums", counting)
+    monkeypatch.setattr(maximal_module, "_ball_sums", counting)
     maximal_function(f, 1.3, sweep)
-    assert len(seen) == len(sweep.radii)
+    balls = {tuple(_row_reach(g, r * BALL_SHRINK)) for r in sweep.radii}
+    assert len(seen) == 1
+    assert sorted(map(tuple, seen[0][1])) == sorted(balls)
     ball_mean(f, 0.2)
-    assert len(seen) == len(sweep.radii) + 1
-    assert not any(np.array_equal(arr, g.quad_weights) for arr in seen)
+    assert len(seen) == 2 and len(seen[1][1]) == 1
+    assert not any(np.array_equal(arr, g.quad_weights) for arr, _ in seen)
+
+
+def distinct_balls(grid, sweep):
+    """The reach lists of a sweep, a run of equal ones kept once."""
+    reaches = []
+    for r in sweep.radii:
+        reach = _row_reach(grid, r * BALL_SHRINK)
+        if not reaches or reach != reaches[-1]:
+            reaches.append(reach)
+    return reaches
+
+
+def gathered_ball_measure(grid, radius):
+    """The tensor-product measure ``T @ V`` with T and V gathered by
+    index arrays, as `ball_measure` once built them."""
+    reach = _row_reach(grid, radius * BALL_SHRINK)
+    if reach == [0]:
+        return grid.quad_weights.copy()
+    if grid.dim == 1:
+        return two_interval_ball_sums(grid.quad_weights, grid, radius)
+    widest, n = reach[0], grid.shape[-1]
+    w1, w2 = (grid.axis_grid(axis).quad_weights for axis in (0, 1))
+    csum = np.cumsum(w2)
+    padded = np.concatenate([np.zeros(widest + 1), csum, np.full(widest, csum[-1])])
+    k2, cols = np.array(reach)[:, None], np.arange(n)
+    v = padded[widest + k2 + 1 + cols] - padded[widest - k2 + cols]
+    rows, m = len(reach), np.arange(len(reach))
+    i = np.arange(grid.shape[0])[:, None]
+    zero_padded = np.concatenate([np.zeros(rows), w1, np.zeros(rows)])
+    t = zero_padded[rows + i - m] + zero_padded[rows + i + m]
+    t[:, 0] = w1
+    return t @ v
+
+
+def looped_maximal(f, qtilde, sweep):
+    """One ball sum and one ball measure per radius of the sweep, both
+    from the references in this file."""
+    powed = f.grid.quad_weights * np.abs(f.values) ** qtilde
+    best = np.zeros(f.grid.shape)
+    for r in sweep.radii:
+        num = two_interval_ball_sums(powed, f.grid, r)
+        np.maximum(best, num / np.maximum(gathered_ball_measure(f.grid, r), 1e-300), out=best)
+    return best ** (1.0 / qtilde)
+
+
+@st.composite
+def function_and_sweep(draw):
+    """A 1D, square 2D or anisotropic 2D grid, values on it, and a
+    geometric sweep, a sweep with required radii, or a sweep in which
+    radii a relative 1e-7 apart repeat their lattice balls; every sweep
+    starts at one step, the centre-node ball on 1D and square grids."""
+    kind = draw(st.sampled_from(["1d", "square", "anisotropic"]))
+    if kind == "square":
+        n = draw(st.integers(2, 24))
+        grid = Grid(Box((0.0, 0.0), (1.0, 1.0)), (n, n))
+    else:
+        dim = 1 if kind == "1d" else 2
+        widths = tuple(draw(st.sampled_from([0.5, 0.7, 1.0, 1.3, 3.0])) for _ in range(dim))
+        shape = tuple(draw(st.integers(3, 60) if dim == 1 else st.integers(2, 20))
+                      for _ in range(dim))
+        grid = Grid(Box((0.0,) * dim, widths), shape)
+    values = draw(arrays(float, grid.shape, elements=st.one_of(
+        st.just(0.0), st.floats(-1e3, 1e3))))
+    lo, hi = grid.max_step, grid.box.diameter
+    sweep_kind = draw(st.sampled_from(["geometric", "with_radii", "repeated"]))
+    if sweep_kind == "geometric":
+        sweep = RadiusSweep.geometric(grid, draw(st.integers(2, 40)))
+    elif sweep_kind == "with_radii":
+        required = draw(st.lists(st.floats(lo, hi), max_size=3, unique=True))
+        sweep = RadiusSweep.with_radii(grid, draw(st.integers(len(required) + 2, 40)), required)
+    else:
+        base = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12))
+        twins = (max(lo, r * (1.0 - 1e-7)) for r in base)
+        sweep = RadiusSweep(tuple(sorted({lo, *base, *twins})))
+    return GridFunction(grid, values), sweep
+
+
+@settings(max_examples=150, deadline=None)
+@given(function_and_sweep(), st.sampled_from([0.5, 1.0, 1.3]))
+def test_maximal_function_is_bit_identical_to_the_per_radius_loop(case, qtilde):
+    """Radii that repeat a lattice ball are skipped, one prefix serves
+    the sweep and chunks of balls share their row windows, yet every
+    node gets the same subtractions and additions in the same order."""
+    f, sweep = case
+    assert np.array_equal(maximal_function(f, qtilde, sweep).values,
+                          looped_maximal(f, qtilde, sweep))
+
+
+@pytest.mark.parametrize("box, shape, count, windows", [
+    (Box((0.0,), (1.0,)), (4097,), 64, 55),
+    (Box((0.0, 0.0), (1.0, 1.0)), (129, 129), 64, 444),
+    (Box((0.0, -1.0), (1.3, 0.7)), (21, 15), 12, None),
+    (Box((0.0, 0.0), (0.1, 3.0)), (9, 40), 20, None),
+], ids=["1d", "square", "anisotropic", "wide"])
+def test_maximal_function_builds_one_prefix_and_one_window_per_half_width_of_a_chunk(
+        monkeypatch, box, shape, count, windows):
+    """At 129^2 x 64 radii (55 distinct balls) the per-radius loop took
+    1104 windows and 63 prefixes of f; the sweep takes 444 windows and
+    one prefix."""
+    g = Grid(box, shape)
+    sweep = RadiusSweep.geometric(g, count)
+    calls = {"_prefix": 0, "_window": 0}
+
+    def counting(name):
+        original = getattr(maximal_module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapped
+
+    def unit_measure(grid, reach, out):
+        out.fill(1.0)
+        return out
+
+    for name in calls:
+        monkeypatch.setattr(maximal_module, name, counting(name))
+    # the measure does not depend on f; keep its windows out of the count
+    monkeypatch.setattr(maximal_module, "_ball_measure", unit_measure)
+    maximal_function(GridFunction(g, np.ones(shape)), 1.0, sweep)
+    balls, chunk = distinct_balls(g, sweep), maximal_module._BALLS_PER_CHUNK
+    bound = sum(len({c for reach in balls[i:i + chunk] if reach != [0] for c in reach})
+                for i in range(0, len(balls), chunk))
+    assert calls["_prefix"] == 1
+    assert calls["_window"] <= bound
+    if windows is not None:
+        assert calls["_window"] == windows
+
+
+def test_maximal_function_peak_memory_does_not_grow_with_the_radius_count():
+    """At 129^2 x 64 radii (55 distinct balls) the peak is about 10.5
+    grid arrays: the supremum, one prefix, one row window, four ball
+    sums, the measure's two factors and numpy's fixed 192 KiB of
+    iterator buffers.  One accumulator per ball would need 55 arrays,
+    and a prefix padded to three row widths two more."""
+    g = Grid(Box((0.0, 0.0), (1.0, 1.0)), (129, 129))
+    f = GridFunction(g, np.random.default_rng(11).normal(size=g.shape))
+    sweep = RadiusSweep.geometric(g, 64)
+    maximal_function(f, 1.3, sweep)
+    tracemalloc.start()
+    try:
+        maximal_function(f, 1.3, sweep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * g.size * 8
 
 
 def test_ball_of_one_step_is_the_centre_node():
