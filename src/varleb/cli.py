@@ -10,7 +10,8 @@ to rerun it:
 
 Exit codes: 0 on success, 2 when a mathematical check fails (a bound is
 violated, a gating hypothesis does not hold, or a replay diverges), and
-1 for config, schema, and convergence problems.
+1 for config, schema, and convergence problems and for a report that
+cannot be written.
 
 Reports serialize with sorted keys, so two runs of the same config are
 byte-identical apart from the wall_time_s entry.
@@ -23,6 +24,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import time
 import warnings
@@ -318,15 +321,30 @@ def _dumps(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _emit(report: dict, out_path, quiet: bool) -> None:
+def _emit(report: dict, out_path, quiet: bool) -> bool:
+    """Print the report, or write it to ``out_path``; False, with the
+    error printed, when the file cannot be written.
+
+    An existing file is written over in place and then cut to the
+    report's length, which on ext4 costs a fraction of truncating it to
+    zero first. The cut is skipped where the target is not a regular file,
+    such as /dev/null or a pipe, on which ftruncate fails."""
     text = _dumps(report)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+    if not out_path:
         if not quiet:
-            print(f"report written to {out_path}")
-    elif not quiet:
-        print(text)
+            print(text)
+        return True
+    try:
+        with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write((text + "\n").encode())
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        print(f"error: cannot write report: {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    if not quiet:
+        print(f"report written to {out_path}")
+    return True
 
 
 def _run(command: str, cfg) -> tuple[dict | None, int]:
@@ -352,8 +370,8 @@ def _run(command: str, cfg) -> tuple[dict | None, int]:
 
 def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
     report, code = _run(command, cfg)
-    if report is not None:
-        _emit(report, out_path, quiet)
+    if report is not None and not _emit(report, out_path, quiet):
+        return EXIT_CONFIG
     return code
 
 

@@ -388,6 +388,64 @@ def test_reports_are_byte_identical_apart_from_wall_time(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _without_wall_time(text):
+    return re.sub(r'"wall_time_s": [-0-9.e]+', '"wall_time_s": 0', text)
+
+
+@pytest.mark.parametrize("old", ["junk", "longer report"])
+def test_a_rewrite_over_a_longer_file_leaves_exactly_the_new_report(tmp_path, capsys, old):
+    cfg_path = _write(tmp_path, "norm.json", _norm_config(64))
+    fresh, out = tmp_path / "fresh.json", tmp_path / "report.json"
+    assert main(["norm", "run", "--config", cfg_path, "--out", str(fresh), "--quiet"]) == 0
+    if old == "junk":
+        out.write_bytes(b"\x00{junk}\n" * 2560)
+    else:
+        assert _run(tmp_path, "interp-verify", _interp_config(resolution=16, trials=2))[0] == 0
+    assert out.stat().st_size > 2 * fresh.stat().st_size
+    assert main(["norm", "run", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    assert _without_wall_time(out.read_text()) == _without_wall_time(fresh.read_text())
+    assert json.loads(out.read_text())["command"] == "norm"
+    assert main(["norm", "replay", "--report", str(out), "--quiet"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_report_left_uncut_over_a_longer_one_is_refused_by_replay(tmp_path, capsys,
+                                                                    monkeypatch):
+    """What a run killed between the write and the cut leaves: the whole
+    new report, then the tail of the old one."""
+    cfg_path = _write(tmp_path, "norm.json", _norm_config(16))
+    assert _run(tmp_path, "interp-verify", _interp_config(resolution=16, trials=2))[0] == 0
+    out = tmp_path / "report.json"
+    with monkeypatch.context() as m:
+        m.setattr(cli_module.stat, "S_ISREG", lambda mode: False)
+        assert main(["norm", "run", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    assert main(["norm", "replay", "--report", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot read report: Extra data" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_an_unwritable_out_exits_one_and_names_the_path(tmp_path, capsys, target):
+    out = tmp_path / "absent" / "r.json" if target == "missing directory" else tmp_path
+    cfg_path = _write(tmp_path, "config.json", _norm_config(16))
+    rc = main(["norm", "run", "--config", cfg_path, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: cannot write report: {out}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_a_non_regular_out_such_as_dev_null_still_runs(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "config.json", _norm_config(16))
+    rc = main(["norm", "run", "--config", cfg_path, "--out", "/dev/null"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "report written to /dev/null\n"
+    assert "Traceback" not in captured.err
+
+
 def test_seeded_interp_verify_replays_to_identical_worst_ratio(tmp_path, capsys):
     endpoint = {"p_vec": [{"kind": "constant", "value": 3.0},
                           {"kind": "constant", "value": 3.0}],
