@@ -575,28 +575,37 @@ def random_simple_function(grid: Grid, rng: np.random.Generator,
 
     Uses one to eight boxes with coefficients log-uniform in
     [1e-2, 1e2]; always returns a function that is nonzero somewhere.
-    """
-    def index(bounds):  # box_slices of [u, v] bounds drawn inside the grid's box
-        return tuple(slice(*map(int, _axis_ranges(ax, w, u, v)))
-                     for ax, w, (u, v) in zip(grid.axes, grid.box.widths, bounds))
 
+    After the term count, every term's doubles come from one
+    ``rng.random`` block, row by row: two box bounds per axis, the log
+    coefficient and, when signed, the sign.  These are the doubles, in
+    the order, that one ``uniform``/``random`` call per value would
+    draw, so a seed gives the same functions and leaves the generator
+    in the same state.  Each coefficient stays the Python float
+    ``10.0 ** x``, since numpy's ``power`` can differ in the last bit.
+    """
     n_terms = int(rng.integers(1, 9))
+    draws = rng.random((n_terms, 2 * grid.dim + 1 + signed))
+    ranges = []
+    for axis, (a, b) in enumerate(zip(grid.box.lo, grid.box.hi)):
+        u, v = np.sort(a + (b - a) * draws[:, 2 * axis:2 * axis + 2], axis=1).T
+        thin = v - u < 0.05 * (b - a)  # keep every box wide enough to catch nodes
+        mid = 0.5 * (u + v)
+        half = 0.025 * (b - a)
+        i0, i1 = _axis_ranges(grid.axes[axis], grid.box.widths[axis],
+                              np.where(thin, np.maximum(a, mid - half), u),
+                              np.where(thin, np.minimum(b, mid + half), v))
+        ranges.append(list(map(slice, i0.tolist(), i1.tolist())))
+    logs = (-2.0 + 4.0 * draws[:, 2 * grid.dim]).tolist()
+    signs = (draws[:, -1] < 0.5).tolist() if signed else [False] * n_terms
     vals = np.zeros(grid.shape)
-    for _ in range(n_terms):
-        pairs = []
-        for a, b in zip(grid.box.lo, grid.box.hi):
-            u, v = np.sort(rng.uniform(a, b, size=2))
-            if v - u < 0.05 * (b - a):  # keep every box wide enough to catch nodes
-                mid = 0.5 * (u + v)
-                half = 0.025 * (b - a)
-                u, v = max(a, mid - half), min(b, mid + half)
-            pairs.append((u, v))
-        coeff = 10.0 ** rng.uniform(-2.0, 2.0)
-        if signed and rng.random() < 0.5:
-            coeff = -coeff
-        vals[index(pairs)] += coeff
+    for x, negative, *index in zip(logs, signs, *ranges):
+        coeff = 10.0 ** x
+        vals[tuple(index)] += -coeff if negative else coeff
     if not vals.any():
-        vals[index([(a, (a + b) / 2) for a, b in zip(grid.box.lo, grid.box.hi)])] += 1.0
+        vals[tuple(slice(*map(int, _axis_ranges(ax, w, a, (a + b) / 2)))
+                   for ax, w, a, b in zip(grid.axes, grid.box.widths, grid.box.lo,
+                                          grid.box.hi))] += 1.0
     return GridFunction(grid, vals)
 
 

@@ -16,9 +16,15 @@ for each violation.  Every ratio comes from one helper that solves the
 norms of a whole corpus slot in one batched call.  The mixed-norm
 bound is the same pipeline with an output map: ``T f`` is replaced by
 the profile ``x -> ||S(x, .)||_{qtilde}`` of the difference field
-``S(x, y) = T(x) - T(x + y)``.  The m-linear fractional kernel, at any
-m, convolves per-node distance histograms of its inputs and dots the
-result with ``K(s) = (s h)^(alpha - m)``.
+``S(x, y) = T(x) - T(x + y)``, built as one sliding window over the
+zero-padded output.  The m-linear fractional kernel, at any m, sums
+``K(s) = (s h)^(alpha - m)`` against the distance histograms of its
+inputs: with ``A_j[i, d]`` the mass of ``f_j qw`` at distance d from
+node i, ``T f(i) = sum_s C[i, s] (A_m H)[i, s]``, where the Hankel
+matrix ``H[d, s] = K(s + d)`` is a view of the kernel and C is a column
+of ones at m = 1, ``A_1`` at m = 2 and the row-wise convolution of
+``A_1 .. A_{m-1}`` beyond.  Nodes go through in blocks of
+``_NODES_PER_BLOCK``, so memory stays of order (block) x m x n.
 
 The extrapolation half inverts the blend: given a target space tuple, a
 second endpoint, and ``th``, it reconstructs the other endpoint (spaces
@@ -34,6 +40,7 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ArityMismatchError, DomainError, RangeError,
                      SchemaError, SpecMismatchError)
@@ -46,6 +53,10 @@ from .maximal import ball_mean
 from .norms import inner_norm, weighted_norms
 from .rk import FunctionFamily, RKReport, classify
 from .weights import WeightConstantReport, multilinear_constant, weight_products
+
+# fractional-kernel nodes per block: the block's histograms and Hankel
+# product hold about (block) x m x n doubles
+_NODES_PER_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +108,27 @@ def apply_operator(op: OperatorSpec, fs: Sequence[GridFunction]) -> GridFunction
 
     if grid.dim != 1:
         raise DomainError("fractional kernels are 1D only")
-    n = grid.size
-    s = np.arange(1, op.arity * (n - 1) + 1) * grid.steps[0]
-    kernel = np.concatenate([[0.0], s ** (op.alpha - op.arity)])  # K(0) = 0
+    n, m = grid.size, op.arity
+    s = np.arange(1, m * (n - 1) + 1) * grid.steps[0]
+    kernel = np.concatenate([[0.0], s ** (op.alpha - m)])  # K(0) = 0
+    # H[d, s] = K(s + d): a Hankel view of the kernel, s < (m - 1)(n - 1) + 1
+    hankel = sliding_window_view(kernel, (m - 1) * (n - 1) + 1)
     pad = np.zeros(n - 1)
-    padded = [np.concatenate([pad, f.values * grid.quad_weights, pad]) for f in fs]
+    windows = [sliding_window_view(np.concatenate([pad, f.values * grid.quad_weights, pad]), n)
+               for f in fs]
     out = np.empty(n)
-    for i in range(n):
-        # A(d) = (f qw)(i + d) + (f qw)(i - d) for d = 0 .. n - 1, zero past the ends
-        hists = [a[i + n - 1:i + 2 * n - 1] + a[i + n - 1::-1][:n] for a in padded]
-        for hist in hists:
-            hist[0] *= 0.5  # distance 0 is one node, not two
-        out[i] = reduce(np.convolve, hists) @ kernel
+    for i0 in range(0, n, _NODES_PER_BLOCK):
+        i1 = min(i0 + _NODES_PER_BLOCK, n)
+        # A[i, d] = (f qw)(i + d) + (f qw)(i - d) for d = 0 .. n - 1, zero past the ends
+        hists = [w[i0 + n - 1:i1 + n - 1] + w[i0:i1, ::-1] for w in windows]
+        for a in hists:
+            a[:, 0] *= 0.5  # distance 0 is one node, not two
+        *head, last = hists
+        if m <= 2:  # C is a column of ones at m = 1 and the first histogram at m = 2
+            conv = head[0] if head else np.ones((len(last), 1))
+        else:  # the convolution of the middle histograms, row by row
+            conv = np.stack([reduce(np.convolve, row) for row in zip(*head)])
+        out[i0:i1] = np.einsum("is,is->i", conv, last @ hankel)
     return GridFunction(grid, out)
 
 
@@ -258,6 +278,8 @@ def _verify(op: OperatorSpec, space0: EndpointSpace, space1: EndpointSpace,
         raise ArityMismatchError("operator arity does not match the endpoint spaces")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     blended = blend_spaces(space0, space1, theta)
     corpus = _draw_corpus(blended.grid, op.arity, trials, seed)
     outputs = [out_map(apply_operator(op, fs)) for fs in corpus]
@@ -316,12 +338,14 @@ def difference_field(Tf: GridFunction, offset_count: int) -> GridFunction:
         raise DomainError("need at least one offset")
     h = grid.steps[0]
     n = grid.size
-    padded = np.concatenate([np.zeros(offset_count), Tf.values, np.zeros(offset_count)])
-    cols = [Tf.values - padded[offset_count + k + np.arange(n)]
-            for k in range(-offset_count, offset_count + 1)]
+    if offset_count >= n:  # an offset of n steps or more reaches no node
+        raise DomainError(f"offset_count {offset_count} must be below the {n} grid nodes")
+    pad = np.zeros(offset_count)
+    # row i of the window is T(x_i + k h) for k = -offset_count .. offset_count
+    shifted = sliding_window_view(np.concatenate([pad, Tf.values, pad]), 2 * offset_count + 1)
     ybox = Box((grid.box.lo[0], -offset_count * h), (grid.box.hi[0], offset_count * h))
     ygrid = Grid(ybox, (n, 2 * offset_count + 1))
-    return GridFunction(ygrid, np.stack(cols, axis=1))
+    return GridFunction(ygrid, Tf.values[:, None] - shifted)
 
 
 def verify_mixed_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,

@@ -120,8 +120,11 @@ def _row_reach(grid: Grid, r_eff: float) -> list[int]:
     < r_eff^2``, capped at ``n2 - 1``, for ``k1 = 0, 1, ...`` while that
     row is nonempty and ``k1 < n1``; a 1D grid is the single row
     ``k1 = 0``, tested as ``k2 h < r_eff``.  This is the only statement
-    of lattice-ball membership.
+    of lattice-ball membership.  A radius of twice the box diameter
+    already takes in the whole box, so a larger one is cut to that
+    before any integer is formed from it.
     """
+    r_eff = min(r_eff, 2.0 * grid.box.diameter)
     h1, h2 = grid.steps[0], grid.steps[-1]
     if grid.dim == 1:
         # the answer in real arithmetic, then settled by the rounded test

@@ -881,6 +881,43 @@ def test_non_number_config_value_exits_one_and_names_the_key(tmp_path, capsys, c
     assert "Traceback" not in err
 
 
+def test_interp_verify_with_a_negative_seed_exits_one_and_names_it(tmp_path, capsys):
+    rc, report, _ = _run(tmp_path, "interp-verify", _interp_config(seed=-1))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "seed must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("offset_count", [65, 10 ** 12])
+def test_a_mixed_offset_count_past_every_node_exits_one_and_names_it(tmp_path, capsys,
+                                                                      offset_count):
+    cfg = _interp_config(mixed={"qtilde": 1.5, "offset_count": offset_count})
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"offset_count {offset_count} must be below the 65 grid nodes" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg, diameter", [("interp-verify", _interp_config(2), 1.0),
+                                                    ("extrapolate", _EXTRAPOLATE, 4.0)],
+                         ids=["interp-verify", "extrapolate"])
+def test_a_ball_average_radius_of_1e308_runs_as_the_whole_box_mean(tmp_path, capsys, command,
+                                                                   cfg, diameter):
+    """Past twice the box diameter every ball is the whole box."""
+    results = []
+    for radius in (1e308, 2.0 * diameter):
+        op = {"kind": "ball_average_product", "arity": 2, "radius": radius}
+        rc, report, _ = _run(tmp_path, command, dict(cfg, operator=op))
+        assert "Traceback" not in capsys.readouterr().err
+        assert rc == 0
+        results.append(report["results"])
+    assert results[0] == results[1]
+
+
 def test_quadruple_s_reads_null_and_inf_as_infinity(tmp_path):
     cfg = {"box": [[0.0, 1.0]], "resolution": 64, "quadruple": _QUAD, "weights": [CONST_ONE]}
     results = []

@@ -126,11 +126,18 @@ def test_fractional_kernel_matches_analytic_value_off_support():
     assert abs(out.values[i] - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-3
 
 
-@pytest.mark.parametrize("m, alpha", [(1, 0.25), (1, 0.75), (2, 0.75), (2, 1.3),
-                                      (3, 0.5), (3, 2.2)])
-def test_fractional_kernel_matches_a_direct_sum(m, alpha):
+_KERNEL_CASES = [(1, 0.25), (1, 0.75), (2, 0.75), (2, 1.3), (3, 0.5), (3, 2.2)]
+
+
+@pytest.mark.parametrize("m, alpha, block", [
+    *(pytest.param(m, alpha, None, id=f"{m}-{alpha}") for m, alpha in _KERNEL_CASES),
+    *(pytest.param(m, alpha, 16, id=f"{m}-{alpha}-blocks-of-16") for m, alpha in _KERNEL_CASES)])
+def test_fractional_kernel_matches_a_direct_sum(m, alpha, block, monkeypatch):
     # sum over every node tuple y of (sum_j |x - y_j|)^(alpha - m)
-    # prod_j f_j(y_j) qw, dropping only the cell y_1 = .. = y_m = x
+    # prod_j f_j(y_j) qw, dropping only the cell y_1 = .. = y_m = x;
+    # blocks of 16 nodes split 129 and 33 nodes unevenly, with a one-row tail
+    if block is not None:
+        monkeypatch.setattr(interp, "_NODES_PER_BLOCK", block)
     rng = np.random.default_rng(29)
     n = 33 if m == 3 else 129
     g = Grid(UNIT, (n,))
@@ -154,6 +161,20 @@ def test_fractional_kernel_matches_a_direct_sum(m, alpha):
             assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(direct))
         else:
             assert np.max(np.abs(out / direct - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_fractional_kernel_below_arity_three_convolves_nothing(m, monkeypatch):
+    """At m <= 2 the kernel is one Hankel product per block of nodes, with
+    no per-node convolution of histograms."""
+    calls = []
+    real = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+    g = Grid(UNIT, (129,))
+    fs = tuple(GridFunction(g, np.linspace(1.0, 2.0, 129)) for _ in range(m))
+    out = apply_operator(OperatorSpec("fractional_kernel", m, alpha=0.5), fs)
+    assert np.all(out.values > 0.0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +403,29 @@ def test_difference_field_geometry_and_zero_offset_column():
     assert np.array_equal(S.values[:, 4], np.zeros(129))
     with pytest.raises(DomainError):
         difference_field(Tf, 0)
+    # an offset of n steps reaches no node, and is refused before any allocation
+    with pytest.raises(DomainError, match="offset_count 129 must be below the 129 grid nodes"):
+        difference_field(Tf, 129)
     g2 = Grid(Box((0.0, 0.0), (1.0, 1.0)), (9, 9))
     with pytest.raises(DomainError):
         difference_field(GridFunction(g2, np.ones(g2.shape)), 2)
+
+
+def _difference_columns(Tf, offset_count):
+    """The difference field one offset column at a time, as a reference."""
+    n = Tf.grid.size
+    padded = np.concatenate([np.zeros(offset_count), Tf.values, np.zeros(offset_count)])
+    return np.stack([Tf.values - padded[offset_count + k + np.arange(n)]
+                     for k in range(-offset_count, offset_count + 1)], axis=1)
+
+
+@pytest.mark.parametrize("offset_count", [1, 4, 128])
+def test_difference_field_equals_the_column_by_column_field(offset_count):
+    g = Grid(SYM, (129,))
+    Tf = GridFunction(g, np.random.default_rng(7).normal(size=129))
+    S = difference_field(Tf, offset_count)
+    assert S.grid.shape == (129, 2 * offset_count + 1)
+    assert np.array_equal(S.values, _difference_columns(Tf, offset_count))
 
 
 def test_difference_of_constant_output_vanishes_identically():

@@ -494,6 +494,16 @@ def test_ball_mean_keeps_sign():
     assert avg.values[0] < 0.0 < avg.values[-1]
 
 
+@pytest.mark.parametrize("grid", [grid1d(129), Grid(Box((0.0, -1.0), (1.0, 2.0)), (17, 33))],
+                         ids=["1d", "2d"])
+def test_ball_mean_past_twice_the_diameter_is_the_whole_box_mean(grid):
+    f = GridFunction(grid, np.random.default_rng(3).normal(size=grid.shape))
+    whole = ball_mean(f, 2.0 * grid.box.diameter)
+    assert np.array_equal(ball_mean(f, 1e308).values, whole.values)
+    assert np.allclose(whole.values, np.sum(grid.quad_weights * f.values) / grid.box.volume,
+                       rtol=1e-12, atol=1e-12)
+
+
 # -- oscillation average ----------------------------------------------------
 
 
