@@ -363,6 +363,10 @@ def _run(command: str, cfg) -> tuple[dict | None, int]:
     except (VarlebError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
+    # a size beyond memory, such as a resolution of 10**15; numpy names it
+    except MemoryError as exc:
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
+        return None, EXIT_CONFIG
     # the config echo too: json.load reads a bare Infinity as a float
     return _jsonable({"command": command, "config": cfg, "results": results, "warnings": [],
                       "provenance": _provenance(cfg.get("seed"), started)}), code

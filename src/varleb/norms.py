@@ -22,6 +22,11 @@ one for `lux_flat` (so `luxemburg_norm`), one per member for
 `weighted_norms`; ``rk`` cuts them by a node mask and the cube scan of
 ``weights`` passes cube rows.
 
+A solve's rows live in a block of float rows: the gathered ``log|f|``,
+exponent and log weight, and the Newton workspace, which `lux_rows`
+reuses in place as rows finish.  The cube scan passes one block for all
+of its solves; any other solve makes its own.
+
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure);
 `_times_weight` is the one place where it does.
@@ -87,7 +92,7 @@ class RowNorms(NamedTuple):
 
 
 def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
-             rel_tol: float = 1e-10) -> RowNorms:
+             rel_tol: float = 1e-10, e: np.ndarray | None = None) -> RowNorms:
     """Luxemburg solves of the independent rows of ``(rows, n)`` arrays,
     or of a single ``(n,)`` row (then every result is a scalar).
 
@@ -103,31 +108,38 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     ``g`` affine and finishes in two evaluations.  A row with no nonzero
     node has norm 0, and one with an infinite value an infinite norm,
     after no evaluation; a NaN value is refused.
+
+    The Newton loop works in ``e``, an array of ``la``'s shape whose
+    values are overwritten (a fresh one when omitted).
     """
     if not 0.0 < rel_tol <= 1e-2:
         raise DomainError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
+    if e is None:
+        e = np.empty_like(la)
     t = la.max(axis=-1, initial=-math.inf)
     live = np.isfinite(t)
-    if np.count_nonzero(live) == t.size > 0:
-        return _newton_rows(la, p, lq, t, rel_tol)
+    n_live = np.count_nonzero(live)
+    if n_live == t.size > 0:
+        return _newton_rows(la, p, lq, t, rel_tol, e)
     refuse_non_finite(la, la.shape[-1])
     # t = -inf: no nonzero node, so log rho = -inf; t = inf: an infinite value
     out = RowNorms(t, np.copy(t), np.ones_like(t), np.zeros(np.shape(t), dtype=int))
-    if live.any():
-        r = _newton_rows(la[live], p[live], lq[live], t[live], rel_tol)
+    if n_live:
+        r = _newton_rows(la[live], p[live], lq[live], t[live], rel_tol, e[:n_live])
         for name in ("log_value", "log_modular", "p_lo", "iterations"):
             getattr(out, name)[live] = getattr(r, name)
     return out
 
 
-def _newton_rows(la, p, lq, t, rel_tol: float) -> RowNorms:
-    """The Newton loop of `lux_rows` over rows with a finite start; the
-    reductions run along the last axis, so one ``(n,)`` row works on
-    numpy scalars throughout."""
-    p_lo = np.where(la > -math.inf, p, math.inf).min(axis=-1)
+def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
+    """The Newton loop of `lux_rows` over rows with a finite start, in
+    the workspace ``e`` of ``la``'s shape; the reductions run along the
+    last axis, so one ``(n,)`` row works on numpy scalars throughout."""
+    np.copyto(e, p)  # the workspace first holds p over the nonzero nodes
+    e[la == -math.inf] = math.inf
+    p_lo = e.min(axis=-1)
     tol = p_lo * math.log1p(rel_tol)
     out = None              # per-row results, once some rows stop before others
-    e = np.empty_like(la)
     for k in range(1, MAX_EVALUATIONS + 1):
         np.subtract(la, t[..., None], out=e)  # e = exp(lq + p (la - t) - shift), in place
         e *= p
@@ -149,10 +161,12 @@ def _newton_rows(la, p, lq, t, rel_tol: float) -> RowNorms:
             out.log_value[fin], out.log_modular[fin], out.iterations[fin] = t[done], g[done], k
             if n_done == done.size:
                 return out
-            keep = ~done
-            rows, la, p, lq, e = rows[keep], la[keep], p[keep], lq[keep], e[keep]
-            t, g, s, tol = t[keep], g[keep], s[keep], tol[keep]
         t = t + g * s / np.vecdot(p, e)
+        if n_done:
+            keep = ~done
+            rows, la, p, lq = rows[keep], la[keep], p[keep], lq[keep]
+            t, g, tol = t[keep], g[keep], tol[keep]
+            e = e[:len(rows)]  # rewritten before it is read again, so never copied
     worst = np.argmax(np.abs(g) - tol)
     raise ConvergenceError(
         f"Luxemburg Newton solve left |log rho| = {abs(np.ravel(g)[worst]):.3g} above "
@@ -182,16 +196,33 @@ class NodeTable(NamedTuple):
             row[:k.size] = k
         return rows
 
-    def solve(self, rows: np.ndarray | None = None, rel_tol: float = 1e-10) -> RowNorms:
+    def solve(self, rows: np.ndarray | None = None, rel_tol: float = 1e-10,
+              block: np.ndarray | None = None) -> RowNorms:
         """`lux_rows` on ``(rows, k)`` node indices (by default `rows()`),
         row ``i`` reading member ``i`` or the only member, or on one
-        ``(k,)`` row of the only member: the one way into the solver."""
+        ``(k,)`` row of the only member: the one way into the solver.
+
+        The solve works in ``block``, four float arrays of the rows'
+        shape (or one array of shape ``(4, *rows.shape)``): the gathered
+        ``log|f|``, exponent and log weight, and the Newton workspace.
+        When it is omitted, the solve gathers into three arrays of its
+        own, and `lux_rows` makes the workspace once a default row array
+        is freed.  (Three arrays, not one of three times the size: glibc
+        raises its mmap threshold to the largest block freed, and a higher
+        threshold leaves more freed heap resident.)"""
         if rows is None:
             rows = self.rows()
-        la = self.la[0][rows] if len(self.la) == 1 else np.take_along_axis(self.la, rows, axis=1)
-        p, lq = self.p.take(rows, mode="clip"), self.lq.take(rows, mode="clip")
+        la, p, lq, *e = [np.empty(rows.shape) for _ in range(3)] if block is None else block
+        if len(self.la) == 1:
+            self.la[0].take(rows, out=la, mode="clip")
+        else:  # member i reads row i of la, at flat indices built where lq goes
+            flat = np.add(rows, np.arange(0, self.la.size, self.la.shape[1])[:, None],
+                          out=lq.view(np.int64))
+            self.la.take(flat, out=la, mode="clip")
+        self.p.take(rows, out=p, mode="clip")
+        self.lq.take(rows, out=lq, mode="clip")
         del rows  # a default row array is freed before the solve
-        return lux_rows(la, p, lq, rel_tol)
+        return lux_rows(la, p, lq, rel_tol, *e)
 
 
 def node_table(values: np.ndarray, p: np.ndarray, qw: np.ndarray) -> NodeTable:

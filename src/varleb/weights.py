@@ -31,6 +31,14 @@ scan order padded with the table's padding index
 group in one `NodeTable.solve`.  Cube measures, products, the overflow
 test and the argmax (the first maximal cube in scan order) are array
 operations on the group.
+
+The scan owns one working block of four float rows, which every solve
+of every group gathers into and runs its Newton loop in; the cube
+measures are summed in its workspace row before the solves.  It is made
+for the first group and regrown, to the exact size, only when a later
+group needs more.  So a scan allocates no row-sized array per group
+beyond its node rows, and glibc does not return the pages of one group
+only to fault them in again for the next.
 """
 
 from __future__ import annotations
@@ -65,12 +73,17 @@ class WeightConstantReport:
 
 
 def _group_values(rows: np.ndarray, qw: np.ndarray, tables, measure_power: float,
-                  rel_tol: float):
+                  rel_tol: float, block: np.ndarray):
     """Per-cube values of a group of padded node rows, the mask
     ``(factors, cubes)`` of factors past the overflow threshold, and the
-    factor values."""
-    value = np.where(rows < qw.size, qw.take(rows, mode="clip"), 0.0).sum(axis=1) ** measure_power
-    effs = [table.solve(rows, rel_tol).value for table in tables]
+    factor values; every factor is solved in ``block``, of shape ``(4,
+    *rows.shape)``."""
+    # the cube measures are summed in the Newton row, free until the solves
+    w = block[3]
+    qw.take(rows, out=w, mode="clip")
+    w[rows == qw.size] = 0.0
+    value = w.sum(axis=1) ** measure_power
+    effs = [table.solve(rows, rel_tol, block).value for table in tables]
     for nrm in effs:
         with np.errstate(over="ignore", invalid="ignore"):
             value = value * nrm
@@ -82,19 +95,27 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
                rel_tol: float, allow_overflow: bool, convention: str) -> WeightConstantReport:
     """Scan the cube family one (depth, shifted) group at a time: every
     cube of a group is a padded row of node indices, so each factor, a
-    ``(weight, exponent)`` pair, is one row solve per group."""
+    ``(weight, exponent)`` pair, is one row solve per group, made in the
+    scan's working block."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
     qw = grid.quad_weights
     tables = [node_table(w.values, p.values_on(grid), qw) for w, p in factors]
     groups, values = [], []
     overflow = False
+    block = np.empty((4, 0))
     for group in cubes.groups():
         rows = group.node_rows(grid)
         # a cube with no node holds only padding, from its first entry on
         empty = np.flatnonzero(rows[:, 0] == grid.size)
         stop = int(empty[0]) if empty.size else rows.shape[0]
-        value, over, effs = _group_values(rows[:stop], qw, tables, measure_power, rel_tol)
+        rows = rows[:stop]
+        if rows.size > block.shape[1]:
+            block = None  # the old block is freed before the new one is made
+            block = np.empty((4, rows.size))
+        value, over, effs = _group_values(rows, qw, tables, measure_power, rel_tol,
+                                          block[:, :rows.size].reshape(4, *rows.shape))
+        del rows  # freed before the next group's rows are made beside the block
         hit = over.any(axis=0)
         if hit.any():
             if not allow_overflow:

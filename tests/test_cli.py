@@ -292,6 +292,38 @@ def test_a_maximal_qtilde_below_the_floor_exits_one_and_names_it(tmp_path, capsy
     assert rc == 0 and report["results"]["dominance_min"] >= -1e-12
 
 
+# sizes beyond any address space (10**14 doubles or more), so that no
+# machine grants them and the refusal comes before a byte is touched
+@pytest.mark.parametrize("command, cfg", [
+    ("norm", {"box": [[0.0, 1.0]], "resolution": 10**15,
+              "exponent": {"kind": "constant", "value": 2.0}, "function": CONST_ONE}),
+    ("maximal", {"box": [[0.0, 1.0]], "resolution": 16, "qtilde": 1.0, "radii_count": 2**50,
+                 "exponent": {"kind": "constant", "value": 2.0}, "function": CONST_ONE}),
+])
+def test_a_size_that_cannot_be_allocated_exits_one_and_names_it(tmp_path, capsys, command, cfg):
+    rc, report, _ = _run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert err.startswith("error: cannot allocate: Unable to allocate ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [20, 40])
+def test_a_cube_family_deeper_than_the_grid_names_its_first_empty_cube(tmp_path, capsys,
+                                                                       depth):
+    """The scan stops at the first cube without a node, so a depth far
+    beyond the grid costs no more than the first empty depth."""
+    cfg = {"box": [[0.0, 1.0], [0.0, 1.0]], "resolution": 16, "cube_depth": depth,
+           "exponent": {"kind": "constant", "value": 2.0}, "weight": CONST_ONE}
+    rc, report, _ = _run(tmp_path, "weight-constant", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert err == ("error: cube d5s0.0 contains no grid node; "
+                   "lower max_depth or refine the grid\n")
+
+
 def test_a_nan_config_number_exits_one_and_names_the_key(tmp_path, capsys):
     rc, report, _ = _run(tmp_path, "rk-classify", _MOLLIFY_RK)
     assert rc == 0 and report["results"]["verdict"] == "consistent-compact"

@@ -381,6 +381,49 @@ def test_lux_rows_zero_and_infinite_rows_need_no_evaluation():
                  np.zeros((3, 2)))
 
 
+def _row_fields(ref, got):
+    return [(a.tobytes(), b.tobytes()) for a, b in zip(ref, got)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, rows=st.integers(2, 6), zero_row=st.booleans())
+def test_lux_rows_in_a_given_workspace_is_the_allocating_solve_bit_for_bit(seed, rows,
+                                                                         zero_row):
+    """A workspace filled with NaN, which the solve must overwrite before
+    it reads, gives the allocating call's `RowNorms` to the last bit.  Row
+    0 has a constant exponent and stops after two evaluations, the
+    variable-exponent rows later, so the batch is compacted; a row of
+    zeros sends the others through the partial path."""
+    rng = np.random.default_rng(seed)
+    n = [int(rng.choice([65, 257, 1025])) for _ in range(rows)]
+    la = np.full((rows + zero_row, max(n)), -math.inf)
+    pv, lq = np.ones(la.shape), np.zeros(la.shape)
+    for i, k in enumerate(n):
+        g = grid1d(k)
+        a, slope = rng.uniform(2.5, 5.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        p = ExponentField.constant(g.box, a) if i == 0 else ExponentField.affine(g.box, a, (slope,))
+        f = np.abs(_random_case(seed + i, k)[0].values) * 10.0 ** rng.uniform(-3.0, 3.0)
+        f[rng.random(k) < 0.2] = 0.0
+        with np.errstate(divide="ignore"):
+            la[i, :k], pv[i, :k], lq[i, :k] = np.log(f), p.values_on(g), np.log(g.quad_weights)
+    ref = lux_rows(la, pv, lq)
+    assert ref.iterations[0] == 2 and ref.iterations[1:rows].max() > 2
+    got = lux_rows(la, pv, lq, e=np.full(la.shape, math.nan))
+    assert all(a == b for a, b in _row_fields(ref, got))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, dim=st.sampled_from([1, 2]))
+def test_node_table_solve_in_a_caller_block_is_its_own_block_solve_bit_for_bit(seed, dim):
+    """One member or many: a solve that gathers into a NaN-filled caller
+    block returns what the solve with rows of its own returns."""
+    grid, stack, p, w, inside = _family_case(seed, dim)
+    for table in (weighted_table(stack, grid, p, w), weighted_table(stack[:1], grid, p, w)):
+        rows = table.rows(inside)
+        block = np.full((4, *rows.shape), math.nan)
+        assert all(a == b for a, b in _row_fields(table.solve(rows), table.solve(rows, block=block)))
+
+
 def _family_case(seed, dim):
     """A 1D or 2D grid, a family of members of mixed support (each zero
     outside its own box and at random nodes inside), an exponent, a

@@ -471,3 +471,31 @@ def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
     factors = 2
     assert len(calls) <= (depth + 1) * 2 * factors
     assert sum(calls) == factors * rep.cube_count == factors * cubes.count()
+
+
+def test_cube_scan_solves_every_group_in_one_block_regrown_only_to_fit(monkeypatch):
+    """Every solve of a scan gathers into one working block, made for the
+    first group and regrown only for a larger one, to its exact size.
+    Here the groups hold 2145, 2244, 561, 2448 and 1377 nodes, so the
+    block is regrown twice; its four rows hold each solve's log|f|,
+    exponent, log weight and Newton workspace."""
+    blocks, seen = [], []
+    real = norms_module.lux_rows
+
+    def recording(la, p, lq, rel_tol, e):
+        block = la.base
+        if not any(block is b for b in blocks):
+            blocks.append(block)
+        assert all(np.shares_memory(a, block) for a in (p, lq, e))
+        seen.append((block, la.size))
+        return real(la, p, lq, rel_tol, e)
+
+    monkeypatch.setattr(norms_module, "lux_rows", recording)
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    grid = Grid(box, (33, 65))
+    w = WeightField(grid, 1.0 + grid.coords[..., 0] * grid.coords[..., 1])
+    rep = ap_constant(w, const_p(2.0, box), DyadicCubeSet(box, 2))
+    assert len(seen) == 2 * 5 and rep.cube_count == 1 + 4 + 1 + 16 + 9
+    assert len(blocks) == 3
+    for block in blocks:
+        assert block.shape == (4, max(n for b, n in seen if b is block))
