@@ -12,8 +12,8 @@ from .exponent import (ExponentField, LogHolderReport, QuadrupleSpec,
                        nu_exponent, reciprocal_affine, scale_exponent,
                        theta_blend, theta_invert, two_to_one_data,
                        validate_quadruple)
-from .field import (Box, Cube, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    ball_mask, box_mask, integrate, random_simple_function,
+from .field import (Box, Cube, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
+                    WeightField, ball_mask, box_mask, integrate, random_simple_function,
                     read_grid_csv, realize_function, shift_function)
 from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
                      MixedInterpolationReport, OperatorSpec, ThetaEntry,
@@ -26,7 +26,7 @@ from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_measure,
                       oscillation_average, oscillation_profiles)
 from .norms import (NormResult, holder_constant, luxemburg_norm, mixed_norm,
                     modular, pairing, weighted_norm)
-from .rk import (FunctionFamily, NetReport, RKReport, classify, dilate_family,
+from .rk import (NetReport, RKReport, classify, dilate_family,
                  eps_net_oracle, equicontinuity_profile, family_distance_matrix,
                  mollify, mollify_family, modulate_family, translate_family,
                  uniform_bound_profile, vanishing_profile)

@@ -292,10 +292,11 @@ def _run_extrapolate(c, grid):
     w1_vec = tuple(_weight_from(d, grid) for d in c["weights1"])
     op = OperatorSpec(**c["operator"])
     family = _family_from(c["family"], grid)
-    inputs = tuple((f,) * op.arity for f in family.members)
+    # the family in each of the target's slots, a view; the workflow refuses a wrong arity first
+    inputs = np.broadcast_to(family.values[:, None], (len(family), target.m, *grid.shape))
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = run_extrapolation_workflow(
-        op, inputs, target, w_vec, spec1, w1_vec, tuple(c["thetas"]), qtilde=c["qtilde"],
+        op, inputs, grid, target, w_vec, spec1, w1_vec, tuple(c["thetas"]), qtilde=c["qtilde"],
         cubes=cubes, roundtrip_tol=c["roundtrip_tol"], rel_tol=c["rel_tol"])
     bad = [e for e in rep.entries if e.built and not e.roundtrip_ok]
     code = EXIT_VIOLATION if bad else EXIT_OK

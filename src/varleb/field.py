@@ -277,6 +277,31 @@ class WeightField(GridFunction):
         return cls(grid, np.ones(grid.shape))
 
 
+@dataclass(frozen=True, eq=False)
+class FunctionFamily:
+    """Functions on one grid: the ``(members, *grid.shape)`` stack of
+    their values."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.values)[1:] != self.grid.shape or not len(self.values):
+            raise DomainError(f"family values of shape {np.shape(self.values)} are not a stack "
+                              f"of one or more {self.grid.shape} grid functions")
+
+    @classmethod
+    def fill(cls, grid: Grid, count: int, member) -> "FunctionFamily":
+        """The family whose member k is ``member(k)``, written into one stack."""
+        values = np.empty((max(count, 0), *grid.shape))
+        for k, row in enumerate(values):
+            row[...] = member(k)
+        return cls(grid, values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 def shared_grid(functions: Sequence[GridFunction], what: str, grid: Grid | None = None) -> Grid:
     """The grid that grid functions share, ``grid`` if given, else the first
     one's (DomainError saying that ``what`` differ otherwise)."""

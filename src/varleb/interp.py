@@ -12,19 +12,23 @@ where reciprocal exponents and weights blend geometrically at parameter
 a random corpus (inflating a supplied ``M_i`` when the corpus exceeds
 it), then asserts the blended inequality trial by trial, with a small
 multiplicative slack for norm-solver tolerance, and shrinks a witness
-for each violation.  Every ratio comes from one helper that solves the
-norms of a whole corpus slot in one batched call.  The mixed-norm
-bound is the same pipeline with an output map: ``T f`` is replaced by
-the profile ``x -> ||S(x, .)||_{qtilde}`` of the difference field
-``S(x, y) = T(x) - T(x + y)``, built as one sliding window over the
-zero-padded output.  The m-linear fractional kernel, at any m, sums
+for each violation.  Every set of functions is one value stack: the
+corpus is a ``(trials, m, *grid.shape)`` array, `apply_operator` maps
+a ``(..., m, *grid.shape)`` stack to the ``(..., *grid.shape)`` stack
+of outputs, and every ratio comes from one helper that solves a whole
+corpus slot in one batched call.  The mixed-norm bound is the same
+pipeline with an output map: ``T f`` is replaced by the profile ``x ->
+||S(x, .)||_{qtilde}`` of the difference field ``S(x, y) = T(x) - T(x +
+y)``, one sliding window over the zero-padded outputs of a block of
+trials at a time.  The m-linear fractional kernel, at any m, sums
 ``K(s) = (s h)^(alpha - m)`` against the distance histograms of its
 inputs: with ``A_j[i, d]`` the mass of ``f_j qw`` at distance d from
 node i, ``T f(i) = sum_s C[i, s] (A_m H)[i, s]``, where the Hankel
 matrix ``H[d, s] = K(s + d)`` is a view of the kernel and C is a column
 of ones at m = 1, ``A_1`` at m = 2 and the row-wise convolution of
-``A_1 .. A_{m-1}`` beyond.  Nodes go through in blocks of
-``_NODES_PER_BLOCK``, so memory stays of order (block) x m x n.
+``A_1 .. A_{m-1}`` beyond.  The (trial, node) rows go through in blocks
+of ``_NODES_PER_BLOCK``, so the working memory stays of order (block) x
+m x n and no matrix product has more rows than a block.
 
 The extrapolation half inverts the blend: given a target space tuple, a
 second endpoint, and ``th``, it reconstructs the other endpoint (spaces
@@ -35,6 +39,7 @@ compactness classification of the operator outputs at the target space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -47,16 +52,18 @@ from .errors import (ArityMismatchError, DomainError, RangeError,
 from .exponent import (ExponentField, QuadrupleSpec, QuadrupleVerdict,
                        blend_quadruple, theta_blend, theta_invert,
                        validate_quadruple)
-from .field import (Box, DyadicCubeSet, Grid, GridFunction, WeightField,
+from .field import (Box, DyadicCubeSet, FunctionFamily, Grid, WeightField,
                     random_simple_function, shared_grid)
 from .maximal import ball_mean
 from .norms import inner_norm, weighted_norms
-from .rk import FunctionFamily, RKReport, classify
+from .rk import RKReport, classify
 from .weights import WeightConstantReport, multilinear_constant, weight_products
 
-# fractional-kernel nodes per block: the block's histograms and Hankel
-# product hold about (block) x m x n doubles
+# fractional-kernel (trial, node) rows per block: the block's histograms
+# and Hankel product hold about (block) x m x n doubles
 _NODES_PER_BLOCK = 64
+# difference-field values per block of trials (the corpus's would be trials x n x offsets)
+_FIELD_VALUES_PER_BLOCK = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -95,41 +102,52 @@ class OperatorSpec:
         return self.alpha if self.kind == "fractional_kernel" else 0.0
 
 
-def apply_operator(op: OperatorSpec, fs: Sequence[GridFunction]) -> GridFunction:
-    if len(fs) != op.arity:
-        raise ArityMismatchError(f"operator takes {op.arity} inputs, got {len(fs)}")
-    grid = shared_grid(fs, "operator inputs")
+def apply_operator(op: OperatorSpec, values: np.ndarray, grid: Grid) -> np.ndarray:
+    """``T(f_1, .., f_m)`` of every input tuple of a ``(..., m,
+    *grid.shape)`` value stack, as a ``(..., *grid.shape)`` stack."""
+    shape = np.shape(values)
+    if len(shape) <= grid.dim or shape[-grid.dim:] != grid.shape:
+        raise DomainError(f"operator inputs of shape {shape} are not a stack on the grid")
+    if shape[-1 - grid.dim] != op.arity:
+        raise ArityMismatchError(f"operator takes {op.arity} inputs, got {shape[-1 - grid.dim]}")
 
-    if op.kind == "product":
-        return GridFunction.product(fs)
-
-    if op.kind == "ball_average_product":
-        return ball_mean(GridFunction.product(fs), op.radius)
+    if op.kind != "fractional_kernel":
+        prod = np.prod(values, axis=-1 - grid.dim)  # the left fold (f_1 f_2) f_3 ..
+        return prod if op.kind == "product" else ball_mean(prod, grid, op.radius)
 
     if grid.dim != 1:
         raise DomainError("fractional kernels are 1D only")
     n, m = grid.size, op.arity
+    fs = np.reshape(values, (-1, m, n))
     s = np.arange(1, m * (n - 1) + 1) * grid.steps[0]
     kernel = np.concatenate([[0.0], s ** (op.alpha - m)])  # K(0) = 0
     # H[d, s] = K(s + d): a Hankel view of the kernel, s < (m - 1)(n - 1) + 1
     hankel = sliding_window_view(kernel, (m - 1) * (n - 1) + 1)
-    pad = np.zeros(n - 1)
-    windows = [sliding_window_view(np.concatenate([pad, f.values * grid.quad_weights, pad]), n)
-               for f in fs]
-    out = np.empty(n)
-    for i0 in range(0, n, _NODES_PER_BLOCK):
-        i1 = min(i0 + _NODES_PER_BLOCK, n)
-        # A[i, d] = (f qw)(i + d) + (f qw)(i - d) for d = 0 .. n - 1, zero past the ends
-        hists = [w[i0 + n - 1:i1 + n - 1] + w[i0:i1, ::-1] for w in windows]
-        for a in hists:
-            a[:, 0] *= 0.5  # distance 0 is one node, not two
+    out = np.empty(len(fs) * n)
+    # one histogram block for all blocks: a new one would be made while the last is alive
+    block = np.empty((m, min(_NODES_PER_BLOCK, out.size), n))
+    for r0 in range(0, out.size, _NODES_PER_BLOCK):
+        r1 = min(r0 + _NODES_PER_BLOCK, out.size)
+        # the block's rows r = t n + i meet trials t0 .. t1 - 1: their f qw
+        # with n - 1 zeros on each side, and in row r, for d = 0 .. n - 1,
+        # A[r, d] = (f qw)(i + d) + (f qw)(i - d), zero past the ends
+        t0, t1 = r0 // n, (r1 - 1) // n + 1
+        padded = np.zeros((m, t1 - t0, 3 * n - 2))
+        np.multiply(fs[t0:t1].swapaxes(0, 1), grid.quad_weights, out=padded[..., n - 1:2 * n - 1])
+        windows = sliding_window_view(padded, n, axis=-1)
+        hists = block[:, :r1 - r0]
+        for t in range(t0, t1):  # the block holds nodes [a, b) of trial t
+            a, b = max(r0 - t * n, 0), min(r1 - t * n, n)
+            np.add(windows[:, t - t0, a + n - 1:b + n - 1], windows[:, t - t0, a:b, ::-1],
+                   out=hists[:, t * n + a - r0:t * n + b - r0])
+        hists[:, :, 0] *= 0.5  # distance 0 is one node, not two
         *head, last = hists
         if m <= 2:  # C is a column of ones at m = 1 and the first histogram at m = 2
             conv = head[0] if head else np.ones((len(last), 1))
         else:  # the convolution of the middle histograms, row by row
             conv = np.stack([reduce(np.convolve, row) for row in zip(*head)])
-        out[i0:i1] = np.einsum("is,is->i", conv, last @ hankel)
-    return GridFunction(grid, out)
+        out[r0:r1] = np.einsum("is,is->i", conv, np.matmul(last, hankel))
+    return out.reshape(shape[:-2] + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +221,28 @@ class InterpolationReport:
         return not self.violations
 
 
-def _draw_corpus(grid: Grid, m: int, trials: int, seed: int):
+def _draw_corpus(grid: Grid, m: int, trials: int, seed: int) -> np.ndarray:
+    """The ``(trials, m, *grid.shape)`` corpus, drawn one function at a
+    time, trial by trial, from one generator."""
     rng = np.random.default_rng(seed)
-    return [tuple(random_simple_function(grid, rng) for _ in range(m))
-            for _ in range(trials)]
+    draws = FunctionFamily.fill(grid, trials * m,
+                                lambda _: random_simple_function(grid, rng).values)
+    return draws.values.reshape(trials, m, *grid.shape)
 
 
-def _corpus_ratios(corpus, outputs, space: EndpointSpace, scale: float,
-                   rel_tol: float) -> np.ndarray:
+def _corpus_ratios(corpus: np.ndarray, outputs: np.ndarray, grid: Grid,
+                   space: EndpointSpace, scale: float, rel_tol: float) -> np.ndarray:
     """Per-trial ``||T f||_{q,v} / (scale prod_j ||f_j||_{p_j,w_j})``
-    over a corpus of m-tuples and their outputs, 0 where an input norm
-    vanishes: one batched `weighted_norms` call per input slot and one
-    for the outputs.  The denominator is the left fold ``scale n_1 n_2
-    ..``.  A NaN ratio (an overflowed inf over inf) is a DomainError
-    naming the trial and both sides."""
+    over a ``(trials, m, *grid.shape)`` corpus and its ``(trials,
+    *grid.shape)`` outputs, 0 where an input norm vanishes: one batched
+    `weighted_norms` call per input slot and one for the outputs.  The
+    denominator is the left fold ``scale n_1 n_2 ..``.  A NaN ratio (an
+    overflowed inf over inf) is a DomainError naming the trial and both
+    sides."""
     den = np.full(len(corpus), scale)
     for j, (p, w) in enumerate(zip(space.p_vec, space.w_vec)):
-        den = den * weighted_norms(np.stack([fs[j].values for fs in corpus]), corpus[0][j].grid,
-                                   p, w, rel_tol)
-    num = weighted_norms(np.stack([g.values for g in outputs]), outputs[0].grid, space.q,
-                         space.v, rel_tol)
+        den = den * weighted_norms(corpus[:, j], grid, p, w, rel_tol)
+    num = weighted_norms(outputs, grid, space.q, space.v, rel_tol)
     # den is a product of nonnegative norms, so != 0 also lets a NaN through
     with np.errstate(invalid="ignore"):
         ratios = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
@@ -242,62 +262,61 @@ def _certify(space: EndpointSpace, ratios: np.ndarray, safety: float) -> Endpoin
                                space.bound is not None)
 
 
-def _shrink_witness(fs, violates) -> tuple:
+def _shrink_witness(fs: np.ndarray, violates) -> np.ndarray:
     """Chop supports in half while the inequality still fails, to hand
-    back the smallest witness the reduction finds."""
-    fs = list(fs)
+    back the smallest ``(m, *shape)`` witness the reduction finds."""
     improved = True
     while improved:
         improved = False
-        for j, f in enumerate(fs):
-            support = np.flatnonzero(np.abs(f.values).reshape(-1))
+        for j in range(len(fs)):
+            support = np.flatnonzero(fs[j])
             if support.size < 2:
                 continue
             for half in (support[:support.size // 2], support[support.size // 2:]):
-                vals = np.zeros(f.values.size)
-                vals[half] = f.values.reshape(-1)[half]
-                cand = GridFunction(f.grid, vals.reshape(f.grid.shape))
-                if cand.values.any():
-                    trial = fs[:j] + [cand] + fs[j + 1:]
-                    if violates(tuple(trial)):
-                        fs = trial
-                        improved = True
-                        break
-    return tuple(fs)
+                trial = fs.copy()
+                trial[j] = 0.0
+                trial[j].flat[half] = fs[j].flat[half]
+                if violates(trial):
+                    fs, improved = trial, True
+                    break
+    return fs
 
 
 def _verify(op: OperatorSpec, space0: EndpointSpace, space1: EndpointSpace,
             theta: float, trials: int, seed: int, safety: float, slack: float,
             rel_tol: float, out_map):
-    """The pipeline of both verifiers, on the outputs ``out_map(T f)``:
-    certify both endpoints over one random corpus, then assert the
-    blended bound on every corpus member and shrink a witness for each
-    violation.  Returns the certificates, the worst blended ratio and
-    the violations."""
+    """The pipeline of both verifiers, on the outputs ``out_map(T f)`` of
+    the whole corpus: certify both endpoints over one random corpus,
+    then assert the blended bound on every corpus member and shrink a
+    witness for each violation.  Returns the certificates, the worst
+    blended ratio and the violations."""
     if op.arity != space0.m:
         raise ArityMismatchError("operator arity does not match the endpoint spaces")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    # a zero safety certifies every bound as 0 and passes vacuously
+    if not 0.0 < safety < math.inf:
+        raise DomainError(f"safety must be a finite positive number, got {safety}")
     blended = blend_spaces(space0, space1, theta)
-    corpus = _draw_corpus(blended.grid, op.arity, trials, seed)
-    outputs = [out_map(apply_operator(op, fs)) for fs in corpus]
-    certs = tuple(_certify(s, _corpus_ratios(corpus, outputs, s, 1.0, rel_tol), safety)
+    grid = blended.grid
+    corpus = _draw_corpus(grid, op.arity, trials, seed)
+    outputs = out_map(apply_operator(op, corpus, grid))
+    certs = tuple(_certify(s, _corpus_ratios(corpus, outputs, grid, s, 1.0, rel_tol), safety)
                   for s in (space0, space1))
     m_blend = certs[0].bound ** (1.0 - theta) * certs[1].bound ** theta
-    ratios = _corpus_ratios(corpus, outputs, blended, m_blend, rel_tol)
+    ratios = _corpus_ratios(corpus, outputs, grid, blended, m_blend, rel_tol)
 
     def violates(fs):
-        out = out_map(apply_operator(op, fs))
-        return _corpus_ratios([fs], [out], blended, m_blend, rel_tol)[0] > 1.0 + slack
+        out = out_map(apply_operator(op, fs[None], grid))
+        return _corpus_ratios(fs[None], out, grid, blended, m_blend, rel_tol)[0] > 1.0 + slack
 
-    violations = []
-    for t in np.flatnonzero(ratios > 1.0 + slack):
-        small = _shrink_witness(corpus[t], violates)
-        cells = sum(int(np.count_nonzero(f.values)) for f in small)
-        violations.append(Violation(int(t), float(ratios[t]), cells))
-    return certs, float(ratios.max()), tuple(violations)
+    violations = tuple(
+        Violation(int(t), float(ratios[t]),
+                  int(np.count_nonzero(_shrink_witness(corpus[t], violates))))
+        for t in np.flatnonzero(ratios > 1.0 + slack))
+    return certs, float(ratios.max()), violations
 
 
 def verify_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
@@ -314,7 +333,7 @@ def verify_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
     beyond ``1 + slack`` are reported with shrunken witnesses.
     """
     certs, worst, violations = _verify(op, space0, space1, theta, trials, seed,
-                                       safety, slack, rel_tol, lambda Tf: Tf)
+                                       safety, slack, rel_tol, lambda outputs: outputs)
     return InterpolationReport(theta, trials, certs, worst, violations, slack)
 
 
@@ -328,10 +347,12 @@ class MixedInterpolationReport(InterpolationReport):
     offsets: int
 
 
-def difference_field(Tf: GridFunction, offset_count: int) -> GridFunction:
-    """``S(x, y) = T(x) - T(x + y)`` for node-aligned offsets
-    ``y = k h``, ``|k| <= offset_count``, zero extension past the box."""
-    grid = Tf.grid
+def difference_field(values: np.ndarray, grid: Grid,
+                     offset_count: int) -> tuple[np.ndarray, Grid]:
+    """``S(x, y) = T(x) - T(x + y)`` of each output T of a ``(..., n)``
+    value stack on a 1D grid, for node-aligned offsets ``y = k h``,
+    ``|k| <= offset_count``, zero extension past the box: the ``(..., n,
+    2 offset_count + 1)`` stack of fields and their 2D grid of ``(x, y)``."""
     if grid.dim != 1:
         raise DomainError("difference fields start from 1D outputs")
     if offset_count < 1:
@@ -340,12 +361,12 @@ def difference_field(Tf: GridFunction, offset_count: int) -> GridFunction:
     n = grid.size
     if offset_count >= n:  # an offset of n steps or more reaches no node
         raise DomainError(f"offset_count {offset_count} must be below the {n} grid nodes")
-    pad = np.zeros(offset_count)
+    pad = np.zeros(np.shape(values)[:-1] + (offset_count,))
     # row i of the window is T(x_i + k h) for k = -offset_count .. offset_count
-    shifted = sliding_window_view(np.concatenate([pad, Tf.values, pad]), 2 * offset_count + 1)
+    shifted = sliding_window_view(np.concatenate([pad, values, pad], axis=-1),
+                                  2 * offset_count + 1, axis=-1)
     ybox = Box((grid.box.lo[0], -offset_count * h), (grid.box.hi[0], offset_count * h))
-    ygrid = Grid(ybox, (n, 2 * offset_count + 1))
-    return GridFunction(ygrid, Tf.values[:, None] - shifted)
+    return values[..., None] - shifted, Grid(ybox, (n, 2 * offset_count + 1))
 
 
 def verify_mixed_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
@@ -361,9 +382,16 @@ def verify_mixed_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
     limit = min(space0.q.p_minus, space1.q.p_minus)
     if not 0.0 < qtilde < limit:
         raise DomainError(f"qtilde must lie in (0, {limit}), got {qtilde}")
-    certs, worst, violations = _verify(
-        op, space0, space1, theta, trials, seed, safety, slack, rel_tol,
-        lambda Tf: inner_norm(difference_field(Tf, offset_count), qtilde))
+    grid = space0.grid
+
+    def profiles(outputs):  # the difference fields of a block of trials at a time
+        step = max(1, _FIELD_VALUES_PER_BLOCK // ((2 * offset_count + 1) * grid.size))
+        return np.concatenate([inner_norm(*difference_field(outputs[t:t + step], grid,
+                                                            offset_count), qtilde)
+                               for t in range(0, len(outputs), step)])
+
+    certs, worst, violations = _verify(op, space0, space1, theta, trials, seed, safety,
+                                       slack, rel_tol, profiles)
     return MixedInterpolationReport(theta, trials, certs, worst, violations, slack,
                                     qtilde, offset_count)
 
@@ -450,8 +478,8 @@ class WorkflowReport:
         return self.rk.verdict
 
 
-def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
-                               w_vec, spec1: QuadrupleSpec, w1_vec,
+def run_extrapolation_workflow(op: OperatorSpec, inputs: np.ndarray, grid: Grid,
+                               target: QuadrupleSpec, w_vec, spec1: QuadrupleSpec, w1_vec,
                                thetas: Sequence[float], qtilde: float | None = None,
                                cubes: DyadicCubeSet | None = None,
                                roundtrip_tol: float = 1e-10,
@@ -460,9 +488,9 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
     the operator against it over the given inputs, and classify the
     operator outputs in the target output space.
 
-    ``inputs`` is a sequence of m-tuples of grid functions; the default
-    ``qtilde = 1 / (1/r - gamma)`` always sits below the target output
-    lower bound for admissible targets.
+    ``inputs`` is a ``(members, m, *grid.shape)`` stack of input tuples;
+    the default ``qtilde = 1 / (1/r - gamma)`` always sits below the
+    target output lower bound for admissible targets.
     """
     if op.arity != target.m:
         raise ArityMismatchError(f"operator arity {op.arity} does not match the "
@@ -471,7 +499,7 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
     if len(w_vec) != target.m:
         raise ArityMismatchError(f"{len(w_vec)} weights against arity {target.m}")
     w1_vec = tuple(w1_vec)
-    outputs = FunctionFamily(tuple(apply_operator(op, fs) for fs in inputs))
+    outputs = FunctionFamily(grid, apply_operator(op, inputs, grid))
     nu = WeightField.product(w_vec)
     if qtilde is None:
         qtilde = 1.0 / (1.0 / target.r - target.gamma)
@@ -488,7 +516,7 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs, target: QuadrupleSpec,
             continue
         space0 = EndpointSpace(built.spec0.p_vec, built.spec0.q, built.w0_vec,
                                WeightField.product(built.w0_vec))
-        worst = float(_corpus_ratios(inputs, outputs.members, space0, 1.0,
+        worst = float(_corpus_ratios(inputs, outputs.values, grid, space0, 1.0,
                                      rel_tol).max())
         ok = (built.roundtrip_exponent_error <= roundtrip_tol
               and built.roundtrip_weight_error <= roundtrip_tol)

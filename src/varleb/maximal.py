@@ -59,8 +59,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .exponent import ExponentField
-from .field import (BALL_SHRINK, DyadicCubeSet, Grid, GridFunction, WeightField,
-                    refuse_non_finite)
+from .field import (BALL_SHRINK, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
+                    WeightField, refuse_non_finite)
 from .norms import weighted_norms
 from .weights import WeightConstantReport, gate_constant
 
@@ -199,8 +199,8 @@ def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
                 if k1 == 0:
                     np.copyto(out, row)
                 else:
-                    out[:-k1] += row[k1:]
-                    out[k1:] += row[:-k1]
+                    out[..., :-k1, :] += row[..., k1:, :]
+                    out[..., k1:, :] += row[..., :-k1, :]
         # a centre-node ball is the smallest, so only the first chunk
         # copies arr: let a caller's temporary go
         arr = None
@@ -210,7 +210,7 @@ def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
 
 def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     """For every node x, the sum of ``arr`` over in-box nodes of the
-    open ball B(x, radius).
+    open ball B(x, radius), for an ``arr`` on the grid or a stack of them.
 
     Each row of a ball is an interval, read off one prefix sum along the
     last axis.  In 2D the interval of row offset ``k1`` is computed once
@@ -262,10 +262,11 @@ def ball_measure(grid: Grid, radius: float) -> np.ndarray:
     return _ball_measure(grid, _row_reach(grid, radius * BALL_SHRINK), np.empty(grid.shape))
 
 
-def ball_mean(f: GridFunction, radius: float) -> GridFunction:
-    """Signed in-box ball average of f at every node (linear in f)."""
-    num = ball_sums(f.grid.quad_weights * f.values, f.grid, radius)
-    return GridFunction(f.grid, num / np.maximum(ball_measure(f.grid, radius), 1e-300))
+def ball_mean(values: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
+    """Signed in-box ball average at every node (linear in f) of each
+    function f of a ``(..., *grid.shape)`` value stack."""
+    num = ball_sums(grid.quad_weights * values, grid, radius)
+    return num / np.maximum(ball_measure(grid, radius), 1e-300)
 
 
 def _check_qtilde(qtilde: float) -> None:
@@ -374,7 +375,7 @@ class ProbeReport:
     max_ratio: float
 
 
-def maximal_boundedness_probe(corpus: Sequence[GridFunction], p: ExponentField,
+def maximal_boundedness_probe(corpus: FunctionFamily, p: ExponentField,
                               w: WeightField, qtilde: float, sweep: RadiusSweep,
                               cubes: DyadicCubeSet, rel_tol: float = 1e-10) -> ProbeReport:
     """Empirical norm ratios ``||M_q f|| / ||f||`` under the gating
@@ -385,13 +386,12 @@ def maximal_boundedness_probe(corpus: Sequence[GridFunction], p: ExponentField,
     below p_- or the gate constant overflows.
     """
     gate = gate_constant(w, p, qtilde, cubes, rel_tol)
-    fn = np.zeros(0)
-    if len(corpus):
-        grid = corpus[0].grid
-        fn = weighted_norms(np.stack([f.values for f in corpus]), grid, p, w, rel_tol)
+    grid = corpus.grid
+    fn = weighted_norms(corpus.values, grid, p, w, rel_tol)
     live = np.flatnonzero(fn > 0.0)
     if not live.size:
         raise DomainError("probe corpus contains only zero functions")
-    mf = np.stack([maximal_function(corpus[i], qtilde, sweep).values for i in live])
-    ratios = (weighted_norms(mf, grid, p, w, rel_tol) / fn[live]).tolist()
+    mf = FunctionFamily.fill(grid, live.size, lambda k: maximal_function(
+        GridFunction(grid, corpus.values[live[k]]), qtilde, sweep).values)
+    ratios = (weighted_norms(mf.values, grid, p, w, rel_tol) / fn[live]).tolist()
     return ProbeReport(gate, qtilde, tuple(ratios), max(ratios))

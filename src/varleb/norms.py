@@ -31,9 +31,11 @@ Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure);
 `_times_weight` is the one place where it does.
 
-A mixed norm of a bivariate function first reduces the second axis by a
-constant-exponent integral norm (`inner_norm`), then applies a
-variable-exponent Luxemburg norm in the first axis.
+A set of functions is one ``(members, *grid.shape)`` value stack, as
+in ``rk`` and ``interp``.  A mixed norm of a bivariate function first
+reduces the second axis by a constant-exponent integral norm
+(`inner_norm`, of a whole stack), then applies a variable-exponent
+Luxemburg norm in the first axis.
 """
 
 from __future__ import annotations
@@ -287,19 +289,18 @@ def weighted_norms(values: np.ndarray, grid: Grid, p: ExponentField,
     return weighted_table(values, grid, p, w).solve(rel_tol=rel_tol).value
 
 
-def inner_norm(F: GridFunction, inner_exponent: float) -> GridFunction:
-    """The profile ``x -> ||F(x, .)||_{L^inner}`` of a bivariate grid
-    function, on the 1D grid of its first axis; the inner exponent is a
-    positive constant."""
-    if F.grid.dim != 2:
+def inner_norm(values: np.ndarray, grid: Grid, inner_exponent: float) -> np.ndarray:
+    """The profile ``x -> ||F(x, .)||_{L^inner}`` of each bivariate
+    function F of a ``(..., *grid.shape)`` value stack on a 2D grid, as a
+    ``(..., grid.shape[0])`` stack on the grid of its first axis; the
+    inner exponent is a positive constant."""
+    if grid.dim != 2:
         raise DomainError("mixed norms need a bivariate grid function")
     if inner_exponent <= 0.0 or not math.isfinite(inner_exponent):
         raise DomainError("inner exponent must be a finite positive constant")
-    wy = F.grid.axis_grid(1).quad_weights
+    wy = grid.axis_grid(1).quad_weights
     with np.errstate(over="ignore"):
-        inner = np.sum(wy[None, :] * np.abs(F.values) ** inner_exponent, axis=1) ** (
-            1.0 / inner_exponent)
-    return GridFunction(F.grid.axis_grid(0), inner)
+        return np.sum(wy * np.abs(values) ** inner_exponent, axis=-1) ** (1.0 / inner_exponent)
 
 
 # no library caller; bench/layers.py traces it by name until its counters move inside
@@ -312,7 +313,8 @@ def mixed_norm(F: GridFunction, inner_exponent: float, outer_p: ExponentField,
     The inner exponent is a positive constant; the outer exponent and
     weight live on the first-axis 1D grid.
     """
-    return weighted_norm(inner_norm(F, inner_exponent), outer_p, outer_weight, rel_tol)
+    inner = inner_norm(F.values, F.grid, inner_exponent)
+    return weighted_norm(GridFunction(F.grid.axis_grid(0), inner), outer_p, outer_weight, rel_tol)
 
 
 def holder_constant(p: ExponentField) -> float:

@@ -19,7 +19,8 @@ epsilon does not.
 
 Verdicts are "consistent-compact", "consistent-noncompact", or
 "inconclusive"; they are evidence statements about the sampled family,
-never theorems.
+never theorems.  A family is one `FunctionFamily`, the ``(members,
+*grid.shape)`` stack that its generator fills once and every probe reads.
 """
 
 from __future__ import annotations
@@ -32,33 +33,11 @@ import numpy as np
 
 from .errors import DomainError
 from .exponent import ExponentField
-from .field import (DyadicCubeSet, Grid, GridFunction, WeightField, ball_mask, shared_grid,
+from .field import (DyadicCubeSet, FunctionFamily, GridFunction, WeightField, ball_mask,
                     shift_function)
 from .maximal import RadiusSweep, oscillation_profiles
 from .norms import weighted_norms, weighted_table
 from .weights import WeightConstantReport, gate_constant
-
-
-@dataclass(frozen=True)
-class FunctionFamily:
-    members: tuple[GridFunction, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise DomainError("family must have at least one member")
-        shared_grid(self.members, "family members")
-
-    @property
-    def grid(self) -> Grid:
-        return self.members[0].grid
-
-    @property
-    def values(self) -> np.ndarray:
-        """The ``(members, *grid.shape)`` stack of member values."""
-        return np.stack([f.values for f in self.members])
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +46,9 @@ class FunctionFamily:
 
 def translate_family(base: GridFunction, count: int, step: float) -> FunctionFamily:
     """Shifted copies ``f(x - k step)`` along axis 0, zero filled."""
-    members = []
-    for k in range(count):
-        shift = [0.0] * base.grid.dim
-        shift[0] = k * step
-        members.append(shift_function(base, shift))
-    return FunctionFamily(tuple(members))
+    rest = [0.0] * (base.grid.dim - 1)
+    return FunctionFamily.fill(base.grid, count,
+                               lambda k: shift_function(base, [k * step, *rest]).values)
 
 
 def modulate_family(base: GridFunction, count: int, base_frequency: float = 1.0,
@@ -95,11 +71,8 @@ def modulate_family(base: GridFunction, count: int, base_frequency: float = 1.0,
             f"modulate base_frequency {base_frequency}: top frequency {top:.6g} exceeds a "
             "quarter of the grid rate; refine the grid or lower the growth factor")
     x0 = base.grid.coords[..., 0]
-    members = []
-    for k in range(count):
-        osc = np.sin(2.0 * np.pi * base_frequency * growth ** k * x0)
-        members.append(GridFunction(base.grid, base.values * osc))
-    return FunctionFamily(tuple(members))
+    return FunctionFamily.fill(base.grid, count, lambda k: base.values * np.sin(
+        2.0 * np.pi * base_frequency * growth ** k * x0))
 
 
 def _last_power(family: str, key: str, value: float, count: int) -> float:
@@ -122,11 +95,8 @@ def dilate_family(base: GridFunction, count: int, ratio: float = 0.5) -> Functio
         raise DomainError(f"dilate ratio must be a finite positive number, got {ratio}")
     _last_power("dilate", "ratio", ratio, count)
     x = base.grid.axes[0]
-    members = []
-    for k in range(count):
-        members.append(GridFunction(
-            base.grid, np.interp(x / ratio ** k, x, base.values, left=0.0, right=0.0)))
-    return FunctionFamily(tuple(members))
+    return FunctionFamily.fill(base.grid, count, lambda k: np.interp(
+        x / ratio ** k, x, base.values, left=0.0, right=0.0))
 
 
 def mollify(f: GridFunction, sigma: float) -> GridFunction:
@@ -164,8 +134,8 @@ def mollify_family(base: GridFunction, count: int, sigma: float,
             raise DomainError(f"mollify {key} must be a finite positive number, got {value}")
     if ratio > 1.0:  # a scale that underflows to 0 is the identity, which is fine
         _last_power("mollify", "ratio", ratio, count)
-    members = tuple(mollify(base, sigma * ratio ** k) for k in range(count))
-    return FunctionFamily(members)
+    return FunctionFamily.fill(base.grid, count,
+                               lambda k: mollify(base, sigma * ratio ** k).values)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +231,7 @@ def family_distance_matrix(family: FunctionFamily, p: ExponentField,
     d = np.zeros((n, n))
     i, j = np.triu_indices(n, 1)
     if i.size:
-        v = family.values
-        table = weighted_table(v[i] - v[j], family.grid, p, w)
-        del v  # only the node table of the pair differences outlives this line
+        table = weighted_table(family.values[i] - family.values[j], family.grid, p, w)
         d[i, j] = d[j, i] = table.solve(rel_tol=rel_tol).value
     return d
 

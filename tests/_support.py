@@ -10,8 +10,9 @@ import csv
 
 import numpy as np
 
-from varleb import Box, ExponentField, Grid, GridFunction, WeightField
+from varleb import Box, ExponentField, FunctionFamily, Grid, GridFunction, WeightField
 from varleb.exponent import default_scan_shape
+from varleb.field import shared_grid
 
 UNIT = Box((0.0,), (1.0,))
 SYM = Box((-1.0,), (1.0,))
@@ -19,6 +20,12 @@ SYM = Box((-1.0,), (1.0,))
 
 def grid1d(n: int = 1025, box: Box = UNIT) -> Grid:
     return Grid(box, (n,))
+
+
+def family_of(fs) -> FunctionFamily:
+    """The family of the grid functions ``fs``, which share one grid."""
+    fs = tuple(fs)
+    return FunctionFamily(shared_grid(fs, "family members"), np.stack([f.values for f in fs]))
 
 
 def reciprocal_affine_field(box: Box, c: float, d: float) -> ExponentField:

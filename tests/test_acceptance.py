@@ -26,7 +26,7 @@ from varleb import (Box, DyadicCubeSet, EndpointSpace, ExponentField, Grid,
                     verify_mixed_interpolation_bound)
 from varleb.rk import FunctionFamily
 
-from _support import UNIT, grid1d, rand_exponent, rand_weight
+from _support import UNIT, family_of, grid1d, rand_exponent, rand_weight
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -296,9 +296,9 @@ def test_criterion_07_class_containment():
 # 8. maximal operator: analytic profile and stable norm ratios
 
 
-def _probe_corpus(grid: Grid) -> list[GridFunction]:
+def _probe_corpus(grid: Grid) -> FunctionFamily:
     x = grid.coords[..., 0]
-    return [
+    return family_of([
         _gaussian(grid, 1.0 / 0.25, center=1.0),
         _gaussian(grid, 1.0 / 0.04, center=3.0),
         _gaussian(grid, 1.0 / 0.64, center=6.0),
@@ -311,7 +311,7 @@ def _probe_corpus(grid: Grid) -> list[GridFunction]:
                                     np.exp(-1.0 / np.maximum(1e-12, 1.0 - (x - 4.0) ** 2)),
                                     0.0)),
         GridFunction(grid, 0.1 + x / 10.0),
-    ]
+    ])
 
 
 def test_criterion_08_maximal_profile_and_ratio_stability():
@@ -463,8 +463,8 @@ def test_criterion_11_extrapolation_roundtrip_and_ladder():
                           sigma=0.15, ratio=0.01)
     right = mollify_family(GridFunction(g2, np.exp(-6.0 * x2 ** 2)), 5,
                            sigma=0.15, ratio=0.01)
-    inputs = list(zip(left.members, right.members))
-    report = run_extrapolation_workflow(OperatorSpec("product", 2), inputs,
+    inputs = np.stack([left.values, right.values], axis=1)
+    report = run_extrapolation_workflow(OperatorSpec("product", 2), inputs, g2,
                                         targ2, ones, targ2, ones,
                                         thetas=(0.25, 0.4, 0.5, 0.6, 0.75))
     assert report.rk is not None

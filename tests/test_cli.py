@@ -913,6 +913,19 @@ def test_non_number_config_value_exits_one_and_names_the_key(tmp_path, capsys, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("safety", [0.0, -1.0, math.inf])
+def test_interp_verify_with_a_safety_that_is_not_finite_and_positive_exits_one(tmp_path, capsys,
+                                                                               safety):
+    """A zero or infinite safety certifies every bound as 0 or inf, a
+    vacuous pass; a negative one makes the blended bound complex."""
+    rc, report, _ = _run(tmp_path, "interp-verify", _interp_config(safety=safety))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"safety must be a finite positive number, got {safety}" in err
+    assert "Traceback" not in err
+
+
 def test_interp_verify_with_a_negative_seed_exits_one_and_names_it(tmp_path, capsys):
     rc, report, _ = _run(tmp_path, "interp-verify", _interp_config(seed=-1))
     err = capsys.readouterr().err
@@ -961,7 +974,7 @@ def test_quadruple_s_reads_null_and_inf_as_infinity(tmp_path):
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("arity", [1, 3])
+@pytest.mark.parametrize("arity", [1, 3, 2 ** 53])
 def test_extrapolate_with_a_wrong_operator_arity_exits_one(tmp_path, capsys, arity):
     quad = {"p_vec": [{"kind": "constant", "value": 4.0}] * 2,
             "q": {"kind": "constant", "value": 2.0}, "r_vec": [1.5, 1.5], "s": 6.0}

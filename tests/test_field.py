@@ -136,7 +136,7 @@ def test_ball_mask_is_open():
 def test_ball_average_constant():
     g = grid1d(1025)
     c = GridFunction(g, np.full(g.shape, 3.7))
-    assert np.allclose(ball_mean(c, 0.1).values, 3.7, rtol=0.0, atol=1e-12)
+    assert np.allclose(ball_mean(c.values, g, 0.1), 3.7, rtol=0.0, atol=1e-12)
 
 
 def test_ball_average_indicator_interior_and_edge():
@@ -146,9 +146,9 @@ def test_ball_average_indicator_interior_and_edge():
     x = g.coords[..., 0]
     mid, edge = int(np.argmin(np.abs(x - 0.5))), int(np.argmin(np.abs(x - 1.0)))
     assert x[mid] == 0.5 and x[edge] == 1.0
-    assert ball_mean(chi, 0.25).values[mid] == pytest.approx(1.0, abs=1e-9)
+    assert ball_mean(chi.values, g, 0.25)[mid] == pytest.approx(1.0, abs=1e-9)
     # centered at the edge, half the ball sees the support
-    assert ball_mean(chi, 0.5).values[edge] == pytest.approx(0.5, abs=2.0 * g.max_step)
+    assert ball_mean(chi.values, g, 0.5)[edge] == pytest.approx(0.5, abs=2.0 * g.max_step)
 
 
 def test_ball_average_affine_midpoint():
@@ -156,7 +156,7 @@ def test_ball_average_affine_midpoint():
     center value."""
     g = grid1d(2049)
     f = GridFunction.from_callable(g, lambda pts: 2.0 * pts[..., 0] - 0.3)
-    got = ball_mean(f, 0.125).values[1024]
+    got = ball_mean(f.values, g, 0.125)[1024]
     assert g.coords[1024, 0] == 0.5
     assert got == pytest.approx(2.0 * 0.5 - 0.3, abs=1e-9)
 

@@ -68,8 +68,8 @@ def test_product_with_identity_factor_returns_the_function():
     x = g.coords[..., 0]
     f = GridFunction(g, np.sin(3.0 * x))
     one = GridFunction(g, np.ones(g.shape))
-    out = apply_operator(OperatorSpec("product", 2), (f, one))
-    assert np.array_equal(out.values, f.values)
+    out = apply_operator(OperatorSpec("product", 2), np.stack([f.values, one.values]), g)
+    assert np.array_equal(out, f.values)
 
 
 def test_product_of_indicators_is_the_intersection_indicator():
@@ -77,20 +77,21 @@ def test_product_of_indicators_is_the_intersection_indicator():
     x = g.coords[..., 0]
     chi_a = GridFunction(g, ((x >= 0.1) & (x <= 0.6)).astype(float))
     chi_b = GridFunction(g, ((x >= 0.4) & (x <= 0.9)).astype(float))
-    out = apply_operator(OperatorSpec("product", 2), (chi_a, chi_b))
+    out = apply_operator(OperatorSpec("product", 2), np.stack([chi_a.values, chi_b.values]), g)
     expect = ((x >= 0.4) & (x <= 0.6)).astype(float)
-    assert np.array_equal(out.values, expect)
+    assert np.array_equal(out, expect)
 
 
 def test_apply_operator_arity_and_grid_mismatch():
     g = Grid(UNIT, (65,))
-    f = GridFunction(g, np.ones(g.shape))
-    with pytest.raises(ArityMismatchError):
-        apply_operator(OperatorSpec("product", 2), (f,))
-    other = Grid(UNIT, (129,))
-    with pytest.raises(DomainError):
-        apply_operator(OperatorSpec("product", 2),
-                       (f, GridFunction(other, np.ones(other.shape))))
+    with pytest.raises(ArityMismatchError, match="operator takes 2 inputs, got 1"):
+        apply_operator(OperatorSpec("product", 2), np.ones((1, 65)), g)
+    with pytest.raises(ArityMismatchError, match="operator takes 2 inputs, got 3"):
+        apply_operator(OperatorSpec("product", 2), np.ones((4, 3, 65)), g)
+    with pytest.raises(DomainError, match=r"\(2, 129\) are not a stack on the grid"):
+        apply_operator(OperatorSpec("product", 2), np.ones((2, 129)), g)
+    with pytest.raises(DomainError, match="not a stack"):
+        apply_operator(OperatorSpec("product", 1), np.ones(65), g)
 
 
 def test_operators_are_multilinear_on_random_probes():
@@ -101,29 +102,29 @@ def test_operators_are_multilinear_on_random_probes():
            OperatorSpec("fractional_kernel", 2, alpha=0.75),
            OperatorSpec("fractional_kernel", 3, alpha=1.5))
     for op in ops:
-        f = GridFunction(g, rng.normal(size=g.shape))
-        gfun = GridFunction(g, rng.normal(size=g.shape))
-        others = [GridFunction(g, rng.normal(size=g.shape)) for _ in range(op.arity - 1)]
+        f = rng.normal(size=g.shape)
+        gfun = rng.normal(size=g.shape)
+        others = [rng.normal(size=g.shape) for _ in range(op.arity - 1)]
         a, b = 1.7, -0.4
         scale = None
         for j in range(op.arity):  # linearity in every slot
             def at(h):
-                return apply_operator(op, others[:j] + [h] + others[j:])
+                return apply_operator(op, np.stack(others[:j] + [h] + others[j:]), g)
             left = at(a * f + b * gfun)
             right = a * at(f) + b * at(gfun)
-            scale = scale or max(np.max(np.abs(left.values)), 1.0)
-            assert np.max(np.abs(left.values - right.values)) <= 1e-12 * scale
+            scale = scale or max(np.max(np.abs(left)), 1.0)
+            assert np.max(np.abs(left - right)) <= 1e-12 * scale
 
 
 def test_fractional_kernel_matches_analytic_value_off_support():
     g = Grid(Box((-1.0,), (3.0,)), (4097,))
     x = g.coords[..., 0]
     chi = GridFunction(g, ((x >= 0.0) & (x <= 1.0)).astype(float))
-    out = apply_operator(OperatorSpec("fractional_kernel", 1, alpha=0.5), (chi,))
+    out = apply_operator(OperatorSpec("fractional_kernel", 1, alpha=0.5), chi.values[None], g)
     i = int(np.argmin(np.abs(x - 2.0)))
     assert x[i] == 2.0
     # int_0^1 |2 - y|^(-1/2) dy
-    assert abs(out.values[i] - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-3
+    assert abs(out[i] - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-3
 
 
 _KERNEL_CASES = [(1, 0.25), (1, 0.75), (2, 0.75), (2, 1.3), (3, 0.5), (3, 2.2)]
@@ -156,7 +157,7 @@ def test_fractional_kernel_matches_a_direct_sum(m, alpha, block, monkeypatch):
         for f in fs[1:]:
             weights = np.multiply.outer(weights, f.values * g.quad_weights)
         direct = (kernel * weights).reshape(n, -1).sum(axis=1)
-        out = apply_operator(op, fs).values
+        out = apply_operator(op, np.stack([f.values for f in fs]), g)
         if signed:
             assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(direct))
         else:
@@ -171,10 +172,62 @@ def test_fractional_kernel_below_arity_three_convolves_nothing(m, monkeypatch):
     real = np.convolve
     monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or real(*a, **k))
     g = Grid(UNIT, (129,))
-    fs = tuple(GridFunction(g, np.linspace(1.0, 2.0, 129)) for _ in range(m))
-    out = apply_operator(OperatorSpec("fractional_kernel", m, alpha=0.5), fs)
-    assert np.all(out.values > 0.0)
+    fs = np.tile(np.linspace(1.0, 2.0, 129), (m, 1))
+    out = apply_operator(OperatorSpec("fractional_kernel", m, alpha=0.5), fs, g)
+    assert np.all(out > 0.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [129, 100], ids=["n=1-mod-64", "n=36-mod-64"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["product", "ball_average_product", "fractional_kernel"])
+def test_a_stack_of_trials_maps_as_each_trial_alone(kind, m, n):
+    """A ``(2, 3, m, n)`` stack against each trial applied on its own:
+    the same bits, except where a fractional trial alone ends in a
+    one-row block (n = 1 mod 64).  There the last node goes through
+    numpy's matrix-vector path alone, and at m = 1, where every block
+    is a matrix-vector product, the last two nodes of the stack's short
+    final block take that kernel's remainder path; both stay within
+    1e-15 relative."""
+    g = Grid(UNIT, (n,))
+    op = OperatorSpec(kind, m, alpha=0.75, radius=0.1)
+    corpus = np.random.default_rng(10 * n + m).uniform(0.5, 1.5, size=(2, 3, m, n))
+    stacked = apply_operator(op, corpus, g)
+    assert stacked.shape == (2, 3, n)
+    alone = np.array([apply_operator(op, fs, g) for fs in corpus.reshape(-1, m, n)])
+    stacked = stacked.reshape(-1, n)
+    tail = np.zeros(n, dtype=bool)
+    tail[-2:] = kind == "fractional_kernel" and n % interp._NODES_PER_BLOCK == 1
+    assert np.array_equal(stacked[:, ~tail], alone[:, ~tail])
+    assert np.all(np.abs(stacked / alone - 1.0) <= 1e-15)
+    if kind == "product":  # the left fold (f_1 f_2) f_3 of the old tuple path
+        fold = [GridFunction.product([GridFunction(g, f) for f in fs]).values
+                for fs in corpus.reshape(-1, m, n)]
+        assert np.array_equal(stacked, fold)
+
+
+@pytest.mark.parametrize("kind", ["product", "ball_average_product"])
+def test_a_2d_stack_of_trials_maps_as_each_trial_alone(kind):
+    g = Grid(Box((0.0, -1.0), (1.0, 2.0)), (17, 33))
+    op = OperatorSpec(kind, 2, radius=0.3)
+    corpus = np.random.default_rng(5).normal(size=(4, 2, 17, 33))
+    stacked = apply_operator(op, corpus, g)
+    assert stacked.shape == (4, 17, 33)
+    assert np.array_equal(stacked, [apply_operator(op, fs, g) for fs in corpus])
+
+
+def test_fractional_kernel_multiplies_no_more_rows_than_a_block(monkeypatch):
+    """(trial, node) rows go through in blocks: no matrix product of a
+    12-trial stack has more rows than ``_NODES_PER_BLOCK``."""
+    rows = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **k: rows.append(len(a)) or real(a, b, **k))
+    g = Grid(UNIT, (129,))
+    out = apply_operator(OperatorSpec("fractional_kernel", 2, alpha=0.5),
+                         np.ones((12, 2, 129)), g)
+    assert out.shape == (12, 129)
+    assert max(rows) <= interp._NODES_PER_BLOCK
+    assert sum(rows) == 12 * 129
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +361,18 @@ def test_corpus_ratios_match_a_per_trial_norm_loop(m, trials, seed, weighted, sc
     space = EndpointSpace(tuple(rand_exponent(g.box, rng) for _ in range(m)),
                           rand_exponent(g.box, rng),
                           tuple(weight() for _ in range(m)), weight())
-    corpus = [tuple(random_simple_function(g, rng) for _ in range(m))
-              for _ in range(trials)]
+    corpus = np.array([[random_simple_function(g, rng).values for _ in range(m)]
+                       for _ in range(trials)])
     if zero < trials:  # one trial with a zero input
-        corpus[zero] = (GridFunction(g, np.zeros(g.shape)),) + corpus[zero][1:]
-    outputs = [apply_operator(OperatorSpec("product", m), fs) for fs in corpus]
-    ratios = _corpus_ratios(corpus, outputs, space, scale, 1e-10)
+        corpus[zero, 0] = 0.0
+    outputs = apply_operator(OperatorSpec("product", m), corpus, g)
+    ratios = _corpus_ratios(corpus, outputs, g, space, scale, 1e-10)
     for fs, Tf, got in zip(corpus, outputs, ratios):
         den = scale
         for f, p, w in zip(fs, space.p_vec, space.w_vec):
-            den *= weighted_norm(f, p, w).value
-        want = weighted_norm(Tf, space.q, space.v).value / den if den > 0.0 else 0.0
+            den *= weighted_norm(GridFunction(g, f), p, w).value
+        num = weighted_norm(GridFunction(g, Tf), space.q, space.v).value
+        want = num / den if den > 0.0 else 0.0
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -355,7 +409,7 @@ def test_halved_certificates_report_shrunken_violations(mixed):
     for v in report.violations:
         assert v.ratio > 1.0 + report.slack
         assert v.ratio <= report.worst_ratio
-        support = sum(int(np.count_nonzero(f.values)) for f in corpus[v.trial])
+        support = int(np.count_nonzero(corpus[v.trial]))
         assert 1 <= v.support_cells <= support
 
 
@@ -395,20 +449,20 @@ def test_a_passing_verification_solves_three_batches_per_slot(monkeypatch, m):
 def test_difference_field_geometry_and_zero_offset_column():
     g = Grid(UNIT, (129,))
     x = g.coords[..., 0]
-    Tf = GridFunction(g, np.sin(2.0 * x))
-    S = difference_field(Tf, 4)
-    assert S.grid.shape == (129, 9)
+    Tf = np.sin(2.0 * x)
+    S, ygrid = difference_field(Tf, g, 4)
+    assert ygrid.shape == S.shape == (129, 9)
     h = g.steps[0]
-    assert S.grid.box.lo[1] == pytest.approx(-4.0 * h)
-    assert np.array_equal(S.values[:, 4], np.zeros(129))
+    assert ygrid.box.lo[1] == pytest.approx(-4.0 * h)
+    assert np.array_equal(S[:, 4], np.zeros(129))
     with pytest.raises(DomainError):
-        difference_field(Tf, 0)
+        difference_field(Tf, g, 0)
     # an offset of n steps reaches no node, and is refused before any allocation
     with pytest.raises(DomainError, match="offset_count 129 must be below the 129 grid nodes"):
-        difference_field(Tf, 129)
+        difference_field(Tf, g, 129)
     g2 = Grid(Box((0.0, 0.0), (1.0, 1.0)), (9, 9))
     with pytest.raises(DomainError):
-        difference_field(GridFunction(g2, np.ones(g2.shape)), 2)
+        difference_field(np.ones(g2.shape), g2, 2)
 
 
 def _difference_columns(Tf, offset_count):
@@ -423,20 +477,20 @@ def _difference_columns(Tf, offset_count):
 def test_difference_field_equals_the_column_by_column_field(offset_count):
     g = Grid(SYM, (129,))
     Tf = GridFunction(g, np.random.default_rng(7).normal(size=129))
-    S = difference_field(Tf, offset_count)
-    assert S.grid.shape == (129, 2 * offset_count + 1)
-    assert np.array_equal(S.values, _difference_columns(Tf, offset_count))
+    S, ygrid = difference_field(Tf.values, g, offset_count)
+    assert ygrid.shape == S.shape == (129, 2 * offset_count + 1)
+    assert np.array_equal(S, _difference_columns(Tf, offset_count))
 
 
 def test_difference_of_constant_output_vanishes_identically():
     g = Grid(UNIT, (257,))
-    const = GridFunction(g, np.full(g.shape, 3.25))
-    out = apply_operator(OperatorSpec("product", 2), (const, const))
-    S = difference_field(out, 8)
+    const = np.full(g.shape, 3.25)
+    out = apply_operator(OperatorSpec("product", 2), np.stack([const, const]), g)
+    S, _ = difference_field(out, g, 8)
     # zero extension past the box leaves T(x) - 0 at the edges, so only
     # interior columns vanish; the zero-offset column always does
-    assert np.max(np.abs(S.values[:, 8])) == 0.0
-    interior = S.values[8:-8, :]
+    assert np.max(np.abs(S[:, 8])) == 0.0
+    interior = S[8:-8, :]
     assert np.max(np.abs(interior)) == 0.0
 
 
@@ -540,8 +594,8 @@ def test_workflow_all_ones_sanity_run_is_consistent_compact():
                           sigma=0.15, ratio=0.01)
     right = mollify_family(GridFunction(g, np.exp(-6.0 * x ** 2)), 5,
                            sigma=0.15, ratio=0.01)
-    inputs = list(zip(left.members, right.members))
-    report = run_extrapolation_workflow(OperatorSpec("product", 2), inputs,
+    inputs = np.stack([left.values, right.values], axis=1)
+    report = run_extrapolation_workflow(OperatorSpec("product", 2), inputs, g,
                                         target, ones, target, ones,
                                         thetas=(0.25, 0.5, 0.75))
     assert report.verdict == "consistent-compact"
@@ -559,8 +613,7 @@ def test_workflow_isolates_an_invalid_theta():
     spec1 = _quadruple(SYM, (2.0,), 2.0, (1.5,), 6.0)
     fam = mollify_family(GridFunction(g, np.exp(-4.0 * x ** 2)), 4,
                          sigma=0.15, ratio=0.01)
-    inputs = [(f,) for f in fam.members]
-    report = run_extrapolation_workflow(OperatorSpec("product", 1), inputs,
+    report = run_extrapolation_workflow(OperatorSpec("product", 1), fam.values[:, None], g,
                                         target, (_abs_power(g, 0.0625),),
                                         spec1, (_ones(g),),
                                         thetas=(0.3, 0.99))
@@ -594,7 +647,7 @@ def test_workflow_solves_one_batch_per_slot_per_built_theta(monkeypatch):
     monkeypatch.setattr(interp, "multilinear_constant",
                         counting(interp.multilinear_constant))
     report = run_extrapolation_workflow(OperatorSpec("product", 1),
-                                        [(f,) for f in fam.members], target,
+                                        fam.values[:, None], g, target,
                                         (_abs_power(g, 0.0625),), spec1, (_ones(g),),
                                         thetas=(0.3, 0.5, 0.99))
     built = sum(e.built for e in report.entries)

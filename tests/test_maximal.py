@@ -18,7 +18,7 @@ import varleb.maximal as maximal_module
 from varleb.field import BALL_SHRINK
 from varleb.maximal import _offset_list, _row_reach
 
-from _support import UNIT, grid1d
+from _support import UNIT, family_of, grid1d
 
 
 def indicator(grid, lo, hi):
@@ -191,7 +191,7 @@ def test_maximal_function_sums_f_once_per_distinct_ball_and_never_the_weights(mo
     balls = {tuple(_row_reach(g, r * BALL_SHRINK)) for r in sweep.radii}
     assert len(seen) == 1
     assert sorted(map(tuple, seen[0][1])) == sorted(balls)
-    ball_mean(f, 0.2)
+    ball_mean(f.values, g, 0.2)
     assert len(seen) == 2 and len(seen[1][1]) == 1
     assert not any(np.array_equal(arr, g.quad_weights) for arr, _ in seen)
 
@@ -488,19 +488,19 @@ def test_maximal_rejects_bad_qtilde():
 def test_ball_mean_keeps_sign():
     g = grid1d(513)
     f = GridFunction.from_callable(g, lambda pts: pts[..., 0] - 0.5)
-    avg = ball_mean(f, 0.1)
+    avg = ball_mean(f.values, g, 0.1)
     mid = g.shape[0] // 2
-    assert avg.values[mid] == pytest.approx(0.0, abs=1e-12)
-    assert avg.values[0] < 0.0 < avg.values[-1]
+    assert avg[mid] == pytest.approx(0.0, abs=1e-12)
+    assert avg[0] < 0.0 < avg[-1]
 
 
 @pytest.mark.parametrize("grid", [grid1d(129), Grid(Box((0.0, -1.0), (1.0, 2.0)), (17, 33))],
                          ids=["1d", "2d"])
 def test_ball_mean_past_twice_the_diameter_is_the_whole_box_mean(grid):
     f = GridFunction(grid, np.random.default_rng(3).normal(size=grid.shape))
-    whole = ball_mean(f, 2.0 * grid.box.diameter)
-    assert np.array_equal(ball_mean(f, 1e308).values, whole.values)
-    assert np.allclose(whole.values, np.sum(grid.quad_weights * f.values) / grid.box.volume,
+    whole = ball_mean(f.values, grid, 2.0 * grid.box.diameter)
+    assert np.array_equal(ball_mean(f.values, grid, 1e308), whole)
+    assert np.allclose(whole, np.sum(grid.quad_weights * f.values) / grid.box.volume,
                        rtol=1e-12, atol=1e-12)
 
 
@@ -649,7 +649,7 @@ def test_probe_constant_corpus_unit_ratios():
     g = grid1d(1025)
     p = ExponentField.constant(UNIT, 2.0)
     w = WeightField.ones(g)
-    corpus = [GridFunction(g, np.full(g.shape, c)) for c in (1.0, 2.0, 5.0)]
+    corpus = family_of(GridFunction(g, np.full(g.shape, c)) for c in (1.0, 2.0, 5.0))
     rep = maximal_boundedness_probe(corpus, p, w, 1.0,
                                     RadiusSweep.geometric(g, 16),
                                     DyadicCubeSet(UNIT, 3))
@@ -662,7 +662,7 @@ def test_probe_indicator_ratio_finite():
     box = g.box
     p = ExponentField.constant(box, 2.0)
     w = WeightField.ones(g)
-    rep = maximal_boundedness_probe([indicator(g, 0.0, 1.0)], p, w, 1.0,
+    rep = maximal_boundedness_probe(family_of([indicator(g, 0.0, 1.0)]), p, w, 1.0,
                                     RadiusSweep.geometric(g, 32),
                                     DyadicCubeSet(box, 3))
     assert math.isfinite(rep.max_ratio)
@@ -674,7 +674,7 @@ def test_probe_gate_rejects_large_qtilde():
     g = grid1d(257)
     p = ExponentField.constant(UNIT, 2.0)
     w = WeightField.ones(g)
-    corpus = [GridFunction(g, np.ones(g.shape))]
+    corpus = family_of([GridFunction(g, np.ones(g.shape))])
     with pytest.raises(HypothesisFailureError):
         maximal_boundedness_probe(corpus, p, w, 2.5,
                                   RadiusSweep.geometric(g, 8),
@@ -685,6 +685,6 @@ def test_probe_gate_rejects_large_qtilde():
 def test_probe_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
     g = grid1d(129)
     with pytest.raises(DomainError, match="qtilde must be a finite positive constant"):
-        maximal_boundedness_probe([GridFunction(g, np.ones(g.shape))],
+        maximal_boundedness_probe(family_of([GridFunction(g, np.ones(g.shape))]),
                                   ExponentField.constant(UNIT, 2.0), WeightField.ones(g),
                                   qtilde, RadiusSweep.geometric(g, 8), DyadicCubeSet(UNIT, 2))

@@ -18,7 +18,7 @@ from varleb.rk import (FunctionFamily, classify, dilate_family,
                        translate_family, uniform_bound_profile,
                        vanishing_profile)
 
-from _support import UNIT
+from _support import UNIT, family_of
 
 
 def _gaussian(grid: Grid, rate: float, center: float = 0.0) -> GridFunction:
@@ -42,14 +42,19 @@ def _ones_weight(grid: Grid) -> WeightField:
 def test_family_rejects_empty_and_mixed_grids():
     g = Grid(UNIT, (65,))
     other = Grid(UNIT, (129,))
-    with pytest.raises(DomainError):
-        FunctionFamily(())
-    with pytest.raises(DomainError):
-        FunctionFamily((GridFunction(g, np.ones(g.shape)),
-                        GridFunction(other, np.ones(other.shape))))
-    fam = FunctionFamily((GridFunction(g, np.ones(g.shape)),) * 3)
+    with pytest.raises(DomainError, match=r"\(0, 65\) are not a stack of one or more \(65,\)"):
+        FunctionFamily(g, np.empty((0, 65)))
+    with pytest.raises(DomainError, match=r"\(2, 129\) are not a stack of one or more \(65,\)"):
+        FunctionFamily(g, np.ones((2, 129)))
+    with pytest.raises(DomainError, match="not a stack"):
+        FunctionFamily(g, np.ones(65))
+    with pytest.raises(DomainError, match="family members live on different grids"):
+        family_of((GridFunction(g, np.ones(g.shape)),
+                   GridFunction(other, np.ones(other.shape))))
+    fam = family_of((GridFunction(g, np.ones(g.shape)),) * 3)
     assert len(fam) == 3
     assert fam.grid == g
+    assert fam.values.shape == (3, 65)
 
 
 def test_mollify_below_grid_step_is_identity():
@@ -88,7 +93,7 @@ def test_translate_family_shifts_along_axis_zero():
     # the k-th member is the indicator of [k, k+1], zero filled at the edge
     for k in (0, 4, 8):
         expect = ((x >= k) & (x <= k + 1)).astype(float)
-        assert np.allclose(fam.members[k].values, expect, atol=1e-12)
+        assert np.allclose(fam.values[k], expect, atol=1e-12)
 
 
 def test_dilate_family_compresses_and_zero_fills():
@@ -99,10 +104,10 @@ def test_dilate_family_compresses_and_zero_fills():
     # member 1 samples f(2x); x = 0.25 and 2x = 0.5 are both grid nodes
     i = int(np.argmin(np.abs(x - 0.25)))
     j = int(np.argmin(np.abs(x - 0.5)))
-    assert abs(fam.members[1].values[i] - base.values[j]) < 1e-12
+    assert abs(fam.values[1][i] - base.values[j]) < 1e-12
     # 2x leaves the box for |x| > 1, where the dilate is zero filled
     k = int(np.argmin(np.abs(x - 1.5)))
-    assert fam.members[1].values[k] == 0.0
+    assert fam.values[1][k] == 0.0
     g2 = Grid(Box((0.0, 0.0), (1.0, 1.0)), (17, 17))
     with pytest.raises(DomainError):
         dilate_family(GridFunction(g2, np.ones(g2.shape)), 2)
@@ -122,7 +127,7 @@ def test_dilate_family_refuses_a_ratio_that_is_not_finite_and_positive(ratio):
 def test_uniform_bound_singleton_gaussian_matches_analytic_value():
     g = Grid(Box((-8.0,), (8.0,)), (8193,))
     p = ExponentField.constant(g.box, 2.0)
-    fam = FunctionFamily((_gaussian(g, 1.0),))
+    fam = family_of((_gaussian(g, 1.0),))
     report = uniform_bound_profile(fam, p)
     assert abs(report.sup - (math.pi / 2.0) ** 0.25) <= 1e-6
 
@@ -131,9 +136,9 @@ def test_uniform_bound_scalar_family_is_ten_times_base_norm():
     g = Grid(UNIT, (1025,))
     p = ExponentField.constant(UNIT, 2.5)
     base = _gaussian(g, 12.0, center=0.5)
-    fam = FunctionFamily(tuple(float(c) * base for c in range(1, 11)))
+    fam = family_of(tuple(float(c) * base for c in range(1, 11)))
     report = uniform_bound_profile(fam, p)
-    single = uniform_bound_profile(FunctionFamily((base,)), p).sup
+    single = uniform_bound_profile(family_of((base,)), p).sup
     assert abs(report.sup - 10.0 * single) <= 1e-9
     assert report.sup == max(report.per_member)
 
@@ -141,8 +146,8 @@ def test_uniform_bound_scalar_family_is_ten_times_base_norm():
 def test_uniform_bound_zero_member_contributes_zero():
     g = Grid(UNIT, (257,))
     p = ExponentField.constant(UNIT, 2.0)
-    fam = FunctionFamily((_gaussian(g, 4.0, center=0.5),
-                          GridFunction(g, np.zeros(g.shape))))
+    fam = family_of((_gaussian(g, 4.0, center=0.5),
+                     GridFunction(g, np.zeros(g.shape))))
     report = uniform_bound_profile(fam, p)
     assert report.per_member[1] == 0.0
     assert report.sup == report.per_member[0]
@@ -151,7 +156,7 @@ def test_uniform_bound_zero_member_contributes_zero():
 def test_uniform_bound_explicit_unit_weight_matches_unweighted():
     g = Grid(UNIT, (513,))
     p = ExponentField.constant(UNIT, 3.0)
-    fam = FunctionFamily((_gaussian(g, 6.0, center=0.3),))
+    fam = family_of((_gaussian(g, 6.0, center=0.3),))
     plain = uniform_bound_profile(fam, p).sup
     weighted = uniform_bound_profile(fam, p, _ones_weight(g)).sup
     assert abs(plain - weighted) <= 1e-12 * max(plain, 1.0)
@@ -164,8 +169,8 @@ def test_uniform_bound_explicit_unit_weight_matches_unweighted():
 def test_equicontinuity_constant_family_is_identically_zero():
     g = Grid(UNIT, (513,))
     p = ExponentField.constant(UNIT, 2.0)
-    fam = FunctionFamily((GridFunction(g, np.full(g.shape, 1.0)),
-                          GridFunction(g, np.full(g.shape, 2.0))))
+    fam = family_of((GridFunction(g, np.full(g.shape, 1.0)),
+                     GridFunction(g, np.full(g.shape, 2.0))))
     sweep = RadiusSweep((g.steps[0], 4.0 * g.steps[0], 16.0 * g.steps[0]))
     report = equicontinuity_profile(fam, p, None, 1.0, sweep, threshold=1e-9)
     assert report.profile == (0.0, 0.0, 0.0)
@@ -207,7 +212,7 @@ def test_equicontinuity_refuses_a_nan_member_naming_its_node():
     p = ExponentField.constant(UNIT, 2.0)
     bad = np.ones(g.shape)
     bad[30] = math.nan
-    fam = FunctionFamily((GridFunction(g, np.ones(g.shape)), GridFunction(g, bad)))
+    fam = family_of((GridFunction(g, np.ones(g.shape)), GridFunction(g, bad)))
     sweep = RadiusSweep((g.steps[0], 2.0 * g.steps[0]))
     with pytest.raises(DomainError, match="NaN at flat node index 30 of member 1"):
         equicontinuity_profile(fam, p, None, 1.0, sweep, threshold=1e-9)
@@ -220,8 +225,8 @@ def test_equicontinuity_refuses_a_nan_member_naming_its_node():
 def test_vanishing_compact_support_is_zero_beyond_support_radius():
     g = Grid(Box((-2.0,), (2.0,)), (1025,))
     p = ExponentField.constant(g.box, 2.0)
-    fam = FunctionFamily((_indicator(g, -0.5, 0.5),
-                          0.5 * _indicator(g, -0.25, 0.25)))
+    fam = family_of((_indicator(g, -0.5, 0.5),
+                     0.5 * _indicator(g, -0.25, 0.25)))
     report = vanishing_profile(fam, p, None, (0.6, 1.0, 1.5),
                                threshold=1e-9, center=(0.0,))
     assert report.profile == (0.0, 0.0, 0.0)
@@ -247,7 +252,7 @@ def test_vanishing_translate_family_stays_at_unit_norm_and_fails():
 def test_vanishing_gaussian_tail_matches_erfc_and_passes():
     g = Grid(Box((-8.0,), (8.0,)), (8193,))
     p = ExponentField.constant(g.box, 2.0)
-    fam = FunctionFamily((_gaussian(g, 1.0),))
+    fam = family_of((_gaussian(g, 1.0),))
     report = vanishing_profile(fam, p, None, (1.0, 2.0, 3.0, 4.0),
                                threshold=1e-2 * (math.pi / 2.0) ** 0.25,
                                center=(0.0,))
@@ -261,8 +266,7 @@ def test_vanishing_profile_nonincreasing_for_arbitrary_family():
     g = Grid(Box((0.0,), (10.0,)), (501,))
     p = ExponentField.constant(g.box, 2.5)
     rng = np.random.default_rng(7)
-    fam = FunctionFamily(tuple(GridFunction(g, rng.normal(size=g.shape))
-                               for _ in range(4)))
+    fam = family_of(GridFunction(g, rng.normal(size=g.shape)) for _ in range(4))
     report = vanishing_profile(fam, p, None, (1.0, 2.0, 3.0, 4.0), threshold=1e-2)
     assert all(a >= b - 1e-12 for a, b in zip(report.profile, report.profile[1:]))
 
@@ -286,7 +290,7 @@ def test_net_of_identical_copies_has_size_one():
     g = Grid(UNIT, (257,))
     p = ExponentField.constant(UNIT, 2.0)
     f = _gaussian(g, 4.0, center=0.5)
-    fam = FunctionFamily((f,) * 10)
+    fam = family_of((f,) * 10)
     report = eps_net_oracle(fam, p, None, 1e-9)
     assert report.size == 1
     assert report.max_distance == 0.0
@@ -375,7 +379,7 @@ def test_classify_gate_rejects_qtilde_at_or_above_p_minus():
     g = Grid(UNIT, (257,))
     p = ExponentField.constant(UNIT, 2.0)
     w = _ones_weight(g)
-    fam = FunctionFamily((_gaussian(g, 4.0, center=0.5),))
+    fam = family_of((_gaussian(g, 4.0, center=0.5),))
     with pytest.raises(HypothesisFailureError):
         classify(fam, p, w, 2.0)
     with pytest.raises(HypothesisFailureError):
@@ -385,7 +389,7 @@ def test_classify_gate_rejects_qtilde_at_or_above_p_minus():
 @pytest.mark.parametrize("qtilde", [0.0, -1.0, math.nan, math.inf])
 def test_classify_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
     g = Grid(UNIT, (129,))
-    fam = FunctionFamily((_gaussian(g, 4.0, center=0.5),))
+    fam = family_of((_gaussian(g, 4.0, center=0.5),))
     with pytest.raises(DomainError, match="qtilde must be a finite positive constant"):
         classify(fam, ExponentField.constant(UNIT, 2.0), _ones_weight(g), qtilde)
 
@@ -417,7 +421,7 @@ def test_classify_default_ladder_spans_the_diameter():
 def test_classify_probes_the_fixed_radius_ladders_about_the_box_center():
     box = Box((0.0,), (4.0,))
     g = Grid(box, (65,))
-    fam = FunctionFamily((_gaussian(g, 4.0, center=1.5), _gaussian(g, 4.0, center=2.5)))
+    fam = family_of((_gaussian(g, 4.0, center=1.5), _gaussian(g, 4.0, center=2.5)))
     report = classify(fam, ExponentField.constant(box, 2.0), _ones_weight(g), 1.0)
     # the grid step 1/16 doubled six times, and the diameter 4 times 1/8 .. 7/16
     assert report.equicontinuity.radii == (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -449,7 +453,8 @@ def test_family_profiles_solve_each_family_in_one_row_call(monkeypatch):
     monkeypatch.undo()
     for i in range(6):
         assert bound.per_member[i] == pytest.approx(
-            weighted_norm(fam.members[i], p, w).value, rel=1e-12)
+            weighted_norm(GridFunction(g, fam.values[i]), p, w).value, rel=1e-12)
         for j in range(6):
-            want = 0.0 if i == j else weighted_norm(fam.members[i] - fam.members[j], p, w).value
+            diff = GridFunction(g, fam.values[i] - fam.values[j])
+            want = 0.0 if i == j else weighted_norm(diff, p, w).value
             assert d[i, j] == pytest.approx(want, rel=1e-12)
