@@ -8,12 +8,11 @@ from .errors import (ArityMismatchError, ConvergenceError, DomainError,
                      SpecMismatchError, VarlebError, VersionMismatchWarning)
 from .exponent import (ExponentField, LogHolderReport, QuadrupleSpec,
                        QuadrupleVerdict, blend_quadruple, component_exponent,
-                       dual_exponent, harmonic_combine, log_holder_estimate,
-                       nu_exponent, reciprocal_affine, scale_exponent,
-                       theta_blend, theta_invert, two_to_one_data,
-                       validate_quadruple)
+                       dual_exponent, harmonic_combine, nu_exponent,
+                       reciprocal_affine, scale_exponent, theta_blend,
+                       theta_invert, two_to_one_data, validate_quadruple)
 from .field import (Box, Cube, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
-                    WeightField, ball_mask, box_mask, integrate, random_simple_function,
+                    WeightField, ball_mask, box_mask, random_simple_function,
                     read_grid_csv, realize_function, shift_function)
 from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
                      MixedInterpolationReport, OperatorSpec, ThetaEntry,
@@ -24,8 +23,8 @@ from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
 from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_measure,
                       ball_sums, maximal_boundedness_probe, maximal_function,
                       oscillation_average, oscillation_profiles)
-from .norms import (NormResult, holder_constant, luxemburg_norm, mixed_norm,
-                    modular, pairing, weighted_norm)
+from .norms import (NormResult, holder_constant, mixed_norm, modular, pairing,
+                    weighted_norm)
 from .rk import (NetReport, RKReport, classify, dilate_family,
                  eps_net_oracle, equicontinuity_profile, family_distance_matrix,
                  mollify, mollify_family, modulate_family, translate_family,

@@ -106,10 +106,6 @@ class ExponentField:
         if not self.in_P:
             raise RangeError(f"{what} needs p_- > 1, got p_- = {self.p_minus}")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.p_minus == self.p_plus
-
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -173,7 +169,11 @@ class ExponentField:
         """Multilinear interpolation of node values on the box."""
         arr = np.asarray(values, dtype=float)
         if arr.ndim != box.dim:
-            raise SchemaError("grid exponent values must match box dimension")
+            raise SchemaError(f"exponent 'grid' key 'values' of shape {arr.shape} does not have "
+                              f"the box's {box.dim} axes")
+        if min(arr.shape) < 2:
+            raise SchemaError(f"exponent 'grid' key 'values' needs at least 2 nodes per axis, "
+                              f"got shape {arr.shape}")
         sample = Grid(box, arr.shape)
 
         def fn(pts, arr=arr, sample=sample):
@@ -195,9 +195,17 @@ class ExponentField:
         if kind == "piecewise":
             return cls.piecewise(box, f["breakpoints"], f["values"], scan)
         if kind == "grid":
-            arr = np.asarray(f["values"], dtype=float)
-            if f["resolution"] is not None:
-                arr = arr.reshape(tuple(f["resolution"]))
+            try:
+                arr = np.asarray(f["values"], dtype=float)
+            except ValueError:
+                raise SchemaError("exponent 'grid' key 'values' must be a rectangular array "
+                                  "of numbers") from None
+            res = f["resolution"]
+            if res is not None:
+                if min(res, default=0) < 1 or math.prod(res) != arr.size:
+                    raise SchemaError(f"exponent 'grid' key 'resolution' {res} does not hold "
+                                      f"the {arr.size} values")
+                arr = arr.reshape(res)
             return cls.from_grid(box, arr, scan)
         # shifted_reciprocal: 1/result = 1/inner - gamma; how an output
         # exponent with a constant smoothing offset from the input is
@@ -382,8 +390,10 @@ class LogHolderReport:
         return max(self.c0_estimate, self.c_infinity_estimate)
 
 
-def log_holder_estimate(p: ExponentField, budget: int = 2000, seed: int = 0) -> LogHolderReport:
-    """Sampled lower estimates of the log-Hoelder constants.
+def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
+                        seed: int) -> list[LogHolderReport]:
+    """Sampled lower estimates of the log-Hoelder constants of fields on
+    one box, from one pair sample.
 
     The local constant is ``sup |p(x)-p(y)| * (-log|x-y|)`` over pairs
     with ``|x-y| < 1/2``; the decay constant is ``sup |p(x)-p_inf| *
@@ -392,12 +402,6 @@ def log_holder_estimate(p: ExponentField, budget: int = 2000, seed: int = 0) -> 
     them.  Fields without a declared limit use the value at the far
     corner of the box as the ``p_inf`` proxy.
     """
-    return _log_holder_reports((p,), budget, seed)[0]
-
-
-def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
-                        seed: int) -> list[LogHolderReport]:
-    """``log_holder_estimate`` of fields on one box, from one pair sample."""
     if budget < 1:
         raise DomainError("budget must be positive")
     box = fields[0].box

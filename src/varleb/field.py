@@ -27,9 +27,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class Box:
     @property
     def widths(self) -> tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
 
     @property
     def diameter(self) -> float:
@@ -138,10 +134,6 @@ class Grid:
         """Node coordinates, shape ``grid.shape + (dim,)``."""
         return _coords(self)
 
-    def refine(self) -> "Grid":
-        """Halve the step: a node count of n becomes ``2(n-1)+1``."""
-        return Grid(self.box, tuple(2 * (n - 1) + 1 for n in self.shape))
-
     def axis_grid(self, axis: int) -> "Grid":
         """The 1D grid along one axis of a 2D grid."""
         return Grid(Box((self.box.lo[axis],), (self.box.hi[axis],)), (self.shape[axis],))
@@ -180,7 +172,7 @@ def _coords(grid: Grid) -> np.ndarray:
 
 
 class GridFunction:
-    """Real values at the nodes of a grid, with pointwise algebra."""
+    """Real values at the nodes of a grid, with pointwise sums and products."""
 
     __slots__ = ("grid", "values")
 
@@ -193,11 +185,6 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        vals = np.asarray(fn(grid.coords), dtype=float)
-        return cls(grid, np.broadcast_to(vals, grid.shape).copy())
-
     def _pointwise(self, other, op, kind=None) -> "GridFunction":
         """``op`` of the values and a same-grid function's (or anything
         numpy broadcasts), as a ``kind``, by default a GridFunction."""
@@ -209,31 +196,10 @@ class GridFunction:
     def __add__(self, other):
         return self._pointwise(other, operator.add)
 
-    def __sub__(self, other):
-        return self._pointwise(other, operator.sub)
-
     def __mul__(self, other):
         return self._pointwise(other, operator.mul)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._pointwise(other, operator.truediv)
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
-    def __abs__(self):
-        return GridFunction(self.grid, np.abs(self.values))
-
-    def power(self, exponent) -> "GridFunction":
-        """Pointwise ``|f|^e``; the exponent may vary over the grid."""
-        e = exponent.values if isinstance(exponent, GridFunction) else exponent
-        return GridFunction(self.grid, np.abs(self.values) ** np.asarray(e, dtype=float))
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     @staticmethod
     def product(fs: Sequence["GridFunction"]) -> "GridFunction":
@@ -271,10 +237,6 @@ class WeightField(GridFunction):
         return super().__mul__(other)
 
     __rmul__ = __mul__
-
-    @classmethod
-    def ones(cls, grid: Grid) -> "WeightField":
-        return cls(grid, np.ones(grid.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,14 +288,9 @@ def refuse_non_finite(values: np.ndarray, nodes: int, needs: str | None = None) 
             + ("" if needs is None else f"; {needs} needs finite values"))
 
 
-def integrate(f: GridFunction) -> float:
-    """Trapezoid-weighted sum of ``f`` over the grid's box."""
-    return float(np.sum(f.grid.quad_weights.ravel() * f.values.ravel()))
-
-
 # ---------------------------------------------------------------------------
 # regions: boolean node masks, which restrict a function by multiplication
-# (``integrate(f * mask)``) and a norm by cutting `norms.NodeTable.rows`
+# (``f * mask``) and a norm by cutting `norms.NodeTable.rows`
 
 
 def _axis_ranges(ax: np.ndarray, width: float, lo, hi):
@@ -429,14 +386,6 @@ class DyadicCubeSet:
             if self.shifted and depth >= 1:
                 yield CubeGroup(depth, True,
                                 tuple(a + (np.arange(k - 1) + 0.5) * s for a, s in zip(lo, side)), side)
-
-    def cubes(self) -> Iterator[Cube]:
-        for group in self.groups():
-            for idx in np.ndindex(*group.shape):
-                yield group.cube(idx)
-
-    def count(self) -> int:
-        return sum(math.prod(group.shape) for group in self.groups())
 
 
 @dataclass(frozen=True, eq=False)

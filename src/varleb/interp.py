@@ -96,11 +96,6 @@ class OperatorSpec:
         if self.kind == "ball_average_product" and self.radius <= 0.0:
             raise SchemaError("ball averaging needs a positive radius")
 
-    @property
-    def gamma(self) -> float:
-        """Smoothing order 1/p - 1/q the operator is expected to realize."""
-        return self.alpha if self.kind == "fractional_kernel" else 0.0
-
 
 def apply_operator(op: OperatorSpec, values: np.ndarray, grid: Grid) -> np.ndarray:
     """``T(f_1, .., f_m)`` of every input tuple of a ``(..., m,
@@ -499,10 +494,14 @@ def run_extrapolation_workflow(op: OperatorSpec, inputs: np.ndarray, grid: Grid,
     if len(w_vec) != target.m:
         raise ArityMismatchError(f"{len(w_vec)} weights against arity {target.m}")
     w1_vec = tuple(w1_vec)
+    if qtilde is None:
+        inv_r, gamma = 1.0 / target.r, target.gamma
+        if not inv_r > gamma:
+            raise DomainError(f"the default qtilde = 1/(1/r - gamma) needs 1/r > gamma, but the "
+                              f"target has 1/r = {inv_r:.6g} and gamma = {gamma:.6g}; give qtilde")
+        qtilde = 1.0 / (inv_r - gamma)
     outputs = FunctionFamily(grid, apply_operator(op, inputs, grid))
     nu = WeightField.product(w_vec)
-    if qtilde is None:
-        qtilde = 1.0 / (1.0 / target.r - target.gamma)
     rk = classify(outputs, target.q, nu, qtilde, cubes=cubes, rel_tol=rel_tol)
 
     entries = []

@@ -18,7 +18,7 @@ member), exponent and log quadrature weight, and rows of node indices
 padded with a node whose ``log|f| = -inf`` adds nothing to a modular.
 `NodeTable.solve` is the one way into `lux_rows`, whose Newton steps run
 on all rows together.  The default rows are each member's nonzero nodes:
-one for `lux_flat` (so `luxemburg_norm`), one per member for
+one for `lux_flat` (so `weighted_norm`), one per member for
 `weighted_norms`; ``rk`` cuts them by a node mask and the cube scan of
 ``weights`` passes cube rows.
 
@@ -261,10 +261,6 @@ def _times_weight(values: np.ndarray, grid: Grid, w: WeightField | None) -> np.n
         return values
     shared_grid((w,), "grid functions", grid)
     return values * w.values
-
-
-def luxemburg_norm(f: GridFunction, p: ExponentField, rel_tol: float = 1e-10) -> NormResult:
-    return weighted_norm(f, p, None, rel_tol)
 
 
 def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = None,

@@ -285,10 +285,6 @@ class RKReport:
     growth: bool
     verdict: str
 
-    @property
-    def conditions_pass(self) -> bool:
-        return self.equicontinuity.passed and self.vanishing.passed
-
 
 def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
              qtilde: float, *, cubes: DyadicCubeSet | None = None,
@@ -304,8 +300,9 @@ def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
     largest grid step), (iii) outside balls about the box center of
     radii ``diam * (1/8, 3/16, .., 7/16)``.  Verdict: all pass and the
     net sizes plateau below the family size -> consistent-compact; a
-    condition fails and the family stays fully separated at the
-    smallest eps -> consistent-noncompact; else inconclusive.
+    condition fails and a family of two or more members stays fully
+    separated at the smallest eps -> consistent-noncompact; else
+    inconclusive.
     """
     grid = family.grid
     gate = gate_constant(w, p, qtilde, cubes or DyadicCubeSet(grid.box, 3), rel_tol)
@@ -328,7 +325,7 @@ def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
 
     n = len(family)
     plateau = len(sizes) >= 3 and sizes[-1] == sizes[-2] == sizes[-3] and sizes[-1] < n
-    growth = sizes[-1] == n
+    growth = n >= 2 and sizes[-1] == n
     all_pass = equicont.passed and vanishing.passed
     if all_pass and plateau:
         verdict = "consistent-compact"

@@ -10,7 +10,8 @@ import csv
 
 import numpy as np
 
-from varleb import Box, ExponentField, FunctionFamily, Grid, GridFunction, WeightField
+from varleb import (Box, Cube, DyadicCubeSet, ExponentField, FunctionFamily, Grid, GridFunction,
+                    WeightField)
 from varleb.exponent import default_scan_shape
 from varleb.field import shared_grid
 
@@ -20,6 +21,29 @@ SYM = Box((-1.0,), (1.0,))
 
 def grid1d(n: int = 1025, box: Box = UNIT) -> Grid:
     return Grid(box, (n,))
+
+
+def from_callable(grid: Grid, fn) -> GridFunction:
+    """The grid function of ``fn`` at the node coordinates, broadcast to
+    the grid."""
+    vals = np.asarray(fn(grid.coords), dtype=float)
+    return GridFunction(grid, np.broadcast_to(vals, grid.shape).copy())
+
+
+def abs_power(f: GridFunction, e: float) -> GridFunction:
+    """Pointwise ``|f|^e``."""
+    return GridFunction(f.grid, np.abs(f.values) ** np.asarray(e, dtype=float))
+
+
+def unit_weight(grid: Grid) -> WeightField:
+    return WeightField(grid, np.ones(grid.shape))
+
+
+def all_cubes(cube_set: DyadicCubeSet) -> list[Cube]:
+    """Every cube of a set, one by one in scan order: the reference for
+    the scans that take a cube group at a time."""
+    return [group.cube(index) for group in cube_set.groups()
+            for index in np.ndindex(*group.shape)]
 
 
 def family_of(fs) -> FunctionFamily:

@@ -18,23 +18,20 @@ from varleb import (Box, DyadicCubeSet, EndpointSpace, ExponentField, Grid,
                     GridFunction, OperatorSpec, QuadrupleSpec, RadiusSweep,
                     WeightField, blend_constant_check, build_extrapolation_family,
                     classify, containment_check, dual_exponent, harmonic_combine,
-                    holder_constant, luxemburg_norm, maximal_boundedness_probe,
+                    holder_constant, maximal_boundedness_probe,
                     maximal_function, modular, mollify_family, modulate_family,
                     pairing, random_simple_function, reciprocal_affine,
                     run_extrapolation_workflow, scale_exponent, translate_family,
                     two_to_one_check, verify_interpolation_bound,
-                    verify_mixed_interpolation_bound)
+                    verify_mixed_interpolation_bound, weighted_norm)
 from varleb.rk import FunctionFamily
 
-from _support import UNIT, family_of, grid1d, rand_exponent, rand_weight
+from _support import (UNIT, abs_power, family_of, grid1d, rand_exponent, rand_weight,
+                      unit_weight)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {label}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def _ones(grid: Grid) -> WeightField:
-    return WeightField(grid, np.ones(grid.shape))
 
 
 def _gaussian(grid: Grid, rate: float, center: float = 0.0) -> GridFunction:
@@ -60,8 +57,8 @@ def test_criterion_01_homogeneity_identity():
         f = random_simple_function(g, rng)
         p = rand_exponent(UNIT, rng)
         s = float(rng.uniform(0.4, 2.2))
-        lhs = luxemburg_norm(f.power(s), p, rel_tol=1e-11).value
-        rhs = luxemburg_norm(f, scale_exponent(p, s), rel_tol=1e-11).value ** s
+        lhs = weighted_norm(abs_power(f, s), p, rel_tol=1e-11).value
+        rhs = weighted_norm(f, scale_exponent(p, s), rel_tol=1e-11).value ** s
         worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-7 and elapsed < 10.0
@@ -84,7 +81,7 @@ def test_criterion_02_modular_norm_sandwich():
         f = random_simple_function(g, rng)
         p = rand_exponent(UNIT, rng)
         rho = modular(f, p)
-        nrm = luxemburg_norm(f, p, rel_tol=1e-11).value
+        nrm = weighted_norm(f, p, rel_tol=1e-11).value
         if rho == 0.0:
             violations += 0 if nrm == 0.0 else 1
             continue
@@ -115,9 +112,9 @@ def test_criterion_03_quasi_triangle_inequality():
         h = random_simple_function(g, rng)
         p = rand_exponent(UNIT, rng)
         c = max(2.0 ** (1.0 / p.p_minus), 2.0 ** (p.p_plus / p.p_minus))
-        lhs = luxemburg_norm(f + h, p, rel_tol=1e-10).value
-        rhs = c * (luxemburg_norm(f, p, rel_tol=1e-10).value
-                   + luxemburg_norm(h, p, rel_tol=1e-10).value)
+        lhs = weighted_norm(f + h, p, rel_tol=1e-10).value
+        rhs = c * (weighted_norm(f, p, rel_tol=1e-10).value
+                   + weighted_norm(h, p, rel_tol=1e-10).value)
         ratio = lhs / max(rhs, 1e-300)
         worst = max(worst, ratio)
         if lhs > rhs * (1.0 + 1e-9):
@@ -143,8 +140,8 @@ def test_criterion_04_holder_inequality():
         f = random_simple_function(g, rng)
         h = random_simple_function(g, rng)
         p = ExponentField.constant(UNIT, float(rng.uniform(1.05, 6.0)))
-        bound = (1.0 + 1e-10) * (luxemburg_norm(f, p, rel_tol=1e-12).value
-                                 * luxemburg_norm(h, dual_exponent(p), rel_tol=1e-12).value)
+        bound = (1.0 + 1e-10) * (weighted_norm(f, p, rel_tol=1e-12).value
+                                 * weighted_norm(h, dual_exponent(p), rel_tol=1e-12).value)
         ratio = pairing(f, h) / max(bound, 1e-300)
         worst_const = max(worst_const, ratio)
         if ratio > 1.0:
@@ -155,8 +152,8 @@ def test_criterion_04_holder_inequality():
         p = rand_exponent(UNIT, rng, lo=1.25, hi=5.0)
         c_h = holder_constant(p)
         bound = c_h * (1.0 + 1e-8) * (
-            luxemburg_norm(f, p, rel_tol=1e-11).value
-            * luxemburg_norm(h, dual_exponent(p), rel_tol=1e-11).value)
+            weighted_norm(f, p, rel_tol=1e-11).value
+            * weighted_norm(h, dual_exponent(p), rel_tol=1e-11).value)
         ratio = pairing(f, h) / max(bound, 1e-300)
         worst_var = max(worst_var, ratio)
         if ratio > 1.0:
@@ -198,7 +195,7 @@ def test_criterion_05_two_to_one_collapse():
     # unit weight: every average is 1, so both constants are exactly 1
     spec_u = QuadrupleSpec((ExponentField.constant(UNIT, 2.0),),
                            ExponentField.constant(UNIT, 4.0), (1.0,), math.inf)
-    rep_u = two_to_one_check(_ones(g), spec_u, cubes)
+    rep_u = two_to_one_check(unit_weight(g), spec_u, cubes)
     unit_dev = max(abs(rep_u.lhs_constant - 1.0), abs(rep_u.rhs_constant - 1.0))
     ok = worst <= 1e-6 and unit_dev <= 1e-9
     _report(5, "two-to-one collapse", ok,
@@ -335,7 +332,7 @@ def test_criterion_08_maximal_profile_and_ratio_stability():
     for n in (2049, 4097):
         grid = Grid(box, (n,))
         p = ExponentField.affine(box, 2.0, (0.125,))
-        rep = maximal_boundedness_probe(_probe_corpus(grid), p, _ones(grid), 1.0,
+        rep = maximal_boundedness_probe(_probe_corpus(grid), p, unit_weight(grid), 1.0,
                                         RadiusSweep.geometric(grid, 48), cubes)
         ratios[n] = rep.ratios
     drift = max(abs(f / c - 1.0) for c, f in zip(ratios[2049], ratios[4097]))
@@ -358,7 +355,7 @@ def test_criterion_09_rk_verdicts_and_doubling():
     mol = {}
     for count in (6, 12):
         fam = mollify_family(_gaussian(g, 4.0), count, sigma=0.15, ratio=0.01)
-        mol[count] = classify(fam, p, _ones(g), 1.0)
+        mol[count] = classify(fam, p, unit_weight(g), 1.0)
         assert mol[count].verdict == "consistent-compact"
         assert mol[count].net_sizes[-1] < count
 
@@ -370,7 +367,7 @@ def test_criterion_09_rk_verdicts_and_doubling():
     tr = {}
     for count, step in ((9, 1.0), (18, 0.5)):
         fam = translate_family(base, count, step)
-        tr[count] = classify(fam, p10, _ones(g10), 1.0)
+        tr[count] = classify(fam, p10, unit_weight(g10), 1.0)
         assert tr[count].verdict == "consistent-noncompact"
         assert tr[count].equicontinuity.passed
         assert not tr[count].vanishing.passed
@@ -383,7 +380,7 @@ def test_criterion_09_rk_verdicts_and_doubling():
         pu = ExponentField.constant(UNIT, 2.0)
         fam = modulate_family(_gaussian(gu, 32.0, center=0.5), count,
                               base_frequency=2.0, growth=growth)
-        mod[count] = classify(fam, pu, _ones(gu), 1.0)
+        mod[count] = classify(fam, pu, unit_weight(gu), 1.0)
         assert mod[count].verdict == "consistent-noncompact"
         assert not mod[count].equicontinuity.passed
         assert mod[count].vanishing.passed
@@ -403,13 +400,13 @@ def test_criterion_09_rk_verdicts_and_doubling():
 def test_criterion_10_product_interpolation():
     g = grid1d(257)
     op = OperatorSpec("product", 2)
-    ones2 = (_ones(g), _ones(g))
+    ones2 = (unit_weight(g), unit_weight(g))
 
     def space(p_val: float, q_val: float) -> EndpointSpace:
         box = g.box
         return EndpointSpace((ExponentField.constant(box, p_val),) * 2,
                              ExponentField.constant(box, q_val), ones2,
-                             _ones(g), 1.0)
+                             unit_weight(g), 1.0)
 
     s0 = space(4.0, 2.0)
     s1 = space(2.0, 1.0)
@@ -445,7 +442,7 @@ def test_criterion_11_extrapolation_roundtrip_and_ladder():
     target = quad((8.0 / 3.0,), 8.0 / 3.0, (1.5,), 6.0)
     spec1 = quad((2.0,), 2.0, (1.5,), 6.0)
     w = (WeightField(g, np.abs(x) ** 0.0625),)
-    w1 = (_ones(g),)
+    w1 = (unit_weight(g),)
     worst_rt = 0.0
     for theta in (0.2, 0.4, 0.6):
         build = build_extrapolation_family(target, w, spec1, w1, theta)
@@ -458,7 +455,7 @@ def test_criterion_11_extrapolation_roundtrip_and_ladder():
     x2 = g2.coords[..., 0]
     targ2 = QuadrupleSpec((ExponentField.constant(g2.box, 4.0),) * 2,
                           ExponentField.constant(g2.box, 2.0), (1.5, 1.5), 6.0)
-    ones = (_ones(g2), _ones(g2))
+    ones = (unit_weight(g2), unit_weight(g2))
     left = mollify_family(GridFunction(g2, np.exp(-4.0 * x2 ** 2)), 5,
                           sigma=0.15, ratio=0.01)
     right = mollify_family(GridFunction(g2, np.exp(-6.0 * x2 ** 2)), 5,
@@ -489,7 +486,7 @@ def test_criterion_12_resolution_convergence():
         grid = Grid(UNIT, (n + 1,))
         p = ExponentField.affine(UNIT, 2.0, (0.8,))
         f = _gaussian(grid, 1.0 / 0.0484, center=0.35)
-        f_norm[n] = luxemburg_norm(f.power(1.3), p, rel_tol=1e-12).value
+        f_norm[n] = weighted_norm(abs_power(f, 1.3), p, rel_tol=1e-12).value
     d1 = (abs(f_norm[1024] - f_norm[512]), abs(f_norm[2048] - f_norm[1024]))
 
     # criterion 5 representative: the 1-linear constant of a smooth weight
@@ -514,8 +511,8 @@ def test_criterion_12_resolution_convergence():
         grid = Grid(box, (n + 1,))
         chi = _indicator(grid, 0.0, 1.0)
         mf = maximal_function(chi, 1.0, radii)
-        ratio[n] = (luxemburg_norm(mf, p2, rel_tol=1e-11).value
-                    / luxemburg_norm(chi, p2, rel_tol=1e-11).value)
+        ratio[n] = (weighted_norm(mf, p2, rel_tol=1e-11).value
+                    / weighted_norm(chi, p2, rel_tol=1e-11).value)
     d8 = (abs(ratio[2048] - ratio[1024]), abs(ratio[4096] - ratio[2048]))
 
     checks = {

@@ -140,6 +140,20 @@ def test_rk_classify_translate_family_is_consistent_noncompact(tmp_path):
     assert res["net_sizes"][-1] == res["family_size"]
 
 
+def test_rk_classify_of_one_member_is_inconclusive(tmp_path):
+    # the indicator fails equicontinuity, but a single function is compact
+    cfg = {"box": [[0.0, 1.0]], "resolution": 4096, "qtilde": 1.0,
+           "exponent": {"kind": "constant", "value": 2.0}, "weight": CONST_ONE,
+           "family": {"kind": "translate", "count": 1, "step": 0.1,
+                      "base": {"kind": "indicator", "box": [[0.25, 0.75]]}}}
+    rc, report, _ = _run(tmp_path, "rk-classify", cfg)
+    assert rc == 0
+    res = report["results"]
+    assert not res["equicontinuity"]["passed"]
+    assert res["family_size"] == res["net_sizes"][-1] == 1
+    assert res["verdict"] == "inconclusive"
+
+
 def test_interp_verify_holder_experiment_with_mixed_block(tmp_path):
     endpoint0 = {"p_vec": [{"kind": "constant", "value": 4.0},
                            {"kind": "constant", "value": 4.0}],
@@ -583,11 +597,22 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
      "exponent 'constant' key 'scan_resolution' must be a number, got None"),
     ({"exponent": {"kind": "grid", "values": [2.0, 3.0, 2.0], "resolution": 7}},
      "exponent 'grid' key 'resolution' must be a list, got 7"),
+    ({"exponent": {"kind": "grid", "values": [2.0, 3.0, 2.0], "resolution": [2]}},
+     "exponent 'grid' key 'resolution' [2] does not hold the 3 values"),
+    ({"exponent": {"kind": "grid", "values": [2.0, 3.0, 2.0], "resolution": [-1]}},
+     "exponent 'grid' key 'resolution' [-1] does not hold the 3 values"),
+    ({"exponent": {"kind": "grid", "values": [[2.0, 3.0], [2.0]]}},
+     "exponent 'grid' key 'values' must be a rectangular array of numbers"),
+    ({"exponent": {"kind": "grid", "values": [2.0]}},
+     "exponent 'grid' key 'values' needs at least 2 nodes per axis, got shape (1,)"),
+    ({"exponent": {"kind": "grid", "values": [[2.0, 3.0], [2.0, 3.0]]}},
+     "exponent 'grid' key 'values' of shape (2, 2) does not have the box's 1 axes"),
 ], ids=["translate-shift", "dilate-scale", "grid_csv-path", "indicator-box", "sum-terms",
         "constant-value", "box-int", "box-flat", "center-length", "affine-slopes-type",
         "shifted-reciprocal-inner-type", "grid_csv-path-stdin", "grid_csv-path-fd",
         "scan-resolution-int", "scan-resolution-string", "scan-resolution-null",
-        "grid-resolution-int"])
+        "grid-resolution-int", "grid-resolution-size", "grid-resolution-negative",
+        "grid-values-ragged", "grid-values-one-node", "grid-values-axes"])
 def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, patch, fault):
     cfg = {"box": [[0.0, 1.0]], "resolution": 64,
            "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS, **patch}
@@ -1155,6 +1180,21 @@ def test_extrapolate_writes_null_for_a_theta_whose_endpoint_cannot_be_built(tmp_
         assert entry["constant0"] is None and entry["endpoint_max_ratio"] is None
         assert "nonpositive reciprocal (at point (-2.0,))" in entry["error"]
     assert '"nan"' not in out_path.read_text()
+
+
+@pytest.mark.parametrize("r", [4.0, 8.0])
+def test_extrapolate_without_a_default_qtilde_exits_one_and_names_the_target(tmp_path, capsys,
+                                                                            r):
+    # gamma = 1/2 - 1/4 = 1/4 is not below 1/r, so 1/(1/r - gamma) is no qtilde
+    target = {"p_vec": [{"kind": "constant", "value": 2.0}],
+              "q": {"kind": "constant", "value": 4.0}, "r_vec": [r], "s": "inf"}
+    rc, report, _ = _run(tmp_path, "extrapolate",
+                         dict(_FUZZ_CONFIGS["extrapolate"], target=target))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"the target has 1/r = {1.0 / r:g} and gamma = 0.25; give qtilde" in err
+    assert "Traceback" not in err
 
 
 def test_an_infinity_literal_in_a_config_is_echoed_as_inf(tmp_path):

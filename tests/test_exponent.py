@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from varleb import (Box, DomainError, ExponentField, Grid, QuadrupleSpec,
                     RangeError, SchemaError, dual_exponent, harmonic_combine,
-                    log_holder_estimate, nu_exponent, component_exponent,
-                    scale_exponent, theta_blend, theta_invert, two_to_one_data,
-                    validate_quadruple)
+                    nu_exponent, component_exponent, scale_exponent, theta_blend,
+                    theta_invert, two_to_one_data, validate_quadruple)
+from varleb.exponent import _log_holder_reports
 
 from _support import UNIT, rand_exponent
 
@@ -30,7 +30,7 @@ def values(p):
 def test_constant_field_bounds():
     p = ExponentField.constant(UNIT, 2.5)
     assert p.p_minus == p.p_plus == 2.5
-    assert p.is_constant and p.in_P
+    assert p.in_P
     assert np.all(values(p) == 2.5)
 
 
@@ -255,8 +255,13 @@ def test_scale_exponent():
 # -- log-Hoelder estimates ------------------------------------------------
 
 
+def log_holder(p, budget=2000, seed=0):
+    """The log-Hoelder estimates of one field, from its own pair sample."""
+    return _log_holder_reports((p,), budget, seed)[0]
+
+
 def test_log_holder_constant_is_zero():
-    r = log_holder_estimate(ExponentField.constant(UNIT, 3.3), budget=100)
+    r = log_holder(ExponentField.constant(UNIT, 3.3), budget=100)
     assert r.c0_estimate == 0.0 and r.c_infinity_estimate == 0.0
 
 
@@ -265,7 +270,7 @@ def test_log_holder_decay_model_field():
     exactly, so the decay estimate sits at 1 for any budget."""
     box = Box((-50.0,), (50.0,))
     p = ExponentField.log_decay(box, 2.0, 1.0)
-    r = log_holder_estimate(p, budget=4000)
+    r = log_holder(p, budget=4000)
     assert r.p_infinity_declared and r.p_infinity == 2.0
     assert r.c_infinity_estimate <= 1.0 + 1e-9
     assert r.c_infinity_estimate == pytest.approx(1.0, abs=1e-9)
@@ -275,7 +280,7 @@ def test_log_holder_affine_stays_bounded():
     """An affine exponent is log-Hoelder continuous with local constant
     sup t(-log t) = 1/e; the sampled estimate can never exceed it."""
     p = ExponentField.affine(UNIT, 2.0, (1.0,))
-    r = log_holder_estimate(p, budget=10 ** 5)
+    r = log_holder(p, budget=10 ** 5)
     assert r.c0_estimate <= 1.0 / math.e + 1e-12
     assert r.c0_estimate == pytest.approx(1.0 / math.e, rel=1e-6)
 
@@ -284,20 +289,20 @@ def test_log_holder_flags_discontinuous_field():
     """A step exponent is the genuinely non-log-Hoelder case: pairs
     straddling the jump push the estimate above 10 at a 1e5 budget."""
     p = ExponentField.piecewise(UNIT, [0.5], [1.5, 6.0])
-    r = log_holder_estimate(p, budget=10 ** 5)
+    r = log_holder(p, budget=10 ** 5)
     assert r.c0_estimate > 10.0
     assert r.c_log >= r.c0_estimate
 
 
 def test_log_holder_monotone_in_budget():
     p = ExponentField.piecewise(UNIT, [0.5], [1.5, 6.0])
-    small = log_holder_estimate(p, budget=500).c0_estimate
-    large = log_holder_estimate(p, budget=2000).c0_estimate
+    small = log_holder(p, budget=500).c0_estimate
+    large = log_holder(p, budget=2000).c0_estimate
     assert small <= large
 
 
 def reference_log_holder(p, budget, seed):
-    """The per-pair loop ``log_holder_estimate`` used to run, kept as
+    """The per-pair loop ``_log_holder_reports`` used to run, kept as
     the reference for the sample's order and values."""
     from varleb.exponent import LogHolderReport
     box = p.box
@@ -364,7 +369,7 @@ def test_log_holder_sample_matches_reference_loop(box):
     for name, p in sample_fields(box).items():
         for budget in (1, 7, 2000):
             for seed in (0, 11):
-                assert (log_holder_estimate(p, budget, seed)
+                assert (log_holder(p, budget, seed)
                         == reference_log_holder(p, budget, seed)), (name, budget, seed)
 
 
@@ -469,7 +474,7 @@ def test_quadruple_log_holder_clause_names_the_worst_field(q, worst):
     spec = step_quadruple(q)
     verdict = validate_quadruple(spec)
     assert not verdict.proper and not verdict.clauses["log_holder"]
-    c_logs = [log_holder_estimate(f).c_log for f in (*spec.p_vec, spec.q)]
+    c_logs = [log_holder(f).c_log for f in (*spec.p_vec, spec.q)]
     assert int(np.argmax(c_logs)) == worst
     assert f"log-Hoelder estimate {max(c_logs):.3g} exceeds threshold 10" in verdict.failures
 

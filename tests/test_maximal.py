@@ -10,19 +10,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
-                    GridFunction, HypothesisFailureError, RadiusSweep,
-                    WeightField, ball_mask, ball_mean, ball_measure, ball_sums,
-                    maximal_boundedness_probe, maximal_function,
-                    oscillation_average, oscillation_profiles)
+                    GridFunction, HypothesisFailureError, RadiusSweep, ball_mask,
+                    ball_mean, ball_measure, ball_sums, maximal_boundedness_probe,
+                    maximal_function, oscillation_average, oscillation_profiles)
 import varleb.maximal as maximal_module
 from varleb.field import BALL_SHRINK
 from varleb.maximal import _offset_list, _row_reach
 
-from _support import UNIT, family_of, grid1d
+from _support import UNIT, family_of, from_callable, grid1d, unit_weight
 
 
 def indicator(grid, lo, hi):
-    return GridFunction.from_callable(
+    return from_callable(
         grid, lambda pts: ((pts[..., 0] >= lo) & (pts[..., 0] <= hi)).astype(float))
 
 
@@ -421,7 +420,7 @@ def test_maximal_indicator_analytic_profile():
 
 def test_maximal_dominates_pointwise():
     g = grid1d(1025)
-    f = GridFunction.from_callable(
+    f = from_callable(
         g, lambda pts: np.exp(-(((pts[..., 0] - 0.5) / 0.15) ** 2)))
     mf = maximal_function(f, 1.0, RadiusSweep.geometric(g, 32))
     assert np.all(mf.values >= np.abs(f.values))
@@ -487,7 +486,7 @@ def test_maximal_rejects_bad_qtilde():
 
 def test_ball_mean_keeps_sign():
     g = grid1d(513)
-    f = GridFunction.from_callable(g, lambda pts: pts[..., 0] - 0.5)
+    f = from_callable(g, lambda pts: pts[..., 0] - 0.5)
     avg = ball_mean(f.values, g, 0.1)
     mid = g.shape[0] // 2
     assert avg[mid] == pytest.approx(0.0, abs=1e-12)
@@ -500,7 +499,7 @@ def test_ball_mean_past_twice_the_diameter_is_the_whole_box_mean(grid):
     f = GridFunction(grid, np.random.default_rng(3).normal(size=grid.shape))
     whole = ball_mean(f.values, grid, 2.0 * grid.box.diameter)
     assert np.array_equal(ball_mean(f.values, grid, 1e308), whole)
-    assert np.allclose(whole, np.sum(grid.quad_weights * f.values) / grid.box.volume,
+    assert np.allclose(whole, np.sum(grid.quad_weights * f.values) / math.prod(grid.box.widths),
                        rtol=1e-12, atol=1e-12)
 
 
@@ -516,7 +515,7 @@ def test_oscillation_constant_is_zero():
 
 def test_oscillation_linear_half_radius():
     g = grid1d(4097)
-    f = GridFunction.from_callable(g, lambda pts: pts[..., 0])
+    f = from_callable(g, lambda pts: pts[..., 0])
     r = 0.0625
     osc = oscillation_average(f, 1.0, r)
     interior = (g.coords[..., 0] > 2 * r) & (g.coords[..., 0] < 1.0 - 2 * r)
@@ -533,7 +532,7 @@ def test_oscillation_indicator_deep_inside():
 
 def test_oscillation_lipschitz_bound():
     g = grid1d(2049)
-    f = GridFunction.from_callable(g, lambda pts: np.sin(3.0 * pts[..., 0]))
+    f = from_callable(g, lambda pts: np.sin(3.0 * pts[..., 0]))
     r = 0.03
     osc = oscillation_average(f, 2.0, r)
     assert float(osc.values.max()) <= 3.0 * r + 2.0 * g.max_step
@@ -648,7 +647,7 @@ def test_oscillation_profiles_refuse_a_radius_below_the_step():
 def test_probe_constant_corpus_unit_ratios():
     g = grid1d(1025)
     p = ExponentField.constant(UNIT, 2.0)
-    w = WeightField.ones(g)
+    w = unit_weight(g)
     corpus = family_of(GridFunction(g, np.full(g.shape, c)) for c in (1.0, 2.0, 5.0))
     rep = maximal_boundedness_probe(corpus, p, w, 1.0,
                                     RadiusSweep.geometric(g, 16),
@@ -661,7 +660,7 @@ def test_probe_indicator_ratio_finite():
     g = Grid(Box((-0.5,), (8.5,)), (2049,))
     box = g.box
     p = ExponentField.constant(box, 2.0)
-    w = WeightField.ones(g)
+    w = unit_weight(g)
     rep = maximal_boundedness_probe(family_of([indicator(g, 0.0, 1.0)]), p, w, 1.0,
                                     RadiusSweep.geometric(g, 32),
                                     DyadicCubeSet(box, 3))
@@ -673,7 +672,7 @@ def test_probe_indicator_ratio_finite():
 def test_probe_gate_rejects_large_qtilde():
     g = grid1d(257)
     p = ExponentField.constant(UNIT, 2.0)
-    w = WeightField.ones(g)
+    w = unit_weight(g)
     corpus = family_of([GridFunction(g, np.ones(g.shape))])
     with pytest.raises(HypothesisFailureError):
         maximal_boundedness_probe(corpus, p, w, 2.5,
@@ -686,5 +685,5 @@ def test_probe_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
     g = grid1d(129)
     with pytest.raises(DomainError, match="qtilde must be a finite positive constant"):
         maximal_boundedness_probe(family_of([GridFunction(g, np.ones(g.shape))]),
-                                  ExponentField.constant(UNIT, 2.0), WeightField.ones(g),
+                                  ExponentField.constant(UNIT, 2.0), unit_weight(g),
                                   qtilde, RadiusSweep.geometric(g, 8), DyadicCubeSet(UNIT, 2))

@@ -18,7 +18,7 @@ from varleb.rk import (FunctionFamily, classify, dilate_family,
                        translate_family, uniform_bound_profile,
                        vanishing_profile)
 
-from _support import UNIT, family_of
+from _support import UNIT, family_of, unit_weight
 
 
 def _gaussian(grid: Grid, rate: float, center: float = 0.0) -> GridFunction:
@@ -29,10 +29,6 @@ def _gaussian(grid: Grid, rate: float, center: float = 0.0) -> GridFunction:
 def _indicator(grid: Grid, lo: float, hi: float) -> GridFunction:
     x = grid.coords[..., 0]
     return GridFunction(grid, ((x >= lo) & (x <= hi)).astype(float))
-
-
-def _ones_weight(grid: Grid) -> WeightField:
-    return WeightField(grid, np.ones(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +64,7 @@ def test_mollify_smooths_and_preserves_mass_scale():
     g = Grid(UNIT, (1025,))
     f = _indicator(g, 0.45, 0.55)
     smooth = mollify(f, 0.05)
-    assert smooth.sup_norm < f.sup_norm
+    assert np.abs(smooth.values).max() < np.abs(f.values).max()
     assert abs(float(smooth.values.sum() - f.values.sum())) < 1e-8
 
 
@@ -158,7 +154,7 @@ def test_uniform_bound_explicit_unit_weight_matches_unweighted():
     p = ExponentField.constant(UNIT, 3.0)
     fam = family_of((_gaussian(g, 6.0, center=0.3),))
     plain = uniform_bound_profile(fam, p).sup
-    weighted = uniform_bound_profile(fam, p, _ones_weight(g)).sup
+    weighted = uniform_bound_profile(fam, p, unit_weight(g)).sup
     assert abs(plain - weighted) <= 1e-12 * max(plain, 1.0)
 
 
@@ -338,11 +334,11 @@ def test_net_rejects_negative_eps_and_covers_within_eps():
 def test_classify_mollified_family_is_consistent_compact():
     g = Grid(Box((-2.0,), (2.0,)), (1025,))
     p = ExponentField.constant(g.box, 2.0)
-    w = _ones_weight(g)
+    w = unit_weight(g)
     fam = mollify_family(_gaussian(g, 4.0), 6, sigma=0.15, ratio=0.01)
     report = classify(fam, p, w, 1.0)
     assert report.verdict == "consistent-compact"
-    assert report.conditions_pass
+    assert report.equicontinuity.passed and report.vanishing.passed
     assert report.plateau and not report.growth
     assert report.net_sizes[-1] < len(fam)
     assert report.gate.constant >= 1.0 - 1e-9
@@ -352,7 +348,7 @@ def test_classify_translate_family_fails_the_tail_condition():
     box = Box((0.0,), (10.0,))
     g = Grid(box, (4001,))
     p = ExponentField.constant(box, 2.0)
-    w = _ones_weight(g)
+    w = unit_weight(g)
     fam = translate_family(_gaussian(g, 1.0 / 0.09, center=1.0), 9, 1.0)
     report = classify(fam, p, w, 1.0)
     assert report.verdict == "consistent-noncompact"
@@ -365,7 +361,7 @@ def test_classify_translate_family_fails_the_tail_condition():
 def test_classify_modulated_family_fails_equicontinuity():
     g = Grid(UNIT, (1025,))
     p = ExponentField.constant(UNIT, 2.0)
-    w = _ones_weight(g)
+    w = unit_weight(g)
     base = _gaussian(g, 32.0, center=0.5)
     fam = modulate_family(base, 6, base_frequency=2.0, growth=2.0)
     report = classify(fam, p, w, 1.0)
@@ -375,10 +371,22 @@ def test_classify_modulated_family_fails_equicontinuity():
     assert report.growth
 
 
+def test_classify_calls_a_one_member_family_inconclusive_not_noncompact():
+    """An indicator's jump fails equicontinuity and one function is its
+    own net at every eps, but a single function is compact."""
+    g = Grid(UNIT, (4097,))
+    fam = family_of([_indicator(g, 0.25, 0.75)])
+    report = classify(fam, ExponentField.constant(UNIT, 2.0), unit_weight(g), 1.0)
+    assert not report.equicontinuity.passed
+    assert report.net_sizes[-1] == len(fam) == 1
+    assert not report.growth
+    assert report.verdict == "inconclusive"
+
+
 def test_classify_gate_rejects_qtilde_at_or_above_p_minus():
     g = Grid(UNIT, (257,))
     p = ExponentField.constant(UNIT, 2.0)
-    w = _ones_weight(g)
+    w = unit_weight(g)
     fam = family_of((_gaussian(g, 4.0, center=0.5),))
     with pytest.raises(HypothesisFailureError):
         classify(fam, p, w, 2.0)
@@ -391,13 +399,13 @@ def test_classify_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
     g = Grid(UNIT, (129,))
     fam = family_of((_gaussian(g, 4.0, center=0.5),))
     with pytest.raises(DomainError, match="qtilde must be a finite positive constant"):
-        classify(fam, ExponentField.constant(UNIT, 2.0), _ones_weight(g), qtilde)
+        classify(fam, ExponentField.constant(UNIT, 2.0), unit_weight(g), qtilde)
 
 
 def test_classify_is_deterministic():
     g = Grid(UNIT, (513,))
     p = ExponentField.constant(UNIT, 2.0)
-    w = _ones_weight(g)
+    w = unit_weight(g)
     fam = mollify_family(_gaussian(g, 8.0, center=0.5), 5, sigma=0.1)
     a = classify(fam, p, w, 1.0)
     b = classify(fam, p, w, 1.0)
@@ -410,7 +418,7 @@ def test_classify_is_deterministic():
 def test_classify_default_ladder_spans_the_diameter():
     g = Grid(UNIT, (513,))
     p = ExponentField.constant(UNIT, 2.0)
-    w = _ones_weight(g)
+    w = unit_weight(g)
     fam = mollify_family(_gaussian(g, 8.0, center=0.5), 4, sigma=0.1)
     report = classify(fam, p, w, 1.0, ladder_depth=6)
     assert len(report.eps_ladder) == 7
@@ -422,7 +430,7 @@ def test_classify_probes_the_fixed_radius_ladders_about_the_box_center():
     box = Box((0.0,), (4.0,))
     g = Grid(box, (65,))
     fam = family_of((_gaussian(g, 4.0, center=1.5), _gaussian(g, 4.0, center=2.5)))
-    report = classify(fam, ExponentField.constant(box, 2.0), _ones_weight(g), 1.0)
+    report = classify(fam, ExponentField.constant(box, 2.0), unit_weight(g), 1.0)
     # the grid step 1/16 doubled six times, and the diameter 4 times 1/8 .. 7/16
     assert report.equicontinuity.radii == (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
     assert report.vanishing.radii == (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)

@@ -20,7 +20,7 @@ from varleb.field import box_slices
 from varleb.norms import lux_flat
 from varleb.weights import OVERFLOW_THRESHOLD, _cube_scan, gate_constant
 
-from _support import UNIT, SYM, rand_exponent, rand_weight
+from _support import UNIT, SYM, all_cubes, rand_exponent, rand_weight, unit_weight
 
 GRID = Grid(UNIT, (1025,))
 CUBES = DyadicCubeSet(UNIT, 3)
@@ -42,9 +42,9 @@ def abs_power_weight(grid, exponent):
 
 
 def test_ap_constant_unit_weight():
-    rep = ap_constant(WeightField.ones(GRID), const_p(2.0), CUBES)
+    rep = ap_constant(unit_weight(GRID), const_p(2.0), CUBES)
     assert rep.constant == pytest.approx(1.0, abs=1e-9)
-    assert rep.cube_count == CUBES.count()
+    assert rep.cube_count == len(all_cubes(CUBES))
 
 
 def test_ap_constant_scalar_weight_cancels():
@@ -103,11 +103,11 @@ def test_gate_constant_is_the_ap_constant_of_the_powered_weight(seed, qtilde):
 @pytest.mark.parametrize("qtilde", [0.0, -0.0, -1.0, -1e308, math.nan, math.inf])
 def test_gate_constant_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
     with pytest.raises(DomainError, match="qtilde must be a finite positive constant, got"):
-        gate_constant(WeightField.ones(GRID), const_p(2.0), qtilde, CUBES)
+        gate_constant(unit_weight(GRID), const_p(2.0), qtilde, CUBES)
 
 
 def test_gate_constant_fails_the_hypothesis_at_or_above_p_minus_and_on_overflow():
-    w = WeightField.ones(GRID)
+    w = unit_weight(GRID)
     for qtilde in (2.0, 2.5):
         with pytest.raises(HypothesisFailureError, match=r"is not below p_- = 2\.0"):
             gate_constant(w, const_p(2.0), qtilde, CUBES)
@@ -123,7 +123,7 @@ def test_gate_constant_fails_the_hypothesis_at_or_above_p_minus_and_on_overflow(
 def test_multilinear_all_ones_cancels():
     spec = QuadrupleSpec((const_p(4.0), const_p(4.0)), const_p(2.0),
                          (1.0, 1.0), math.inf)
-    ones = WeightField.ones(GRID)
+    ones = unit_weight(GRID)
     rep = multilinear_constant((ones, ones), spec, CUBES)
     assert rep.constant == pytest.approx(1.0, abs=1e-9)
 
@@ -145,7 +145,7 @@ def test_multilinear_unit_factor_drops_out():
     only contributes a power of |Q| that the cube-measure prefactor
     absorbs."""
     w1 = abs_power_weight(SGRID, 0.125)
-    ones = WeightField.ones(SGRID)
+    ones = unit_weight(SGRID)
     p4 = const_p(4.0, SYM)
     spec2 = QuadrupleSpec((p4, p4), const_p(2.0, SYM), (1.0, 1.0), math.inf)
     spec1 = QuadrupleSpec((p4,), const_p(2.0, SYM), (1.0,), math.inf)
@@ -160,7 +160,7 @@ def test_multilinear_arity_mismatch():
     spec = QuadrupleSpec((const_p(4.0), const_p(4.0)), const_p(2.0),
                          (1.0, 1.0), math.inf)
     with pytest.raises(ArityMismatchError):
-        multilinear_constant((WeightField.ones(GRID),), spec, CUBES)
+        multilinear_constant((unit_weight(GRID),), spec, CUBES)
 
 
 # -- two-to-one identity -------------------------------------------------
@@ -189,7 +189,7 @@ def test_two_to_one_fractional_example():
 def test_two_to_one_unit_weight():
     q = const_p(4.0)
     spec = QuadrupleSpec((const_p(2.0),), q, (1.0,), math.inf)
-    rep = two_to_one_check(WeightField.ones(GRID), spec, CUBES)
+    rep = two_to_one_check(unit_weight(GRID), spec, CUBES)
     assert rep.lhs_constant == pytest.approx(1.0, abs=1e-9)
     assert rep.rhs_constant == pytest.approx(1.0, abs=1e-9)
 
@@ -212,7 +212,7 @@ def test_two_to_one_random_suite():
 def test_containment_unit_weights():
     spec = QuadrupleSpec((const_p(4.0), const_p(4.0)), const_p(2.0),
                          (1.0, 1.0), 8.0)
-    ones = WeightField.ones(GRID)
+    ones = unit_weight(GRID)
     rep = containment_check((ones, ones), spec, CUBES)
     assert rep.holder_c == pytest.approx(1.0)
     assert rep.passed and rep.global_ratio <= 1.0 + 1e-9
@@ -242,7 +242,7 @@ def test_containment_random_step_weights():
 def test_containment_rejects_infinite_s():
     spec = QuadrupleSpec((const_p(2.0),), const_p(4.0), (1.0,), math.inf)
     with pytest.raises(SpecMismatchError):
-        containment_check((WeightField.ones(GRID),), spec, CUBES)
+        containment_check((unit_weight(GRID),), spec, CUBES)
 
 
 # -- blend ------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_blend_fixed_point_equality():
 
 def test_blend_constant_exponent_weighted():
     w0 = abs_power_weight(SGRID, 0.125)
-    w1 = WeightField.ones(SGRID)
+    w1 = unit_weight(SGRID)
     spec0 = QuadrupleSpec((const_p(2.0, SYM),), const_p(2.0, SYM), (1.0,), math.inf)
     spec1 = QuadrupleSpec((const_p(4.0, SYM),), const_p(4.0, SYM), (1.0,), math.inf)
     rep = blend_constant_check((w0,), (w1,), spec0, spec1, 0.5, SCUBES)
@@ -270,8 +270,8 @@ def test_blend_constant_exponent_weighted():
 
 
 def test_blend_bilinear_constant_exponents():
-    w0 = (abs_power_weight(SGRID, 0.125), WeightField.ones(SGRID))
-    w1 = (WeightField.ones(SGRID), WeightField.ones(SGRID))
+    w0 = (abs_power_weight(SGRID, 0.125), unit_weight(SGRID))
+    w1 = (unit_weight(SGRID), unit_weight(SGRID))
     p4 = const_p(4.0, SYM)
     spec = QuadrupleSpec((p4, p4), const_p(2.0, SYM), (1.0, 1.0), math.inf)
     rep = blend_constant_check(w0, w1, spec, spec, 0.3, SCUBES)
@@ -281,7 +281,7 @@ def test_blend_bilinear_constant_exponents():
 def test_blend_rejects_gamma_mismatch():
     spec0 = QuadrupleSpec((const_p(2.0),), const_p(2.0), (1.0,), math.inf)
     spec1 = QuadrupleSpec((const_p(2.0),), const_p(4.0), (1.0,), math.inf)
-    ones = WeightField.ones(GRID)
+    ones = unit_weight(GRID)
     with pytest.raises(SpecMismatchError):
         blend_constant_check((ones,), (ones,), spec0, spec1, 0.5, CUBES)
 
@@ -289,7 +289,7 @@ def test_blend_rejects_gamma_mismatch():
 def test_blend_rejects_mismatched_rs():
     spec0 = QuadrupleSpec((const_p(3.0),), const_p(3.0), (1.0,), math.inf)
     spec1 = QuadrupleSpec((const_p(3.0),), const_p(3.0), (1.5,), math.inf)
-    ones = WeightField.ones(GRID)
+    ones = unit_weight(GRID)
     with pytest.raises(SpecMismatchError):
         blend_constant_check((ones,), (ones,), spec0, spec1, 0.5, CUBES)
 
@@ -302,7 +302,7 @@ def _loop_scan(grid, cubes, factors, power, allow_overflow):
     order, as a reference for the batched `_cube_scan`."""
     qw = grid.quad_weights
     best, best_cube, per_cube, overflow = -math.inf, None, [], False
-    for cube in cubes.cubes():
+    for cube in all_cubes(cubes):
         sl = box_slices(grid, cube.box)
         wq = qw[sl].ravel()
         if wq.size == 0:
@@ -327,12 +327,12 @@ def _loop_scan(grid, cubes, factors, power, allow_overflow):
 
 def _assert_scan_matches_loop(rep, grid, cubes, factors, power, allow_overflow=False):
     per_cube, best_cube, overflow = _loop_scan(grid, cubes, factors, power, allow_overflow)
-    assert rep.cube_count == len(per_cube) == cubes.count()
+    assert rep.cube_count == len(per_cube) == len(all_cubes(cubes))
     for got, want in zip(rep.per_cube, per_cube):
         assert got == want or abs(got - want) <= 1e-12 * max(abs(got), abs(want))
     assert rep.argmax_cube.label() == best_cube.label()
     assert rep.argmax_cube.box == best_cube.box
-    labels = [cube.label() for cube in cubes.cubes()]
+    labels = [cube.label() for cube in all_cubes(cubes)]
     assert rep.constant == max(rep.per_cube)
     assert labels.index(rep.argmax_cube.label()) == rep.per_cube.index(rep.constant)
     assert rep.overflow == overflow
@@ -427,7 +427,7 @@ def test_cube_scan_names_the_grid_node_of_a_nan_under_a_smaller_root(shape, node
 def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
     box = Box((-2.0,), (2.0,))
     grid, cubes = Grid(box, (7,)), DyadicCubeSet(box, 4)
-    w, p = WeightField.ones(grid), const_p(2.0, box)
+    w, p = unit_weight(grid), const_p(2.0, box)
     with pytest.raises(EmptyRegionError) as want:
         _loop_scan(grid, cubes, [(w, p)], -1.0, True)
     with pytest.raises(EmptyRegionError) as got:
@@ -470,7 +470,7 @@ def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
     rep = ap_constant(w, const_p(2.0, box), cubes)
     factors = 2
     assert len(calls) <= (depth + 1) * 2 * factors
-    assert sum(calls) == factors * rep.cube_count == factors * cubes.count()
+    assert sum(calls) == factors * rep.cube_count == factors * len(all_cubes(cubes))
 
 
 def test_cube_scan_solves_every_group_in_one_block_regrown_only_to_fit(monkeypatch):
