@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import (REQUIRED, DomainError, HypothesisFailureError, OverflowToInfinityError,
                      VarlebError, VersionMismatchWarning, block, descriptor, each_axis, integer,
-                     list_of, number, per_axis, read_fields, read_kind, string)
+                     list_of, number, per_axis, read_fields, read_kind)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (EndpointSpace, OperatorSpec, run_extrapolation_workflow,
@@ -68,19 +68,37 @@ _GRID = {"box": (Box.from_pairs, REQUIRED), "resolution": (per_axis(integer), No
 _QUADRUPLE = block({"p_vec": (list_of(_EXPONENT), REQUIRED), "q": (_EXPONENT, REQUIRED),
                     "r_vec": (list_of(number), REQUIRED), "s": (_s_value, REQUIRED),
                     "gamma": (number, None)})
-_OPERATOR = block({"kind": (string, REQUIRED), "arity": (integer, REQUIRED),
-                   "alpha": (number, 0.0), "radius": (number, 0.0)})
+_OPERATOR = descriptor("an operator")
 _ENDPOINT = block({"p_vec": (list_of(_EXPONENT), REQUIRED), "q": (_EXPONENT, REQUIRED),
                    "weights": (list_of(_FUNCTION), REQUIRED), "v": (_FUNCTION, REQUIRED),
                    "bound": (number, None)})
 _MIXED = block({"qtilde": (number, REQUIRED), "offset_count": (integer, 8)})
+_ARITY = {"arity": (integer, REQUIRED)}
+# kind -> (builder, its keys besides "kind")
+_OPERATORS = {
+    "product": (lambda arity: OperatorSpec("product", arity), _ARITY),
+    "ball_average_product": (
+        lambda arity, radius: OperatorSpec("ball_average_product", arity, radius=radius),
+        {**_ARITY, "radius": (number, REQUIRED)}),
+    "fractional_kernel": (
+        lambda arity, alpha: OperatorSpec("fractional_kernel", arity, alpha=alpha),
+        {**_ARITY, "alpha": (number, REQUIRED)}),
+}
 _MEMBERS = {"base": (_FUNCTION, REQUIRED), "count": (integer, REQUIRED)}
-# kind -> its keys besides "kind", named as the arguments of its builder
+# kind -> (builder on the grid, its keys besides "kind")
 _FAMILIES = {
-    "translate": {**_MEMBERS, "step": (number, REQUIRED)},
-    "modulate": {**_MEMBERS, "base_frequency": (number, 1.0), "growth": (number, 2.0)},
-    "dilate": {**_MEMBERS, "ratio": (number, 0.5)},
-    "mollify": {**_MEMBERS, "sigma": (number, REQUIRED), "ratio": (number, 0.1)},
+    "translate": (lambda grid, base, count, step:
+                  translate_family(realize_function(base, grid), count, step),
+                  {**_MEMBERS, "step": (number, REQUIRED)}),
+    "modulate": (lambda grid, base, count, base_frequency, growth:
+                 modulate_family(realize_function(base, grid), count, base_frequency, growth),
+                 {**_MEMBERS, "base_frequency": (number, 1.0), "growth": (number, 2.0)}),
+    "dilate": (lambda grid, base, count, ratio:
+               dilate_family(realize_function(base, grid), count, ratio),
+               {**_MEMBERS, "ratio": (number, 0.5)}),
+    "mollify": (lambda grid, base, count, sigma, ratio:
+                mollify_family(realize_function(base, grid), count, sigma, ratio),
+                {**_MEMBERS, "sigma": (number, REQUIRED), "ratio": (number, 0.1)}),
 }
 
 
@@ -92,24 +110,23 @@ def _grid_from(c: dict) -> Grid:
     return Grid(box, tuple(n + 1 for n in each_axis(cells, box.dim, "resolution")))
 
 
-def _exponent_from(desc: dict, box: Box) -> ExponentField:
-    return ExponentField.from_descriptor({"box": box.as_pairs(), **desc})
+def _weight_from(desc: dict, grid: Grid, key: str) -> WeightField:
+    """The weight of the descriptor at config key ``key``, whose faults,
+    such as a value that is not positive and finite, name the key."""
+    try:
+        return WeightField(grid, realize_function(desc, grid).values)
+    except DomainError as exc:
+        raise DomainError(f"config key '{key}': {exc}") from None
 
 
-def _weight_from(desc: dict, grid: Grid) -> WeightField:
-    return WeightField(grid, realize_function(desc, grid).values)
+def _weights_from(descs: list, grid: Grid, key: str) -> tuple[WeightField, ...]:
+    return tuple(_weight_from(d, grid, f"{key}[{j}]") for j, d in enumerate(descs))
 
 
 def _quadruple_from(q: dict, box: Box) -> QuadrupleSpec:
-    return QuadrupleSpec(tuple(_exponent_from(d, box) for d in q["p_vec"]),
-                         _exponent_from(q["q"], box), tuple(q["r_vec"]), q["s"], q["gamma"])
-
-
-def _family_from(desc, grid: Grid):
-    kind, f = read_kind(desc, _FAMILIES, "family")
-    build = {"translate": translate_family, "modulate": modulate_family,
-             "dilate": dilate_family, "mollify": mollify_family}[kind]
-    return build(**{**f, "base": realize_function(f["base"], grid)})
+    return QuadrupleSpec(tuple(ExponentField.from_descriptor(d, box) for d in q["p_vec"]),
+                         ExponentField.from_descriptor(q["q"], box), tuple(q["r_vec"]), q["s"],
+                         q["gamma"])
 
 
 def _jsonable(obj):
@@ -150,9 +167,9 @@ def _command(name: str, **table):
 @_command("norm", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
           weight=(_FUNCTION, None), rel_tol=(number, 1e-10))
 def _run_norm(c, grid):
-    p = _exponent_from(c["exponent"], grid.box)
+    p = ExponentField.from_descriptor(c["exponent"], grid.box)
     f = realize_function(c["function"], grid)
-    w = _weight_from(c["weight"], grid) if c["weight"] is not None else None
+    w = _weight_from(c["weight"], grid, "weight") if c["weight"] is not None else None
     res = weighted_norm(f, p, w, rel_tol=c["rel_tol"])
     return ({"norm": res.value, "iterations": res.iterations,
              "bracket": list(res.bracket), "modular_at_value": res.modular_at_value}, EXIT_OK)
@@ -160,7 +177,7 @@ def _run_norm(c, grid):
 
 @_command("modular", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED))
 def _run_modular(c, grid):
-    p = _exponent_from(c["exponent"], grid.box)
+    p = ExponentField.from_descriptor(c["exponent"], grid.box)
     f = realize_function(c["function"], grid)
     return {"modular": modular(f, p)}, EXIT_OK
 
@@ -174,8 +191,8 @@ def _constant_results(rep) -> dict:
 @_command("weight-constant", exponent=(_EXPONENT, REQUIRED), weight=(_FUNCTION, REQUIRED),
           cube_depth=(integer, 4), rel_tol=(number, 1e-10))
 def _run_weight_constant(c, grid):
-    p = _exponent_from(c["exponent"], grid.box)
-    w = _weight_from(c["weight"], grid)
+    p = ExponentField.from_descriptor(c["exponent"], grid.box)
+    w = _weight_from(c["weight"], grid, "weight")
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = ap_constant(w, p, cubes, c["rel_tol"], allow_overflow=True)
     return _constant_results(rep), EXIT_OK
@@ -186,7 +203,7 @@ def _run_weight_constant(c, grid):
           rel_tol=(number, 1e-10))
 def _run_multilinear_constant(c, grid):
     spec = _quadruple_from(c["quadruple"], grid.box)
-    w_vec = tuple(_weight_from(d, grid) for d in c["weights"])
+    w_vec = _weights_from(c["weights"], grid, "weights")
     verdict = validate_quadruple(spec)
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = multilinear_constant(w_vec, spec, cubes, c["rel_tol"], allow_overflow=True)
@@ -199,7 +216,7 @@ def _run_multilinear_constant(c, grid):
           cube_depth=(integer, 4), rel_tol=(number, 1e-10), tol=(number, 1e-6))
 def _run_two_to_one(c, grid):
     spec = _quadruple_from(c["quadruple"], grid.box)
-    w = _weight_from(c["weight"], grid)
+    w = _weight_from(c["weight"], grid, "weight")
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = two_to_one_check(w, spec, cubes, c["rel_tol"])
     code = EXIT_OK if rep.rel_error <= c["tol"] else EXIT_VIOLATION
@@ -213,9 +230,9 @@ def _run_two_to_one(c, grid):
           qtilde=(number, REQUIRED), weight=(_FUNCTION, None), radii_count=(integer, 64),
           rel_tol=(number, 1e-10))
 def _run_maximal(c, grid):
-    p = _exponent_from(c["exponent"], grid.box)
+    p = ExponentField.from_descriptor(c["exponent"], grid.box)
     f = realize_function(c["function"], grid)
-    w = _weight_from(c["weight"], grid) if c["weight"] is not None else None
+    w = _weight_from(c["weight"], grid, "weight") if c["weight"] is not None else None
     sweep = RadiusSweep.geometric(grid, c["radii_count"])
     Mf = maximal_function(f, c["qtilde"], sweep)
     nf = weighted_norm(f, p, w, rel_tol=c["rel_tol"]).value
@@ -232,9 +249,9 @@ def _run_maximal(c, grid):
           qtilde=(number, REQUIRED), family=(descriptor("a family"), REQUIRED),
           cube_depth=(integer, 3), rel_tol=(number, 1e-10), threshold_factor=(number, 1e-2))
 def _run_rk_classify(c, grid):
-    p = _exponent_from(c["exponent"], grid.box)
-    w = _weight_from(c["weight"], grid)
-    family = _family_from(c["family"], grid)
+    p = ExponentField.from_descriptor(c["exponent"], grid.box)
+    w = _weight_from(c["weight"], grid, "weight")
+    family = read_kind(c["family"], _FAMILIES, "family", grid)
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = classify(family, p, w, c["qtilde"], cubes=cubes,
                    threshold_factor=c["threshold_factor"], rel_tol=c["rel_tol"])
@@ -251,11 +268,13 @@ def _run_rk_classify(c, grid):
                            "threshold": rep.vanishing.threshold}}, EXIT_OK)
 
 
-def _endpoint_from(e: dict, grid: Grid) -> EndpointSpace:
-    p_vec = tuple(_exponent_from(d, grid.box) for d in e["p_vec"])
-    w_vec = tuple(_weight_from(d, grid) for d in e["weights"])
-    v = _weight_from(e["v"], grid)
-    return EndpointSpace(p_vec, _exponent_from(e["q"], grid.box), w_vec, v, e["bound"])
+def _endpoint_from(c: dict, key: str, grid: Grid) -> EndpointSpace:
+    e = c[key]
+    p_vec = tuple(ExponentField.from_descriptor(d, grid.box) for d in e["p_vec"])
+    w_vec = _weights_from(e["weights"], grid, f"{key}.weights")
+    v = _weight_from(e["v"], grid, f"{key}.v")
+    return EndpointSpace(p_vec, ExponentField.from_descriptor(e["q"], grid.box), w_vec, v,
+                         e["bound"])
 
 
 @_command("interp-verify", operator=(_OPERATOR, REQUIRED), endpoint0=(_ENDPOINT, REQUIRED),
@@ -263,8 +282,8 @@ def _endpoint_from(e: dict, grid: Grid) -> EndpointSpace:
           seed=(integer, 0), safety=(number, 1.05), slack=(number, 1e-6),
           rel_tol=(number, 1e-10), mixed=(_MIXED, None))
 def _run_interp_verify(c, grid):
-    op = OperatorSpec(**c["operator"])
-    s0, s1 = _endpoint_from(c["endpoint0"], grid), _endpoint_from(c["endpoint1"], grid)
+    op = read_kind(c["operator"], _OPERATORS, "operator")
+    s0, s1 = _endpoint_from(c, "endpoint0", grid), _endpoint_from(c, "endpoint1", grid)
     kwargs = {key: c[key] for key in ("trials", "seed", "safety", "slack", "rel_tol")}
     rep = verify_interpolation_bound(op, s0, s1, c["theta"], **kwargs)
     results = {"passed": rep.passed, "worst_ratio": rep.worst_ratio,
@@ -288,10 +307,10 @@ def _run_interp_verify(c, grid):
 def _run_extrapolate(c, grid):
     target = _quadruple_from(c["target"], grid.box)
     spec1 = _quadruple_from(c["endpoint1"], grid.box)
-    w_vec = tuple(_weight_from(d, grid) for d in c["weights"])
-    w1_vec = tuple(_weight_from(d, grid) for d in c["weights1"])
-    op = OperatorSpec(**c["operator"])
-    family = _family_from(c["family"], grid)
+    w_vec = _weights_from(c["weights"], grid, "weights")
+    w1_vec = _weights_from(c["weights1"], grid, "weights1")
+    op = read_kind(c["operator"], _OPERATORS, "operator")
+    family = read_kind(c["family"], _FAMILIES, "family", grid)
     # the family in each of the target's slots, a view; the workflow refuses a wrong arity first
     inputs = np.broadcast_to(family.values[:, None], (len(family), target.m, *grid.shape))
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])

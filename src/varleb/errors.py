@@ -85,9 +85,11 @@ class VersionMismatchWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# config schema: every config block and descriptor kind is a table
-# ``key -> (reader, default)``.  A reader takes ``(value, key, where)`` and
-# returns the value read, or raises SchemaError naming ``where`` and ``key``.
+# config schema: every config block is a table ``key -> (reader, default)``;
+# a reader takes ``(value, key, where)`` and returns the value read, or raises
+# SchemaError naming ``where`` and ``key``.  A kind table maps each descriptor
+# kind to ``(builder, table)``, the table's keys the builder's parameters after
+# its context (the grid or the box).
 
 REQUIRED = object()
 
@@ -109,14 +111,16 @@ def read_fields(desc, table: dict, where: str) -> dict:
             for key, (reader, default) in table.items()}
 
 
-def read_kind(desc, kinds: dict, noun: str) -> tuple[str, dict]:
-    """Read a tagged descriptor: its ``kind`` and the rest of it, read by
-    the table of that kind in ``kinds``."""
+def read_kind(desc, kinds: dict, noun: str, *context):
+    """Build a tagged descriptor: ``builder(*context, **keys)`` of the
+    entry ``(builder, table)`` of its ``kind`` in ``kinds``, with the rest
+    of the descriptor read by the table."""
     kind = desc.get("kind") if isinstance(desc, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
         raise SchemaError(f"{noun} needs a 'kind' among {sorted(kinds)}")
+    build, table = kinds[kind]
     rest = {key: value for key, value in desc.items() if key != "kind"}
-    return kind, read_fields(rest, kinds[kind], f"{noun} '{kind}'")
+    return build(*context, **read_fields(rest, table, f"{noun} '{kind}'"))
 
 
 def _refuse(noun: str, value, key: str, where: str):

@@ -62,7 +62,6 @@ class ExponentField:
     fn: Callable[[np.ndarray], np.ndarray]
     p_minus: float
     p_plus: float
-    scan_shape: tuple[int, ...]
     p_infinity: float | None = None
     # values_on results per grid; they live and die with the field
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -94,7 +93,7 @@ class ExponentField:
 
     @property
     def scan_grid(self) -> Grid:
-        return Grid(self.box, self.scan_shape)
+        return Grid(self.box, default_scan_shape(self.box))
 
     # -- classes -----------------------------------------------------
 
@@ -109,13 +108,13 @@ class ExponentField:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def constant(cls, box: Box, value: float, scan_shape=None) -> "ExponentField":
+    def constant(cls, box: Box, value: float) -> "ExponentField":
         value = float(value)
         return cls(box, lambda pts, v=value: np.full(pts.shape[:-1], v), value, value,
-                   scan_shape or default_scan_shape(box), p_infinity=value)
+                   p_infinity=value)
 
     @classmethod
-    def affine(cls, box: Box, base: float, slopes: Sequence[float], scan_shape=None) -> "ExponentField":
+    def affine(cls, box: Box, base: float, slopes: Sequence[float]) -> "ExponentField":
         slopes = tuple(float(s) for s in slopes)
         if len(slopes) != box.dim:
             raise SchemaError("affine exponent needs one slope per axis")
@@ -127,11 +126,10 @@ class ExponentField:
         def fn(pts, base=float(base), slopes=slopes):
             return base + sum(s * pts[..., i] for i, s in enumerate(slopes))
 
-        return cls(box, fn, min(corner_vals), max(corner_vals),
-                   scan_shape or default_scan_shape(box))
+        return cls(box, fn, min(corner_vals), max(corner_vals))
 
     @classmethod
-    def log_decay(cls, box: Box, p_infinity: float, amplitude: float, scan_shape=None) -> "ExponentField":
+    def log_decay(cls, box: Box, p_infinity: float, amplitude: float) -> "ExponentField":
         """``p(x) = p_inf + amplitude / log(e + |x|)``, the model field
         with exact log-Hoelder decay at infinity."""
         p_inf, amp = float(p_infinity), float(amplitude)
@@ -144,11 +142,11 @@ class ExponentField:
             r = np.sqrt(sum(pts[..., i] ** 2 for i in range(pts.shape[-1])))
             return p_inf + amp / np.log(math.e + r)
 
-        return cls(box, fn, lo, hi, scan_shape or default_scan_shape(box), p_infinity=p_inf)
+        return cls(box, fn, lo, hi, p_infinity=p_inf)
 
     @classmethod
-    def piecewise(cls, box: Box, breakpoints: Sequence[float], values: Sequence[float],
-                  scan_shape=None) -> "ExponentField":
+    def piecewise(cls, box: Box, breakpoints: Sequence[float],
+                  values: Sequence[float]) -> "ExponentField":
         """Step function along axis 0: ``values[i]`` on
         ``[breakpoints[i-1], breakpoints[i])``."""
         breaks = tuple(float(b) for b in breakpoints)
@@ -162,12 +160,23 @@ class ExponentField:
             idx = np.searchsorted(breaks, pts[..., 0], side="right")
             return vals[idx]
 
-        return cls(box, fn, min(vals), max(vals), scan_shape or default_scan_shape(box))
+        return cls(box, fn, min(vals), max(vals))
 
     @classmethod
-    def from_grid(cls, box: Box, values, scan_shape=None) -> "ExponentField":
-        """Multilinear interpolation of node values on the box."""
-        arr = np.asarray(values, dtype=float)
+    def from_grid(cls, box: Box, values,
+                  resolution: Sequence[int] | None = None) -> "ExponentField":
+        """Multilinear interpolation of node values on the box, the flat
+        ``values`` laid out in ``resolution`` when it is given."""
+        try:
+            arr = np.asarray(values, dtype=float)
+        except ValueError:
+            raise SchemaError("exponent 'grid' key 'values' must be a rectangular array "
+                              "of numbers") from None
+        if resolution is not None:
+            if min(resolution, default=0) < 1 or math.prod(resolution) != arr.size:
+                raise SchemaError(f"exponent 'grid' key 'resolution' {resolution} does not hold "
+                                  f"the {arr.size} values")
+            arr = arr.reshape(resolution)
         if arr.ndim != box.dim:
             raise SchemaError(f"exponent 'grid' key 'values' of shape {arr.shape} does not have "
                               f"the box's {box.dim} axes")
@@ -179,54 +188,34 @@ class ExponentField:
         def fn(pts, arr=arr, sample=sample):
             return _multilinear(sample, arr, pts)
 
-        return cls(box, fn, float(arr.min()), float(arr.max()),
-                   scan_shape or default_scan_shape(box))
+        return cls(box, fn, float(arr.min()), float(arr.max()))
 
     @classmethod
-    def from_descriptor(cls, desc: dict) -> "ExponentField":
-        kind, f = read_kind(desc, _EXPONENTS, "exponent")
-        box, scan = f["box"], tuple(f["scan_resolution"])
-        if kind == "constant":
-            return cls.constant(box, f["value"], scan)
-        if kind == "affine":
-            return cls.affine(box, f["base"], f["slopes"], scan)
-        if kind == "log_decay":
-            return cls.log_decay(box, f["p_infinity"], f["amplitude"], scan)
-        if kind == "piecewise":
-            return cls.piecewise(box, f["breakpoints"], f["values"], scan)
-        if kind == "grid":
-            try:
-                arr = np.asarray(f["values"], dtype=float)
-            except ValueError:
-                raise SchemaError("exponent 'grid' key 'values' must be a rectangular array "
-                                  "of numbers") from None
-            res = f["resolution"]
-            if res is not None:
-                if min(res, default=0) < 1 or math.prod(res) != arr.size:
-                    raise SchemaError(f"exponent 'grid' key 'resolution' {res} does not hold "
-                                      f"the {arr.size} values")
-                arr = arr.reshape(res)
-            return cls.from_grid(box, arr, scan)
-        # shifted_reciprocal: 1/result = 1/inner - gamma; how an output
-        # exponent with a constant smoothing offset from the input is
-        # written down
-        inner = cls.from_descriptor({**f["inner"], "box": desc["box"]})
-        return reciprocal_affine((inner,), (1.0,), -f["gamma"],
-                                 what="shifted reciprocal exponent")
+    def from_descriptor(cls, desc: dict, box: Box) -> "ExponentField":
+        """The field of a JSON descriptor on ``box``, built by its kind."""
+        return read_kind(desc, _EXPONENTS, "exponent", box)
 
 
-# an empty scan_resolution is the default scan shape
-_SHARED = {"box": (Box.from_pairs, REQUIRED), "scan_resolution": (list_of(integer), ())}
-# kind -> its keys besides "kind"
+def _shifted_reciprocal(box: Box, inner: dict, gamma: float) -> ExponentField:
+    """``1/p = 1/inner - gamma``: how an output exponent with a constant
+    smoothing offset from the input is written down."""
+    return reciprocal_affine((ExponentField.from_descriptor(inner, box),), (1.0,), -gamma,
+                             what="shifted reciprocal exponent")
+
+
+# kind -> (builder, its keys besides "kind")
 _EXPONENTS = {
-    "constant": {**_SHARED, "value": (number, REQUIRED)},
-    "affine": {**_SHARED, "base": (number, REQUIRED), "slopes": (list_of(number), REQUIRED)},
-    "log_decay": {**_SHARED, "p_infinity": (number, REQUIRED), "amplitude": (number, REQUIRED)},
-    "piecewise": {**_SHARED, "breakpoints": (list_of(number), REQUIRED),
-                  "values": (list_of(number), REQUIRED)},
-    "grid": {**_SHARED, "values": (array, REQUIRED), "resolution": (list_of(integer), None)},
-    "shifted_reciprocal": {**_SHARED, "inner": (descriptor("an exponent"), REQUIRED),
-                           "gamma": (number, REQUIRED)},
+    "constant": (ExponentField.constant, {"value": (number, REQUIRED)}),
+    "affine": (ExponentField.affine, {"base": (number, REQUIRED),
+                                      "slopes": (list_of(number), REQUIRED)}),
+    "log_decay": (ExponentField.log_decay, {"p_infinity": (number, REQUIRED),
+                                            "amplitude": (number, REQUIRED)}),
+    "piecewise": (ExponentField.piecewise, {"breakpoints": (list_of(number), REQUIRED),
+                                            "values": (list_of(number), REQUIRED)}),
+    "grid": (ExponentField.from_grid, {"values": (array, REQUIRED),
+                                       "resolution": (list_of(integer), None)}),
+    "shifted_reciprocal": (_shifted_reciprocal, {"inner": (descriptor("an exponent"), REQUIRED),
+                                                 "gamma": (number, REQUIRED)}),
 }
 
 
@@ -290,8 +279,6 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
         r_lo += min(t1, t2)
         r_hi += max(t1, t2)
 
-    scan_shape = tuple(max(s) for s in zip(*(f.scan_shape for f in fields)))
-
     def fn(pts, fields=fields, coeffs=coeffs, offset=offset):
         recip = np.full(pts.shape[:-1], float(offset))
         for f, c in zip(fields, coeffs):
@@ -301,7 +288,7 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
     if r_lo > 0.0:
         lo, hi = 1.0 / r_hi, 1.0 / r_lo
     else:
-        scan = Grid(box, scan_shape)
+        scan = fields[0].scan_grid
         with np.errstate(divide="ignore"):
             recip = np.full(scan.shape, float(offset))
             for f, c in zip(fields, coeffs):
@@ -319,7 +306,7 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
         if r_inf > 0.0:
             p_infinity = 1.0 / r_inf
 
-    return ExponentField(box, fn, lo, hi, scan_shape, p_infinity=p_infinity)
+    return ExponentField(box, fn, lo, hi, p_infinity=p_infinity)
 
 
 def dual_exponent(p: ExponentField) -> ExponentField:

@@ -28,7 +28,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -80,9 +80,6 @@ class Box:
     @property
     def center(self) -> tuple[float, ...]:
         return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
-
-    def as_pairs(self) -> list[list[float]]:
-        return [[a, b] for a, b in zip(self.lo, self.hi)]
 
     def contains_box(self, other: "Box") -> bool:
         return all(a - 1e-9 * w <= oa and ob <= b + 1e-9 * w
@@ -216,11 +213,11 @@ class WeightField(GridFunction):
 
     def __init__(self, grid: Grid, values: np.ndarray):
         super().__init__(grid, values)
-        if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0.0):
-            bad = np.argwhere(~(np.isfinite(self.values) & (self.values > 0.0)))[0]
-            raise DomainError(
-                f"weight must satisfy 0 < w < inf at every node; offending index {tuple(bad)}"
-            )
+        ok = np.isfinite(self.values) & (self.values > 0.0)
+        if not ok.all():
+            node = int(np.argmin(ok))
+            raise DomainError(f"weight must satisfy 0 < w < inf at every node; it is "
+                              f"{float(self.values.flat[node])!r} at flat node index {node}")
 
     def power(self, exponent) -> "WeightField":
         e = exponent.values if isinstance(exponent, GridFunction) else exponent
@@ -369,7 +366,6 @@ class DyadicCubeSet:
 
     root: Box
     max_depth: int
-    shifted: bool = True
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -383,7 +379,7 @@ class DyadicCubeSet:
             k = 2 ** depth
             side = side_0 / k
             yield CubeGroup(depth, False, tuple(a + np.arange(k) * s for a, s in zip(lo, side)), side)
-            if self.shifted and depth >= 1:
+            if depth >= 1:
                 yield CubeGroup(depth, True,
                                 tuple(a + (np.arange(k - 1) + 0.5) * s for a, s in zip(lo, side)), side)
 
@@ -426,28 +422,7 @@ class CubeGroup:
 
 
 # ---------------------------------------------------------------------------
-# function descriptors
-
-_FUNCTION = descriptor("a function")
-_TERMS = {"terms": (list_of(_FUNCTION), REQUIRED)}
-
-# kind -> its keys besides "kind"
-_FUNCTIONS = {
-    "gaussian": {"center": (per_axis(number), None), "width": (number, 1.0),
-                 "amplitude": (number, 1.0)},
-    "indicator": {"box": (Box.from_pairs, REQUIRED)},
-    "power": {"exponent": (number, 1.0), "center": (per_axis(number), 0.0),
-              "floor": (number, 0.0)},
-    "bump": {"center": (per_axis(number), None), "radius": (number, 1.0),
-             "amplitude": (number, 1.0)},
-    "sine": {"frequency": (per_axis(number), 1.0), "phase": (number, 0.0),
-             "amplitude": (number, 1.0)},
-    "translate": {"inner": (_FUNCTION, REQUIRED), "shift": (per_axis(number), REQUIRED)},
-    "dilate": {"inner": (_FUNCTION, REQUIRED), "scale": (number, REQUIRED)},
-    "sum": _TERMS,
-    "product": _TERMS,
-    "grid_csv": {"path": (string, REQUIRED)},
-}
+# function descriptors: the builder of each kind returns the values on the grid
 
 
 def _radial(grid: Grid, center) -> np.ndarray:
@@ -456,71 +431,95 @@ def _radial(grid: Grid, center) -> np.ndarray:
     return np.sqrt(_squared_distance(grid, each_axis(center, grid.dim, "center")))
 
 
+def _gaussian(grid: Grid, center, width: float, amplitude: float) -> np.ndarray:
+    if width <= 0:
+        raise SchemaError("gaussian width must be positive")
+    return amplitude * np.exp(-((_radial(grid, center) / width) ** 2))
+
+
+def _power(grid: Grid, exponent: float, center, floor: float) -> np.ndarray:
+    r = _radial(grid, center)
+    with np.errstate(divide="ignore"):
+        vals = np.where(r > 0, r, 1.0) ** exponent
+        vals = np.where(r > 0, vals, 0.0 if exponent > 0 else np.inf)
+    return np.maximum(vals, floor) if floor > 0 else vals
+
+
+def _bump(grid: Grid, center, radius: float, amplitude: float) -> np.ndarray:
+    if radius <= 0:
+        raise SchemaError("bump radius must be positive")
+    t2 = (_radial(grid, center) / radius) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = np.where(t2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t2, 1e-300)), 0.0)
+    return amplitude * vals
+
+
+def _sine(grid: Grid, frequency, phase: float, amplitude: float) -> np.ndarray:
+    arg = phase
+    for axis, om in enumerate(each_axis(frequency, grid.dim, "frequency")):
+        arg = arg + 2.0 * np.pi * om * grid.coords[..., axis]
+    return amplitude * np.sin(arg)
+
+
+def _dilate(grid: Grid, inner: dict, scale: float) -> np.ndarray:
+    if scale <= 0:
+        raise SchemaError("dilate scale must be positive")
+    if grid.dim != 1:
+        raise SchemaError("dilate descriptors are 1D only")
+    x = grid.axes[0]
+    return np.interp(x / scale, x, realize_function(inner, grid).values, left=0.0, right=0.0)
+
+
+def _fold(kind: str, op, grid: Grid, terms: list) -> np.ndarray:
+    """The values of the ``terms`` of a ``kind`` descriptor, folded from the left by ``op``."""
+    if not terms:
+        raise SchemaError(f"'{kind}' needs a nonempty 'terms' list")
+    return reduce(op, (realize_function(t, grid).values for t in terms))
+
+
+_FUNCTION = descriptor("a function")
+_TERMS = {"terms": (list_of(_FUNCTION), REQUIRED)}
+# kind -> (builder, its keys besides "kind")
+_FUNCTIONS = {
+    "gaussian": (_gaussian, {"center": (per_axis(number), None), "width": (number, 1.0),
+                             "amplitude": (number, 1.0)}),
+    "indicator": (lambda grid, box: box_mask(grid, box).astype(float),
+                  {"box": (Box.from_pairs, REQUIRED)}),
+    "power": (_power, {"exponent": (number, 1.0), "center": (per_axis(number), 0.0),
+                       "floor": (number, 0.0)}),
+    "bump": (_bump, {"center": (per_axis(number), None), "radius": (number, 1.0),
+                     "amplitude": (number, 1.0)}),
+    "sine": (_sine, {"frequency": (per_axis(number), 1.0), "phase": (number, 0.0),
+                     "amplitude": (number, 1.0)}),
+    "translate": (lambda grid, inner, shift: shift_function(
+        realize_function(inner, grid), each_axis(shift, grid.dim, "shift")).values,
+        {"inner": (_FUNCTION, REQUIRED), "shift": (per_axis(number), REQUIRED)}),
+    "dilate": (_dilate, {"inner": (_FUNCTION, REQUIRED), "scale": (number, REQUIRED)}),
+    "sum": (partial(_fold, "sum", operator.add), _TERMS),
+    "product": (partial(_fold, "product", operator.mul), _TERMS),
+    "grid_csv": (lambda grid, path: read_grid_csv(path, grid).values,
+                 {"path": (string, REQUIRED)}),
+}
+
+
 def realize_function(desc: dict, grid: Grid) -> GridFunction:
-    """Build a grid function from a JSON-style descriptor, read by the
-    table of its kind in ``_FUNCTIONS``."""
-    kind, f = read_kind(desc, _FUNCTIONS, "function")
+    """Build a grid function from a JSON-style descriptor: the values that
+    the builder of its kind in ``_FUNCTIONS`` gives."""
+    return GridFunction(grid, read_kind(desc, _FUNCTIONS, "function", grid))
 
-    if kind == "gaussian":
-        if f["width"] <= 0:
-            raise SchemaError("gaussian width must be positive")
-        r = _radial(grid, f["center"])
-        return GridFunction(grid, f["amplitude"] * np.exp(-((r / f["width"]) ** 2)))
 
-    if kind == "indicator":
-        return GridFunction(grid, box_mask(grid, f["box"]).astype(float))
-
-    if kind == "power":
-        e = f["exponent"]
-        r = _radial(grid, f["center"])
-        with np.errstate(divide="ignore"):
-            vals = np.where(r > 0, r, 1.0) ** e
-            vals = np.where(r > 0, vals, 0.0 if e > 0 else np.inf)
-        if f["floor"] > 0:
-            vals = np.maximum(vals, f["floor"])
-        return GridFunction(grid, vals)
-
-    if kind == "bump":
-        if f["radius"] <= 0:
-            raise SchemaError("bump radius must be positive")
-        t2 = (_radial(grid, f["center"]) / f["radius"]) ** 2
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = np.where(t2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t2, 1e-300)), 0.0)
-        return GridFunction(grid, f["amplitude"] * vals)
-
-    if kind == "sine":
-        arg = f["phase"]
-        for axis, om in enumerate(each_axis(f["frequency"], grid.dim, "frequency")):
-            arg = arg + 2.0 * np.pi * om * grid.coords[..., axis]
-        return GridFunction(grid, f["amplitude"] * np.sin(arg))
-
-    if kind == "translate":
-        inner = realize_function(f["inner"], grid)
-        return shift_function(inner, each_axis(f["shift"], grid.dim, "shift"))
-
-    if kind == "dilate":
-        scale = f["scale"]
-        if scale <= 0:
-            raise SchemaError("dilate scale must be positive")
-        if grid.dim != 1:
-            raise SchemaError("dilate descriptors are 1D only")
-        inner = realize_function(f["inner"], grid)
-        x = grid.axes[0]
-        vals = np.interp(x / scale, x, inner.values, left=0.0, right=0.0)
-        return GridFunction(grid, vals)
-
-    if kind in ("sum", "product"):
-        terms = f["terms"]
-        if not terms:
-            raise SchemaError(f"'{kind}' needs a nonempty 'terms' list")
-        acc = realize_function(terms[0], grid)
-        for t in terms[1:]:
-            nxt = realize_function(t, grid)
-            acc = acc + nxt if kind == "sum" else acc * nxt
-        return acc
-
-    # grid_csv
-    return read_grid_csv(f["path"], grid)
+def _shift_slices(shape, delta):
+    """Slices ``dst, src`` of an array of ``shape``, such that each node of
+    ``src`` lies ``delta`` steps past its node of ``dst``."""
+    dst, src = [], []
+    for n, k in zip(shape, delta):
+        if k >= 0:
+            dst.append(slice(0, n - k))
+            src.append(slice(k, n))
+        else:
+            dst.append(slice(-k, n))
+            src.append(slice(0, n + k))
+    return tuple(dst), tuple(src)
 
 
 def shift_function(f: GridFunction, shift: Sequence[float]) -> GridFunction:
@@ -530,21 +529,15 @@ def shift_function(f: GridFunction, shift: Sequence[float]) -> GridFunction:
     axis so translated copies stay exactly on the node lattice (after a
     clip to the n nodes of the axis, so a huge shift gives zeros).
     """
-    vals = f.values
-    for axis, (s, h, n) in enumerate(zip(shift, f.grid.steps, f.grid.shape)):
-        k = int(round(min(max(s / h, -n), n)))
-        if k == 0:
-            continue
-        vals = np.roll(vals, k, axis=axis)
-        sl = [slice(None)] * vals.ndim
-        sl[axis] = slice(0, k) if k > 0 else slice(k, None)
-        vals = vals.copy()
-        vals[tuple(sl)] = 0.0
+    back = [-int(round(min(max(s / h, -n), n)))
+            for s, h, n in zip(shift, f.grid.steps, f.grid.shape)]
+    dst, src = _shift_slices(f.grid.shape, back)
+    vals = np.zeros_like(f.values)
+    vals[dst] = f.values[src]
     return GridFunction(f.grid, vals)
 
 
-def random_simple_function(grid: Grid, rng: np.random.Generator,
-                           signed: bool = True) -> GridFunction:
+def random_simple_function(grid: Grid, rng: np.random.Generator) -> GridFunction:
     """Random finite sum of scaled box indicators.
 
     Uses one to eight boxes with coefficients log-uniform in
@@ -552,14 +545,14 @@ def random_simple_function(grid: Grid, rng: np.random.Generator,
 
     After the term count, every term's doubles come from one
     ``rng.random`` block, row by row: two box bounds per axis, the log
-    coefficient and, when signed, the sign.  These are the doubles, in
-    the order, that one ``uniform``/``random`` call per value would
-    draw, so a seed gives the same functions and leaves the generator
-    in the same state.  Each coefficient stays the Python float
-    ``10.0 ** x``, since numpy's ``power`` can differ in the last bit.
+    coefficient and the sign.  These are the doubles, in the order, that
+    one ``uniform``/``random`` call per value would draw, so a seed gives
+    the same functions and leaves the generator in the same state.  Each
+    coefficient stays the Python float ``10.0 ** x``, since numpy's
+    ``power`` can differ in the last bit.
     """
     n_terms = int(rng.integers(1, 9))
-    draws = rng.random((n_terms, 2 * grid.dim + 1 + signed))
+    draws = rng.random((n_terms, 2 * grid.dim + 2))
     ranges = []
     for axis, (a, b) in enumerate(zip(grid.box.lo, grid.box.hi)):
         u, v = np.sort(a + (b - a) * draws[:, 2 * axis:2 * axis + 2], axis=1).T
@@ -571,7 +564,7 @@ def random_simple_function(grid: Grid, rng: np.random.Generator,
                               np.where(thin, np.minimum(b, mid + half), v))
         ranges.append(list(map(slice, i0.tolist(), i1.tolist())))
     logs = (-2.0 + 4.0 * draws[:, 2 * grid.dim]).tolist()
-    signs = (draws[:, -1] < 0.5).tolist() if signed else [False] * n_terms
+    signs = (draws[:, -1] < 0.5).tolist()
     vals = np.zeros(grid.shape)
     for x, negative, *index in zip(logs, signs, *ranges):
         coeff = 10.0 ** x

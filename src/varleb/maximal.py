@@ -60,7 +60,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DomainError
 from .exponent import ExponentField
 from .field import (BALL_SHRINK, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
-                    WeightField, refuse_non_finite)
+                    WeightField, _shift_slices, refuse_non_finite)
 from .norms import weighted_norms
 from .weights import WeightConstantReport, gate_constant
 
@@ -353,18 +353,6 @@ def _offset_list(grid: Grid, r_eff: float):
         return [(k,) for k in range(-reach[0], reach[0] + 1)]
     rows = range(1 - len(reach), len(reach))
     return [(k1, k2) for k1 in rows for k2 in range(-reach[abs(k1)], reach[abs(k1)] + 1)]
-
-
-def _shift_slices(shape, delta):
-    dst, src = [], []
-    for n, k in zip(shape, delta):
-        if k >= 0:
-            dst.append(slice(0, n - k))
-            src.append(slice(k, n))
-        else:
-            dst.append(slice(-k, n))
-            src.append(slice(0, n + k))
-    return tuple(dst), tuple(src)
 
 
 @dataclass(frozen=True)

@@ -236,10 +236,9 @@ def family_distance_matrix(family: FunctionFamily, p: ExponentField,
     return d
 
 
-def eps_net_oracle(family: FunctionFamily, p: ExponentField, w: WeightField | None,
-                   eps: float, rel_tol: float = 1e-10,
-                   distances: np.ndarray | None = None) -> NetReport:
-    """Greedy farthest-point covering net at radius eps.
+def eps_net_oracle(distances: np.ndarray, eps: float) -> NetReport:
+    """Greedy farthest-point covering net at radius eps of the members of
+    a family with the `family_distance_matrix` ``distances``.
 
     Starts from member 0, repeatedly promotes the member farthest from
     the current net until everything is within eps of a center.  The
@@ -248,18 +247,17 @@ def eps_net_oracle(family: FunctionFamily, p: ExponentField, w: WeightField | No
     """
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
-    d = family_distance_matrix(family, p, w, rel_tol) if distances is None else distances
-    n = len(family)
+    n = len(distances)
     centers = [0]
-    nearest = d[0].copy()
+    nearest = distances[0].copy()
     assignment = np.zeros(n, dtype=int)
     while True:
         far = int(np.argmax(nearest))
         if nearest[far] <= eps:
             break
         centers.append(far)
-        closer = d[far] < nearest
-        nearest[closer] = d[far][closer]
+        closer = distances[far] < nearest
+        nearest[closer] = distances[far][closer]
         assignment[closer] = far
         if len(centers) == n:
             break
@@ -289,7 +287,6 @@ class RKReport:
 def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
              qtilde: float, *, cubes: DyadicCubeSet | None = None,
              threshold_factor: float = 1e-2,
-             ladder_depth: int = 8,
              rel_tol: float = 1e-10) -> RKReport:
     """Run the three-condition diagnostic plus the net oracle.
 
@@ -298,7 +295,8 @@ def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
     (ii) and (iii) default to ``threshold_factor`` times the uniform
     bound; (ii) is probed at the radii ``h 2^k``, ``k < 7`` (h the
     largest grid step), (iii) outside balls about the box center of
-    radii ``diam * (1/8, 3/16, .., 7/16)``.  Verdict: all pass and the
+    radii ``diam * (1/8, 3/16, .., 7/16)``, and the nets at the nine
+    radii ``D 2^-k``, ``k <= 8`` (D the family diameter).  Verdict: all pass and the
     net sizes plateau below the family size -> consistent-compact; a
     condition fails and a family of two or more members stays fully
     separated at the smallest eps -> consistent-noncompact; else
@@ -319,9 +317,8 @@ def classify(family: FunctionFamily, p: ExponentField, w: WeightField,
 
     d = family_distance_matrix(family, p, w, rel_tol)
     diameter = float(d.max())
-    ladder = tuple(diameter * 2.0 ** (-k) for k in range(ladder_depth + 1))
-    sizes = tuple(eps_net_oracle(family, p, w, eps, rel_tol, distances=d).size
-                  for eps in ladder)
+    ladder = tuple(diameter * 2.0 ** (-k) for k in range(9))
+    sizes = tuple(eps_net_oracle(d, eps).size for eps in ladder)
 
     n = len(family)
     plateau = len(sizes) >= 3 and sizes[-1] == sizes[-2] == sizes[-3] and sizes[-1] < n

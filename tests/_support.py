@@ -12,7 +12,6 @@ import numpy as np
 
 from varleb import (Box, Cube, DyadicCubeSet, ExponentField, FunctionFamily, Grid, GridFunction,
                     WeightField)
-from varleb.exponent import default_scan_shape
 from varleb.field import shared_grid
 
 UNIT = Box((0.0,), (1.0,))
@@ -63,7 +62,7 @@ def reciprocal_affine_field(box: Box, c: float, d: float) -> ExponentField:
     def fn(pts, c=c, d=d):
         return 1.0 / (c + d * pts[..., 0])
 
-    return ExponentField(box, fn, min(vals), max(vals), default_scan_shape(box))
+    return ExponentField(box, fn, min(vals), max(vals))
 
 
 def rand_exponent(box: Box, rng: np.random.Generator, lo: float = 1.1,

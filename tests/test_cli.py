@@ -4,6 +4,7 @@ emission, replay, overrides, and exit codes."""
 import contextlib
 import copy
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 
 import varleb
 import varleb.cli as cli_module
+import varleb.exponent as exponent_module
+import varleb.field as field_module
 from varleb import Box, Grid, realize_function
 from varleb.cli import main
 from varleb.errors import VersionMismatchWarning
@@ -590,11 +593,15 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
     ({"function": {"kind": "grid_csv", "path": 5}},
      "function 'grid_csv' key 'path' must be a string, got 5"),
     ({"exponent": {"kind": "constant", "value": 2.0, "scan_resolution": 5}},
-     "exponent 'constant' key 'scan_resolution' must be a list, got 5"),
+     "unknown keys ['scan_resolution'] in exponent 'constant'"),
     ({"exponent": {"kind": "constant", "value": 2.0, "scan_resolution": "ab"}},
-     "exponent 'constant' key 'scan_resolution' must be a list, got 'ab'"),
+     "unknown keys ['scan_resolution'] in exponent 'constant'"),
     ({"exponent": {"kind": "constant", "value": 2.0, "scan_resolution": [None]}},
-     "exponent 'constant' key 'scan_resolution' must be a number, got None"),
+     "unknown keys ['scan_resolution'] in exponent 'constant'"),
+    ({"exponent": {"kind": "affine", "base": 2.0, "slopes": [1.0], "scan_resolution": [4096]}},
+     "unknown keys ['scan_resolution'] in exponent 'affine'"),
+    ({"exponent": {"kind": "constant", "value": 2.0, "box": [[0.0, 1.0]]}},
+     "unknown keys ['box'] in exponent 'constant'"),
     ({"exponent": {"kind": "grid", "values": [2.0, 3.0, 2.0], "resolution": 7}},
      "exponent 'grid' key 'resolution' must be a list, got 7"),
     ({"exponent": {"kind": "grid", "values": [2.0, 3.0, 2.0], "resolution": [2]}},
@@ -611,6 +618,7 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
         "constant-value", "box-int", "box-flat", "center-length", "affine-slopes-type",
         "shifted-reciprocal-inner-type", "grid_csv-path-stdin", "grid_csv-path-fd",
         "scan-resolution-int", "scan-resolution-string", "scan-resolution-null",
+        "scan-resolution-list", "exponent-box",
         "grid-resolution-int", "grid-resolution-size", "grid-resolution-negative",
         "grid-values-ragged", "grid-values-one-node", "grid-values-axes"])
 def test_malformed_norm_config_exits_one_and_names_the_fault(tmp_path, capsys, patch, fault):
@@ -719,6 +727,32 @@ def test_wrong_typed_config_value_exits_one_and_names_the_key(tmp_path, capsys, 
     assert rc == 1
     assert report is None
     assert fault in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kinds, context", [
+    (exponent_module._EXPONENTS, 1), (field_module._FUNCTIONS, 1), (cli_module._FAMILIES, 1),
+    (cli_module._OPERATORS, 0)], ids=["exponent", "function", "family", "operator"])
+def test_every_kind_takes_exactly_the_parameters_of_its_builder(kinds, context):
+    """The keys of a kind are its builder's parameters after the context
+    (the box of an exponent, the grid of a function or family)."""
+    for kind, (build, table) in kinds.items():
+        assert set(table) == set(list(inspect.signature(build).parameters)[context:]), kind
+
+
+@pytest.mark.parametrize("operator, key", [
+    ({"kind": "product", "arity": 1, "alpha": 0.7}, "alpha"),
+    ({"kind": "product", "arity": 1, "radius": -5.0}, "radius"),
+    ({"kind": "ball_average_product", "arity": 1, "radius": 0.1, "alpha": 0.7}, "alpha"),
+    ({"kind": "fractional_kernel", "arity": 1, "alpha": 0.5, "radius": 0.1}, "radius"),
+], ids=["product-alpha", "product-radius", "ball-average-alpha", "fractional-radius"])
+def test_an_operator_key_its_kind_does_not_take_exits_one_and_names_it(tmp_path, capsys,
+                                                                        operator, key):
+    rc, report, _ = _run(tmp_path, "interp-verify", _interp_config(operator=operator))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"unknown keys ['{key}'] in operator '{operator['kind']}'" in err
     assert "Traceback" not in err
 
 
@@ -915,9 +949,9 @@ def _interp_config(arity=1, **top):
     ("interp-verify", _interp_config(theta=None),
      "interp-verify config key 'theta' must be a number, got None"),
     ("interp-verify", _interp_config(operator={"kind": "product", "arity": None}),
-     "operator key 'arity' must be a number, got None"),
+     "operator 'product' key 'arity' must be a number, got None"),
     ("interp-verify", _interp_config(operator={"kind": "product", "arity": 2.7}),
-     "operator key 'arity' must be a number, got 2.7"),
+     "operator 'product' key 'arity' must be a number, got 2.7"),
     ("interp-verify", _interp_config(trials=3.9),
      "interp-verify config key 'trials' must be a number, got 3.9"),
     ("interp-verify", _interp_config(seed=True),
@@ -1070,7 +1104,7 @@ _FUZZ_ENDPOINT = {"p_vec": [{"kind": "constant", "value": 2.0}],
 _FUZZ_CONFIGS = {
     "norm": dict(_norm_config(16), weight=CONST_ONE, rel_tol=1e-8),
     "modular": {"box": [[0.0, 1.0], [0.0, 1.0]], "resolution": [8, 8],
-                "exponent": {"kind": "constant", "value": 2.0, "scan_resolution": [9, 9]},
+                "exponent": {"kind": "constant", "value": 2.0},
                 "function": {"kind": "sine", "frequency": [1.0, 2.0], "phase": 0.5}},
     "weight-constant": {"box": [[0.0, 1.0]], "resolution": 16, "cube_depth": 2,
                         "exponent": {"kind": "piecewise", "breakpoints": [0.5],
@@ -1166,6 +1200,39 @@ def test_mutated_configs_exit_cleanly(tmp_path_factory, command, data):
                    "--out", str(cfg_path.with_name("report.json")), "--quiet"])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_WEIGHT_KEYS = [
+    ("norm", ("weight",), "weight"), ("weight-constant", ("weight",), "weight"),
+    ("multilinear-constant", ("weights", 0), "weights[0]"),
+    ("two-to-one", ("weight",), "weight"), ("maximal", ("weight",), "weight"),
+    ("rk-classify", ("weight",), "weight"),
+    ("interp-verify", ("endpoint0", "weights", 0), "endpoint0.weights[0]"),
+    ("interp-verify", ("endpoint1", "v"), "endpoint1.v"),
+    ("extrapolate", ("weights", 0), "weights[0]"),
+    ("extrapolate", ("weights1", 0), "weights1[0]")]
+
+
+@pytest.mark.parametrize("command, path, key", _WEIGHT_KEYS,
+                         ids=[f"{command}:{key}" for command, _, key in _WEIGHT_KEYS])
+@pytest.mark.parametrize("weight, fault", [
+    ({"kind": "power", "exponent": -1.0, "center": [0.5]}, "it is inf at flat node index"),
+    ({"kind": "indicator", "box": [[0.25, 0.75]]}, "it is 0.0 at flat node index 0"),
+    ({"kind": "sine", "frequency": 0.0, "phase": -math.pi / 2.0},
+     "it is -1.0 at flat node index 0")], ids=["pole", "zero", "negative"])
+def test_a_weight_that_is_not_positive_and_finite_exits_one_and_names_it(tmp_path, capsys,
+                                                                        command, path, key,
+                                                                        weight, fault):
+    """The key, the first node by flat index and the value at it."""
+    cfg = json.loads(json.dumps(_FUZZ_CONFIGS[command]))  # endpoints share no dict
+    *head, last = path
+    reduce(operator.getitem, head, cfg)[last] = weight
+    rc, report, _ = _run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert f"config key '{key}': weight must satisfy 0 < w < inf at every node; {fault}" in err
+    assert "np." not in err and "Traceback" not in err
 
 
 def test_extrapolate_writes_null_for_a_theta_whose_endpoint_cannot_be_built(tmp_path):

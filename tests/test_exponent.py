@@ -58,12 +58,11 @@ def test_piecewise_field_steps():
 
 def test_descriptor_round_trip():
     p = ExponentField.affine(UNIT, 2.0, (0.5,))
-    q = ExponentField.from_descriptor({"kind": "affine", "box": [[0.0, 1.0]], "base": 2.0,
-                                       "slopes": [0.5]})
+    q = ExponentField.from_descriptor({"kind": "affine", "base": 2.0, "slopes": [0.5]}, UNIT)
     assert np.allclose(values(p), values(q))
     with pytest.raises(SchemaError):
-        ExponentField.from_descriptor({"kind": "affine", "box": [[0, 1]],
-                                       "base": 2.0, "slopes": [0.5], "typo": 1})
+        ExponentField.from_descriptor({"kind": "affine", "base": 2.0, "slopes": [0.5],
+                                       "typo": 1}, UNIT)
 
 
 @pytest.mark.parametrize("desc, key", [
@@ -77,15 +76,15 @@ def test_descriptor_round_trip():
 ])
 def test_descriptor_requires_the_keys_of_its_kind(desc, key):
     with pytest.raises(SchemaError, match=f"missing keys \\['{key}'\\]"):
-        ExponentField.from_descriptor({**desc, "box": [[0.0, 1.0]]})
+        ExponentField.from_descriptor(desc, UNIT)
 
 
 def test_values_on_is_cached_per_field_and_freed_with_it():
-    desc = {"kind": "affine", "box": [[0.0, 1.0]], "base": 2.0, "slopes": [0.5]}
-    p = ExponentField.from_descriptor(desc)
+    desc = {"kind": "affine", "base": 2.0, "slopes": [0.5]}
+    p = ExponentField.from_descriptor(desc, UNIT)
     assert values(p) is values(p)
     # equal descriptors parse to distinct fields, each with its own values
-    assert values(ExponentField.from_descriptor(desc)) is not values(p)
+    assert values(ExponentField.from_descriptor(desc, UNIT)) is not values(p)
     ref = weakref.ref(p)
     del p
     gc.collect()
@@ -93,9 +92,9 @@ def test_values_on_is_cached_per_field_and_freed_with_it():
 
 
 def test_shifted_reciprocal_descriptor():
-    desc = {"kind": "shifted_reciprocal", "box": [[0.0, 1.0]],
-            "inner": {"kind": "constant", "value": 2.0}, "gamma": 0.25}
-    q = ExponentField.from_descriptor(desc)
+    desc = {"kind": "shifted_reciprocal", "inner": {"kind": "constant", "value": 2.0},
+            "gamma": 0.25}
+    q = ExponentField.from_descriptor(desc, UNIT)
     assert np.allclose(values(q), 4.0)
 
 
@@ -364,7 +363,7 @@ LH_BOXES = [UNIT, Box((-3.0,), (0.5,)), Box((2.0,), (7.5,)),
             Box((0.0, 0.0), (1.0, 1.0)), Box((-1.5, 0.25), (2.0, 4.0))]
 
 
-@pytest.mark.parametrize("box", LH_BOXES, ids=lambda b: str(b.as_pairs()))
+@pytest.mark.parametrize("box", LH_BOXES, ids=lambda b: str([list(p) for p in zip(b.lo, b.hi)]))
 def test_log_holder_sample_matches_reference_loop(box):
     for name, p in sample_fields(box).items():
         for budget in (1, 7, 2000):

@@ -278,7 +278,7 @@ def test_net_separated_translates_need_one_center_each():
     fam = translate_family(_indicator(g, 0.0, 1.0), 10, 1.0)
     d = family_distance_matrix(fam, p)
     delta = float(d[d > 0].min())
-    report = eps_net_oracle(fam, p, None, 0.4 * delta)
+    report = eps_net_oracle(d, 0.4 * delta)
     assert report.size == 10
 
 
@@ -287,7 +287,7 @@ def test_net_of_identical_copies_has_size_one():
     p = ExponentField.constant(UNIT, 2.0)
     f = _gaussian(g, 4.0, center=0.5)
     fam = family_of((f,) * 10)
-    report = eps_net_oracle(fam, p, None, 1e-9)
+    report = eps_net_oracle(family_distance_matrix(fam, p), 1e-9)
     assert report.size == 1
     assert report.max_distance == 0.0
 
@@ -297,7 +297,7 @@ def test_net_at_family_diameter_has_size_one():
     p = ExponentField.constant(UNIT, 2.0)
     fam = mollify_family(_gaussian(g, 4.0, center=0.5), 5, sigma=0.1)
     d = family_distance_matrix(fam, p)
-    report = eps_net_oracle(fam, p, None, float(d.max()), distances=d)
+    report = eps_net_oracle(d, float(d.max()))
     assert report.size == 1
 
 
@@ -308,7 +308,7 @@ def test_net_size_nonincreasing_in_eps():
     fam = translate_family(_gaussian(g, 10.0, center=1.0), 8, 1.0)
     d = family_distance_matrix(fam, p)
     diam = float(d.max())
-    sizes = [eps_net_oracle(fam, p, None, diam * 2.0 ** -k, distances=d).size
+    sizes = [eps_net_oracle(d, diam * 2.0 ** -k).size
              for k in range(7)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] == 1
@@ -318,10 +318,10 @@ def test_net_rejects_negative_eps_and_covers_within_eps():
     g = Grid(UNIT, (257,))
     p = ExponentField.constant(UNIT, 2.0)
     fam = mollify_family(_gaussian(g, 8.0, center=0.5), 4, sigma=0.2, ratio=0.5)
-    with pytest.raises(DomainError):
-        eps_net_oracle(fam, p, None, -0.1)
     d = family_distance_matrix(fam, p)
-    report = eps_net_oracle(fam, p, None, 0.5 * float(d.max()), distances=d)
+    with pytest.raises(DomainError):
+        eps_net_oracle(d, -0.1)
+    report = eps_net_oracle(d, 0.5 * float(d.max()))
     assert report.max_distance <= report.eps
     for i, c in enumerate(report.assignment):
         assert d[i, c] <= report.eps + 1e-15
@@ -420,10 +420,10 @@ def test_classify_default_ladder_spans_the_diameter():
     p = ExponentField.constant(UNIT, 2.0)
     w = unit_weight(g)
     fam = mollify_family(_gaussian(g, 8.0, center=0.5), 4, sigma=0.1)
-    report = classify(fam, p, w, 1.0, ladder_depth=6)
-    assert len(report.eps_ladder) == 7
+    report = classify(fam, p, w, 1.0)
+    assert len(report.eps_ladder) == 9
     assert abs(report.eps_ladder[0] - report.diameter) < 1e-15
-    assert abs(report.eps_ladder[-1] - report.diameter / 64.0) < 1e-15
+    assert abs(report.eps_ladder[-1] - report.diameter / 256.0) < 1e-15
 
 
 def test_classify_probes_the_fixed_radius_ladders_about_the_box_center():
