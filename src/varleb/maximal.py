@@ -29,13 +29,18 @@ that half-width.  The half-widths are taken in decreasing order, and a
 ball's half-width does not grow with k1, so every ball still gets its
 rows in increasing k1, each node the same subtractions and additions
 in the same order as a ball summed on its own, and the sums the same
-bits.  A ball sum of a nonnegative array is never negative.  The ball
-measure in the denominator does not depend on f and is not a ball
-sum: the quadrature weights are the outer product of two 1D trapezoid
-factors, so the measure is one window of w in 1D and one (nodes x rows
-of the ball)(rows of the ball x nodes) matrix product in 2D.  One
-helper states which lattice offsets lie in a ball; the ball sums, the
-ball measure and the oscillation offsets all read it.
+bits.  In 2D only the mass rows are windowed: the rows from the first
+to the last that hold a nonzero of any member.  A row without mass
+windows to ``+0.0``, and adding ``+0.0`` changes no bits, so the sums
+keep their bits up to the sign of a zero sum; the maximal function's
+input ``qw |f|^q`` holds no ``-0.0``.  A ball sum of a nonnegative
+array is never negative.  The ball measure in the denominator does
+not depend on f and is not a ball sum: the quadrature weights are the
+outer product of two 1D trapezoid factors, so the measure is one
+window of w in 1D and one (nodes x rows of the ball)(rows of the ball
+x nodes) matrix product in 2D.  One helper states which lattice
+offsets lie in a ball; the ball sums, the ball measure and the
+oscillation offsets all read it.
 
 Oscillation averages are summed offset by offset over a whole family
 and a whole radius sweep in one pass.  The balls of increasing radii
@@ -46,6 +51,12 @@ each radius.  Offsets delta and -delta share one array
 x + delta and at x + delta weighted by x.  The numerator is stacked
 over the members; the denominator does not depend on f and is summed
 once.
+
+Both operators are positively homogeneous, and both are computed so
+at any scale: of ``f / 2^e``, with ``2^e`` the least power of two at
+or above ``max |f|`` (per member for the oscillation), and the result
+scaled back by ``2^e``.  The powers ``|f|^q`` then neither underflow
+nor overflow, and where ``max |f|`` lies in (1/2, 1] nothing changes.
 """
 
 from __future__ import annotations
@@ -180,8 +191,25 @@ def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
     ``+-k1`` to every ball of the chunk with ``reach[k1] == c``.  Reach
     is non-increasing in ``k1``, so every ball gets its rows in
     increasing ``k1``, the order of a ball summed on its own.
+
+    When some ball spans more than one row (never on a 1D grid, whose
+    stacks are windowed whole), only the mass rows are windowed: the
+    rows (axis -2) from the first to the last that hold a nonzero of
+    any member.  The prefix and the windows cover those rows alone,
+    each ``+-k1`` add is cut to the rows it reaches from them, and the
+    other rows of a sum start at zero.  A row without mass windows to
+    ``+0.0``, and adding ``+0.0`` changes no bits, so the sums are those
+    of every row windowed, up to the sign of a zero sum (``-0.0 + 0.0``
+    is ``+0.0``).
     """
-    prefix = _prefix(arr)
+    rows = arr.shape[-2] if any(len(reach) > 1 for reach in reaches) else 0
+    if rows:
+        live = np.flatnonzero(np.any(arr, axis=-1).reshape(-1, rows).any(axis=0))
+        s0, s1 = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        band = (Ellipsis, slice(s0, s1), slice(None))
+    else:
+        band = (Ellipsis,)
+    prefix = _prefix(arr[band])
     row = np.empty(arr.shape)
     sums = [np.empty(arr.shape) for _ in range(min(_BALLS_PER_CHUNK, len(reaches)))]
     for start in range(0, len(reaches), _BALLS_PER_CHUNK):
@@ -194,13 +222,20 @@ def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
             for k1, c in enumerate(reach):
                 rows_at.setdefault(c, []).append((k1, out))
         for c in sorted(rows_at, reverse=True):
-            _window(prefix, c, row)
+            _window(prefix, c, row[band])
             for k1, out in rows_at[c]:
                 if k1 == 0:
-                    np.copyto(out, row)
-                else:
-                    out[..., :-k1, :] += row[..., k1:, :]
-                    out[..., k1:, :] += row[..., :-k1, :]
+                    out[band] = row[band]
+                    if rows:
+                        out[..., :s0, :] = 0.0
+                        out[..., s1:, :] = 0.0
+                    continue
+                # out[i] += row[i + k1], then out[i] += row[i - k1], for
+                # the rows i whose partner row is a mass row
+                lo, hi = max(s0 - k1, 0), max(s1 - k1, 0)
+                out[..., lo:hi, :] += row[..., lo + k1:hi + k1, :]
+                lo, hi = s0 + k1, min(s1 + k1, rows)
+                out[..., lo:hi, :] += row[..., lo - k1:hi - k1, :]
         # a centre-node ball is the smallest, so only the first chunk
         # copies arr: let a caller's temporary go
         arr = None
@@ -280,7 +315,21 @@ def _check_qtilde(qtilde: float) -> None:
                           "1/qtilde root amplifies the rounding of the power sums")
 
 
+def _binade(values: np.ndarray, axes=None) -> np.ndarray:
+    """The least ``e`` with ``2^e >= max |values|`` over ``axes``, kept as
+    length-1 axes (0 where the values are all zero): ``np.ldexp(values,
+    -e)`` puts the largest ``|f|`` in (1/2, 1] exactly, without forming
+    ``2^e``, which for ``e = 1024`` is not a double.  The max and min
+    make no copy of ``|values|``."""
+    m, e = np.frexp(np.maximum(values.max(axis=axes, keepdims=True),
+                               -values.min(axis=axes, keepdims=True)))
+    return e - (m == 0.5)
+
+
 def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> GridFunction:
+    """``M_qtilde f`` over the sweep, computed as ``2^e M(f / 2^e)`` with
+    the largest ``|f / 2^e|`` in (1/2, 1], so that ``|f|^qtilde`` neither
+    overflows nor underflows at any scale of f."""
     _check_qtilde(qtilde)
     sweep.validate_for(f.grid)
     refuse_non_finite(f.values, f.grid.size, "the maximal function")
@@ -291,11 +340,14 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
         if not reaches or reach != reaches[-1]:
             reaches.append(reach)
     best = np.zeros(f.grid.shape)
-    powed_sums = _ball_sums(f.grid.quad_weights * np.abs(f.values) ** qtilde, reaches)
-    for reach, (num, scratch) in zip(reaches, powed_sums):
+    e = _binade(f.values)
+    # the generator drops its input after the first chunk; hold no name to it
+    sums = _ball_sums(f.grid.quad_weights * np.ldexp(np.abs(f.values), -e) ** qtilde, reaches)
+    for reach, (num, scratch) in zip(reaches, sums):
         den = np.maximum(_ball_measure(f.grid, reach, scratch), 1e-300, out=scratch)
         np.maximum(best, np.divide(num, den, out=num), out=best)
-    return GridFunction(f.grid, best ** (1.0 / qtilde))
+    best **= 1.0 / qtilde
+    return GridFunction(f.grid, np.ldexp(best, e, out=best))
 
 
 # no library caller; bench/layers.py traces it by name until its counters move inside
@@ -319,6 +371,8 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
     if sweep.radii[0] < grid.max_step * (1.0 - 1e-9):
         raise DomainError("oscillation radius must be at least the grid step")
     refuse_non_finite(values, grid.size, "the oscillation average")
+    e = _binade(values, tuple(range(-grid.dim, 0)))
+    values = np.ldexp(values, -e)
     qw = grid.quad_weights
     num = np.zeros(values.shape)
     den = np.zeros(grid.shape)
@@ -344,7 +398,9 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
             num[(Ellipsis,) + dst] += qw[src] * powed
             num[(Ellipsis,) + src] += qw[dst] * powed
         mean = num / np.maximum(den, 1e-300)
-        yield mean if qtilde == 1.0 else mean ** (1.0 / qtilde)
+        if qtilde != 1.0:
+            mean **= 1.0 / qtilde
+        yield np.ldexp(mean, e, out=mean)
 
 
 def _offset_list(grid: Grid, r_eff: float):

@@ -127,6 +127,49 @@ def test_maximal_command_reports_dominance_and_ratio(tmp_path):
     assert 1.0 <= res["ratio"] < 10.0
 
 
+def _bump_maximal(amplitude):
+    return {"box": [[0.0, 1.0], [0.0, 1.0]], "resolution": 32, "qtilde": 2.0, "radii_count": 8,
+            "exponent": {"kind": "constant", "value": 3.0},
+            "function": {"kind": "bump", "center": [0.5, 0.5], "radius": 0.3,
+                         "amplitude": amplitude}}
+
+
+@pytest.mark.parametrize("amplitude", [1e-170, 1e-300, 1e200, 1e300])
+def test_maximal_is_homogeneous_at_extreme_amplitudes(tmp_path, amplitude):
+    """At 1e-170 |f|^2 underflowed (ratio 0.0, exit 0); at 1e200 it
+    overflowed into inf / inf (a NaN, exit 1)."""
+    rc, unit, _ = _run(tmp_path, "maximal", _bump_maximal(1.0))
+    assert rc == 0
+    rc, report, _ = _run(tmp_path, "maximal", _bump_maximal(amplitude))
+    assert rc == 0
+    got, want = report["results"], unit["results"]
+    assert got["ratio"] == pytest.approx(want["ratio"], rel=1e-12, abs=0.0)
+    assert got["norm_maximal"] == pytest.approx(amplitude * want["norm_maximal"], rel=1e-12,
+                                                abs=0.0)
+    assert got["dominance_min"] >= -1e-12 * amplitude
+
+
+def _translates(amplitude):
+    return {"box": [[0.0, 10.0]], "resolution": 1024, "qtilde": 2.0,
+            "exponent": {"kind": "constant", "value": 3.0}, "weight": CONST_ONE,
+            "family": {"kind": "translate", "count": 6, "step": 1.0,
+                       "base": {"kind": "gaussian", "center": [2.0], "width": 0.2,
+                                "amplitude": amplitude}}}
+
+
+@pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+def test_rk_classify_equicontinuity_is_homogeneous_at_extreme_amplitudes(tmp_path, amplitude):
+    """At 1e-200 every profile entry read 0.0 and passed; at 1e200 inf."""
+    rc, unit, _ = _run(tmp_path, "rk-classify", _translates(1.0))
+    assert rc == 0
+    rc, report, _ = _run(tmp_path, "rk-classify", _translates(amplitude))
+    assert rc == 0
+    got, want = report["results"]["equicontinuity"], unit["results"]["equicontinuity"]
+    assert got["profile"] == pytest.approx([amplitude * v for v in want["profile"]],
+                                           rel=1e-12, abs=0.0)
+    assert got["passed"] == want["passed"] is False
+
+
 def test_rk_classify_translate_family_is_consistent_noncompact(tmp_path):
     cfg = {"box": [[0.0, 10.0]], "resolution": 4000, "qtilde": 1.0,
            "exponent": {"kind": "constant", "value": 2.0},

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,7 +14,7 @@ from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
                     ball_mean, ball_measure, ball_sums, maximal_boundedness_probe,
                     maximal_function, oscillation_average, oscillation_profiles)
 import varleb.maximal as maximal_module
-from varleb.field import BALL_SHRINK
+from varleb.field import BALL_SHRINK, realize_function
 from varleb.maximal import _offset_list, _row_reach
 
 from _support import UNIT, family_of, from_callable, grid1d, unit_weight
@@ -150,6 +150,99 @@ def test_ball_sums_are_bit_identical_to_the_two_interval_loop(case, data):
                           two_interval_ball_sums(arr, grid, radius))
 
 
+@st.composite
+def banded_arrays(draw):
+    """An anisotropic 2D grid, a sweep on it, and one array or a
+    ``(trials, n1, n2)`` stack that is zero outside a row band: the
+    empty band, one row, every row or any run of rows, with rows of
+    each member inside the band zeroed at random (a gap)."""
+    widths = tuple(draw(st.sampled_from([0.5, 0.7, 1.0, 1.3, 3.0])) for _ in range(2))
+    shape = tuple(draw(st.integers(2, 16)) for _ in range(2))
+    grid = Grid(Box((0.0, 0.0), widths), shape)
+    n1 = shape[0]
+    kind = draw(st.sampled_from(["empty", "one", "all", "run"]))
+    if kind == "empty":
+        s0 = s1 = draw(st.integers(0, n1))
+    elif kind == "one":
+        s0 = draw(st.integers(0, n1 - 1))
+        s1 = s0 + 1
+    elif kind == "all":
+        s0, s1 = 0, n1
+    else:
+        s0 = draw(st.integers(0, n1 - 1))
+        s1 = draw(st.integers(s0 + 1, n1))
+    trials = draw(st.sampled_from([(), (1,), (3,)]))
+    arr = draw(arrays(float, trials + shape, elements=st.floats(-1e6, 1e6)))
+    arr[..., :s0, :] = 0.0
+    arr[..., s1:, :] = 0.0
+    gap = draw(arrays(bool, trials + (n1, 1)))
+    arr[gap.repeat(shape[1], axis=-1)] = 0.0
+    sweep = RadiusSweep.geometric(grid, draw(st.integers(2, 24)))
+    return grid, arr, sweep
+
+
+@settings(max_examples=100, deadline=None)
+@given(banded_arrays())
+def test_ball_sums_of_banded_rows_are_bit_identical_to_the_two_interval_loop(case):
+    """Windowing only the mass rows, and adding only what they reach,
+    changes no bit of any ball sum of a sweep."""
+    grid, arr, sweep = case
+    radii = {}
+    for r in sweep.radii:
+        radii.setdefault(tuple(_row_reach(grid, r * BALL_SHRINK)), r)
+    sums = maximal_module._ball_sums(arr, [list(reach) for reach in radii])
+    members = arr.reshape((-1,) + grid.shape)
+    for r, (got, _) in zip(radii.values(), sums):
+        want = [two_interval_ball_sums(member, grid, r) for member in members]
+        assert np.array_equal(got, np.reshape(want, arr.shape))
+
+
+def windowed_rows(monkeypatch):
+    """The number of rows of every `_window` call, in call order."""
+    rows = []
+    original = maximal_module._window
+
+    def counting(prefix, k2, out):
+        rows.append(out.shape[-2] if out.ndim > 1 else 1)
+        return original(prefix, k2, out)
+
+    monkeypatch.setattr(maximal_module, "_window", counting)
+    return rows
+
+
+def test_maximal_function_windows_only_the_rows_that_hold_mass(monkeypatch):
+    g = Grid(Box((0.0, 0.0), (1.0, 1.0)), (129, 129))
+    f = realize_function({"kind": "bump", "center": [0.4, 0.6], "radius": 0.25}, g)
+    live = np.flatnonzero(np.any(f.values != 0.0, axis=-1))
+    a, b = live[0], live[-1]
+    assert 0 < a and b < 128
+    rows = windowed_rows(monkeypatch)
+    sweep = RadiusSweep.geometric(g, 64)
+    mf = maximal_function(f, 1.3, sweep)
+    assert rows and set(rows) == {b - a + 1}
+    assert np.array_equal(mf.values, looped_maximal(f, 1.3, sweep))
+
+
+def test_maximal_function_of_zero_in_2d_is_zero(monkeypatch):
+    g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
+    rows = windowed_rows(monkeypatch)
+    mf = maximal_function(GridFunction(g, np.zeros(g.shape)), 2.0, RadiusSweep.geometric(g, 12))
+    assert np.array_equal(mf.values, np.zeros(g.shape))
+    assert set(rows) == {0}
+
+
+def test_ball_sums_of_a_1d_stack_window_every_member(monkeypatch):
+    """A stack of 1D functions has ``ndim`` 2 but no rows: its zero
+    members are windowed like the others."""
+    g = grid1d(65)
+    stack = np.zeros((4,) + g.shape)
+    stack[1:3] = np.random.default_rng(8).normal(size=(2,) + g.shape)
+    rows = windowed_rows(monkeypatch)
+    got = ball_sums(stack, g, 0.1)
+    assert rows == [4]
+    assert np.array_equal(got, [ball_sums(member, g, 0.1) for member in stack])
+
+
 @settings(max_examples=80, deadline=None)
 @given(grid_and_radius())
 def test_ball_measure_matches_brute_force_masks(case):
@@ -227,15 +320,27 @@ def gathered_ball_measure(grid, radius):
     return t @ v
 
 
+def power_of_two_at_or_above(top):
+    """The least power of two s >= top (1 for top = 0)."""
+    s = 1.0
+    while s < top:
+        s *= 2.0
+    while top and s / 2.0 >= top:
+        s /= 2.0
+    return s
+
+
 def looped_maximal(f, qtilde, sweep):
     """One ball sum and one ball measure per radius of the sweep, both
-    from the references in this file."""
-    powed = f.grid.quad_weights * np.abs(f.values) ** qtilde
+    from the references in this file, taken of f / s and scaled back by
+    s = power_of_two_at_or_above(max |f|)."""
+    s = power_of_two_at_or_above(np.abs(f.values).max())
+    powed = f.grid.quad_weights * np.abs(f.values / s) ** qtilde
     best = np.zeros(f.grid.shape)
     for r in sweep.radii:
         num = two_interval_ball_sums(powed, f.grid, r)
         np.maximum(best, num / np.maximum(gathered_ball_measure(f.grid, r), 1e-300), out=best)
-    return best ** (1.0 / qtilde)
+    return s * best ** (1.0 / qtilde)
 
 
 @st.composite
@@ -467,14 +572,24 @@ def test_maximal_monotone_in_sweep():
     assert np.all(m_more.values >= m_few.values - 1e-12)
 
 
-def test_maximal_scale_equivariance():
-    g = grid1d(513)
-    rng = np.random.default_rng(7)
-    f = GridFunction(g, rng.normal(size=g.shape))
+SCALE_GRIDS = {"1d": grid1d(513), "2d": Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-300, 300), st.sampled_from([-1.0, 1.0]), st.sampled_from([0.5, 1.0, 2.0]),
+       st.sampled_from(sorted(SCALE_GRIDS)))
+@example(0, -3.0, 1.0, "1d").via("the c = -3 case")
+@example(-170, 1.0, 2.0, "2d").via("|f|^2 underflowed to 0")
+@example(200, 1.0, 2.0, "2d").via("|f|^2 overflowed: inf / inf")
+def test_maximal_scale_equivariance(k, sign, qtilde, name):
+    """M(c f) = |c| M f to 1e-12 relative at every scale c = +-10^k."""
+    g = SCALE_GRIDS[name]
+    f = GridFunction(g, np.random.default_rng(7).normal(size=g.shape))
+    c = sign * 10.0 ** k
     sweep = RadiusSweep.geometric(g, 16)
-    lhs = maximal_function(f * (-3.0), 1.0, sweep)
-    rhs = maximal_function(f, 1.0, sweep) * 3.0
-    assert np.allclose(lhs.values, rhs.values, rtol=1e-12, atol=1e-12)
+    lhs = maximal_function(f * c, qtilde, sweep)
+    rhs = maximal_function(f, qtilde, sweep).values * abs(c)
+    np.testing.assert_allclose(lhs.values, rhs, rtol=1e-12, atol=0.0)
 
 
 def test_maximal_rejects_bad_qtilde():
@@ -569,7 +684,10 @@ def member_stack_and_sweep(draw):
 
 def looped_oscillation(vals, grid, qtilde, radius):
     """One member at one radius, one offset at a time: every offset of
-    the closed ball adds its own difference power and weight."""
+    the closed ball adds its own difference power and weight, taken of
+    f / s and scaled back by s = power_of_two_at_or_above(max |f|)."""
+    s = power_of_two_at_or_above(np.abs(vals).max())
+    vals = vals / s
     qw = grid.quad_weights
     num, den = np.zeros(grid.shape), np.zeros(grid.shape)
     for delta in _offset_list(grid, radius * (1.0 + 1e-9)):
@@ -577,7 +695,7 @@ def looped_oscillation(vals, grid, qtilde, radius):
         src = tuple(slice(max(k, 0), n - max(-k, 0)) for n, k in zip(grid.shape, delta))
         num[dst] += qw[src] * np.abs(vals[dst] - vals[src]) ** qtilde
         den[dst] += qw[src]
-    return (num / den) ** (1.0 / qtilde)
+    return s * (num / den) ** (1.0 / qtilde)
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,6 +732,35 @@ def test_oscillation_profiles_power_each_offset_pair_once(case):
         maximal_module._shift_slices = original
     largest = _offset_list(grid, sweep.radii[-1] * (1.0 + 1e-9))
     assert len(calls) == len(set(calls)) == (len(largest) + 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-300, 300), st.sampled_from([0.5, 1.0, 2.0]),
+       st.sampled_from(sorted(SCALE_GRIDS)))
+@example(-200, 2.0, "1d").via("|f(x) - f(y)|^2 underflowed to 0")
+@example(200, 2.0, "1d").via("|f(x) - f(y)|^2 overflowed to inf")
+def test_oscillation_profiles_scale_equivariance(k, qtilde, name):
+    """osc(c f) = |c| osc f to 1e-12 relative at every scale c = 10^k."""
+    g = SCALE_GRIDS[name]
+    stack = np.random.default_rng(9).normal(size=(3,) + g.shape)
+    sweep = RadiusSweep((g.max_step, 3.0 * g.max_step, 0.3))
+    c = 10.0 ** k
+    for lhs, rhs in zip(oscillation_profiles(stack * c, g, qtilde, sweep),
+                        oscillation_profiles(stack, g, qtilde, sweep)):
+        np.testing.assert_allclose(lhs, rhs * c, rtol=1e-12, atol=0.0)
+
+
+def test_oscillation_profiles_scale_each_member_by_its_own_power_of_two():
+    """A member 1e-200 the size of another keeps its own scale: under a
+    shared one, qtilde = 2 would square its differences to zero."""
+    g = SCALE_GRIDS["1d"]
+    f = np.random.default_rng(9).normal(size=g.shape)
+    sweep = RadiusSweep((g.max_step, 0.3))
+    pairs = zip(oscillation_profiles(np.stack([f, 1e-200 * f]), g, 2.0, sweep),
+                oscillation_profiles(f[None], g, 2.0, sweep))
+    for both, alone in pairs:
+        assert np.array_equal(both[0], alone[0])
+        np.testing.assert_allclose(both[1], 1e-200 * alone[0], rtol=1e-12, atol=0.0)
 
 
 def test_oscillation_average_is_the_one_member_one_radius_pass():
