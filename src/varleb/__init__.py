@@ -14,8 +14,8 @@ from .exponent import (ExponentField, LogHolderReport, QuadrupleSpec,
 from .field import (Box, Cube, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
                     WeightField, ball_mask, box_mask, random_simple_function,
                     read_grid_csv, realize_function, shift_function)
-from .interp import (EndpointSpace, ExtrapolationBuild, InterpolationReport,
-                     MixedInterpolationReport, OperatorSpec, ThetaEntry,
+from .interp import (BallAverageProduct, EndpointSpace, ExtrapolationBuild, FractionalKernel,
+                     InterpolationReport, MixedInterpolationReport, Product, ThetaEntry,
                      WorkflowReport, apply_operator, blend_spaces,
                      build_extrapolation_family, difference_field,
                      run_extrapolation_workflow, verify_interpolation_bound,

@@ -38,8 +38,8 @@ from .errors import (REQUIRED, DomainError, HypothesisFailureError, OverflowToIn
                      list_of, number, per_axis, read_fields, read_kind)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
-from .interp import (EndpointSpace, OperatorSpec, run_extrapolation_workflow,
-                     verify_interpolation_bound,
+from .interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
+                     run_extrapolation_workflow, verify_interpolation_bound,
                      verify_mixed_interpolation_bound)
 from .maximal import RadiusSweep, maximal_function
 from .norms import modular, weighted_norm
@@ -58,7 +58,7 @@ EXIT_VIOLATION = 2
 
 def _s_value(value, key, where) -> float:
     """The reader of a quadruple's s: a number, or inf as "inf" or null."""
-    return math.inf if value in ("inf", "Infinity", None) else number(value, key, where)
+    return math.inf if value in ("Infinity", None) else number(value, key, where)
 
 
 _EXPONENT = descriptor("an exponent")
@@ -76,13 +76,9 @@ _MIXED = block({"qtilde": (number, REQUIRED), "offset_count": (integer, 8)})
 _ARITY = {"arity": (integer, REQUIRED)}
 # kind -> (builder, its keys besides "kind")
 _OPERATORS = {
-    "product": (lambda arity: OperatorSpec("product", arity), _ARITY),
-    "ball_average_product": (
-        lambda arity, radius: OperatorSpec("ball_average_product", arity, radius=radius),
-        {**_ARITY, "radius": (number, REQUIRED)}),
-    "fractional_kernel": (
-        lambda arity, alpha: OperatorSpec("fractional_kernel", arity, alpha=alpha),
-        {**_ARITY, "alpha": (number, REQUIRED)}),
+    "product": (Product, _ARITY),
+    "ball_average_product": (BallAverageProduct, {**_ARITY, "radius": (number, REQUIRED)}),
+    "fractional_kernel": (FractionalKernel, {**_ARITY, "alpha": (number, REQUIRED)}),
 }
 _MEMBERS = {"base": (_FUNCTION, REQUIRED), "count": (integer, REQUIRED)}
 # kind -> (builder on the grid, its keys besides "kind")
@@ -136,7 +132,7 @@ def _jsonable(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (np.floating, float)):
-        # standard JSON has no inf or NaN; _s_value reads "inf" back
+        # standard JSON has no inf or NaN; errors.number reads "inf" and "-inf" back
         return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)

@@ -129,6 +129,8 @@ def _refuse(noun: str, value, key: str, where: str):
 
 def number(value, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if value in ("inf", "-inf"):  # a report's echo of an infinite config leaf
+            return float(value)
         _refuse("a number", value, key, where)
     if math.isnan(value):
         _refuse("a number other than NaN", value, key, where)

@@ -20,15 +20,7 @@ corpus slot in one batched call.  The mixed-norm bound is the same
 pipeline with an output map: ``T f`` is replaced by the profile ``x ->
 ||S(x, .)||_{qtilde}`` of the difference field ``S(x, y) = T(x) - T(x +
 y)``, one sliding window over the zero-padded outputs of a block of
-trials at a time.  The m-linear fractional kernel, at any m, sums
-``K(s) = (s h)^(alpha - m)`` against the distance histograms of its
-inputs: with ``A_j[i, d]`` the mass of ``f_j qw`` at distance d from
-node i, ``T f(i) = sum_s C[i, s] (A_m H)[i, s]``, where the Hankel
-matrix ``H[d, s] = K(s + d)`` is a view of the kernel and C is a column
-of ones at m = 1, ``A_1`` at m = 2 and the row-wise convolution of
-``A_1 .. A_{m-1}`` beyond.  The (trial, node) rows go through in blocks
-of ``_NODES_PER_BLOCK``, so the working memory stays of order (block) x
-m x n and no matrix product has more rows than a block.
+trials at a time.  Operators are one frozen class per kind.
 
 The extrapolation half inverts the blend: given a target space tuple, a
 second endpoint, and ``th``, it reconstructs the other endpoint (spaces
@@ -71,33 +63,63 @@ _FIELD_VALUES_PER_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
-    """A pointwise-defined m-linear operator on grid functions.
-
-    kinds:
-      product              prod_j f_j(x)
-      ball_average_product mean of prod_j f_j over B(x, radius)
-      fractional_kernel    int (sum_j |x - y_j|)^(alpha - m) prod f_j(y_j) dy
-                           (1D, 0 < alpha < m; only the singular cell
-                           y_1 = .. = y_m = x is dropped)
-    """
-    kind: str
+class Operator:
+    """An m-linear operator; each kind adds its parameters and ``apply``."""
     arity: int
-    alpha: float = 0.0
-    radius: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("product", "ball_average_product", "fractional_kernel"):
-            raise SchemaError(f"unknown operator kind '{self.kind}'")
         if self.arity < 1:
             raise SchemaError("operator arity must be at least 1")
-        if self.kind == "fractional_kernel" and not 0.0 < self.alpha < self.arity:
-            raise RangeError(f"alpha must lie in (0, {self.arity}), got {self.alpha}")
-        if self.kind == "ball_average_product" and self.radius <= 0.0:
+
+
+class Product(Operator):
+    """``prod_j f_j(x)``, as the left fold ``(f_1 f_2) f_3 ..``."""
+
+    def apply(self, values: np.ndarray, grid: Grid) -> np.ndarray:
+        return np.prod(values, axis=-1 - grid.dim)
+
+
+@dataclass(frozen=True)
+class BallAverageProduct(Product):
+    """The mean of ``prod_j f_j`` over ``B(x, radius)``."""
+    radius: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.radius <= 0.0:
             raise SchemaError("ball averaging needs a positive radius")
 
+    def apply(self, values: np.ndarray, grid: Grid) -> np.ndarray:
+        return ball_mean(super().apply(values, grid), grid, self.radius)
 
-def apply_operator(op: OperatorSpec, values: np.ndarray, grid: Grid) -> np.ndarray:
+
+@dataclass(frozen=True)
+class FractionalKernel(Operator):
+    """``T f(x) = int (sum_j |x - y_j|)^(alpha - m) prod_j f_j(y_j) dy`` in
+    1D, for ``0 < alpha < m``, without the singular cell ``y_1 = .. = y_m
+    = x``.  It sums ``K(s) = (s h)^(alpha - m)`` against the distance
+    histograms of the inputs: with ``A_j[i, d]`` the mass of ``f_j qw``
+    at distance d from node i, ``T f(i) = sum_s C[i, s] (A_m H)[i, s]``,
+    where the Hankel matrix ``H[d, s] = K(s + d)`` is a view of the kernel
+    and C is a column of ones at m = 1, ``A_1`` at m = 2 and the row-wise
+    convolution of ``A_1 .. A_{m-1}`` beyond.  The (trial, node) rows go
+    through in blocks of ``_NODES_PER_BLOCK``, so the working memory stays
+    of order (block) x m x n and no matrix product has more rows than a
+    block."""
+    alpha: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.alpha < self.arity:
+            raise RangeError(f"alpha must lie in (0, {self.arity}), got {self.alpha}")
+
+    def apply(self, values: np.ndarray, grid: Grid) -> np.ndarray:
+        if grid.dim != 1:
+            raise DomainError("fractional kernels are 1D only")
+        return _fractional_kernel(values, grid, self.arity, self.alpha)
+
+
+def apply_operator(op: Operator, values: np.ndarray, grid: Grid) -> np.ndarray:
     """``T(f_1, .., f_m)`` of every input tuple of a ``(..., m,
     *grid.shape)`` value stack, as a ``(..., *grid.shape)`` stack."""
     shape = np.shape(values)
@@ -105,17 +127,14 @@ def apply_operator(op: OperatorSpec, values: np.ndarray, grid: Grid) -> np.ndarr
         raise DomainError(f"operator inputs of shape {shape} are not a stack on the grid")
     if shape[-1 - grid.dim] != op.arity:
         raise ArityMismatchError(f"operator takes {op.arity} inputs, got {shape[-1 - grid.dim]}")
+    return op.apply(values, grid)
 
-    if op.kind != "fractional_kernel":
-        prod = np.prod(values, axis=-1 - grid.dim)  # the left fold (f_1 f_2) f_3 ..
-        return prod if op.kind == "product" else ball_mean(prod, grid, op.radius)
 
-    if grid.dim != 1:
-        raise DomainError("fractional kernels are 1D only")
-    n, m = grid.size, op.arity
+def _fractional_kernel(values: np.ndarray, grid: Grid, m: int, alpha: float) -> np.ndarray:
+    n = grid.size
     fs = np.reshape(values, (-1, m, n))
     s = np.arange(1, m * (n - 1) + 1) * grid.steps[0]
-    kernel = np.concatenate([[0.0], s ** (op.alpha - m)])  # K(0) = 0
+    kernel = np.concatenate([[0.0], s ** (alpha - m)])  # K(0) = 0
     # H[d, s] = K(s + d): a Hankel view of the kernel, s < (m - 1)(n - 1) + 1
     hankel = sliding_window_view(kernel, (m - 1) * (n - 1) + 1)
     out = np.empty(len(fs) * n)
@@ -142,7 +161,7 @@ def apply_operator(op: OperatorSpec, values: np.ndarray, grid: Grid) -> np.ndarr
         else:  # the convolution of the middle histograms, row by row
             conv = np.stack([reduce(np.convolve, row) for row in zip(*head)])
         out[r0:r1] = np.einsum("is,is->i", conv, np.matmul(last, hankel))
-    return out.reshape(shape[:-2] + (n,))
+    return out.reshape(np.shape(values)[:-2] + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +296,7 @@ def _shrink_witness(fs: np.ndarray, violates) -> np.ndarray:
     return fs
 
 
-def _verify(op: OperatorSpec, space0: EndpointSpace, space1: EndpointSpace,
+def _verify(op: Operator, space0: EndpointSpace, space1: EndpointSpace,
             theta: float, trials: int, seed: int, safety: float, slack: float,
             rel_tol: float, out_map):
     """The pipeline of both verifiers, on the outputs ``out_map(T f)`` of
@@ -314,7 +333,7 @@ def _verify(op: OperatorSpec, space0: EndpointSpace, space1: EndpointSpace,
     return certs, float(ratios.max()), violations
 
 
-def verify_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
+def verify_interpolation_bound(op: Operator, space0: EndpointSpace,
                                space1: EndpointSpace, theta: float,
                                trials: int = 100, seed: int = 0,
                                safety: float = 1.05, slack: float = 1e-6,
@@ -364,7 +383,7 @@ def difference_field(values: np.ndarray, grid: Grid,
     return values[..., None] - shifted, Grid(ybox, (n, 2 * offset_count + 1))
 
 
-def verify_mixed_interpolation_bound(op: OperatorSpec, space0: EndpointSpace,
+def verify_mixed_interpolation_bound(op: Operator, space0: EndpointSpace,
                                      space1: EndpointSpace, theta: float,
                                      qtilde: float, offset_count: int = 8,
                                      trials: int = 100, seed: int = 0,
@@ -473,7 +492,7 @@ class WorkflowReport:
         return self.rk.verdict
 
 
-def run_extrapolation_workflow(op: OperatorSpec, inputs: np.ndarray, grid: Grid,
+def run_extrapolation_workflow(op: Operator, inputs: np.ndarray, grid: Grid,
                                target: QuadrupleSpec, w_vec, spec1: QuadrupleSpec, w1_vec,
                                thetas: Sequence[float], qtilde: float | None = None,
                                cubes: DyadicCubeSet | None = None,

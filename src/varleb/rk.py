@@ -47,8 +47,10 @@ from .weights import WeightConstantReport, gate_constant
 def translate_family(base: GridFunction, count: int, step: float) -> FunctionFamily:
     """Shifted copies ``f(x - k step)`` along axis 0, zero filled."""
     rest = [0.0] * (base.grid.dim - 1)
+    # member 0 is the base at any step, an infinite one too (0 * inf is NaN)
     return FunctionFamily.fill(base.grid, count,
-                               lambda k: shift_function(base, [k * step, *rest]).values)
+                               lambda k: shift_function(base, [k * step if k else 0.0,
+                                                               *rest]).values)
 
 
 def modulate_family(base: GridFunction, count: int, base_frequency: float = 1.0,

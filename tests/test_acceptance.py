@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from varleb import (Box, DyadicCubeSet, EndpointSpace, ExponentField, Grid,
-                    GridFunction, OperatorSpec, QuadrupleSpec, RadiusSweep,
+                    GridFunction, Product, QuadrupleSpec, RadiusSweep,
                     WeightField, blend_constant_check, build_extrapolation_family,
                     classify, containment_check, dual_exponent, harmonic_combine,
                     holder_constant, maximal_boundedness_probe,
@@ -399,7 +399,7 @@ def test_criterion_09_rk_verdicts_and_doubling():
 
 def test_criterion_10_product_interpolation():
     g = grid1d(257)
-    op = OperatorSpec("product", 2)
+    op = Product(2)
     ones2 = (unit_weight(g), unit_weight(g))
 
     def space(p_val: float, q_val: float) -> EndpointSpace:
@@ -461,7 +461,7 @@ def test_criterion_11_extrapolation_roundtrip_and_ladder():
     right = mollify_family(GridFunction(g2, np.exp(-6.0 * x2 ** 2)), 5,
                            sigma=0.15, ratio=0.01)
     inputs = np.stack([left.values, right.values], axis=1)
-    report = run_extrapolation_workflow(OperatorSpec("product", 2), inputs, g2,
+    report = run_extrapolation_workflow(Product(2), inputs, g2,
                                         targ2, ones, targ2, ones,
                                         thetas=(0.25, 0.4, 0.5, 0.6, 0.75))
     assert report.rk is not None

@@ -799,6 +799,34 @@ def test_an_operator_key_its_kind_does_not_take_exits_one_and_names_it(tmp_path,
     assert "Traceback" not in err
 
 
+_KINDS_NEEDED = ("operator needs a 'kind' among "
+                 "['ball_average_product', 'fractional_kernel', 'product']")
+
+
+@pytest.mark.parametrize("operator, top, fault", [
+    ({"kind": "squaring"}, {}, _KINDS_NEEDED),
+    ({"arity": 1}, {}, _KINDS_NEEDED),
+    ({"kind": "product", "arity": 0}, {}, "operator arity must be at least 1"),
+    ({"kind": "fractional_kernel", "arity": 2, "alpha": 2.0}, {},
+     "alpha must lie in (0, 2), got 2.0"),
+    ({"kind": "ball_average_product", "arity": 1, "radius": 0.0}, {},
+     "ball averaging needs a positive radius"),
+    ({"kind": "fractional_kernel", "arity": 1, "alpha": 0.5},
+     {"box": [[0.0, 1.0], [0.0, 1.0]], "resolution": 8}, "fractional kernels are 1D only"),
+], ids=["unknown-kind", "no-kind", "product-arity-0", "fractional-alpha-at-arity",
+        "ball-average-radius-0", "fractional-2d"])
+def test_an_operator_its_kind_cannot_build_or_apply_exits_one_and_says_why(tmp_path, capsys,
+                                                                           operator, top,
+                                                                           fault):
+    cfg = _interp_config(arity=operator.get("arity") or 1, operator=operator, **top)
+    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert fault in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["bogus", "run", "--config", "c.json"], ["norm"]],
                          ids=["unknown-command", "missing-mode"])
 def test_bad_command_line_exits_two(capsys, argv):
@@ -1198,24 +1226,35 @@ def _numeric_paths(cfg):
 @pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))
 def test_every_numeric_config_leaf_at_an_extreme_exits_cleanly(tmp_path, command):
     """The sampled fuzz below, made exhaustive for the extreme numbers:
-    every numeric leaf of the config set in turn to 0, -1, 1e308 and -1e308.
-    A run that exits 0 reports no NaN (an overflow may still read "inf")."""
-    cfg_path, out = tmp_path / "config.json", str(tmp_path / "report.json")
+    every numeric leaf of the config set in turn to 0, -1, 1e308, -1e308,
+    inf and -inf.  A run that exits 0 reports no NaN (an overflow may
+    still read "inf"), and a run that writes a report replays it with the
+    same exit code and matching results: the echo's "inf" and "-inf"
+    read back as the numbers they stand for."""
+    cfg_path, out = tmp_path / "config.json", tmp_path / "report.json"
     for *parents, key in _numeric_paths(_FUZZ_CONFIGS[command]):
-        for value in (0, -1.0, 1e308, -1e308):
+        for value in (0, -1.0, 1e308, -1e308, math.inf, -math.inf):
             cfg = copy.deepcopy(_FUZZ_CONFIGS[command])
             reduce(operator.getitem, parents, cfg)[key] = value
             cfg_path.write_text(json.dumps(cfg))
+            out.unlink(missing_ok=True)
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                rc = main([command, "run", "--config", str(cfg_path), "--out", out, "--quiet"])
+                rc = main([command, "run", "--config", str(cfg_path), "--out", str(out),
+                           "--quiet"])
             case = (*parents, key, value, err.getvalue())
             assert rc in (0, 1, 2), case
             assert "Traceback" not in err.getvalue(), case
             assert "cannot convert float" not in err.getvalue(), case
             assert "Numerical result out of range" not in err.getvalue(), case
             if rc == 0:
-                assert '"nan"' not in Path(out).read_text(), case
+                assert '"nan"' not in out.read_text(), case
+            if out.exists():
+                replay_err, replayed = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(replay_err), contextlib.redirect_stdout(replayed):
+                    replay_rc = main([command, "replay", "--report", str(out)])
+                assert replay_rc == rc, (*case, replay_err.getvalue())
+                assert json.loads(replayed.getvalue())["replay_match"], case
 
 
 @pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))
@@ -1307,7 +1346,7 @@ def test_extrapolate_without_a_default_qtilde_exits_one_and_names_the_target(tmp
     assert "Traceback" not in err
 
 
-def test_an_infinity_literal_in_a_config_is_echoed_as_inf(tmp_path):
+def test_an_infinity_literal_in_a_config_is_echoed_as_inf(tmp_path, capsys):
     quad = {"p_vec": [{"kind": "constant", "value": 2.0}], "q": {"kind": "constant", "value": 4.0},
             "r_vec": [1.0], "s": math.inf}
     cfg = {"box": [[0.0, 1.0]], "resolution": 64, "cube_depth": 2, "quadruple": quad,
@@ -1317,6 +1356,8 @@ def test_an_infinity_literal_in_a_config_is_echoed_as_inf(tmp_path):
     assert rc == 0
     assert report["config"]["quadruple"]["s"] == "inf"
     assert "Infinity" not in out_path.read_text()
+    assert main(["two-to-one", "replay", "--report", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["replay_match"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from varleb.errors import (ArityMismatchError, DomainError, RangeError,
 from varleb.exponent import ExponentField, QuadrupleSpec
 from varleb.field import (Box, Grid, GridFunction, WeightField,
                           random_simple_function)
-from varleb.interp import (EndpointSpace, OperatorSpec, _corpus_ratios,
-                           _draw_corpus, apply_operator,
+from varleb.interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
+                           _corpus_ratios, _draw_corpus, apply_operator,
                            blend_spaces, build_extrapolation_family,
                            difference_field, run_extrapolation_workflow,
                            verify_interpolation_bound,
@@ -40,21 +40,34 @@ def _abs_power(grid: Grid, a: float) -> WeightField:
 
 
 # ---------------------------------------------------------------------------
-# operator specs and application
+# operators and their application
 
 
-def test_operator_spec_guards():
-    with pytest.raises(SchemaError):
-        OperatorSpec("squaring", 1)
-    with pytest.raises(SchemaError):
-        OperatorSpec("product", 0)
-    OperatorSpec("fractional_kernel", 3, alpha=2.5)  # any alpha in (0, arity) is accepted
+def test_product_guards():
+    Product(1)
+    with pytest.raises(SchemaError, match="operator arity must be at least 1"):
+        Product(0)
+
+
+def test_ball_average_product_guards():
+    BallAverageProduct(2, radius=0.1)
+    with pytest.raises(SchemaError, match="operator arity must be at least 1"):
+        BallAverageProduct(0, radius=0.1)
+    with pytest.raises(SchemaError, match="ball averaging needs a positive radius"):
+        BallAverageProduct(2, radius=0.0)
+
+
+def test_fractional_kernel_guards():
+    FractionalKernel(3, alpha=2.5)  # any alpha in (0, arity) is accepted
+    with pytest.raises(SchemaError, match="operator arity must be at least 1"):
+        FractionalKernel(0, alpha=0.5)
     with pytest.raises(RangeError):
-        OperatorSpec("fractional_kernel", 3, alpha=3.0)
+        FractionalKernel(3, alpha=3.0)
     with pytest.raises(RangeError):
-        OperatorSpec("fractional_kernel", 1, alpha=1.5)
-    with pytest.raises(SchemaError):
-        OperatorSpec("ball_average_product", 2, radius=0.0)
+        FractionalKernel(1, alpha=1.5)
+    with pytest.raises(DomainError, match="fractional kernels are 1D only"):
+        apply_operator(FractionalKernel(1, alpha=0.5), np.ones((1, 5, 5)),
+                       Grid(Box((0.0, 0.0), (1.0, 1.0)), (5, 5)))
 
 
 def test_product_with_identity_factor_returns_the_function():
@@ -62,7 +75,7 @@ def test_product_with_identity_factor_returns_the_function():
     x = g.coords[..., 0]
     f = GridFunction(g, np.sin(3.0 * x))
     one = GridFunction(g, np.ones(g.shape))
-    out = apply_operator(OperatorSpec("product", 2), np.stack([f.values, one.values]), g)
+    out = apply_operator(Product(2), np.stack([f.values, one.values]), g)
     assert np.array_equal(out, f.values)
 
 
@@ -71,7 +84,7 @@ def test_product_of_indicators_is_the_intersection_indicator():
     x = g.coords[..., 0]
     chi_a = GridFunction(g, ((x >= 0.1) & (x <= 0.6)).astype(float))
     chi_b = GridFunction(g, ((x >= 0.4) & (x <= 0.9)).astype(float))
-    out = apply_operator(OperatorSpec("product", 2), np.stack([chi_a.values, chi_b.values]), g)
+    out = apply_operator(Product(2), np.stack([chi_a.values, chi_b.values]), g)
     expect = ((x >= 0.4) & (x <= 0.6)).astype(float)
     assert np.array_equal(out, expect)
 
@@ -79,22 +92,20 @@ def test_product_of_indicators_is_the_intersection_indicator():
 def test_apply_operator_arity_and_grid_mismatch():
     g = Grid(UNIT, (65,))
     with pytest.raises(ArityMismatchError, match="operator takes 2 inputs, got 1"):
-        apply_operator(OperatorSpec("product", 2), np.ones((1, 65)), g)
+        apply_operator(Product(2), np.ones((1, 65)), g)
     with pytest.raises(ArityMismatchError, match="operator takes 2 inputs, got 3"):
-        apply_operator(OperatorSpec("product", 2), np.ones((4, 3, 65)), g)
+        apply_operator(Product(2), np.ones((4, 3, 65)), g)
     with pytest.raises(DomainError, match=r"\(2, 129\) are not a stack on the grid"):
-        apply_operator(OperatorSpec("product", 2), np.ones((2, 129)), g)
+        apply_operator(Product(2), np.ones((2, 129)), g)
     with pytest.raises(DomainError, match="not a stack"):
-        apply_operator(OperatorSpec("product", 1), np.ones(65), g)
+        apply_operator(Product(1), np.ones(65), g)
 
 
 def test_operators_are_multilinear_on_random_probes():
     rng = np.random.default_rng(3)
     g = Grid(UNIT, (129,))
-    ops = (OperatorSpec("product", 2),
-           OperatorSpec("ball_average_product", 2, radius=0.1),
-           OperatorSpec("fractional_kernel", 2, alpha=0.75),
-           OperatorSpec("fractional_kernel", 3, alpha=1.5))
+    ops = (Product(2), BallAverageProduct(2, radius=0.1), FractionalKernel(2, alpha=0.75),
+           FractionalKernel(3, alpha=1.5))
     for op in ops:
         f = rng.normal(size=g.shape)
         gfun = rng.normal(size=g.shape)
@@ -114,7 +125,7 @@ def test_fractional_kernel_matches_analytic_value_off_support():
     g = Grid(Box((-1.0,), (3.0,)), (4097,))
     x = g.coords[..., 0]
     chi = GridFunction(g, ((x >= 0.0) & (x <= 1.0)).astype(float))
-    out = apply_operator(OperatorSpec("fractional_kernel", 1, alpha=0.5), chi.values[None], g)
+    out = apply_operator(FractionalKernel(1, alpha=0.5), chi.values[None], g)
     i = int(np.argmin(np.abs(x - 2.0)))
     assert x[i] == 2.0
     # int_0^1 |2 - y|^(-1/2) dy
@@ -143,7 +154,7 @@ def test_fractional_kernel_matches_a_direct_sum(m, alpha, block, monkeypatch):
         s = s[..., None] + dist.reshape((n,) + (1,) * j + (n,))
     with np.errstate(divide="ignore"):
         kernel = np.where(s > 0.0, s, np.inf) ** (alpha - m)
-    op = OperatorSpec("fractional_kernel", m, alpha=alpha)
+    op = FractionalKernel(m, alpha=alpha)
     for signed in (False, True):
         fs = tuple(GridFunction(g, rng.normal(size=g.shape) if signed
                                 else rng.uniform(0.5, 1.5, size=g.shape)) for _ in range(m))
@@ -167,7 +178,7 @@ def test_fractional_kernel_below_arity_three_convolves_nothing(m, monkeypatch):
     monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or real(*a, **k))
     g = Grid(UNIT, (129,))
     fs = np.tile(np.linspace(1.0, 2.0, 129), (m, 1))
-    out = apply_operator(OperatorSpec("fractional_kernel", m, alpha=0.5), fs, g)
+    out = apply_operator(FractionalKernel(m, alpha=0.5), fs, g)
     assert np.all(out > 0.0)
     assert calls == []
 
@@ -184,7 +195,8 @@ def test_a_stack_of_trials_maps_as_each_trial_alone(kind, m, n):
     final block take that kernel's remainder path; both stay within
     1e-15 relative."""
     g = Grid(UNIT, (n,))
-    op = OperatorSpec(kind, m, alpha=0.75, radius=0.1)
+    op = {"product": Product(m), "ball_average_product": BallAverageProduct(m, radius=0.1),
+          "fractional_kernel": FractionalKernel(m, alpha=0.75)}[kind]
     corpus = np.random.default_rng(10 * n + m).uniform(0.5, 1.5, size=(2, 3, m, n))
     stacked = apply_operator(op, corpus, g)
     assert stacked.shape == (2, 3, n)
@@ -203,7 +215,7 @@ def test_a_stack_of_trials_maps_as_each_trial_alone(kind, m, n):
 @pytest.mark.parametrize("kind", ["product", "ball_average_product"])
 def test_a_2d_stack_of_trials_maps_as_each_trial_alone(kind):
     g = Grid(Box((0.0, -1.0), (1.0, 2.0)), (17, 33))
-    op = OperatorSpec(kind, 2, radius=0.3)
+    op = {"product": Product(2), "ball_average_product": BallAverageProduct(2, radius=0.3)}[kind]
     corpus = np.random.default_rng(5).normal(size=(4, 2, 17, 33))
     stacked = apply_operator(op, corpus, g)
     assert stacked.shape == (4, 17, 33)
@@ -217,7 +229,7 @@ def test_fractional_kernel_multiplies_no_more_rows_than_a_block(monkeypatch):
     real = np.matmul
     monkeypatch.setattr(np, "matmul", lambda a, b, **k: rows.append(len(a)) or real(a, b, **k))
     g = Grid(UNIT, (129,))
-    out = apply_operator(OperatorSpec("fractional_kernel", 2, alpha=0.5),
+    out = apply_operator(FractionalKernel(2, alpha=0.5),
                          np.ones((12, 2, 129)), g)
     assert out.shape == (12, 129)
     assert max(rows) <= interp._NODES_PER_BLOCK
@@ -253,7 +265,7 @@ def test_holder_endpoints_give_zero_violations():
     g = Grid(UNIT, (257,))
     space0 = _const_space(g, (4.0, 4.0), 2.0, bound=1.0)
     space1 = _const_space(g, (2.0, 2.0), 1.0, bound=1.0)
-    report = verify_interpolation_bound(OperatorSpec("product", 2), space0,
+    report = verify_interpolation_bound(Product(2), space0,
                                         space1, 0.5, trials=200, seed=11)
     assert report.passed
     assert report.worst_ratio <= 1.0 + report.slack
@@ -273,7 +285,7 @@ def test_equal_endpoints_degenerate_to_the_endpoint_inequality():
     q = ExponentField.constant(box, 1.5)
     space = EndpointSpace((p, p), q, (unit_weight(g), unit_weight(g)), unit_weight(g))
     for theta in (0.1, 0.5, 0.9):
-        report = verify_interpolation_bound(OperatorSpec("product", 2), space,
+        report = verify_interpolation_bound(Product(2), space,
                                             space, theta, trials=100, seed=5)
         assert report.passed, f"violation at theta={theta}"
 
@@ -281,7 +293,7 @@ def test_equal_endpoints_degenerate_to_the_endpoint_inequality():
 def test_theta_near_zero_reproduces_endpoint_zero():
     g = Grid(UNIT, (257,))
     space = _const_space(g, (4.0, 4.0), 2.0)
-    op = OperatorSpec("product", 2)
+    op = Product(2)
     at_zero = verify_interpolation_bound(op, space, space, 0.0, trials=60, seed=2)
     nearby = verify_interpolation_bound(op, space, space, 1e-6, trials=60, seed=2)
     assert abs(at_zero.worst_ratio - nearby.worst_ratio) <= 1e-9
@@ -290,7 +302,7 @@ def test_theta_near_zero_reproduces_endpoint_zero():
 
 def test_supplied_bound_is_kept_when_generous_and_inflated_when_beaten():
     g = Grid(UNIT, (257,))
-    op = OperatorSpec("product", 2)
+    op = Product(2)
     generous0 = _const_space(g, (4.0, 4.0), 2.0, bound=1e6)
     generous1 = _const_space(g, (2.0, 2.0), 1.0, bound=1e6)
     report = verify_interpolation_bound(op, generous0, generous1, 0.5,
@@ -309,7 +321,7 @@ def test_supplied_bound_is_kept_when_generous_and_inflated_when_beaten():
 
 def test_certified_bound_is_monotone_in_the_trial_budget():
     g = Grid(UNIT, (257,))
-    op = OperatorSpec("product", 2)
+    op = Product(2)
     space0 = _const_space(g, (4.0, 4.0), 2.0)
     space1 = _const_space(g, (2.0, 2.0), 1.0)
     small = verify_interpolation_bound(op, space0, space1, 0.5, trials=40, seed=9)
@@ -321,7 +333,7 @@ def test_certified_bound_is_monotone_in_the_trial_budget():
 def test_fractional_endpoints_blend_without_violations():
     g = Grid(Box((1.0,), (2.0,)), (257,))
     box = g.box
-    op = OperatorSpec("fractional_kernel", 1, alpha=0.125)
+    op = FractionalKernel(1, alpha=0.125)
     # gamma = alpha relates input to output exponents: 1/q = 1/p - gamma
     space0 = EndpointSpace((ExponentField.constant(box, 2.0),),
                            ExponentField.constant(box, 8.0 / 3.0),
@@ -337,7 +349,7 @@ def test_fractional_endpoints_blend_without_violations():
 
 def test_verification_is_deterministic_per_seed():
     g = Grid(UNIT, (257,))
-    op = OperatorSpec("product", 2)
+    op = Product(2)
     space0 = _const_space(g, (4.0, 4.0), 2.0)
     space1 = _const_space(g, (2.0, 2.0), 1.0)
     a = verify_interpolation_bound(op, space0, space1, 0.3, trials=30, seed=21)
@@ -359,7 +371,7 @@ def test_corpus_ratios_match_a_per_trial_norm_loop(m, trials, seed, weighted, sc
                        for _ in range(trials)])
     if zero < trials:  # one trial with a zero input
         corpus[zero, 0] = 0.0
-    outputs = apply_operator(OperatorSpec("product", m), corpus, g)
+    outputs = apply_operator(Product(m), corpus, g)
     ratios = _corpus_ratios(corpus, outputs, g, space, scale, 1e-10)
     for fs, Tf, got in zip(corpus, outputs, ratios):
         den = scale
@@ -373,7 +385,7 @@ def test_corpus_ratios_match_a_per_trial_norm_loop(m, trials, seed, weighted, sc
 def test_verifiers_reject_an_empty_corpus():
     g = Grid(UNIT, (65,))
     space = _const_space(g, (4.0, 4.0), 2.0)
-    op = OperatorSpec("product", 2)
+    op = Product(2)
     for trials in (0, -3):
         with pytest.raises(DomainError, match="trials"):
             verify_interpolation_bound(op, space, space, 0.5, trials=trials)
@@ -389,7 +401,7 @@ def test_halved_certificates_report_shrunken_violations(mixed):
     g = Grid(UNIT, (129,))
     space0 = _const_space(g, (4.0, 4.0), 2.0)
     space1 = _const_space(g, (2.0, 2.0), 1.0)
-    op = OperatorSpec("product", 2)
+    op = Product(2)
     kwargs = dict(trials=20, seed=3, safety=0.5)
     if mixed:
         report = verify_mixed_interpolation_bound(op, space0, space1, 0.5,
@@ -423,7 +435,7 @@ def _count_solves(monkeypatch):
 @pytest.mark.parametrize("m", [1, 2])
 def test_a_passing_verification_solves_three_batches_per_slot(monkeypatch, m):
     g = Grid(UNIT, (129,))
-    op = OperatorSpec("product", m)
+    op = Product(m)
     space0 = _const_space(g, (4.0,) * m, 4.0 / m)
     space1 = _const_space(g, (2.0,) * m, 2.0 / m)
     calls = _count_solves(monkeypatch)
@@ -479,7 +491,7 @@ def test_difference_field_equals_the_column_by_column_field(offset_count):
 def test_difference_of_constant_output_vanishes_identically():
     g = Grid(UNIT, (257,))
     const = np.full(g.shape, 3.25)
-    out = apply_operator(OperatorSpec("product", 2), np.stack([const, const]), g)
+    out = apply_operator(Product(2), np.stack([const, const]), g)
     S, _ = difference_field(out, g, 8)
     # zero extension past the box leaves T(x) - 0 at the edges, so only
     # interior columns vanish; the zero-offset column always does
@@ -493,7 +505,7 @@ def test_mixed_bound_rejects_qtilde_at_the_output_floor():
     space0 = _const_space(g, (4.0, 4.0), 2.0)
     space1 = _const_space(g, (2.0, 2.0), 1.0)
     with pytest.raises(DomainError):
-        verify_mixed_interpolation_bound(OperatorSpec("product", 2), space0,
+        verify_mixed_interpolation_bound(Product(2), space0,
                                          space1, 0.5, qtilde=1.0, trials=5)
 
 
@@ -503,7 +515,7 @@ def test_mixed_bound_on_holder_data_has_zero_violations():
     space1 = _const_space(g, (2.0, 2.0), 1.0)
     h = g.steps[0]
     offsets = int(math.floor(0.1 / h))
-    report = verify_mixed_interpolation_bound(OperatorSpec("product", 2),
+    report = verify_mixed_interpolation_bound(Product(2),
                                               space0, space1, 0.5, qtilde=0.75,
                                               offset_count=offsets, trials=150,
                                               seed=13)
@@ -589,7 +601,7 @@ def test_workflow_all_ones_sanity_run_is_consistent_compact():
     right = mollify_family(GridFunction(g, np.exp(-6.0 * x ** 2)), 5,
                            sigma=0.15, ratio=0.01)
     inputs = np.stack([left.values, right.values], axis=1)
-    report = run_extrapolation_workflow(OperatorSpec("product", 2), inputs, g,
+    report = run_extrapolation_workflow(Product(2), inputs, g,
                                         target, ones, target, ones,
                                         thetas=(0.25, 0.5, 0.75))
     assert report.verdict == "consistent-compact"
@@ -607,7 +619,7 @@ def test_workflow_isolates_an_invalid_theta():
     spec1 = _quadruple(SYM, (2.0,), 2.0, (1.5,), 6.0)
     fam = mollify_family(GridFunction(g, np.exp(-4.0 * x ** 2)), 4,
                          sigma=0.15, ratio=0.01)
-    report = run_extrapolation_workflow(OperatorSpec("product", 1), fam.values[:, None], g,
+    report = run_extrapolation_workflow(Product(1), fam.values[:, None], g,
                                         target, (_abs_power(g, 0.0625),),
                                         spec1, (unit_weight(g),),
                                         thetas=(0.3, 0.99))
@@ -640,7 +652,7 @@ def test_workflow_solves_one_batch_per_slot_per_built_theta(monkeypatch):
     monkeypatch.setattr(interp, "classify", counting(interp.classify))
     monkeypatch.setattr(interp, "multilinear_constant",
                         counting(interp.multilinear_constant))
-    report = run_extrapolation_workflow(OperatorSpec("product", 1),
+    report = run_extrapolation_workflow(Product(1),
                                         fam.values[:, None], g, target,
                                         (_abs_power(g, 0.0625),), spec1, (unit_weight(g),),
                                         thetas=(0.3, 0.5, 0.99))

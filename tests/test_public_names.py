@@ -4,11 +4,12 @@ here."""
 import varleb
 
 PUBLIC = [
-    "ArityMismatchError", "BlendReport", "Box", "ContainmentReport", "ConvergenceError", "Cube",
-    "DomainError", "DyadicCubeSet", "EmptyRegionError", "EndpointSpace", "ExponentField",
-    "ExtrapolationBuild", "FunctionFamily", "Grid", "GridFunction", "HypothesisFailureError",
-    "InterpolationReport", "LogHolderReport", "MixedInterpolationReport", "NetReport",
-    "NormResult", "OperatorSpec", "OverflowToInfinityError", "ProbeReport", "QuadrupleSpec",
+    "ArityMismatchError", "BallAverageProduct", "BlendReport", "Box", "ContainmentReport",
+    "ConvergenceError", "Cube", "DomainError", "DyadicCubeSet", "EmptyRegionError",
+    "EndpointSpace", "ExponentField", "ExtrapolationBuild", "FractionalKernel", "FunctionFamily",
+    "Grid", "GridFunction", "HypothesisFailureError", "InterpolationReport", "LogHolderReport",
+    "MixedInterpolationReport", "NetReport", "NormResult", "OverflowToInfinityError",
+    "ProbeReport", "Product", "QuadrupleSpec",
     "QuadrupleVerdict", "RKReport", "RadiusSweep", "RangeError", "SchemaError",
     "SpecMismatchError", "ThetaEntry", "TwoToOneReport", "VarlebError", "VersionMismatchWarning",
     "WeightConstantReport", "WeightField", "WorkflowReport", "ap_constant", "apply_operator",

@@ -92,6 +92,15 @@ def test_translate_family_shifts_along_axis_zero():
         assert np.allclose(fam.values[k], expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("step", [math.inf, -math.inf, 1e308])
+def test_translate_family_at_an_unbounded_step_is_the_base_then_zeros(step):
+    g = Grid(Box((0.0,), (10.0,)), (101,))
+    base = _indicator(g, 0.0, 1.0)
+    fam = translate_family(base, 3, step)
+    assert np.array_equal(fam.values[0], base.values)
+    assert not fam.values[1:].any()
+
+
 def test_dilate_family_compresses_and_zero_fills():
     g = Grid(Box((-2.0,), (2.0,)), (1025,))
     base = _gaussian(g, 1.0)
