@@ -139,7 +139,7 @@ def number(value, key: str, where: str) -> float:
 
 def integer(value, key: str, where: str) -> int:
     if not number(value, key, where).is_integer():
-        _refuse("a number", value, key, where)
+        _refuse("an integer", value, key, where)
     if abs(value) > 2 ** 53:  # the largest integers JSON carries exactly (RFC 8259)
         _refuse("an integer of at most 2**53 in magnitude", value, key, where)
     return int(value)

@@ -127,6 +127,12 @@ class Grid:
         return _quad_weights(self)
 
     @property
+    def log_quad_weights(self) -> np.ndarray:
+        """``np.log(quad_weights)``, read-only and cached per grid like
+        `quad_weights`: the log weights of every Luxemburg solve."""
+        return _log_quad_weights(self)
+
+    @property
     def coords(self) -> np.ndarray:
         """Node coordinates, shape ``grid.shape + (dim,)``."""
         return _coords(self)
@@ -156,6 +162,13 @@ def _quad_weights(grid: Grid) -> np.ndarray:
     out = factors[0]
     for f in factors[1:]:
         out = np.multiply.outer(out, f)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=128)
+def _log_quad_weights(grid: Grid) -> np.ndarray:
+    out = np.log(_quad_weights(grid))
     out.flags.writeable = False
     return out
 

@@ -16,16 +16,20 @@ Every norm is solved in one row format: a `NodeTable` of per-node
 ``log|f|`` (one row per member of a value stack, refusing NaN by node and
 member), exponent and log quadrature weight, and rows of node indices
 padded with a node whose ``log|f| = -inf`` adds nothing to a modular.
-`NodeTable.solve` is the one way into `lux_rows`, whose Newton steps run
-on all rows together.  The default rows are each member's nonzero nodes:
-one for `lux_flat` (so `weighted_norm`), one per member for
-`weighted_norms`; ``rk`` cuts them by a node mask and the cube scan of
-``weights`` passes cube rows.
+The log weights are the grid's `log_quad_weights`, computed once per
+grid and shared by every table on it; a zero node keeps its log weight,
+which its ``-inf`` log|f| cancels.  `NodeTable.solve` is the one way
+into `lux_rows`, whose Newton steps run on all rows together.  The
+default rows are each member's nonzero nodes: one for `lux_flat` (so
+`weighted_norm`), one per member for `weighted_norms`; ``rk`` cuts them
+by a node mask and the cube scan of ``weights`` passes cube rows.  When
+no member has a zero node, each default row is every node in node
+order, so the solve reads the table in place.
 
-A solve's rows live in a block of float rows: the gathered ``log|f|``,
-exponent and log weight, and the Newton workspace, which `lux_rows`
-reuses in place as rows finish.  The cube scan passes one block for all
-of its solves; any other solve makes its own.
+Any other solve works in a block of float rows: the gathered
+``log|f|``, exponent and log weight, and the Newton workspace, which
+`lux_rows` reuses in place as rows finish.  The cube scan passes one
+block for all of its solves; any other solve makes its own.
 
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure);
@@ -69,10 +73,12 @@ def modular(f: GridFunction, p: ExponentField) -> float:
     """``int |f|^p(x) dx``; may overflow to inf."""
     a = np.abs(f.values).ravel()
     refuse_non_finite(a, a.size)
+    pv, qw = p.values_on(f.grid).ravel(), f.grid.quad_weights.ravel()
     nz = a > 0.0
-    pv, qw = p.values_on(f.grid).ravel()[nz], f.grid.quad_weights.ravel()[nz]
+    if not nz.all():
+        a, pv, qw = a[nz], pv[nz], qw[nz]
     with np.errstate(over="ignore"):
-        return float(np.sum(qw * np.exp(pv * np.log(a[nz]))))
+        return float(np.sum(qw * np.exp(pv * np.log(a))))
 
 
 class RowNorms(NamedTuple):
@@ -178,13 +184,15 @@ def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
 class NodeTable(NamedTuple):
     """Per-node tables of a ``(members, n)`` value stack: ``log|f|`` per
     member, with a padding node at index ``n`` where it is ``-inf``, the
-    exponent and the log quadrature weights.  A ``-inf`` log|f| cancels
-    its node's exponent and weight, so a gather reads the padding node's
-    from node ``n - 1`` (any finite values would do)."""
+    exponent and the log quadrature weights, and whether no member has a
+    zero node.  A ``-inf`` log|f| cancels its node's exponent and weight,
+    so a gather reads the padding node's from node ``n - 1`` (any finite
+    values would do)."""
 
     la: np.ndarray
     p: np.ndarray
     lq: np.ndarray
+    dense: bool
 
     def rows(self, select: np.ndarray | None = None) -> np.ndarray:
         """Per member, its nonzero nodes (where the node mask ``select``
@@ -193,6 +201,8 @@ class NodeTable(NamedTuple):
         if select is not None:
             keep &= select.ravel()
         nodes = [k.nonzero()[0] for k in keep]
+        if len(nodes) == 1:
+            return nodes[0][None]
         rows = np.full((len(nodes), max(k.size for k in nodes)), keep.shape[1])
         for row, k in zip(rows, nodes):
             row[:k.size] = k
@@ -201,18 +211,25 @@ class NodeTable(NamedTuple):
     def solve(self, rows: np.ndarray | None = None, rel_tol: float = 1e-10,
               block: np.ndarray | None = None) -> RowNorms:
         """`lux_rows` on ``(rows, k)`` node indices (by default `rows()`),
-        row ``i`` reading member ``i`` or the only member, or on one
-        ``(k,)`` row of the only member: the one way into the solver.
+        row ``i`` reading member ``i`` or the only member: the one way
+        into the solver.
 
-        The solve works in ``block``, four float arrays of the rows'
-        shape (or one array of shape ``(4, *rows.shape)``): the gathered
-        ``log|f|``, exponent and log weight, and the Newton workspace.
-        When it is omitted, the solve gathers into three arrays of its
-        own, and `lux_rows` makes the workspace once a default row array
-        is freed.  (Three arrays, not one of three times the size: glibc
-        raises its mmap threshold to the largest block freed, and a higher
-        threshold leaves more freed heap resident.)"""
+        With the default rows of a dense table (no zero node), each
+        member's row is every node in node order, so the solve reads the
+        table in place, with no gather.  Otherwise it works in ``block``,
+        four float arrays of the rows' shape (or one array of shape ``(4,
+        *rows.shape)``): the gathered ``log|f|``, exponent and log weight,
+        and the Newton workspace.  When it is omitted, the solve gathers
+        into three arrays of its own, and `lux_rows` makes the workspace
+        once a default row array is freed.  (Three arrays, not one of
+        three times the size: glibc raises its mmap threshold to the
+        largest block freed, and a higher threshold leaves more freed heap
+        resident.)"""
         if rows is None:
+            if self.dense:
+                la = self.la[:, :-1]
+                return lux_rows(la, np.broadcast_to(self.p, la.shape),
+                                np.broadcast_to(self.lq, la.shape), rel_tol)
             rows = self.rows()
         la, p, lq, *e = [np.empty(rows.shape) for _ in range(3)] if block is None else block
         if len(self.la) == 1:
@@ -227,32 +244,29 @@ class NodeTable(NamedTuple):
         return lux_rows(la, p, lq, rel_tol, *e)
 
 
-def node_table(values: np.ndarray, p: np.ndarray, qw: np.ndarray) -> NodeTable:
+def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray) -> NodeTable:
     """The `NodeTable` of a ``(members, *shape)`` value stack (or of one
-    ``shape`` array), an exponent and quadrature weights on ``shape``."""
+    ``shape`` array), an exponent and log quadrature weights on ``shape``
+    (a grid's `log_quad_weights`, which the table shares)."""
     n = p.size
     refuse_non_finite(values, n)
     la = np.full((values.size // n if n else 1, n + 1), -math.inf)
     nz = values.reshape(len(la), n) != 0.0
-    # logs are taken, and pages written, at nonzero nodes only; a node that
-    # is zero in every member keeps log qw = 0, which its -inf log|f| cancels
+    # logs are taken, and pages written, at nonzero nodes only
     np.abs(values.reshape(nz.shape), out=la[:, :n], where=nz)
     np.log(la[:, :n], out=la[:, :n], where=nz)
-    lq = np.zeros(n)
-    np.log(qw.ravel(), out=lq, where=nz.any(axis=0))
-    return NodeTable(la, p.ravel(), lq)
+    return NodeTable(la, p.ravel(), lq.ravel(), bool(nz.all()))
 
 
-def lux_flat(a: np.ndarray, p: np.ndarray, qw: np.ndarray,
+def lux_flat(a: np.ndarray, p: np.ndarray, lq: np.ndarray,
              rel_tol: float = 1e-10) -> NormResult:
-    """Luxemburg solve on flat node values ``a`` (of ``|f|`` or ``f``):
-    the one row of its nonzero nodes."""
-    table = node_table(a, p, qw)
-    r = table.solve((table.la[0] > -math.inf).nonzero()[0], rel_tol)
-    t, g, p_lo = float(r.log_value), float(r.log_modular), float(r.p_lo)
+    """Luxemburg solve on flat node values ``a`` (of ``|f|`` or ``f``),
+    exponent ``p`` and log quadrature weights ``lq``: the one row of its
+    nonzero nodes, the one-member solve of its `NodeTable`."""
+    t, g, p_lo, k = (x.item() for x in node_table(a, p, lq).solve(rel_tol=rel_tol))
     with np.errstate(over="ignore"):
         lo, value, hi = np.exp([t + min(g, 0.0) / p_lo, t, t + max(g, 0.0) / p_lo])
-    return NormResult(float(value), int(r.iterations), (float(lo), float(hi)), math.exp(g))
+    return NormResult(float(value), k, (float(lo), float(hi)), math.exp(g))
 
 
 def _times_weight(values: np.ndarray, grid: Grid, w: WeightField | None) -> np.ndarray:
@@ -267,14 +281,14 @@ def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = Non
                   rel_tol: float = 1e-10) -> NormResult:
     """``|| f w ||_p``; with ``w`` omitted this is the plain norm."""
     return lux_flat(_times_weight(f.values, f.grid, w).ravel(), p.values_on(f.grid).ravel(),
-                    f.grid.quad_weights.ravel(), rel_tol)
+                    f.grid.log_quad_weights.ravel(), rel_tol)
 
 
 def weighted_table(values: np.ndarray, grid: Grid, p: ExponentField,
                    w: WeightField | None = None) -> NodeTable:
     """The `NodeTable` of ``f w`` for a ``(members, *grid.shape)`` value
     stack of functions ``f``."""
-    return node_table(_times_weight(values, grid, w), p.values_on(grid), grid.quad_weights)
+    return node_table(_times_weight(values, grid, w), p.values_on(grid), grid.log_quad_weights)
 
 
 def weighted_norms(values: np.ndarray, grid: Grid, p: ExponentField,

@@ -100,7 +100,7 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
     qw = grid.quad_weights
-    tables = [node_table(w.values, p.values_on(grid), qw) for w, p in factors]
+    tables = [node_table(w.values, p.values_on(grid), grid.log_quad_weights) for w, p in factors]
     groups, values = [], []
     overflow = False
     block = np.empty((4, 0))

@@ -1022,9 +1022,9 @@ def _interp_config(arity=1, **top):
     ("interp-verify", _interp_config(operator={"kind": "product", "arity": None}),
      "operator 'product' key 'arity' must be a number, got None"),
     ("interp-verify", _interp_config(operator={"kind": "product", "arity": 2.7}),
-     "operator 'product' key 'arity' must be a number, got 2.7"),
+     "operator 'product' key 'arity' must be an integer, got 2.7"),
     ("interp-verify", _interp_config(trials=3.9),
-     "interp-verify config key 'trials' must be a number, got 3.9"),
+     "interp-verify config key 'trials' must be an integer, got 3.9"),
     ("interp-verify", _interp_config(seed=True),
      "interp-verify config key 'seed' must be a number, got True"),
     ("interp-verify", _interp_config(slack=[1e-6]),

@@ -1,6 +1,7 @@
 """Modulars, Luxemburg norms, mixed norms, pairings and the Hoelder constant."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from varleb import (Box, DomainError, ExponentField, Grid, GridFunction,
                     weighted_norm)
 
 from varleb.field import box_mask
-from varleb.norms import lux_flat, lux_rows, weighted_norms, weighted_table
+from varleb.norms import NodeTable, lux_flat, lux_rows, weighted_norms, weighted_table
 
 from _support import UNIT, abs_power, from_callable, grid1d, rand_exponent, unit_weight
 
@@ -357,7 +358,7 @@ def test_lux_rows_solves_each_row_as_lux_flat_with_a_certified_bracket(seed, row
             la[i, :a.size], pv[i, :a.size], lq[i, :a.size] = np.log(a), p, np.log(qw)
     res = lux_rows(la, pv, lq)
     for i, (a, p, qw) in enumerate(cases):
-        want = lux_flat(a, p, qw)
+        want = lux_flat(a, p, np.log(qw))
         assert abs(res.value[i] - want.value) <= 1e-12 * want.value
         assert res.iterations[i] == want.iterations
         t, g, p_lo = res.log_value[i], res.log_modular[i], res.p_lo[i]
@@ -473,3 +474,139 @@ def test_weighted_norm_equals_its_row_of_weighted_norms(seed, dim):
         table = weighted_table(stack[i:i + 1], grid, p, w)
         assert table.solve(table.rows(inside)).value[0] == want
         assert abs(batch[i] - want) <= 1e-14 * want
+
+
+# -- dense tables: solved in place, no gather ----------------------------------
+
+
+def _dense_case(seed, dim, kind):
+    """A 1D or 2D grid, a stack of 1-6 members that are nonzero at every
+    node (amplitudes 1e-3 to 1e3), a constant, affine or piecewise
+    exponent, and a weight or none."""
+    rng = np.random.default_rng(seed)
+    box = Box((0.0,) * dim, tuple(float(b) for b in rng.uniform(0.5, 2.0, size=dim)))
+    grid = Grid(box, tuple(int(n) for n in rng.integers(3, 400 if dim == 1 else 40, size=dim)))
+    a = float(rng.uniform(1.2, 4.0))
+    if kind == "constant":
+        p = ExponentField.constant(box, a)
+    elif kind == "affine":
+        p = ExponentField.affine(box, a, tuple(float(s) for s in rng.uniform(-0.3, 0.3, size=dim)))
+    else:
+        cut = float(rng.uniform(box.lo[0], box.hi[0]))
+        p = ExponentField.piecewise(box, [cut], [a, float(rng.uniform(1.2, 4.0))])
+    x = grid.coords.sum(axis=-1)
+    stack = np.stack([10.0 ** rng.uniform(-3.0, 3.0) * (1.5 + np.sin(rng.uniform(1.0, 9.0) * x))
+                      for _ in range(int(rng.integers(1, 7)))])
+    w = None if rng.random() < 0.3 else WeightField(grid, np.exp(rng.uniform(-1.0, 1.0, grid.shape)))
+    return grid, stack, p, w
+
+
+EXPONENT_KINDS = st.sampled_from(["constant", "affine", "piecewise"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim=st.sampled_from([1, 2]), kind=EXPONENT_KINDS)
+def test_dense_table_solved_in_place_is_the_gathered_solve_bit_for_bit(seed, dim, kind):
+    """A dense table's default solve reads its node table in place; it
+    returns, field by field, the solve that gathers every member's row
+    of all nodes in node order."""
+    grid, stack, p, w = _dense_case(seed, dim, kind)
+    table = weighted_table(stack, grid, p, w)
+    assert table.dense
+    every = np.tile(np.arange(grid.size), (len(stack), 1))
+    assert all(a == b for a, b in _row_fields(table.solve(every), table.solve()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim=st.sampled_from([1, 2]), kind=EXPONENT_KINDS)
+def test_a_zero_node_sends_the_solve_through_the_packed_rows(seed, dim, kind):
+    """With one node zeroed in every member the table is not dense, so
+    its default solve gathers the packed rows of the other nodes; each
+    row, unpadded, is its member's `weighted_norm` to the last bit."""
+    grid, stack, p, w = _dense_case(seed, dim, kind)
+    node = np.random.default_rng(seed).integers(grid.size)
+    stack.reshape(len(stack), -1)[:, node] = 0.0
+    table = weighted_table(stack, grid, p, w)
+    assert not table.dense
+    got = table.solve()
+    assert all(a == b for a, b in _row_fields(table.solve(table.rows()), got))
+    for i, member in enumerate(stack):
+        assert got.value[i] == weighted_norm(GridFunction(grid, member), p, w).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim=st.sampled_from([1, 2]), kind=EXPONENT_KINDS)
+def test_weighted_norm_of_a_dense_function_is_its_one_member_row(seed, dim, kind):
+    grid, stack, p, w = _dense_case(seed, dim, kind)
+    got = weighted_norm(GridFunction(grid, stack[0]), p, w)
+    row = weighted_table(stack[:1], grid, p, w).solve()
+    assert got.value == row.value[0] and got.iterations == row.iterations[0]
+    assert weighted_norms(stack[:1], grid, p, w)[0] == got.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, dim=st.sampled_from([1, 2]), kind=EXPONENT_KINDS)
+def test_modular_of_a_dense_function_is_the_masked_sum_bit_for_bit(seed, dim, kind):
+    grid, stack, p, _ = _dense_case(seed, dim, kind)
+    a = np.abs(stack[0]).ravel()
+    nz = a > 0.0
+    qw, pv = grid.quad_weights.ravel()[nz], p.values_on(grid).ravel()[nz]
+    want = float(np.sum(qw * np.exp(pv * np.log(a[nz]))))
+    assert modular(GridFunction(grid, stack[0]), p) == want
+
+
+def test_log_quad_weights_are_one_read_only_array_per_grid():
+    for shape in ((65,), (17, 33)):
+        box = Box((0.0,) * len(shape), (1.5,) * len(shape))
+        lq = Grid(box, shape).log_quad_weights
+        assert lq.tobytes() == np.log(Grid(box, shape).quad_weights).tobytes()
+        assert not lq.flags.writeable
+        assert Grid(box, shape).log_quad_weights is lq
+
+
+# -- working set of a dense solve ----------------------------------------------
+
+
+_SQUARE = Grid(Box((0.0, 0.0), (1.0, 1.0)), (257, 257))
+
+
+def _dense_square():
+    x = _SQUARE.coords
+    f = 2.0 + np.sin(3.0 * x[..., 0] + 5.0 * x[..., 1])
+    p = ExponentField.affine(_SQUARE.box, 2.5, (0.3, -0.2))
+    return f, p, WeightField(_SQUARE, np.exp(0.3 * x[..., 0]))
+
+
+def test_dense_solves_never_build_rows(monkeypatch):
+    def refuse(self, select=None):
+        raise AssertionError("a dense default solve built node rows")
+
+    f, p, w = _dense_square()
+    monkeypatch.setattr(NodeTable, "rows", refuse)
+    weighted_norm(GridFunction(_SQUARE, f), p, w)
+    weighted_norms(np.stack([f, 2.0 * f]), _SQUARE, p, w)
+
+
+def _peak_grids(fn) -> float:
+    """The tracemalloc peak of a warm ``fn()``, in 257^2 float grids."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (_SQUARE.size * 8)
+
+
+def test_dense_solves_hold_no_gathered_copies():
+    """Peaks at 257^2: a norm holds its log|f| table, its nonzero mask
+    and the Newton workspace (2.13 grids; 6.13 when it gathered three
+    copies and built log weights); a 4-member weighted stack also holds
+    ``f w`` (12.5 grids; 25.5 before); a modular holds |f|, its mask and
+    two temporaries (3.13 grids; 5.13 with three masked copies)."""
+    f, p, w = _dense_square()
+    stack = np.stack([f * (k + 1) for k in range(4)])
+    assert _peak_grids(lambda: weighted_norm(GridFunction(_SQUARE, f), p)) <= 2.5
+    assert _peak_grids(lambda: weighted_norms(stack, _SQUARE, p, w)) <= 13.0
+    assert _peak_grids(lambda: modular(GridFunction(_SQUARE, f), p)) <= 3.5

@@ -310,7 +310,8 @@ def _loop_scan(grid, cubes, factors, power, allow_overflow):
                 f"cube {cube.label()} contains no grid node; lower max_depth or refine the grid")
         value = float(np.sum(wq)) ** power
         for wf, ef in factors:
-            nrm = lux_flat(np.abs(wf.values)[sl].ravel(), ef.values_on(grid)[sl].ravel(), wq).value
+            nrm = lux_flat(np.abs(wf.values)[sl].ravel(), ef.values_on(grid)[sl].ravel(),
+                           np.log(wq)).value
             if nrm > OVERFLOW_THRESHOLD:
                 if not allow_overflow:
                     raise OverflowToInfinityError(
