@@ -13,8 +13,15 @@ violated, a gating hypothesis does not hold, or a replay diverges), and
 1 for config, schema, and convergence problems and for a report that
 cannot be written.
 
-Reports serialize with sorted keys, so two runs of the same config are
-byte-identical apart from the wall_time_s entry.
+Usage errors exit 2 before any file is read: an unknown command or mode,
+a flag of the other mode (``--config`` with ``replay``), or a missing
+``--config`` or ``--report``.
+
+Reports are written by ``_render`` in one walk of the report tree: keys
+sorted, two spaces of indent per level, ASCII only with other characters
+escaped, and a non-finite number as the string "inf", "-inf" or "nan".
+Two runs of the same config are byte-identical apart from the
+wall_time_s entry.
 """
 
 from __future__ import annotations
@@ -125,30 +132,10 @@ def _quadruple_from(q: dict, box: Box) -> QuadrupleSpec:
                          q["gamma"])
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (np.floating, float)):
-        # standard JSON has no inf or NaN; errors.number reads "inf" and "-inf" back
-        return float(obj) if math.isfinite(obj) else str(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # command runners; each is registered with its config table, takes the
 # config as read by it and the grid of its box and resolution, and returns
-# (results, exit_code), which _run makes JSON-native with the whole report
+# (results, exit_code), which _run wraps in the whole report
 
 _RUNNERS: dict = {}
 
@@ -333,8 +320,43 @@ def _provenance(seed, started: float) -> dict:
             "wall_time_s": round(time.monotonic() - started, 3)}
 
 
-def _dumps(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render(obj, pad: str = "\n") -> str:
+    """The JSON text of a report tree, in one walk: dataclasses as objects
+    of their fields, numpy scalars as numbers, arrays and tuples as
+    lists, keys as ``str(key)`` sorted, two spaces of indent per level,
+    ASCII only. Standard JSON has no inf or NaN, so a non-finite float is
+    the string "inf", "-inf" or "nan", which errors.number reads back.
+    The commonest nodes, floats, strings, dicts and lists, are tested
+    first."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return float.__repr__(x) if math.isfinite(x) else f'"{x}"'
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # keys that share a str keep the value given last
+        obj = {str(k): v for k, v in obj.items()}
+        return "{" + inner + ("," + inner).join(
+            [f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj)]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + pad + "]"
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist(), pad)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _render({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, out_path, quiet: bool) -> bool:
@@ -345,16 +367,22 @@ def _emit(report: dict, out_path, quiet: bool) -> bool:
     report's length, which on ext4 costs a fraction of truncating it to
     zero first. The cut is skipped where the target is not a regular file,
     such as /dev/null or a pipe, on which ftruncate fails."""
-    text = _dumps(report)
+    text = _render(report)
     if not out_path:
         if not quiet:
             print(text)
         return True
+    data = (text + "\n").encode()
     try:
-        with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write((text + "\n").encode())
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         print(f"error: cannot write report: {out_path}: {exc.strerror or exc}", file=sys.stderr)
         return False
@@ -383,9 +411,8 @@ def _run(command: str, cfg) -> tuple[dict | None, int]:
     except MemoryError as exc:
         print(f"error: cannot allocate: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
-    # the config echo too: json.load reads a bare Infinity as a float
-    return _jsonable({"command": command, "config": cfg, "results": results, "warnings": [],
-                      "provenance": _provenance(cfg.get("seed"), started)}), code
+    return ({"command": command, "config": cfg, "results": results, "warnings": [],
+             "provenance": _provenance(cfg.get("seed"), started)}, code)
 
 
 def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
@@ -396,10 +423,11 @@ def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
 
 
 def _replay(command: str, report_path: str, quiet: bool) -> int:
+    # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError like JSONDecodeError
     try:
-        with open(report_path) as fh:
-            old = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(report_path, "rb") as fh:
+            old = json.loads(fh.read())
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(old, dict) or not isinstance(old.get("provenance", {}), dict):
@@ -419,13 +447,13 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
     report, code = _run(command, old.get("config", {}))
     if report is None:
         return code
-    # a stored report may hold a bare Infinity, which a report writes as "inf"
-    new, old_results = report["results"], _jsonable(old.get("results"))
-    match = json.dumps(new, sort_keys=True) == json.dumps(old_results, sort_keys=True)
-    mismatch = [] if match else [_replay_diff(old_results, new)]
+    # a stored report may hold a bare Infinity, which _render writes as "inf"
+    new, stored = _render(report["results"]), _render(old.get("results"))
+    match = new == stored
+    mismatch = [] if match else [_replay_diff(json.loads(stored), json.loads(new))]
     report.update(warnings=warns + mismatch, replay_match=match)
     if not quiet:
-        print(_dumps(report))
+        print(_render(report))
     if not match:
         print(mismatch[0], file=sys.stderr)
         return EXIT_VIOLATION
@@ -464,6 +492,11 @@ def _replay_diff(old, new) -> str:
     return msg
 
 
+# the flags of each mode, its required one first
+_MODE_FLAGS = {"run": ("config", "out", "seed", "resolution", "cube_depth", "tol"),
+               "replay": ("report",)}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process at the first ``main``
@@ -473,36 +506,49 @@ def _parser() -> argparse.ArgumentParser:
         description="variable-exponent norms, weight constants, and diagnostics")
     parser.add_argument("command", choices=_RUNNERS, metavar="command",
                         help="one of " + ", ".join(_RUNNERS))
-    modes = parser.add_subparsers(dest="mode", required=True, prog="varleb <command>")
-    runp = modes.add_parser("run")
-    runp.add_argument("--config", required=True, help="JSON config path")
-    runp.add_argument("--out", help="write the report here instead of stdout")
-    runp.add_argument("--seed", type=int)
-    runp.add_argument("--resolution", type=int)
-    runp.add_argument("--cube-depth", dest="cube_depth", type=int)
-    runp.add_argument("--tol", type=float, help="override the norm solver rel_tol")
-    runp.add_argument("--quiet", action="store_true")
-    rep = modes.add_parser("replay")
-    rep.add_argument("--report", required=True, help="previously written report")
-    rep.add_argument("--quiet", action="store_true")
+    parser.add_argument("mode", choices=_MODE_FLAGS, help="run a config or replay a report")
+    parser.add_argument("--config", help="run: JSON config path")
+    parser.add_argument("--out", help="run: write the report here instead of stdout")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--resolution", type=int)
+    parser.add_argument("--cube-depth", dest="cube_depth", type=int)
+    parser.add_argument("--tol", type=float, help="run: override the norm solver rel_tol")
+    parser.add_argument("--report", help="replay: previously written report")
+    parser.add_argument("--quiet", action="store_true")
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The arguments; like a usage error, a flag of the other mode or a
+    missing required flag exits 2 with the fault named."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    for mode, flags in _MODE_FLAGS.items():
+        for flag in flags:
+            if mode != args.mode and getattr(args, flag) is not None:
+                parser.error(f"argument --{flag.replace('_', '-')}: not allowed with mode "
+                             f"'{args.mode}'")
+    required = _MODE_FLAGS[args.mode][0]
+    if getattr(args, required) is None:
+        parser.error(f"the following arguments are required: --{required}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     if args.mode == "replay":
         return _replay(args.command, args.report, args.quiet)
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(args.config, "rb") as fh:
+            cfg = json.loads(fh.read())
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(cfg, dict):
         print("error: config must be a JSON object", file=sys.stderr)
         return EXIT_CONFIG
     for flag, key in _OVERRIDES:
-        value = getattr(args, flag, None)
+        value = getattr(args, flag)
         if value is not None:
             cfg[key] = value
     return _execute(args.command, cfg, args.out, args.quiet)

@@ -16,9 +16,11 @@ import sys
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import varleb
 import varleb.cli as cli_module
@@ -265,6 +267,18 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["norm", "run", "--config", str(tmp_path / "absent.json")])
     assert rc == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["run", "replay"])
+def test_a_file_that_is_not_utf8_exits_one_and_names_what_was_read(tmp_path, capsys, mode):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"box": "\xff"}')
+    flag, what = ("--config", "config") if mode == "run" else ("--report", "report")
+    rc = main(["norm", mode, flag, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: cannot read {what}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
 
 
 def test_non_object_config_exits_one(tmp_path, capsys):
@@ -827,13 +841,22 @@ def test_an_operator_its_kind_cannot_build_or_apply_exits_one_and_says_why(tmp_p
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["bogus", "run", "--config", "c.json"], ["norm"]],
-                         ids=["unknown-command", "missing-mode"])
-def test_bad_command_line_exits_two(capsys, argv):
+@pytest.mark.parametrize("argv, fault", [
+    (["bogus", "run", "--config", "c.json"], "argument command: invalid choice: 'bogus'"),
+    (["norm"], "the following arguments are required: mode"),
+    (["norm", "replay", "--report", "r.json", "--config", "c.json"],
+     "argument --config: not allowed with mode 'replay'"),
+    (["norm", "run", "--out", "r.json"], "the following arguments are required: --config"),
+    (["norm", "replay"], "the following arguments are required: --report"),
+], ids=["unknown-command", "missing-mode", "run-flag-in-replay", "run-without-config",
+        "replay-without-report"])
+def test_bad_command_line_exits_two(capsys, argv, fault):
+    """One parser reads both modes; the grammar of each is still enforced
+    before any file is opened."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {fault}" in capsys.readouterr().err
 
 
 def test_maximal_of_an_infinite_value_exits_one_and_names_the_node(tmp_path, capsys):
@@ -1392,3 +1415,82 @@ def test_the_argument_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_p
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     rc, report, _ = _run(tmp_path, "norm", _norm_config(16))
     assert rc == 0 and report["results"]["norm"] > 0
+
+
+# ---------------------------------------------------------------------------
+# report text: one walk from the report tree to its bytes
+
+
+def _reference_jsonable(obj):
+    """The report tree made JSON-native the way reports were written
+    before the one-walk writer, whose text must equal
+    json.dumps(_reference_jsonable(tree), sort_keys=True, indent=2,
+    allow_nan=False)."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _reference_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (np.floating, float)):
+        return float(obj) if math.isfinite(obj) else str(float(obj))
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (tuple, list)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    first: object
+    second: object
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     math.inf, -math.inf, math.nan, float(2 ** 60)]))
+_INTS = st.integers(-2 ** 60, 2 ** 60)
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS, _INTS.map(np.int64), _FLOATS, _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32), st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+    arrays(st.sampled_from([float, int, bool]), array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                             max_side=3)))
+# keys of every type a report may hold, some of which share a str()
+_REPORT_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
+                         st.sampled_from([1.0, -0.0, math.inf, "1", "True", "None", "inf"]))
+_REPORT_TREES = st.recursive(_REPORT_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_REPORT_KEYS, kids, max_size=4), st.builds(_Pair, kids, kids)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_TREES)
+def test_the_one_walk_writer_gives_the_bytes_of_json_dumps(tree):
+    want = json.dumps(_reference_jsonable(tree), sort_keys=True, indent=2, allow_nan=False)
+    assert cli_module._render(tree) == want
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))
+def test_a_run_and_its_replay_never_call_json_dumps(tmp_path, capsys, monkeypatch, command):
+    """The report text and the replay comparison come from _render alone;
+    json.dumps would be a second walk of the same tree."""
+    cfg_path = _write(tmp_path, "config.json", _FUZZ_CONFIGS[command])
+    out = tmp_path / "report.json"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_module.json, "dumps", refuse)
+        assert main([command, "run", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+        assert main([command, "replay", "--report", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["replay_match"]
+    assert "Traceback" not in captured.err

@@ -685,7 +685,8 @@ def member_stack_and_sweep(draw):
 def looped_oscillation(vals, grid, qtilde, radius):
     """One member at one radius, one offset at a time: every offset of
     the closed ball adds its own difference power and weight, taken of
-    f / s and scaled back by s = power_of_two_at_or_above(max |f|)."""
+    f / s and scaled back by s = power_of_two_at_or_above(max |f|).
+    Returns the oscillation, s, and the mean of |f / s|^qtilde per ball."""
     s = power_of_two_at_or_above(np.abs(vals).max())
     vals = vals / s
     qw = grid.quad_weights
@@ -695,20 +696,44 @@ def looped_oscillation(vals, grid, qtilde, radius):
         src = tuple(slice(max(k, 0), n - max(-k, 0)) for n, k in zip(grid.shape, delta))
         num[dst] += qw[src] * np.abs(vals[dst] - vals[src]) ** qtilde
         den[dst] += qw[src]
-    return s * (num / den) ** (1.0 / qtilde)
+    mean = num / den
+    return s * mean ** (1.0 / qtilde), s, mean
+
+
+def _subnormal_mean_case():
+    """65 at one corner, 2^-1023 elsewhere and 0 at one node: at (8, 8)
+    the mean of |f / 128| over the one-step ball is about 2.2e12
+    subnormal spacings, and the two summation orders put it one spacing
+    apart, 4.5e-13 relative."""
+    grid = Grid(Box((0.0, 0.0), (3.0, 3.0)), (10, 10))
+    vals = np.full(grid.shape, 1.11253693e-308)
+    vals[0, 0], vals[9, 8] = 65.0, 0.0
+    return grid, vals[None], RadiusSweep((grid.max_step,))
 
 
 @settings(max_examples=60, deadline=None)
 @given(member_stack_and_sweep(), st.sampled_from([1.0, 1.37, 2.0]))
+@example(_subnormal_mean_case(), 1.0).via("a ball mean below the normal range")
 def test_oscillation_profiles_match_the_per_member_per_radius_loop(case, qtilde):
+    """Relative to 1e-13 wherever the ball mean of |f / s|^qtilde is a
+    normal number. Below the normal range the two summation orders round
+    that mean to the subnormal grid independently, so there they agree to
+    a few subnormal spacings at the member's scale, k 2^(e - 1074) with
+    s = 2^e, carried through the 1/qtilde root; a relative bound cannot
+    hold on subnormal outputs."""
     grid, stack, sweep = case
     got = list(oscillation_profiles(stack, grid, qtilde, sweep))
     assert len(got) == len(sweep.radii)
+    floor = 4.0 * np.finfo(float).smallest_subnormal
     for r, osc in zip(sweep.radii, got):
         assert osc.shape == stack.shape
         for vals, row in zip(stack, osc):
-            np.testing.assert_allclose(row, looped_oscillation(vals, grid, qtilde, r),
-                                       rtol=1e-13, atol=0.0)
+            want, s, mean = looped_oscillation(vals, grid, qtilde, r)
+            sub = mean < np.finfo(float).tiny
+            # the floor alone matters only where the output itself is subnormal
+            np.testing.assert_allclose(row[~sub], want[~sub], rtol=1e-13, atol=floor)
+            np.testing.assert_allclose(row[sub], want[sub], rtol=0.0,
+                                       atol=s * floor ** (1.0 / qtilde) + floor)
 
 
 @settings(max_examples=30, deadline=None)
