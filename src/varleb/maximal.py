@@ -35,11 +35,16 @@ windows to ``+0.0``, and adding ``+0.0`` changes no bits, so the sums
 keep their bits up to the sign of a zero sum; the maximal function's
 input ``qw |f|^q`` holds no ``-0.0``.  A ball sum of a nonnegative
 array is never negative.  The ball measure in the denominator does
-not depend on f and is not a ball sum: the quadrature weights are the
-outer product of two 1D trapezoid factors, so the measure is one
-window of w in 1D and one (nodes x rows of the ball)(rows of the ball
-x nodes) matrix product in 2D.  One helper states which lattice
-offsets lie in a ball; the ball sums, the ball measure and the
+not depend on f and is not a ball sum.  In 1D it is one window of a
+prefix of the weights built once per grid.  In 2D the weights are the
+outer product of two 1D trapezoid factors, which in units of half a
+step are 1 and 2, so the measure is (h1/2)(h2/2) times an integer
+count: exact in any summation order, and so the same under both axis
+flips.  Only the top-left quadrant is counted, by one (rows / 2 x
+strips of the ball)(strips x columns / 2) matrix product read off a
+table of window counts cached per node count, and mirrored.  One
+helper states which lattice offsets lie in a ball, for every radius of
+a sweep in one array pass; the ball sums, the ball measure and the
 oscillation offsets all read it.
 
 Oscillation averages are summed offset by offset over a whole family
@@ -63,10 +68,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .exponent import ExponentField
@@ -123,39 +128,64 @@ class RadiusSweep:
                 f"largest radius {self.radii[-1]} exceeds the box diameter")
 
 
-def _row_reach(grid: Grid, r_eff: float) -> list[int]:
-    """The open lattice ball of radius ``r_eff``, row by row, cut to the
-    offsets that reach a node of the grid.
+def _reach_1d(r_eff: float, h: float) -> int:
+    """The largest ``k`` with ``k h < r_eff``: the answer in real
+    arithmetic, then settled by the rounded test."""
+    k = int(r_eff / h)
+    while (k + 1) * h < r_eff:
+        k += 1
+    while not k * h < r_eff:
+        k -= 1
+    return k
 
-    Entry ``k1`` is the largest ``k2 >= 0`` with ``(k1 h1)^2 + (k2 h2)^2
-    < r_eff^2``, capped at ``n2 - 1``, for ``k1 = 0, 1, ...`` while that
-    row is nonempty and ``k1 < n1``; a 1D grid is the single row
-    ``k1 = 0``, tested as ``k2 h < r_eff``.  This is the only statement
-    of lattice-ball membership.  A radius of twice the box diameter
-    already takes in the whole box, so a larger one is cut to that
-    before any integer is formed from it.
+
+def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
+    """The open lattice balls of the radii ``r_effs``, each row by row,
+    cut to the offsets that reach a node of the grid.
+
+    Entry ``k1`` of a ball is the largest ``k2 >= 0`` with ``(k1 h1)^2 +
+    (k2 h2)^2 < r_eff^2``, capped at ``n2 - 1``, for ``k1 = 0, 1, ...``
+    while that row is nonempty and ``k1 < n1``; a 1D grid is the single
+    row ``k1 = 0``, tested as ``k2 h < r_eff``.  This is the only
+    statement of lattice-ball membership.  A radius of twice the box
+    diameter already takes in the whole box, so a larger one is cut to
+    that before any integer is formed from it.
+
+    In 2D the squares are Python floats, formed once per call up to the
+    largest radius, and every entry of every ball is found in one array
+    pass: a ``searchsorted`` guess, settled by the rounded test itself.
     """
-    r_eff = min(r_eff, 2.0 * grid.box.diameter)
+    cap = 2.0 * grid.box.diameter
+    r_effs = [min(r, cap) for r in r_effs]
     h1, h2 = grid.steps[0], grid.steps[-1]
+    n2 = grid.shape[-1]
     if grid.dim == 1:
-        # the answer in real arithmetic, then settled by the rounded test
-        k2 = int(r_eff / h2)
-        while (k2 + 1) * h2 < r_eff:
-            k2 += 1
-        while not k2 * h2 < r_eff:
-            k2 -= 1
-        return [min(k2, grid.shape[0] - 1)]
-    r2 = r_eff ** 2
-    reach = []
-    while len(reach) < grid.shape[0] and (len(reach) * h1) ** 2 < r2:
-        row = (len(reach) * h1) ** 2
-        k2 = int(math.sqrt(max(r2 - row, 0.0)) / h2)
-        while row + ((k2 + 1) * h2) ** 2 < r2:
-            k2 += 1
-        while not row + (k2 * h2) ** 2 < r2:
-            k2 -= 1
-        reach.append(min(k2, grid.shape[1] - 1))
-    return reach
+        return [[min(_reach_1d(r_eff, h2), n2 - 1)] for r_eff in r_effs]
+    # an offset of int(r / h) + 2 steps or more is outside every ball
+    r_max = max(r_effs)
+    sq1 = np.array([(k * h1) ** 2 for k in range(min(grid.shape[0], int(r_max / h1) + 2))])
+    sq2 = np.array([(k * h2) ** 2 for k in range(min(n2, int(r_max / h2) + 2))])
+    r2 = np.array([r ** 2 for r in r_effs])
+    counts = np.searchsorted(sq1, r2)
+    ends = np.cumsum(counts)
+    # one entry per (ball, row k1): the row's square and the ball's r^2
+    k1 = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    row, lim = sq1[k1], np.repeat(r2, counts)
+    k2 = np.searchsorted(sq2, lim - row) - 1
+    # settled within the box as the scalar loop settles it: up while the
+    # next offset is inside, then down while this one is not (offset 0
+    # always is)
+    top = sq2.size - 1
+    while (up := (k2 < top) & (row + sq2[np.minimum(k2 + 1, top)] < lim)).any():
+        k2 += up
+    while (down := ~(row + sq2[k2] < lim)).any():
+        k2 -= down
+    return [reach.tolist() for reach in np.split(k2, ends[:-1])]
+
+
+def _row_reach(grid: Grid, r_eff: float) -> list[int]:
+    """The one-radius case of `_row_reaches`."""
+    return _row_reaches(grid, [r_eff])[0]
 
 
 def _prefix(arr: np.ndarray) -> np.ndarray:
@@ -257,29 +287,51 @@ def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     return next(_ball_sums(arr, [_row_reach(grid, radius * BALL_SHRINK)]))[0]
 
 
+@lru_cache(maxsize=128)
+def _weight_prefix(grid: Grid) -> np.ndarray:
+    """``np.cumsum(grid.quad_weights)`` of a 1D grid, read-only and cached
+    per grid like `Grid.log_quad_weights`: every 1D ball measure is one
+    window of it."""
+    out = np.cumsum(grid.quad_weights)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def _unit_windows(n: int) -> np.ndarray:
+    """``W[k, j]``, the half-step units of an n-node axis summed over the
+    in-box window ``|l - j| <= k``, for every half-width ``k < n`` and the
+    first half of the nodes, ``j < (n + 1) // 2``; a last row of zeros,
+    read as ``W[-1]``, is the empty window.  Read-only, cached per n."""
+    units = np.full(n, 2.0)
+    units[[0, -1]] = 1.0
+    prefix = np.cumsum(units)
+    k, j = np.arange(n)[:, None], np.arange((n + 1) // 2)
+    out = np.zeros((n + 1, j.size))
+    np.subtract(prefix[np.minimum(j + k, n - 1)],
+                np.concatenate([[0.0], prefix])[np.maximum(j - k, 0)], out=out[:n])
+    out.flags.writeable = False
+    return out
+
+
 def _ball_measure(grid: Grid, reach: list[int], out: np.ndarray) -> np.ndarray:
     if reach == [0]:
         np.copyto(out, grid.quad_weights)
         return out
-    widest, n = reach[0], grid.shape[-1]
     if grid.dim == 1:
-        return _window(_prefix(grid.quad_weights), widest, out)
-    w1, w2 = (grid.axis_grid(axis).quad_weights for axis in (0, 1))
-    # row s of `starts` is padded[s:s + n], with P of w2 padded by zeros
-    # on the left and its total on the right
-    c2 = _prefix(w2)
-    starts = sliding_window_view(
-        np.concatenate([np.zeros(widest + 1), c2, np.full(widest, c2[-1])]), n)
-    k2 = np.array(reach)
-    v = starts[widest + k2 + 1]
-    v -= starts[widest - k2]
-    # row s of `spans` is zero_padded[s:s + rows], so T[i, m] reads
-    # zero_padded[rows + i - m] at spans[i + 1, rows - 1 - m]
-    rows = len(reach)
-    spans = sliding_window_view(np.concatenate([np.zeros(rows), w1, np.zeros(rows)]), rows)
-    t = spans[1:grid.shape[0] + 1, ::-1] + spans[rows:rows + grid.shape[0]]
-    t[:, 0] = w1
-    return np.matmul(t, v, out=out)
+        return _window(_weight_prefix(grid), reach[0], out)
+    (n1, n2), (h1, h2) = grid.shape, grid.steps
+    # the top-left quadrant, nodes (i, j) with i < a and j < b, mirrored
+    a, b = (n1 + 1) // 2, (n2 + 1) // 2
+    # one strip per row m whose reach the next row (or no row) does not keep
+    k2 = np.array(reach + [-1])
+    m = np.flatnonzero(k2[:-1] != k2[1:])
+    w2 = _unit_windows(n2)
+    count = _unit_windows(n1)[m].T @ (w2[k2[m]] - w2[k2[m + 1]])
+    np.multiply(count, (0.5 * h1) * (0.5 * h2), out=out[:a, :b])
+    out[a:, :b] = out[:n1 - a, :b][::-1]
+    out[:, b:] = out[:, :n2 - b][:, ::-1]
+    return out
 
 
 def ball_measure(grid: Grid, radius: float) -> np.ndarray:
@@ -287,12 +339,19 @@ def ball_measure(grid: Grid, radius: float) -> np.ndarray:
     every node: ``ball_sums(grid.quad_weights, grid, radius)`` up to
     rounding, and equal to it where the sums are exact (dyadic steps).
 
-    In 1D it is one window of the trapezoid weights.  In 2D the weights
-    are the outer product of 1D factors w1 and w2, so with ``V[m, j]``
-    the window of w2 of half-width ``reach[m]`` and ``T[i, m] =
-    w1[i - m] + w1[i + m]`` over the in-box rows (``T[i, 0] = w1[i]``),
-    the measure is the one product ``T @ V``, of order (rows) x (rows
-    of the ball) x (columns) per radius.
+    In 1D it is one window of the weight prefix, built once per grid.
+    In 2D, in units of half a step, the trapezoid weights are 1 and 2 on
+    each axis, so the measure is ``(h1/2)(h2/2)`` times an integer count.
+    The lattice ball is the disjoint union of strips, one per row ``m``
+    whose reach exceeds the next row's (``reach[rows] = -1``): the
+    offsets with ``|k1| <= m`` and ``reach[m + 1] < |k2| <= reach[m]``.
+    With ``W[k, j]`` the units of an axis summed over the in-box window
+    ``|l - j| <= k``, a strip counts ``W1[m, i] (W2[reach[m], j] -
+    W2[reach[m + 1], j])`` at node (i, j), so the count is one matrix
+    product over the strips.  It is exact in any summation order, so the
+    measure is one rounded product, the same under both axis flips and
+    for any BLAS; only its top-left quadrant is multiplied, of order
+    (rows / 2) x (strips) x (columns / 2) per radius, and mirrored.
     """
     return _ball_measure(grid, _row_reach(grid, radius * BALL_SHRINK), np.empty(grid.shape))
 
@@ -335,8 +394,7 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
     refuse_non_finite(f.values, f.grid.size, "the maximal function")
     # radii with the same lattice ball give the same ratio: keep the first
     reaches: list[list[int]] = []
-    for r in sweep.radii:
-        reach = _row_reach(f.grid, r * BALL_SHRINK)
+    for reach in _row_reaches(f.grid, [r * BALL_SHRINK for r in sweep.radii]):
         if not reaches or reach != reaches[-1]:
             reaches.append(reach)
     best = np.zeros(f.grid.shape)

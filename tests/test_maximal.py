@@ -14,8 +14,8 @@ from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
                     ball_mean, ball_measure, ball_sums, maximal_boundedness_probe,
                     maximal_function, oscillation_average, oscillation_profiles)
 import varleb.maximal as maximal_module
-from varleb.field import BALL_SHRINK, realize_function
-from varleb.maximal import _offset_list, _row_reach
+from varleb.field import BALL_SHRINK, _shift_slices, realize_function
+from varleb.maximal import _offset_list, _row_reach, _row_reaches
 
 from _support import UNIT, family_of, from_callable, grid1d, unit_weight
 
@@ -267,6 +267,44 @@ def test_ball_measure_is_the_ball_sums_of_the_weights_on_dyadic_grids(lo, hi, sh
         assert np.array_equal(ball_measure(g, r), ball_sums(g.quad_weights, g, r))
 
 
+def half_step_units(n):
+    """The trapezoid weights of an n-node axis in units of half a step."""
+    return np.where(np.isin(np.arange(n), (0, n - 1)), 1.0, 2.0)
+
+
+def exact_count_measure(grid, radius):
+    """The 2D ball measure as ``(h1/2)(h2/2)`` times an integer count of
+    half-step units, summed over every lattice offset that passes the
+    membership test ``(k1 h1)^2 + (k2 h2)^2 < r^2``."""
+    (n1, n2), (h1, h2) = grid.shape, grid.steps
+    units = np.outer(half_step_units(n1), half_step_units(n2)).astype(np.int64)
+    r2 = (radius * BALL_SHRINK) ** 2
+    count = np.zeros(grid.shape, dtype=np.int64)
+    for delta in np.ndindex(2 * n1 - 1, 2 * n2 - 1):
+        k1, k2 = delta[0] - (n1 - 1), delta[1] - (n2 - 1)
+        if (k1 * h1) ** 2 + (k2 * h2) ** 2 < r2:
+            dst, src = _shift_slices(grid.shape, (k1, k2))
+            count[dst] += units[src]
+    return count * ((0.5 * h1) * (0.5 * h2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ball_measure_in_2d_is_an_exact_count_of_half_steps_and_flips_to_itself(data):
+    """On non-dyadic anisotropic grids the weights' partial sums are not
+    exact, but their counts in half-step units are: the measure is
+    rounded once and is the same under both axis flips."""
+    widths = tuple(data.draw(st.sampled_from([0.3, 0.7, 1.3, 3.0])) for _ in range(2))
+    grid = Grid(Box((0.0, -1.0), (widths[0], widths[1] - 1.0)),
+                tuple(data.draw(st.integers(2, 16)) for _ in range(2)))
+    radius = data.draw(st.one_of(
+        st.builds(lambda k, h: k * h, st.integers(1, 12), st.sampled_from(grid.steps)),
+        st.floats(grid.max_step, grid.box.diameter)))
+    got = ball_measure(grid, radius)
+    assert np.array_equal(got, exact_count_measure(grid, radius))
+    assert np.array_equal(got, got[::-1]) and np.array_equal(got, got[:, ::-1])
+
+
 def test_maximal_function_sums_f_once_per_distinct_ball_and_never_the_weights(monkeypatch):
     g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
     f = GridFunction(g, np.random.default_rng(4).normal(size=g.shape))
@@ -299,25 +337,27 @@ def distinct_balls(grid, sweep):
 
 
 def gathered_ball_measure(grid, radius):
-    """The tensor-product measure ``T @ V`` with T and V gathered by
-    index arrays, as `ball_measure` once built them."""
+    """The tensor-product measure ``T @ V``, with T and V gathered by
+    index arrays over every node, in units of half a step, and scaled
+    once by ``(h1/2)(h2/2)``."""
     reach = _row_reach(grid, radius * BALL_SHRINK)
     if reach == [0]:
         return grid.quad_weights.copy()
     if grid.dim == 1:
         return two_interval_ball_sums(grid.quad_weights, grid, radius)
-    widest, n = reach[0], grid.shape[-1]
-    w1, w2 = (grid.axis_grid(axis).quad_weights for axis in (0, 1))
-    csum = np.cumsum(w2)
+    (n1, n), widest = grid.shape, reach[0]
+    u1, u2 = half_step_units(n1), half_step_units(n)
+    csum = np.cumsum(u2)
     padded = np.concatenate([np.zeros(widest + 1), csum, np.full(widest, csum[-1])])
     k2, cols = np.array(reach)[:, None], np.arange(n)
     v = padded[widest + k2 + 1 + cols] - padded[widest - k2 + cols]
     rows, m = len(reach), np.arange(len(reach))
-    i = np.arange(grid.shape[0])[:, None]
-    zero_padded = np.concatenate([np.zeros(rows), w1, np.zeros(rows)])
+    i = np.arange(n1)[:, None]
+    zero_padded = np.concatenate([np.zeros(rows), u1, np.zeros(rows)])
     t = zero_padded[rows + i - m] + zero_padded[rows + i + m]
-    t[:, 0] = w1
-    return t @ v
+    t[:, 0] = u1
+    h1, h2 = grid.steps
+    return (t @ v) * ((0.5 * h1) * (0.5 * h2))
 
 
 def power_of_two_at_or_above(top):
@@ -486,6 +526,38 @@ def test_row_reach_matches_the_looped_test_at_and_beside_multiples_of_the_step(b
             for r_eff in (r, np.nextafter(r, 0.0), np.nextafter(r, math.inf),
                           r * BALL_SHRINK, r * (1.0 + 1e-9)):
                 assert _row_reach(grid, float(r_eff)) == looped_row_reach(grid, float(r_eff))
+
+
+@st.composite
+def grid_and_radii(draw):
+    """A 1D, square or anisotropic grid and radii: exact multiples of a
+    step and their neighbours, and anything from half a step to four
+    box diameters."""
+    kind = draw(st.sampled_from(["1d", "square", "anisotropic"]))
+    if kind == "square":
+        n = draw(st.integers(2, 80))
+        grid = Grid(Box((0.0, 0.0), (1.0, 1.0)), (n, n))
+    else:
+        dim = 1 if kind == "1d" else 2
+        widths = tuple(draw(st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.3, 3.0])) for _ in range(dim))
+        shape = tuple(draw(st.integers(2, 300 if dim == 1 else 60)) for _ in range(dim))
+        grid = Grid(Box((0.0,) * dim, widths), shape)
+    multiple = st.builds(lambda k, h, nudge: float(np.nextafter(k * h, k * h + nudge)),
+                         st.integers(1, 2 * max(grid.shape)), st.sampled_from(grid.steps),
+                         st.sampled_from([-math.inf, 0.0, math.inf]))
+    anywhere = st.floats(0.5 * min(grid.steps), 4.0 * grid.box.diameter)
+    return grid, draw(st.lists(st.one_of(multiple, anywhere), min_size=1, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_and_radii())
+def test_row_reaches_are_the_looped_test_radius_by_radius(case):
+    """One array pass over a sweep gives what one loop per radius gives,
+    past twice the box diameter too, where the radius is cut first."""
+    grid, radii = case
+    assert _row_reaches(grid, radii) == [looped_row_reach(grid, r) for r in radii]
+    whole_box = [grid.shape[-1] - 1] * (1 if grid.dim == 1 else grid.shape[0])
+    assert _row_reach(grid, math.inf) == whole_box
 
 
 def test_oscillation_offsets_are_the_ball_mask_in_row_order():
