@@ -105,19 +105,12 @@ class RadiusSweep:
     def geometric(cls, grid: Grid, count: int = 64) -> "RadiusSweep":
         """Geometric ladder from the grid step to the box diameter."""
         lo, hi = grid.max_step, grid.box.diameter
-        if count < 2 or hi <= lo:
-            raise DomainError("need count >= 2 and a box diameter above the grid step")
+        if count < 2:
+            raise DomainError(f"radii_count must be at least 2, got {count}")
+        if hi <= lo:
+            raise DomainError(f"a radius sweep needs a box diameter above the grid step: "
+                              f"diameter {hi}, step {lo}")
         return cls(tuple(np.geomspace(lo, hi, count)))
-
-    @classmethod
-    def with_radii(cls, grid: Grid, count: int, required: Sequence[float]) -> "RadiusSweep":
-        """Geometric ladder thinned to make room for required radii."""
-        if count < len(required):
-            raise DomainError(f"count must be at least the {len(required)} required radii, "
-                              f"got {count}")
-        base = np.geomspace(grid.max_step, grid.box.diameter, count - len(required))
-        merged = sorted(set(map(float, base)) | set(map(float, required)))
-        return cls(tuple(merged))
 
     def validate_for(self, grid: Grid) -> None:
         if self.radii[0] < grid.max_step * (1.0 - 1e-9):
@@ -201,11 +194,27 @@ def _window(prefix: np.ndarray, k2: int, out: np.ndarray) -> np.ndarray:
     less ``P[j - k2 - 1]`` where ``j > k2``.  These are the differences
     of ``P`` padded with zeros on the left and its total on the right,
     without the pads, which would be two more grids wide at the widest
-    ball."""
+    ball.
+
+    Both are C-contiguous ``(..., n)`` blocks: a 1D row, a 2D band or a
+    stack.  numpy runs a ufunc over a strided block row by row and pays
+    per row, a copy far less.  So while some column is interior
+    (``2 k2 + 1 < n``) the copy of ``P[j + k2]`` and the subtraction of
+    ``P[j - k2 - 1]`` run once over the flattened block, the row total
+    is copied into the last ``k2`` columns before the subtraction, and
+    ``P[j + k2]`` is copied back into the first ``k2 + 1`` columns of
+    every row after the first, where the subtraction reached into the
+    row before.  A wider window has no interior and runs the same steps
+    row by row.  Every entry is the same subtraction of the same two
+    prefix values as a row windowed on its own."""
     n = out.shape[-1]
-    out[..., :n - k2] = prefix[..., k2:]
+    o, p = (out.reshape(-1, copy=False), prefix.ravel()) if 2 * k2 + 1 < n else (out, prefix)
+    m = o.shape[-1]
+    o[..., :m - k2] = p[..., k2:]
     out[..., n - k2:] = prefix[..., -1:]
-    out[..., k2 + 1:] -= prefix[..., :n - k2 - 1]
+    o[..., k2 + 1:] -= p[..., :m - k2 - 1]
+    if m > n:
+        out[..., :k2 + 1] = prefix[..., k2:2 * k2 + 1]
     return out
 
 
@@ -231,6 +240,14 @@ def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
     ``+0.0``, and adding ``+0.0`` changes no bits, so the sums are those
     of every row windowed, up to the sign of a zero sum (``-0.0 + 0.0``
     is ``+0.0``).
+
+    The passes are contiguous.  The windows of the mass rows are one
+    C-contiguous block at the start of the scratch array, also for the
+    band of a stack, which is not contiguous in ``arr``, so `_window`
+    can run over it flattened.  The rows of a sum and the view of that
+    block read by each ``+-k1`` add depend only on the band and on
+    ``k1``: they are made the first time a ``k1`` is needed and kept for
+    the sweep, and each add is one ``np.add`` in place.
     """
     rows = arr.shape[-2] if any(len(reach) > 1 for reach in reaches) else 0
     if rows:
@@ -241,7 +258,10 @@ def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
         band = (Ellipsis,)
     prefix = _prefix(arr[band])
     row = np.empty(arr.shape)
+    # the band's windows, as one contiguous block at the start of row
+    win = row.reshape(-1)[:prefix.size].reshape(prefix.shape)
     sums = [np.empty(arr.shape) for _ in range(min(_BALLS_PER_CHUNK, len(reaches)))]
+    shifts: dict[int, tuple] = {}
     for start in range(0, len(reaches), _BALLS_PER_CHUNK):
         chunk = list(zip(reaches[start:start + _BALLS_PER_CHUNK], sums))
         rows_at: dict[int, list] = {}
@@ -252,25 +272,40 @@ def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
             for k1, c in enumerate(reach):
                 rows_at.setdefault(c, []).append((k1, out))
         for c in sorted(rows_at, reverse=True):
-            _window(prefix, c, row[band])
+            _window(prefix, c, win)
             for k1, out in rows_at[c]:
                 if k1 == 0:
-                    out[band] = row[band]
+                    out[band] = win
                     if rows:
                         out[..., :s0, :] = 0.0
                         out[..., s1:, :] = 0.0
                     continue
-                # out[i] += row[i + k1], then out[i] += row[i - k1], for
-                # the rows i whose partner row is a mass row
-                lo, hi = max(s0 - k1, 0), max(s1 - k1, 0)
-                out[..., lo:hi, :] += row[..., lo + k1:hi + k1, :]
-                lo, hi = s0 + k1, min(s1 + k1, rows)
-                out[..., lo:hi, :] += row[..., lo - k1:hi - k1, :]
+                if k1 not in shifts:
+                    shifts[k1] = _shifted_rows(win, s0, rows, k1)
+                for dst, src in shifts[k1]:
+                    o = out[dst]
+                    np.add(o, src, out=o)
         # a centre-node ball is the smallest, so only the first chunk
         # copies arr: let a caller's temporary go
         arr = None
         for _, out in chunk:
             yield out, row
+
+
+def _shifted_rows(win: np.ndarray, s0: int, rows: int, k1: int) -> tuple:
+    """The adds of ball row ``k1`` to a sum of ``rows`` rows whose mass
+    rows from ``s0`` on are windowed in ``win``: ``sum[i] += win row i +
+    k1``, then ``sum[i] += win row i - k1``, each cut to the rows i whose
+    partner row is a mass row and dropped when none is.  Each add is a
+    pair: the index of its rows of the sum, and the view of ``win`` it
+    reads."""
+    s1 = s0 + win.shape[-2]
+    lo, hi = max(s0 - k1, 0), max(s1 - k1, 0)
+    up = (Ellipsis, slice(lo, hi), slice(None)), win[..., lo + k1 - s0:hi + k1 - s0, :]
+    lo = s0 + k1
+    hi = max(min(s1 + k1, rows), lo)
+    down = (Ellipsis, slice(lo, hi), slice(None)), win[..., lo - k1 - s0:hi - k1 - s0, :]
+    return tuple(add for add in (up, down) if add[1].shape[-2])
 
 
 def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:

@@ -10,8 +10,8 @@ import csv
 
 import numpy as np
 
-from varleb import (Box, Cube, DyadicCubeSet, ExponentField, FunctionFamily, Grid, GridFunction,
-                    WeightField)
+from varleb import (Box, Cube, DomainError, DyadicCubeSet, ExponentField, FunctionFamily, Grid,
+                    GridFunction, RadiusSweep, WeightField)
 from varleb.field import shared_grid
 
 UNIT = Box((0.0,), (1.0,))
@@ -43,6 +43,17 @@ def all_cubes(cube_set: DyadicCubeSet) -> list[Cube]:
     the scans that take a cube group at a time."""
     return [group.cube(index) for group in cube_set.groups()
             for index in np.ndindex(*group.shape)]
+
+
+def with_radii(grid: Grid, count: int, required) -> RadiusSweep:
+    """A geometric ladder from the grid step to the box diameter, thinned
+    to make room for the ``required`` radii."""
+    if count < len(required):
+        raise DomainError(f"count must be at least the {len(required)} required radii, "
+                          f"got {count}")
+    base = np.geomspace(grid.max_step, grid.box.diameter, count - len(required))
+    merged = sorted(set(map(float, base)) | set(map(float, required)))
+    return RadiusSweep(tuple(merged))
 
 
 def family_of(fs) -> FunctionFamily:

@@ -27,7 +27,7 @@ from varleb import (Box, DyadicCubeSet, EndpointSpace, ExponentField, Grid,
 from varleb.rk import FunctionFamily
 
 from _support import (UNIT, abs_power, family_of, grid1d, rand_exponent, rand_weight,
-                      unit_weight)
+                      unit_weight, with_radii)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -316,7 +316,7 @@ def test_criterion_08_maximal_profile_and_ratio_stability():
     # attained at radius r = x, giving exactly 1/(2x)
     g = Grid(Box((-0.5,), (8.5,)), (8193,))
     chi = _indicator(g, 0.0, 1.0)
-    sweep = RadiusSweep.with_radii(g, 64, (1.5, 2.0, 4.0))
+    sweep = with_radii(g, 64, (1.5, 2.0, 4.0))
     mf = maximal_function(chi, 1.0, sweep)
     x = g.coords[..., 0]
     max_dev = 0.0

@@ -366,6 +366,31 @@ def test_a_maximal_qtilde_below_the_floor_exits_one_and_names_it(tmp_path, capsy
     assert rc == 0 and report["results"]["dominance_min"] >= -1e-12
 
 
+@pytest.mark.parametrize("radii_count", [1, 0, -3])
+def test_a_maximal_radii_count_below_two_exits_one_and_names_it(tmp_path, capsys, radii_count):
+    cfg = {"box": [[0.0, 1.0]], "resolution": 8, "qtilde": 1.0, "radii_count": radii_count,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert err == f"error: radii_count must be at least 2, got {radii_count}\n"
+
+
+def test_a_maximal_box_no_wider_than_its_step_exits_one_and_names_both(tmp_path, capsys):
+    """One cell on [0, 1]: the step and the diameter are both 1, so the
+    sweep has no room, though radii_count is fine."""
+    cfg = {"box": [[0.0, 1.0]], "resolution": 1, "qtilde": 1.0, "radii_count": 8,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": _GAUSS}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert err == ("error: a radius sweep needs a box diameter above the grid step: "
+                   "diameter 1.0, step 1.0\n")
+    assert "radii_count" not in err
+
+
 # sizes beyond any address space (10**14 doubles or more), so that no
 # machine grants them and the refusal comes before a byte is touched
 @pytest.mark.parametrize("command, cfg", [

@@ -17,7 +17,7 @@ import varleb.maximal as maximal_module
 from varleb.field import BALL_SHRINK, _shift_slices, realize_function
 from varleb.maximal import _offset_list, _row_reach, _row_reaches
 
-from _support import UNIT, family_of, from_callable, grid1d, unit_weight
+from _support import UNIT, family_of, from_callable, grid1d, unit_weight, with_radii
 
 
 def indicator(grid, lo, hi):
@@ -39,14 +39,14 @@ def test_sweep_geometric_spans_grid():
 
 def test_sweep_with_required_radii():
     g = Grid(Box((-0.5,), (8.5,)), (1025,))
-    sweep = RadiusSweep.with_radii(g, 64, (1.5, 2.0, 4.0))
+    sweep = with_radii(g, 64, (1.5, 2.0, 4.0))
     assert {1.5, 2.0, 4.0} <= set(sweep.radii)
 
 
 def test_sweep_with_required_radii_refuses_a_count_below_their_number():
     g = grid1d(257)
     with pytest.raises(DomainError, match="count must be at least the 3 required radii, got 2"):
-        RadiusSweep.with_radii(g, 2, (0.1, 0.2, 0.3))
+        with_radii(g, 2, (0.1, 0.2, 0.3))
 
 
 def test_sweep_rejects_disorder():
@@ -195,6 +195,52 @@ def test_ball_sums_of_banded_rows_are_bit_identical_to_the_two_interval_loop(cas
     for r, (got, _) in zip(radii.values(), sums):
         want = [two_interval_ball_sums(member, grid, r) for member in members]
         assert np.array_equal(got, np.reshape(want, arr.shape))
+
+
+def three_op_window(prefix, k2, out):
+    """The window as three column-sliced operations over the block: the
+    reference for `_window`."""
+    n = out.shape[-1]
+    out[..., :n - k2] = prefix[..., k2:]
+    out[..., n - k2:] = prefix[..., -1:]
+    out[..., k2 + 1:] -= prefix[..., :n - k2 - 1]
+    return out
+
+
+@st.composite
+def window_blocks(draw):
+    """Signed values with +-0.0 entries and whole zero rows, as a 1D row,
+    a 2D block, a stack of either, or the mass band of a 2D stack, which
+    is not contiguous; with the index of that band (all of it elsewhere)."""
+    n = draw(st.integers(1, 24))
+    lead = draw(st.sampled_from([(), (3,), (2, 5), (4, 1)]))
+    arr = draw(arrays(float, lead + (n,), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))))
+    if lead:
+        zero = draw(arrays(bool, lead + (1,)))
+        arr[zero.repeat(n, axis=-1)] = draw(st.sampled_from([0.0, -0.0]))
+    band = (Ellipsis,)
+    if len(lead) == 2 and draw(st.booleans()):
+        s0 = draw(st.integers(0, lead[1]))
+        band = (Ellipsis, slice(s0, draw(st.integers(s0, lead[1]))), slice(None))
+    return arr, band
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_blocks())
+def test_window_is_the_three_op_window_bit_for_bit(case):
+    """Run over the flattened block, narrow and wide half-widths alike
+    give the bits and zero signs of the three column-sliced operations,
+    also for the band of a stack windowed into the contiguous block at
+    the start of a scratch array, as `_ball_sums` windows it."""
+    arr, band = case
+    prefix = maximal_module._prefix(arr[band])
+    for k2 in range(arr.shape[-1]):
+        want = three_op_window(prefix, k2, np.full(arr.shape, np.nan)[band])
+        got = maximal_module._window(
+            prefix, k2, np.full(arr.shape, np.nan).reshape(-1)[:prefix.size].reshape(prefix.shape))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def windowed_rows(monkeypatch):
@@ -407,7 +453,7 @@ def function_and_sweep(draw):
         sweep = RadiusSweep.geometric(grid, draw(st.integers(2, 40)))
     elif sweep_kind == "with_radii":
         required = draw(st.lists(st.floats(lo, hi), max_size=3, unique=True))
-        sweep = RadiusSweep.with_radii(grid, draw(st.integers(len(required) + 2, 40)), required)
+        sweep = with_radii(grid, draw(st.integers(len(required) + 2, 40)), required)
     else:
         base = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12))
         twins = (max(lo, r * (1.0 - 1e-7)) for r in base)
@@ -587,7 +633,7 @@ def test_maximal_indicator_analytic_profile():
     ball radius is r = x, just covering the support."""
     g = Grid(Box((-0.5,), (8.5,)), (8193,))
     chi = indicator(g, 0.0, 1.0)
-    sweep = RadiusSweep.with_radii(g, 64, (1.5, 2.0, 4.0))
+    sweep = with_radii(g, 64, (1.5, 2.0, 4.0))
     mf = maximal_function(chi, 1.0, sweep)
     x = g.coords[..., 0]
     for point in (1.5, 2.0, 4.0):
