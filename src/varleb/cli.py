@@ -177,7 +177,7 @@ def _run_weight_constant(c, grid):
     p = ExponentField.from_descriptor(c["exponent"], grid.box)
     w = _weight_from(c["weight"], grid, "weight")
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = ap_constant(w, p, cubes, c["rel_tol"], allow_overflow=True)
+    rep = ap_constant(w, p, cubes, c["rel_tol"])
     return _constant_results(rep), EXIT_OK
 
 
@@ -189,7 +189,7 @@ def _run_multilinear_constant(c, grid):
     w_vec = _weights_from(c["weights"], grid, "weights")
     verdict = validate_quadruple(spec)
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = multilinear_constant(w_vec, spec, cubes, c["rel_tol"], allow_overflow=True)
+    rep = multilinear_constant(w_vec, spec, cubes, c["rel_tol"])
     return ({**_constant_results(rep), "admissible": verdict.admissible,
              "proper": verdict.proper, "gamma": verdict.gamma,
              "clauses": verdict.clauses}, EXIT_OK)

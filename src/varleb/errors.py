@@ -13,9 +13,9 @@ bugs.  The subclasses follow the failure modes of the numerical contracts:
   Luxemburg solve) failed to converge within its evaluation budget.
 * :class:`EmptyRegionError` -- a cube of a weight-constant scan contains
   no grid node at the current resolution.
-* :class:`OverflowToInfinityError` -- a weight-constant scan produced a
-  per-cube value beyond the overflow threshold, which we read as "the
-  constant is infinite at grid scale".
+* :class:`OverflowToInfinityError` -- a check that needs a finite weight
+  constant met a cube value whose log passes that of the threshold, read
+  as "the constant is infinite at grid scale".
 * :class:`HypothesisFailureError` -- a theorem-shaped routine was asked
   to run with its hypotheses violated (for example a compactness
   diagnostic whose gating weight condition fails).

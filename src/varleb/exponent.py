@@ -377,6 +377,15 @@ class LogHolderReport:
         return max(self.c0_estimate, self.c_infinity_estimate)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``sqrt(sum x^2)`` per row, or ``hypot`` where the squares pass the float range."""
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.sum(x ** 2, axis=1))
+    far = np.isinf(r)
+    r[far] = np.hypot.reduce(x[far], axis=1, initial=0.0)
+    return r
+
+
 def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
                         seed: int) -> list[LogHolderReport]:
     """Sampled lower estimates of the log-Hoelder constants of fields on
@@ -396,8 +405,7 @@ def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
     diam = box.diameter
     corners = np.array(np.meshgrid(*(np.array([a, b]) for a, b in zip(box.lo, box.hi)),
                                    indexing="ij")).reshape(dim, -1).T
-    r_corners = np.sqrt(np.sum(corners ** 2, axis=1))
-    far_corner = corners[int(np.argmax(r_corners))]
+    far_corner = corners[int(np.argmax(_row_norms(corners)))]
 
     # structured pairs: dyadic separations along each axis from fixed
     # anchors, rows in (anchor, k, axis) order
@@ -417,11 +425,11 @@ def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
 
     X = np.concatenate([x_dyadic.reshape(-1, dim), x_rand])
     Y = np.concatenate([y_dyadic.reshape(-1, dim), y_rand])
-    dist = np.sqrt(np.sum((X - Y) ** 2, axis=1))
+    dist = _row_norms(X - Y)
     near = (dist > 0.0) & (dist < 0.5)
     pairs_used = int(near.sum())
     neg_log = -np.log(dist[near])
-    log_r = np.log(math.e + np.sqrt(np.sum(X ** 2, axis=1)))
+    log_r = np.log(math.e + _row_norms(X))
     reports = []
     for p in fields:
         if p.p_infinity is not None:

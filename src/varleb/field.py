@@ -232,9 +232,15 @@ class WeightField(GridFunction):
             raise DomainError(f"weight must satisfy 0 < w < inf at every node; it is "
                               f"{float(self.values.flat[node])!r} at flat node index {node}")
 
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """``log w``, taken once: a norm takes ``log|f| + log w``, never ``f w``."""
+        return np.log(self.values)
+
     def power(self, exponent) -> "WeightField":
         e = exponent.values if isinstance(exponent, GridFunction) else exponent
-        return WeightField(self.grid, self.values ** np.asarray(e, dtype=float))
+        with np.errstate(over="ignore"):  # inf past the float range, named by node below
+            return WeightField(self.grid, self.values ** np.asarray(e, dtype=float))
 
     def inverse(self) -> "WeightField":
         return WeightField(self.grid, 1.0 / self.values)
@@ -335,7 +341,8 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
         raise DomainError("ball center dimension does not match grid")
     if radius <= 0.0:
         raise DomainError("ball radius must be positive")
-    return _squared_distance(grid, center) < (radius * BALL_SHRINK) ** 2
+    with np.errstate(over="ignore"):  # a numpy scalar's ** is C pow, as Python's, but may be inf
+        return _squared_distance(grid, center) < np.float64(radius * BALL_SHRINK) ** 2
 
 
 def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
@@ -343,10 +350,11 @@ def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
     per node the same sum in the same order as over ``grid.coords``, so
     the same bits, without building the coordinates."""
     d2 = 0.0
-    for axis, (ax, c) in enumerate(zip(grid.axes, center)):
-        shape = [1] * grid.dim
-        shape[axis] = -1
-        d2 = d2 + ((ax - c) ** 2).reshape(shape)
+    with np.errstate(over="ignore"):  # past the float range: inf, farther than any radius
+        for axis, (ax, c) in enumerate(zip(grid.axes, center)):
+            shape = [1] * grid.dim
+            shape[axis] = -1
+            d2 = d2 + ((ax - c) ** 2).reshape(shape)
     return d2
 
 
@@ -452,7 +460,7 @@ def _gaussian(grid: Grid, center, width: float, amplitude: float) -> np.ndarray:
 
 def _power(grid: Grid, exponent: float, center, floor: float) -> np.ndarray:
     r = _radial(grid, center)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         vals = np.where(r > 0, r, 1.0) ** exponent
         vals = np.where(r > 0, vals, 0.0 if exponent > 0 else np.inf)
     return np.maximum(vals, floor) if floor > 0 else vals
@@ -469,9 +477,10 @@ def _bump(grid: Grid, center, radius: float, amplitude: float) -> np.ndarray:
 
 def _sine(grid: Grid, frequency, phase: float, amplitude: float) -> np.ndarray:
     arg = phase
-    for axis, om in enumerate(each_axis(frequency, grid.dim, "frequency")):
-        arg = arg + 2.0 * np.pi * om * grid.coords[..., axis]
-    return amplitude * np.sin(arg)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf args give NaN, refused where used
+        for axis, om in enumerate(each_axis(frequency, grid.dim, "frequency")):
+            arg = arg + 2.0 * np.pi * om * grid.coords[..., axis]
+        return amplitude * np.sin(arg)
 
 
 def _dilate(grid: Grid, inner: dict, scale: float) -> np.ndarray:

@@ -47,7 +47,7 @@ from .exponent import (ExponentField, QuadrupleSpec, QuadrupleVerdict,
 from .field import (Box, DyadicCubeSet, FunctionFamily, Grid, WeightField,
                     random_simple_function, shared_grid)
 from .maximal import ball_mean
-from .norms import inner_norm, weighted_norms
+from .norms import inner_norm, weighted_table
 from .rk import RKReport, classify
 from .weights import WeightConstantReport, multilinear_constant, weight_products
 
@@ -249,22 +249,20 @@ def _corpus_ratios(corpus: np.ndarray, outputs: np.ndarray, grid: Grid,
     """Per-trial ``||T f||_{q,v} / (scale prod_j ||f_j||_{p_j,w_j})``
     over a ``(trials, m, *grid.shape)`` corpus and its ``(trials,
     *grid.shape)`` outputs, 0 where an input norm vanishes: one batched
-    `weighted_norms` call per input slot and one for the outputs.  The
-    denominator is the left fold ``scale n_1 n_2 ..``.  A NaN ratio (an
-    overflowed inf over inf) is a DomainError naming the trial and both
-    sides."""
-    den = np.full(len(corpus), scale)
+    solve per input slot and one for the outputs, whose log norms are summed
+    and exponentiated once, so no product of norms overflows.  A NaN ratio
+    (inf over inf) is a DomainError naming the trial and both sides."""
+    log_den = np.full(len(corpus), math.log(scale) if scale > 0.0 else -math.inf)
     for j, (p, w) in enumerate(zip(space.p_vec, space.w_vec)):
-        den = den * weighted_norms(corpus[:, j], grid, p, w, rel_tol)
-    num = weighted_norms(outputs, grid, space.q, space.v, rel_tol)
-    # den is a product of nonnegative norms, so != 0 also lets a NaN through
-    with np.errstate(invalid="ignore"):
-        ratios = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        log_den += weighted_table(corpus[:, j], grid, p, w).solve(rel_tol=rel_tol).log_value
+    log_num = weighted_table(outputs, grid, space.q, space.v).solve(rel_tol=rel_tol).log_value
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range; NaN below
+        ratios = np.where(log_den > -math.inf, np.exp(log_num - log_den), 0.0)
     bad = np.flatnonzero(np.isnan(ratios))
     if bad.size:
         i = int(bad[0])
-        raise DomainError(f"interpolation ratio of trial {i} is NaN: output norm {float(num[i])!r} "
-                          f"over scaled input norm product {float(den[i])!r}")
+        raise DomainError(f"interpolation ratio of trial {i} is NaN: output log norm "
+                          f"{float(log_num[i])!r} over input log norm {float(log_den[i])!r}")
     return ratios
 
 
@@ -464,7 +462,7 @@ def build_extrapolation_family(target: QuadrupleSpec, w_vec, spec1: QuadrupleSpe
         w_err = max(w_err, float(np.max(np.abs(again.values / w.values - 1.0))))
 
     cubes = cubes or DyadicCubeSet(grid.box, 3)
-    constant0 = multilinear_constant(w0_vec, spec0, cubes, rel_tol, allow_overflow=True)
+    constant0 = multilinear_constant(w0_vec, spec0, cubes, rel_tol)
     return ExtrapolationBuild(theta, spec0, w0_vec, verdict0, exp_err, w_err, constant0)
 
 

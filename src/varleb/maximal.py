@@ -121,11 +121,11 @@ class RadiusSweep:
                 f"largest radius {self.radii[-1]} exceeds the box diameter")
 
 
-def _reach_1d(r_eff: float, h: float) -> int:
-    """The largest ``k`` with ``k h < r_eff``: the answer in real
-    arithmetic, then settled by the rounded test."""
-    k = int(r_eff / h)
-    while (k + 1) * h < r_eff:
+def _reach_1d(r_eff: float, h: float, top: int) -> int:
+    """The largest ``k <= top`` with ``k h < r_eff``: the answer in real
+    arithmetic capped at ``top``, then settled by the rounded test."""
+    k = int(min(r_eff / h, top))
+    while k < top and (k + 1) * h < r_eff:
         k += 1
     while not k * h < r_eff:
         k -= 1
@@ -141,8 +141,8 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     while that row is nonempty and ``k1 < n1``; a 1D grid is the single
     row ``k1 = 0``, tested as ``k2 h < r_eff``.  This is the only
     statement of lattice-ball membership.  A radius of twice the box
-    diameter already takes in the whole box, so a larger one is cut to
-    that before any integer is formed from it.
+    diameter takes in the whole box, so a larger one is cut to that, and an
+    offset is capped at the node count before it becomes an integer.
 
     In 2D the squares are Python floats, formed once per call up to the
     largest radius, and every entry of every ball is found in one array
@@ -151,13 +151,13 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     cap = 2.0 * grid.box.diameter
     r_effs = [min(r, cap) for r in r_effs]
     h1, h2 = grid.steps[0], grid.steps[-1]
-    n2 = grid.shape[-1]
+    n1, n2 = grid.shape[0], grid.shape[-1]
     if grid.dim == 1:
-        return [[min(_reach_1d(r_eff, h2), n2 - 1)] for r_eff in r_effs]
+        return [[_reach_1d(r_eff, h2, n2 - 1)] for r_eff in r_effs]
     # an offset of int(r / h) + 2 steps or more is outside every ball
     r_max = max(r_effs)
-    sq1 = np.array([(k * h1) ** 2 for k in range(min(grid.shape[0], int(r_max / h1) + 2))])
-    sq2 = np.array([(k * h2) ** 2 for k in range(min(n2, int(r_max / h2) + 2))])
+    sq1 = np.array([(k * h1) ** 2 for k in range(min(n1, int(min(r_max / h1, n1)) + 2))])
+    sq2 = np.array([(k * h2) ** 2 for k in range(min(n2, int(min(r_max / h2, n2)) + 2))])
     r2 = np.array([r ** 2 for r in r_effs])
     counts = np.searchsorted(sq1, r2)
     ends = np.cumsum(counts)

@@ -32,8 +32,8 @@ Any other solve works in a block of float rows: the gathered
 block for all of its solves; any other solve makes its own.
 
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
-weight multiplies the function, it does not change the measure);
-`_times_weight` is the one place where it does.
+weight multiplies the function, it does not change the measure); a table
+takes ``log|f| + log w`` (`WeightField.log_values`), never ``f w``.
 
 A set of functions is one ``(members, *grid.shape)`` value stack, as
 in ``rk`` and ``interp``.  A mixed norm of a bivariate function first
@@ -244,51 +244,54 @@ class NodeTable(NamedTuple):
         return lux_rows(la, p, lq, rel_tol, *e)
 
 
-def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray) -> NodeTable:
+def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray,
+               lw: np.ndarray | None = None) -> NodeTable:
     """The `NodeTable` of a ``(members, *shape)`` value stack (or of one
-    ``shape`` array), an exponent and log quadrature weights on ``shape``
-    (a grid's `log_quad_weights`, which the table shares)."""
+    ``shape`` array) times the weight of log values ``lw``, if given, with
+    an exponent and a grid's `log_quad_weights` ``lq`` (shared) on ``shape``."""
     n = p.size
     refuse_non_finite(values, n)
     la = np.full((values.size // n if n else 1, n + 1), -math.inf)
     nz = values.reshape(len(la), n) != 0.0
-    # logs are taken, and pages written, at nonzero nodes only
-    np.abs(values.reshape(nz.shape), out=la[:, :n], where=nz)
-    np.log(la[:, :n], out=la[:, :n], where=nz)
-    return NodeTable(la, p.ravel(), lq.ravel(), bool(nz.all()))
+    dense = bool(nz.all())  # logs at nonzero nodes only, unmasked (faster) when all are
+    np.abs(values.reshape(nz.shape), out=la[:, :n], where=dense or nz)
+    np.log(la[:, :n], out=la[:, :n], where=dense or nz)
+    if lw is not None:  # unmasked: a zero node's -inf stays -inf
+        la[:, :n] += lw.ravel()
+    return NodeTable(la, p.ravel(), lq.ravel(), dense)
 
 
-def lux_flat(a: np.ndarray, p: np.ndarray, lq: np.ndarray,
-             rel_tol: float = 1e-10) -> NormResult:
-    """Luxemburg solve on flat node values ``a`` (of ``|f|`` or ``f``),
-    exponent ``p`` and log quadrature weights ``lq``: the one row of its
-    nonzero nodes, the one-member solve of its `NodeTable`."""
-    t, g, p_lo, k = (x.item() for x in node_table(a, p, lq).solve(rel_tol=rel_tol))
+def lux_flat(a: np.ndarray, p: np.ndarray, lq: np.ndarray, rel_tol: float = 1e-10,
+             lw: np.ndarray | None = None) -> NormResult:
+    """Luxemburg solve on flat node values ``a`` (of ``|f|`` or ``f``) times
+    a weight of log values ``lw``, if given, exponent ``p`` and log weights
+    ``lq``: the row of its nonzero nodes, the one-member `NodeTable` solve."""
+    t, g, p_lo, k = (x.item() for x in node_table(a, p, lq, lw).solve(rel_tol=rel_tol))
     with np.errstate(over="ignore"):
         lo, value, hi = np.exp([t + min(g, 0.0) / p_lo, t, t + max(g, 0.0) / p_lo])
     return NormResult(float(value), k, (float(lo), float(hi)), math.exp(g))
 
 
-def _times_weight(values: np.ndarray, grid: Grid, w: WeightField | None) -> np.ndarray:
-    """``f w`` for values of ``f`` (one function or a stack) on ``grid``."""
-    if w is None:
-        return values
-    shared_grid((w,), "grid functions", grid)
-    return values * w.values
+def _log_weight(grid: Grid, w: WeightField | None) -> np.ndarray | None:
+    """``log w`` of a weight on ``grid``, or None for no weight."""
+    if w is not None:
+        shared_grid((w,), "grid functions", grid)
+        return w.log_values
 
 
 def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = None,
                   rel_tol: float = 1e-10) -> NormResult:
     """``|| f w ||_p``; with ``w`` omitted this is the plain norm."""
-    return lux_flat(_times_weight(f.values, f.grid, w).ravel(), p.values_on(f.grid).ravel(),
-                    f.grid.log_quad_weights.ravel(), rel_tol)
+    lw = _log_weight(f.grid, w)  # made before p's values, as f w was, so glibc reuses pages
+    return lux_flat(f.values.ravel(), p.values_on(f.grid).ravel(),
+                    f.grid.log_quad_weights.ravel(), rel_tol, lw)
 
 
 def weighted_table(values: np.ndarray, grid: Grid, p: ExponentField,
                    w: WeightField | None = None) -> NodeTable:
     """The `NodeTable` of ``f w`` for a ``(members, *grid.shape)`` value
     stack of functions ``f``."""
-    return node_table(_times_weight(values, grid, w), p.values_on(grid), grid.log_quad_weights)
+    return node_table(values, p.values_on(grid), grid.log_quad_weights, _log_weight(grid, w))
 
 
 def weighted_norms(values: np.ndarray, grid: Grid, p: ExponentField,

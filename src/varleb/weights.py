@@ -18,9 +18,9 @@ with ``nu = prod_j w_j``.  Three conventions are fixed throughout:
 * The supremum runs over a finite dyadic-plus-shift cube family, so
   every reported constant is a certified lower bound for the continuum
   supremum.
-* A per-cube norm beyond 1e150 is read as an infinite constant; by
-  default that raises, and with ``allow_overflow=True`` the report
-  carries ``constant = inf`` plus an overflow flag instead.
+* A cube value is ``exp(power log|Q| + sum_k log ||f_k chi_Q||)``, the
+  same for ``c w`` as for ``w``.  One with a log above ``log 1e150`` reads
+  inf and sets the overflow flag; checks that need a finite one refuse it.
 
 The scan works one (depth, shifted) group of cubes at a time, in the
 row format of ``norms``.  Each factor becomes one `norms.NodeTable` on
@@ -28,7 +28,7 @@ the grid, built once per scan (a NaN is refused there, at its grid
 node).  A group is one integer array of node rows, one row per cube in
 scan order padded with the table's padding index
 (`field.CubeGroup.node_rows`), and each factor solves every row of the
-group in one `NodeTable.solve`.  Cube measures, products, the overflow
+group in one `NodeTable.solve`.  Cube measures, log sums, the overflow
 test and the argmax (the first maximal cube in scan order) are array
 operations on the group.
 
@@ -72,27 +72,8 @@ class WeightConstantReport:
     convention: str
 
 
-def _group_values(rows: np.ndarray, qw: np.ndarray, tables, measure_power: float,
-                  rel_tol: float, block: np.ndarray):
-    """Per-cube values of a group of padded node rows, the mask
-    ``(factors, cubes)`` of factors past the overflow threshold, and the
-    factor values; every factor is solved in ``block``, of shape ``(4,
-    *rows.shape)``."""
-    # the cube measures are summed in the Newton row, free until the solves
-    w = block[3]
-    qw.take(rows, out=w, mode="clip")
-    w[rows == qw.size] = 0.0
-    value = w.sum(axis=1) ** measure_power
-    effs = [table.solve(rows, rel_tol, block).value for table in tables]
-    for nrm in effs:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = value * nrm
-    over = np.array(effs) > OVERFLOW_THRESHOLD
-    return np.where(over.any(axis=0), math.inf, value), over, effs
-
-
 def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
-               rel_tol: float, allow_overflow: bool, convention: str) -> WeightConstantReport:
+               rel_tol: float, convention: str) -> WeightConstantReport:
     """Scan the cube family one (depth, shifted) group at a time: every
     cube of a group is a padded row of node indices, so each factor, a
     ``(weight, exponent)`` pair, is one row solve per group, made in the
@@ -101,8 +82,7 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
         raise DomainError("cube family root box must lie inside the grid box")
     qw = grid.quad_weights
     tables = [node_table(w.values, p.values_on(grid), grid.log_quad_weights) for w, p in factors]
-    groups, values = [], []
-    overflow = False
+    values = []
     block = np.empty((4, 0))
     for group in cubes.groups():
         rows = group.node_rows(grid)
@@ -113,43 +93,47 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
         if rows.size > block.shape[1]:
             block = None  # the old block is freed before the new one is made
             block = np.empty((4, rows.size))
-        value, over, effs = _group_values(rows, qw, tables, measure_power, rel_tol,
-                                          block[:, :rows.size].reshape(4, *rows.shape))
-        del rows  # freed before the next group's rows are made beside the block
-        hit = over.any(axis=0)
-        if hit.any():
-            if not allow_overflow:
-                cube = int(np.argmax(hit))
-                factor = int(np.argmax(over[:, cube]))
-                raise OverflowToInfinityError(
-                    f"per-cube norm factor {effs[factor][cube]:.3e} beyond "
-                    f"{OVERFLOW_THRESHOLD:.0e} on cube "
-                    f"{group.cube(np.unravel_index(cube, group.shape)).label()}")
-            overflow = True
+        # the cube measures are summed in the Newton row, free until the solves
+        work = block[:, :rows.size].reshape(4, *rows.shape)
+        qw.take(rows, out=work[3], mode="clip")
+        work[3][rows == qw.size] = 0.0
+        value = measure_power * np.log(work[3].sum(axis=1))
+        for table in tables:
+            value += table.solve(rows, rel_tol, work).log_value
+        del rows, work  # freed before the next group's rows, or a regrown block, are made
         if empty.size:
             raise EmptyRegionError(
                 f"cube {group.cube(np.unravel_index(stop, group.shape)).label()} contains "
                 "no grid node; lower max_depth or refine the grid")
-        groups.append(group)
         values.append(value)
-    per_cube = np.concatenate(values)
+    log_cube = np.concatenate(values)
+    over = log_cube > math.log(OVERFLOW_THRESHOLD)
+    per_cube = np.exp(np.where(over, math.inf, log_cube))  # exp(inf) raises no overflow
     best = int(np.argmax(per_cube))
-    for group, value in zip(groups, values):
+    for group, value in zip(cubes.groups(), values):
         if best < value.size:
             break
         best -= value.size
-    return WeightConstantReport(float(value[best]), overflow,
+    return WeightConstantReport(float(per_cube.max()), bool(over.any()),
                                 group.cube(np.unravel_index(best, group.shape)),
                                 per_cube.size, tuple(per_cube.tolist()), convention)
 
 
+def _bounded(rep: WeightConstantReport) -> WeightConstantReport:
+    """``rep``, or OverflowToInfinityError naming its argmax cube if it overflowed."""
+    if rep.overflow:
+        raise OverflowToInfinityError(f"cube constant beyond {OVERFLOW_THRESHOLD:.0e} "
+                                      f"on cube {rep.argmax_cube.label()}")
+    return rep
+
+
 def ap_constant(w: WeightField, p: ExponentField, cubes: DyadicCubeSet,
-                rel_tol: float = 1e-10, allow_overflow: bool = False) -> WeightConstantReport:
+                rel_tol: float = 1e-10) -> WeightConstantReport:
     """Symmetric variable-exponent Muckenhoupt constant of ``w``."""
     p.require_P("Muckenhoupt constant")
     pd = dual_exponent(p)
     factors = [(w, p), (w.inverse(), pd)]
-    return _cube_scan(w.grid, cubes, factors, -1.0, rel_tol, allow_overflow, "symmetric")
+    return _cube_scan(w.grid, cubes, factors, -1.0, rel_tol, "symmetric")
 
 
 def gate_constant(w: WeightField, p: ExponentField, qtilde: float, cubes: DyadicCubeSet,
@@ -163,14 +147,13 @@ def gate_constant(w: WeightField, p: ExponentField, qtilde: float, cubes: Dyadic
     if qtilde >= p.p_minus:
         raise HypothesisFailureError(f"qtilde = {qtilde} is not below p_- = {p.p_minus}")
     try:
-        return ap_constant(w.power(qtilde), scale_exponent(p, 1.0 / qtilde), cubes, rel_tol)
+        return _bounded(ap_constant(w.power(qtilde), scale_exponent(p, 1 / qtilde), cubes, rel_tol))
     except OverflowToInfinityError as exc:
         raise HypothesisFailureError(f"gate weight condition fails: {exc}") from exc
 
 
 def multilinear_constant(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
-                         rel_tol: float = 1e-10,
-                         allow_overflow: bool = False) -> WeightConstantReport:
+                         rel_tol: float = 1e-10) -> WeightConstantReport:
     """Two-index m-linear constant of a weight vector."""
     w_vec = tuple(w_vec)
     if len(w_vec) != spec.m:
@@ -181,7 +164,7 @@ def multilinear_constant(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     for w, p_j, r_j in zip(w_vec, spec.p_vec, spec.r_vec):
         factors.append((w.inverse(), component_exponent(p_j, r_j)))
     power = spec.gamma - (1.0 / spec.r - 1.0 / spec.s)
-    return _cube_scan(grid, cubes, factors, power, rel_tol, allow_overflow, "two-index")
+    return _cube_scan(grid, cubes, factors, power, rel_tol, "two-index")
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +190,9 @@ def two_to_one_check(w: WeightField, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     The identity is exact cube by cube, so both the suprema and the
     per-cube values must agree to solver tolerance.
     """
-    lhs = multilinear_constant((w,), spec, cubes, rel_tol)
+    lhs = _bounded(multilinear_constant((w,), spec, cubes, rel_tol))
     a, t = two_to_one_data(spec)
-    rhs_inner = ap_constant(w.power(a), t, cubes, rel_tol)
+    rhs_inner = _bounded(ap_constant(w.power(a), t, cubes, rel_tol))
     rhs = rhs_inner.constant ** (1.0 / a)
     rel = abs(lhs.constant - rhs) / max(abs(lhs.constant), abs(rhs), 1e-300)
     per = [abs(l - ri ** (1.0 / a)) / max(l, ri ** (1.0 / a), 1e-300)
@@ -239,8 +222,8 @@ def containment_check(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     if math.isinf(spec.s):
         raise SpecMismatchError("containment compares a finite s against s = inf")
     spec_inf = QuadrupleSpec(spec.p_vec, spec.q, spec.r_vec, math.inf)
-    lhs = multilinear_constant(w_vec, spec_inf, cubes, rel_tol)
-    rhs = multilinear_constant(w_vec, spec, cubes, rel_tol)
+    lhs = _bounded(multilinear_constant(w_vec, spec_inf, cubes, rel_tol))
+    rhs = _bounded(multilinear_constant(w_vec, spec, cubes, rel_tol))
     c_h = holder_constant(spec.q)
     ratios = [l / (c_h * r) if r > 0 else math.inf
               for l, r in zip(lhs.per_cube, rhs.per_cube)]
@@ -289,9 +272,8 @@ def blend_constant_check(w_vec0, w_vec1, spec0: QuadrupleSpec, spec1: QuadrupleS
     spec = blend_quadruple(spec0, spec1, theta)
     w_vec = weight_products(w_vec0, w_vec1, 1.0 - theta, theta)
 
-    blended = multilinear_constant(w_vec, spec, cubes, rel_tol)
-    c0 = multilinear_constant(w_vec0, spec0, cubes, rel_tol)
-    c1 = multilinear_constant(w_vec1, spec1, cubes, rel_tol)
+    blended, c0, c1 = (_bounded(multilinear_constant(v, s, cubes, rel_tol))
+                       for v, s in ((w_vec, spec), (w_vec0, spec0), (w_vec1, spec1)))
 
     factor = holder_constant(nu_exponent(spec.q, spec.s))
     for p_j, r_j in zip(spec.p_vec, spec.r_vec):

@@ -88,6 +88,52 @@ def test_weight_constant_of_unit_weight_is_one(tmp_path):
     assert not report["results"]["overflow"]
 
 
+def _times(desc, c):
+    """The descriptor of ``c`` times the function of ``desc``."""
+    return {"kind": "product", "terms": [desc, dict(CONST_ONE, amplitude=c)]}
+
+
+_GAUSS_04 = {"kind": "gaussian", "center": [0.4], "width": 0.5}
+
+
+@pytest.mark.parametrize("c", [1e160, 1e-160, 1e-300])
+def test_weight_constants_of_a_weight_times_a_huge_or_tiny_constant_are_its_own(tmp_path, c):
+    """[c w] = [w] through the CLI: at these c a factor norm passes 1e150,
+    which read as an infinite constant (exit 0, "inf" on cube d0u0) before
+    the cube values were taken as sums of log norms."""
+    wc = {"box": [[0.0, 1.0]], "resolution": 1024, "cube_depth": 5,
+          "exponent": {"kind": "constant", "value": 2.0}}
+    ml = {"box": [[0.0, 1.0]], "resolution": 1024, "cube_depth": 4,
+          "quadruple": {"p_vec": [{"kind": "constant", "value": 3.0}] * 2,
+                        "q": {"kind": "constant", "value": 1.5}, "r_vec": [1.0, 1.0], "s": "inf"}}
+    g6 = {"kind": "gaussian", "center": [0.6], "width": 0.5}
+    for command, cfg, weights, want in (
+            ("weight-constant", wc, lambda a: {"weight": a}, (1.37727060143818, "d1u1")),
+            ("multilinear-constant", ml, lambda a: {"weights": [a, g6]}, (1.59457, "d0u0"))):
+        constants = []
+        for desc in (_GAUSS_04, _times(_GAUSS_04, c)):
+            rc, report, _ = _run(tmp_path, command, dict(cfg, **weights(desc)))
+            assert rc == 0
+            got = report["results"]
+            assert not got["overflow"] and got["argmax_cube"] == want[1]
+            assert got["constant"] == pytest.approx(want[0], rel=1e-5)
+            constants.append(got["constant"])
+        assert constants[1] == pytest.approx(constants[0], rel=1e-12, abs=0.0)
+
+
+def test_rk_classify_gate_with_a_huge_constant_weight_is_one(tmp_path):
+    """A weight of 1e160 used to fail the gate (exit 2, "per-cube norm
+    factor 2.154e+160 beyond 1e+150"); its gate constant is that of 1."""
+    cfg = {"box": [[0.0, 10.0]], "resolution": 1024, "qtilde": 1.0,
+           "exponent": {"kind": "constant", "value": 3.0},
+           "weight": dict(CONST_ONE, amplitude=1e160),
+           "family": {"kind": "translate", "count": 6, "step": 1.3,
+                      "base": {"kind": "gaussian", "center": [1.0], "width": 0.3}}}
+    rc, report, _ = _run(tmp_path, "rk-classify", cfg)
+    assert rc == 0
+    assert report["results"]["gate_constant"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_two_to_one_with_unit_weight_passes_at_tight_tolerance(tmp_path):
     cfg = {"box": [[0.0, 1.0]], "resolution": 256, "cube_depth": 3,
            "quadruple": {"p_vec": [{"kind": "constant", "value": 2.0}],
@@ -610,9 +656,10 @@ def test_interp_verify_with_no_trials_exits_one_and_names_the_fault(tmp_path, ca
     assert "Traceback" not in err
 
 
-def test_interp_verify_with_an_overflowing_weight_exits_one_and_names_the_nan(tmp_path, capsys):
-    """Every weight and v is the constant 1e308, so f w overflows to inf
-    and each endpoint ratio is inf / inf, which must not pass as a bound."""
+def test_interp_verify_with_a_huge_constant_weight_certifies_one(tmp_path, capsys):
+    """Every weight and v is the constant 1e308, so f w is no double, but
+    each endpoint ratio is 1: the norms are taken as log|f| + log w and
+    the ratios in log space, and the run replays."""
     huge = dict(CONST_ONE, amplitude=1e308)
     endpoint = {"p_vec": [{"kind": "constant", "value": 2.0}],
                 "q": {"kind": "constant", "value": 2.0},
@@ -620,13 +667,14 @@ def test_interp_verify_with_an_overflowing_weight_exits_one_and_names_the_nan(tm
     cfg = {"box": [[0.0, 1.0]], "resolution": 16, "theta": 0.5, "trials": 2, "seed": 3,
            "operator": {"kind": "product", "arity": 1},
            "endpoint0": endpoint, "endpoint1": endpoint}
-    rc, report, _ = _run(tmp_path, "interp-verify", cfg)
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert report is None
-    assert ("interpolation ratio of trial 0 is NaN: output norm inf over scaled input norm "
-            "product inf") in err
-    assert "Traceback" not in err
+    rc, report, out_path = _run(tmp_path, "interp-verify", cfg)
+    assert rc == 0, capsys.readouterr().err
+    res = report["results"]
+    for cert in res["certificates"]:
+        assert cert["max_ratio"] == pytest.approx(1.0, abs=1e-9)
+        assert cert["bound"] == 1.0 and not cert["inflated"]
+    assert res["worst_ratio"] == pytest.approx(1.0, abs=1e-9) and res["passed"]
+    assert main(["interp-verify", "replay", "--report", str(out_path)]) == 0
 
 
 def test_replay_of_norm_report_matches(tmp_path, capsys):

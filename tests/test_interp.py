@@ -382,6 +382,18 @@ def test_corpus_ratios_match_a_per_trial_norm_loop(m, trials, seed, weighted, sc
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def test_corpus_ratios_refuse_an_infinite_norm_over_an_infinite_norm_naming_the_trial():
+    """The last line of defence of the log-space ratios: an infinite input
+    gives an infinite output, and inf - inf in log space is refused."""
+    g = Grid(UNIT, (65,))
+    corpus = np.ones((2, 1, 65))
+    corpus[1, 0, 7] = math.inf
+    outputs = apply_operator(Product(1), corpus, g)
+    with pytest.raises(DomainError, match="^interpolation ratio of trial 1 is NaN: output log "
+                                          "norm inf over input log norm inf$"):
+        _corpus_ratios(corpus, outputs, g, _const_space(g, (2.0,), 2.0), 1.0, 1e-10)
+
+
 def test_verifiers_reject_an_empty_corpus():
     g = Grid(UNIT, (65,))
     space = _const_space(g, (4.0, 4.0), 2.0)

@@ -606,6 +606,22 @@ def test_row_reaches_are_the_looped_test_radius_by_radius(case):
     assert _row_reach(grid, math.inf) == whole_box
 
 
+def test_an_infinite_radius_on_a_box_near_the_float_range_reaches_the_whole_axis():
+    """On [-1e308, 1] with 33 nodes, twice the diameter and the last radius
+    ``h 2^6`` of the compactness ladder are inf: each reach is capped at the
+    node count before it becomes an integer, so that radius reaches the
+    whole axis, as ``h 2^5`` already does, and the ladder's profiles are
+    finite."""
+    grid = Grid(Box((-1e308,), (1.0,)), (33,))
+    assert 2.0 * grid.box.diameter == math.inf
+    assert _row_reach(grid, math.inf) == [32]
+    sweep = RadiusSweep(tuple(grid.max_step * 2.0 ** k for k in range(7)))
+    assert sweep.radii[-1] == math.inf
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 33))
+    *_, at_32h, at_inf = oscillation_profiles(values, grid, 1.0, sweep)
+    assert np.isfinite(at_inf).all() and np.array_equal(at_inf, at_32h)
+
+
 def test_oscillation_offsets_are_the_ball_mask_in_row_order():
     g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
     # radii away from every lattice distance, where the two tests agree

@@ -16,7 +16,8 @@ from varleb import (Box, DomainError, ExponentField, Grid, GridFunction,
 from varleb.field import box_mask
 from varleb.norms import NodeTable, lux_flat, lux_rows, weighted_norms, weighted_table
 
-from _support import UNIT, abs_power, from_callable, grid1d, rand_exponent, unit_weight
+from _support import (UNIT, abs_power, from_callable, grid1d, rand_exponent, rand_weight,
+                      unit_weight)
 
 
 def gaussian(grid, center=0.5, width=0.2):
@@ -276,6 +277,39 @@ def test_weighted_norm_linear_weight_analytic():
     w = WeightField(g, np.maximum(g.coords[..., 0], 1e-300))
     p = ExponentField.constant(g.box, 2.0)
     assert weighted_norm(f, p, w).value == pytest.approx(3.0 ** -0.5, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-300, 300), zero=st.booleans())
+def test_weighted_norm_is_homogeneous_in_the_weight_in_log_terms(seed, k, zero):
+    """``||f (c w)|| = c ||f w||`` for c = 10^k, as ``log`` norms: the
+    weight enters the table as ``log|f| + log w``, so only log c moves,
+    through the batched rows and through `lux_flat` alike."""
+    rng = np.random.default_rng(seed)
+    g = grid1d(int(rng.integers(17, 300)), Box((0.0,), (float(rng.uniform(0.5, 3.0)),)))
+    f = random_simple_function(g, rng).values
+    if zero and f[g.size // 3:].any():
+        f[: g.size // 3] = 0.0
+    p, w = rand_exponent(g.box, rng), rand_weight(g, rng, spread=2.0)
+    c, log_c = 10.0 ** k, k * math.log(10.0)
+    tol = 1e-12 * (1.0 + abs(log_c))
+    base = weighted_table(f[None], g, p, w).solve().log_value[0]
+    scaled = weighted_table(f[None], g, p, w * c).solve().log_value[0]
+    assert abs(scaled - base - log_c) <= tol
+    one = math.log(weighted_norm(GridFunction(g, f), p, w * c).value)
+    assert abs(one - math.log(weighted_norm(GridFunction(g, f), p, w).value) - log_c) <= tol
+
+
+def test_a_norm_is_solved_where_f_w_is_not_a_double():
+    """f = 1e200 against w = 1e200 at p = 2 on [0, 1]: f w = 1e400 is no
+    double, and neither is its norm, but the table's log norm is exact."""
+    g = grid1d(1025)
+    p = ExponentField.constant(g.box, 2.0)
+    f = np.full(g.shape, 1e200)
+    w = WeightField(g, np.full(g.shape, 1e200))
+    assert weighted_table(f[None], g, p, w).solve().log_value[0] == pytest.approx(
+        400.0 * math.log(10.0), rel=1e-14)
+    assert weighted_norm(GridFunction(g, f), p, w).value == math.inf
 
 
 # -- mixed norms -------------------------------------------------------------

@@ -16,9 +16,9 @@ from varleb import (ArityMismatchError, Box, DomainError, DyadicCubeSet,
                     multilinear_constant, nu_exponent, reciprocal_affine,
                     two_to_one_check)
 from varleb.exponent import scale_exponent
-from varleb.field import box_slices
+from varleb.field import box_slices, realize_function
 from varleb.norms import lux_flat
-from varleb.weights import OVERFLOW_THRESHOLD, _cube_scan, gate_constant
+from varleb.weights import OVERFLOW_THRESHOLD, _bounded, _cube_scan, gate_constant
 
 from _support import UNIT, SYM, all_cubes, rand_exponent, rand_weight, unit_weight
 
@@ -113,7 +113,8 @@ def test_gate_constant_fails_the_hypothesis_at_or_above_p_minus_and_on_overflow(
             gate_constant(w, const_p(2.0), qtilde, CUBES)
     spike = np.ones(GRID.shape)
     spike[100] = 1e200
-    with pytest.raises(HypothesisFailureError, match="gate weight condition fails: per-cube"):
+    with pytest.raises(HypothesisFailureError,
+                       match="gate weight condition fails: cube constant beyond 1e[+]150 on cube"):
         gate_constant(WeightField(GRID, spike), const_p(2.0), 1.0, CUBES)
 
 
@@ -297,9 +298,11 @@ def test_blend_rejects_mismatched_rs():
 # -- batched cube scan against a per-cube loop -----------------------------
 
 
-def _loop_scan(grid, cubes, factors, power, allow_overflow):
+def _loop_scan(grid, cubes, factors, power):
     """The cube scan as one `lux_flat` solve per cube and factor, in scan
-    order, as a reference for the batched `_cube_scan`."""
+    order, as a reference for the batched `_cube_scan`: the cube value is
+    the product of the measure power and the factor norms, read as inf
+    when it passes the threshold."""
     qw = grid.quad_weights
     best, best_cube, per_cube, overflow = -math.inf, None, [], False
     for cube in all_cubes(cubes):
@@ -310,24 +313,18 @@ def _loop_scan(grid, cubes, factors, power, allow_overflow):
                 f"cube {cube.label()} contains no grid node; lower max_depth or refine the grid")
         value = float(np.sum(wq)) ** power
         for wf, ef in factors:
-            nrm = lux_flat(np.abs(wf.values)[sl].ravel(), ef.values_on(grid)[sl].ravel(),
-                           np.log(wq)).value
-            if nrm > OVERFLOW_THRESHOLD:
-                if not allow_overflow:
-                    raise OverflowToInfinityError(
-                        f"per-cube norm factor {nrm:.3e} beyond {OVERFLOW_THRESHOLD:.0e} "
-                        f"on cube {cube.label()}")
-                overflow, value = True, math.inf
-                break
-            value *= nrm
+            value *= lux_flat(np.abs(wf.values)[sl].ravel(), ef.values_on(grid)[sl].ravel(),
+                              np.log(wq)).value
+        if value > OVERFLOW_THRESHOLD:
+            overflow, value = True, math.inf
         per_cube.append(value)
         if value > best:
             best, best_cube = value, cube
     return per_cube, best_cube, overflow
 
 
-def _assert_scan_matches_loop(rep, grid, cubes, factors, power, allow_overflow=False):
-    per_cube, best_cube, overflow = _loop_scan(grid, cubes, factors, power, allow_overflow)
+def _assert_scan_matches_loop(rep, grid, cubes, factors, power):
+    per_cube, best_cube, overflow = _loop_scan(grid, cubes, factors, power)
     assert rep.cube_count == len(per_cube) == len(all_cubes(cubes))
     for got, want in zip(rep.per_cube, per_cube):
         assert got == want or abs(got - want) <= 1e-12 * max(abs(got), abs(want))
@@ -383,6 +380,46 @@ def test_batched_multilinear_constant_matches_a_per_cube_loop(seed, dim, depth):
     _assert_scan_matches_loop(rep, grid, cubes, factors, spec.gamma - 1.0 / spec.r)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]), depth=st.integers(0, 3),
+       k=st.integers(-300, 300))
+def test_cube_constants_are_the_same_for_a_weight_times_a_constant(seed, dim, depth, k):
+    """[c w] = [w] for c = 10^k: a cube value is the exponential of a sum
+    of log norms, so factor norms far from 1 neither overflow nor flag."""
+    grid, cubes, w, p, _ = _scan_case(seed, dim, depth)
+    p_vec = (p, const_p(4.0, grid.box))
+    spec = QuadrupleSpec(p_vec, reciprocal_affine(p_vec, (1.0, 1.0), 0.0), (1.0, 1.0), math.inf)
+    c = 10.0 ** k
+    for scan in (lambda v: ap_constant(v, p, cubes),
+                 lambda v: multilinear_constant((v, w.power(0.5)), spec, cubes)):
+        base, scaled = scan(w), scan(w * c)
+        assert not base.overflow and not scaled.overflow
+        assert abs(scaled.constant - base.constant) <= 1e-12 * base.constant, (k, base, scaled)
+
+
+def _gaussian_weight_constant(width):
+    grid = Grid(UNIT, (1025,))
+    w = WeightField(grid, realize_function({"kind": "gaussian", "center": [0.4],
+                                            "width": width}, grid).values)
+    return ap_constant(w, const_p(2.0), DyadicCubeSet(UNIT, 5))
+
+
+def test_a_genuinely_huge_constant_still_overflows_and_a_large_one_does_not():
+    """The overflow rule is judged on the log of each cube value: a narrow
+    gaussian's constant, about 10^171 at width 0.03, reads inf with the
+    flag set, and 3.2589e95 at width 0.04 is reported as it is."""
+    huge = _gaussian_weight_constant(0.03)
+    assert huge.overflow and huge.constant == math.inf
+    assert huge.argmax_cube.label() == "d0u0" and huge.per_cube[0] == math.inf
+    large = _gaussian_weight_constant(0.04)
+    assert not large.overflow
+    assert large.constant == pytest.approx(3.2589e95, rel=1e-4)
+    message = "^cube constant beyond 1e[+]150 on cube d0u0$"
+    with pytest.raises(OverflowToInfinityError, match=message):
+        _bounded(huge)
+    assert _bounded(large) is large
+
+
 def _edge_grid():
     return Grid(UNIT, (65,)), DyadicCubeSet(UNIT, 3), const_p(2.5)
 
@@ -394,8 +431,8 @@ def test_cube_scan_infinite_node_overflows_every_cube_holding_it():
     vals[40] = math.inf
     f = GridFunction(grid, vals)
     for factors in ([(f, p), (g, p)], [(g, p), (f, p)]):
-        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10, True, "test")
-        _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0, allow_overflow=True)
+        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10, "test")
+        _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0)
         assert rep.overflow and rep.per_cube[0] == math.inf
 
 
@@ -405,9 +442,9 @@ def test_cube_scan_refuses_a_nan_node_and_names_it():
     vals[17] = math.nan
     factors = [(GridFunction(grid, vals), p)]
     with pytest.raises(DomainError) as want:
-        _loop_scan(grid, cubes, factors, -1.0, True)
+        _loop_scan(grid, cubes, factors, -1.0)
     with pytest.raises(DomainError, match="NaN at flat node index 17$") as got:
-        _cube_scan(grid, cubes, factors, -1.0, 1e-10, True, "test")
+        _cube_scan(grid, cubes, factors, -1.0, 1e-10, "test")
     assert str(got.value) == str(want.value)
 
 
@@ -422,7 +459,7 @@ def test_cube_scan_names_the_grid_node_of_a_nan_under_a_smaller_root(shape, node
     w = GridFunction(grid, vals.reshape(shape))
     cubes = DyadicCubeSet(Box((0.5,) * len(shape), (1.0,) * len(shape)), 2)
     with pytest.raises(DomainError, match=f"^function value is NaN at flat node index {node}$"):
-        _cube_scan(grid, cubes, [(w, const_p(2.0, box))], -1.0, 1e-10, True, "test")
+        _cube_scan(grid, cubes, [(w, const_p(2.0, box))], -1.0, 1e-10, "test")
 
 
 def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
@@ -430,7 +467,7 @@ def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
     grid, cubes = Grid(box, (7,)), DyadicCubeSet(box, 4)
     w, p = unit_weight(grid), const_p(2.0, box)
     with pytest.raises(EmptyRegionError) as want:
-        _loop_scan(grid, cubes, [(w, p)], -1.0, True)
+        _loop_scan(grid, cubes, [(w, p)], -1.0)
     with pytest.raises(EmptyRegionError) as got:
         ap_constant(w, p, cubes)
     assert str(got.value) == str(want.value)
@@ -438,17 +475,21 @@ def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
 
 
 def test_cube_scan_overflow_error_names_the_first_overflowing_cube():
+    """The scan completes and flags the overflow; a check that needs a
+    finite constant refuses it, naming the first cube whose value passes
+    the threshold in the per-cube loop."""
     grid, cubes, p = _edge_grid()
     x = grid.coords[..., 0]
     ones = GridFunction(grid, np.ones(grid.shape))
     huge = GridFunction(grid, np.where(x >= 0.6, 1e200, 1.0))
     for factors, cube in (([(huge, p)], "d0u0"), ([(ones, p), (huge, p)], "d0u0")):
-        with pytest.raises(OverflowToInfinityError) as want:
-            _loop_scan(grid, cubes, factors, -1.0, False)
+        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10, "test")
+        _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0)
+        per_cube, best_cube, _ = _loop_scan(grid, cubes, factors, -1.0)
+        assert best_cube.label() == cube and per_cube[0] == math.inf
         with pytest.raises(OverflowToInfinityError) as got:
-            _cube_scan(grid, cubes, factors, -1.0, 1e-10, False, "test")
-        assert str(got.value) == str(want.value)
-        assert str(got.value).endswith(f"on cube {cube}")
+            _bounded(rep)
+        assert str(got.value) == f"cube constant beyond 1e+150 on cube {cube}"
 
 
 def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
