@@ -148,9 +148,9 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     largest radius, and every entry of every ball is found in one array
     pass: a ``searchsorted`` guess, settled by the rounded test itself.
     """
-    cap = 2.0 * grid.box.diameter
-    r_effs = [min(r, cap) for r in r_effs]
-    h1, h2 = grid.steps[0], grid.steps[-1]
+    r_effs = [min(r, 2.0 * grid.box.diameter) for r in r_effs]
+    unit = math.ldexp(1.0, max(0, math.frexp(max(r_effs))[1] - 500))  # exact: squares stay finite
+    r_effs, h1, h2 = [r / unit for r in r_effs], grid.steps[0] / unit, grid.steps[-1] / unit
     n1, n2 = grid.shape[0], grid.shape[-1]
     if grid.dim == 1:
         return [[_reach_1d(r_eff, h2, n2 - 1)] for r_eff in r_effs]

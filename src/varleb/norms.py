@@ -29,7 +29,7 @@ order, so the solve reads the table in place.
 Any other solve works in a block of float rows: the gathered
 ``log|f|``, exponent and log weight, and the Newton workspace, which
 `lux_rows` reuses in place as rows finish.  The cube scan passes one
-block for all of its solves; any other solve makes its own.
+block for all its solves, packed ones of a `stacked_table`; others make their own.
 
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure); a table
@@ -139,13 +139,16 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     return out
 
 
+@np.errstate(over="ignore")  # p near the float limit: p (la - t) to -inf (exp: 0), p e to inf
 def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
     """The Newton loop of `lux_rows` over rows with a finite start, in
     the workspace ``e`` of ``la``'s shape; the reductions run along the
     last axis, so one ``(n,)`` row works on numpy scalars throughout."""
-    np.copyto(e, p)  # the workspace first holds p over the nonzero nodes
-    e[la == -math.inf] = math.inf
-    p_lo = e.min(axis=-1)
+    if (zero := la == -math.inf).any():  # zero and padding nodes: their p does not count
+        np.copyto(e, p)  # the workspace first holds p over the nonzero nodes
+        e[zero] = math.inf
+    p_lo = (e if zero.any() else p).min(axis=-1)
+    del zero  # not held through the loop, which allocates as rows stop
     tol = p_lo * math.log1p(rel_tol)
     out = None              # per-row results, once some rows stop before others
     for k in range(1, MAX_EVALUATIONS + 1):
@@ -184,10 +187,10 @@ def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
 class NodeTable(NamedTuple):
     """Per-node tables of a ``(members, n)`` value stack: ``log|f|`` per
     member, with a padding node at index ``n`` where it is ``-inf``, the
-    exponent and the log quadrature weights, and whether no member has a
-    zero node.  A ``-inf`` log|f| cancels its node's exponent and weight,
-    so a gather reads the padding node's from node ``n - 1`` (any finite
-    values would do)."""
+    exponent (shared, or one padded row per member) and the log
+    quadrature weights, and whether no member has a zero node.  A ``-inf``
+    log|f| cancels its node's exponent and weight, so a gather reads the
+    padding node's from node ``n - 1`` (any finite values would do)."""
 
     la: np.ndarray
     p: np.ndarray
@@ -209,10 +212,11 @@ class NodeTable(NamedTuple):
         return rows
 
     def solve(self, rows: np.ndarray | None = None, rel_tol: float = 1e-10,
-              block: np.ndarray | None = None) -> RowNorms:
+              block: np.ndarray | None = None, members: np.ndarray | None = None,
+              lq_gathered: bool = False) -> RowNorms:
         """`lux_rows` on ``(rows, k)`` node indices (by default `rows()`),
-        row ``i`` reading member ``i`` or the only member: the one way
-        into the solver.
+        row ``i`` reading member ``members[i]``, by default member ``i`` or
+        the only member: the one way into the solver.
 
         With the default rows of a dense table (no zero node), each
         member's row is every node in node order, so the solve reads the
@@ -224,7 +228,7 @@ class NodeTable(NamedTuple):
         once a default row array is freed.  (Three arrays, not one of
         three times the size: glibc raises its mmap threshold to the
         largest block freed, and a higher threshold leaves more freed heap
-        resident.)"""
+        resident.)  With ``lq_gathered``, ``block`` holds these log weights (one member)."""
         if rows is None:
             if self.dense:
                 la = self.la[:, :-1]
@@ -232,14 +236,14 @@ class NodeTable(NamedTuple):
                                 np.broadcast_to(self.lq, la.shape), rel_tol)
             rows = self.rows()
         la, p, lq, *e = [np.empty(rows.shape) for _ in range(3)] if block is None else block
-        if len(self.la) == 1:
-            self.la[0].take(rows, out=la, mode="clip")
-        else:  # member i reads row i of la, at flat indices built where lq goes
-            flat = np.add(rows, np.arange(0, self.la.size, self.la.shape[1])[:, None],
-                          out=lq.view(np.int64))
-            self.la.take(flat, out=la, mode="clip")
-        self.p.take(rows, out=p, mode="clip")
-        self.lq.take(rows, out=lq, mode="clip")
+        flat = rows
+        if len(self.la) > 1:  # a row reads its member's la (and p), at flat indices built in lq
+            members = np.arange(len(rows)) if members is None else members
+            flat = np.add(rows, (members * self.la.shape[1])[:, None], out=lq.view(np.int64))
+        self.la.take(flat, out=la, mode="clip")
+        self.p.take(rows if self.p.ndim == 1 else flat, out=p, mode="clip")
+        if not lq_gathered:
+            self.lq.take(rows, out=lq, mode="clip")
         del rows  # a default row array is freed before the solve
         return lux_rows(la, p, lq, rel_tol, *e)
 
@@ -259,6 +263,13 @@ def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray,
     if lw is not None:  # unmasked: a zero node's -inf stays -inf
         la[:, :n] += lw.ravel()
     return NodeTable(la, p.ravel(), lq.ravel(), dense)
+
+
+def stacked_table(tables) -> NodeTable:
+    """One table of one-member ``tables``, an exponent row each (padded with 1)."""
+    p = np.ones((len(tables), tables[0].p.size + 1))
+    np.stack([t.p for t in tables], out=p[:, :-1])
+    return NodeTable(np.concatenate([t.la for t in tables]), p, tables[0].lq, False)
 
 
 def lux_flat(a: np.ndarray, p: np.ndarray, lq: np.ndarray, rel_tol: float = 1e-10,

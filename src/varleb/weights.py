@@ -22,23 +22,21 @@ with ``nu = prod_j w_j``.  Three conventions are fixed throughout:
   same for ``c w`` as for ``w``.  One with a log above ``log 1e150`` reads
   inf and sets the overflow flag; checks that need a finite one refuse it.
 
-The scan works one (depth, shifted) group of cubes at a time, in the
-row format of ``norms``.  Each factor becomes one `norms.NodeTable` on
-the grid, built once per scan (a NaN is refused there, at its grid
-node).  A group is one integer array of node rows, one row per cube in
-scan order padded with the table's padding index
-(`field.CubeGroup.node_rows`), and each factor solves every row of the
-group in one `NodeTable.solve`.  Cube measures, log sums, the overflow
-test and the argmax (the first maximal cube in scan order) are array
-operations on the group.
+The scan works one cube depth at a time, in the row format of ``norms``.
+Each factor becomes one `norms.NodeTable` on the grid, built once per
+scan (a NaN is refused there, at its grid node).  A (depth, shifted)
+group is one integer array of node rows, one row per cube in scan order
+padded with the table's padding index (`field.CubeGroup.node_rows`), a
+row set of each factor.  A depth's sets share one `NodeTable.solve` in
+scan order until one has another width or passes ``PACK_NODES``; it and
+the rest (all on 257^2 grids) are solved alone.  A cube adds its
+factors' log norms in factor order.  Measures, log sums, the overflow
+test and the argmax (the first maximal cube in scan order) are vectorised.
 
 The scan owns one working block of four float rows, which every solve
-of every group gathers into and runs its Newton loop in; the cube
-measures are summed in its workspace row before the solves.  It is made
-for the first group and regrown, to the exact size, only when a later
-group needs more.  So a scan allocates no row-sized array per group
-beyond its node rows, and glibc does not return the pages of one group
-only to fault them in again for the next.
+gathers into and runs its Newton loop in, after the cube measures are
+summed in its workspace row.  Regrown only to the exact size a solve
+needs, it spares each solve a row-sized array and refaulted pages.
 """
 
 from __future__ import annotations
@@ -55,9 +53,10 @@ from .exponent import (GAMMA_TOL, ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
                        scale_exponent, two_to_one_data, validate_quadruple)
 from .field import Cube, DyadicCubeSet, Grid, WeightField, shared_grid
-from .norms import holder_constant, node_table
+from .norms import holder_constant, node_table, stacked_table
 
 OVERFLOW_THRESHOLD = 1e150
+PACK_NODES = 2 ** 16  # nodes of a packed scan solve: 4 float rows in 2 MiB, a core's L2
 # slack of the inequalities that the lemma-shaped checks assert
 CHECK_TOL = 1e-9
 
@@ -74,38 +73,65 @@ class WeightConstantReport:
 
 def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
                rel_tol: float, convention: str) -> WeightConstantReport:
-    """Scan the cube family one (depth, shifted) group at a time: every
-    cube of a group is a padded row of node indices, so each factor, a
-    ``(weight, exponent)`` pair, is one row solve per group, made in the
-    scan's working block."""
+    """Scan the cube family one depth at a time: a (depth, shifted) group's
+    padded node rows are a row set of each ``(weight, exponent)`` factor,
+    and a depth's sets share one solve in the working block while they fit."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
     qw = grid.quad_weights
     tables = [node_table(w.values, p.values_on(grid), grid.log_quad_weights) for w, p in factors]
-    values = []
-    block = np.empty((4, 0))
-    for group in cubes.groups():
-        rows = group.node_rows(grid)
-        # a cube with no node holds only padding, from its first entry on
-        empty = np.flatnonzero(rows[:, 0] == grid.size)
-        stop = int(empty[0]) if empty.size else rows.shape[0]
-        rows = rows[:stop]
+    values, pack, stacked = [], [], None  # per group; (rows, factor, values) sets; tables as one
+    block, alone = np.empty((4, 0)), None  # alone: the values of the last set solved alone
+    def solve(sets):  # in one solve, then emptied
+        nonlocal block, stacked, alone
+        if not sets:
+            return
+        rows = sets[0][0] if len(sets) == 1 else np.concatenate([r for r, _, _ in sets])
         if rows.size > block.shape[1]:
             block = None  # the old block is freed before the new one is made
             block = np.empty((4, rows.size))
-        # the cube measures are summed in the Newton row, free until the solves
         work = block[:, :rows.size].reshape(4, *rows.shape)
-        qw.take(rows, out=work[3], mode="clip")
-        work[3][rows == qw.size] = 0.0
-        value = measure_power * np.log(work[3].sum(axis=1))
-        for table in tables:
-            value += table.solve(rows, rel_tol, work).log_value
-        del rows, work  # freed before the next group's rows, or a regrown block, are made
+        ends = np.cumsum([len(r) for r, _, _ in sets])
+        for (r, k, value), end in zip(sets, ends):  # cube measures, in the Newton row
+            if k == 0:
+                measure = qw.take(r, out=work[3, end - len(r):end], mode="clip")
+                if (r[:, -1] == qw.size).any():  # a padded row ends in padding
+                    measure[r == qw.size] = 0.0
+                value[:] = measure_power * np.log(measure.sum(axis=1))
+        if len(sets) == 1:  # after the same group's previous factor, its log weights are kept
+            _, k, value = sets[0]
+            log_value = tables[k].solve(rows, rel_tol, work, lq_gathered=value is alone).log_value
+        else:
+            stacked = stacked_table(tables) if stacked is None else stacked
+            members = np.repeat([k for _, k, _ in sets], [len(r) for r, _, _ in sets])
+            log_value = stacked.solve(rows, rel_tol, work, members).log_value
+        alone = sets[0][2] if len(sets) == 1 else None
+        for (r, _, value), end in zip(sets, ends):  # in factor order, as solved one by one
+            value += log_value[end - len(r):end]
+        sets.clear()
+
+    for group in cubes.groups():
+        if not group.shifted:  # a new depth
+            solve(pack)
+            packing = True
+        rows = group.node_rows(grid)
+        # a cube with no node holds only padding, from its first entry on
+        empty = np.flatnonzero(rows[:, 0] == grid.size)
         if empty.size:
             raise EmptyRegionError(
-                f"cube {group.cube(np.unravel_index(stop, group.shape)).label()} contains "
+                f"cube {group.cube(np.unravel_index(empty[0], group.shape)).label()} contains "
                 "no grid node; lower max_depth or refine the grid")
-        values.append(value)
+        values.append(np.empty(len(rows)))
+        for k in range(len(factors)):
+            packing = packing and (not pack or rows.shape[1] == pack[0][0].shape[1]) and (
+                sum(r.size for r, _, _ in pack) + rows.size <= PACK_NODES)
+            if packing:
+                pack.append((rows, k, values[-1]))
+            else:  # the sets before first, so that each cube adds its factors in order
+                solve(pack)
+                solve([(rows, k, values[-1])])
+        del rows  # freed before the next group's rows are made, if solved
+    solve(pack)
     log_cube = np.concatenate(values)
     over = log_cube > math.log(OVERFLOW_THRESHOLD)
     per_cube = np.exp(np.where(over, math.inf, log_cube))  # exp(inf) raises no overflow

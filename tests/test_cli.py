@@ -197,6 +197,28 @@ def test_maximal_is_homogeneous_at_extreme_amplitudes(tmp_path, amplitude):
     assert got["dominance_min"] >= -1e-12 * amplitude
 
 
+@pytest.mark.parametrize("left", [-1e200, -1e300])
+def test_maximal_on_a_2d_box_wider_than_the_squares_reach_matches_a_narrower_one(tmp_path,
+                                                                               capsys, left):
+    """On [-1e200, 1] x [0, 1] the squares of the lattice-ball test passed
+    the float range and the run exited 1 with "(34, 'Numerical result out
+    of range')".  In a power-of-two unit of length every ball keeps its
+    rows: the ratio is the one on [-1e150, 1] x [0, 1], whose squares are
+    finite (with squares read as inf, the balls lost every row but one and
+    the ratio read 0.7077 against 0.7423)."""
+    def run(lo):
+        cfg = {"box": [[lo, 1.0], [0.0, 1.0]], "resolution": 16, "qtilde": 1.0,
+               "radii_count": 4, "exponent": {"kind": "constant", "value": 2.0},
+               "function": {"kind": "gaussian", "center": [0.5, 0.5], "width": 0.2}}
+        rc, report, _ = _run(tmp_path, "maximal", cfg)
+        assert rc == 0, capsys.readouterr().err
+        return report["results"]
+
+    want, got = run(-1e150), run(left)
+    assert "Numerical result out of range" not in capsys.readouterr().err
+    assert got["ratio"] == pytest.approx(want["ratio"], rel=1e-12, abs=0.0)
+
+
 def _translates(amplitude):
     return {"box": [[0.0, 10.0]], "resolution": 1024, "qtilde": 2.0,
             "exponent": {"kind": "constant", "value": 3.0}, "weight": CONST_ONE,

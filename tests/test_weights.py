@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varleb.norms as norms_module
+import varleb.weights as weights_module
 from varleb import (ArityMismatchError, Box, DomainError, DyadicCubeSet,
                     EmptyRegionError, ExponentField, Grid, GridFunction,
                     HypothesisFailureError, OverflowToInfinityError, QuadrupleSpec,
@@ -495,7 +496,8 @@ def test_cube_scan_overflow_error_names_the_first_overflowing_cube():
 def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
     """A work-count guard: a fall-back to per-cube solves would make one
     call per cube (here 1 + 4 + 16 + 64 + 256 dyadic cubes plus the
-    shifted ones) instead of one per (depth, shifted) group."""
+    shifted ones) instead of at most one per (depth, shifted) group and
+    factor, fewer where a depth's row sets share a solve."""
     calls = []
     real = norms_module.lux_rows
 
@@ -515,12 +517,34 @@ def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
     assert sum(calls) == factors * rep.cube_count == factors * len(all_cubes(cubes))
 
 
+@pytest.mark.parametrize("shape, depth, solves", [((4097,), 6, 7), ((257, 257), 4, 18)])
+def test_cube_scan_solves_a_depth_at_once_where_it_fits(monkeypatch, shape, depth, solves):
+    """A work-count guard on the packing: at 4097 nodes every depth's
+    sets fit ``PACK_NODES`` and make one solve; at 257^2 no dyadic group
+    does, so each (group, factor) set is solved alone, 2 per group."""
+    calls = []
+    real = norms_module.lux_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(norms_module, "lux_rows", counting)
+    box = Box((0.0,) * len(shape), (1.0,) * len(shape))
+    grid = Grid(box, shape)
+    w = WeightField(grid, 1.5 + np.sin(grid.coords.sum(axis=-1)))
+    rep = ap_constant(w, ExponentField.affine(box, 2.5, (0.5,) * len(shape)),
+                      DyadicCubeSet(box, depth))
+    assert len(calls) == solves
+    assert sum(calls) == 2 * rep.cube_count
+
+
 def test_cube_scan_solves_every_group_in_one_block_regrown_only_to_fit(monkeypatch):
     """Every solve of a scan gathers into one working block, made for the
-    first group and regrown only for a larger one, to its exact size.
-    Here the groups hold 2145, 2244, 561, 2448 and 1377 nodes, so the
-    block is regrown twice; its four rows hold each solve's log|f|,
-    exponent, log weight and Newton workspace."""
+    first solve and regrown only for a larger one, to its exact size.
+    Here each depth's two groups and two factors are one solve, of 4290,
+    5610 and 7650 nodes, so the block is regrown twice; its four rows
+    hold each solve's log|f|, exponent, log weight and Newton workspace."""
     blocks, seen = [], []
     real = norms_module.lux_rows
 
@@ -537,7 +561,81 @@ def test_cube_scan_solves_every_group_in_one_block_regrown_only_to_fit(monkeypat
     grid = Grid(box, (33, 65))
     w = WeightField(grid, 1.0 + grid.coords[..., 0] * grid.coords[..., 1])
     rep = ap_constant(w, const_p(2.0, box), DyadicCubeSet(box, 2))
-    assert len(seen) == 2 * 5 and rep.cube_count == 1 + 4 + 1 + 16 + 9
+    assert [n for _, n in seen] == [4290, 5610, 7650]
+    assert rep.cube_count == 1 + 4 + 1 + 16 + 9
     assert len(blocks) == 3
     for block in blocks:
         assert block.shape == (4, max(n for b, n in seen if b is block))
+
+
+def _packed_and_alone(scan, budget):
+    """``scan()`` with a packing budget of ``budget`` nodes and with every
+    (group, factor) row set solved alone (a budget of none), with the
+    `lux_rows` calls of each."""
+    reports, calls = [], []
+    real = norms_module.lux_rows
+    for budget in (budget, 0):
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights_module, "PACK_NODES", budget)
+            mp.setattr(norms_module, "lux_rows",
+                       lambda *args, **kwargs: made.append(1) or real(*args, **kwargs))
+            reports.append(scan())
+        calls.append(len(made))
+    return reports, calls
+
+
+def _assert_packing_keeps_every_bit(scan, factors, cubes, budget=weights_module.PACK_NODES):
+    (packed, alone), (n_packed, n_alone) = _packed_and_alone(scan, budget)
+    assert np.array_equal(packed.per_cube, alone.per_cube)
+    assert packed.argmax_cube == alone.argmax_cube and packed.overflow == alone.overflow
+    groups = 2 * cubes.max_depth + 1
+    assert n_alone == factors * groups and n_packed <= n_alone
+    return n_packed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]), depth=st.integers(0, 3),
+       three=st.booleans(), budget=st.integers(1, 5000))
+def test_packed_cube_scan_is_bit_identical_to_one_solve_per_set(seed, dim, depth, three,
+                                                                budget):
+    """Packing a depth's row sets into one solve moves no bit of any cube
+    value, under any budget, which also cuts depths between a packed
+    solve and sets solved alone: rows of unequal width (node counts that
+    are no power of two plus one) and anisotropic 2D grids, with 2
+    factors (`ap_constant`) and 3 (`multilinear_constant`, m = 2)."""
+    grid, cubes, w, p, rng = _scan_case(seed, dim, depth)
+    if three:
+        p_vec = (p, ExponentField.constant(grid.box, float(rng.uniform(3.0, 5.0))))
+        spec = QuadrupleSpec(p_vec, reciprocal_affine(p_vec, (1.0, 1.0), 0.0), (1.1, 1.2),
+                             math.inf)
+        w2 = w.power(0.5)
+        _assert_packing_keeps_every_bit(lambda: multilinear_constant((w, w2), spec, cubes),
+                                        3, cubes, budget)
+    else:
+        _assert_packing_keeps_every_bit(lambda: ap_constant(w, p, cubes), 2, cubes, budget)
+
+
+@pytest.mark.parametrize("shape, depth, budget", [
+    ((65,), 3, weights_module.PACK_NODES), ((1025,), 5, weights_module.PACK_NODES),
+    ((100,), 4, weights_module.PACK_NODES), ((33, 65), 3, weights_module.PACK_NODES),
+    ((30, 17), 2, weights_module.PACK_NODES), ((65,), 1, 165)])
+def test_packed_cube_scan_is_bit_identical_on_fixed_grids(shape, depth, budget):
+    """The same on power-of-two grids (every depth one solve), on grids
+    with rows of unequal width, and on anisotropic 2D grids, with 2 and 3
+    factors; each case packs at least one depth.  With a budget of 165
+    nodes at 65 nodes, depth 1 packs the dyadic sets and the first
+    shifted one (2 * 66 + 33 nodes) and solves the last shifted set alone,
+    which must gather its own log weights."""
+    box = Box((0.0,) * len(shape), tuple(1.0 + axis for axis in range(len(shape))))
+    grid = Grid(box, shape)
+    w = WeightField(grid, np.exp(np.sin(3.0 * grid.coords.sum(axis=-1))))
+    p = ExponentField.affine(box, 2.5, (0.3,) * len(shape))
+    cubes = DyadicCubeSet(box, depth)
+    assert _assert_packing_keeps_every_bit(lambda: ap_constant(w, p, cubes), 2, cubes,
+                                           budget) < 2 * (2 * depth + 1)
+    p_vec = (p, const_p(4.0, box))
+    spec = QuadrupleSpec(p_vec, reciprocal_affine(p_vec, (1.0, 1.0), 0.0), (1.1, 1.2), math.inf)
+    assert _assert_packing_keeps_every_bit(
+        lambda: multilinear_constant((w, w.inverse()), spec, cubes), 3, cubes,
+        budget) < 3 * (2 * depth + 1)
