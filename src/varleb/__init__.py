@@ -19,7 +19,7 @@ from .interp import (BallAverageProduct, EndpointSpace, ExtrapolationBuild, Frac
                      WorkflowReport, apply_operator, blend_spaces,
                      build_extrapolation_family, difference_field,
                      run_extrapolation_workflow, verify_interpolation_bound,
-                     verify_mixed_interpolation_bound)
+                     verify_interpolation_bounds, verify_mixed_interpolation_bound)
 from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_measure,
                       ball_sums, maximal_boundedness_probe, maximal_function,
                       oscillation_average, oscillation_profiles)

@@ -46,8 +46,7 @@ from .errors import (REQUIRED, DomainError, HypothesisFailureError, OverflowToIn
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
-                     run_extrapolation_workflow, verify_interpolation_bound,
-                     verify_mixed_interpolation_bound)
+                     run_extrapolation_workflow, verify_interpolation_bounds)
 from .maximal import RadiusSweep, maximal_function
 from .norms import modular, weighted_norm
 from .rk import (classify, dilate_family, modulate_family, mollify_family,
@@ -268,13 +267,13 @@ def _run_interp_verify(c, grid):
     op = read_kind(c["operator"], _OPERATORS, "operator")
     s0, s1 = _endpoint_from(c, "endpoint0", grid), _endpoint_from(c, "endpoint1", grid)
     kwargs = {key: c[key] for key in ("trials", "seed", "safety", "slack", "rel_tol")}
-    rep = verify_interpolation_bound(op, s0, s1, c["theta"], **kwargs)
+    rep, *mixed = verify_interpolation_bounds(op, s0, s1, c["theta"], **(c["mixed"] or {}),
+                                              **kwargs)
     results = {"passed": rep.passed, "worst_ratio": rep.worst_ratio,
                "violations": rep.violations, "certificates": rep.certificates,
                "trials": rep.trials}
     code = EXIT_OK if rep.passed else EXIT_VIOLATION
-    if c["mixed"] is not None:
-        mrep = verify_mixed_interpolation_bound(op, s0, s1, c["theta"], **c["mixed"], **kwargs)
+    for mrep in mixed:  # the report of the mixed block, when there is one
         results["mixed"] = {"passed": mrep.passed, "worst_ratio": mrep.worst_ratio,
                             "qtilde": mrep.qtilde, "certificates": mrep.certificates}
         if not mrep.passed:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -386,29 +386,19 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
-                        seed: int) -> list[LogHolderReport]:
-    """Sampled lower estimates of the log-Hoelder constants of fields on
-    one box, from one pair sample.
-
-    The local constant is ``sup |p(x)-p(y)| * (-log|x-y|)`` over pairs
-    with ``|x-y| < 1/2``; the decay constant is ``sup |p(x)-p_inf| *
-    log(e+|x|)``.  Estimates are suprema over a deterministic pair
-    sample extended by a seeded stream, so a larger budget never lowers
-    them.  Fields without a declared limit use the value at the far
-    corner of the box as the ``p_inf`` proxy.
-    """
-    if budget < 1:
-        raise DomainError("budget must be positive")
-    box = fields[0].box
+@lru_cache(maxsize=8)
+def _pair_sample(box: Box, budget: int, seed: int) -> tuple:
+    """The pair sample of `_log_holder_reports`, read-only and cached per
+    ``(box, budget, seed)``: far corner, X, Y, ``near``, ``-log|x - y|`` of
+    the near pairs, ``log(e + |x|)`` and the near count.  Rows are dyadic
+    steps along each axis from fixed anchors, in (anchor, k, axis) order,
+    then the seeded pairs."""
     dim, lo, hi = box.dim, np.array(box.lo), np.array(box.hi)
     diam = box.diameter
     corners = np.array(np.meshgrid(*(np.array([a, b]) for a, b in zip(box.lo, box.hi)),
                                    indexing="ij")).reshape(dim, -1).T
     far_corner = corners[int(np.argmax(_row_norms(corners)))]
 
-    # structured pairs: dyadic separations along each axis from fixed
-    # anchors, rows in (anchor, k, axis) order
     anchors = np.vstack([box.center, 0.75 * np.array(box.center) + 0.25 * corners])
     steps = (diam * 2.0 ** -np.arange(1.0, 24.0))[:, None, None] * np.eye(dim)
     x_dyadic = np.broadcast_to(anchors[:, None, None, :], (len(anchors), *steps.shape))
@@ -427,9 +417,27 @@ def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
     Y = np.concatenate([y_dyadic.reshape(-1, dim), y_rand])
     dist = _row_norms(X - Y)
     near = (dist > 0.0) & (dist < 0.5)
-    pairs_used = int(near.sum())
-    neg_log = -np.log(dist[near])
-    log_r = np.log(math.e + _row_norms(X))
+    sample = (far_corner, X, Y, near, -np.log(dist[near]), np.log(math.e + _row_norms(X)))
+    for arr in sample:
+        arr.flags.writeable = False
+    return (*sample, int(near.sum()))
+
+
+def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
+                        seed: int) -> list[LogHolderReport]:
+    """Sampled lower estimates of the log-Hoelder constants of fields on
+    one box, from one pair sample (`_pair_sample`).
+
+    The local constant is ``sup |p(x)-p(y)| * (-log|x-y|)`` over pairs
+    with ``|x-y| < 1/2``; the decay constant is ``sup |p(x)-p_inf| *
+    log(e+|x|)``.  Estimates are suprema over a deterministic pair
+    sample extended by a seeded stream, so a larger budget never lowers
+    them.  Fields without a declared limit use the value at the far
+    corner of the box as the ``p_inf`` proxy.
+    """
+    if budget < 1:
+        raise DomainError("budget must be positive")
+    far_corner, X, Y, near, neg_log, log_r, pairs_used = _pair_sample(fields[0].box, budget, seed)
     reports = []
     for p in fields:
         if p.p_infinity is not None:

@@ -159,9 +159,12 @@ def _quad_weights(grid: Grid) -> np.ndarray:
         w = np.full(n, h)
         w[0] = w[-1] = 0.5 * h
         factors.append(w)
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.multiply.outer(out, f)
+    with np.errstate(over="ignore"):  # refused below, naming the grid
+        out = reduce(np.multiply.outer, factors)
+    lo, hi = float(out.min()), float(out.max())
+    if not 0.0 < lo <= hi < math.inf:
+        raise DomainError(f"the {grid.shape} grid on {grid.box.lo}-{grid.box.hi} has quadrature "
+                          f"weights in [{lo!r}, {hi!r}]; each must be positive and finite")
     out.flags.writeable = False
     return out
 

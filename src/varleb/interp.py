@@ -15,12 +15,12 @@ multiplicative slack for norm-solver tolerance, and shrinks a witness
 for each violation.  Every set of functions is one value stack: the
 corpus is a ``(trials, m, *grid.shape)`` array, `apply_operator` maps
 a ``(..., m, *grid.shape)`` stack to the ``(..., *grid.shape)`` stack
-of outputs, and every ratio comes from one helper that solves a whole
-corpus slot in one batched call.  The mixed-norm bound is the same
+of outputs, and every ratio comes from log norms that one batched call
+solves per corpus slot.  The mixed-norm bound is the same
 pipeline with an output map: ``T f`` is replaced by the profile ``x ->
 ||S(x, .)||_{qtilde}`` of the difference field ``S(x, y) = T(x) - T(x +
-y)``, one sliding window over the zero-padded outputs of a block of
-trials at a time.  Operators are one frozen class per kind.
+y)``, a block of trials at a time, and both maps can share one pass
+over the corpus.  Operators are one frozen class per kind.
 
 The extrapolation half inverts the blend: given a target space tuple, a
 second endpoint, and ``th``, it reconstructs the other endpoint (spaces
@@ -244,17 +244,24 @@ def _draw_corpus(grid: Grid, m: int, trials: int, seed: int) -> np.ndarray:
     return draws.values.reshape(trials, m, *grid.shape)
 
 
-def _corpus_ratios(corpus: np.ndarray, outputs: np.ndarray, grid: Grid,
+def _slot_log_norms(corpus: np.ndarray, grid: Grid, space: EndpointSpace,
+                    rel_tol: float) -> list[np.ndarray]:
+    """Per-trial ``log ||f_j||_{p_j,w_j}`` of a corpus, one batched solve per slot."""
+    return [weighted_table(corpus[:, j], grid, p, w).solve(rel_tol=rel_tol).log_value
+            for j, (p, w) in enumerate(zip(space.p_vec, space.w_vec))]
+
+
+def _corpus_ratios(slot_logs: list[np.ndarray], outputs: np.ndarray, grid: Grid,
                    space: EndpointSpace, scale: float, rel_tol: float) -> np.ndarray:
     """Per-trial ``||T f||_{q,v} / (scale prod_j ||f_j||_{p_j,w_j})``
-    over a ``(trials, m, *grid.shape)`` corpus and its ``(trials,
+    from the input slots' log norms (`_slot_log_norms`) and the ``(trials,
     *grid.shape)`` outputs, 0 where an input norm vanishes: one batched
-    solve per input slot and one for the outputs, whose log norms are summed
+    solve for the outputs, whose log norm and the input ones are summed
     and exponentiated once, so no product of norms overflows.  A NaN ratio
     (inf over inf) is a DomainError naming the trial and both sides."""
-    log_den = np.full(len(corpus), math.log(scale) if scale > 0.0 else -math.inf)
-    for j, (p, w) in enumerate(zip(space.p_vec, space.w_vec)):
-        log_den += weighted_table(corpus[:, j], grid, p, w).solve(rel_tol=rel_tol).log_value
+    log_den = np.full(len(outputs), math.log(scale) if scale > 0.0 else -math.inf)
+    for logs in slot_logs:
+        log_den += logs
     log_num = weighted_table(outputs, grid, space.q, space.v).solve(rel_tol=rel_tol).log_value
     with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range; NaN below
         ratios = np.where(log_den > -math.inf, np.exp(log_num - log_den), 0.0)
@@ -294,14 +301,31 @@ def _shrink_witness(fs: np.ndarray, violates) -> np.ndarray:
     return fs
 
 
-def _verify(op: Operator, space0: EndpointSpace, space1: EndpointSpace,
-            theta: float, trials: int, seed: int, safety: float, slack: float,
-            rel_tol: float, out_map):
-    """The pipeline of both verifiers, on the outputs ``out_map(T f)`` of
-    the whole corpus: certify both endpoints over one random corpus,
-    then assert the blended bound on every corpus member and shrink a
-    witness for each violation.  Returns the certificates, the worst
-    blended ratio and the violations."""
+def verify_interpolation_bounds(op: Operator, space0: EndpointSpace, space1: EndpointSpace,
+                                theta: float, qtilde: float | None = None,
+                                offset_count: int = 8, trials: int = 100, seed: int = 0,
+                                safety: float = 1.05, slack: float = 1e-6,
+                                rel_tol: float = 1e-10,
+                                plain: bool = True) -> list[InterpolationReport]:
+    """Both verifiers in one pass, one report per output map: that of
+    `verify_interpolation_bound` on ``T f`` when ``plain``, then, when
+    ``qtilde`` is given, that of `verify_mixed_interpolation_bound` on the
+    profiles ``x -> ||S(x, .)||_{qtilde}``, a block of trials at a time.
+    The corpus, T and the input slots of both endpoints and the blend are
+    done once; each map then certifies both endpoints, asserts the blended
+    bound on every corpus member and shrinks a witness for each violation."""
+    maps = [(lambda outputs: outputs, InterpolationReport, ())] if plain else []
+    if qtilde is not None:
+        limit = min(space0.q.p_minus, space1.q.p_minus)
+        if not 0.0 < qtilde < limit:
+            raise DomainError(f"qtilde must lie in (0, {limit}), got {qtilde}")
+        step = max(1, _FIELD_VALUES_PER_BLOCK // ((2 * offset_count + 1) * space0.grid.size))
+
+        def profiles(outputs):
+            return np.concatenate([inner_norm(*difference_field(
+                outputs[t:t + step], space0.grid, offset_count), qtilde)
+                for t in range(0, len(outputs), step)])
+        maps.append((profiles, MixedInterpolationReport, (qtilde, offset_count)))
     if op.arity != space0.m:
         raise ArityMismatchError("operator arity does not match the endpoint spaces")
     if trials < 1:
@@ -314,21 +338,29 @@ def _verify(op: Operator, space0: EndpointSpace, space1: EndpointSpace,
     blended = blend_spaces(space0, space1, theta)
     grid = blended.grid
     corpus = _draw_corpus(grid, op.arity, trials, seed)
-    outputs = out_map(apply_operator(op, corpus, grid))
-    certs = tuple(_certify(s, _corpus_ratios(corpus, outputs, grid, s, 1.0, rel_tol), safety)
-                  for s in (space0, space1))
-    m_blend = certs[0].bound ** (1.0 - theta) * certs[1].bound ** theta
-    ratios = _corpus_ratios(corpus, outputs, grid, blended, m_blend, rel_tol)
+    outputs = apply_operator(op, corpus, grid)
+    spaces = (space0, space1, blended)
+    slot_logs = [_slot_log_norms(corpus, grid, s, rel_tol) for s in spaces]
+    reports = []
+    for out_map, report, extra in maps:
+        mapped = out_map(outputs)
+        certs = tuple(_certify(s, _corpus_ratios(logs, mapped, grid, s, 1.0, rel_tol), safety)
+                      for s, logs in zip(spaces[:2], slot_logs))
+        m_blend = certs[0].bound ** (1.0 - theta) * certs[1].bound ** theta
+        ratios = _corpus_ratios(slot_logs[2], mapped, grid, blended, m_blend, rel_tol)
 
-    def violates(fs):
-        out = out_map(apply_operator(op, fs[None], grid))
-        return _corpus_ratios(fs[None], out, grid, blended, m_blend, rel_tol)[0] > 1.0 + slack
+        def violates(fs, out_map=out_map, m_blend=m_blend):
+            out = out_map(apply_operator(op, fs[None], grid))
+            return _corpus_ratios(_slot_log_norms(fs[None], grid, blended, rel_tol), out, grid,
+                                  blended, m_blend, rel_tol)[0] > 1.0 + slack
 
-    violations = tuple(
-        Violation(int(t), float(ratios[t]),
-                  int(np.count_nonzero(_shrink_witness(corpus[t], violates))))
-        for t in np.flatnonzero(ratios > 1.0 + slack))
-    return certs, float(ratios.max()), violations
+        violations = tuple(
+            Violation(int(t), float(ratios[t]),
+                      int(np.count_nonzero(_shrink_witness(corpus[t], violates))))
+            for t in np.flatnonzero(ratios > 1.0 + slack))
+        reports.append(report(theta, trials, certs, float(ratios.max()), violations, slack,
+                              *extra))
+    return reports
 
 
 def verify_interpolation_bound(op: Operator, space0: EndpointSpace,
@@ -344,9 +376,8 @@ def verify_interpolation_bound(op: Operator, space0: EndpointSpace,
     blended inequality then has no free constant left; violations
     beyond ``1 + slack`` are reported with shrunken witnesses.
     """
-    certs, worst, violations = _verify(op, space0, space1, theta, trials, seed,
-                                       safety, slack, rel_tol, lambda outputs: outputs)
-    return InterpolationReport(theta, trials, certs, worst, violations, slack)
+    return verify_interpolation_bounds(op, space0, space1, theta, None, 8, trials, seed, safety,
+                                       slack, rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +422,8 @@ def verify_mixed_interpolation_bound(op: Operator, space0: EndpointSpace,
     the operator output over node-aligned offsets; requires ``qtilde``
     below both endpoint output lower bounds.  This is the plain bound
     on that output profile in place of ``T f``."""
-    limit = min(space0.q.p_minus, space1.q.p_minus)
-    if not 0.0 < qtilde < limit:
-        raise DomainError(f"qtilde must lie in (0, {limit}), got {qtilde}")
-    grid = space0.grid
-
-    def profiles(outputs):  # the difference fields of a block of trials at a time
-        step = max(1, _FIELD_VALUES_PER_BLOCK // ((2 * offset_count + 1) * grid.size))
-        return np.concatenate([inner_norm(*difference_field(outputs[t:t + step], grid,
-                                                            offset_count), qtilde)
-                               for t in range(0, len(outputs), step)])
-
-    certs, worst, violations = _verify(op, space0, space1, theta, trials, seed, safety,
-                                       slack, rel_tol, profiles)
-    return MixedInterpolationReport(theta, trials, certs, worst, violations, slack,
-                                    qtilde, offset_count)
+    return verify_interpolation_bounds(op, space0, space1, theta, qtilde, offset_count, trials,
+                                       seed, safety, slack, rel_tol, plain=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +550,8 @@ def run_extrapolation_workflow(op: Operator, inputs: np.ndarray, grid: Grid,
             continue
         space0 = EndpointSpace(built.spec0.p_vec, built.spec0.q, built.w0_vec,
                                WeightField.product(built.w0_vec))
-        worst = float(_corpus_ratios(inputs, outputs.values, grid, space0, 1.0,
-                                     rel_tol).max())
+        worst = float(_corpus_ratios(_slot_log_norms(inputs, grid, space0, rel_tol),
+                                     outputs.values, grid, space0, 1.0, rel_tol).max())
         ok = (built.roundtrip_exponent_error <= roundtrip_tol
               and built.roundtrip_weight_error <= roundtrip_tol)
         entries.append(ThetaEntry(theta, True, built.verdict0.admissible,

@@ -103,8 +103,8 @@ class RadiusSweep:
 
     @classmethod
     def geometric(cls, grid: Grid, count: int = 64) -> "RadiusSweep":
-        """Geometric ladder from the grid step to the box diameter."""
-        lo, hi = grid.max_step, grid.box.diameter
+        """Geometric ladder from the smallest grid step to the box diameter."""
+        lo, hi = min(grid.steps), grid.box.diameter
         if count < 2:
             raise DomainError(f"radii_count must be at least 2, got {count}")
         if hi <= lo:
@@ -113,9 +113,9 @@ class RadiusSweep:
         return cls(tuple(np.geomspace(lo, hi, count)))
 
     def validate_for(self, grid: Grid) -> None:
-        if self.radii[0] < grid.max_step * (1.0 - 1e-9):
+        if self.radii[0] < min(grid.steps) * (1.0 - 1e-9):
             raise DomainError(
-                f"smallest radius {self.radii[0]} is below the grid step {grid.max_step}")
+                f"smallest radius {self.radii[0]} is below the grid step {min(grid.steps)}")
         if self.radii[-1] > grid.box.diameter * (1.0 + 1e-9):
             raise DomainError(
                 f"largest radius {self.radii[-1]} exceeds the box diameter")

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -26,6 +27,8 @@ import varleb
 import varleb.cli as cli_module
 import varleb.exponent as exponent_module
 import varleb.field as field_module
+import varleb.interp as interp_module
+import varleb.norms as norms_module
 from varleb import Box, Grid, realize_function
 from varleb.cli import main
 from varleb.errors import VersionMismatchWarning
@@ -219,6 +222,43 @@ def test_maximal_on_a_2d_box_wider_than_the_squares_reach_matches_a_narrower_one
     assert got["ratio"] == pytest.approx(want["ratio"], rel=1e-12, abs=0.0)
 
 
+
+@pytest.mark.parametrize("width", [100.0, 3.0])
+def test_maximal_on_a_non_square_2d_grid_dominates_the_function(tmp_path, width):
+    """The radius ladder started at the larger step, so the smallest ball
+    spanned several nodes of the finer axis and M f fell below |f|: on
+    [0, 100] x [0, 1] dominance_min read -0.00125 and the ratio 0.743, and
+    on [0, 3] x [0, 1] dominance_min read -0.151, both with exit 0."""
+    cfg = {"box": [[0.0, width], [0.0, 1.0]], "resolution": 16, "qtilde": 1.0,
+           "radii_count": 4, "exponent": {"kind": "constant", "value": 2.0},
+           "function": {"kind": "gaussian", "center": [0.5, 0.5], "width": 0.2}}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    assert rc == 0
+    res = report["results"]
+    assert res["dominance_min"] >= -1e-12  # max |f| <= 1
+    assert res["ratio"] >= 1.0
+
+
+@pytest.mark.parametrize("command", ["norm", "maximal"])
+@pytest.mark.parametrize("box", [[[-1e200, 1.0], [-1e200, 1.0]], [[0.0, 1e-200], [0.0, 1e-200]]])
+def test_a_grid_whose_quadrature_weights_leave_the_float_range_exits_one_and_names_them(
+        tmp_path, capsys, command, box):
+    """Cell areas of 4e398 and 4e-403: the weights read inf or 0, and the
+    solve ran 100 evaluations into "Luxemburg Newton solve left |log rho| =
+    nan" behind numpy RuntimeWarnings."""
+    cfg = {"box": box, "resolution": 16, "exponent": {"kind": "constant", "value": 2.0},
+           "function": {"kind": "gaussian", "center": [0.5, 0.5], "width": 0.2}}
+    if command == "maximal":
+        cfg.update(qtilde=1.0, radii_count=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, report, _ = _run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert rc == 1 and report is None
+    assert re.fullmatch(r"error: the \(17, 17\) grid on .* has quadrature weights in "
+                        r"\[(inf, inf|0\.0, 0\.0)\]; each must be positive and finite\n", err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 def _translates(amplitude):
     return {"box": [[0.0, 10.0]], "resolution": 1024, "qtilde": 2.0,
             "exponent": {"kind": "constant", "value": 3.0}, "weight": CONST_ONE,
@@ -292,6 +332,23 @@ def test_interp_verify_holder_experiment_with_mixed_block(tmp_path):
     assert report["results"]["worst_ratio"] <= 1.0 + 1e-6
     assert report["results"]["mixed"]["passed"]
 
+
+
+def test_interp_verify_with_a_mixed_block_draws_one_corpus_and_solves_each_slot_once(
+        tmp_path, monkeypatch):
+    """m = 2: 3m input-slot solves and three output solves per map, against
+    6m + 6 when the plain and the mixed verifier each drew the corpus."""
+    draws, solves = [], []
+    draw, solve = interp_module._draw_corpus, norms_module.lux_rows
+    monkeypatch.setattr(interp_module, "_draw_corpus",
+                        lambda *args: draws.append(args) or draw(*args))
+    monkeypatch.setattr(norms_module, "lux_rows",
+                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    rc, report, _ = _run(tmp_path, "interp-verify", _interp_config(
+        arity=2, mixed={"qtilde": 1.0, "offset_count": 2}))
+    assert rc == 0 and report["results"]["mixed"]["passed"]
+    assert len(draws) == 1
+    assert len(solves) == 3 * 2 + 6
 
 def test_extrapolate_sanity_ladder_is_consistent_compact(tmp_path):
     quad = {"p_vec": [{"kind": "constant", "value": 4.0},
@@ -552,12 +609,12 @@ def test_a_mollify_sigma_up_to_the_box_width_runs_and_a_wider_one_is_refused(tmp
 
 
 def test_interp_verify_exits_two_when_only_the_mixed_bound_fails(tmp_path, monkeypatch):
-    real = cli_module.verify_mixed_interpolation_bound
+    real = cli_module.verify_interpolation_bounds
 
     def failing(*args, **kwargs):
-        rep = real(*args, **kwargs)
-        return dataclasses.replace(rep, violations=(Violation(0, 2.0, 1),))
-    monkeypatch.setattr(cli_module, "verify_mixed_interpolation_bound", failing)
+        rep, mrep = real(*args, **kwargs)
+        return [rep, dataclasses.replace(mrep, violations=(Violation(0, 2.0, 1),))]
+    monkeypatch.setattr(cli_module, "verify_interpolation_bounds", failing)
     cfg = _interp_config(mixed={"qtilde": 1.5, "offset_count": 2})
     rc, report, _ = _run(tmp_path, "interp-verify", cfg)
     assert rc == 2

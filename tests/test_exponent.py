@@ -13,7 +13,7 @@ from varleb import (Box, DomainError, ExponentField, Grid, QuadrupleSpec,
                     RangeError, SchemaError, dual_exponent, harmonic_combine,
                     nu_exponent, component_exponent, scale_exponent, theta_blend,
                     theta_invert, two_to_one_data, validate_quadruple)
-from varleb.exponent import _log_holder_reports
+from varleb.exponent import _log_holder_reports, _pair_sample
 
 from _support import UNIT, rand_exponent
 
@@ -300,6 +300,25 @@ def test_log_holder_monotone_in_budget():
     assert small <= large
 
 
+
+@pytest.mark.parametrize("box", [UNIT, Box((-1.0, 0.0), (2.0, 0.5))])
+def test_log_holder_reports_reuse_one_read_only_pair_sample(box):
+    fields = (ExponentField.affine(box, 2.0, (1.0,) * box.dim),
+              ExponentField.piecewise(box, [0.5], [1.5, 6.0]) if box.dim == 1
+              else ExponentField.constant(box, 3.0))
+    _pair_sample.cache_clear()
+    first = _log_holder_reports(fields, 300, 4)
+    assert _log_holder_reports(fields, 300, 4) == first
+    assert _pair_sample.cache_info()[:2] == (1, 1)  # (hits, misses)
+    _pair_sample.cache_clear()
+    assert _log_holder_reports(fields, 300, 4) == first
+    *arrays, pairs_used = _pair_sample(box, 300, 4)
+    assert pairs_used == first[0].pairs_used
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+
 def reference_log_holder(p, budget, seed):
     """The per-pair loop ``_log_holder_reports`` used to run, kept as
     the reference for the sample's order and values."""
@@ -509,7 +528,10 @@ def test_quadruple_draws_one_log_holder_sample(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
+    _pair_sample.cache_clear()
     spec = step_quadruple(ExponentField.constant(UNIT, 2.0))
     assert spec.m == 2
     validate_quadruple(spec)
+    assert len(made) == 1
+    validate_quadruple(spec)  # the sample of the box is cached
     assert len(made) == 1

@@ -42,6 +42,18 @@ def test_grid_steps_and_weights():
     assert float(qw.sum()) == pytest.approx(1.0)
 
 
+
+@pytest.mark.parametrize("lo, hi, span", [(-1e200, 1.0, "[inf, inf]"),
+                                          (0.0, 1e-200, "[0.0, 0.0]")])
+def test_grid_weights_outside_the_float_range_are_refused_naming_the_grid(lo, hi, span):
+    g = Grid(Box((lo, lo), (hi, hi)), (17, 17))
+    with pytest.raises(DomainError, match=rf"^the \(17, 17\) grid on .* has quadrature weights "
+                                          rf"in \{span}; each must be positive and finite$"):
+        g.quad_weights
+    with pytest.raises(DomainError, match="quadrature weights"):
+        g.log_quad_weights
+
+
 # -- quadrature ---------------------------------------------------------
 
 

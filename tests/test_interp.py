@@ -15,10 +15,10 @@ from varleb.exponent import ExponentField, QuadrupleSpec
 from varleb.field import (Box, Grid, GridFunction, WeightField,
                           random_simple_function)
 from varleb.interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
-                           _corpus_ratios, _draw_corpus, apply_operator,
+                           _corpus_ratios, _draw_corpus, _slot_log_norms, apply_operator,
                            blend_spaces, build_extrapolation_family,
                            difference_field, run_extrapolation_workflow,
-                           verify_interpolation_bound,
+                           verify_interpolation_bound, verify_interpolation_bounds,
                            verify_mixed_interpolation_bound)
 from varleb.norms import weighted_norm
 from varleb.rk import mollify_family
@@ -372,7 +372,8 @@ def test_corpus_ratios_match_a_per_trial_norm_loop(m, trials, seed, weighted, sc
     if zero < trials:  # one trial with a zero input
         corpus[zero, 0] = 0.0
     outputs = apply_operator(Product(m), corpus, g)
-    ratios = _corpus_ratios(corpus, outputs, g, space, scale, 1e-10)
+    ratios = _corpus_ratios(_slot_log_norms(corpus, g, space, 1e-10), outputs, g, space,
+                            scale, 1e-10)
     for fs, Tf, got in zip(corpus, outputs, ratios):
         den = scale
         for f, p, w in zip(fs, space.p_vec, space.w_vec):
@@ -391,7 +392,8 @@ def test_corpus_ratios_refuse_an_infinite_norm_over_an_infinite_norm_naming_the_
     outputs = apply_operator(Product(1), corpus, g)
     with pytest.raises(DomainError, match="^interpolation ratio of trial 1 is NaN: output log "
                                           "norm inf over input log norm inf$"):
-        _corpus_ratios(corpus, outputs, g, _const_space(g, (2.0,), 2.0), 1.0, 1e-10)
+        space = _const_space(g, (2.0,), 2.0)
+        _corpus_ratios(_slot_log_norms(corpus, g, space, 1e-10), outputs, g, space, 1.0, 1e-10)
 
 
 def test_verifiers_reject_an_empty_corpus():
@@ -458,6 +460,59 @@ def test_a_passing_verification_solves_three_batches_per_slot(monkeypatch, m):
             report = verify(op, space0, space1, 0.5, trials=trials, seed=1, **extra)
             assert report.passed
             assert len(calls) == 3 * (m + 1)
+
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_both_bounds_in_one_pass_draw_one_corpus_and_solve_each_input_slot_once(monkeypatch,
+                                                                              m):
+    """3m input-slot solves (both endpoints and the blend) and three output
+    solves per map, where the two verifiers called apart make 6m + 6."""
+    g = Grid(UNIT, (129,))
+    space0 = _const_space(g, (4.0,) * m, 4.0 / m)
+    space1 = _const_space(g, (2.0,) * m, 2.0 / m)
+    calls = _count_solves(monkeypatch)
+    draws = []
+    draw = interp._draw_corpus
+    monkeypatch.setattr(interp, "_draw_corpus", lambda *args: draws.append(args) or draw(*args))
+    reports = verify_interpolation_bounds(Product(m), space0, space1, 0.5, qtilde=0.5,
+                                          trials=7, seed=1)
+    assert [type(r) for r in reports] == [interp.InterpolationReport,
+                                          interp.MixedInterpolationReport]
+    assert all(r.passed for r in reports)
+    assert len(draws) == 1
+    assert len(calls) == 3 * m + 6
+
+
+@pytest.mark.parametrize("case", ["product", "ball_average", "fractional_kernel", "violating"])
+def test_both_bounds_in_one_pass_equal_the_two_separate_verifiers(case):
+    g = Grid(UNIT, (129,))
+    space0 = _const_space(g, (4.0, 4.0), 2.0)
+    space1 = _const_space(g, (2.0, 2.0), 1.0)
+    op, kwargs = Product(2), dict(trials=20, seed=3)
+    if case == "ball_average":
+        op = BallAverageProduct(2, radius=0.1)
+    elif case == "fractional_kernel":
+        g = Grid(Box((1.0,), (2.0,)), (129,))
+        box = g.box
+        op = FractionalKernel(1, alpha=0.125)
+        space0 = EndpointSpace((ExponentField.constant(box, 2.0),),
+                               ExponentField.constant(box, 8.0 / 3.0),
+                               (_abs_power(g, 0.125),), _abs_power(g, 0.125))
+        space1 = EndpointSpace((ExponentField.constant(box, 4.0),),
+                               ExponentField.constant(box, 8.0),
+                               (_abs_power(g, 0.25),), _abs_power(g, 0.25))
+    elif case == "violating":  # halved certificates: the blended bound fails
+        kwargs["safety"] = 0.5
+    mixed = dict(qtilde=0.75, offset_count=4)
+    plain, profiles = verify_interpolation_bounds(op, space0, space1, 0.4, **mixed, **kwargs)
+    # dataclass equality: certificates, worst ratio, and each violation's
+    # trial, ratio and shrunken witness size
+    assert plain == verify_interpolation_bound(op, space0, space1, 0.4, **kwargs)
+    assert profiles == verify_mixed_interpolation_bound(op, space0, space1, 0.4, **mixed,
+                                                        **kwargs)
+    assert verify_interpolation_bounds(op, space0, space1, 0.4, **kwargs) == [plain]
+    assert bool(plain.violations and profiles.violations) == (case == "violating")
 
 
 # ---------------------------------------------------------------------------

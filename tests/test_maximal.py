@@ -37,6 +37,15 @@ def test_sweep_geometric_spans_grid():
     sweep.validate_for(g)
 
 
+
+def test_sweep_geometric_starts_at_the_smallest_step_of_a_non_square_grid():
+    g = Grid(Box((0.0, 0.0), (100.0, 1.0)), (17, 17))
+    sweep = RadiusSweep.geometric(g, 4)
+    assert sweep.radii[0] == min(g.steps) == 1.0 / 16.0
+    sweep.validate_for(g)
+    with pytest.raises(DomainError, match="below the grid step 0.0625"):
+        RadiusSweep((0.06, 1.0)).validate_for(g)
+
 def test_sweep_with_required_radii():
     g = Grid(Box((-0.5,), (8.5,)), (1025,))
     sweep = with_radii(g, 64, (1.5, 2.0, 4.0))

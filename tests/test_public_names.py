@@ -25,7 +25,8 @@ PUBLIC = [
     "run_extrapolation_workflow", "scale_exponent", "shift_function", "theta_blend",
     "theta_invert", "translate_family", "two_to_one_check", "two_to_one_data",
     "uniform_bound_profile", "validate_quadruple", "vanishing_profile",
-    "verify_interpolation_bound", "verify_mixed_interpolation_bound", "weighted_norm", "weights",
+    "verify_interpolation_bound", "verify_interpolation_bounds",
+    "verify_mixed_interpolation_bound", "weighted_norm", "weights",
 ]
 
 
