@@ -53,9 +53,20 @@ are nested, so the pass walks the offsets of the largest ball once, in
 radius order, and takes a snapshot of numerator over denominator after
 each radius.  Offsets delta and -delta share one array
 ``|f(x) - f(x + delta)|^q``: it is added at x weighted by the node
-x + delta and at x + delta weighted by x.  The numerator is stacked
-over the members; the denominator does not depend on f and is summed
-once.
+x + delta and at x + delta weighted by x.  The denominator does not
+depend on f and is summed once.  The numerator is summed over the
+members at once, on a node-major copy of the family,
+``(*grid.shape, M)`` with the members last, so that an offset's
+difference, absolute value, power and both additions are single
+blocks, not one strided row per member.  Every node off the box boundary has the same quadrature
+weight, h in 1D and h1 h2 in 2D (the double the weight array holds
+there), so a term whose partner node is interior is weighted by that
+scalar; a term whose partner lies on the boundary is added with that
+node's own weight, piece by piece along the faces of the box.  Each
+node still gets the zero offset's weight first, then +delta before
+-delta for each offset in walk order, one addition each, so the
+profiles are the bits of a member-by-member walk with the weights read
+off the array, zero signs included.
 
 Both operators are positively homogeneous, and both are computed so
 at any scale: of ``f / 2^e``, with ``2^e`` the least power of two at
@@ -458,17 +469,24 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
 
     The offsets of the largest ball are walked once: each radius adds
     the offsets of its ball that the previous radius did not cover, and
-    an offset and its negative share one difference power.
+    an offset and its negative share one difference power.  The walk
+    runs on a node-major copy, ``(*grid.shape, M)``, so that each
+    offset's operations are single blocks, and weighs a term by the
+    scalar interior weight unless its partner node lies on the box
+    boundary (`_partner_pieces`).
     """
     _check_qtilde(qtilde)
     if sweep.radii[0] < grid.max_step * (1.0 - 1e-9):
         raise DomainError("oscillation radius must be at least the grid step")
     refuse_non_finite(values, grid.size, "the oscillation average")
     e = _binade(values, tuple(range(-grid.dim, 0)))
-    values = np.ldexp(values, -e)
+    nodes = np.empty(grid.shape + values.shape[:1])
+    np.ldexp(values, -e, out=np.moveaxis(nodes, -1, 0))
     qw = grid.quad_weights
-    num = np.zeros(values.shape)
+    interior = qw[tuple(n // 2 for n in grid.shape)]  # every node off the boundary weighs this
+    num = np.zeros(nodes.shape)
     den = np.zeros(grid.shape)
+    scratch = np.empty(nodes.size)  # each offset's powers
     walked: set = set()
     for radius in sweep.radii:
         # Closed offset ball, unlike the open balls elsewhere: at the
@@ -485,15 +503,57 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
             if dst == src:
                 continue
             den[src] += qw[dst]
-            powed = np.abs(values[(Ellipsis,) + dst] - values[(Ellipsis,) + src])
+            here = nodes[dst]
+            powed = scratch[:here.size].reshape(here.shape)
+            np.subtract(here, nodes[src], out=powed)
+            np.abs(powed, out=powed)
             if qtilde != 1.0:
                 powed **= qtilde
-            num[(Ellipsis,) + dst] += qw[src] * powed
-            num[(Ellipsis,) + src] += qw[dst] * powed
-        mean = num / np.maximum(den, 1e-300)
+            # +delta at x in dst weighted by x + delta, then -delta at x + delta by x
+            terms = []
+            for at, by, (inner, faces) in zip((dst, src), (src, dst), _partner_pieces(
+                    tuple((k > 0) - (k < 0) for k in delta))):
+                acc, weights = num[at], qw[by]
+                # the interior piece is a view, read after the scaling below
+                terms.append((acc[inner], powed[inner]))
+                terms += [(acc[face], weights[by_face] * powed[face]) for face, by_face in faces]
+            powed *= interior
+            for acc, term in terms:
+                np.add(acc, term, out=acc)
+        # member-major again, read across the node-major sums
+        mean = np.divide(np.moveaxis(num, -1, 0), np.maximum(den, 1e-300),
+                         out=np.empty(values.shape))
         if qtilde != 1.0:
             mean **= 1.0 / qtilde
         yield np.ldexp(mean, e, out=mean)
+
+
+@lru_cache(maxsize=None)  # at most 3^dim keys
+def _partner_pieces(signs: tuple[int, ...]) -> tuple:
+    """How the block of an offset pair ``+-delta`` splits by partner, for
+    the signs of the components of delta: per sign of the pair, ``(inner,
+    faces)``, indices into the block laid out like `_shift_slices`'s
+    nodes.  ``inner`` holds the nodes whose partner is off the box
+    boundary; each face holds, along one axis in turn, the block's first
+    or last row where the partner row is a face of the box, cut to
+    ``inner`` on the axes before.  A face comes twice: as an index into
+    the block, and with a new last axis into the partners' weights, to
+    broadcast over the members.  The pieces are disjoint and cover the
+    block.  Along an axis the partner rows of ``+delta`` start at the box
+    edge where the component is at most 0 and end at it where it is at
+    least 0; ``-delta`` is the same with the signs flipped.  Counted from
+    the block's ends, the pieces do not depend on its length (at an
+    offset of n - 1 some are empty)."""
+    out = []
+    for sign in (signs, tuple(-k for k in signs)):
+        inner, faces = (), []
+        for axis, k in enumerate(sign):
+            rest = (slice(None),) * (len(sign) - axis - 1)
+            faces += [(inner + (face,) + rest, inner + (face,) + rest + (None,))
+                      for face, on in ((slice(0, 1), k <= 0), (slice(-1, None), k >= 0)) if on]
+            inner += (slice(1 if k <= 0 else 0, -1 if k >= 0 else None),)
+        out.append((inner, tuple(faces)))
+    return tuple(out)
 
 
 def _offset_list(grid: Grid, r_eff: float):

@@ -113,9 +113,11 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     keeps its ``t`` from then on.  Since ``|g'| >= p_-``, the root lies
     within ``|g| / p_-`` of ``t`` on the side given by the sign of
     ``g``, which is the certified bracket.  A constant exponent makes
-    ``g`` affine and finishes in two evaluations.  A row with no nonzero
-    node has norm 0, and one with an infinite value an infinite norm,
-    after no evaluation; a NaN value is refused.
+    ``g`` affine and finishes in two evaluations.  A row whose step
+    leaves ``t`` unmoved or non-finite before it stops raises
+    ConvergenceError at once, naming its largest exponent.  A row with
+    no nonzero node has norm 0, and one with an infinite value an
+    infinite norm, after no evaluation; a NaN value is refused.
 
     The Newton loop works in ``e``, an array of ``la``'s shape whose
     values are overwritten (a fresh one when omitted).
@@ -172,7 +174,11 @@ def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
             out.log_value[fin], out.log_modular[fin], out.iterations[fin] = t[done], g[done], k
             if n_done == done.size:
                 return out
-        t = t + g * s / np.vecdot(p, e)
+        slope = np.vecdot(p, e)
+        step = t + g * s / slope
+        if not (moved := np.isfinite(step) & (step != t)).all():
+            _refuse_stall(~moved & ~done, g, tol, slope, p)
+        t = step
         if n_done:
             keep = ~done
             rows, la, p, lq = rows[keep], la[keep], p[keep], lq[keep]
@@ -182,6 +188,26 @@ def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
     raise ConvergenceError(
         f"Luxemburg Newton solve left |log rho| = {abs(np.ravel(g)[worst]):.3g} above "
         f"{np.ravel(tol)[worst]:.3g} after {MAX_EVALUATIONS} evaluations")
+
+
+def _refuse_stall(stuck, g, tol, slope, p) -> None:
+    """Raise for the first row of ``stuck``, a row that has not stopped
+    and whose Newton step leaves ``t`` where it is or makes it
+    non-finite: each evaluation left would repeat the last, so name its
+    largest exponent and its slope now.  An exponent near the float
+    limit does this: it takes the slope, the sum of p times the modular
+    terms, to 1e307 or past the float range, so the step
+    ``g s / slope`` falls below the spacing of ``t``."""
+    stuck = np.ravel(stuck)
+    if not stuck.any():
+        return
+    row = int(np.argmax(stuck))
+    p_max = p.reshape(-1, p.shape[-1])[row].max()
+    raise ConvergenceError(
+        f"Luxemburg Newton solve cannot move: at |log rho| = {abs(np.ravel(g)[row]):.3g} above "
+        f"{np.ravel(tol)[row]:.3g}, with exponents up to {p_max:.6g}, the slope (the sum of p "
+        f"times the modular terms) is {np.ravel(slope)[row]:.3g}, and the step no longer "
+        f"changes log lambda")
 
 
 class NodeTable(NamedTuple):

@@ -12,7 +12,8 @@ import numpy as np
 
 from varleb import (Box, Cube, DomainError, DyadicCubeSet, ExponentField, FunctionFamily, Grid,
                     GridFunction, RadiusSweep, WeightField)
-from varleb.field import shared_grid
+from varleb.field import _shift_slices, refuse_non_finite, shared_grid
+from varleb.maximal import _binade, _check_qtilde, _offset_list
 
 UNIT = Box((0.0,), (1.0,))
 SYM = Box((-1.0,), (1.0,))
@@ -117,3 +118,40 @@ def write_grid_csv(f: GridFunction, path: str) -> None:
         writer.writerow(header)
         for pt, v in zip(coords, vals):
             writer.writerow([repr(float(c)) for c in pt] + [repr(float(v))])
+
+
+def member_major_oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
+                                      sweep: RadiusSweep):
+    """`maximal.oscillation_profiles` walked member-major, one strided
+    ``(M, ...)`` view per offset and the weights as arrays: the reference
+    whose bits the node-major walk keeps, zero signs included."""
+    _check_qtilde(qtilde)
+    if sweep.radii[0] < grid.max_step * (1.0 - 1e-9):
+        raise DomainError("oscillation radius must be at least the grid step")
+    refuse_non_finite(values, grid.size, "the oscillation average")
+    e = _binade(values, tuple(range(-grid.dim, 0)))
+    values = np.ldexp(values, -e)
+    qw = grid.quad_weights
+    num = np.zeros(values.shape)
+    den = np.zeros(grid.shape)
+    walked: set = set()
+    for radius in sweep.radii:
+        offsets = _offset_list(grid, radius * (1.0 + 1e-9))
+        for delta in offsets[len(offsets) // 2:]:
+            if delta in walked:
+                continue
+            walked.add(delta)
+            dst, src = _shift_slices(grid.shape, delta)
+            den[dst] += qw[src]
+            if dst == src:
+                continue
+            den[src] += qw[dst]
+            powed = np.abs(values[(Ellipsis,) + dst] - values[(Ellipsis,) + src])
+            if qtilde != 1.0:
+                powed **= qtilde
+            num[(Ellipsis,) + dst] += qw[src] * powed
+            num[(Ellipsis,) + src] += qw[dst] * powed
+        mean = num / np.maximum(den, 1e-300)
+        if qtilde != 1.0:
+            mean **= 1.0 / qtilde
+        yield np.ldexp(mean, e, out=mean)

@@ -259,6 +259,26 @@ def test_a_grid_whose_quadrature_weights_leave_the_float_range_exits_one_and_nam
                         r"\[(inf, inf|0\.0, 0\.0)\]; each must be positive and finite\n", err)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+
+def test_an_exponent_near_the_float_limit_names_the_stalled_newton_step(tmp_path, capsys):
+    """An exponent of 1e308 takes the Newton slope to 5.3e307, so the
+    step leaves log lambda where it is: the solve stops at once and names
+    the exponent (it spent all 100 evaluations on the same step, then
+    named neither)."""
+    cfg = {"box": [[0.0, 1.0]], "resolution": 16, "cube_depth": 2,
+           "exponent": {"kind": "piecewise", "breakpoints": [0.5], "values": [2.0, 1e308]},
+           "weight": {"kind": "power", "exponent": 0.2, "center": [0.5], "floor": 0.01}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, report, _ = _run(tmp_path, "weight-constant", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1 and report is None
+    assert err.startswith("error: Luxemburg Newton solve cannot move: ")
+    assert "with exponents up to 1e+308," in err and "the step no longer changes" in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def _translates(amplitude):
     return {"box": [[0.0, 10.0]], "resolution": 1024, "qtilde": 2.0,
             "exponent": {"kind": "constant", "value": 3.0}, "weight": CONST_ONE,

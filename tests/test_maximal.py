@@ -17,7 +17,8 @@ import varleb.maximal as maximal_module
 from varleb.field import BALL_SHRINK, _shift_slices, realize_function
 from varleb.maximal import _offset_list, _row_reach, _row_reaches
 
-from _support import UNIT, family_of, from_callable, grid1d, unit_weight, with_radii
+from _support import (UNIT, family_of, from_callable, grid1d,
+                      member_major_oscillation_profiles, unit_weight, with_radii)
 
 
 def indicator(grid, lo, hi):
@@ -883,23 +884,90 @@ def test_oscillation_profiles_match_the_per_member_per_radius_loop(case, qtilde)
 @given(member_stack_and_sweep())
 def test_oscillation_profiles_power_each_offset_pair_once(case):
     """Per family the pass slices the half ball of the largest radius
-    (the zero offset and one of each pair +-delta) once, whatever the
+    (the zero offset and one of each pair +-delta) once, and differences
+    and splits by partner each of its nonzero offsets once, whatever the
     number of members and radii."""
     grid, stack, sweep = case
-    calls = []
-    original = maximal_module._shift_slices
+    sliced, split = [], []
+    originals = maximal_module._shift_slices, maximal_module._partner_pieces
 
-    def counting(shape, delta):
-        calls.append(delta)
-        return original(shape, delta)
+    def slicing(shape, delta):
+        sliced.append(delta)
+        return originals[0](shape, delta)
 
-    maximal_module._shift_slices = counting
+    def splitting(signs):
+        split.append(signs)
+        return originals[1](signs)
+
+    maximal_module._shift_slices, maximal_module._partner_pieces = slicing, splitting
     try:
         list(oscillation_profiles(stack, grid, 1.37, sweep))
     finally:
-        maximal_module._shift_slices = original
+        maximal_module._shift_slices, maximal_module._partner_pieces = originals
     largest = _offset_list(grid, sweep.radii[-1] * (1.0 + 1e-9))
-    assert len(calls) == len(set(calls)) == (len(largest) + 1) // 2
+    assert len(sliced) == len(set(sliced)) == (len(largest) + 1) // 2
+    assert set(sliced) == set(largest[len(largest) // 2:])
+    assert len(split) == len(largest) // 2
+
+
+@st.composite
+def exact_bits_case(draw):
+    """A 1D or anisotropic 2D grid, one member or many, with all-zero
+    members and members of subnormal values among them, and a sweep that
+    may pass the box edge (offsets of n - 1 and more)."""
+    dim = draw(st.sampled_from([1, 2]))
+    widths = tuple(draw(st.sampled_from([0.5, 0.7, 1.0, 3.0])) for _ in range(dim))
+    shape = tuple(draw(st.integers(2, 48 if dim == 1 else 10)) for _ in range(dim))
+    grid = Grid(Box((0.0,) * dim, widths), shape)
+    tiny = np.finfo(float).smallest_subnormal
+    member = st.one_of(
+        st.just(np.zeros(shape)),
+        arrays(float, shape, elements=st.floats(-1e3, 1e3)),
+        arrays(float, shape, elements=st.sampled_from([0.0, -0.0, tiny, -3 * tiny, 1e-310])),
+        arrays(float, shape, elements=st.floats(-1e-300, 1e-300)))
+    members = draw(st.lists(member, min_size=1, max_size=6))
+    h = grid.max_step
+    radii = draw(st.lists(st.one_of(
+        st.builds(lambda k: k * h, st.integers(1, 2 * max(shape))),
+        st.floats(h, 2.0 * grid.box.diameter)), min_size=1, max_size=5, unique=True))
+    return grid, np.stack(members), RadiusSweep(tuple(sorted(radii)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_bits_case(), st.sampled_from([1.0, 0.53, 1.37, 2.0]))
+def test_oscillation_profiles_are_the_bits_of_the_member_major_walk(case, qtilde):
+    """The node-major walk with the scalar interior weight yields, radius
+    by radius, the bits of the walk over one strided row per member with
+    every weight read off the array, zero signs included, as C-contiguous
+    ``(M, *grid.shape)`` arrays."""
+    grid, stack, sweep = case
+    got = list(oscillation_profiles(stack, grid, qtilde, sweep))
+    want = list(member_major_oscillation_profiles(stack, grid, qtilde, sweep))
+    assert len(got) == len(want) == len(sweep.radii)
+    for a, b in zip(got, want):
+        assert a.shape == stack.shape and a.flags.c_contiguous
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_oscillation_profiles_hold_no_more_memory_than_the_member_major_walk():
+    """An (8, 4097) stack over the 7-radius sweep of `rk.classify`: the
+    tracemalloc peak while the profiles are drawn one at a time (each
+    held until the next is made) stays at or below the member-major
+    walk's, about 6.1 stacks."""
+    g = grid1d(4097)
+    sweep = RadiusSweep(tuple(g.max_step * 2.0 ** k for k in range(7)))
+    stack = np.random.default_rng(3).normal(size=(8, 4097))
+    peaks = []
+    for walk in (oscillation_profiles, member_major_oscillation_profiles):
+        list(walk(stack, g, 1.0, sweep))  # fill the caches of the grid and the offsets
+        tracemalloc.start()
+        try:
+            for _ in walk(stack, g, 1.0, sweep):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 @settings(max_examples=60, deadline=None)
