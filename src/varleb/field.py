@@ -342,10 +342,16 @@ def box_mask(grid: Grid, box: Box) -> np.ndarray:
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     if len(center) != grid.dim:
         raise DomainError("ball center dimension does not match grid")
-    if radius <= 0.0:
-        raise DomainError("ball radius must be positive")
+    r_eff = np.float64(_ball_radius(radius) * BALL_SHRINK)
     with np.errstate(over="ignore"):  # a numpy scalar's ** is C pow, as Python's, but may be inf
-        return _squared_distance(grid, center) < np.float64(radius * BALL_SHRINK) ** 2
+        return _squared_distance(grid, center) < r_eff ** 2
+
+
+def _ball_radius(radius: float) -> float:
+    """``radius``, refused unless it is above zero, so also when it is NaN."""
+    if not radius > 0.0:
+        raise DomainError(f"ball radius must be positive, got {radius}")
+    return radius
 
 
 def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:

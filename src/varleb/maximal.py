@@ -35,17 +35,19 @@ windows to ``+0.0``, and adding ``+0.0`` changes no bits, so the sums
 keep their bits up to the sign of a zero sum; the maximal function's
 input ``qw |f|^q`` holds no ``-0.0``.  A ball sum of a nonnegative
 array is never negative.  The ball measure in the denominator does
-not depend on f and is not a ball sum.  In 1D it is one window of a
-prefix of the weights built once per grid.  In 2D the weights are the
-outer product of two 1D trapezoid factors, which in units of half a
-step are 1 and 2, so the measure is (h1/2)(h2/2) times an integer
-count: exact in any summation order, and so the same under both axis
-flips.  Only the top-left quadrant is counted, by one (rows / 2 x
-strips of the ball)(strips x columns / 2) matrix product read off a
-table of window counts cached per node count, and mirrored.  One
-helper states which lattice offsets lie in a ball, for every radius of
-a sweep in one array pass; the ball sums, the ball measure and the
-oscillation offsets all read it.
+not depend on f and is not a ball sum.  In units of half a step the
+trapezoid weights of an axis are 1 at its ends and 2 inside, so the
+measure is a cell, h/2 in 1D and (h1/2)(h2/2) in 2D, times an integer
+count: exact in any summation order, rounded once, and so the same
+under every axis flip.  In 1D the count is one window of the prefix of
+the units, cached per node count.  In 2D only the top-left quadrant is
+counted, by one (rows / 2 x strips of the ball)(strips x columns / 2)
+matrix product read off a table of window counts cached per node
+count, and mirrored.  One helper states which lattice offsets lie in a
+ball, for every radius of a sweep in one array pass; the ball sums,
+the ball measure and the oscillation offsets all read it.  It lifts a
+radius below half the smallest step to that half step, so every ball
+holds its centre node and no measure is zero.
 
 Oscillation averages are summed offset by offset over a whole family
 and a whole radius sweep in one pass.  The balls of increasing radii
@@ -53,18 +55,19 @@ are nested, so the pass walks the offsets of the largest ball once, in
 radius order, and takes a snapshot of numerator over denominator after
 each radius.  Offsets delta and -delta share one array
 ``|f(x) - f(x + delta)|^q``: it is added at x weighted by the node
-x + delta and at x + delta weighted by x.  The denominator does not
-depend on f and is summed once.  The numerator is summed over the
-members at once, on a node-major copy of the family,
-``(*grid.shape, M)`` with the members last, so that an offset's
-difference, absolute value, power and both additions are single
-blocks, not one strided row per member.  Every node off the box boundary has the same quadrature
-weight, h in 1D and h1 h2 in 2D (the double the weight array holds
-there), so a term whose partner node is interior is weighted by that
-scalar; a term whose partner lies on the boundary is added with that
-node's own weight, piece by piece along the faces of the box.  Each
-node still gets the zero offset's weight first, then +delta before
--delta for each offset in walk order, one addition each, so the
+x + delta and at x + delta weighted by x; the zero offset adds nothing.
+The denominator does not depend on f: it is the ball measure of the
+closed ball whose offsets the radius walked, read from the same reach
+list.  The numerator is summed over the members at once, on a
+node-major copy of the family, ``(*grid.shape, M)`` with the members
+last, so that an offset's difference, absolute value, power and both
+additions are single blocks, not one strided row per member.  Every
+node off the box boundary has the same quadrature weight, h in 1D and
+h1 h2 in 2D (the double the weight array holds there), so a term whose
+partner node is interior is weighted by that scalar; a term whose
+partner lies on the boundary is added with that node's own weight,
+piece by piece along the faces of the box.  Each node gets +delta
+before -delta for each offset in walk order, one addition each, so the
 profiles are the bits of a member-by-member walk with the weights read
 off the array, zero signs included.
 
@@ -87,7 +90,7 @@ import numpy as np
 from .errors import DomainError
 from .exponent import ExponentField
 from .field import (BALL_SHRINK, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
-                    WeightField, _shift_slices, refuse_non_finite)
+                    WeightField, _ball_radius, _shift_slices, refuse_non_finite)
 from .norms import weighted_norms
 from .weights import WeightConstantReport, gate_constant
 
@@ -107,9 +110,9 @@ class RadiusSweep:
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if not self.radii:
             raise DomainError("radius sweep must be nonempty")
-        if self.radii[0] <= 0.0:
+        if not self.radii[0] > 0.0:
             raise DomainError("radii must be positive")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
+        if any(not b > a for a, b in zip(self.radii, self.radii[1:])):
             raise DomainError("radii must increase strictly")
 
     @classmethod
@@ -153,13 +156,16 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     row ``k1 = 0``, tested as ``k2 h < r_eff``.  This is the only
     statement of lattice-ball membership.  A radius of twice the box
     diameter takes in the whole box, so a larger one is cut to that, and an
-    offset is capped at the node count before it becomes an integer.
+    offset is capped at the node count before it becomes an integer.  A
+    radius below half the smallest step is lifted to that half step: the
+    ball is the same, its centre node alone, and no square underflows.
 
     In 2D the squares are Python floats, formed once per call up to the
     largest radius, and every entry of every ball is found in one array
     pass: a ``searchsorted`` guess, settled by the rounded test itself.
     """
-    r_effs = [min(r, 2.0 * grid.box.diameter) for r in r_effs]
+    half = 0.5 * min(grid.steps)
+    r_effs = [min(max(r, half), 2.0 * grid.box.diameter) for r in r_effs]
     unit = math.ldexp(1.0, max(0, math.frexp(max(r_effs))[1] - 500))  # exact: squares stay finite
     r_effs, h1, h2 = [r / unit for r in r_effs], grid.steps[0] / unit, grid.steps[-1] / unit
     n1, n2 = grid.shape[0], grid.shape[-1]
@@ -330,15 +336,17 @@ def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     ``>= 0``, and each row of a ball is off by at most about (row
     length) x eps x (row total).
     """
-    return next(_ball_sums(arr, [_row_reach(grid, radius * BALL_SHRINK)]))[0]
+    return next(_ball_sums(arr, [_row_reach(grid, _ball_radius(radius) * BALL_SHRINK)]))[0]
 
 
-@lru_cache(maxsize=128)
-def _weight_prefix(grid: Grid) -> np.ndarray:
-    """``np.cumsum(grid.quad_weights)`` of a 1D grid, read-only and cached
-    per grid like `Grid.log_quad_weights`: every 1D ball measure is one
-    window of it."""
-    out = np.cumsum(grid.quad_weights)
+@lru_cache(maxsize=32)
+def _unit_prefix(n: int) -> np.ndarray:
+    """The prefix sums of the trapezoid weights of an n-node axis in units
+    of half a step, 1 at the ends and 2 inside: integers, so every window
+    of it is exact.  Read-only, cached per n."""
+    units = np.full(n, 2.0)
+    units[[0, -1]] = 1.0
+    out = np.cumsum(units)
     out.flags.writeable = False
     return out
 
@@ -349,9 +357,7 @@ def _unit_windows(n: int) -> np.ndarray:
     in-box window ``|l - j| <= k``, for every half-width ``k < n`` and the
     first half of the nodes, ``j < (n + 1) // 2``; a last row of zeros,
     read as ``W[-1]``, is the empty window.  Read-only, cached per n."""
-    units = np.full(n, 2.0)
-    units[[0, -1]] = 1.0
-    prefix = np.cumsum(units)
+    prefix = _unit_prefix(n)
     k, j = np.arange(n)[:, None], np.arange((n + 1) // 2)
     out = np.zeros((n + 1, j.size))
     np.subtract(prefix[np.minimum(j + k, n - 1)],
@@ -361,11 +367,9 @@ def _unit_windows(n: int) -> np.ndarray:
 
 
 def _ball_measure(grid: Grid, reach: list[int], out: np.ndarray) -> np.ndarray:
-    if reach == [0]:
-        np.copyto(out, grid.quad_weights)
-        return out
     if grid.dim == 1:
-        return _window(_weight_prefix(grid), reach[0], out)
+        count = _window(_unit_prefix(grid.shape[0]), reach[0], out)
+        return np.multiply(count, 0.5 * grid.steps[0], out=out)
     (n1, n2), (h1, h2) = grid.shape, grid.steps
     # the top-left quadrant, nodes (i, j) with i < a and j < b, mirrored
     a, b = (n1 + 1) // 2, (n2 + 1) // 2
@@ -385,10 +389,11 @@ def ball_measure(grid: Grid, radius: float) -> np.ndarray:
     every node: ``ball_sums(grid.quad_weights, grid, radius)`` up to
     rounding, and equal to it where the sums are exact (dyadic steps).
 
-    In 1D it is one window of the weight prefix, built once per grid.
-    In 2D, in units of half a step, the trapezoid weights are 1 and 2 on
-    each axis, so the measure is ``(h1/2)(h2/2)`` times an integer count.
-    The lattice ball is the disjoint union of strips, one per row ``m``
+    In units of half a step the trapezoid weights are 1 and 2 on each
+    axis, so the measure is the cell, ``h/2`` in 1D and ``(h1/2)(h2/2)``
+    in 2D, times an integer count, rounded once.  In 1D the count is one
+    window of the prefix of the units, cached per node count.  In 2D the
+    lattice ball is the disjoint union of strips, one per row ``m``
     whose reach exceeds the next row's (``reach[rows] = -1``): the
     offsets with ``|k1| <= m`` and ``reach[m + 1] < |k2| <= reach[m]``.
     With ``W[k, j]`` the units of an axis summed over the in-box window
@@ -399,14 +404,15 @@ def ball_measure(grid: Grid, radius: float) -> np.ndarray:
     for any BLAS; only its top-left quadrant is multiplied, of order
     (rows / 2) x (strips) x (columns / 2) per radius, and mirrored.
     """
-    return _ball_measure(grid, _row_reach(grid, radius * BALL_SHRINK), np.empty(grid.shape))
+    return _ball_measure(grid, _row_reach(grid, _ball_radius(radius) * BALL_SHRINK),
+                         np.empty(grid.shape))
 
 
 def ball_mean(values: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     """Signed in-box ball average at every node (linear in f) of each
     function f of a ``(..., *grid.shape)`` value stack."""
     num = ball_sums(grid.quad_weights * values, grid, radius)
-    return num / np.maximum(ball_measure(grid, radius), 1e-300)
+    return num / ball_measure(grid, radius)
 
 
 def _check_qtilde(qtilde: float) -> None:
@@ -448,7 +454,7 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
     # the generator drops its input after the first chunk; hold no name to it
     sums = _ball_sums(f.grid.quad_weights * np.ldexp(np.abs(f.values), -e) ** qtilde, reaches)
     for reach, (num, scratch) in zip(reaches, sums):
-        den = np.maximum(_ball_measure(f.grid, reach, scratch), 1e-300, out=scratch)
+        den = _ball_measure(f.grid, reach, scratch)
         np.maximum(best, np.divide(num, den, out=num), out=best)
     best **= 1.0 / qtilde
     return GridFunction(f.grid, np.ldexp(best, e, out=best))
@@ -469,7 +475,8 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
 
     The offsets of the largest ball are walked once: each radius adds
     the offsets of its ball that the previous radius did not cover, and
-    an offset and its negative share one difference power.  The walk
+    divides by `_ball_measure` of its ball; an offset and its negative
+    share one difference power.  The walk
     runs on a node-major copy, ``(*grid.shape, M)``, so that each
     offset's operations are single blocks, and weighs a term by the
     scalar interior weight unless its partner node lies on the box
@@ -485,24 +492,20 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
     qw = grid.quad_weights
     interior = qw[tuple(n // 2 for n in grid.shape)]  # every node off the boundary weighs this
     num = np.zeros(nodes.shape)
-    den = np.zeros(grid.shape)
+    den = np.empty(grid.shape)
     scratch = np.empty(nodes.size)  # each offset's powers
     walked: set = set()
-    for radius in sweep.radii:
-        # Closed offset ball, unlike the open balls elsewhere: at the
-        # smallest admissible radius (one grid step) the open convention
-        # would leave only the zero offset and a vacuous oscillation.
-        offsets = _offset_list(grid, radius * (1.0 + 1e-9))
-        # the list is sorted and symmetric: zero, then one of each pair
-        for delta in offsets[len(offsets) // 2:]:
+    # Closed offset balls, unlike the open balls elsewhere: at the
+    # smallest admissible radius (one grid step) the open convention
+    # would leave only the zero offset and a vacuous oscillation.
+    for reach in _row_reaches(grid, [r * (1.0 + 1e-9) for r in sweep.radii]):
+        offsets = _offset_list(grid, reach)
+        # the list is sorted and symmetric: zero, which adds nothing, then one of each pair
+        for delta in offsets[len(offsets) // 2 + 1:]:
             if delta in walked:
                 continue
             walked.add(delta)
             dst, src = _shift_slices(grid.shape, delta)
-            den[dst] += qw[src]
-            if dst == src:
-                continue
-            den[src] += qw[dst]
             here = nodes[dst]
             powed = scratch[:here.size].reshape(here.shape)
             np.subtract(here, nodes[src], out=powed)
@@ -521,7 +524,7 @@ def oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
             for acc, term in terms:
                 np.add(acc, term, out=acc)
         # member-major again, read across the node-major sums
-        mean = np.divide(np.moveaxis(num, -1, 0), np.maximum(den, 1e-300),
+        mean = np.divide(np.moveaxis(num, -1, 0), _ball_measure(grid, reach, den),
                          out=np.empty(values.shape))
         if qtilde != 1.0:
             mean **= 1.0 / qtilde
@@ -556,8 +559,8 @@ def _partner_pieces(signs: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
-def _offset_list(grid: Grid, r_eff: float):
-    reach = _row_reach(grid, r_eff)
+def _offset_list(grid: Grid, reach: list[int]) -> list[tuple[int, ...]]:
+    """The offsets of the `_row_reach` list ``reach``, sorted."""
     if grid.dim == 1:
         return [(k,) for k in range(-reach[0], reach[0] + 1)]
     rows = range(1 - len(reach), len(reach))

@@ -7,13 +7,15 @@ every test is reproducible from its literal seed.
 from __future__ import annotations
 
 import csv
+import math
+from functools import reduce
 
 import numpy as np
 
 from varleb import (Box, Cube, DomainError, DyadicCubeSet, ExponentField, FunctionFamily, Grid,
                     GridFunction, RadiusSweep, WeightField)
 from varleb.field import _shift_slices, refuse_non_finite, shared_grid
-from varleb.maximal import _binade, _check_qtilde, _offset_list
+from varleb.maximal import _binade, _check_qtilde, _offset_list, _row_reach
 
 UNIT = Box((0.0,), (1.0,))
 SYM = Box((-1.0,), (1.0,))
@@ -120,6 +122,17 @@ def write_grid_csv(f: GridFunction, path: str) -> None:
             writer.writerow([repr(float(c)) for c in pt] + [repr(float(v))])
 
 
+def half_step_units(n: int) -> np.ndarray:
+    """The trapezoid weights of an n-node axis in units of half a step."""
+    return np.where(np.isin(np.arange(n), (0, n - 1)), 1.0, 2.0)
+
+
+def half_step_cell(grid: Grid) -> float:
+    """The quadrature weight of one half-step unit: h/2 in 1D and
+    (h1/2)(h2/2) in 2D."""
+    return math.prod(0.5 * h for h in grid.steps)
+
+
 def member_major_oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: float,
                                       sweep: RadiusSweep):
     """`maximal.oscillation_profiles` walked member-major, one strided
@@ -132,26 +145,27 @@ def member_major_oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: fl
     e = _binade(values, tuple(range(-grid.dim, 0)))
     values = np.ldexp(values, -e)
     qw = grid.quad_weights
+    units = reduce(np.multiply.outer, map(half_step_units, grid.shape))
     num = np.zeros(values.shape)
-    den = np.zeros(grid.shape)
+    den = np.zeros(grid.shape)  # in half-step units, so every partial sum is exact
     walked: set = set()
     for radius in sweep.radii:
-        offsets = _offset_list(grid, radius * (1.0 + 1e-9))
+        offsets = _offset_list(grid, _row_reach(grid, radius * (1.0 + 1e-9)))
         for delta in offsets[len(offsets) // 2:]:
             if delta in walked:
                 continue
             walked.add(delta)
             dst, src = _shift_slices(grid.shape, delta)
-            den[dst] += qw[src]
+            den[dst] += units[src]
             if dst == src:
                 continue
-            den[src] += qw[dst]
+            den[src] += units[dst]
             powed = np.abs(values[(Ellipsis,) + dst] - values[(Ellipsis,) + src])
             if qtilde != 1.0:
                 powed **= qtilde
             num[(Ellipsis,) + dst] += qw[src] * powed
             num[(Ellipsis,) + src] += qw[dst] * powed
-        mean = num / np.maximum(den, 1e-300)
+        mean = num / (den * half_step_cell(grid))
         if qtilde != 1.0:
             mean **= 1.0 / qtilde
         yield np.ldexp(mean, e, out=mean)

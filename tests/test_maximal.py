@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import varleb.maximal as maximal_module
 from varleb.field import BALL_SHRINK, _shift_slices, realize_function
 from varleb.maximal import _offset_list, _row_reach, _row_reaches
 
-from _support import (UNIT, family_of, from_callable, grid1d,
+from _support import (UNIT, family_of, from_callable, grid1d, half_step_cell, half_step_units,
                       member_major_oscillation_profiles, unit_weight, with_radii)
 
 
@@ -66,6 +67,10 @@ def test_sweep_rejects_disorder():
         RadiusSweep(())
     with pytest.raises(DomainError):
         RadiusSweep((-1.0, 1.0))
+    with pytest.raises(DomainError, match="positive"):
+        RadiusSweep((math.nan, 1.0))
+    with pytest.raises(DomainError, match="increase strictly"):
+        RadiusSweep((0.1, math.nan))
 
 
 def test_sweep_validation_against_grid():
@@ -97,6 +102,34 @@ def grid_and_radius(draw):
 def brute_ball_sums(arr, grid, radius):
     return np.array([np.sum(arr[ball_mask(grid, grid.coords[idx], radius)])
                      for idx in np.ndindex(*grid.shape)]).reshape(grid.shape)
+
+
+SMALL_GRIDS = [grid1d(9), Grid(Box((0.0, 0.0), (1.3, 0.7)), (7, 5))]
+BALL_ENTRIES = {
+    "ball_sums": lambda g, r: ball_sums(np.ones(g.shape), g, r),
+    "ball_measure": ball_measure,
+    "ball_mean": lambda g, r: ball_mean(np.ones(g.shape), g, r),
+    "ball_mask": lambda g, r: ball_mask(g, g.coords[(0,) * g.dim], r),
+}
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.3, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", sorted(BALL_ENTRIES))
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=["1d", "2d"])
+def test_a_ball_radius_that_is_not_positive_is_refused(grid, entry, radius):
+    """Zero and negative radii gave uninitialised sums and garbage
+    measures, and NaN a bare ValueError or an empty mask."""
+    with pytest.raises(DomainError, match=f"ball radius must be positive, got {radius}"):
+        BALL_ENTRIES[entry](grid, radius)
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=["1d", "2d"])
+def test_a_ball_whose_radius_squares_to_zero_is_its_centre_node(grid):
+    """A radius of 1e-200 squares to 0, which in 2D left the lattice ball
+    empty; below half a step every ball is its centre node alone."""
+    arr = np.random.default_rng(2).uniform(size=grid.shape)
+    assert np.array_equal(ball_measure(grid, 1e-200), grid.quad_weights)
+    assert np.array_equal(ball_sums(arr, grid, 1e-200), arr)
 
 
 @settings(max_examples=80, deadline=None)
@@ -323,42 +356,50 @@ def test_ball_measure_is_the_ball_sums_of_the_weights_on_dyadic_grids(lo, hi, sh
         assert np.array_equal(ball_measure(g, r), ball_sums(g.quad_weights, g, r))
 
 
-def half_step_units(n):
-    """The trapezoid weights of an n-node axis in units of half a step."""
-    return np.where(np.isin(np.arange(n), (0, n - 1)), 1.0, 2.0)
-
-
 def exact_count_measure(grid, radius):
-    """The 2D ball measure as ``(h1/2)(h2/2)`` times an integer count of
-    half-step units, summed over every lattice offset that passes the
-    membership test ``(k1 h1)^2 + (k2 h2)^2 < r^2``."""
-    (n1, n2), (h1, h2) = grid.shape, grid.steps
-    units = np.outer(half_step_units(n1), half_step_units(n2)).astype(np.int64)
-    r2 = (radius * BALL_SHRINK) ** 2
+    """The ball measure as the cell, ``h/2`` in 1D and ``(h1/2)(h2/2)``
+    in 2D, times an integer count of half-step units, summed over every
+    lattice offset that passes the membership test ``|k| h < r`` in 1D or
+    ``(k1 h1)^2 + (k2 h2)^2 < r^2`` in 2D."""
+    units = reduce(np.multiply.outer, map(half_step_units, grid.shape)).astype(np.int64)
+    r_eff = radius * BALL_SHRINK
     count = np.zeros(grid.shape, dtype=np.int64)
-    for delta in np.ndindex(2 * n1 - 1, 2 * n2 - 1):
-        k1, k2 = delta[0] - (n1 - 1), delta[1] - (n2 - 1)
-        if (k1 * h1) ** 2 + (k2 * h2) ** 2 < r2:
-            dst, src = _shift_slices(grid.shape, (k1, k2))
+    for delta in np.ndindex(*(2 * n - 1 for n in grid.shape)):
+        delta = tuple(k - (n - 1) for k, n in zip(delta, grid.shape))
+        if (abs(delta[0]) * grid.steps[0] < r_eff if grid.dim == 1 else
+                (delta[0] * grid.steps[0]) ** 2 + (delta[1] * grid.steps[1]) ** 2 < r_eff ** 2):
+            dst, src = _shift_slices(grid.shape, delta)
             count[dst] += units[src]
-    return count * ((0.5 * h1) * (0.5 * h2))
+    return count * half_step_cell(grid)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_ball_measure_in_2d_is_an_exact_count_of_half_steps_and_flips_to_itself(data):
-    """On non-dyadic anisotropic grids the weights' partial sums are not
-    exact, but their counts in half-step units are: the measure is
-    rounded once and is the same under both axis flips."""
-    widths = tuple(data.draw(st.sampled_from([0.3, 0.7, 1.3, 3.0])) for _ in range(2))
-    grid = Grid(Box((0.0, -1.0), (widths[0], widths[1] - 1.0)),
-                tuple(data.draw(st.integers(2, 16)) for _ in range(2)))
-    radius = data.draw(st.one_of(
+@st.composite
+def non_dyadic_grid_and_radius(draw):
+    """A 1D or anisotropic 2D grid whose steps are not dyadic, and a
+    radius from one step to the box diameter."""
+    dim = draw(st.sampled_from([1, 2]))
+    widths = tuple(draw(st.sampled_from([0.3, 0.7, 1.3, 3.0])) for _ in range(dim))
+    grid = Grid(Box((0.0, -1.0)[:dim], (widths[0], widths[-1] - 1.0)[:dim]),
+                tuple(draw(st.integers(2, 40 if dim == 1 else 16)) for _ in range(dim)))
+    radius = draw(st.one_of(
         st.builds(lambda k, h: k * h, st.integers(1, 12), st.sampled_from(grid.steps)),
         st.floats(grid.max_step, grid.box.diameter)))
+    return grid, radius
+
+
+@settings(max_examples=80, deadline=None)
+@given(non_dyadic_grid_and_radius())
+@example((Grid(Box((0.0,), (1.3,)), (5,)), 0.65)).via("a rounded weight prefix in 1D")
+def test_ball_measure_is_an_exact_count_of_half_steps_and_flips_to_itself(case):
+    """On non-dyadic grids the weights' partial sums are not exact, but
+    their counts in half-step units are: the measure is rounded once and
+    is the same under every axis flip, in 1D and on anisotropic 2D
+    grids."""
+    grid, radius = case
     got = ball_measure(grid, radius)
     assert np.array_equal(got, exact_count_measure(grid, radius))
-    assert np.array_equal(got, got[::-1]) and np.array_equal(got, got[:, ::-1])
+    for axis in range(grid.dim):
+        assert np.array_equal(got, np.flip(got, axis))
 
 
 def test_maximal_function_sums_f_once_per_distinct_ball_and_never_the_weights(monkeypatch):
@@ -395,12 +436,14 @@ def distinct_balls(grid, sweep):
 def gathered_ball_measure(grid, radius):
     """The tensor-product measure ``T @ V``, with T and V gathered by
     index arrays over every node, in units of half a step, and scaled
-    once by ``(h1/2)(h2/2)``."""
+    once by ``(h1/2)(h2/2)``; in 1D the row sums of the units, scaled
+    once by ``h/2``."""
     reach = _row_reach(grid, radius * BALL_SHRINK)
     if reach == [0]:
         return grid.quad_weights.copy()
     if grid.dim == 1:
-        return two_interval_ball_sums(grid.quad_weights, grid, radius)
+        return two_interval_ball_sums(half_step_units(grid.shape[0]), grid, radius) \
+            * half_step_cell(grid)
     (n1, n), widest = grid.shape, reach[0]
     u1, u2 = half_step_units(n1), half_step_units(n)
     csum = np.cumsum(u2)
@@ -435,7 +478,7 @@ def looped_maximal(f, qtilde, sweep):
     best = np.zeros(f.grid.shape)
     for r in sweep.radii:
         num = two_interval_ball_sums(powed, f.grid, r)
-        np.maximum(best, num / np.maximum(gathered_ball_measure(f.grid, r), 1e-300), out=best)
+        np.maximum(best, num / gathered_ball_measure(f.grid, r), out=best)
     return s * best ** (1.0 / qtilde)
 
 
@@ -636,7 +679,7 @@ def test_oscillation_offsets_are_the_ball_mask_in_row_order():
     g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
     # radii away from every lattice distance, where the two tests agree
     for r in (0.071, 0.21, 0.31):
-        offsets = _offset_list(g, r)
+        offsets = _offset_list(g, _row_reach(g, r))
         assert offsets == sorted(offsets)
         centre = (10, 7)
         mask = ball_mask(g, g.coords[centre], r)
@@ -835,7 +878,7 @@ def looped_oscillation(vals, grid, qtilde, radius):
     vals = vals / s
     qw = grid.quad_weights
     num, den = np.zeros(grid.shape), np.zeros(grid.shape)
-    for delta in _offset_list(grid, radius * (1.0 + 1e-9)):
+    for delta in _offset_list(grid, _row_reach(grid, radius * (1.0 + 1e-9))):
         dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(grid.shape, delta))
         src = tuple(slice(max(k, 0), n - max(-k, 0)) for n, k in zip(grid.shape, delta))
         num[dst] += qw[src] * np.abs(vals[dst] - vals[src]) ** qtilde
@@ -883,10 +926,10 @@ def test_oscillation_profiles_match_the_per_member_per_radius_loop(case, qtilde)
 @settings(max_examples=30, deadline=None)
 @given(member_stack_and_sweep())
 def test_oscillation_profiles_power_each_offset_pair_once(case):
-    """Per family the pass slices the half ball of the largest radius
-    (the zero offset and one of each pair +-delta) once, and differences
-    and splits by partner each of its nonzero offsets once, whatever the
-    number of members and radii."""
+    """Per family the pass slices, differences and splits by partner
+    each offset of the half ball of the largest radius (one of each pair
+    +-delta, not the zero offset) once, whatever the number of members
+    and radii."""
     grid, stack, sweep = case
     sliced, split = [], []
     originals = maximal_module._shift_slices, maximal_module._partner_pieces
@@ -904,9 +947,9 @@ def test_oscillation_profiles_power_each_offset_pair_once(case):
         list(oscillation_profiles(stack, grid, 1.37, sweep))
     finally:
         maximal_module._shift_slices, maximal_module._partner_pieces = originals
-    largest = _offset_list(grid, sweep.radii[-1] * (1.0 + 1e-9))
-    assert len(sliced) == len(set(sliced)) == (len(largest) + 1) // 2
-    assert set(sliced) == set(largest[len(largest) // 2:])
+    largest = _offset_list(grid, _row_reach(grid, sweep.radii[-1] * (1.0 + 1e-9)))
+    assert len(sliced) == len(set(sliced)) == len(largest) // 2
+    assert set(sliced) == set(largest[len(largest) // 2 + 1:])
     assert len(split) == len(largest) // 2
 
 
