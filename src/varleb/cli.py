@@ -48,7 +48,7 @@ from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
                      run_extrapolation_workflow, verify_interpolation_bounds)
 from .maximal import RadiusSweep, maximal_function
-from .norms import modular, weighted_norm
+from .norms import modular, norm_ratios, weighted_norm, weighted_table
 from .rk import (classify, dilate_family, modulate_family, mollify_family,
                  translate_family)
 from .weights import ap_constant, multilinear_constant, two_to_one_check
@@ -217,13 +217,13 @@ def _run_maximal(c, grid):
     w = _weight_from(c["weight"], grid, "weight") if c["weight"] is not None else None
     sweep = RadiusSweep.geometric(grid, c["radii_count"])
     Mf = maximal_function(f, c["qtilde"], sweep)
-    nf = weighted_norm(f, p, w, rel_tol=c["rel_tol"]).value
-    if not 0.0 < nf < math.inf:
-        raise DomainError(f"maximal config key 'function' has weighted norm {float(nf)!r} on the "
-                          "grid; the ratio needs a finite positive input norm")
-    nM = weighted_norm(Mf, p, w, rel_tol=c["rel_tol"]).value
+    nf = weighted_table(f.values, grid, p, w).solve(rel_tol=c["rel_tol"])
+    if not math.isfinite(nf.log_value[0]):
+        raise DomainError(f"maximal config key 'function' has weighted norm "
+                          f"{float(nf.value[0])!r} on the grid; the ratio needs a nonzero one")
+    nM, ratio = norm_ratios(Mf.values, grid, p, w, nf.log_value, c["rel_tol"])
     dom = float(np.min(Mf.values - np.abs(f.values)))
-    return ({"norm_input": nf, "norm_maximal": nM, "ratio": nM / nf,
+    return ({"norm_input": nf.value[0], "norm_maximal": nM.value[0], "ratio": ratio[0],
              "dominance_min": dom, "radii_count": len(sweep.radii)}, EXIT_OK)
 
 

@@ -19,7 +19,8 @@ noise, so a radius equal to the grid step reduces the ball to its
 center node.
 
 Functions are extended by zero outside the box wherever a construction
-(shifts, mollification) would need exterior values.
+(shifts, mollification) would need exterior values.  A weight is held as
+``log w``: its powers, inverse and products are multiples and sums of logs.
 """
 
 from __future__ import annotations
@@ -198,13 +199,13 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    def _pointwise(self, other, op, kind=None) -> "GridFunction":
+    def _pointwise(self, other, op) -> "GridFunction":
         """``op`` of the values and a same-grid function's (or anything
-        numpy broadcasts), as a ``kind``, by default a GridFunction."""
+        numpy broadcasts)."""
         if isinstance(other, GridFunction):
             shared_grid((self, other), "grid functions")
             other = other.values
-        return (kind or GridFunction)(self.grid, op(self.values, other))
+        return GridFunction(self.grid, op(self.values, other))
 
     def __add__(self, other):
         return self._pointwise(other, operator.add)
@@ -214,48 +215,44 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def product(fs: Sequence["GridFunction"]) -> "GridFunction":
-        """Left-fold product ``(f_1 f_2) f_3 ...``; a product of weight
-        fields is a weight field."""
-        out = fs[0]
-        for f in fs[1:]:
-            out = out * f
-        return out
 
+class WeightField:
+    """Strictly positive grid function, held as ``log w`` alone."""
 
-class WeightField(GridFunction):
-    """Strictly positive grid function, closed under power and product."""
+    __slots__ = ("grid", "log_values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        super().__init__(grid, values)
-        ok = np.isfinite(self.values) & (self.values > 0.0)
+        values = GridFunction(grid, values).values
+        ok = np.isfinite(values) & (values > 0.0)
         if not ok.all():
             node = int(np.argmin(ok))
             raise DomainError(f"weight must satisfy 0 < w < inf at every node; it is "
-                              f"{float(self.values.flat[node])!r} at flat node index {node}")
+                              f"{float(values.flat[node])!r} at flat node index {node}")
+        self.grid, self.log_values = grid, np.log(values)
 
-    @cached_property
-    def log_values(self) -> np.ndarray:
-        """``log w``, taken once: a norm takes ``log|f| + log w``, never ``f w``."""
-        return np.log(self.values)
+    @classmethod
+    def from_log(cls, grid: Grid, log_values: np.ndarray) -> "WeightField":
+        """The weight ``exp(log_values)``, derived from checked weights."""
+        out = cls.__new__(cls)
+        out.grid, out.log_values = grid, log_values
+        return out
 
-    def power(self, exponent) -> "WeightField":
-        e = exponent.values if isinstance(exponent, GridFunction) else exponent
-        with np.errstate(over="ignore"):  # inf past the float range, named by node below
-            return WeightField(self.grid, self.values ** np.asarray(e, dtype=float))
+    @property
+    def values(self) -> np.ndarray:
+        """``w``, computed from the logs."""
+        return np.exp(self.log_values)
+
+    def power(self, a: float) -> "WeightField":
+        return WeightField.from_log(self.grid, a * self.log_values)
 
     def inverse(self) -> "WeightField":
-        return WeightField(self.grid, 1.0 / self.values)
+        return WeightField.from_log(self.grid, -self.log_values)
 
-    def __mul__(self, other):
-        if isinstance(other, WeightField):
-            return self._pointwise(other, operator.mul, WeightField)
-        if np.isscalar(other) and float(other) > 0.0:
-            return WeightField(self.grid, self.values * float(other))
-        return super().__mul__(other)
-
-    __rmul__ = __mul__
+    @staticmethod
+    def product(ws: Sequence["WeightField"]) -> "WeightField":
+        """``w_1 w_2 ...``: the sum of the logs, from the left."""
+        return WeightField.from_log(shared_grid(ws, "weight components"),
+                                    reduce(np.add, (w.log_values for w in ws)))
 
 
 @dataclass(frozen=True, eq=False)

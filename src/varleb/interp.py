@@ -47,7 +47,7 @@ from .exponent import (ExponentField, QuadrupleSpec, QuadrupleVerdict,
 from .field import (Box, DyadicCubeSet, FunctionFamily, Grid, WeightField,
                     random_simple_function, shared_grid)
 from .maximal import ball_mean
-from .norms import inner_norm, weighted_table
+from .norms import inner_norm, norm_ratios, weighted_table
 from .rk import RKReport, classify
 from .weights import WeightConstantReport, multilinear_constant, weight_products
 
@@ -262,14 +262,13 @@ def _corpus_ratios(slot_logs: list[np.ndarray], outputs: np.ndarray, grid: Grid,
     log_den = np.full(len(outputs), math.log(scale) if scale > 0.0 else -math.inf)
     for logs in slot_logs:
         log_den += logs
-    log_num = weighted_table(outputs, grid, space.q, space.v).solve(rel_tol=rel_tol).log_value
-    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range; NaN below
-        ratios = np.where(log_den > -math.inf, np.exp(log_num - log_den), 0.0)
+    num, ratios = norm_ratios(outputs, grid, space.q, space.v, log_den, rel_tol)
+    ratios = np.where(log_den > -math.inf, ratios, 0.0)  # a NaN left is refused below
     bad = np.flatnonzero(np.isnan(ratios))
     if bad.size:
         i = int(bad[0])
         raise DomainError(f"interpolation ratio of trial {i} is NaN: output log norm "
-                          f"{float(log_num[i])!r} over input log norm {float(log_den[i])!r}")
+                          f"{float(num.log_value[i])!r} over input log norm {float(log_den[i])!r}")
     return ratios
 
 
@@ -475,9 +474,9 @@ def build_extrapolation_family(target: QuadrupleSpec, w_vec, spec1: QuadrupleSpe
     for a, b in zip(back.p_vec + (back.q,), target.p_vec + (target.q,)):
         exp_err = max(exp_err, float(np.max(np.abs(
             1.0 / a.values_on(grid) - 1.0 / b.values_on(grid)))))
-    w_err = 0.0
+    w_err = 0.0  # of log w, which is that of w relative to itself
     for again, w in zip(weight_products(w0_vec, w1_vec, 1.0 - theta, theta), w_vec):
-        w_err = max(w_err, float(np.max(np.abs(again.values / w.values - 1.0))))
+        w_err = max(w_err, float(np.max(np.abs(again.log_values - w.log_values))))
 
     cubes = cubes or DyadicCubeSet(grid.box, 3)
     constant0 = multilinear_constant(w0_vec, spec0, cubes, rel_tol)

@@ -91,7 +91,7 @@ from .errors import DomainError
 from .exponent import ExponentField
 from .field import (BALL_SHRINK, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
                     WeightField, _ball_radius, _shift_slices, refuse_non_finite)
-from .norms import weighted_norms
+from .norms import norm_ratios, weighted_table
 from .weights import WeightConstantReport, gate_constant
 
 # balls summed together by one pass over their distinct row half-widths
@@ -158,7 +158,8 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     diameter takes in the whole box, so a larger one is cut to that, and an
     offset is capped at the node count before it becomes an integer.  A
     radius below half the smallest step is lifted to that half step: the
-    ball is the same, its centre node alone, and no square underflows.
+    ball is the same, its centre node alone.  In an exact power-of-two unit
+    every square is a normal double, or the grid is refused.
 
     In 2D the squares are Python floats, formed once per call up to the
     largest radius, and every entry of every ball is found in one array
@@ -166,7 +167,12 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     """
     half = 0.5 * min(grid.steps)
     r_effs = [min(max(r, half), 2.0 * grid.box.diameter) for r in r_effs]
-    unit = math.ldexp(1.0, max(0, math.frexp(max(r_effs))[1] - 500))  # exact: squares stay finite
+    # r < 2^e_r and half >= 2^(e_h - 1): r^2 < 2^1000 and half^2 >= 2^-1022 in the unit
+    least, most = math.frexp(max(r_effs))[1] - 500, math.frexp(half)[1] + 510
+    if least > most:
+        raise DomainError(f"lattice balls on the grid of steps {grid.steps[0]!r} and "
+                          f"{grid.steps[-1]!r}: no power-of-two unit keeps their squares normal")
+    unit = math.ldexp(1.0, min(max(0, least), most))
     r_effs, h1, h2 = [r / unit for r in r_effs], grid.steps[0] / unit, grid.steps[-1] / unit
     n1, n2 = grid.shape[0], grid.shape[-1]
     if grid.dim == 1:
@@ -587,11 +593,11 @@ def maximal_boundedness_probe(corpus: FunctionFamily, p: ExponentField,
     """
     gate = gate_constant(w, p, qtilde, cubes, rel_tol)
     grid = corpus.grid
-    fn = weighted_norms(corpus.values, grid, p, w, rel_tol)
-    live = np.flatnonzero(fn > 0.0)
+    fn = weighted_table(corpus.values, grid, p, w).solve(rel_tol=rel_tol).log_value
+    live = np.flatnonzero(fn > -math.inf)
     if not live.size:
         raise DomainError("probe corpus contains only zero functions")
     mf = FunctionFamily.fill(grid, live.size, lambda k: maximal_function(
         GridFunction(grid, corpus.values[live[k]]), qtilde, sweep).values)
-    ratios = (weighted_norms(mf.values, grid, p, w, rel_tol) / fn[live]).tolist()
+    ratios = norm_ratios(mf.values, grid, p, w, fn[live], rel_tol)[1].tolist()
     return ProbeReport(gate, qtilde, tuple(ratios), max(ratios))

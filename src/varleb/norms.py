@@ -33,7 +33,8 @@ block for all its solves, packed ones of a `stacked_table`; others make their ow
 
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure); a table
-takes ``log|f| + log w`` (`WeightField.log_values`), never ``f w``.
+takes ``log|f| + log w`` (`WeightField.log_values`), never ``f w``, so
+a norm has a finite log even where ``f w`` is no double.
 
 A set of functions is one ``(members, *grid.shape)`` value stack, as
 in ``rk`` and ``interp``.  A mixed norm of a bivariate function first
@@ -319,9 +320,8 @@ def _log_weight(grid: Grid, w: WeightField | None) -> np.ndarray | None:
 def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = None,
                   rel_tol: float = 1e-10) -> NormResult:
     """``|| f w ||_p``; with ``w`` omitted this is the plain norm."""
-    lw = _log_weight(f.grid, w)  # made before p's values, as f w was, so glibc reuses pages
     return lux_flat(f.values.ravel(), p.values_on(f.grid).ravel(),
-                    f.grid.log_quad_weights.ravel(), rel_tol, lw)
+                    f.grid.log_quad_weights.ravel(), rel_tol, _log_weight(f.grid, w))
 
 
 def weighted_table(values: np.ndarray, grid: Grid, p: ExponentField,
@@ -337,6 +337,16 @@ def weighted_norms(values: np.ndarray, grid: Grid, p: ExponentField,
     value stack, solved together: row ``i`` holds member ``i``'s nonzero
     nodes, as `lux_flat` would."""
     return weighted_table(values, grid, p, w).solve(rel_tol=rel_tol).value
+
+
+def norm_ratios(values: np.ndarray, grid: Grid, p: ExponentField, w: WeightField | None,
+                log_den: np.ndarray, rel_tol: float = 1e-10) -> tuple[RowNorms, np.ndarray]:
+    """``|| f w ||_p`` of each function of a value stack (or of one), and its
+    ratio to a norm of log ``log_den`` as ``exp`` of a difference of logs: a
+    double wherever the ratio is, also where neither norm is (NaN at 0 / 0)."""
+    num = weighted_table(values, grid, p, w).solve(rel_tol=rel_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return num, np.exp(num.log_value - log_den)
 
 
 def inner_norm(values: np.ndarray, grid: Grid, inner_exponent: float) -> np.ndarray:

@@ -23,15 +23,17 @@ with ``nu = prod_j w_j``.  Three conventions are fixed throughout:
   inf and sets the overflow flag; checks that need a finite one refuse it.
 
 The scan works one cube depth at a time, in the row format of ``norms``.
-Each factor becomes one `norms.NodeTable` on the grid, built once per
-scan (a NaN is refused there, at its grid node).  A (depth, shifted)
-group is one integer array of node rows, one row per cube in scan order
-padded with the table's padding index (`field.CubeGroup.node_rows`), a
-row set of each factor.  A depth's sets share one `NodeTable.solve` in
-scan order until one has another width or passes ``PACK_NODES``; it and
-the rest (all on 257^2 grids) are solved alone.  A cube adds its
-factors' log norms in factor order.  Measures, log sums, the overflow
-test and the argmax (the first maximal cube in scan order) are vectorised.
+A factor is its log values (``nu``, an inverse and the gate's
+``w^qtilde`` are sums and multiples of ``log w``), copied once per scan
+into a `norms.NodeTable` on the grid (a NaN is refused there, at its
+grid node).  A (depth, shifted) group is one integer array of node rows,
+one row per cube in scan order padded with the table's padding index
+(`field.CubeGroup.node_rows`), a row set of each factor.  A depth's sets
+share one `NodeTable.solve` in scan order until one has another width or
+passes ``PACK_NODES``; it and the rest (all on 257^2 grids) are solved
+alone.  A cube adds its factors' log norms in factor order.  Measures,
+log sums, the overflow test and the argmax (the first maximal cube in
+scan order) are vectorised.
 
 The scan owns one working block of four float rows, which every solve
 gathers into and runs its Newton loop in, after the cube measures are
@@ -52,8 +54,8 @@ from .errors import (ArityMismatchError, DomainError, EmptyRegionError,
 from .exponent import (GAMMA_TOL, ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
                        scale_exponent, two_to_one_data, validate_quadruple)
-from .field import Cube, DyadicCubeSet, Grid, WeightField, shared_grid
-from .norms import holder_constant, node_table, stacked_table
+from .field import Cube, DyadicCubeSet, Grid, WeightField, refuse_non_finite
+from .norms import NodeTable, holder_constant, stacked_table
 
 OVERFLOW_THRESHOLD = 1e150
 PACK_NODES = 2 ** 16  # nodes of a packed scan solve: 4 float rows in 2 MiB, a core's L2
@@ -68,18 +70,20 @@ class WeightConstantReport:
     argmax_cube: Cube | None
     cube_count: int
     per_cube: tuple[float, ...]
-    convention: str
 
 
 def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
-               rel_tol: float, convention: str) -> WeightConstantReport:
+               rel_tol: float) -> WeightConstantReport:
     """Scan the cube family one depth at a time: a (depth, shifted) group's
-    padded node rows are a row set of each ``(weight, exponent)`` factor,
+    padded node rows are a row set of each ``(log_values, exponent)`` factor,
     and a depth's sets share one solve in the working block while they fit."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
     qw = grid.quad_weights
-    tables = [node_table(w.values, p.values_on(grid), grid.log_quad_weights) for w, p in factors]
+    for lw, _ in factors:
+        refuse_non_finite(lw, grid.size)
+    tables = [NodeTable(np.append(lw, -math.inf)[None], p.values_on(grid).ravel(),
+                        grid.log_quad_weights.ravel(), True) for lw, p in factors]
     values, pack, stacked = [], [], None  # per group; (rows, factor, values) sets; tables as one
     block, alone = np.empty((4, 0)), None  # alone: the values of the last set solved alone
     def solve(sets):  # in one solve, then emptied
@@ -142,7 +146,7 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
         best -= value.size
     return WeightConstantReport(float(per_cube.max()), bool(over.any()),
                                 group.cube(np.unravel_index(best, group.shape)),
-                                per_cube.size, tuple(per_cube.tolist()), convention)
+                                per_cube.size, tuple(per_cube.tolist()))
 
 
 def _bounded(rep: WeightConstantReport) -> WeightConstantReport:
@@ -157,9 +161,8 @@ def ap_constant(w: WeightField, p: ExponentField, cubes: DyadicCubeSet,
                 rel_tol: float = 1e-10) -> WeightConstantReport:
     """Symmetric variable-exponent Muckenhoupt constant of ``w``."""
     p.require_P("Muckenhoupt constant")
-    pd = dual_exponent(p)
-    factors = [(w, p), (w.inverse(), pd)]
-    return _cube_scan(w.grid, cubes, factors, -1.0, rel_tol, "symmetric")
+    factors = [(w.log_values, p), (w.inverse().log_values, dual_exponent(p))]
+    return _cube_scan(w.grid, cubes, factors, -1.0, rel_tol)
 
 
 def gate_constant(w: WeightField, p: ExponentField, qtilde: float, cubes: DyadicCubeSet,
@@ -184,13 +187,11 @@ def multilinear_constant(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
     w_vec = tuple(w_vec)
     if len(w_vec) != spec.m:
         raise ArityMismatchError(f"{len(w_vec)} weights against arity {spec.m}")
-    grid = shared_grid(w_vec, "weight components")
-    e_nu = nu_exponent(spec.q, spec.s)
-    factors = [(WeightField.product(w_vec), e_nu)]
-    for w, p_j, r_j in zip(w_vec, spec.p_vec, spec.r_vec):
-        factors.append((w.inverse(), component_exponent(p_j, r_j)))
+    factors = [(WeightField.product(w_vec).log_values, nu_exponent(spec.q, spec.s))]
+    factors += [(w.inverse().log_values, component_exponent(p_j, r_j))
+                for w, p_j, r_j in zip(w_vec, spec.p_vec, spec.r_vec)]
     power = spec.gamma - (1.0 / spec.r - 1.0 / spec.s)
-    return _cube_scan(grid, cubes, factors, power, rel_tol, "two-index")
+    return _cube_scan(w_vec[0].grid, cubes, factors, power, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +260,10 @@ def containment_check(w_vec, spec: QuadrupleSpec, cubes: DyadicCubeSet,
 
 
 def weight_products(w0_vec, w1_vec, a: float, b: float) -> tuple[WeightField, ...]:
-    """``w0_j^a w1_j^b`` per component ``j``: the theta blend of two weight
-    vectors (``a, b = 1 - theta, theta``) and its inversion."""
-    return tuple(w0.power(a) * w1.power(b) for w0, w1 in zip(w0_vec, w1_vec))
+    """``w0_j^a w1_j^b`` per component ``j``, of log ``a log w0_j + b log
+    w1_j``: the theta blend of two weight vectors (``a, b = 1 - theta,
+    theta``) and its inversion."""
+    return tuple(WeightField.product((w0.power(a), w1.power(b))) for w0, w1 in zip(w0_vec, w1_vec))
 
 
 @dataclass(frozen=True)

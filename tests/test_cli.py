@@ -103,7 +103,11 @@ _GAUSS_04 = {"kind": "gaussian", "center": [0.4], "width": 0.5}
 def test_weight_constants_of_a_weight_times_a_huge_or_tiny_constant_are_its_own(tmp_path, c):
     """[c w] = [w] through the CLI: at these c a factor norm passes 1e150,
     which read as an infinite constant (exit 0, "inf" on cube d0u0) before
-    the cube values were taken as sums of log norms."""
+    the cube values were taken as sums of log norms.  With both weights of
+    the two-index constant times c, nu = c^2 w_1 w_2 is no double at 1e160
+    (exit 1, "weight must satisfy 0 < w < inf") nor a normal one at
+    1e-160 (the constant read 2.6e-6 off) while it was formed in linear
+    space."""
     wc = {"box": [[0.0, 1.0]], "resolution": 1024, "cube_depth": 5,
           "exponent": {"kind": "constant", "value": 2.0}}
     ml = {"box": [[0.0, 1.0]], "resolution": 1024, "cube_depth": 4,
@@ -111,11 +115,14 @@ def test_weight_constants_of_a_weight_times_a_huge_or_tiny_constant_are_its_own(
                         "q": {"kind": "constant", "value": 1.5}, "r_vec": [1.0, 1.0], "s": "inf"}}
     g6 = {"kind": "gaussian", "center": [0.6], "width": 0.5}
     for command, cfg, weights, want in (
-            ("weight-constant", wc, lambda a: {"weight": a}, (1.37727060143818, "d1u1")),
-            ("multilinear-constant", ml, lambda a: {"weights": [a, g6]}, (1.59457, "d0u0"))):
+            ("weight-constant", wc, lambda a: {"weight": a(_GAUSS_04)}, (1.37727060143818, "d1u1")),
+            ("multilinear-constant", ml, lambda a: {"weights": [a(_GAUSS_04), g6]},
+             (1.59457, "d0u0")),
+            ("multilinear-constant", ml, lambda a: {"weights": [a(_GAUSS_04), a(g6)]},
+             (1.59457, "d0u0"))):
         constants = []
-        for desc in (_GAUSS_04, _times(_GAUSS_04, c)):
-            rc, report, _ = _run(tmp_path, command, dict(cfg, **weights(desc)))
+        for scale in (lambda desc: desc, lambda desc: _times(desc, c)):
+            rc, report, _ = _run(tmp_path, command, dict(cfg, **weights(scale)))
             assert rc == 0
             got = report["results"]
             assert not got["overflow"] and got["argmax_cube"] == want[1]
@@ -126,15 +133,19 @@ def test_weight_constants_of_a_weight_times_a_huge_or_tiny_constant_are_its_own(
 
 def test_rk_classify_gate_with_a_huge_constant_weight_is_one(tmp_path):
     """A weight of 1e160 used to fail the gate (exit 2, "per-cube norm
-    factor 2.154e+160 beyond 1e+150"); its gate constant is that of 1."""
-    cfg = {"box": [[0.0, 10.0]], "resolution": 1024, "qtilde": 1.0,
-           "exponent": {"kind": "constant", "value": 3.0},
-           "weight": dict(CONST_ONE, amplitude=1e160),
-           "family": {"kind": "translate", "count": 6, "step": 1.3,
-                      "base": {"kind": "gaussian", "center": [1.0], "width": 0.3}}}
-    rc, report, _ = _run(tmp_path, "rk-classify", cfg)
-    assert rc == 0
-    assert report["results"]["gate_constant"] == pytest.approx(1.0, rel=1e-12)
+    factor 2.154e+160 beyond 1e+150"); its gate constant is that of 1.
+    So is that of 1e250 at qtilde = 1.5, whose gate weight w^1.5 is no
+    double (exit 1, "weight must satisfy 0 < w < inf", while the power was
+    taken in linear space)."""
+    for qtilde, amplitude in ((1.0, 1e160), (1.5, 1e250)):
+        cfg = {"box": [[0.0, 10.0]], "resolution": 1024, "qtilde": qtilde,
+               "exponent": {"kind": "constant", "value": 3.0},
+               "weight": dict(CONST_ONE, amplitude=amplitude),
+               "family": {"kind": "translate", "count": 6, "step": 1.3,
+                          "base": {"kind": "gaussian", "center": [1.0], "width": 0.3}}}
+        rc, report, _ = _run(tmp_path, "rk-classify", cfg)
+        assert rc == 0
+        assert report["results"]["gate_constant"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_two_to_one_with_unit_weight_passes_at_tight_tolerance(tmp_path):
@@ -198,6 +209,61 @@ def test_maximal_is_homogeneous_at_extreme_amplitudes(tmp_path, amplitude):
     assert got["norm_maximal"] == pytest.approx(amplitude * want["norm_maximal"], rel=1e-12,
                                                 abs=0.0)
     assert got["dominance_min"] >= -1e-12 * amplitude
+
+
+def test_maximal_ratio_of_norms_past_the_float_range_is_the_ratio_at_scale_one(tmp_path):
+    """f and w both times 1e200 (or 1e-200): ||f w|| and ||M f w|| are no
+    doubles, and the run exited 1 with "weighted norm inf" (or 0.0); the
+    ratio is taken as a difference of log norms, so it is the one at
+    scale 1."""
+    def run(c):
+        cfg = {"box": [[0.0, 1.0]], "resolution": 256, "qtilde": 1.0, "radii_count": 8,
+               "exponent": {"kind": "constant", "value": 2.0},
+               "function": _times({"kind": "gaussian", "center": [0.5], "width": 0.2}, c),
+               "weight": _times(_GAUSS_04, c)}
+        rc, report, _ = _run(tmp_path, "maximal", cfg)
+        assert rc == 0
+        return report["results"]
+
+    unit, huge, tiny = run(1.0), run(1e200), run(1e-200)
+    assert unit["ratio"] == pytest.approx(1.0968722416240035, rel=1e-12, abs=0.0)
+    for scaled in (huge, tiny):
+        assert scaled["ratio"] == pytest.approx(unit["ratio"], rel=1e-12, abs=0.0)
+    assert huge["norm_input"] == huge["norm_maximal"] == "inf"
+    assert tiny["norm_input"] == tiny["norm_maximal"] == 0.0
+
+
+def test_maximal_on_a_grid_whose_steps_no_unit_can_square_exits_one_naming_both(tmp_path,
+                                                                                capsys):
+    """Steps 1e-170 and 1e150: no power-of-two unit keeps the square of
+    the half step and that of the largest radius both normal doubles, so
+    the grid is refused.  Its balls were empty, and the run exited 1 with
+    "function value is NaN at flat node index 27" after a divide warning."""
+    cfg = {"box": [[0.0, 1.6e-169], [0.0, 1.6e151]], "resolution": 16, "qtilde": 1.0,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": CONST_ONE}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, report, _ = _run(tmp_path, "maximal", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1 and report is None
+    assert "lattice balls on the grid of steps 1e-170 and 1e+150: no power-of-two unit keeps" in err
+    assert "Traceback" not in err
+
+
+def test_maximal_on_a_2d_grid_with_a_tiny_step_matches_a_dilated_one(tmp_path, capsys):
+    """On [0, 1e-170] x [0, 1] the squares of the lattice-ball test
+    underflowed to 0 and the run exited 1 ("function value is NaN"); in a
+    power-of-two unit chosen from the half step too, the ratio is that of
+    the grid dilated by 1e160, where every square is a normal double."""
+    def run(s):
+        cfg = {"box": [[0.0, 1e-170 * s], [0.0, s]], "resolution": 16, "qtilde": 1.0,
+               "radii_count": 8, "exponent": {"kind": "constant", "value": 2.0},
+               "function": {"kind": "indicator", "box": [[0.0, 0.3e-170 * s], [0.0, 0.5 * s]]}}
+        rc, report, _ = _run(tmp_path, "maximal", cfg)
+        assert rc == 0, capsys.readouterr().err
+        return report["results"]
+
+    assert run(1.0)["ratio"] == pytest.approx(run(1e160)["ratio"], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("left", [-1e200, -1e300])

@@ -170,13 +170,14 @@ def test_ball_average_affine_midpoint():
     assert got == pytest.approx(2.0 * 0.5 - 0.3, abs=1e-9)
 
 
-def test_grid_function_product_is_a_left_fold():
+def test_weight_product_is_a_left_fold_of_logs():
     g = grid1d(9)
     ws = [WeightField(g, np.full(g.shape, c)) for c in (0.1, 0.7, 3.0)]
-    nu = GridFunction.product(ws)
-    assert isinstance(nu, WeightField)
-    assert np.array_equal(nu.values, (ws[0].values * ws[1].values) * ws[2].values)
-    assert GridFunction.product(ws[:1]) is ws[0]
+    nu = WeightField.product(ws)
+    assert isinstance(nu, WeightField) and nu.grid == g
+    assert np.array_equal(nu.log_values,
+                          (ws[0].log_values + ws[1].log_values) + ws[2].log_values)
+    assert WeightField.product(ws[:1]).log_values is ws[0].log_values
 
 
 # -- dyadic cube families ------------------------------------------------
@@ -242,7 +243,7 @@ def test_weight_power_and_inverse():
     w = WeightField(g, np.linspace(0.5, 2.0, 33))
     back = w.power(2.0).power(0.5)
     assert np.allclose(back.values, w.values)
-    assert np.allclose((w * w.inverse()).values, 1.0)
+    assert np.allclose(WeightField.product((w, w.inverse())).values, 1.0)
 
 
 def test_shift_function_node_aligned_zero_fill():

@@ -2,6 +2,8 @@
 experiments, mixed-norm variants, and the extrapolation builder."""
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -207,7 +209,7 @@ def test_a_stack_of_trials_maps_as_each_trial_alone(kind, m, n):
     assert np.array_equal(stacked[:, ~tail], alone[:, ~tail])
     assert np.all(np.abs(stacked / alone - 1.0) <= 1e-15)
     if kind == "product":  # the left fold (f_1 f_2) f_3 of the old tuple path
-        fold = [GridFunction.product([GridFunction(g, f) for f in fs]).values
+        fold = [reduce(operator.mul, [GridFunction(g, f) for f in fs]).values
                 for fs in corpus.reshape(-1, m, n)]
         assert np.array_equal(stacked, fold)
 

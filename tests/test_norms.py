@@ -294,9 +294,10 @@ def test_weighted_norm_is_homogeneous_in_the_weight_in_log_terms(seed, k, zero):
     c, log_c = 10.0 ** k, k * math.log(10.0)
     tol = 1e-12 * (1.0 + abs(log_c))
     base = weighted_table(f[None], g, p, w).solve().log_value[0]
-    scaled = weighted_table(f[None], g, p, w * c).solve().log_value[0]
+    wc = WeightField(g, w.values * c)
+    scaled = weighted_table(f[None], g, p, wc).solve().log_value[0]
     assert abs(scaled - base - log_c) <= tol
-    one = math.log(weighted_norm(GridFunction(g, f), p, w * c).value)
+    one = math.log(weighted_norm(GridFunction(g, f), p, wc).value)
     assert abs(one - math.log(weighted_norm(GridFunction(g, f), p, w).value) - log_c) <= tol
 
 

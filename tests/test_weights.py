@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import varleb.norms as norms_module
 import varleb.weights as weights_module
 from varleb import (ArityMismatchError, Box, DomainError, DyadicCubeSet,
-                    EmptyRegionError, ExponentField, Grid, GridFunction,
+                    EmptyRegionError, ExponentField, Grid,
                     HypothesisFailureError, OverflowToInfinityError, QuadrupleSpec,
                     SpecMismatchError, WeightField, ap_constant, blend_constant_check,
                     component_exponent, containment_check, dual_exponent,
@@ -76,7 +76,7 @@ def test_ap_constant_dilation_invariance():
     w = rand_weight(GRID, rng)
     p = const_p(2.0)
     base = ap_constant(w, p, CUBES).constant
-    scaled = ap_constant(w * 5.0, p, CUBES).constant
+    scaled = ap_constant(WeightField(GRID, w.values * 5.0), p, CUBES).constant
     assert scaled == pytest.approx(base, rel=1e-10)
 
 
@@ -288,6 +288,14 @@ def test_blend_rejects_gamma_mismatch():
         blend_constant_check((ones,), (ones,), spec0, spec1, 0.5, CUBES)
 
 
+def test_blend_refuses_weight_vectors_on_different_grids():
+    """A blended weight is a sum of logs, taken only on a shared grid."""
+    spec = QuadrupleSpec((const_p(3.0),), const_p(3.0), (1.0,), math.inf)
+    other = Grid(Box((0.0,), (2.0,)), GRID.shape)  # the same shape: no broadcast error
+    with pytest.raises(DomainError, match="live on different grids"):
+        blend_constant_check((unit_weight(GRID),), (unit_weight(other),), spec, spec, 0.5, CUBES)
+
+
 def test_blend_rejects_mismatched_rs():
     spec0 = QuadrupleSpec((const_p(3.0),), const_p(3.0), (1.0,), math.inf)
     spec1 = QuadrupleSpec((const_p(3.0),), const_p(3.0), (1.5,), math.inf)
@@ -300,10 +308,10 @@ def test_blend_rejects_mismatched_rs():
 
 
 def _loop_scan(grid, cubes, factors, power):
-    """The cube scan as one `lux_flat` solve per cube and factor, in scan
-    order, as a reference for the batched `_cube_scan`: the cube value is
-    the product of the measure power and the factor norms, read as inf
-    when it passes the threshold."""
+    """The cube scan as one `lux_flat` solve per cube and ``(log_values,
+    exponent)`` factor, in scan order, as a reference for the batched
+    `_cube_scan`: the cube value is the product of the measure power and
+    the factor norms, read as inf when it passes the threshold."""
     qw = grid.quad_weights
     best, best_cube, per_cube, overflow = -math.inf, None, [], False
     for cube in all_cubes(cubes):
@@ -313,9 +321,9 @@ def _loop_scan(grid, cubes, factors, power):
             raise EmptyRegionError(
                 f"cube {cube.label()} contains no grid node; lower max_depth or refine the grid")
         value = float(np.sum(wq)) ** power
-        for wf, ef in factors:
-            value *= lux_flat(np.abs(wf.values)[sl].ravel(), ef.values_on(grid)[sl].ravel(),
-                              np.log(wq)).value
+        for lw, ef in factors:
+            value *= lux_flat(np.ones(wq.size), ef.values_on(grid)[sl].ravel(), np.log(wq),
+                              lw=lw[sl].ravel()).value
         if value > OVERFLOW_THRESHOLD:
             overflow, value = True, math.inf
         per_cube.append(value)
@@ -362,21 +370,23 @@ def _scan_case(seed, dim, depth):
 def test_batched_ap_constant_matches_a_per_cube_loop(seed, dim, depth):
     grid, cubes, w, p, _ = _scan_case(seed, dim, depth)
     rep = ap_constant(w, p, cubes)
-    _assert_scan_matches_loop(rep, grid, cubes, [(w, p), (w.inverse(), dual_exponent(p))], -1.0)
+    factors = [(w.log_values, p), (w.inverse().log_values, dual_exponent(p))]
+    _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]), depth=st.integers(0, 3))
 def test_batched_multilinear_constant_matches_a_per_cube_loop(seed, dim, depth):
     grid, cubes, w1, p, rng = _scan_case(seed, dim, depth)
-    w2 = w1.power(float(rng.uniform(-1.0, 1.0))) * float(rng.uniform(0.5, 2.0))
+    w2 = WeightField(grid, w1.power(float(rng.uniform(-1.0, 1.0))).values
+                     * float(rng.uniform(0.5, 2.0)))
     p_vec = (p, ExponentField.constant(grid.box, float(rng.uniform(3.0, 5.0))))
     r_vec = tuple(float(rng.uniform(1.0, 1.2)) for _ in p_vec)
     q = reciprocal_affine(p_vec, (1.0, 1.0), 0.0)
     spec = QuadrupleSpec(p_vec, q, r_vec, math.inf)
     rep = multilinear_constant((w1, w2), spec, cubes)
-    factors = [(WeightField.product((w1, w2)), nu_exponent(spec.q, spec.s))]
-    factors += [(w.inverse(), component_exponent(p_j, r_j))
+    factors = [(WeightField.product((w1, w2)).log_values, nu_exponent(spec.q, spec.s))]
+    factors += [(w.inverse().log_values, component_exponent(p_j, r_j))
                 for w, p_j, r_j in zip((w1, w2), p_vec, r_vec)]
     _assert_scan_matches_loop(rep, grid, cubes, factors, spec.gamma - 1.0 / spec.r)
 
@@ -386,14 +396,17 @@ def test_batched_multilinear_constant_matches_a_per_cube_loop(seed, dim, depth):
        k=st.integers(-300, 300))
 def test_cube_constants_are_the_same_for_a_weight_times_a_constant(seed, dim, depth, k):
     """[c w] = [w] for c = 10^k: a cube value is the exponential of a sum
-    of log norms, so factor norms far from 1 neither overflow nor flag."""
+    of log norms, so factor norms far from 1 neither overflow nor flag;
+    with every weight of the two-index constant scaled, nu = c^1.5 w^1.5
+    is a sum of logs, a weight at any k."""
     grid, cubes, w, p, _ = _scan_case(seed, dim, depth)
     p_vec = (p, const_p(4.0, grid.box))
     spec = QuadrupleSpec(p_vec, reciprocal_affine(p_vec, (1.0, 1.0), 0.0), (1.0, 1.0), math.inf)
     c = 10.0 ** k
     for scan in (lambda v: ap_constant(v, p, cubes),
-                 lambda v: multilinear_constant((v, w.power(0.5)), spec, cubes)):
-        base, scaled = scan(w), scan(w * c)
+                 lambda v: multilinear_constant((v, w.power(0.5)), spec, cubes),
+                 lambda v: multilinear_constant((v, v.power(0.5)), spec, cubes)):
+        base, scaled = scan(w), scan(WeightField(grid, w.values * c))
         assert not base.overflow and not scaled.overflow
         assert abs(scaled.constant - base.constant) <= 1e-12 * base.constant, (k, base, scaled)
 
@@ -427,25 +440,24 @@ def _edge_grid():
 
 def test_cube_scan_infinite_node_overflows_every_cube_holding_it():
     grid, cubes, p = _edge_grid()
-    g = GridFunction(grid, 1.0 + grid.coords[..., 0])
-    vals = g.values.copy()
-    vals[40] = math.inf
-    f = GridFunction(grid, vals)
+    g = np.log1p(grid.coords[..., 0])
+    f = g.copy()
+    f[40] = math.inf
     for factors in ([(f, p), (g, p)], [(g, p), (f, p)]):
-        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10, "test")
+        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10)
         _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0)
         assert rep.overflow and rep.per_cube[0] == math.inf
 
 
 def test_cube_scan_refuses_a_nan_node_and_names_it():
     grid, cubes, p = _edge_grid()
-    vals = 1.0 + grid.coords[..., 0]
-    vals[17] = math.nan
-    factors = [(GridFunction(grid, vals), p)]
+    log_values = np.log1p(grid.coords[..., 0])
+    log_values[17] = math.nan
+    factors = [(log_values, p)]
     with pytest.raises(DomainError) as want:
         _loop_scan(grid, cubes, factors, -1.0)
     with pytest.raises(DomainError, match="NaN at flat node index 17$") as got:
-        _cube_scan(grid, cubes, factors, -1.0, 1e-10, "test")
+        _cube_scan(grid, cubes, factors, -1.0, 1e-10)
     assert str(got.value) == str(want.value)
 
 
@@ -455,12 +467,11 @@ def test_cube_scan_names_the_grid_node_of_a_nan_under_a_smaller_root(shape, node
     factor's node table, where its index is the grid node."""
     box = Box((0.0,) * len(shape), (1.0,) * len(shape))
     grid = Grid(box, shape)
-    vals = np.ones(grid.size)
-    vals[node] = math.nan
-    w = GridFunction(grid, vals.reshape(shape))
+    log_values = np.zeros(grid.size)
+    log_values[node] = math.nan
     cubes = DyadicCubeSet(Box((0.5,) * len(shape), (1.0,) * len(shape)), 2)
     with pytest.raises(DomainError, match=f"^function value is NaN at flat node index {node}$"):
-        _cube_scan(grid, cubes, [(w, const_p(2.0, box))], -1.0, 1e-10, "test")
+        _cube_scan(grid, cubes, [(log_values.reshape(shape), const_p(2.0, box))], -1.0, 1e-10)
 
 
 def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
@@ -468,7 +479,7 @@ def test_cube_scan_empty_cube_names_the_same_cube_as_the_loop():
     grid, cubes = Grid(box, (7,)), DyadicCubeSet(box, 4)
     w, p = unit_weight(grid), const_p(2.0, box)
     with pytest.raises(EmptyRegionError) as want:
-        _loop_scan(grid, cubes, [(w, p)], -1.0)
+        _loop_scan(grid, cubes, [(w.log_values, p)], -1.0)
     with pytest.raises(EmptyRegionError) as got:
         ap_constant(w, p, cubes)
     assert str(got.value) == str(want.value)
@@ -481,10 +492,10 @@ def test_cube_scan_overflow_error_names_the_first_overflowing_cube():
     the threshold in the per-cube loop."""
     grid, cubes, p = _edge_grid()
     x = grid.coords[..., 0]
-    ones = GridFunction(grid, np.ones(grid.shape))
-    huge = GridFunction(grid, np.where(x >= 0.6, 1e200, 1.0))
-    for factors, cube in (([(huge, p)], "d0u0"), ([(ones, p), (huge, p)], "d0u0")):
-        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10, "test")
+    log_one = np.zeros(grid.shape)
+    log_huge = np.where(x >= 0.6, math.log(1e200), 0.0)
+    for factors, cube in (([(log_huge, p)], "d0u0"), ([(log_one, p), (log_huge, p)], "d0u0")):
+        rep = _cube_scan(grid, cubes, factors, -1.0, 1e-10)
         _assert_scan_matches_loop(rep, grid, cubes, factors, -1.0)
         per_cube, best_cube, _ = _loop_scan(grid, cubes, factors, -1.0)
         assert best_cube.label() == cube and per_cube[0] == math.inf
