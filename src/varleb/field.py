@@ -163,7 +163,7 @@ def _quad_weights(grid: Grid) -> np.ndarray:
     with np.errstate(over="ignore"):  # refused below, naming the grid
         out = reduce(np.multiply.outer, factors)
     lo, hi = float(out.min()), float(out.max())
-    if not 0.0 < lo <= hi < math.inf:
+    if not np.finfo(float).tiny <= lo <= hi < math.inf:  # a subnormal weight has lost digits
         raise DomainError(f"the {grid.shape} grid on {grid.box.lo}-{grid.box.hi} has quadrature "
                           f"weights in [{lo!r}, {hi!r}]; each must be positive and finite")
     out.flags.writeable = False

@@ -35,16 +35,28 @@ alone.  A cube adds its factors' log norms in factor order.  Measures,
 log sums, the overflow test and the argmax (the first maximal cube in
 scan order) are vectorised.
 
+The geometry of a scan depends only on the grid and the cube family, so
+it is built once per (grid, cube set) by `_scan_plan` and shared by every
+scan on that pair (the two scans of `two_to_one_check`, the three of
+`blend_constant_check`, and every job of a process that repeats a
+family): per group in scan order, its node rows and the log measures of
+its cubes.  The rows are read-only int32 (intp only on a grid of 2^31
+nodes or more), half the memory of intp rows; the gathers accept them
+and a stacked solve adds its member offsets in an int64 view.  A 257^2,
+depth-4 plan holds about 2.1 MB, so the cache of 8 plans holds at most
+about 17 MB.
+
 The scan owns one working block of four float rows, which every solve
-gathers into and runs its Newton loop in, after the cube measures are
-summed in its workspace row.  Regrown only to the exact size a solve
-needs, it spares each solve a row-sized array and refaulted pages.
+gathers into and runs its Newton loop in.  Regrown only to the exact
+size a solve needs, it spares each solve a row-sized array and refaulted
+pages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +66,7 @@ from .errors import (ArityMismatchError, DomainError, EmptyRegionError,
 from .exponent import (GAMMA_TOL, ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
                        scale_exponent, two_to_one_data, validate_quadruple)
-from .field import Cube, DyadicCubeSet, Grid, WeightField, refuse_non_finite
+from .field import Cube, CubeGroup, DyadicCubeSet, Grid, WeightField, refuse_non_finite
 from .norms import NodeTable, holder_constant, stacked_table
 
 OVERFLOW_THRESHOLD = 1e150
@@ -72,16 +84,44 @@ class WeightConstantReport:
     per_cube: tuple[float, ...]
 
 
+@lru_cache(maxsize=8)
+def _scan_plan(grid: Grid, cubes: DyadicCubeSet
+               ) -> tuple[tuple[CubeGroup, np.ndarray, np.ndarray], ...]:
+    """Per group of ``cubes`` in scan order: the group, its node rows on
+    ``grid`` (read-only, int32 below 2^31 nodes) and the log quadrature
+    measures of its cubes (read-only).  The first cube with no node in
+    scan order is an EmptyRegionError, raised again on every call."""
+    qw = grid.quad_weights
+    dtype = np.int32 if grid.size < 2 ** 31 else np.intp
+    plan = []
+    for group in cubes.groups():
+        rows = group.node_rows(grid).astype(dtype)
+        # a cube with no node holds only padding, from its first entry on
+        empty = np.flatnonzero(rows[:, 0] == grid.size)
+        if empty.size:
+            raise EmptyRegionError(
+                f"cube {group.cube(np.unravel_index(empty[0], group.shape)).label()} contains "
+                "no grid node; lower max_depth or refine the grid")
+        measure = qw.take(rows, mode="clip")
+        if (rows[:, -1] == qw.size).any():  # a padded row ends in padding
+            measure[rows == qw.size] = 0.0
+        log_measure = np.log(measure.sum(axis=1))
+        rows.flags.writeable = log_measure.flags.writeable = False
+        plan.append((group, rows, log_measure))
+    return tuple(plan)
+
+
 def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
                rel_tol: float) -> WeightConstantReport:
     """Scan the cube family one depth at a time: a (depth, shifted) group's
-    padded node rows are a row set of each ``(log_values, exponent)`` factor,
-    and a depth's sets share one solve in the working block while they fit."""
+    node rows from the `_scan_plan` are a row set of each ``(log_values,
+    exponent)`` factor, and a depth's sets share one solve in the working
+    block while they fit."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
-    qw = grid.quad_weights
     for lw, _ in factors:
         refuse_non_finite(lw, grid.size)
+    plan = _scan_plan(grid, cubes)
     tables = [NodeTable(np.append(lw, -math.inf)[None], p.values_on(grid).ravel(),
                         grid.log_quad_weights.ravel(), True) for lw, p in factors]
     values, pack, stacked = [], [], None  # per group; (rows, factor, values) sets; tables as one
@@ -95,13 +135,6 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
             block = None  # the old block is freed before the new one is made
             block = np.empty((4, rows.size))
         work = block[:, :rows.size].reshape(4, *rows.shape)
-        ends = np.cumsum([len(r) for r, _, _ in sets])
-        for (r, k, value), end in zip(sets, ends):  # cube measures, in the Newton row
-            if k == 0:
-                measure = qw.take(r, out=work[3, end - len(r):end], mode="clip")
-                if (r[:, -1] == qw.size).any():  # a padded row ends in padding
-                    measure[r == qw.size] = 0.0
-                value[:] = measure_power * np.log(measure.sum(axis=1))
         if len(sets) == 1:  # after the same group's previous factor, its log weights are kept
             _, k, value = sets[0]
             log_value = tables[k].solve(rows, rel_tol, work, lq_gathered=value is alone).log_value
@@ -110,22 +143,16 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
             members = np.repeat([k for _, k, _ in sets], [len(r) for r, _, _ in sets])
             log_value = stacked.solve(rows, rel_tol, work, members).log_value
         alone = sets[0][2] if len(sets) == 1 else None
+        ends = np.cumsum([len(r) for r, _, _ in sets])
         for (r, _, value), end in zip(sets, ends):  # in factor order, as solved one by one
             value += log_value[end - len(r):end]
         sets.clear()
 
-    for group in cubes.groups():
+    for group, rows, log_measure in plan:
         if not group.shifted:  # a new depth
             solve(pack)
             packing = True
-        rows = group.node_rows(grid)
-        # a cube with no node holds only padding, from its first entry on
-        empty = np.flatnonzero(rows[:, 0] == grid.size)
-        if empty.size:
-            raise EmptyRegionError(
-                f"cube {group.cube(np.unravel_index(empty[0], group.shape)).label()} contains "
-                "no grid node; lower max_depth or refine the grid")
-        values.append(np.empty(len(rows)))
+        values.append(measure_power * log_measure)
         for k in range(len(factors)):
             packing = packing and (not pack or rows.shape[1] == pack[0][0].shape[1]) and (
                 sum(r.size for r, _, _ in pack) + rows.size <= PACK_NODES)
@@ -134,13 +161,12 @@ def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
             else:  # the sets before first, so that each cube adds its factors in order
                 solve(pack)
                 solve([(rows, k, values[-1])])
-        del rows  # freed before the next group's rows are made, if solved
     solve(pack)
     log_cube = np.concatenate(values)
     over = log_cube > math.log(OVERFLOW_THRESHOLD)
     per_cube = np.exp(np.where(over, math.inf, log_cube))  # exp(inf) raises no overflow
     best = int(np.argmax(per_cube))
-    for group, value in zip(cubes.groups(), values):
+    for (group, _, _), value in zip(plan, values):
         if best < value.size:
             break
         best -= value.size

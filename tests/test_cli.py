@@ -326,6 +326,28 @@ def test_a_grid_whose_quadrature_weights_leave_the_float_range_exits_one_and_nam
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_grid_whose_quadrature_weights_are_subnormal_exits_one_and_names_them(tmp_path,
+                                                                                capsys):
+    """Cells of 1e-161 by 1e-161 have weights of about 1e-323, subnormal
+    doubles of one or two significant bits: the norm of 1 at p = 2 read
+    1.0059057822096864e-160 (0.6 % off) with exit 0.  On a 1e-150 box
+    every weight is a normal double and the norm is its closed form."""
+    def run(side):
+        cfg = {"box": [[0.0, side], [0.0, side]], "resolution": 16,
+               "exponent": {"kind": "constant", "value": 2.0}, "function": CONST_ONE}
+        return _run(tmp_path, "norm", cfg)
+
+    rc, report, _ = run(1e-160)
+    err = capsys.readouterr().err
+    assert rc == 1 and report is None
+    assert re.fullmatch(r"error: the \(17, 17\) grid on \(0\.0, 0\.0\)-\(1e-160, 1e-160\) has "
+                        r"quadrature weights in \[1e-323, 4e-323\]; each must be positive and "
+                        r"finite\n", err)
+    rc, report, _ = run(1e-150)
+    assert rc == 0
+    assert report["results"]["norm"] == pytest.approx(1e-150, rel=1e-12, abs=0.0)
+
+
 def test_an_exponent_near_the_float_limit_names_the_stalled_newton_step(tmp_path, capsys):
     """An exponent of 1e308 takes the Newton slope to 5.3e307, so the
     step leaves log lambda where it is: the solve stops at once and names

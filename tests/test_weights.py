@@ -17,9 +17,10 @@ from varleb import (ArityMismatchError, Box, DomainError, DyadicCubeSet,
                     multilinear_constant, nu_exponent, reciprocal_affine,
                     two_to_one_check)
 from varleb.exponent import scale_exponent
-from varleb.field import box_slices, realize_function
+from varleb.field import CubeGroup, box_slices, realize_function
 from varleb.norms import lux_flat
-from varleb.weights import OVERFLOW_THRESHOLD, _bounded, _cube_scan, gate_constant
+from varleb.weights import (OVERFLOW_THRESHOLD, _bounded, _cube_scan, _scan_plan,
+                            gate_constant)
 
 from _support import UNIT, SYM, all_cubes, rand_exponent, rand_weight, unit_weight
 
@@ -650,3 +651,84 @@ def test_packed_cube_scan_is_bit_identical_on_fixed_grids(shape, depth, budget):
     assert _assert_packing_keeps_every_bit(
         lambda: multilinear_constant((w, w.inverse()), spec, cubes), 3, cubes,
         budget) < 3 * (2 * depth + 1)
+
+
+# -- the scan plan: node rows and cube measures built once per (grid, cube set)
+
+
+def _per_scan_log_measures(grid, rows):
+    """The log cube measures as the scan computed them before the plan:
+    gathered into the workspace row of a working block wider than the
+    rows, the padding zeroed, summed along each row."""
+    qw = grid.quad_weights
+    block = np.empty((4, rows.size + 7))
+    work = block[:, :rows.size].reshape(4, *rows.shape)
+    measure = qw.take(rows, out=work[3], mode="clip")
+    if (rows[:, -1] == qw.size).any():
+        measure[rows == qw.size] = 0.0
+    return np.log(measure.sum(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), depth=st.integers(0, 4), data=st.data())
+def test_scan_plan_holds_the_node_rows_and_the_per_scan_log_measures(dim, depth, data):
+    """Per group, shifted ones included, the plan's rows are
+    `CubeGroup.node_rows` (as int32) and its log measures are bit for bit
+    the per-scan ones, on dyadic (2^k + 1 nodes) and other resolutions."""
+    shape = tuple(data.draw(st.one_of(st.sampled_from([2 ** k + 1 for k in range(depth, 8)]),
+                                      st.integers(2 ** depth + 1, 150)), label=f"n{axis}")
+                  for axis in range(dim))
+    hi = tuple(data.draw(st.floats(0.1, 10.0), label=f"hi{axis}") for axis in range(dim))
+    box = Box((0.0,) * dim, hi)
+    grid, cubes = Grid(box, shape), DyadicCubeSet(box, depth)
+    plan = _scan_plan(grid, cubes)
+    assert [(g.depth, g.shifted) for g, _, _ in plan] == [(g.depth, g.shifted)
+                                                         for g in cubes.groups()]
+    for (group, rows, log_measure), want in zip(plan, cubes.groups()):
+        node_rows = want.node_rows(grid)
+        assert rows.dtype == np.int32 and np.array_equal(rows, node_rows)
+        assert np.array_equal(log_measure, _per_scan_log_measures(grid, node_rows))
+
+
+def test_scan_plan_arrays_are_read_only_and_shared_by_every_scan():
+    grid, cubes = Grid(UNIT, (65,)), DyadicCubeSet(UNIT, 3)
+    plan = _scan_plan(grid, cubes)
+    assert _scan_plan(Grid(UNIT, (65,)), DyadicCubeSet(UNIT, 3)) is plan
+    for _, rows, log_measure in plan:
+        for array in (rows, log_measure):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def test_scan_plan_raises_the_empty_cube_on_every_call():
+    """`lru_cache` keeps no exception, so a family with an empty cube is
+    refused on every scan, naming the first empty cube in scan order."""
+    box = Box((-2.0,), (2.0,))
+    grid, cubes = Grid(box, (7,)), DyadicCubeSet(box, 4)
+    for _ in range(2):
+        with pytest.raises(EmptyRegionError, match="^cube d3s1 contains no grid node"):
+            _scan_plan(grid, cubes)
+        with pytest.raises(EmptyRegionError, match="^cube d3s1 contains no grid node"):
+            ap_constant(unit_weight(grid), const_p(2.0, box), cubes)
+
+
+def test_two_to_one_check_builds_each_groups_rows_once(monkeypatch):
+    """A work-count guard: the two scans of `two_to_one_check` share one
+    plan, so each group's node rows are built once, not once per scan."""
+    calls = []
+    real = CubeGroup.node_rows
+
+    def counting(self, grid):
+        calls.append((self.depth, self.shifted))
+        return real(self, grid)
+
+    monkeypatch.setattr(CubeGroup, "node_rows", counting)
+    _scan_plan.cache_clear()
+    grid, depth = Grid(UNIT, (257,)), 4
+    cubes = DyadicCubeSet(UNIT, depth)
+    p = const_p(2.0)
+    spec = QuadrupleSpec((p,), const_p(4.0), (1.0,), math.inf)
+    rep = two_to_one_check(rand_weight(grid, np.random.default_rng(43)), spec, cubes)
+    assert rep.rel_error <= 1e-6
+    assert len(calls) == len(set(calls)) == 2 * depth + 1
