@@ -446,8 +446,7 @@ class CubeGroup:
             if (i1 - i0).min() < local.size:  # padded where a cube is short on this axis
                 inside = inside & (local < (i1 - i0)[:, None]).reshape(shape)
             stride *= grid.shape[axis]
-        # a new array either way: returning flat itself raised cube-scan peak RSS by 1 MiB
-        flat = flat.copy() if inside is True else np.where(inside, flat, grid.size)
+        flat = flat if inside is True else np.where(inside, flat, grid.size)
         return flat.reshape(math.prod(self.shape), -1)
 
 

@@ -250,7 +250,8 @@ class NodeTable(NamedTuple):
         table in place, with no gather.  Otherwise it works in ``block``,
         four float arrays of the rows' shape (or one array of shape ``(4,
         *rows.shape)``): the gathered ``log|f|``, exponent and log weight,
-        and the Newton workspace.  When it is omitted, the solve gathers
+        and the Newton workspace, which first holds the rows as intp for
+        the gathers.  When it is omitted, the solve gathers
         into three arrays of its own, and `lux_rows` makes the workspace
         once a default row array is freed.  (Three arrays, not one of
         three times the size: glibc raises its mmap threshold to the
@@ -263,6 +264,9 @@ class NodeTable(NamedTuple):
                                 np.broadcast_to(self.lq, la.shape), rel_tol)
             rows = self.rows()
         la, p, lq, *e = [np.empty(rows.shape) for _ in range(3)] if block is None else block
+        if e:  # int32 rows as intp in the workspace: one cast, not one per gather
+            e[0].view(np.intp)[...] = rows
+            rows = e[0].view(np.intp)
         flat = rows
         if len(self.la) > 1:  # a row reads its member's la (and p), at flat indices built in lq
             members = np.arange(len(rows)) if members is None else members

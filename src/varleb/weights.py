@@ -41,10 +41,13 @@ scan on that pair (the two scans of `two_to_one_check`, the three of
 `blend_constant_check`, and every job of a process that repeats a
 family): per group in scan order, its node rows and the log measures of
 its cubes.  The rows are read-only int32 (intp only on a grid of 2^31
-nodes or more), half the memory of intp rows; the gathers accept them
-and a stacked solve adds its member offsets in an int64 view.  A 257^2,
-depth-4 plan holds about 2.1 MB, so the cache of 8 plans holds at most
-about 17 MB.
+nodes or more), half the memory of intp rows; a solve copies them once
+to intp in its Newton workspace, which the gathers read.  A plan holds
+about 4 bytes per node per group, 2 depth + 1 groups: 2.1 MB for a
+257^2, depth-4 family, 32 MB for 1025^2.  A scan holds its whole plan,
+where it built one group's rows at a time before.  Between scans the
+plans used last are kept up to ``PLAN_CACHE_BYTES`` (16 MiB) in all,
+the oldest dropped first; a larger plan is dropped after its scan.
 
 The scan owns one working block of four float rows, which every solve
 gathers into and runs its Newton loop in.  Regrown only to the exact
@@ -56,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +73,7 @@ from .norms import NodeTable, holder_constant, stacked_table
 
 OVERFLOW_THRESHOLD = 1e150
 PACK_NODES = 2 ** 16  # nodes of a packed scan solve: 4 float rows in 2 MiB, a core's L2
+PLAN_CACHE_BYTES = 2 ** 24  # scan plans kept between scans, in all
 # slack of the inequalities that the lemma-shaped checks assert
 CHECK_TOL = 1e-9
 
@@ -84,28 +87,48 @@ class WeightConstantReport:
     per_cube: tuple[float, ...]
 
 
-@lru_cache(maxsize=8)
+_plans: dict = {}  # (grid, cube set) -> scan plan, the least recently used first
+
+
 def _scan_plan(grid: Grid, cubes: DyadicCubeSet
                ) -> tuple[tuple[CubeGroup, np.ndarray, np.ndarray], ...]:
     """Per group of ``cubes`` in scan order: the group, its node rows on
     ``grid`` (read-only, int32 below 2^31 nodes) and the log quadrature
-    measures of its cubes (read-only).  The first cube with no node in
-    scan order is an EmptyRegionError, raised again on every call."""
+    measures of its cubes (read-only).  The plans used last are kept while
+    they hold ``PLAN_CACHE_BYTES`` in all; a larger plan is not kept.  The
+    first cube with no node in scan order is an EmptyRegionError, raised
+    on every call."""
+    key = (grid, cubes)
+    plan = _plans.pop(key, None)
+    if plan is None:
+        plan = _build_plan(grid, cubes)
+    if _plan_bytes(plan) <= PLAN_CACHE_BYTES:
+        _plans[key] = plan
+        while sum(map(_plan_bytes, _plans.values())) > PLAN_CACHE_BYTES:
+            del _plans[next(iter(_plans))]
+    return plan
+
+
+def _plan_bytes(plan) -> int:
+    return sum(rows.nbytes + log_measure.nbytes for _, rows, log_measure in plan)
+
+
+def _build_plan(grid: Grid, cubes: DyadicCubeSet):
     qw = grid.quad_weights
     dtype = np.int32 if grid.size < 2 ** 31 else np.intp
     plan = []
     for group in cubes.groups():
-        rows = group.node_rows(grid).astype(dtype)
+        node_rows = group.node_rows(grid)
         # a cube with no node holds only padding, from its first entry on
-        empty = np.flatnonzero(rows[:, 0] == grid.size)
+        empty = np.flatnonzero(node_rows[:, 0] == grid.size)
         if empty.size:
             raise EmptyRegionError(
                 f"cube {group.cube(np.unravel_index(empty[0], group.shape)).label()} contains "
                 "no grid node; lower max_depth or refine the grid")
-        measure = qw.take(rows, mode="clip")
-        if (rows[:, -1] == qw.size).any():  # a padded row ends in padding
-            measure[rows == qw.size] = 0.0
-        log_measure = np.log(measure.sum(axis=1))
+        measure = qw.take(node_rows, mode="clip")
+        if (node_rows[:, -1] == qw.size).any():  # a padded row ends in padding
+            measure[node_rows == qw.size] = 0.0
+        rows, log_measure = node_rows.astype(dtype), np.log(measure.sum(axis=1))
         rows.flags.writeable = log_measure.flags.writeable = False
         plan.append((group, rows, log_measure))
     return tuple(plan)

@@ -702,8 +702,8 @@ def test_scan_plan_arrays_are_read_only_and_shared_by_every_scan():
 
 
 def test_scan_plan_raises_the_empty_cube_on_every_call():
-    """`lru_cache` keeps no exception, so a family with an empty cube is
-    refused on every scan, naming the first empty cube in scan order."""
+    """No plan is kept for a family with an empty cube, so it is refused
+    on every scan, naming the first empty cube in scan order."""
     box = Box((-2.0,), (2.0,))
     grid, cubes = Grid(box, (7,)), DyadicCubeSet(box, 4)
     for _ in range(2):
@@ -724,7 +724,7 @@ def test_two_to_one_check_builds_each_groups_rows_once(monkeypatch):
         return real(self, grid)
 
     monkeypatch.setattr(CubeGroup, "node_rows", counting)
-    _scan_plan.cache_clear()
+    weights_module._plans.clear()
     grid, depth = Grid(UNIT, (257,)), 4
     cubes = DyadicCubeSet(UNIT, depth)
     p = const_p(2.0)
@@ -732,3 +732,22 @@ def test_two_to_one_check_builds_each_groups_rows_once(monkeypatch):
     rep = two_to_one_check(rand_weight(grid, np.random.default_rng(43)), spec, cubes)
     assert rep.rel_error <= 1e-6
     assert len(calls) == len(set(calls)) == 2 * depth + 1
+
+
+def test_scan_plan_cache_holds_at_most_its_byte_budget(monkeypatch):
+    """The plans used last are kept while they fit ``PLAN_CACHE_BYTES`` in
+    all, the oldest dropped first; a plan larger than the budget is built
+    for its scan and not kept, and drops none."""
+    keys = [(Grid(box, (65,)), DyadicCubeSet(box, 3))
+            for box in (Box((0.0,), (hi,)) for hi in (1.0, 2.0, 3.0))]
+    size = weights_module._plan_bytes(weights_module._build_plan(*keys[0]))
+    monkeypatch.setattr(weights_module, "PLAN_CACHE_BYTES", 2 * size)
+    weights_module._plans.clear()
+    plans = [_scan_plan(*key) for key in keys]
+    assert list(weights_module._plans) == keys[1:]
+    assert _scan_plan(*keys[1]) is plans[1] and _scan_plan(*keys[0]) is not plans[0]
+    assert list(weights_module._plans) == [keys[1], keys[0]]  # keys[2] was the oldest
+    large = (Grid(UNIT, (513,)), DyadicCubeSet(UNIT, 3))
+    assert _scan_plan(*large) is not _scan_plan(*large)
+    assert list(weights_module._plans) == [keys[1], keys[0]]
+    weights_module._plans.clear()

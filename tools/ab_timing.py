@@ -1,12 +1,12 @@
 """Paired timing of the benchmark's jobs between two checkouts of varleb.
 
-    python3 tools/ab_timing.py PARENT CHANGE --workload W [--seed 101] [--passes 10] [--rounds 1]
+    python3 tools/ab_timing.py PARENT CHANGE --workload W [--seed 101] [--passes 10]
 
 PARENT and CHANGE are checkout roots (each with ``src/`` and ``bench/``).
 Both checkouts' ``src/varleb`` are loaded into this one process, as the
-packages ``varleb_parent`` and ``varleb_change``; ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are set to 1 before numpy is
-imported.  The job list is ``--rounds`` rounds of the workload from
+packages ``varleb_parent`` and ``varleb_change``, with the BLAS threads
+set to 1 by `compare_reports` before numpy is imported.  The job list is
+one round of the workload, built by `compare_reports.make_jobs` from
 ``bench/workloads.py`` in PARENT, read as it is.  Every job runs once on
 each side untimed, then ``--passes`` times on each side, the two sides
 alternating job by job (which goes first swaps from job to job and from
@@ -17,27 +17,22 @@ It prints each job's median time per side and their ratio, each side's
 jobs/s (jobs over the sum of the job medians, as ``bench/run.py`` counts
 them), in how many passes the change's total time was lower, and whether
 the reports of the last pass and the exit codes are the same on both
-sides, bytes compared with ``wall_time_s`` removed.
+sides, as `compare_reports` compares them.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import compare_reports  # first: it sets the BLAS threads before numpy is imported
 
 import argparse
 import importlib
 import importlib.util
-import json
-import re
+import os
 import statistics
 import sys
 import tempfile
 import time
 
-WALL_TIME = re.compile(rb'"wall_time_s": [-0-9.e]+')
 SIDES = ("parent", "change")
 
 
@@ -54,44 +49,6 @@ def load_cli(root: str, name: str):
     return importlib.import_module(name + ".cli")
 
 
-def make_jobs(parent: str, workload: str, seed: int, rounds: int, work: str) -> list[dict]:
-    """The workload's jobs from PARENT's ``bench/workloads.py``, configs under ``work``."""
-    sys.path.insert(0, os.path.join(parent, "bench"))
-    import workloads
-
-    jobs = []
-    for i, job in enumerate(workloads.make_jobs(workload, seed, rounds)):
-        config = os.path.join(work, f"config_{i:03d}.json")
-        with open(config, "w") as fh:
-            json.dump(job["config"], fh)
-        jobs.append({"command": job["command"], "config": config,
-                     "out": {side: os.path.join(work, side, f"report_{i:03d}.json")
-                             for side in SIDES}})
-    return jobs
-
-
-def run_job(cli, job: dict, side: str):
-    """Seconds for one job through ``cli.main``, and its exit code."""
-    argv = [job["command"], "run", "--config", job["config"], "--out", job["out"][side],
-            "--quiet"]
-    start = time.perf_counter()
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    except Exception as exc:  # a traceback is a result to compare, not a failed run
-        code = f"{type(exc).__name__}: {exc}"
-    return time.perf_counter() - start, code
-
-
-def report_bytes(path: str):
-    try:
-        with open(path, "rb") as fh:
-            return WALL_TIME.sub(b"", fh.read())
-    except OSError:
-        return None
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -99,7 +56,6 @@ def main(argv=None) -> None:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--passes", type=int, default=10)
-    parser.add_argument("--rounds", type=int, default=1)
     args = parser.parse_args(argv)
     roots = dict(zip(SIDES, (os.path.abspath(p) for p in (args.parent, args.change))))
     clis = {side: load_cli(roots[side], f"varleb_{side}") for side in SIDES}
@@ -107,24 +63,33 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory(prefix="ab_timing_") as work:
         for side in SIDES:
             os.makedirs(os.path.join(work, side))
-        jobs = make_jobs(roots["parent"], args.workload, args.seed, args.rounds, work)
+        jobs = compare_reports.make_jobs(roots["parent"], [args.seed], 1, work, [args.workload])
+        out = {side: [os.path.join(work, side, job["name"] + ".json") for job in jobs]
+               for side in SIDES}
         codes = {}
-        for job in jobs:  # warm-up: every grid shape and code path once per side
+
+        def run(side: str, i: int) -> float:
+            start = time.perf_counter()
+            codes[side, i] = compare_reports.run_job(clis[side], jobs[i], out[side][i])
+            return time.perf_counter() - start
+
+        for i in range(len(jobs)):  # warm-up: every grid shape and code path once per side
             for side in SIDES:
-                run_job(clis[side], job, side)
+                run(side, i)
         times = {side: [[] for _ in jobs] for side in SIDES}
         pass_totals = []
         for k in range(args.passes):
             totals = dict.fromkeys(SIDES, 0.0)
-            for i, job in enumerate(jobs):
+            for i in range(len(jobs)):
                 for side in (SIDES if (i + k) % 2 == 0 else SIDES[::-1]):
-                    elapsed, codes[side, i] = run_job(clis[side], job, side)
+                    elapsed = run(side, i)
                     times[side][i].append(elapsed)
                     totals[side] += elapsed
             pass_totals.append(totals)
         same = [codes["parent", i] == codes["change", i]
-                and report_bytes(job["out"]["parent"]) == report_bytes(job["out"]["change"])
-                for i, job in enumerate(jobs)]
+                and (compare_reports.read_report(out["parent"][i])[0]
+                     == compare_reports.read_report(out["change"][i])[0])
+                for i in range(len(jobs))]
 
     medians = {side: [statistics.median(t) for t in times[side]] for side in SIDES}
     print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs, {args.passes} passes")

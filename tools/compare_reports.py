@@ -38,14 +38,15 @@ import tempfile
 WALL_TIME = re.compile(rb'"wall_time_s": [-0-9.e]+')
 
 
-def make_jobs(parent: str, seeds, rounds: int, work: str) -> list[dict]:
-    """The job list of PARENT's workloads, each config written under ``work``."""
+def make_jobs(parent: str, seeds, rounds: int, work: str, names=None) -> list[dict]:
+    """The job list of PARENT's workloads (those in ``names``, by default
+    all), each config written under ``work``."""
     sys.path.insert(0, os.path.join(parent, "bench"))
     import workloads
 
     jobs = []
     os.makedirs(os.path.join(work, "configs"), exist_ok=True)
-    for workload in workloads.WORKLOADS:
+    for workload in names or workloads.WORKLOADS:
         for seed in seeds:
             for i, job in enumerate(workloads.make_jobs(workload, seed, rounds)):
                 name = f"{workload}-{seed}-{i:03d}"
@@ -65,16 +66,20 @@ def write_reports(checkout: str, jobs_path: str, out_dir: str) -> None:
 
     with open(jobs_path) as fh:
         jobs = json.load(fh)
-    codes = {}
-    for job in jobs:
-        out = os.path.join(out_dir, job["name"] + ".json")
-        try:
-            codes[job["name"]] = cli.main([job["command"], "run", "--config", job["config"],
-                                           "--out", out, "--quiet"])
-        except Exception as exc:  # a traceback is a result to compare, not a failed run
-            codes[job["name"]] = f"{type(exc).__name__}: {exc}"
+    codes = {job["name"]: run_job(cli, job, os.path.join(out_dir, job["name"] + ".json"))
+             for job in jobs}
     with open(os.path.join(out_dir, "codes.json"), "w") as fh:
         json.dump(codes, fh)
+
+
+def run_job(cli, job: dict, out: str):
+    """The exit code of one job through ``cli.main``, its report written to
+    ``out``, or the text of the exception it raised."""
+    try:
+        return cli.main([job["command"], "run", "--config", job["config"], "--out", out,
+                         "--quiet"])
+    except Exception as exc:  # a traceback is a result to compare, not a failed run
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_side(checkout: str, jobs_path: str, out_dir: str) -> dict:
