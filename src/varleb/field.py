@@ -340,8 +340,9 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     if len(center) != grid.dim:
         raise DomainError("ball center dimension does not match grid")
     r_eff = np.float64(_ball_radius(radius) * BALL_SHRINK)
+    unit = _distance_unit(grid, center)
     with np.errstate(over="ignore"):  # a numpy scalar's ** is C pow, as Python's, but may be inf
-        return _squared_distance(grid, center) < r_eff ** 2
+        return _squared_distance(grid, center, unit) < (r_eff / unit) ** 2
 
 
 def _ball_radius(radius: float) -> float:
@@ -351,16 +352,46 @@ def _ball_radius(radius: float) -> float:
     return radius
 
 
-def _squared_distance(grid: Grid, center: Sequence[float]) -> np.ndarray:
-    """``sum_i (x_i - c_i)^2`` at every node, broadcast from the 1D axes;
-    per node the same sum in the same order as over ``grid.coords``, so
-    the same bits, without building the coordinates."""
+def square_unit(top: float, grid: Grid, noun: str) -> float:
+    """The power-of-two unit of length, 1 wherever it can be, in which
+    every length from half the smallest step of ``grid`` up to ``top`` has
+    a normal square, below 2^1000; the ``noun`` on the grid is refused, by
+    its steps, when there is none."""
+    # top < 2^e_t and half >= 2^(e_h - 1): top^2 < 2^1000 and half^2 >= 2^-1022 in the unit
+    least, most = math.frexp(top)[1] - 500, math.frexp(0.5 * min(grid.steps))[1] + 510
+    if least > most:
+        raise DomainError(f"{noun} on the grid of steps {' and '.join(map(repr, grid.steps))}: "
+                          f"no power-of-two unit keeps their squares normal")
+    return math.ldexp(1.0, min(max(0, least), most))
+
+
+def _distance_unit(grid: Grid, center: Sequence[float]) -> float:
+    """The `square_unit` of the node distances from ``center`` on ``grid``:
+    from half its smallest step up to its widest axis and its farthest
+    node, or up to 2^1000 half steps, past which a square may read inf,
+    farther than any radius.  A grid that no unit can square across its
+    widest axis is refused."""
+    box = grid.box
+    far = max(max(abs(a - c), abs(b - c)) for a, b, c in zip(box.lo, box.hi, center))
+    reach = min(far, 0.5 * min(grid.steps) * 2.0 ** 1000)  # inf past the float range
+    return square_unit(max(max(box.widths), reach), grid, "distances")
+
+
+def _squared_distance(grid: Grid, center: Sequence[float], unit: float) -> np.ndarray:
+    """``sum_i ((x_i - c_i) / unit)^2`` at every node, broadcast from the
+    1D axes, in a power-of-two ``unit`` (`_distance_unit`), which scales
+    each difference exactly; per node the same sum in the same order as
+    over ``grid.coords``, so in the unit 1 the same bits, without building
+    the coordinates."""
     d2 = 0.0
     with np.errstate(over="ignore"):  # past the float range: inf, farther than any radius
         for axis, (ax, c) in enumerate(zip(grid.axes, center)):
             shape = [1] * grid.dim
             shape[axis] = -1
-            d2 = d2 + ((ax - c) ** 2).reshape(shape)
+            d = ax - c
+            if unit != 1.0:
+                d /= unit
+            d2 = d2 + (d ** 2).reshape(shape)
     return d2
 
 
@@ -455,15 +486,20 @@ class CubeGroup:
 
 
 def _radial(grid: Grid, center) -> np.ndarray:
-    """Distance of every node from ``center``; None is the box center."""
-    center = grid.box.center if center is None else center
-    return np.sqrt(_squared_distance(grid, each_axis(center, grid.dim, "center")))
+    """Distance of every node from ``center``; None is the box center.
+    The squares are formed in the `_distance_unit`, and the root is
+    scaled back by it, exactly."""
+    center = each_axis(grid.box.center if center is None else center, grid.dim, "center")
+    unit = _distance_unit(grid, center)
+    r = np.sqrt(_squared_distance(grid, center, unit))
+    return r if unit == 1.0 else r * unit
 
 
 def _gaussian(grid: Grid, center, width: float, amplitude: float) -> np.ndarray:
     if width <= 0:
         raise SchemaError("gaussian width must be positive")
-    return amplitude * np.exp(-((_radial(grid, center) / width) ** 2))
+    with np.errstate(over="ignore"):  # past 1e154 widths out: exp(-inf) = 0
+        return amplitude * np.exp(-((_radial(grid, center) / width) ** 2))
 
 
 def _power(grid: Grid, exponent: float, center, floor: float) -> np.ndarray:
@@ -477,8 +513,8 @@ def _power(grid: Grid, exponent: float, center, floor: float) -> np.ndarray:
 def _bump(grid: Grid, center, radius: float, amplitude: float) -> np.ndarray:
     if radius <= 0:
         raise SchemaError("bump radius must be positive")
-    t2 = (_radial(grid, center) / radius) ** 2
     with np.errstate(divide="ignore", over="ignore"):
+        t2 = (_radial(grid, center) / radius) ** 2
         vals = np.where(t2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t2, 1e-300)), 0.0)
     return amplitude * vals
 

@@ -90,7 +90,7 @@ import numpy as np
 from .errors import DomainError
 from .exponent import ExponentField
 from .field import (BALL_SHRINK, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
-                    WeightField, _ball_radius, _shift_slices, refuse_non_finite)
+                    WeightField, _ball_radius, _shift_slices, refuse_non_finite, square_unit)
 from .norms import norm_ratios, weighted_table
 from .weights import WeightConstantReport, gate_constant
 
@@ -167,12 +167,7 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     """
     half = 0.5 * min(grid.steps)
     r_effs = [min(max(r, half), 2.0 * grid.box.diameter) for r in r_effs]
-    # r < 2^e_r and half >= 2^(e_h - 1): r^2 < 2^1000 and half^2 >= 2^-1022 in the unit
-    least, most = math.frexp(max(r_effs))[1] - 500, math.frexp(half)[1] + 510
-    if least > most:
-        raise DomainError(f"lattice balls on the grid of steps {grid.steps[0]!r} and "
-                          f"{grid.steps[-1]!r}: no power-of-two unit keeps their squares normal")
-    unit = math.ldexp(1.0, min(max(0, least), most))
+    unit = square_unit(max(r_effs), grid, "lattice balls")
     r_effs, h1, h2 = [r / unit for r in r_effs], grid.steps[0] / unit, grid.steps[-1] / unit
     n1, n2 = grid.shape[0], grid.shape[-1]
     if grid.dim == 1:

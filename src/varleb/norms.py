@@ -10,7 +10,12 @@ computed by Newton's method on ``g(t) = log rho(f / e^t)``.  Over the
 nonzero nodes ``g`` is convex and decreasing with slope in ``[-p_+,
 -p_-]``, so Newton iterates started at ``t = log sup|f|`` rise
 monotonically to the root, and the slope bounds turn the last value of
-``g`` into a certified bracket for the norm.
+``g`` into a certified bracket for the norm.  A row ends at its Newton
+point without evaluating there when a variance bound proves that this
+evaluation would end it (`lux_rows`): a constant exponent mostly takes
+one evaluation, not two.  `lux_flat` alone confirms every row, as the
+``norm`` report prints the evaluation count, bracket and modular of the
+last evaluation.
 
 Every norm is solved in one row format: a `NodeTable` of per-node
 ``log|f|`` (one row per member of a value stack, refusing NaN by node and
@@ -101,7 +106,8 @@ class RowNorms(NamedTuple):
 
 
 def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
-             rel_tol: float = 1e-10, e: np.ndarray | None = None) -> RowNorms:
+             rel_tol: float = 1e-10, e: np.ndarray | None = None, *,
+             confirm: bool = False) -> RowNorms:
     """Luxemburg solves of the independent rows of ``(rows, n)`` arrays,
     or of a single ``(n,)`` row (then every result is a scalar).
 
@@ -109,15 +115,35 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     quadrature weights ``lq``.  A zero or padding node has ``la = -inf``
     and adds nothing to the modular.  Newton steps on
     ``g(t) = log sum exp(lq + p (la - t))``, started at ``t = max la``,
-    run on all rows at once; a row stops once ``|g| <= p_-
-    log1p(rel_tol)``, with ``p_-`` taken over its nonzero nodes, and
-    keeps its ``t`` from then on.  Since ``|g'| >= p_-``, the root lies
-    within ``|g| / p_-`` of ``t`` on the side given by the sign of
-    ``g``, which is the certified bracket.  A constant exponent makes
-    ``g`` affine and finishes in two evaluations.  A row whose step
-    leaves ``t`` unmoved or non-finite before it stops raises
-    ConvergenceError at once, naming its largest exponent.  A row with
-    no nonzero node has norm 0, and one with an infinite value an
+    run on all rows at once; a row stops once ``|g| <= tol = p_-
+    log1p(rel_tol)``, with ``p_-`` and ``p_+`` taken over its nonzero
+    nodes, and keeps its ``t`` from then on.  Since ``|g'| >= p_-``, the
+    root lies within ``|g| / p_-`` of ``t`` on the side given by the sign
+    of ``g``, which is the certified bracket.
+
+    A row also stops at its Newton point ``t'`` without evaluating there,
+    when a bound proves that the evaluation at ``t'`` would stop it.
+    ``g`` is convex, so ``g(t') >= 0``; ``g''`` is the variance of ``p``
+    under the modular's weights, at most ``(p_+ - p_-)^2 / 4``
+    (Popoviciu), and ``|t' - t| <= |g| / p_-``, so ``g(t') <= (p_+ -
+    p_-)^2 g^2 / (8 p_-^2)``: exactly 0 for a constant exponent.  The row
+    stops at ``t'`` when that bound, plus ``1e-12 |g|`` for the rounding
+    of the step ``g s / slope``, plus 64 ulps of ``1 + |shift| + p_+
+    |t'|`` (``shift`` the largest log term) for the rounding of ``t'``
+    and of the evaluations at ``t`` and at ``t'``, is at most ``tol /
+    2``.  Without the last term a row at ``rel_tol`` 1e-14 could stop
+    where the evaluation at ``t'`` would not stop it and the confirmed
+    solve raises.  The row's ``t'`` is then bit for bit what that
+    evaluation would return; its ``log_modular`` is the bound, an upper
+    bound on ``g(t')``, so its bracket stays certified; its
+    ``iterations`` counts the evaluations made.  A constant exponent
+    mostly finishes in one evaluation.  With ``confirm`` every row makes
+    the evaluation that stops it, as `lux_flat` does for the ``norm``
+    report's evaluation count, bracket and modular.
+
+    A row whose step leaves ``t`` unmoved or non-finite before it stops
+    raises ConvergenceError at once, naming its largest exponent.  A row
+    with no nonzero node has norm 0, and one with an infinite value an
     infinite norm, after no evaluation; a NaN value is refused.
 
     The Newton loop works in ``e``, an array of ``la``'s shape whose
@@ -131,28 +157,39 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     live = np.isfinite(t)
     n_live = np.count_nonzero(live)
     if n_live == t.size > 0:
-        return _newton_rows(la, p, lq, t, rel_tol, e)
+        return _newton_rows(la, p, lq, t, rel_tol, e, confirm)
     refuse_non_finite(la, la.shape[-1])
     # t = -inf: no nonzero node, so log rho = -inf; t = inf: an infinite value
     out = RowNorms(t, np.copy(t), np.ones_like(t), np.zeros(np.shape(t), dtype=int))
     if n_live:
-        r = _newton_rows(la[live], p[live], lq[live], t[live], rel_tol, e[:n_live])
+        r = _newton_rows(la[live], p[live], lq[live], t[live], rel_tol, e[:n_live], confirm)
         for name in ("log_value", "log_modular", "p_lo", "iterations"):
             getattr(out, name)[live] = getattr(r, name)
     return out
 
 
-@np.errstate(over="ignore")  # p near the float limit: p (la - t) to -inf (exp: 0), p e to inf
-def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
+# the rounding allowance of a stop at the Newton point: 64 ulps of 1
+_ULPS = 64 * 2.0 ** -52
+
+
+# p near the float limit: p (la - t) to -inf (exp: 0), p e to inf; p_+ / p_- past
+# 1e154: an infinite curvature factor, which times a stopped row's g = 0 is NaN
+@np.errstate(over="ignore", invalid="ignore")
+def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray, confirm: bool) -> RowNorms:
     """The Newton loop of `lux_rows` over rows with a finite start, in
     the workspace ``e`` of ``la``'s shape; the reductions run along the
     last axis, so one ``(n,)`` row works on numpy scalars throughout."""
     if (zero := la == -math.inf).any():  # zero and padding nodes: their p does not count
         np.copyto(e, p)  # the workspace first holds p over the nonzero nodes
         e[zero] = math.inf
-    p_lo = (e if zero.any() else p).min(axis=-1)
+        p_lo = e.min(axis=-1)
+        e[zero] = -math.inf
+        p_hi = e.max(axis=-1)
+    else:
+        p_lo, p_hi = p.min(axis=-1), p.max(axis=-1)
     del zero  # not held through the loop, which allocates as rows stop
     tol = p_lo * math.log1p(rel_tol)
+    curve = ((p_hi - p_lo) / p_lo) ** 2 / 8.0  # g(t') <= curve g^2 at the Newton point t'
     out = None              # per-row results, once some rows stop before others
     for k in range(1, MAX_EVALUATIONS + 1):
         np.subtract(la, t[..., None], out=e)  # e = exp(lq + p (la - t) - shift), in place
@@ -167,24 +204,35 @@ def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray) -> RowNorms:
         n_done = np.count_nonzero(done)
         if n_done == done.size and out is None:
             return RowNorms(t, g, p_lo, np.full(np.shape(t), k))
-        if n_done:
-            if out is None:
-                out = RowNorms(t.copy(), np.empty_like(t), p_lo, np.zeros(t.size, dtype=int))
-                rows = np.arange(t.size)
-            fin = rows[done]
-            out.log_value[fin], out.log_modular[fin], out.iterations[fin] = t[done], g[done], k
-            if n_done == done.size:
-                return out
-        slope = np.vecdot(p, e)
-        step = t + g * s / slope
-        if not (moved := np.isfinite(step) & (step != t)).all():
-            _refuse_stall(~moved & ~done, g, tol, slope, p)
-        t = step
-        if n_done:
-            keep = ~done
-            rows, la, p, lq = rows[keep], la[keep], p[keep], lq[keep]
-            t, g, tol = t[keep], g[keep], tol[keep]
-            e = e[:len(rows)]  # rewritten before it is read again, so never copied
+        if n_done < done.size:
+            slope = np.vecdot(p, e)
+            step = t + g * s / slope
+            if not (moved := np.isfinite(step) & (step != t)).all():
+                _refuse_stall(~moved & ~done, g, tol, slope, p)
+            # rows that evaluation k + 1, at t', would stop, where the limit allows one
+            if not confirm and k < MAX_EVALUATIONS:
+                ag = abs(g)
+                bound = ag * (curve * ag + 1e-12) + _ULPS * (1.0 + abs(shift) + p_hi * abs(step))
+                ends = ~done & (bound <= 0.5 * tol)
+                if n_ends := np.count_nonzero(ends):
+                    if n_ends == done.size and out is None:
+                        return RowNorms(step, bound, p_lo, np.full(np.shape(t), k))
+                    t, g, done, n_done = (np.where(ends, step, t), np.where(ends, bound, g),
+                                          done | ends, n_done + n_ends)
+        if not n_done:
+            t = step
+            continue
+        if out is None:
+            out = RowNorms(t.copy(), np.empty_like(t), p_lo, np.zeros(t.size, dtype=int))
+            rows = np.arange(t.size)
+        fin = rows[done]
+        out.log_value[fin], out.log_modular[fin], out.iterations[fin] = t[done], g[done], k
+        if n_done == done.size:
+            return out
+        keep = ~done
+        rows, la, p, lq = rows[keep], la[keep], p[keep], lq[keep]
+        t, g, tol, curve, p_hi = step[keep], g[keep], tol[keep], curve[keep], p_hi[keep]
+        e = e[:len(rows)]  # rewritten before it is read again, so never copied
     worst = np.argmax(np.abs(g) - tol)
     raise ConvergenceError(
         f"Luxemburg Newton solve left |log rho| = {abs(np.ravel(g)[worst]):.3g} above "
@@ -240,7 +288,7 @@ class NodeTable(NamedTuple):
 
     def solve(self, rows: np.ndarray | None = None, rel_tol: float = 1e-10,
               block: np.ndarray | None = None, members: np.ndarray | None = None,
-              lq_gathered: bool = False) -> RowNorms:
+              lq_gathered: bool = False, confirm: bool = False) -> RowNorms:
         """`lux_rows` on ``(rows, k)`` node indices (by default `rows()`),
         row ``i`` reading member ``members[i]``, by default member ``i`` or
         the only member: the one way into the solver.
@@ -256,12 +304,13 @@ class NodeTable(NamedTuple):
         once a default row array is freed.  (Three arrays, not one of
         three times the size: glibc raises its mmap threshold to the
         largest block freed, and a higher threshold leaves more freed heap
-        resident.)  With ``lq_gathered``, ``block`` holds these log weights (one member)."""
+        resident.)  With ``lq_gathered``, ``block`` holds these log weights (one member).
+        ``confirm`` is `lux_rows`'s."""
         if rows is None:
             if self.dense:
                 la = self.la[:, :-1]
                 return lux_rows(la, np.broadcast_to(self.p, la.shape),
-                                np.broadcast_to(self.lq, la.shape), rel_tol)
+                                np.broadcast_to(self.lq, la.shape), rel_tol, confirm=confirm)
             rows = self.rows()
         la, p, lq, *e = [np.empty(rows.shape) for _ in range(3)] if block is None else block
         if e:  # int32 rows as intp in the workspace: one cast, not one per gather
@@ -276,6 +325,8 @@ class NodeTable(NamedTuple):
         if not lq_gathered:
             self.lq.take(rows, out=lq, mode="clip")
         del rows  # a default row array is freed before the solve
+        if confirm:  # `lux_flat`'s row; every other solve makes the plain call
+            return lux_rows(la, p, lq, rel_tol, *e, confirm=True)
         return lux_rows(la, p, lq, rel_tol, *e)
 
 
@@ -307,8 +358,11 @@ def lux_flat(a: np.ndarray, p: np.ndarray, lq: np.ndarray, rel_tol: float = 1e-1
              lw: np.ndarray | None = None) -> NormResult:
     """Luxemburg solve on flat node values ``a`` (of ``|f|`` or ``f``) times
     a weight of log values ``lw``, if given, exponent ``p`` and log weights
-    ``lq``: the row of its nonzero nodes, the one-member `NodeTable` solve."""
-    t, g, p_lo, k = (x.item() for x in node_table(a, p, lq, lw).solve(rel_tol=rel_tol))
+    ``lq``: the row of its nonzero nodes, the one-member `NodeTable` solve,
+    confirmed: its modular and evaluation count are those of its last
+    evaluation, at the value it returns."""
+    table = node_table(a, p, lq, lw)
+    t, g, p_lo, k = (x.item() for x in table.solve(rel_tol=rel_tol, confirm=True))
     with np.errstate(over="ignore"):
         lo, value, hi = np.exp([t + min(g, 0.0) / p_lo, t, t + max(g, 0.0) / p_lo])
     return NormResult(float(value), k, (float(lo), float(hi)), math.exp(g))

@@ -266,6 +266,49 @@ def test_maximal_on_a_2d_grid_with_a_tiny_step_matches_a_dilated_one(tmp_path, c
     assert run(1.0)["ratio"] == pytest.approx(run(1e160)["ratio"], rel=1e-12, abs=0.0)
 
 
+def test_maximal_of_a_gaussian_on_a_narrow_axis_matches_a_dilated_one(tmp_path, capsys):
+    """On [0, 1e-160] x [0, 1e10] the squared distances of a gaussian of
+    width 2e-161 were formed in double, subnormal or 0 on the narrow axis,
+    and the ratio read 1.133609384001386 (exit 0) against
+    1.1335904136727353 for the grid dilated by 1e150; formed in a
+    power-of-two unit, they are normal doubles, and the two agree."""
+    def run(s):
+        cfg = {"box": [[0.0, 1e-160 * s], [0.0, 1e10 * s]], "resolution": 16, "qtilde": 1.0,
+               "exponent": {"kind": "constant", "value": 2.0},
+               "function": {"kind": "gaussian", "width": 2e-161 * s}}
+        rc, report, _ = _run(tmp_path, "maximal", cfg)
+        assert rc == 0, capsys.readouterr().err
+        return report["results"]["ratio"]
+
+    assert run(1.0) == pytest.approx(run(1e150), rel=1e-12, abs=0.0)
+
+
+def test_norm_of_a_power_centred_far_outside_the_box_is_its_distance_power(tmp_path):
+    """|x - 1e200|^-1 on [0, 1]: the squared distances passed the float
+    range, so the distances read inf and the norm 0.0 (exit 0); in a
+    power-of-two unit they are 1e200, and the norm is 1e-200."""
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64,
+           "exponent": {"kind": "constant", "value": 2.0},
+           "function": {"kind": "power", "exponent": -1.0, "center": [1e200]}}
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    assert rc == 0
+    assert report["results"]["norm"] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+
+
+def test_a_radial_function_on_a_grid_whose_steps_no_unit_can_square_exits_one(tmp_path,
+                                                                            capsys):
+    """Half a step of 1e-300 and a width of 1e10: no power-of-two unit
+    keeps both squares normal, so the distances are refused by the grid."""
+    cfg = {"box": [[0.0, 1.6e-299], [0.0, 1e10]], "resolution": 16,
+           "exponent": {"kind": "constant", "value": 2.0},
+           "function": {"kind": "gaussian", "width": 1.0}}
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1 and report is None
+    assert "distances on the grid of steps 1e-300 and 625000000.0: no power-of-two unit" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("left", [-1e200, -1e300])
 def test_maximal_on_a_2d_box_wider_than_the_squares_reach_matches_a_narrower_one(tmp_path,
                                                                                capsys, left):

@@ -1,6 +1,7 @@
 """Modulars, Luxemburg norms, mixed norms, pairings and the Hoelder constant."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varleb import (Box, DomainError, ExponentField, Grid, GridFunction,
-                    WeightField, holder_constant, mixed_norm, modular, pairing,
-                    random_simple_function, realize_function, scale_exponent,
-                    weighted_norm)
+from varleb import (Box, ConvergenceError, DomainError, DyadicCubeSet, ExponentField, Grid,
+                    GridFunction, WeightField, ap_constant, holder_constant, mixed_norm,
+                    modular, pairing, random_simple_function, realize_function,
+                    scale_exponent, weighted_norm)
 
+import varleb.norms as norms_module
 from varleb.field import box_mask
 from varleb.norms import NodeTable, lux_flat, lux_rows, weighted_norms, weighted_table
 
@@ -377,7 +379,9 @@ def test_pairing_requires_shared_grid():
 @given(seed=SEEDS, rows=st.integers(1, 6), k=st.integers(-300, 300))
 def test_lux_rows_solves_each_row_as_lux_flat_with_a_certified_bracket(seed, rows, k):
     """Rows of different lengths and exponents, with zero nodes inside and
-    padding after them, solved in one call."""
+    padding after them, solved in one call.  Confirmed, each row makes
+    `lux_flat`'s evaluations; unconfirmed, a row may stop one evaluation
+    earlier, at the same value and with a bracket that holds the root."""
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(rows):
@@ -391,11 +395,14 @@ def test_lux_rows_solves_each_row_as_lux_flat_with_a_certified_bracket(seed, row
     for i, (a, p, qw) in enumerate(cases):
         with np.errstate(divide="ignore"):
             la[i, :a.size], pv[i, :a.size], lq[i, :a.size] = np.log(a), p, np.log(qw)
-    res = lux_rows(la, pv, lq)
+    res, confirmed = lux_rows(la, pv, lq), lux_rows(la, pv, lq, confirm=True)
+    assert res.log_value.tobytes() == confirmed.log_value.tobytes()
+    assert np.all(res.iterations - confirmed.iterations >= -1)
+    assert np.all(res.iterations <= confirmed.iterations)
     for i, (a, p, qw) in enumerate(cases):
         want = lux_flat(a, p, np.log(qw))
         assert abs(res.value[i] - want.value) <= 1e-12 * want.value
-        assert res.iterations[i] == want.iterations
+        assert confirmed.iterations[i] == want.iterations
         t, g, p_lo = res.log_value[i], res.log_modular[i], res.p_lo[i]
         lo, hi = np.exp([t + min(g, 0.0) / p_lo, t + max(g, 0.0) / p_lo])
         assert lo <= res.value[i] <= hi
@@ -403,6 +410,79 @@ def test_lux_rows_solves_each_row_as_lux_flat_with_a_certified_bracket(seed, row
         for lam, side in ((lo, 1.0), (hi, -1.0)):
             log_rho = float(np.logaddexp.reduce(np.log(qw[nz]) + p[nz] * (np.log(a[nz]) - math.log(lam))))
             assert side * log_rho >= -1e-12
+
+
+def _stop_rule_rows(seed, rows, scale):
+    """``rows`` rows of widths 2 to 1025, each of a constant, variable,
+    near-constant (spread 1e-12) or huge (p up to 1e300) exponent, values
+    10^(scale +- 3), zero nodes inside and padding after; one row alone
+    is a single ``(n,)`` row."""
+    rng = np.random.default_rng(seed)
+    widths = [int(rng.choice([2, 3, 17, 65, 257, 1025])) for _ in range(rows)]
+    la = np.full((rows, max(widths)), -math.inf)
+    pv, lq = np.ones(la.shape), np.zeros(la.shape)
+    for i, n in enumerate(widths):
+        kind = rng.choice(["constant", "variable", "near", "huge"])
+        a = 10.0 ** rng.uniform(-0.5, 1.0) if kind != "huge" else 10.0 ** rng.uniform(2.0, 300.0)
+        spread = {"constant": 0.0, "near": 1e-12, "variable": rng.uniform(0.01, 2.0),
+                  "huge": rng.uniform(0.0, 0.5)}[kind]
+        pv[i, :n] = a * (1.0 + spread * rng.random(n))
+        la[i, :n] = (scale + rng.uniform(-3.0, 3.0, n)) * math.log(10.0)
+        la[i, :n][rng.random(n) < 0.2] = -math.inf
+        lq[i, :n] = np.log(rng.uniform(0.5, 1.5, n) / n)
+    return (la[0], pv[0], lq[0]) if rows == 1 else (la, pv, lq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, rows=st.integers(1, 5), scale=st.floats(-300.0, 300.0),
+       log_tol=st.floats(-14.0, -2.0))
+def test_a_row_stopped_at_its_newton_point_is_the_confirmed_solve(seed, rows, scale, log_tol):
+    """The variance bound ends a row one evaluation before the
+    confirming solve, at the value that solve returns to the last bit,
+    with a modular bound above the one it evaluates and a bracket that
+    holds the root; where the confirming solve raises, the solve raises
+    the same error."""
+    rel_tol = 10.0 ** log_tol
+    la, pv, lq = _stop_rule_rows(seed, rows, scale)
+    try:
+        want = lux_rows(la, pv, lq, rel_tol, confirm=True)
+    except ConvergenceError as err:
+        with pytest.raises(ConvergenceError, match=re.escape(str(err))):
+            lux_rows(la, pv, lq, rel_tol)
+        return
+    got = lux_rows(la, pv, lq, rel_tol)
+    assert np.asarray(got.log_value).tobytes() == np.asarray(want.log_value).tobytes()
+    early = got.iterations < want.iterations
+    assert np.array_equal(np.where(early, got.iterations + 1, got.iterations), want.iterations)
+    assert np.all(np.where(early, got.log_modular >= want.log_modular, True))
+    for i in np.flatnonzero(np.ravel(early)):
+        row_la, row_p, row_lq = (np.atleast_2d(x)[i] for x in (la, pv, lq))
+        t, g, p_lo = (np.ravel(x)[i] for x in (got.log_value, got.log_modular, got.p_lo))
+        nz = row_la > -math.inf
+        slack = 1e-12 * (1.0 + row_p[nz].max() * abs(t))
+        for log_lam, side in ((t, 1.0), (t + g / p_lo, -1.0)):  # rho(f / lam) >= 1, then <= 1
+            log_rho = np.logaddexp.reduce(row_lq[nz] + row_p[nz] * (row_la[nz] - log_lam))
+            assert side * log_rho >= -slack
+
+
+def test_a_constant_exponent_cube_scan_makes_one_evaluation_per_row(monkeypatch):
+    """Every cube row of a constant exponent ends at its first Newton
+    point: the scan makes as many evaluations as it solves rows."""
+    rows, evaluations = [], []
+    real = norms_module.lux_rows
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        rows.append(np.size(res.iterations))
+        evaluations.append(int(np.sum(res.iterations)))
+        return res
+
+    monkeypatch.setattr(norms_module, "lux_rows", counting)
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    grid = Grid(box, (33, 65))
+    w = WeightField(grid, 1.0 + grid.coords[..., 0] * grid.coords[..., 1])
+    ap_constant(w, ExponentField.constant(box, 2.0), DyadicCubeSet(box, 3))
+    assert sum(rows) > 0 and evaluations == rows
 
 
 def test_lux_rows_zero_and_infinite_rows_need_no_evaluation():
@@ -427,11 +507,11 @@ def test_lux_rows_in_a_given_workspace_is_the_allocating_solve_bit_for_bit(seed,
                                                                          zero_row):
     """A workspace filled with NaN, which the solve must overwrite before
     it reads, gives the allocating call's `RowNorms` to the last bit.  Row
-    0 has a constant exponent and stops after two evaluations, the
-    variable-exponent rows later, so the batch is compacted; a row of
+    0 has a constant exponent and stops before the variable-exponent rows
+    (after one evaluation, or two confirmed), so the batch is compacted; a row of
     zeros sends the others through the partial path.  A variable row
     keeps its two end nodes, of different exponents, nonzero: with one
-    nonzero node (seed 3594) its solve is exact after two evaluations."""
+    nonzero node (seed 3594) its solve is exact after one evaluation."""
     rng = np.random.default_rng(seed)
     n = [int(rng.choice([65, 257, 1025])) for _ in range(rows)]
     la = np.full((rows + zero_row, max(n)), -math.inf)
@@ -447,10 +527,11 @@ def test_lux_rows_in_a_given_workspace_is_the_allocating_solve_bit_for_bit(seed,
             f[[0, -1]] = np.where(f[[0, -1]] > 0.0, f[[0, -1]], top)
         with np.errstate(divide="ignore"):
             la[i, :k], pv[i, :k], lq[i, :k] = np.log(f), p.values_on(g), np.log(g.quad_weights)
-    ref = lux_rows(la, pv, lq)
-    assert ref.iterations[0] == 2 and ref.iterations[1:rows].max() > 2
-    got = lux_rows(la, pv, lq, e=np.full(la.shape, math.nan))
-    assert all(a == b for a, b in _row_fields(ref, got))
+    for confirm in (False, True):
+        ref = lux_rows(la, pv, lq, confirm=confirm)
+        assert ref.iterations[0] == 1 + confirm and ref.iterations[1:rows].max() > 1 + confirm
+        got = lux_rows(la, pv, lq, e=np.full(la.shape, math.nan), confirm=confirm)
+        assert all(a == b for a, b in _row_fields(ref, got))
 
 
 @settings(max_examples=40, deadline=None)
@@ -579,9 +660,13 @@ def test_a_zero_node_sends_the_solve_through_the_packed_rows(seed, dim, kind):
 @given(seed=SEEDS, dim=st.sampled_from([1, 2]), kind=EXPONENT_KINDS)
 def test_weighted_norm_of_a_dense_function_is_its_one_member_row(seed, dim, kind):
     grid, stack, p, w = _dense_case(seed, dim, kind)
+    """`weighted_norm` is the confirmed one-member solve, evaluation for
+    evaluation, and its value is the unconfirmed solve's."""
     got = weighted_norm(GridFunction(grid, stack[0]), p, w)
-    row = weighted_table(stack[:1], grid, p, w).solve()
-    assert got.value == row.value[0] and got.iterations == row.iterations[0]
+    table = weighted_table(stack[:1], grid, p, w)
+    row, confirmed = table.solve(), table.solve(confirm=True)
+    assert got.value == row.value[0] == confirmed.value[0]
+    assert got.iterations == confirmed.iterations[0]
     assert weighted_norms(stack[:1], grid, p, w)[0] == got.value
 
 

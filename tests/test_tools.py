@@ -1,0 +1,23 @@
+"""Smoke tests of the comparison scripts in ``tools/``."""
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_ab_timing_of_the_repository_against_itself_finds_every_report_identical():
+    """One pass of ``norm-batch``: the 14 jobs give the same reports and
+    exit codes on both sides, and both sides count the same Newton
+    node-evaluations."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_timing.py"), ROOT, ROOT,
+         "--workload", "norm-batch", "--passes", "1"],
+        capture_output=True, text=True, timeout=300, check=True).stdout
+    assert "reports and exit codes identical apart from wall_time_s: 14 of 14" in out
+    counts = re.findall(r"Newton node-evaluations per pass, (parent|change): (\d+) "
+                        r"\(([0-9.]+) per node\)", out)
+    assert [side for side, _, _ in counts] == ["parent", "change"]
+    assert counts[0][1:] == counts[1][1:] and int(counts[0][1]) > 0

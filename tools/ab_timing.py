@@ -15,9 +15,12 @@ on a shared host two plain runs of one tree can differ by half.
 
 It prints each job's median time per side and their ratio, each side's
 jobs/s (jobs over the sum of the job medians, as ``bench/run.py`` counts
-them), in how many passes the change's total time was lower, and whether
-the reports of the last pass and the exit codes are the same on both
-sides, as `compare_reports` compares them.
+them) next to its Newton node-evaluations per pass (the sum over the
+Luxemburg solves of row width times ``RowNorms.iterations``, counted in
+the untimed pass by wrapping the side's ``norms.lux_rows``) and per
+solved node, in how many passes the change's total time was lower, and
+whether the reports of the last pass and the exit codes are the same on
+both sides, as `compare_reports` compares them.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 SIDES = ("parent", "change")
 
 
@@ -47,6 +52,30 @@ def load_cli(root: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(name + ".cli")
+
+
+class EvaluationCount:
+    """Wraps ``norms.lux_rows`` of a loaded package while in use, adding
+    up the node-evaluations of its Newton loops (row width times
+    evaluations, per row) and the nodes of the rows they solve."""
+
+    def __init__(self, norms):
+        self.norms, self.evaluations, self.nodes = norms, 0, 0
+
+    def __enter__(self):
+        real = self.real = self.norms.lux_rows
+
+        def counting(la, *args, **kwargs):
+            res = real(la, *args, **kwargs)
+            self.evaluations += la.shape[-1] * int(np.sum(res.iterations))
+            self.nodes += la.shape[-1] * np.size(res.iterations)
+            return res
+
+        self.norms.lux_rows = counting
+        return self
+
+    def __exit__(self, *exc):
+        self.norms.lux_rows = self.real
 
 
 def main(argv=None) -> None:
@@ -73,9 +102,11 @@ def main(argv=None) -> None:
             codes[side, i] = compare_reports.run_job(clis[side], jobs[i], out[side][i])
             return time.perf_counter() - start
 
+        counts = {side: EvaluationCount(sys.modules[f"varleb_{side}.norms"]) for side in SIDES}
         for i in range(len(jobs)):  # warm-up: every grid shape and code path once per side
             for side in SIDES:
-                run(side, i)
+                with counts[side]:
+                    run(side, i)
         times = {side: [[] for _ in jobs] for side in SIDES}
         pass_totals = []
         for k in range(args.passes):
@@ -100,6 +131,10 @@ def main(argv=None) -> None:
     rate = {side: len(jobs) / sum(medians[side]) for side in SIDES}
     print(f"jobs_per_s: parent {rate['parent']:.2f}, change {rate['change']:.2f}, "
           f"x{rate['change'] / rate['parent']:.3f}")
+    for side in SIDES:
+        c = counts[side]
+        print(f"Newton node-evaluations per pass, {side}: {c.evaluations} "
+              f"({c.evaluations / c.nodes if c.nodes else 0.0:.3f} per node)")
     better = sum(t["change"] < t["parent"] for t in pass_totals)
     print(f"change faster in {better} of {len(pass_totals)} passes")
     print(f"reports and exit codes identical apart from wall_time_s: {sum(same)} of {len(jobs)}")
