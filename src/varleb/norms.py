@@ -17,24 +17,24 @@ one evaluation, not two.  `lux_flat` alone confirms every row, as the
 ``norm`` report prints the evaluation count, bracket and modular of the
 last evaluation.
 
-Every norm is solved in one row format: a `NodeTable` of per-node
-``log|f|`` (one row per member of a value stack, refusing NaN by node and
-member), exponent and log quadrature weight, and rows of node indices
-padded with a node whose ``log|f| = -inf`` adds nothing to a modular.
+Every norm is solved in one row format: rows of per-node ``log|f|``,
+exponent and log quadrature weight, gathered by rows of node indices
+padded with a node whose ``log|f| = -inf`` adds nothing to a modular,
+and solved by `lux_rows`, whose Newton steps run on all rows together.
 The log weights are the grid's `log_quad_weights`, computed once per
-grid and shared by every table on it; a zero node keeps its log weight,
-which its ``-inf`` log|f| cancels.  `NodeTable.solve` is the one way
-into `lux_rows`, whose Newton steps run on all rows together.  The
-default rows are each member's nonzero nodes: one for `lux_flat` (so
-`weighted_norm`), one per member for `weighted_norms`; ``rk`` cuts them
-by a node mask and the cube scan of ``weights`` passes cube rows.  When
-no member has a zero node, each default row is every node in node
-order, so the solve reads the table in place.
+grid and shared by every solve on it; a zero node keeps its log weight,
+which its ``-inf`` log|f| cancels.
 
-Any other solve works in a block of float rows: the gathered
-``log|f|``, exponent and log weight, and the Newton workspace, which
-`lux_rows` reuses in place as rows finish.  The cube scan passes one
-block for all its solves, packed ones of a `stacked_table`; others make their own.
+A value stack is held as a `NodeTable`: its ``log|f|`` (one row per
+member, refusing NaN by node and member), its exponent and its log
+weights.  `NodeTable.solve` is the one way from a value stack into
+`lux_rows`.  The default rows are each member's nonzero nodes: one for
+`lux_flat` (so `weighted_norm`), one per member for `weighted_norms`;
+``rk`` cuts them by a node mask.  When no member has a zero node, each
+default row is every node in node order, so the solve reads the table
+in place; any other solve gathers into arrays of its own.  The cube
+scan of ``weights`` holds no value stack: it gathers its factors by cube
+rows into one working block per scan and calls `lux_rows` itself.
 
 Weighted norms follow the convention ``||f||_{p,w} = || f w ||_p`` (the
 weight multiplies the function, it does not change the measure); a table
@@ -262,8 +262,8 @@ def _refuse_stall(stuck, g, tol, slope, p) -> None:
 class NodeTable(NamedTuple):
     """Per-node tables of a ``(members, n)`` value stack: ``log|f|`` per
     member, with a padding node at index ``n`` where it is ``-inf``, the
-    exponent (shared, or one padded row per member) and the log
-    quadrature weights, and whether no member has a zero node.  A ``-inf``
+    exponent and the log quadrature weights, shared by every member, and
+    whether no member has a zero node.  A ``-inf``
     log|f| cancels its node's exponent and weight, so a gather reads the
     padding node's from node ``n - 1`` (any finite values would do)."""
 
@@ -287,47 +287,34 @@ class NodeTable(NamedTuple):
         return rows
 
     def solve(self, rows: np.ndarray | None = None, rel_tol: float = 1e-10,
-              block: np.ndarray | None = None, members: np.ndarray | None = None,
-              lq_gathered: bool = False, confirm: bool = False) -> RowNorms:
+              confirm: bool = False) -> RowNorms:
         """`lux_rows` on ``(rows, k)`` node indices (by default `rows()`),
-        row ``i`` reading member ``members[i]``, by default member ``i`` or
-        the only member: the one way into the solver.
+        row ``i`` reading member ``i`` or the only member.
 
         With the default rows of a dense table (no zero node), each
         member's row is every node in node order, so the solve reads the
-        table in place, with no gather.  Otherwise it works in ``block``,
-        four float arrays of the rows' shape (or one array of shape ``(4,
-        *rows.shape)``): the gathered ``log|f|``, exponent and log weight,
-        and the Newton workspace, which first holds the rows as intp for
-        the gathers.  When it is omitted, the solve gathers
-        into three arrays of its own, and `lux_rows` makes the workspace
-        once a default row array is freed.  (Three arrays, not one of
-        three times the size: glibc raises its mmap threshold to the
-        largest block freed, and a higher threshold leaves more freed heap
-        resident.)  With ``lq_gathered``, ``block`` holds these log weights (one member).
-        ``confirm`` is `lux_rows`'s."""
+        table in place, with no gather.  Otherwise it gathers into three
+        arrays of the rows' shape, and `lux_rows` makes the workspace once
+        a default row array is freed.  (Three arrays, not one of three
+        times the size: glibc raises its mmap threshold to the largest
+        block freed, and a higher threshold leaves more freed heap
+        resident.)  ``confirm`` is `lux_rows`'s."""
         if rows is None:
             if self.dense:
                 la = self.la[:, :-1]
                 return lux_rows(la, np.broadcast_to(self.p, la.shape),
                                 np.broadcast_to(self.lq, la.shape), rel_tol, confirm=confirm)
             rows = self.rows()
-        la, p, lq, *e = [np.empty(rows.shape) for _ in range(3)] if block is None else block
-        if e:  # int32 rows as intp in the workspace: one cast, not one per gather
-            e[0].view(np.intp)[...] = rows
-            rows = e[0].view(np.intp)
+        la, p, lq = (np.empty(rows.shape) for _ in range(3))
         flat = rows
-        if len(self.la) > 1:  # a row reads its member's la (and p), at flat indices built in lq
-            members = np.arange(len(rows)) if members is None else members
-            flat = np.add(rows, (members * self.la.shape[1])[:, None], out=lq.view(np.int64))
+        if len(self.la) > 1:  # a row reads its member's la, at flat indices built in lq
+            flat = np.add(rows, (np.arange(len(rows)) * self.la.shape[1])[:, None],
+                          out=lq.view(np.intp))
         self.la.take(flat, out=la, mode="clip")
-        self.p.take(rows if self.p.ndim == 1 else flat, out=p, mode="clip")
-        if not lq_gathered:
-            self.lq.take(rows, out=lq, mode="clip")
-        del rows  # a default row array is freed before the solve
-        if confirm:  # `lux_flat`'s row; every other solve makes the plain call
-            return lux_rows(la, p, lq, rel_tol, *e, confirm=True)
-        return lux_rows(la, p, lq, rel_tol, *e)
+        self.p.take(rows, out=p, mode="clip")
+        self.lq.take(rows, out=lq, mode="clip")
+        del rows, flat  # a default row array is freed before the solve
+        return lux_rows(la, p, lq, rel_tol, confirm=confirm)
 
 
 def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray,
@@ -345,13 +332,6 @@ def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray,
     if lw is not None:  # unmasked: a zero node's -inf stays -inf
         la[:, :n] += lw.ravel()
     return NodeTable(la, p.ravel(), lq.ravel(), dense)
-
-
-def stacked_table(tables) -> NodeTable:
-    """One table of one-member ``tables``, an exponent row each (padded with 1)."""
-    p = np.ones((len(tables), tables[0].p.size + 1))
-    np.stack([t.p for t in tables], out=p[:, :-1])
-    return NodeTable(np.concatenate([t.la for t in tables]), p, tables[0].lq, False)
 
 
 def lux_flat(a: np.ndarray, p: np.ndarray, lq: np.ndarray, rel_tol: float = 1e-10,

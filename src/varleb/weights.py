@@ -24,16 +24,17 @@ with ``nu = prod_j w_j``.  Three conventions are fixed throughout:
 
 The scan works one cube depth at a time, in the row format of ``norms``.
 A factor is its log values (``nu``, an inverse and the gate's
-``w^qtilde`` are sums and multiples of ``log w``), copied once per scan
-into a `norms.NodeTable` on the grid (a NaN is refused there, at its
-grid node).  A (depth, shifted) group is one integer array of node rows,
-one row per cube in scan order padded with the table's padding index
-(`field.CubeGroup.node_rows`), a row set of each factor.  A depth's sets
-share one `NodeTable.solve` in scan order until one has another width or
-passes ``PACK_NODES``; it and the rest (all on 257^2 grids) are solved
-alone.  A cube adds its factors' log norms in factor order.  Measures,
-log sums, the overflow test and the argmax (the first maximal cube in
-scan order) are vectorised.
+``w^qtilde`` are sums and multiples of ``log w``; a NaN is refused at
+its grid node), with a padding node of log value ``-inf`` appended, and
+its exponent on the grid.  A (depth, shifted) group is one integer array
+of node rows, one row per cube in scan order padded with the padding
+index (`field.CubeGroup.node_rows`), a row set of each factor.
+`_scan_solves` lists a scan's solves: a depth's sets share one solve in
+scan order until one has another width or passes ``PACK_NODES``; it and
+the rest (all on 257^2 grids) are solved alone.  A cube adds its
+factors' log norms in factor order.  Measures, log sums, the overflow
+test and the argmax (the first maximal cube in scan order) are
+vectorised.
 
 The geometry of a scan depends only on the grid and the cube family, so
 it is built once per (grid, cube set) by `_scan_plan` and shared by every
@@ -49,10 +50,13 @@ where it built one group's rows at a time before.  Between scans the
 plans used last are kept up to ``PLAN_CACHE_BYTES`` (16 MiB) in all,
 the oldest dropped first; a larger plan is dropped after its scan.
 
-The scan owns one working block of four float rows, which every solve
-gathers into and runs its Newton loop in.  Regrown only to the exact
-size a solve needs, it spares each solve a row-sized array and refaulted
-pages.
+The scan makes one working block of four float rows, at the size of
+its largest solve.  A solve casts each set's rows to intp in the
+workspace row, gathers the set's log values, exponent and log weights
+into its slices of the other three (a set solved alone after the same
+group's previous factor keeps that set's log weights) and runs
+`norms.lux_rows` in the block, which spares each solve a row-sized array
+and refaulted pages.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import norms
 from .errors import (ArityMismatchError, DomainError, EmptyRegionError,
                      HypothesisFailureError, OverflowToInfinityError,
                      SpecMismatchError)
@@ -69,7 +74,7 @@ from .exponent import (GAMMA_TOL, ExponentField, QuadrupleSpec, blend_quadruple,
                        component_exponent, dual_exponent, nu_exponent,
                        scale_exponent, two_to_one_data, validate_quadruple)
 from .field import Cube, CubeGroup, DyadicCubeSet, Grid, WeightField, refuse_non_finite
-from .norms import NodeTable, holder_constant, stacked_table
+from .norms import holder_constant
 
 OVERFLOW_THRESHOLD = 1e150
 PACK_NODES = 2 ** 16  # nodes of a packed scan solve: 4 float rows in 2 MiB, a core's L2
@@ -134,57 +139,66 @@ def _build_plan(grid: Grid, cubes: DyadicCubeSet):
     return tuple(plan)
 
 
+def _scan_solves(plan, n_factors: int) -> list[list[tuple[int, int]]]:
+    """The solves of a scan of ``n_factors`` factors over ``plan``, in
+    order, each a list of (group, factor) row sets, a group by its index
+    in the plan.  A depth's sets share one solve in scan order while they
+    have one row width and hold at most ``PACK_NODES`` nodes in all; from
+    the first set that does not fit, each of the depth's sets is solved
+    alone, after the solve of the sets before it."""
+    solves = []
+    for i, (group, rows, _) in enumerate(plan):
+        if not group.shifted:  # a new depth
+            pack, nodes = [], 0
+        for k in range(n_factors):
+            if pack is not None and nodes + rows.size <= PACK_NODES and (
+                    not pack or rows.shape[1] == width):
+                if not pack:
+                    solves.append(pack)
+                    width = rows.shape[1]
+                pack.append((i, k))
+                nodes += rows.size
+            else:
+                pack = None
+                solves.append([(i, k)])
+    return solves
+
+
 def _cube_scan(grid: Grid, cubes: DyadicCubeSet, factors, measure_power: float,
                rel_tol: float) -> WeightConstantReport:
     """Scan the cube family one depth at a time: a (depth, shifted) group's
     node rows from the `_scan_plan` are a row set of each ``(log_values,
-    exponent)`` factor, and a depth's sets share one solve in the working
-    block while they fit."""
+    exponent)`` factor, and each solve of `_scan_solves` gathers its sets
+    into one working block, made once at the size of the largest solve."""
     if not grid.box.contains_box(cubes.root):
         raise DomainError("cube family root box must lie inside the grid box")
     for lw, _ in factors:
         refuse_non_finite(lw, grid.size)
     plan = _scan_plan(grid, cubes)
-    tables = [NodeTable(np.append(lw, -math.inf)[None], p.values_on(grid).ravel(),
-                        grid.log_quad_weights.ravel(), True) for lw, p in factors]
-    values, pack, stacked = [], [], None  # per group; (rows, factor, values) sets; tables as one
-    block, alone = np.empty((4, 0)), None  # alone: the values of the last set solved alone
-    def solve(sets):  # in one solve, then emptied
-        nonlocal block, stacked, alone
-        if not sets:
-            return
-        rows = sets[0][0] if len(sets) == 1 else np.concatenate([r for r, _, _ in sets])
-        if rows.size > block.shape[1]:
-            block = None  # the old block is freed before the new one is made
-            block = np.empty((4, rows.size))
-        work = block[:, :rows.size].reshape(4, *rows.shape)
-        if len(sets) == 1:  # after the same group's previous factor, its log weights are kept
-            _, k, value = sets[0]
-            log_value = tables[k].solve(rows, rel_tol, work, lq_gathered=value is alone).log_value
-        else:
-            stacked = stacked_table(tables) if stacked is None else stacked
-            members = np.repeat([k for _, k, _ in sets], [len(r) for r, _, _ in sets])
-            log_value = stacked.solve(rows, rel_tol, work, members).log_value
-        alone = sets[0][2] if len(sets) == 1 else None
-        ends = np.cumsum([len(r) for r, _, _ in sets])
-        for (r, _, value), end in zip(sets, ends):  # in factor order, as solved one by one
-            value += log_value[end - len(r):end]
-        sets.clear()
-
-    for group, rows, log_measure in plan:
-        if not group.shifted:  # a new depth
-            solve(pack)
-            packing = True
-        values.append(measure_power * log_measure)
-        for k in range(len(factors)):
-            packing = packing and (not pack or rows.shape[1] == pack[0][0].shape[1]) and (
-                sum(r.size for r, _, _ in pack) + rows.size <= PACK_NODES)
-            if packing:
-                pack.append((rows, k, values[-1]))
-            else:  # the sets before first, so that each cube adds its factors in order
-                solve(pack)
-                solve([(rows, k, values[-1])])
-    solve(pack)
+    group_rows = [rows for _, rows, _ in plan]
+    solves = _scan_solves(plan, len(factors))
+    las = [np.append(lw, -math.inf) for lw, _ in factors]  # padding node: log|w| = -inf
+    ps = [p.values_on(grid).ravel() for _, p in factors]
+    lq = grid.log_quad_weights.ravel()
+    values = [measure_power * log_measure for _, _, log_measure in plan]  # per group
+    sizes = [sum(group_rows[i].size for i, _ in sets) for sets in solves]
+    block = np.empty((4, max(sizes)))
+    lone = None  # the group of the last set solved alone, whose log weights the block holds
+    for sets, n in zip(solves, sizes):
+        la, p, lq_rows, e = block[:, :n].reshape(4, -1, group_rows[sets[0][0]].shape[1])
+        ends = np.cumsum([len(group_rows[i]) for i, _ in sets])
+        for (i, k), end in zip(sets, ends):
+            part = slice(end - len(group_rows[i]), end)
+            rows = e[part].view(np.intp)  # int32 rows as intp: one cast, not one per gather
+            rows[...] = group_rows[i]
+            las[k].take(rows, out=la[part], mode="clip")
+            ps[k].take(rows, out=p[part], mode="clip")
+            if len(sets) > 1 or i != lone:
+                lq.take(rows, out=lq_rows[part], mode="clip")
+        lone = sets[0][0] if len(sets) == 1 else None
+        log_value = norms.lux_rows(la, p, lq_rows, rel_tol, e).log_value
+        for (i, _), end in zip(sets, ends):  # in factor order, as solved one by one
+            values[i] += log_value[end - len(group_rows[i]):end]
     log_cube = np.concatenate(values)
     over = log_cube > math.log(OVERFLOW_THRESHOLD)
     per_cube = np.exp(np.where(over, math.inf, log_cube))  # exp(inf) raises no overflow

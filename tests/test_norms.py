@@ -534,18 +534,6 @@ def test_lux_rows_in_a_given_workspace_is_the_allocating_solve_bit_for_bit(seed,
         assert all(a == b for a, b in _row_fields(ref, got))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, dim=st.sampled_from([1, 2]))
-def test_node_table_solve_in_a_caller_block_is_its_own_block_solve_bit_for_bit(seed, dim):
-    """One member or many: a solve that gathers into a NaN-filled caller
-    block returns what the solve with rows of its own returns."""
-    grid, stack, p, w, inside = _family_case(seed, dim)
-    for table in (weighted_table(stack, grid, p, w), weighted_table(stack[:1], grid, p, w)):
-        rows = table.rows(inside)
-        block = np.full((4, *rows.shape), math.nan)
-        assert all(a == b for a, b in _row_fields(table.solve(rows), table.solve(rows, block=block)))
-
-
 def _family_case(seed, dim):
     """A 1D or 2D grid, a family of members of mixed support (each zero
     outside its own box and at random nodes inside), an exponent, a

@@ -8,16 +8,32 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_ab_timing_of_the_repository_against_itself_finds_every_report_identical():
-    """One pass of ``norm-batch``: the 14 jobs give the same reports and
-    exit codes on both sides, and both sides count the same Newton
-    node-evaluations."""
+def _ab_timing_of_the_repository_against_itself(workload: str) -> str:
+    """The output of one pass of ``workload``, after checking that both
+    sides count the same nonzero Newton node-evaluations."""
     out = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "ab_timing.py"), ROOT, ROOT,
-         "--workload", "norm-batch", "--passes", "1"],
+         "--workload", workload, "--passes", "1"],
         capture_output=True, text=True, timeout=300, check=True).stdout
-    assert "reports and exit codes identical apart from wall_time_s: 14 of 14" in out
     counts = re.findall(r"Newton node-evaluations per pass, (parent|change): (\d+) "
                         r"\(([0-9.]+) per node\)", out)
     assert [side for side, _, _ in counts] == ["parent", "change"]
     assert counts[0][1:] == counts[1][1:] and int(counts[0][1]) > 0
+    return out
+
+
+def test_ab_timing_of_the_repository_against_itself_finds_every_report_identical():
+    """One pass of ``norm-batch``: the 14 jobs give the same reports and
+    exit codes on both sides, and both sides count the same Newton
+    node-evaluations."""
+    out = _ab_timing_of_the_repository_against_itself("norm-batch")
+    assert "reports and exit codes identical apart from wall_time_s: 14 of 14" in out
+
+
+def test_ab_timing_counts_the_newton_evaluations_of_the_cube_scan():
+    """One pass of ``cube-scan``, whose 8 jobs make only cube scans: their
+    Newton node-evaluations are counted, the same on both sides, only
+    while ``weights`` calls the solver as ``norms.lux_rows``, the name the
+    counter wraps."""
+    out = _ab_timing_of_the_repository_against_itself("cube-scan")
+    assert "reports and exit codes identical apart from wall_time_s: 8 of 8" in out

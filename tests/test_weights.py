@@ -20,7 +20,7 @@ from varleb.exponent import scale_exponent
 from varleb.field import CubeGroup, box_slices, realize_function
 from varleb.norms import lux_flat
 from varleb.weights import (OVERFLOW_THRESHOLD, _bounded, _cube_scan, _scan_plan,
-                            gate_constant)
+                            _scan_solves, gate_constant)
 
 from _support import UNIT, SYM, all_cubes, rand_exponent, rand_weight, unit_weight
 
@@ -551,33 +551,68 @@ def test_cube_scan_solves_a_depth_at_once_where_it_fits(monkeypatch, shape, dept
     assert sum(calls) == 2 * rep.cube_count
 
 
-def test_cube_scan_solves_every_group_in_one_block_regrown_only_to_fit(monkeypatch):
-    """Every solve of a scan gathers into one working block, made for the
-    first solve and regrown only for a larger one, to its exact size.
-    Here each depth's two groups and two factors are one solve, of 4290,
-    5610 and 7650 nodes, so the block is regrown twice; its four rows
-    hold each solve's log|f|, exponent, log weight and Newton workspace."""
-    blocks, seen = [], []
+@pytest.mark.parametrize("shape, depth, budget, sizes", [
+    ((33, 65), 2, weights_module.PACK_NODES, [4290, 5610, 7650]),
+    ((65,), 3, 165, [130, 165, 33, 136, 51, 51, 144, 63, 63])], ids=["33x65", "65-budget-165"])
+def test_cube_scan_makes_one_block_at_the_size_of_its_largest_solve(monkeypatch, shape, depth,
+                                                                     budget, sizes):
+    """Every solve of a scan gathers into one working block, made once at
+    the size of the scan's largest solve (the last here on 33 x 65, where
+    each depth's two groups and two factors are one solve; the second of
+    nine at 65 nodes under a budget of 165): each solve's log|f|,
+    exponent, log weight and Newton workspace are views of it."""
+    seen = []
     real = norms_module.lux_rows
 
     def recording(la, p, lq, rel_tol, e):
-        block = la.base
-        if not any(block is b for b in blocks):
-            blocks.append(block)
-        assert all(np.shares_memory(a, block) for a in (p, lq, e))
-        seen.append((block, la.size))
+        seen.append((la.size, [a.base for a in (la, p, lq, e)]))
         return real(la, p, lq, rel_tol, e)
 
     monkeypatch.setattr(norms_module, "lux_rows", recording)
-    box = Box((0.0, 0.0), (1.0, 2.0))
-    grid = Grid(box, (33, 65))
-    w = WeightField(grid, 1.0 + grid.coords[..., 0] * grid.coords[..., 1])
-    rep = ap_constant(w, const_p(2.0, box), DyadicCubeSet(box, 2))
-    assert [n for _, n in seen] == [4290, 5610, 7650]
-    assert rep.cube_count == 1 + 4 + 1 + 16 + 9
-    assert len(blocks) == 3
-    for block in blocks:
-        assert block.shape == (4, max(n for b, n in seen if b is block))
+    monkeypatch.setattr(weights_module, "PACK_NODES", budget)
+    box = Box((0.0,) * len(shape), tuple(1.0 + axis for axis in range(len(shape))))
+    grid = Grid(box, shape)
+    w = WeightField(grid, 1.0 + np.prod(grid.coords, axis=-1))
+    ap_constant(w, const_p(2.0, box), DyadicCubeSet(box, depth))
+    assert [n for n, _ in seen] == sizes
+    block = seen[0][1][0]
+    assert block.shape == (4, max(sizes))
+    assert all(base is block for _, bases in seen for base in bases)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([1, 2]), depth=st.integers(0, 4), factors=st.integers(1, 4),
+       budget=st.integers(0, 20000), data=st.data())
+def test_scan_solves_pack_each_depth_while_its_sets_fit(dim, depth, factors, budget, data):
+    """`_scan_solves` lists every (group, factor) set once, in scan order
+    with factors ascending in a group; a solve of more than one set has
+    one row width and at most ``PACK_NODES`` nodes; a depth's sets share
+    one solve up to the first that does not fit, and every later set of
+    the depth is solved alone."""
+    shape = tuple(data.draw(st.integers(2 ** depth + 1, 150 if dim == 1 else 60),
+                            label=f"n{axis}") for axis in range(dim))
+    box = Box((0.0,) * dim, (1.0,) * dim)
+    plan = _scan_plan(Grid(box, shape), DyadicCubeSet(box, depth))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights_module, "PACK_NODES", budget)
+        solves = _scan_solves(plan, factors)
+    assert [s for sets in solves for s in sets] == [(i, k) for i in range(len(plan))
+                                                    for k in range(factors)]
+    for sets in solves:
+        assert len({plan[i][0].depth for i, _ in sets}) == 1
+        if len(sets) > 1:
+            assert len({plan[i][1].shape[1] for i, _ in sets}) == 1
+            assert sum(plan[i][1].size for i, _ in sets) <= budget
+    for d in range(depth + 1):
+        got = [sets for sets in solves if plan[sets[0][0]][0].depth == d]
+        in_depth = [s for sets in got for s in sets]
+        fit, nodes = 0, 0
+        for i, _ in in_depth:
+            rows = plan[i][1]
+            if nodes + rows.size > budget or rows.shape[1] != plan[in_depth[0][0]][1].shape[1]:
+                break
+            fit, nodes = fit + 1, nodes + rows.size
+        assert got == [in_depth[:fit]] * (fit > 0) + [[s] for s in in_depth[fit:]]
 
 
 def _packed_and_alone(scan, budget):
