@@ -23,8 +23,7 @@ from .interp import (BallAverageProduct, EndpointSpace, ExtrapolationBuild, Frac
 from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_measure,
                       ball_sums, maximal_boundedness_probe, maximal_function,
                       oscillation_average, oscillation_profiles)
-from .norms import (NormResult, holder_constant, mixed_norm, modular, pairing,
-                    weighted_norm)
+from .norms import holder_constant, mixed_norm, modular, pairing, weighted_norm
 from .rk import (NetReport, RKReport, classify, dilate_family,
                  eps_net_oracle, equicontinuity_profile, family_distance_matrix,
                  mollify, mollify_family, modulate_family, translate_family,

@@ -154,7 +154,8 @@ def _run_norm(c, grid):
     w = _weight_from(c["weight"], grid, "weight") if c["weight"] is not None else None
     res = weighted_norm(f, p, w, rel_tol=c["rel_tol"])
     return ({"norm": res.value, "iterations": res.iterations,
-             "bracket": list(res.bracket), "modular_at_value": res.modular_at_value}, EXIT_OK)
+             "bracket": list(res.bracket), "modular_at_value": math.exp(res.log_modular)},
+            EXIT_OK)
 
 
 @_command("modular", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED))

@@ -10,12 +10,13 @@ computed by Newton's method on ``g(t) = log rho(f / e^t)``.  Over the
 nonzero nodes ``g`` is convex and decreasing with slope in ``[-p_+,
 -p_-]``, so Newton iterates started at ``t = log sup|f|`` rise
 monotonically to the root, and the slope bounds turn the last value of
-``g`` into a certified bracket for the norm.  A row ends at its Newton
-point without evaluating there when a variance bound proves that this
-evaluation would end it (`lux_rows`): a constant exponent mostly takes
-one evaluation, not two.  `lux_flat` alone confirms every row, as the
-``norm`` report prints the evaluation count, bracket and modular of the
-last evaluation.
+``g`` into a certified bracket for the norm.  Every solve returns a
+`RowNorms`, and `RowNorms.bracket` states the bracket.  A row ends at
+its Newton point without evaluating there when a variance bound proves
+that this evaluation would end it (`lux_rows`): a constant exponent
+mostly takes one evaluation, not two.  `lux_flat` alone confirms every
+row, as the ``norm`` report prints the evaluation count, bracket and
+modular of the last evaluation.
 
 Every norm is solved in one row format: rows of per-node ``log|f|``,
 exponent and log quadrature weight, gathered by rows of node indices
@@ -51,7 +52,6 @@ Luxemburg norm in the first axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,18 +61,6 @@ from .exponent import ExponentField
 from .field import Grid, GridFunction, WeightField, refuse_non_finite, shared_grid
 
 MAX_EVALUATIONS = 100
-
-
-@dataclass(frozen=True)
-class NormResult:
-    """Outcome of a Luxemburg solve: the norm value, the number of
-    modular evaluations, a certified bracket for the norm, and the
-    modular of ``f / value``."""
-
-    value: float
-    iterations: int
-    bracket: tuple[float, float]
-    modular_at_value: float
 
 
 def modular(f: GridFunction, p: ExponentField) -> float:
@@ -88,11 +76,19 @@ def modular(f: GridFunction, p: ExponentField) -> float:
 
 
 class RowNorms(NamedTuple):
-    """Outcome of `lux_rows` in the log domain, one entry per row: the
-    final Newton iterate ``t`` (the norm is ``e^t``), ``g = log rho(f /
-    e^t)``, the ``p_-`` of the nonzero nodes and the number of modular
-    evaluations.  The certified bracket is ``exp(t + min(g, 0) / p_lo)``
-    to ``exp(t + max(g, 0) / p_lo)``."""
+    """Outcome of a Luxemburg solve in the log domain, one entry per row
+    (numpy scalars for one row): the final Newton iterate ``t``, the norm
+    being ``value = e^t``; ``log_modular``, ``g = log rho(f / e^t)`` for
+    a row confirmed by an evaluation at ``t``, or for a row stopped at
+    its Newton point an upper bound on it, which is at least 0; the
+    ``p_-`` of the nonzero nodes; and the number of modular evaluations.
+
+    The certified bracket for the norm is ``bracket``: since ``|d g / d
+    t| >= p_-``, the root lies within ``|g| / p_-`` of ``t`` on the side
+    of the sign of ``g``, so it lies in ``exp(t + min(g, 0) / p_-)`` to
+    ``exp(t + max(g, 0) / p_-)``; an upper bound ``g >= 0`` only widens
+    the bracket above.  A row with no nonzero node has the bracket ``(0,
+    0)``, one with an infinite value ``(inf, inf)``."""
 
     log_value: np.ndarray
     log_modular: np.ndarray
@@ -103,6 +99,12 @@ class RowNorms(NamedTuple):
     def value(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return np.exp(self.log_value)
+
+    @property
+    def bracket(self) -> tuple[np.ndarray, np.ndarray]:
+        t, g, p_lo = self.log_value, self.log_modular, self.p_lo
+        with np.errstate(over="ignore"):
+            return np.exp(t + np.minimum(g, 0.0) / p_lo), np.exp(t + np.maximum(g, 0.0) / p_lo)
 
 
 def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
@@ -117,9 +119,8 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     ``g(t) = log sum exp(lq + p (la - t))``, started at ``t = max la``,
     run on all rows at once; a row stops once ``|g| <= tol = p_-
     log1p(rel_tol)``, with ``p_-`` and ``p_+`` taken over its nonzero
-    nodes, and keeps its ``t`` from then on.  Since ``|g'| >= p_-``, the
-    root lies within ``|g| / p_-`` of ``t`` on the side given by the sign
-    of ``g``, which is the certified bracket.
+    nodes, and keeps its ``t`` from then on; its certified bracket is
+    `RowNorms.bracket`.
 
     A row also stops at its Newton point ``t'`` without evaluating there,
     when a bound proves that the evaluation at ``t'`` would stop it.
@@ -335,17 +336,13 @@ def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray,
 
 
 def lux_flat(a: np.ndarray, p: np.ndarray, lq: np.ndarray, rel_tol: float = 1e-10,
-             lw: np.ndarray | None = None) -> NormResult:
+             lw: np.ndarray | None = None) -> RowNorms:
     """Luxemburg solve on flat node values ``a`` (of ``|f|`` or ``f``) times
     a weight of log values ``lw``, if given, exponent ``p`` and log weights
     ``lq``: the row of its nonzero nodes, the one-member `NodeTable` solve,
-    confirmed: its modular and evaluation count are those of its last
-    evaluation, at the value it returns."""
-    table = node_table(a, p, lq, lw)
-    t, g, p_lo, k = (x.item() for x in table.solve(rel_tol=rel_tol, confirm=True))
-    with np.errstate(over="ignore"):
-        lo, value, hi = np.exp([t + min(g, 0.0) / p_lo, t, t + max(g, 0.0) / p_lo])
-    return NormResult(float(value), k, (float(lo), float(hi)), math.exp(g))
+    confirmed, as a `RowNorms` of numpy scalars: its modular and evaluation
+    count are those of its last evaluation, at the value it returns."""
+    return RowNorms(*(x[0] for x in node_table(a, p, lq, lw).solve(rel_tol=rel_tol, confirm=True)))
 
 
 def _log_weight(grid: Grid, w: WeightField | None) -> np.ndarray | None:
@@ -356,7 +353,7 @@ def _log_weight(grid: Grid, w: WeightField | None) -> np.ndarray | None:
 
 
 def weighted_norm(f: GridFunction, p: ExponentField, w: WeightField | None = None,
-                  rel_tol: float = 1e-10) -> NormResult:
+                  rel_tol: float = 1e-10) -> RowNorms:
     """``|| f w ||_p``; with ``w`` omitted this is the plain norm."""
     return lux_flat(f.values.ravel(), p.values_on(f.grid).ravel(),
                     f.grid.log_quad_weights.ravel(), rel_tol, _log_weight(f.grid, w))
@@ -404,7 +401,7 @@ def inner_norm(values: np.ndarray, grid: Grid, inner_exponent: float) -> np.ndar
 # no library caller; bench/layers.py traces it by name until its counters move inside
 def mixed_norm(F: GridFunction, inner_exponent: float, outer_p: ExponentField,
                outer_weight: WeightField | None = None,
-               rel_tol: float = 1e-10) -> NormResult:
+               rel_tol: float = 1e-10) -> RowNorms:
     """Norm of ``x -> ||F(x, .)||_{L^inner}`` in ``L^outer_p(v)``.
 
     ``F`` lives on a 2D grid whose first axis is the outer variable.

@@ -76,7 +76,7 @@ def test_lux_zero_function():
     g = grid1d(65)
     p = ExponentField.constant(g.box, 2.0)
     res = weighted_norm(GridFunction(g, np.zeros(g.shape)), p)
-    assert res.value == 0.0 and res.modular_at_value == 0.0
+    assert res.value == 0.0 and math.exp(res.log_modular) == 0.0
 
 
 def test_lux_rejects_bad_tolerance():
@@ -95,7 +95,7 @@ def test_lux_modular_at_value_is_one():
     f = GridFunction(g, rng.uniform(0.1, 2.0, size=g.shape))
     p = ExponentField.affine(g.box, 1.5, (1.0,))
     res = weighted_norm(f, p)
-    assert res.modular_at_value == pytest.approx(1.0, abs=1e-8)
+    assert math.exp(res.log_modular) == pytest.approx(1.0, abs=1e-8)
     assert res.bracket[0] <= res.value <= res.bracket[1]
 
 
@@ -463,6 +463,39 @@ def test_a_row_stopped_at_its_newton_point_is_the_confirmed_solve(seed, rows, sc
         for log_lam, side in ((t, 1.0), (t + g / p_lo, -1.0)):  # rho(f / lam) >= 1, then <= 1
             log_rho = np.logaddexp.reduce(row_lq[nz] + row_p[nz] * (row_la[nz] - log_lam))
             assert side * log_rho >= -slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, rows=st.integers(1, 5), scale=st.floats(-300.0, 300.0))
+def test_the_bracket_of_every_row_is_the_certified_one(seed, rows, scale):
+    """`RowNorms.bracket` of a confirmed row is, to the last bit, the
+    bracket computed on Python floats as ``np.exp([lo, t, hi])``; that of
+    an unconfirmed row, which may stop at its Newton point with an upper
+    bound for its modular, holds the confirmed value.  A row with no
+    nonzero node has the bracket (0, 0), one with an infinite value
+    (inf, inf), placed among padded rows of scales 10^+-300."""
+    la, pv, lq = (np.atleast_2d(x) for x in _stop_rule_rows(seed, rows, scale))
+    dead = np.full((2, la.shape[1]), -math.inf)
+    dead[1, np.random.default_rng(seed).integers(la.shape[1])] = math.inf
+    at = np.random.default_rng(seed).permutation(rows + 2)
+    la, pv, lq = (np.concatenate([x, d])[at] for x, d in
+                  ((la, dead), (pv, np.full(dead.shape, 2.0)), (lq, np.zeros(dead.shape))))
+    zero, inf = np.flatnonzero(at == rows), np.flatnonzero(at == rows + 1)
+    try:
+        want = lux_rows(la, pv, lq, confirm=True)
+    except ConvergenceError:  # a huge exponent can stall the solve; that is tested above
+        return
+    got = lux_rows(la, pv, lq)
+    for res in (want, got):
+        lo, hi = res.bracket
+        assert (lo[zero], hi[zero]) == (0.0, 0.0) and (lo[inf], hi[inf]) == (math.inf, math.inf)
+        assert np.all(lo <= want.value) and np.all(want.value <= hi)
+    lo, hi = want.bracket
+    for i in range(len(la)):
+        t, g, p_lo = (float(x[i]) for x in (want.log_value, want.log_modular, want.p_lo))
+        with np.errstate(over="ignore"):
+            old = np.exp([t + min(g, 0.0) / p_lo, t, t + max(g, 0.0) / p_lo])
+        assert np.array([lo[i], want.value[i], hi[i]]).tobytes() == old.tobytes()
 
 
 def test_a_constant_exponent_cube_scan_makes_one_evaluation_per_row(monkeypatch):

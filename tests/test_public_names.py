@@ -8,7 +8,7 @@ PUBLIC = [
     "ConvergenceError", "Cube", "DomainError", "DyadicCubeSet", "EmptyRegionError",
     "EndpointSpace", "ExponentField", "ExtrapolationBuild", "FractionalKernel", "FunctionFamily",
     "Grid", "GridFunction", "HypothesisFailureError", "InterpolationReport", "LogHolderReport",
-    "MixedInterpolationReport", "NetReport", "NormResult", "OverflowToInfinityError",
+    "MixedInterpolationReport", "NetReport", "OverflowToInfinityError",
     "ProbeReport", "Product", "QuadrupleSpec",
     "QuadrupleVerdict", "RKReport", "RadiusSweep", "RangeError", "SchemaError",
     "SpecMismatchError", "ThetaEntry", "TwoToOneReport", "VarlebError", "VersionMismatchWarning",
