@@ -244,11 +244,7 @@ def _run_rk_classify(c, grid):
              "uniform_bound": rep.uniform.sup,
              "gate_constant": rep.gate.constant,
              "equicontinuity": rep.equicontinuity,
-             # not the whole VanishingReport, which also carries the center
-             "vanishing": {"passed": rep.vanishing.passed,
-                           "radii": list(rep.vanishing.radii),
-                           "profile": list(rep.vanishing.profile),
-                           "threshold": rep.vanishing.threshold}}, EXIT_OK)
+             "vanishing": rep.vanishing}, EXIT_OK)
 
 
 def _endpoint_from(c: dict, key: str, grid: Grid) -> EndpointSpace:

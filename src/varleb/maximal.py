@@ -135,17 +135,6 @@ class RadiusSweep:
                 f"largest radius {self.radii[-1]} exceeds the box diameter")
 
 
-def _reach_1d(r_eff: float, h: float, top: int) -> int:
-    """The largest ``k <= top`` with ``k h < r_eff``: the answer in real
-    arithmetic capped at ``top``, then settled by the rounded test."""
-    k = int(min(r_eff / h, top))
-    while k < top and (k + 1) * h < r_eff:
-        k += 1
-    while not k * h < r_eff:
-        k -= 1
-    return k
-
-
 def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     """The open lattice balls of the radii ``r_effs``, each row by row,
     cut to the offsets that reach a node of the grid.
@@ -161,22 +150,29 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     ball is the same, its centre node alone.  In an exact power-of-two unit
     every square is a normal double, or the grid is refused.
 
-    In 2D the squares are Python floats, formed once per call up to the
-    largest radius, and every entry of every ball is found in one array
-    pass: a ``searchsorted`` guess, settled by the rounded test itself.
+    Every entry of every ball is found in one array pass: a
+    ``searchsorted`` guess, settled by the rounded test itself.  In 2D the
+    squares are Python floats, formed once per call up to the largest
+    radius; in 1D the lengths ``k2 h`` stand in for them and ``r_eff``
+    for ``r_eff^2``, and the one row ``k1 = 0`` adds ``+0.0``, which
+    changes no bits.  A NaN radius is refused before anything is cast.
     """
-    half = 0.5 * min(grid.steps)
-    r_effs = [min(max(r, half), 2.0 * grid.box.diameter) for r in r_effs]
+    if any(math.isnan(r) for r in r_effs):
+        raise DomainError("a lattice ball needs a radius, got NaN")
+    half, whole = 0.5 * min(grid.steps), 2.0 * grid.box.diameter
+    r_effs = [min(max(r, half), whole) for r in r_effs]
     unit = square_unit(max(r_effs), grid, "lattice balls")
     r_effs, h1, h2 = [r / unit for r in r_effs], grid.steps[0] / unit, grid.steps[-1] / unit
     n1, n2 = grid.shape[0], grid.shape[-1]
-    if grid.dim == 1:
-        return [[_reach_1d(r_eff, h2, n2 - 1)] for r_eff in r_effs]
     # an offset of int(r / h) + 2 steps or more is outside every ball
     r_max = max(r_effs)
-    sq1 = np.array([(k * h1) ** 2 for k in range(min(n1, int(min(r_max / h1, n1)) + 2))])
-    sq2 = np.array([(k * h2) ** 2 for k in range(min(n2, int(min(r_max / h2, n2)) + 2))])
-    r2 = np.array([r ** 2 for r in r_effs])
+    m2 = min(n2, int(min(r_max / h2, n2)) + 2)
+    if grid.dim == 1:
+        sq1, sq2, r2 = np.zeros(1), np.arange(m2) * h2, np.array(r_effs)
+    else:
+        sq1 = np.array([(k * h1) ** 2 for k in range(min(n1, int(min(r_max / h1, n1)) + 2))])
+        sq2 = np.array([(k * h2) ** 2 for k in range(m2)])
+        r2 = np.array([r ** 2 for r in r_effs])
     counts = np.searchsorted(sq1, r2)
     ends = np.cumsum(counts)
     # one entry per (ball, row k1): the row's square and the ball's r^2

@@ -160,7 +160,6 @@ class EquicontinuityReport:
 
 @dataclass(frozen=True)
 class VanishingReport:
-    center: tuple[float, ...]
     radii: tuple[float, ...]
     profile: tuple[float, ...]
     threshold: float
@@ -190,17 +189,15 @@ def equicontinuity_profile(family: FunctionFamily, p: ExponentField,
 
 def vanishing_profile(family: FunctionFamily, p: ExponentField,
                       w: WeightField | None, radii: Sequence[float],
-                      threshold: float, center: Sequence[float] | None = None,
-                      rel_tol: float = 1e-10) -> VanishingReport:
-    """Sup over members of the norm outside balls B(center, R); the
-    profile is nonincreasing in R and passes when the largest R lands
-    below the threshold."""
+                      threshold: float, rel_tol: float = 1e-10) -> VanishingReport:
+    """Sup over members of the norm outside balls B(x0, R) about the box
+    center x0; the profile is nonincreasing in R and passes when the
+    largest R lands below the threshold."""
     grid = family.grid
-    center = tuple(center) if center is not None else grid.box.center
     radii = tuple(sorted(float(r) for r in radii))
-    profile = _region_sups(family, p, w, (~ball_mask(grid, center, R) for R in radii), rel_tol)
-    return VanishingReport(center, radii, tuple(profile), threshold,
-                           profile[-1] < threshold)
+    profile = _region_sups(family, p, w, (~ball_mask(grid, grid.box.center, R) for R in radii),
+                           rel_tol)
+    return VanishingReport(radii, tuple(profile), threshold, profile[-1] < threshold)
 
 
 def _region_sups(family: FunctionFamily, p: ExponentField, w: WeightField | None,

@@ -917,6 +917,34 @@ def test_replay_of_norm_report_matches(tmp_path, capsys):
     assert replayed["results"]["norm"] == report["results"]["norm"]
 
 
+def test_norm_with_a_2d_grid_exponent_is_the_bilinear_field_norm_and_replays(tmp_path,
+                                                                               capsys):
+    exponent = {"kind": "grid", "values": [[1.5, 2.0, 2.5], [3.0, 3.5, 4.0]]}
+    function = {"kind": "gaussian", "center": [0.4, 1.2], "width": 0.3}
+    cfg = {"box": [[0.0, 1.0], [0.0, 2.0]], "resolution": [32, 48], "rel_tol": 1e-12,
+           "exponent": exponent, "function": function}
+    rc, report, out_path = _run(tmp_path, "norm", cfg)
+    assert rc == 0
+    grid = Grid(Box((0.0, 0.0), (1.0, 2.0)), (33, 49))
+    want = varleb.weighted_norm(realize_function(function, grid),
+                                varleb.ExponentField.from_descriptor(exponent, grid.box),
+                                rel_tol=1e-12).value
+    assert report["results"]["norm"] == want
+    rc = main(["norm", "replay", "--report", str(out_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["replay_match"]
+
+
+def test_run_without_out_or_quiet_prints_the_report_it_would_write(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "config.json", _norm_config(64))
+    out = tmp_path / "report.json"
+    assert main(["norm", "run", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["norm", "run", "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out
+    assert _without_wall_time(printed) == _without_wall_time(out.read_text())
+
+
 def test_nan_amplitude_exits_one_and_names_the_fault(tmp_path, capsys):
     cfg = {"box": [[0.0, 1.0]], "resolution": 256,
            "exponent": {"kind": "constant", "value": 2.0},
@@ -939,6 +967,7 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
     ({"function": {"kind": "grid_csv"}}, "missing keys ['path']"),
     ({"function": {"kind": "indicator"}}, "missing keys ['box']"),
     ({"function": {"kind": "sum"}}, "missing keys ['terms']"),
+    ({"function": {"kind": "sum", "terms": []}}, "'sum' needs a nonempty 'terms' list"),
     ({"exponent": {"kind": "constant"}}, "missing keys ['value']"),
     ({"box": 5}, "box must be a list of [lo, hi] pairs"),
     ({"box": [0.0, 1.0]}, "box must be a list of [lo, hi] pairs"),
@@ -975,8 +1004,8 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
     ({"exponent": {"kind": "grid", "values": [[2.0, 3.0], [2.0, 3.0]]}},
      "exponent 'grid' key 'values' of shape (2, 2) does not have the box's 1 axes"),
 ], ids=["translate-shift", "dilate-scale", "grid_csv-path", "indicator-box", "sum-terms",
-        "constant-value", "box-int", "box-flat", "center-length", "affine-slopes-type",
-        "shifted-reciprocal-inner-type", "grid_csv-path-stdin", "grid_csv-path-fd",
+        "sum-no-terms", "constant-value", "box-int", "box-flat", "center-length",
+        "affine-slopes-type", "shifted-reciprocal-inner-type", "grid_csv-path-stdin", "grid_csv-path-fd",
         "scan-resolution-int", "scan-resolution-string", "scan-resolution-null",
         "scan-resolution-list", "exponent-box",
         "grid-resolution-int", "grid-resolution-size", "grid-resolution-negative",
@@ -1276,6 +1305,32 @@ def test_grid_csv_with_a_blank_first_line_exits_one_and_names_the_header(tmp_pat
     assert rc == 1
     assert report is None
     assert "expected a 'x[,y],value' CSV header" in err
+    assert "Traceback" not in err
+
+
+def test_grid_csv_off_the_grid_nodes_exits_one_and_names_the_node_order(tmp_path, capsys):
+    csv_path = tmp_path / "f.csv"
+    write_grid_csv(realize_function(_GAUSS, Grid(Box((0.0,), (1.0,)), (65,))), str(csv_path))
+    cfg = dict(_norm_config(64), box=[[0.0, 2.0]], function={"kind": "grid_csv",
+                                                             "path": str(csv_path)})
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "node coordinates do not match the grid (row-major order)" in err
+    assert "Traceback" not in err
+
+
+def test_a_mollify_family_on_a_2d_box_exits_one_and_says_it_is_1d_only(tmp_path, capsys):
+    cfg = {"box": [[0.0, 1.0], [0.0, 1.0]], "resolution": 16, "qtilde": 1.0,
+           "exponent": {"kind": "constant", "value": 2.0}, "weight": CONST_ONE,
+           "family": {"kind": "mollify", "count": 3, "sigma": 0.1,
+                      "base": {"kind": "gaussian", "center": [0.5, 0.5], "width": 0.2}}}
+    rc, report, _ = _run(tmp_path, "rk-classify", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert report is None
+    assert "mollification is 1D only" in err
     assert "Traceback" not in err
 
 

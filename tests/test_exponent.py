@@ -56,6 +56,18 @@ def test_piecewise_field_steps():
         ExponentField.piecewise(UNIT, [0.75, 0.25], [2.0, 5.0, 3.0])
 
 
+def test_grid_field_in_2d_is_bilinear_between_its_nodes():
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    table = [[1.5, 2.0, 2.5], [3.0, 3.5, 4.0]]
+    p = ExponentField.from_descriptor({"kind": "grid", "values": table}, box)
+    assert p.values_on(Grid(box, (2, 3))).tolist() == table
+    assert p(np.array([[0.5, 1.0], [0.25, 0.5]])).tolist() == [2.75, 2.125]
+    assert (p.p_minus, p.p_plus) == (1.5, 4.0)
+    # the table is 1.5 + 1.5 x + 0.5 y, which bilinear interpolation keeps
+    assert p.values_on(Grid(box, (3, 5))).tolist() == [
+        [1.5, 1.75, 2.0, 2.25, 2.5], [2.25, 2.5, 2.75, 3.0, 3.25], [3.0, 3.25, 3.5, 3.75, 4.0]]
+
+
 def test_descriptor_round_trip():
     p = ExponentField.affine(UNIT, 2.0, (0.5,))
     q = ExponentField.from_descriptor({"kind": "affine", "base": 2.0, "slopes": [0.5]}, UNIT)
@@ -224,6 +236,19 @@ def test_invert_round_trip_variable():
     p0 = theta_invert(p, p1, 0.3)
     back = theta_blend(p0, p1, 0.3)
     assert np.max(np.abs(values(back) - values(p))) < 1e-12
+
+
+def test_invert_of_a_field_against_itself_is_certified_by_the_widened_scan():
+    """``1/p0 = 2/p - 1/p`` for p = 1.1 + 3.9x: the interval bound of the
+    reciprocal, 2/5 - 1/1.1, is below 0, so the scan certifies it and
+    widens p's own bounds by 1e-6."""
+    box = Box((0.0,), (1.0,))
+    p = ExponentField.affine(box, 1.1, (3.9,))
+    p0 = theta_invert(p, p, 0.5)
+    grid = Grid(box, (1001,))
+    assert np.max(np.abs(p0.values_on(grid) - p.values_on(grid))) <= 4.5e-16
+    assert p0.p_minus == pytest.approx(1.1 * (1.0 - 1e-6), rel=1e-15)
+    assert p0.p_plus == pytest.approx(5.0 * (1.0 + 1e-6), rel=1e-15)
 
 
 def test_invert_reports_violating_point():

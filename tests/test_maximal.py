@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -625,6 +626,29 @@ def test_row_reach_matches_the_looped_test_at_and_beside_multiples_of_the_step(b
             for r_eff in (r, np.nextafter(r, 0.0), np.nextafter(r, math.inf),
                           r * BALL_SHRINK, r * (1.0 + 1e-9)):
                 assert _row_reach(grid, float(r_eff)) == looped_row_reach(grid, float(r_eff))
+
+
+@pytest.mark.parametrize("r_eff", [1.5531753009963172, 0.17096349208237413])
+def test_row_reaches_settle_their_guesses_up_and_down(r_eff):
+    """On this grid the ``searchsorted`` guess of some row of the ball of
+    1.5531753009963172 is one offset short, and of 0.17096349208237413 one
+    offset long, so the pass settles up at the one and down at the other;
+    both agree with the looped test, as do their neighbours."""
+    grid = Grid(Box((0.0, -1.0), (1.3, 0.7)), (33, 33))
+    radii = [float(np.nextafter(r_eff, 0.0)), r_eff, float(np.nextafter(r_eff, math.inf))]
+    assert _row_reaches(grid, radii) == [looped_row_reach(grid, r) for r in radii]
+
+
+@pytest.mark.parametrize("shape", [(65,), (33, 33)])
+def test_a_nan_radius_is_refused_before_it_is_cast(shape):
+    """A NaN radius raises, wherever it stands in the sweep, and not by way
+    of a warning from a cast of NaN to an integer."""
+    grid = Grid(Box((0.0,) * len(shape), (1.3,) * len(shape)), shape)
+    for radii in ([math.nan], [0.5, math.nan], [math.nan, 0.5]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ValueError, DomainError)):
+                _row_reaches(grid, radii)
 
 
 @st.composite

@@ -9,7 +9,7 @@ import pytest
 import varleb.norms as norms_module
 from varleb.errors import DomainError, HypothesisFailureError
 from varleb.exponent import ExponentField
-from varleb.field import Box, Grid, GridFunction, WeightField
+from varleb.field import Box, Grid, GridFunction, WeightField, ball_mask
 from varleb.maximal import RadiusSweep
 from varleb.norms import weighted_norm
 from varleb.rk import (FunctionFamily, classify, dilate_family,
@@ -232,21 +232,20 @@ def test_vanishing_compact_support_is_zero_beyond_support_radius():
     p = ExponentField.constant(g.box, 2.0)
     fam = family_of((_indicator(g, -0.5, 0.5),
                      0.5 * _indicator(g, -0.25, 0.25)))
-    report = vanishing_profile(fam, p, None, (0.6, 1.0, 1.5),
-                               threshold=1e-9, center=(0.0,))
+    report = vanishing_profile(fam, p, None, (0.6, 1.0, 1.5), threshold=1e-9)
     assert report.profile == (0.0, 0.0, 0.0)
     assert report.passed
 
 
 def test_vanishing_translate_family_stays_at_unit_norm_and_fails():
-    box = Box((0.0,), (10.0,))
-    g = Grid(box, (1001,))
+    # the box is centred at 0, so the balls B(0, R) are about the box center
+    box = Box((-10.0,), (10.0,))
+    g = Grid(box, (2001,))
     p = ExponentField.constant(box, 2.0)
     base = _indicator(g, 0.0, 1.0)
     fam = translate_family(base, 9, 1.0)
     radii = tuple(float(r) for r in range(1, 10))
-    report = vanishing_profile(fam, p, None, radii, threshold=1e-2,
-                               center=(0.0,))
+    report = vanishing_profile(fam, p, None, radii, threshold=1e-2)
     # some translate lies fully outside B(0, R) up to R = 8, and the tail
     # norm of a whole translate is the norm of a unit indicator
     assert all(abs(v - 1.0) < 1e-2 for v in report.profile[:-1])
@@ -259,8 +258,7 @@ def test_vanishing_gaussian_tail_matches_erfc_and_passes():
     p = ExponentField.constant(g.box, 2.0)
     fam = family_of((_gaussian(g, 1.0),))
     report = vanishing_profile(fam, p, None, (1.0, 2.0, 3.0, 4.0),
-                               threshold=1e-2 * (math.pi / 2.0) ** 0.25,
-                               center=(0.0,))
+                               threshold=1e-2 * (math.pi / 2.0) ** 0.25)
     assert report.passed
     assert all(a >= b - 1e-15 for a, b in zip(report.profile, report.profile[1:]))
     tail = math.sqrt(math.sqrt(math.pi / 2.0) * math.erfc(math.sqrt(2.0)))
@@ -439,11 +437,16 @@ def test_classify_probes_the_fixed_radius_ladders_about_the_box_center():
     box = Box((0.0,), (4.0,))
     g = Grid(box, (65,))
     fam = family_of((_gaussian(g, 4.0, center=1.5), _gaussian(g, 4.0, center=2.5)))
-    report = classify(fam, ExponentField.constant(box, 2.0), unit_weight(g), 1.0)
+    p, w = ExponentField.constant(box, 2.0), unit_weight(g)
+    report = classify(fam, p, w, 1.0)
     # the grid step 1/16 doubled six times, and the diameter 4 times 1/8 .. 7/16
     assert report.equicontinuity.radii == (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
     assert report.vanishing.radii == (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
-    assert report.vanishing.center == (2.0,)
+    # each tail is cut outside the ball about the box center 2
+    for radius, got in zip(report.vanishing.radii, report.vanishing.profile):
+        outside = ~ball_mask(g, (2.0,), radius)
+        want = max(weighted_norm(GridFunction(g, v * outside), p, w).value for v in fam.values)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_family_profiles_solve_each_family_in_one_row_call(monkeypatch):

@@ -37,3 +37,16 @@ def test_ab_timing_counts_the_newton_evaluations_of_the_cube_scan():
     counter wraps."""
     out = _ab_timing_of_the_repository_against_itself("cube-scan")
     assert "reports and exit codes identical apart from wall_time_s: 8 of 8" in out
+
+
+def test_line_coverage_lists_the_statements_an_in_process_run_never_reaches():
+    """The public-name tests never run the CLI's ``__main__`` guard in this
+    process, so its ``sys.exit(main())`` is listed; the tool exits with
+    pytest's code."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "line_coverage.py"), "-q",
+         "-p", "no:cacheprovider", os.path.join(ROOT, "tests", "test_public_names.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.search(r"^src/varleb/cli\.py:\d+: sys\.exit\(main\(\)\)$", done.stdout, re.M)
+    assert re.search(r"^\d+ of \d+ statements in src/varleb never ran$", done.stdout, re.M)
