@@ -192,12 +192,3 @@ def each_axis(value, dim: int, key: str) -> list:
         raise SchemaError(f"{key} has {len(value)} coordinates, expected {dim} "
                           "(one per grid axis)")
     return list(value)
-
-
-def box(value, key: str, where: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The corners ``(lo, hi)`` of a list of [lo, hi] pairs."""
-    if not isinstance(value, (list, tuple)) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
-        raise SchemaError(f"{key} must be a list of [lo, hi] pairs")
-    return (tuple(number(p[0], "lo", f"{key} pair") for p in value),
-            tuple(number(p[1], "hi", f"{key} pair") for p in value))

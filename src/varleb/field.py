@@ -34,8 +34,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (REQUIRED, DomainError, SchemaError, box, descriptor,
-                     each_axis, list_of, number, per_axis, read_kind, string)
+from .errors import (REQUIRED, DomainError, SchemaError, descriptor, each_axis, list_of,
+                     number, per_axis, read_kind, string)
 
 BALL_SHRINK = 1.0 - 1e-12
 _BOX_EDGE_TOL = 1e-12
@@ -64,7 +64,11 @@ class Box:
                    where: str = "") -> "Box":
         """The box of a list of [lo, hi] pairs; with the reader signature
         of ``errors``, the reader of box-valued config keys."""
-        return cls(*box(pairs, key, where))
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+            raise SchemaError(f"{key} must be a list of [lo, hi] pairs")
+        return cls(tuple(number(p[0], "lo", f"{key} pair") for p in pairs),
+                   tuple(number(p[1], "hi", f"{key} pair") for p in pairs))
 
     @property
     def dim(self) -> int:

@@ -406,10 +406,11 @@ def ball_measure(grid: Grid, radius: float) -> np.ndarray:
 
 
 def ball_mean(values: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
-    """Signed in-box ball average at every node (linear in f) of each
-    function f of a ``(..., *grid.shape)`` value stack."""
-    num = ball_sums(grid.quad_weights * values, grid, radius)
-    return num / ball_measure(grid, radius)
+    """Signed in-box ball average at every node (linear in f) of each function
+    f of a ``(..., *grid.shape)`` value stack; its sums and measure share one lattice ball."""
+    reach = _row_reach(grid, _ball_radius(radius) * BALL_SHRINK)
+    num = next(_ball_sums(grid.quad_weights * values, [reach]))[0]
+    return num / _ball_measure(grid, reach, np.empty(grid.shape))
 
 
 def _check_qtilde(qtilde: float) -> None:

@@ -110,8 +110,7 @@ class RowNorms(NamedTuple):
 def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
              rel_tol: float = 1e-10, e: np.ndarray | None = None, *,
              confirm: bool = False) -> RowNorms:
-    """Luxemburg solves of the independent rows of ``(rows, n)`` arrays,
-    or of a single ``(n,)`` row (then every result is a scalar).
+    """Luxemburg solves of the independent rows of ``(rows, n)`` arrays.
 
     Row ``i`` holds ``la = log|f|``, the exponent ``p`` and the log
     quadrature weights ``lq``.  A zero or padding node has ``la = -inf``
@@ -147,21 +146,21 @@ def lux_rows(la: np.ndarray, p: np.ndarray, lq: np.ndarray,
     with no nonzero node has norm 0, and one with an infinite value an
     infinite norm, after no evaluation; a NaN value is refused.
 
-    The Newton loop works in ``e``, an array of ``la``'s shape whose
-    values are overwritten (a fresh one when omitted).
+    The Newton loop works in ``e``, a ``(rows, n)`` array like ``la``
+    whose values are overwritten (a fresh one when omitted).
     """
     if not 0.0 < rel_tol <= 1e-2:
         raise DomainError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
     if e is None:
         e = np.empty_like(la)
-    t = la.max(axis=-1, initial=-math.inf)
+    t = la.max(axis=1, initial=-math.inf)
     live = np.isfinite(t)
     n_live = np.count_nonzero(live)
     if n_live == t.size > 0:
         return _newton_rows(la, p, lq, t, rel_tol, e, confirm)
-    refuse_non_finite(la, la.shape[-1])
+    refuse_non_finite(la, la.shape[1])
     # t = -inf: no nonzero node, so log rho = -inf; t = inf: an infinite value
-    out = RowNorms(t, np.copy(t), np.ones_like(t), np.zeros(np.shape(t), dtype=int))
+    out = RowNorms(t, t.copy(), np.ones_like(t), np.zeros(len(t), dtype=int))
     if n_live:
         r = _newton_rows(la[live], p[live], lq[live], t[live], rel_tol, e[:n_live], confirm)
         for name in ("log_value", "log_modular", "p_lo", "iterations"):
@@ -177,34 +176,33 @@ _ULPS = 64 * 2.0 ** -52
 # 1e154: an infinite curvature factor, which times a stopped row's g = 0 is NaN
 @np.errstate(over="ignore", invalid="ignore")
 def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray, confirm: bool) -> RowNorms:
-    """The Newton loop of `lux_rows` over rows with a finite start, in
-    the workspace ``e`` of ``la``'s shape; the reductions run along the
-    last axis, so one ``(n,)`` row works on numpy scalars throughout."""
+    """The Newton loop of `lux_rows` over ``(rows, n)`` arrays whose rows
+    have a finite start ``t``, in the workspace ``e`` of ``la``'s shape."""
     if (zero := la == -math.inf).any():  # zero and padding nodes: their p does not count
         np.copyto(e, p)  # the workspace first holds p over the nonzero nodes
         e[zero] = math.inf
-        p_lo = e.min(axis=-1)
+        p_lo = e.min(axis=1)
         e[zero] = -math.inf
-        p_hi = e.max(axis=-1)
+        p_hi = e.max(axis=1)
     else:
-        p_lo, p_hi = p.min(axis=-1), p.max(axis=-1)
+        p_lo, p_hi = p.min(axis=1), p.max(axis=1)
     del zero  # not held through the loop, which allocates as rows stop
     tol = p_lo * math.log1p(rel_tol)
     curve = ((p_hi - p_lo) / p_lo) ** 2 / 8.0  # g(t') <= curve g^2 at the Newton point t'
     out = None              # per-row results, once some rows stop before others
     for k in range(1, MAX_EVALUATIONS + 1):
-        np.subtract(la, t[..., None], out=e)  # e = exp(lq + p (la - t) - shift), in place
+        np.subtract(la, t[:, None], out=e)  # e = exp(lq + p (la - t) - shift), in place
         e *= p
         e += lq
-        shift = np.maximum.reduce(e, axis=-1)
-        e -= shift[..., None]
+        shift = np.maximum.reduce(e, axis=1)
+        e -= shift[:, None]
         np.exp(e, out=e)
-        s = np.add.reduce(e, axis=-1)
+        s = np.add.reduce(e, axis=1)
         g = shift + np.log(s)
         done = abs(g) <= tol
         n_done = np.count_nonzero(done)
         if n_done == done.size and out is None:
-            return RowNorms(t, g, p_lo, np.full(np.shape(t), k))
+            return RowNorms(t, g, p_lo, np.full(len(t), k))
         if n_done < done.size:
             slope = np.vecdot(p, e)
             step = t + g * s / slope
@@ -217,7 +215,7 @@ def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray, confirm: bool) -> 
                 ends = ~done & (bound <= 0.5 * tol)
                 if n_ends := np.count_nonzero(ends):
                     if n_ends == done.size and out is None:
-                        return RowNorms(step, bound, p_lo, np.full(np.shape(t), k))
+                        return RowNorms(step, bound, p_lo, np.full(len(t), k))
                     t, g, done, n_done = (np.where(ends, step, t), np.where(ends, bound, g),
                                           done | ends, n_done + n_ends)
         if not n_done:
@@ -236,8 +234,8 @@ def _newton_rows(la, p, lq, t, rel_tol: float, e: np.ndarray, confirm: bool) -> 
         e = e[:len(rows)]  # rewritten before it is read again, so never copied
     worst = np.argmax(np.abs(g) - tol)
     raise ConvergenceError(
-        f"Luxemburg Newton solve left |log rho| = {abs(np.ravel(g)[worst]):.3g} above "
-        f"{np.ravel(tol)[worst]:.3g} after {MAX_EVALUATIONS} evaluations")
+        f"Luxemburg Newton solve left |log rho| = {abs(g[worst]):.3g} above "
+        f"{tol[worst]:.3g} after {MAX_EVALUATIONS} evaluations")
 
 
 def _refuse_stall(stuck, g, tol, slope, p) -> None:
@@ -248,15 +246,13 @@ def _refuse_stall(stuck, g, tol, slope, p) -> None:
     limit does this: it takes the slope, the sum of p times the modular
     terms, to 1e307 or past the float range, so the step
     ``g s / slope`` falls below the spacing of ``t``."""
-    stuck = np.ravel(stuck)
     if not stuck.any():
         return
     row = int(np.argmax(stuck))
-    p_max = p.reshape(-1, p.shape[-1])[row].max()
     raise ConvergenceError(
-        f"Luxemburg Newton solve cannot move: at |log rho| = {abs(np.ravel(g)[row]):.3g} above "
-        f"{np.ravel(tol)[row]:.3g}, with exponents up to {p_max:.6g}, the slope (the sum of p "
-        f"times the modular terms) is {np.ravel(slope)[row]:.3g}, and the step no longer "
+        f"Luxemburg Newton solve cannot move: at |log rho| = {abs(g[row]):.3g} above "
+        f"{tol[row]:.3g}, with exponents up to {p[row].max():.6g}, the slope (the sum of p "
+        f"times the modular terms) is {slope[row]:.3g}, and the step no longer "
         f"changes log lambda")
 
 

@@ -151,19 +151,15 @@ class UniformBoundReport:
 
 
 @dataclass(frozen=True)
-class EquicontinuityReport:
+class ProfileReport:  # condition (ii) or (iii)
     radii: tuple[float, ...]
     profile: tuple[float, ...]
     threshold: float
-    passed: bool
+    passed: bool  # the deciding entry is below the threshold, or exactly 0 (a zero family)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    radii: tuple[float, ...]
-    profile: tuple[float, ...]
-    threshold: float
-    passed: bool
+def _profile_report(radii, profile, threshold, decides) -> ProfileReport:
+    return ProfileReport(radii, tuple(profile), threshold, decides < threshold or decides == 0.0)
 
 
 def uniform_bound_profile(family: FunctionFamily, p: ExponentField,
@@ -176,28 +172,27 @@ def uniform_bound_profile(family: FunctionFamily, p: ExponentField,
 def equicontinuity_profile(family: FunctionFamily, p: ExponentField,
                            w: WeightField | None, qtilde: float,
                            sweep: RadiusSweep, threshold: float,
-                           rel_tol: float = 1e-10) -> EquicontinuityReport:
+                           rel_tol: float = 1e-10) -> ProfileReport:
     """Sup over members of the weighted norm of the oscillation average,
     per sweep radius; passes when the smallest radius lands below the
-    threshold."""
+    threshold or at 0."""
     grid = family.grid
     profile = [float(weighted_norms(osc, grid, p, w, rel_tol).max())
                for osc in oscillation_profiles(family.values, grid, qtilde, sweep)]
-    return EquicontinuityReport(sweep.radii, tuple(profile), threshold,
-                                profile[0] < threshold)
+    return _profile_report(sweep.radii, profile, threshold, profile[0])
 
 
 def vanishing_profile(family: FunctionFamily, p: ExponentField,
                       w: WeightField | None, radii: Sequence[float],
-                      threshold: float, rel_tol: float = 1e-10) -> VanishingReport:
+                      threshold: float, rel_tol: float = 1e-10) -> ProfileReport:
     """Sup over members of the norm outside balls B(x0, R) about the box
     center x0; the profile is nonincreasing in R and passes when the
-    largest R lands below the threshold."""
+    largest R lands below the threshold or at 0."""
     grid = family.grid
     radii = tuple(sorted(float(r) for r in radii))
     profile = _region_sups(family, p, w, (~ball_mask(grid, grid.box.center, R) for R in radii),
                            rel_tol)
-    return VanishingReport(radii, tuple(profile), threshold, profile[-1] < threshold)
+    return _profile_report(radii, profile, threshold, profile[-1])
 
 
 def _region_sups(family: FunctionFamily, p: ExponentField, w: WeightField | None,
@@ -273,8 +268,8 @@ class RKReport:
     gate: WeightConstantReport
     qtilde: float
     uniform: UniformBoundReport
-    equicontinuity: EquicontinuityReport
-    vanishing: VanishingReport
+    equicontinuity: ProfileReport
+    vanishing: ProfileReport
     diameter: float
     eps_ladder: tuple[float, ...]
     net_sizes: tuple[int, ...]

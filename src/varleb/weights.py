@@ -130,10 +130,8 @@ def _build_plan(grid: Grid, cubes: DyadicCubeSet):
             raise EmptyRegionError(
                 f"cube {group.cube(np.unravel_index(empty[0], group.shape)).label()} contains "
                 "no grid node; lower max_depth or refine the grid")
-        measure = qw.take(node_rows, mode="clip")
-        if (node_rows[:, -1] == qw.size).any():  # a padded row ends in padding
-            measure[node_rows == qw.size] = 0.0
-        rows, log_measure = node_rows.astype(dtype), np.log(measure.sum(axis=1))
+        # padding node: measure 0, from a copy per group (one kept for the loop raised peak RSS)
+        rows, log_measure = node_rows.astype(dtype), np.log(np.append(qw, 0.0)[node_rows].sum(1))
         rows.flags.writeable = log_measure.flags.writeable = False
         plan.append((group, rows, log_measure))
     return tuple(plan)

@@ -699,6 +699,21 @@ def test_a_cube_family_deeper_than_the_grid_names_its_first_empty_cube(tmp_path,
                    "lower max_depth or refine the grid\n")
 
 
+def test_rk_classify_of_a_zero_family_is_consistent_compact(tmp_path):
+    # the indicator's box lies outside the grid box, so every member is 0
+    cfg = {"box": [[0.0, 1.0]], "resolution": 256, "qtilde": 1.0,
+           "exponent": {"kind": "constant", "value": 2.0}, "weight": CONST_ONE,
+           "family": {"kind": "translate", "count": 3, "step": 0.1,
+                      "base": {"kind": "indicator", "box": [[2.0, 3.0]]}}}
+    rc, report, _ = _run(tmp_path, "rk-classify", cfg)
+    assert rc == 0
+    res = report["results"]
+    for condition in ("equicontinuity", "vanishing"):
+        assert res[condition]["passed"] is True and res[condition]["threshold"] == 0.0
+        assert not any(res[condition]["profile"])
+    assert res["verdict"] == "consistent-compact"
+
+
 def test_a_nan_config_number_exits_one_and_names_the_key(tmp_path, capsys):
     rc, report, _ = _run(tmp_path, "rk-classify", _MOLLIFY_RK)
     assert rc == 0 and report["results"]["verdict"] == "consistent-compact"

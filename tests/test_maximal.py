@@ -829,6 +829,22 @@ def test_ball_mean_past_twice_the_diameter_is_the_whole_box_mean(grid):
                        rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid", [grid1d(129), Grid(Box((0.0, -1.0), (1.0, 2.0)), (17, 33))],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("members", [None, 3], ids=["array", "stack"])
+@pytest.mark.parametrize("steps", [0.3, 1.0, 1e9])
+def test_ball_mean_is_the_ball_sums_of_the_weighted_values_over_the_ball_measure(grid, members,
+                                                                                  steps):
+    """One lattice ball serves the sums and the measure of `ball_mean`:
+    bit for bit the quotient of the public functions, below half a step,
+    at one step and past the diameter."""
+    shape = grid.shape if members is None else (members, *grid.shape)
+    v = np.random.default_rng(5).normal(size=shape)
+    r = steps * grid.max_step
+    want = ball_sums(grid.quad_weights * v, grid, r) / ball_measure(grid, r)
+    assert ball_mean(v, grid, r).tobytes() == want.tobytes()
+
+
 # -- oscillation average ----------------------------------------------------
 
 

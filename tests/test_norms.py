@@ -415,8 +415,8 @@ def test_lux_rows_solves_each_row_as_lux_flat_with_a_certified_bracket(seed, row
 def _stop_rule_rows(seed, rows, scale):
     """``rows`` rows of widths 2 to 1025, each of a constant, variable,
     near-constant (spread 1e-12) or huge (p up to 1e300) exponent, values
-    10^(scale +- 3), zero nodes inside and padding after; one row alone
-    is a single ``(n,)`` row."""
+    10^(scale +- 3), zero nodes inside and padding after, as ``(rows,
+    n)`` arrays."""
     rng = np.random.default_rng(seed)
     widths = [int(rng.choice([2, 3, 17, 65, 257, 1025])) for _ in range(rows)]
     la = np.full((rows, max(widths)), -math.inf)
@@ -430,7 +430,7 @@ def _stop_rule_rows(seed, rows, scale):
         la[i, :n] = (scale + rng.uniform(-3.0, 3.0, n)) * math.log(10.0)
         la[i, :n][rng.random(n) < 0.2] = -math.inf
         lq[i, :n] = np.log(rng.uniform(0.5, 1.5, n) / n)
-    return (la[0], pv[0], lq[0]) if rows == 1 else (la, pv, lq)
+    return la, pv, lq
 
 
 @settings(max_examples=150, deadline=None)

@@ -390,6 +390,21 @@ def test_classify_calls_a_one_member_family_inconclusive_not_noncompact():
     assert report.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("count, verdict", [(3, "consistent-compact"), (1, "inconclusive")])
+def test_classify_passes_both_conditions_of_an_identically_zero_family(count, verdict):
+    """A zero family has all-zero profiles and a zero threshold: each
+    condition passes at its exact 0, and the one net of every eps
+    plateaus below a family of two or more members."""
+    g = Grid(UNIT, (257,))
+    fam = translate_family(GridFunction(g, np.zeros(g.shape)), count, 0.1)
+    report = classify(fam, ExponentField.constant(UNIT, 2.0), unit_weight(g), 1.0)
+    for condition in (report.equicontinuity, report.vanishing):
+        assert condition.threshold == 0.0 and not any(condition.profile)
+        assert condition.passed
+    assert report.net_sizes == (1,) * 9
+    assert report.verdict == verdict
+
+
 def test_classify_gate_rejects_qtilde_at_or_above_p_minus():
     g = Grid(UNIT, (257,))
     p = ExponentField.constant(UNIT, 2.0)

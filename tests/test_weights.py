@@ -725,6 +725,19 @@ def test_scan_plan_holds_the_node_rows_and_the_per_scan_log_measures(dim, depth,
         assert np.array_equal(log_measure, _per_scan_log_measures(grid, node_rows))
 
 
+def test_scan_plan_log_measures_of_padded_groups_are_the_clipped_and_zeroed_ones():
+    """On a grid whose cube groups have padded rows, the plan's log
+    measures, read from the weights with a zero measure appended for the
+    padding node, are bit for bit the clipped gather with the padding
+    zeroed.  (At 2^k + 1 nodes per axis no group is padded.)"""
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    grid = Grid(box, (30, 50))
+    plan = _scan_plan(grid, DyadicCubeSet(box, 3))
+    assert any((rows == grid.size).any() for _, rows, _ in plan)
+    for _, rows, log_measure in plan:
+        assert log_measure.tobytes() == _per_scan_log_measures(grid, rows).tobytes()
+
+
 def test_scan_plan_arrays_are_read_only_and_shared_by_every_scan():
     grid, cubes = Grid(UNIT, (65,)), DyadicCubeSet(UNIT, 3)
     plan = _scan_plan(grid, cubes)
