@@ -24,7 +24,12 @@ padded with a node whose ``log|f| = -inf`` adds nothing to a modular,
 and solved by `lux_rows`, whose Newton steps run on all rows together.
 The log weights are the grid's `log_quad_weights`, computed once per
 grid and shared by every solve on it; a zero node keeps its log weight,
-which its ``-inf`` log|f| cancels.
+which its ``-inf`` log|f| cancels.  A gathered solve takes its three
+rows and its Newton workspace as the four slices of one block of a
+float buffer that each thread keeps and grows to its largest block up
+to ``SOLVE_BUFFER_BYTES`` (16 MiB), so that a process repeating its
+solves does not fault their pages in afresh each time; a larger block
+is made for its solve alone.  No `RowNorms` is a view of the buffer.
 
 A value stack is held as a `NodeTable`: its ``log|f|`` (one row per
 member, refusing NaN by node and member), its exponent and its log
@@ -33,7 +38,7 @@ weights.  `NodeTable.solve` is the one way from a value stack into
 `lux_flat` (so `weighted_norm`), one per member for `weighted_norms`;
 ``rk`` cuts them by a node mask.  When no member has a zero node, each
 default row is every node in node order, so the solve reads the table
-in place; any other solve gathers into arrays of its own.  The cube
+in place; any other solve gathers into the thread's buffer.  The cube
 scan of ``weights`` holds no value stack: it gathers its factors by cube
 rows into one working block per scan and calls `lux_rows` itself.
 
@@ -52,6 +57,7 @@ Luxemburg norm in the first axis.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +67,9 @@ from .exponent import ExponentField
 from .field import Grid, GridFunction, WeightField, refuse_non_finite, shared_grid
 
 MAX_EVALUATIONS = 100
+# the largest block of gathered rows and workspace a thread's buffer grows to
+SOLVE_BUFFER_BYTES = 2 ** 24
+_buffer = threading.local()
 
 
 def modular(f: GridFunction, p: ExponentField) -> float:
@@ -291,18 +300,19 @@ class NodeTable(NamedTuple):
         With the default rows of a dense table (no zero node), each
         member's row is every node in node order, so the solve reads the
         table in place, with no gather.  Otherwise it gathers into three
-        arrays of the rows' shape, and `lux_rows` makes the workspace once
-        a default row array is freed.  (Three arrays, not one of three
-        times the size: glibc raises its mmap threshold to the largest
-        block freed, and a higher threshold leaves more freed heap
-        resident.)  ``confirm`` is `lux_rows`'s."""
+        ``(rows, k)`` slices of a `_solve_block` and runs `lux_rows` in
+        the fourth, once a default row array is freed.  (A block is kept
+        between solves, not freed: a freed one raises glibc's mmap
+        threshold to its size, which leaves more freed heap resident, and
+        its pages are faulted in again by the next solve.)  ``confirm`` is
+        `lux_rows`'s."""
         if rows is None:
             if self.dense:
                 la = self.la[:, :-1]
                 return lux_rows(la, np.broadcast_to(self.p, la.shape),
                                 np.broadcast_to(self.lq, la.shape), rel_tol, confirm=confirm)
             rows = self.rows()
-        la, p, lq = (np.empty(rows.shape) for _ in range(3))
+        la, p, lq, e = _solve_block(rows.shape)
         flat = rows
         if len(self.la) > 1:  # a row reads its member's la, at flat indices built in lq
             flat = np.add(rows, (np.arange(len(rows)) * self.la.shape[1])[:, None],
@@ -311,7 +321,21 @@ class NodeTable(NamedTuple):
         self.p.take(rows, out=p, mode="clip")
         self.lq.take(rows, out=lq, mode="clip")
         del rows, flat  # a default row array is freed before the solve
-        return lux_rows(la, p, lq, rel_tol, confirm=confirm)
+        return lux_rows(la, p, lq, rel_tol, e, confirm=confirm)
+
+
+def _solve_block(shape: tuple[int, int]) -> np.ndarray:
+    """A ``(4, *shape)`` float block: the start of this thread's buffer,
+    which grows to it if it is larger, or, above ``SOLVE_BUFFER_BYTES``,
+    a block of its own.  Its contents are left as they were."""
+    size = 4 * shape[0] * shape[1]
+    if 8 * size > SOLVE_BUFFER_BYTES:
+        return np.empty((4, *shape))
+    buffer = getattr(_buffer, "floats", None)
+    if buffer is None or buffer.size < size:
+        _buffer.floats = None  # the old buffer is freed before the new one is made
+        buffer = _buffer.floats = np.empty(size)
+    return buffer[:size].reshape(4, *shape)
 
 
 def node_table(values: np.ndarray, p: np.ndarray, lq: np.ndarray,

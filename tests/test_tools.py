@@ -10,7 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _ab_timing_of_the_repository_against_itself(workload: str) -> str:
     """The output of one pass of ``workload``, after checking that both
-    sides count the same nonzero Newton node-evaluations."""
+    sides count the same nonzero Newton node-evaluations and that the
+    minor page faults of each side are printed."""
     out = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "ab_timing.py"), ROOT, ROOT,
          "--workload", workload, "--passes", "1"],
@@ -19,6 +20,8 @@ def _ab_timing_of_the_repository_against_itself(workload: str) -> str:
                         r"\(([0-9.]+) per node\)", out)
     assert [side for side, _, _ in counts] == ["parent", "change"]
     assert counts[0][1:] == counts[1][1:] and int(counts[0][1]) > 0
+    assert re.search(r"^minor page faults per pass: parent \d+ \(\d+-\d+\), "
+                     r"change \d+ \(\d+-\d+\)$", out, re.M)
     return out
 
 

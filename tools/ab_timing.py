@@ -18,9 +18,19 @@ jobs/s (jobs over the sum of the job medians, as ``bench/run.py`` counts
 them) next to its Newton node-evaluations per pass (the sum over the
 Luxemburg solves of row width times ``RowNorms.iterations``, counted in
 the untimed pass by wrapping the side's ``norms.lux_rows``) and per
-solved node, in how many passes the change's total time was lower, and
-whether the reports of the last pass and the exit codes are the same on
-both sides, as `compare_reports` compares them.
+solved node, each side's minor page faults per timed pass (the median
+over passes of the ``ru_minflt`` taken around each of its runs), in how
+many passes the change's total time was lower, and whether the reports
+of the last pass and the exit codes are the same on both sides, as
+`compare_reports` compares them.
+
+Both checkouts share this process's heap, so each side's allocations
+move where the other's land, and the fault counts and times of a
+change in how solves allocate or free memory are not the ones each
+side has alone.  Size such a change with alternated ``bench/run.py``
+runs from the two checkouts instead, at paths of equal length: the
+length of the checkout's path alone has moved ``compactness`` by about
+6 %.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import argparse
 import importlib
 import importlib.util
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -97,10 +108,13 @@ def main(argv=None) -> None:
                for side in SIDES}
         codes = {}
 
-        def run(side: str, i: int) -> float:
+        def run(side: str, i: int) -> tuple[float, int]:
+            """The job's wall time and the minor page faults it took."""
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             codes[side, i] = compare_reports.run_job(clis[side], jobs[i], out[side][i])
-            return time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
 
         counts = {side: EvaluationCount(sys.modules[f"varleb_{side}.norms"]) for side in SIDES}
         for i in range(len(jobs)):  # warm-up: every grid shape and code path once per side
@@ -108,15 +122,17 @@ def main(argv=None) -> None:
                 with counts[side]:
                     run(side, i)
         times = {side: [[] for _ in jobs] for side in SIDES}
-        pass_totals = []
+        pass_totals, pass_faults = [], []
         for k in range(args.passes):
-            totals = dict.fromkeys(SIDES, 0.0)
+            totals, faults = dict.fromkeys(SIDES, 0.0), dict.fromkeys(SIDES, 0)
             for i in range(len(jobs)):
                 for side in (SIDES if (i + k) % 2 == 0 else SIDES[::-1]):
-                    elapsed = run(side, i)
+                    elapsed, minflt = run(side, i)
                     times[side][i].append(elapsed)
                     totals[side] += elapsed
+                    faults[side] += minflt
             pass_totals.append(totals)
+            pass_faults.append(faults)
         same = [codes["parent", i] == codes["change", i]
                 and (compare_reports.read_report(out["parent"][i])[0]
                      == compare_reports.read_report(out["change"][i])[0])
@@ -135,6 +151,9 @@ def main(argv=None) -> None:
         c = counts[side]
         print(f"Newton node-evaluations per pass, {side}: {c.evaluations} "
               f"({c.evaluations / c.nodes if c.nodes else 0.0:.3f} per node)")
+    spans = {side: [f[side] for f in pass_faults] for side in SIDES}
+    print("minor page faults per pass: " + ", ".join(
+        f"{side} {statistics.median(f):.0f} ({min(f)}-{max(f)})" for side, f in spans.items()))
     better = sum(t["change"] < t["parent"] for t in pass_totals)
     print(f"change faster in {better} of {len(pass_totals)} passes")
     print(f"reports and exit codes identical apart from wall_time_s: {sum(same)} of {len(jobs)}")
