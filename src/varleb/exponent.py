@@ -9,12 +9,18 @@ Bounds policy
 -------------
 Every field carries certified bounds ``(p_minus, p_plus)``.  For the
 primitive descriptor kinds (constant, affine, log_decay, piecewise,
-grid) the bounds are exact.  Derived fields built through reciprocal
-arithmetic get outer interval bounds when the interval stays positive,
-and otherwise fall back to a dense scan widened by a relative 1e-6.
-Outer bounds only ever widen the interval, which keeps every inequality
-that consumes them (norm sandwiches, Hoelder constants, admissibility
-thresholds) on the safe side.
+grid) the bounds are exact, and every value lies inside them: a grid
+field clips its interpolant to its node values' range, since where node
+values repeat the interpolation weights can miss 1 by an ulp.  So a
+field with ``p_minus == p_plus`` takes that one double at every point.
+Derived fields built through reciprocal arithmetic get outer interval
+bounds when the interval stays positive, and otherwise fall back to a
+dense scan widened by a relative 1e-6.  A positive reciprocal of
+components that all have equal bounds folds to the constant field of
+the double the pointwise sum gives, so it needs no scan and no
+node-by-node evaluation.  Outer bounds only ever widen the interval,
+which keeps every inequality that consumes them (norm sandwiches,
+Hoelder constants, admissibility thresholds) on the safe side.
 
 Pointwise feasibility (for example positivity of an inverted blend
 ``1/p_0 = (1/p - theta/p_1) / (1 - theta)``) is checked on the field's
@@ -184,11 +190,13 @@ class ExponentField:
             raise SchemaError(f"exponent 'grid' key 'values' needs at least 2 nodes per axis, "
                               f"got shape {arr.shape}")
         sample = Grid(box, arr.shape)
+        lo, hi = float(arr.min()), float(arr.max())
 
-        def fn(pts, arr=arr, sample=sample):
-            return _multilinear(sample, arr, pts)
+        def fn(pts, arr=arr, sample=sample, lo=lo, hi=hi):
+            # where node values repeat the weights' sum can miss 1 by an ulp
+            return np.clip(_multilinear(sample, arr, pts), lo, hi)
 
-        return cls(box, fn, float(arr.min()), float(arr.max()))
+        return cls(box, fn, lo, hi)
 
     @classmethod
     def from_descriptor(cls, desc: dict, box: Box) -> "ExponentField":
@@ -262,7 +270,9 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
     is monotone); general combinations get outer interval bounds, with
     a widened scan as fallback when the interval cannot certify
     positivity.  A scan that actually exhibits a nonpositive reciprocal
-    raises RangeError with the violating point.
+    raises RangeError with the violating point.  When every component
+    has equal bounds and the reciprocal is positive, the result is the
+    constant field of the value the pointwise sum gives, bit for bit.
     """
     fields = tuple(fields)
     coeffs = tuple(float(c) for c in coeffs)
@@ -287,6 +297,10 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
 
     if r_lo > 0.0:
         lo, hi = 1.0 / r_hi, 1.0 / r_lo
+        if all(f.p_minus == f.p_plus for f in fields):
+            # each component takes its one double everywhere, so fn would
+            # sum r_lo at every point: the constant field lo = hi
+            fn = lambda pts, value=lo: np.full(pts.shape[:-1], value)
     else:
         scan = fields[0].scan_grid
         with np.errstate(divide="ignore"):

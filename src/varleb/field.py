@@ -612,17 +612,32 @@ def random_simple_function(grid: Grid, rng: np.random.Generator) -> GridFunction
 
     Uses one to eight boxes with coefficients log-uniform in
     [1e-2, 1e2]; always returns a function that is nonzero somewhere.
-
-    After the term count, every term's doubles come from one
-    ``rng.random`` block, row by row: two box bounds per axis, the log
-    coefficient and the sign.  These are the doubles, in the order, that
-    one ``uniform``/``random`` call per value would draw, so a seed gives
-    the same functions and leaves the generator in the same state.  Each
-    coefficient stays the Python float ``10.0 ** x``, since numpy's
-    ``power`` can differ in the last bit.
+    It is the one-function draw of `_simple_functions`, so a seed gives
+    the same functions whether they are drawn one at a time or in a
+    batch, and leaves the generator in the same state.
     """
-    n_terms = int(rng.integers(1, 9))
-    draws = rng.random((n_terms, 2 * grid.dim + 2))
+    return GridFunction(grid, _simple_functions(grid, rng, 1)[0])
+
+
+def _simple_functions(grid: Grid, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The ``(count, *grid.shape)`` values of ``count`` random simple
+    functions (`random_simple_function`), drawn one after another.
+
+    Per function the generator gives the term count, then one
+    ``rng.random`` block of the terms' doubles, row by row: two box
+    bounds per axis, the log coefficient and the sign.  These are the
+    doubles, in the order, that one ``uniform``/``random`` call per value
+    would draw.  Everything past the two calls runs once over the terms
+    of all functions, and each function's terms are added in their order,
+    so a function's values are the same as drawn alone.  Each coefficient
+    stays the Python float ``10.0 ** x``, since numpy's ``power`` can
+    differ in the last bit.
+    """
+    counts, blocks = [], []
+    for _ in range(count):
+        counts.append(int(rng.integers(1, 9)))
+        blocks.append(rng.random((counts[-1], 2 * grid.dim + 2)))
+    draws = np.concatenate(blocks)
     ranges = []
     for axis, (a, b) in enumerate(zip(grid.box.lo, grid.box.hi)):
         u, v = np.sort(a + (b - a) * draws[:, 2 * axis:2 * axis + 2], axis=1).T
@@ -635,15 +650,17 @@ def random_simple_function(grid: Grid, rng: np.random.Generator) -> GridFunction
         ranges.append(list(map(slice, i0.tolist(), i1.tolist())))
     logs = (-2.0 + 4.0 * draws[:, 2 * grid.dim]).tolist()
     signs = (draws[:, -1] < 0.5).tolist()
-    vals = np.zeros(grid.shape)
-    for x, negative, *index in zip(logs, signs, *ranges):
+    owners = np.repeat(np.arange(count), counts).tolist()
+    vals = np.zeros((count, *grid.shape))
+    for k, x, negative, *index in zip(owners, logs, signs, *ranges):
         coeff = 10.0 ** x
-        vals[tuple(index)] += -coeff if negative else coeff
-    if not vals.any():
-        vals[tuple(slice(*map(int, _axis_ranges(ax, w, a, (a + b) / 2)))
-                   for ax, w, a, b in zip(grid.axes, grid.box.widths, grid.box.lo,
-                                          grid.box.hi))] += 1.0
-    return GridFunction(grid, vals)
+        vals[(k, *index)] += -coeff if negative else coeff
+    empty = ~vals.reshape(count, -1).any(axis=1)
+    if empty.any():
+        vals[(empty, *(slice(*map(int, _axis_ranges(ax, w, a, (a + b) / 2)))
+                       for ax, w, a, b in zip(grid.axes, grid.box.widths, grid.box.lo,
+                                              grid.box.hi)))] += 1.0
+    return vals
 
 
 # ---------------------------------------------------------------------------

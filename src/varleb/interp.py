@@ -44,8 +44,8 @@ from .errors import (ArityMismatchError, DomainError, RangeError,
 from .exponent import (ExponentField, QuadrupleSpec, QuadrupleVerdict,
                        blend_quadruple, theta_blend, theta_invert,
                        validate_quadruple)
-from .field import (Box, DyadicCubeSet, FunctionFamily, Grid, WeightField,
-                    random_simple_function, shared_grid)
+from .field import (Box, DyadicCubeSet, FunctionFamily, Grid, WeightField, _simple_functions,
+                    shared_grid)
 from .maximal import ball_mean
 from .norms import inner_norm, norm_ratios, weighted_table
 from .rk import RKReport, classify
@@ -236,12 +236,11 @@ class InterpolationReport:
 
 
 def _draw_corpus(grid: Grid, m: int, trials: int, seed: int) -> np.ndarray:
-    """The ``(trials, m, *grid.shape)`` corpus, drawn one function at a
-    time, trial by trial, from one generator."""
+    """The ``(trials, m, *grid.shape)`` corpus: ``trials * m`` random
+    simple functions in one `field._simple_functions` draw from one
+    generator, trial by trial, the same as drawn one at a time."""
     rng = np.random.default_rng(seed)
-    draws = FunctionFamily.fill(grid, trials * m,
-                                lambda _: random_simple_function(grid, rng).values)
-    return draws.values.reshape(trials, m, *grid.shape)
+    return _simple_functions(grid, rng, trials * m).reshape(trials, m, *grid.shape)
 
 
 def _slot_log_norms(corpus: np.ndarray, grid: Grid, space: EndpointSpace,

@@ -14,7 +14,7 @@ import numpy as np
 
 from varleb import (Box, Cube, DomainError, DyadicCubeSet, ExponentField, FunctionFamily, Grid,
                     GridFunction, RadiusSweep, WeightField)
-from varleb.field import _shift_slices, refuse_non_finite, shared_grid
+from varleb.field import _shift_slices, box_slices, refuse_non_finite, shared_grid
 from varleb.maximal import _binade, _check_qtilde, _offset_list, _row_reach
 
 UNIT = Box((0.0,), (1.0,))
@@ -77,6 +77,46 @@ def reciprocal_affine_field(box: Box, c: float, d: float) -> ExponentField:
         return 1.0 / (c + d * pts[..., 0])
 
     return ExponentField(box, fn, min(vals), max(vals))
+
+
+def closure_chain(fields, coeffs, offset: float = 0.0):
+    """``x -> 1 / (offset + sum_j coeffs[j] / p_j(x))``, summed from the
+    left through the component fields point by point: the evaluator that
+    `exponent.reciprocal_affine` builds when it does not fold, the
+    reference for the constant fields it folds to."""
+    def fn(pts):
+        recip = np.full(pts.shape[:-1], float(offset))
+        for f, c in zip(fields, coeffs):
+            recip = recip + float(c) / f(pts)
+        return 1.0 / recip
+
+    return fn
+
+
+def reference_simple_function(grid, rng, max_terms=8):
+    """``random_simple_function`` as it was built through ``Box`` and
+    ``box_slices``, one function and one term at a time: the reference
+    for the draws, values and generator state of it and of the batched
+    `field._simple_functions`."""
+    n_terms = int(rng.integers(1, max_terms + 1))
+    vals = np.zeros(grid.shape)
+    for _ in range(n_terms):
+        pairs = []
+        for a, b in zip(grid.box.lo, grid.box.hi):
+            u, v = np.sort(rng.uniform(a, b, size=2))
+            if v - u < 0.05 * (b - a):
+                mid = 0.5 * (u + v)
+                half = 0.025 * (b - a)
+                u, v = max(a, mid - half), min(b, mid + half)
+            pairs.append((u, v))
+        coeff = 10.0 ** rng.uniform(-2.0, 2.0)
+        if rng.random() < 0.5:
+            coeff = -coeff
+        vals[box_slices(grid, Box.from_pairs(pairs))] += coeff
+    if not vals.any():
+        vals[box_slices(grid, Box.from_pairs([[a, (a + b) / 2] for a, b in
+                                              zip(grid.box.lo, grid.box.hi)]))] += 1.0
+    return GridFunction(grid, vals)
 
 
 def rand_exponent(box: Box, rng: np.random.Generator, lo: float = 1.1,

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from varleb import (Box, DomainError, ExponentField, Grid, QuadrupleSpec,
                     RangeError, SchemaError, dual_exponent, harmonic_combine,
-                    nu_exponent, component_exponent, scale_exponent, theta_blend,
-                    theta_invert, two_to_one_data, validate_quadruple)
+                    nu_exponent, component_exponent, reciprocal_affine, scale_exponent,
+                    theta_blend, theta_invert, two_to_one_data, validate_quadruple)
 from varleb.exponent import _log_holder_reports, _pair_sample
 
-from _support import UNIT, rand_exponent
+from _support import UNIT, closure_chain, rand_exponent
 
 SAMPLE = Grid(UNIT, (1025,))
 
@@ -274,6 +274,121 @@ def test_scale_exponent():
     assert np.allclose(values(scale_exponent(p, 0.5)), values(p) * 0.5)
     with pytest.raises(DomainError):
         scale_exponent(p, 0.0)
+
+
+# -- grid fields and constant reciprocals ---------------------------------
+
+
+@pytest.mark.parametrize("values_, grid", [
+    ([1.7] * 1001, Grid(UNIT, (4096,))),
+    (np.full((3, 3), 1.7), Grid(Box((0.0, 0.0), (1.0, 1.0)), (65, 65))),
+    ([[1.7, 1.7, 1.2], [1.7, 1.7, 1.2], [1.2, 1.2, 1.1]], Grid(Box((0.0, 0.0), (1.0, 1.0)),
+                                                                 (65, 65)))],
+    ids=["1d-constant", "2d-constant", "2d-plateau"])
+def test_grid_field_stays_inside_its_bounds_where_node_values_repeat(values_, grid):
+    """Between repeated node values the interpolation weights can sum to 1
+    within an ulp, which read outside the bounds at hundreds of nodes."""
+    p = ExponentField.from_grid(grid.box, values_)
+    got = p.values_on(grid)
+    assert p.p_minus <= got.min() and got.max() <= p.p_plus
+    if p.p_minus == p.p_plus:
+        assert np.all(got == p.p_minus)
+
+
+# the equal-bound field of each kind: value, box -> field
+EQUAL_BOUND_KINDS = {
+    "constant": lambda v, box: ExponentField.constant(box, v),
+    "affine": lambda v, box: ExponentField.affine(box, v, (0.0,) * box.dim),
+    "log_decay": lambda v, box: ExponentField.log_decay(box, v, 0.0),
+    "piecewise": lambda v, box: ExponentField.piecewise(box, [0.3, 0.6], [v] * 3),
+    "grid": lambda v, box: ExponentField.from_grid(box, np.full((5,) * box.dim, v)),
+}
+FOLD_GRIDS = [Grid(UNIT, (1025,)), Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17))]
+
+
+def _fold_cases(p, q):
+    """(helper, derived field, its components, coefficients, offset) for
+    every reciprocal helper on the fields p < q."""
+    theta = 0.3
+    spec = QuadrupleSpec((p,), q, (1.2,), 10.0)
+    a, t = two_to_one_data(spec)
+    return [
+        ("dual_exponent", dual_exponent(p), (p,), (-1.0,), 1.0),
+        ("harmonic_combine", harmonic_combine((p, q)), (p, q), (1.0, 1.0), 0.0),
+        ("theta_blend", theta_blend(p, q, theta), (p, q), (1.0 - theta, theta), 0.0),
+        ("theta_invert", theta_invert(p, q, theta), (p, q),
+         (1.0 / (1.0 - theta), -theta / (1.0 - theta)), 0.0),
+        ("scale_exponent", scale_exponent(p, 1.5), (p,), (1.0 / 1.5,), 0.0),
+        ("nu_exponent", nu_exponent(p, 7.0), (p,), (1.0,), -1.0 / 7.0),
+        ("component_exponent", component_exponent(q, 1.2), (q,), (-1.0,), 1.0 / 1.2),
+        ("two_to_one_data", t, (q,), (a,), -a * (1.0 / 10.0)),
+    ]
+
+
+@pytest.mark.parametrize("grid", FOLD_GRIDS, ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", EQUAL_BOUND_KINDS)
+def test_reciprocals_of_equal_bound_fields_fold_to_the_closure_chains_constant(kind, grid):
+    """Every helper on equal-bound fields of each kind gives, bit for bit,
+    the values of the closure chain on grids and on the log-Hoelder pair
+    sample, with the bounds 1/r and the limit at infinity of the interval
+    path."""
+    make = EQUAL_BOUND_KINDS[kind]
+    p, q = make(2.5, grid.box), make(4.0, grid.box)
+    _, X, Y, *_ = _pair_sample(grid.box, 2000, 0)
+    for name, derived, fields, coeffs, offset in _fold_cases(p, q):
+        chain = closure_chain(fields, coeffs, offset)
+        for g in (grid, derived.scan_grid):
+            assert np.array_equal(derived.values_on(g), chain(g.coords)), name
+        for pts in (X, Y):
+            assert np.array_equal(derived(pts), chain(pts)), name
+        r = float(offset)
+        for f, c in zip(fields, coeffs):
+            r += c / f.p_minus
+        assert derived.p_minus == derived.p_plus == 1.0 / r, name
+        assert np.all(derived.values_on(grid) == 1.0 / r), name
+        if all(f.p_infinity is not None for f in fields):
+            r_inf = offset + sum(c / f.p_infinity for f, c in zip(fields, coeffs))
+            assert derived.p_infinity == 1.0 / r_inf, name
+        else:
+            assert derived.p_infinity is None, name
+
+
+@pytest.mark.parametrize("box, point", [(UNIT, (0.0,)), (Box((0.0, -1.0), (1.0, 2.0)),
+                                                        (0.0, -1.0))])
+@pytest.mark.parametrize("kind", EQUAL_BOUND_KINDS)
+def test_a_nonpositive_reciprocal_of_equal_bound_fields_is_refused_at_the_first_scan_node(
+        kind, box, point):
+    make = EQUAL_BOUND_KINDS[kind]
+    with pytest.raises(RangeError) as exc:
+        theta_invert(make(10.0, box), make(1.5, box), 0.5)
+    assert str(exc.value) == (f"inverted blend endpoint has nonpositive reciprocal "
+                              f"(at point {point})")
+    assert exc.value.point == point
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(st.tuples(st.floats(0.5, 8.0), _COEFF), min_size=1, max_size=3),
+       offset=st.floats(-2.0, 2.0, allow_subnormal=False))
+def test_reciprocal_of_random_constants_equals_the_closure_chain(terms, offset):
+    """A positive reciprocal folds to the chain's constant, with bounds
+    1/r; a nonpositive one is refused at the first scan node."""
+    fields = tuple(ExponentField.constant(UNIT, v) for v, _ in terms)
+    coeffs = tuple(c for _, c in terms)
+    r = offset
+    for v, c in terms:
+        r += c / v
+    if r > 0.0:
+        derived = reciprocal_affine(fields, coeffs, offset)
+        assert np.array_equal(derived.values_on(SAMPLE),
+                              closure_chain(fields, coeffs, offset)(SAMPLE.coords))
+        assert derived.p_minus == derived.p_plus == 1.0 / r
+    else:
+        with pytest.raises(RangeError) as exc:
+            reciprocal_affine(fields, coeffs, offset)
+        assert str(exc.value) == "derived exponent has nonpositive reciprocal (at point (0.0,))"
 
 
 # -- log-Hoelder estimates ------------------------------------------------

@@ -12,9 +12,10 @@ from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid, GridFu
                     random_simple_function, read_grid_csv, realize_function,
                     shift_function)
 from varleb import field
-from varleb.field import box_slices, shared_grid
+from varleb.field import shared_grid
 
-from _support import UNIT, SYM, all_cubes, from_callable, grid1d, write_grid_csv
+from _support import (UNIT, SYM, all_cubes, from_callable, grid1d, reference_simple_function,
+                      write_grid_csv)
 
 
 # -- boxes and grids ----------------------------------------------------
@@ -261,30 +262,6 @@ def test_shift_function_past_the_grid_leaves_only_zeros(shift):
     assert not s.values.any()
 
 
-def reference_simple_function(grid, rng, max_terms=8):
-    """``random_simple_function`` as it was built through ``Box`` and
-    ``box_slices``, kept as the reference for its draws and values."""
-    n_terms = int(rng.integers(1, max_terms + 1))
-    vals = np.zeros(grid.shape)
-    for _ in range(n_terms):
-        pairs = []
-        for a, b in zip(grid.box.lo, grid.box.hi):
-            u, v = np.sort(rng.uniform(a, b, size=2))
-            if v - u < 0.05 * (b - a):
-                mid = 0.5 * (u + v)
-                half = 0.025 * (b - a)
-                u, v = max(a, mid - half), min(b, mid + half)
-            pairs.append((u, v))
-        coeff = 10.0 ** rng.uniform(-2.0, 2.0)
-        if rng.random() < 0.5:
-            coeff = -coeff
-        vals[box_slices(grid, Box.from_pairs(pairs))] += coeff
-    if not vals.any():
-        vals[box_slices(grid, Box.from_pairs([[a, (a + b) / 2] for a, b in
-                                              zip(grid.box.lo, grid.box.hi)]))] += 1.0
-    return GridFunction(grid, vals)
-
-
 @pytest.mark.parametrize("grid", [grid1d(129), grid1d(257, SYM), Grid(UNIT, (4,)),
                                   Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17))],
                          ids=["1d-129", "1d-257-sym", "1d-4", "2d-33x17"])
@@ -296,6 +273,33 @@ def test_random_simple_function_matches_reference(grid):
         g = reference_simple_function(grid, ref)
         assert np.array_equal(f.values, g.values)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("grid, fallbacks", [
+    (grid1d(257, SYM), False), (Grid(UNIT, (4,)), True),
+    (Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17)), False),
+    (Grid(Box((0.0, 0.0), (1.0, 1.0)), (3, 3)), True)],
+    ids=["1d-257-sym", "1d-4", "2d-33x17", "2d-3x3"])
+@pytest.mark.parametrize("seed", [0, 7, 104])
+@pytest.mark.parametrize("count", [1, 3, 50])
+def test_batched_simple_functions_match_the_per_function_loop(grid, fallbacks, seed, count):
+    """One batch gives the values of the per-function loop, all-zero
+    fallbacks included on the grids too coarse to catch every box, and
+    leaves the generator in the same state."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = field._simple_functions(grid, rng, count)
+    want = np.stack([reference_simple_function(grid, ref).values for _ in range(count)])
+    assert got.shape == (count, *grid.shape)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # a fallback is 1 on the lower half box and 0 elsewhere
+    fallback = np.zeros(grid.shape)
+    fallback[tuple(slice(0, (n + 1) // 2) for n in grid.shape)] = 1.0
+    hits = sum(np.array_equal(row, fallback) for row in got)
+    if not fallbacks:
+        assert hits == 0
+    elif count == 50:
+        assert hits > 0
 
 
 # -- descriptors ----------------------------------------------------------

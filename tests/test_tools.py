@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -31,6 +33,34 @@ def test_ab_timing_of_the_repository_against_itself_finds_every_report_identical
     node-evaluations."""
     out = _ab_timing_of_the_repository_against_itself("norm-batch")
     assert "reports and exit codes identical apart from wall_time_s: 14 of 14" in out
+    assert re.search(r"^per-pass jobs/s, parent: median [0-9.]+ \(quartiles [0-9.]+-[0-9.]+\)$",
+                     out, re.M)
+    assert re.search(r"^verdict: (no )?gain \(faster in [01] of 1 passes", out, re.M)
+
+
+PARENT_TOTALS = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.00]
+
+
+@pytest.mark.parametrize("change, wins, holds", [
+    ([t * 0.95 for t in PARENT_TOTALS[:9]] + [1.10], 9, True),
+    ([t * 0.95 for t in PARENT_TOTALS[:8]] + [1.10, 1.10], 8, False),
+    ([t * 0.995 for t in PARENT_TOTALS], 10, False),
+    (PARENT_TOTALS, 0, False)],
+    ids=["nine-wins-wide-gap", "eight-wins", "ten-wins-inside-the-spread", "ties"])
+def test_ab_timing_verdict_claims_a_gain_by_nine_tenths_of_passes_and_the_quartile_spread(
+        monkeypatch, change, wins, holds):
+    """The parent's per-pass jobs/s (6 jobs) spread over 0.09 between its
+    quartiles: a 5 % gain in 9 of 10 passes is claimed, the same gain in 8
+    is not, nor is a 0.5 % gain in all 10, nor ties."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # as importing the tools sets them; restored after the test
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import ab_timing
+
+    line = ab_timing.verdict([{"parent": a, "change": b} for a, b in zip(PARENT_TOTALS, change)],
+                             6)
+    assert line.startswith(f"verdict: {'gain' if holds else 'no gain'} (faster in {wins} of 10 "
+                           f"passes, median gap ")
 
 
 def test_ab_timing_counts_the_newton_evaluations_of_the_cube_scan():

@@ -19,10 +19,12 @@ them) next to its Newton node-evaluations per pass (the sum over the
 Luxemburg solves of row width times ``RowNorms.iterations``, counted in
 the untimed pass by wrapping the side's ``norms.lux_rows``) and per
 solved node, each side's minor page faults per timed pass (the median
-over passes of the ``ru_minflt`` taken around each of its runs), in how
-many passes the change's total time was lower, and whether the reports
-of the last pass and the exit codes are the same on both sides, as
-`compare_reports` compares them.
+over passes of the ``ru_minflt`` taken around each of its runs), each
+side's per-pass jobs/s (jobs over the pass's total) as median and
+quartiles, a verdict by the rule for claiming a gain (`verdict`, which
+also says in how many passes the change's total time was lower), and
+whether the reports of the last pass and the exit codes are the same on
+both sides, as `compare_reports` compares them.
 
 Both checkouts share this process's heap, so each side's allocations
 move where the other's land, and the fault counts and times of a
@@ -87,6 +89,26 @@ class EvaluationCount:
 
     def __exit__(self, *exc):
         self.norms.lux_rows = self.real
+
+
+def quartiles(rates) -> tuple[float, float, float]:
+    """The first quartile, median and third quartile of per-pass rates."""
+    return tuple(float(q) for q in np.percentile(rates, [25, 50, 75]))
+
+
+def verdict(pass_totals: list[dict], jobs: int) -> str:
+    """Whether a gain in jobs/s may be claimed from passes of ``jobs``
+    jobs, each a dict of the two sides' total times: only when the change
+    is faster in at least nine tenths of the passes, ties counting for
+    neither, and its median per-pass jobs/s is above the parent's by more
+    than the distance between the parent's quartiles."""
+    wins = sum(t["change"] < t["parent"] for t in pass_totals)
+    q1, median, q3 = quartiles([jobs / t["parent"] for t in pass_totals])
+    gap = quartiles([jobs / t["change"] for t in pass_totals])[1] - median
+    holds = 10 * wins >= 9 * len(pass_totals) and gap > q3 - q1
+    return (f"verdict: {'gain' if holds else 'no gain'} (faster in {wins} of "
+            f"{len(pass_totals)} passes, median gap {gap:+.3f} jobs/s against the parent's "
+            f"quartile spread {q3 - q1:.3f})")
 
 
 def main(argv=None) -> None:
@@ -154,8 +176,10 @@ def main(argv=None) -> None:
     spans = {side: [f[side] for f in pass_faults] for side in SIDES}
     print("minor page faults per pass: " + ", ".join(
         f"{side} {statistics.median(f):.0f} ({min(f)}-{max(f)})" for side, f in spans.items()))
-    better = sum(t["change"] < t["parent"] for t in pass_totals)
-    print(f"change faster in {better} of {len(pass_totals)} passes")
+    for side in SIDES:
+        q1, median, q3 = quartiles([len(jobs) / t[side] for t in pass_totals])
+        print(f"per-pass jobs/s, {side}: median {median:.2f} (quartiles {q1:.2f}-{q3:.2f})")
+    print(verdict(pass_totals, len(jobs)))
     print(f"reports and exit codes identical apart from wall_time_s: {sum(same)} of {len(jobs)}")
 
 
