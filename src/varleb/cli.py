@@ -403,6 +403,9 @@ def _run(command: str, cfg) -> tuple[dict | None, int]:
     except (VarlebError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
+    except RecursionError:
+        print("error: config is nested too deeply", file=sys.stderr)
+        return None, EXIT_CONFIG
     # a size beyond memory, such as a resolution of 10**15; numpy names it
     except MemoryError as exc:
         print(f"error: cannot allocate: {exc}", file=sys.stderr)
@@ -425,6 +428,9 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
             old = json.loads(fh.read())
     except (OSError, ValueError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RecursionError:
+        print("error: report is nested too deeply", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(old, dict) or not isinstance(old.get("provenance", {}), dict):
         what = "report" if not isinstance(old, dict) else "report key 'provenance'"
@@ -539,6 +545,9 @@ def main(argv=None) -> int:
             cfg = json.loads(fh.read())
     except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RecursionError:
+        print("error: config is nested too deeply", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(cfg, dict):
         print("error: config must be a JSON object", file=sys.stderr)

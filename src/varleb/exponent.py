@@ -13,12 +13,12 @@ grid) the bounds are exact, and every value lies inside them: a grid
 field clips its interpolant to its node values' range, since where node
 values repeat the interpolation weights can miss 1 by an ulp.  So a
 field with ``p_minus == p_plus`` takes that one double at every point.
-Derived fields built through reciprocal arithmetic get outer interval
-bounds when the interval stays positive, and otherwise fall back to a
-dense scan widened by a relative 1e-6.  A positive reciprocal of
-components that all have equal bounds folds to the constant field of
-the double the pointwise sum gives, so it needs no scan and no
-node-by-node evaluation.  Outer bounds only ever widen the interval,
+A derived field is one flat form ``1/p = offset + sum_j c_j / p_j`` over
+primitive fields, each evaluated once per grid.  Its bounds are the
+outer interval of its terms when that stays positive, and otherwise a
+dense scan widened by a relative 1e-6.  A positive reciprocal of terms
+that all have equal bounds folds to the constant field of the double
+the pointwise sum gives.  Outer bounds only ever widen the interval,
 which keeps every inequality that consumes them (norm sandwiches,
 Hoelder constants, admissibility thresholds) on the safe side.
 
@@ -63,12 +63,15 @@ class ExponentField:
     """Exponent function on a box with certified bounds."""
 
     box: Box
-    # fn takes part in equality/hash so that two different formulas
-    # with equal bounds never compare equal
-    fn: Callable[[np.ndarray], np.ndarray]
+    # a primitive's evaluator, or None for a derived field, whose 1/p is offset +
+    # sum c / p_j over its (c, p_j) terms of primitives; fn, terms and offset take part
+    # in equality/hash so that different formulas with equal bounds never compare equal
+    fn: Callable[[np.ndarray], np.ndarray] | None
     p_minus: float
     p_plus: float
     p_infinity: float | None = None
+    terms: tuple[tuple[float, "ExponentField"], ...] = ()
+    offset: float = 0.0
     # values_on results per grid; they live and die with the field
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -84,6 +87,8 @@ class ExponentField:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.box.dim:
             raise DomainError("point dimension does not match exponent domain")
+        if self.terms:
+            return 1.0 / _reciprocal(self.terms, self.offset, lambda p: p(pts))
         return np.asarray(self.fn(pts), dtype=float)
 
     def values_on(self, grid: Grid) -> np.ndarray:
@@ -91,8 +96,8 @@ class ExponentField:
             raise DomainError("grid box does not match exponent domain")
         out = self._values.get(grid)
         if out is None:
-            out = np.broadcast_to(np.asarray(self.fn(grid.coords), dtype=float),
-                                  grid.shape).copy()
+            out = (1.0 / _reciprocal(self.terms, self.offset, lambda p: p.values_on(grid))
+                   if self.terms else np.broadcast_to(self(grid.coords), grid.shape).copy())
             out.flags.writeable = False
             self._values[grid] = out
         return out
@@ -240,7 +245,6 @@ def _radial_range(box: Box) -> tuple[float, float]:
 
 
 def _multilinear(sample: Grid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    out = None
     idx_frac = []
     for axis in range(sample.dim):
         ax = sample.axes[axis]
@@ -250,29 +254,34 @@ def _multilinear(sample: Grid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
         idx_frac.append((i0, t - i0))
     if sample.dim == 1:
         i0, f = idx_frac[0]
-        out = arr[i0] * (1 - f) + arr[i0 + 1] * f
-    else:
-        (i0, fx), (j0, fy) = idx_frac
-        out = (arr[i0, j0] * (1 - fx) * (1 - fy) + arr[i0 + 1, j0] * fx * (1 - fy)
-               + arr[i0, j0 + 1] * (1 - fx) * fy + arr[i0 + 1, j0 + 1] * fx * fy)
-    return out
+        return arr[i0] * (1 - f) + arr[i0 + 1] * f
+    (i0, fx), (j0, fy) = idx_frac
+    return (arr[i0, j0] * (1 - fx) * (1 - fy) + arr[i0 + 1, j0] * fx * (1 - fy)
+            + arr[i0, j0 + 1] * (1 - fx) * fy + arr[i0 + 1, j0 + 1] * fx * fy)
 
 
 # ---------------------------------------------------------------------------
 # reciprocal arithmetic
 
 
+def _reciprocal(terms, offset: float, values) -> np.ndarray:
+    """``offset + c_1 / values(p_1) + ...``, summed from the left: the flat form's evaluator."""
+    for c, p in terms:
+        offset = offset + c / values(p)
+    return offset
+
+
 def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
                       offset: float = 0.0, what: str = "derived exponent") -> ExponentField:
-    """Field with ``1/p_new(x) = offset + sum_j coeffs[j] / p_j(x)``.
+    """Field with ``1/p_new(x) = offset + sum_j coeffs[j] / p_j(x)``, a
+    derived ``p_j``'s terms and offset entering scaled, in order, unmerged.
 
     Single positive-coefficient terms give exact bounds (the transform
-    is monotone); general combinations get outer interval bounds, with
-    a widened scan as fallback when the interval cannot certify
-    positivity.  A scan that actually exhibits a nonpositive reciprocal
-    raises RangeError with the violating point.  When every component
-    has equal bounds and the reciprocal is positive, the result is the
-    constant field of the value the pointwise sum gives, bit for bit.
+    is monotone); general combinations get outer interval bounds, with a
+    widened scan as fallback when the interval cannot certify positivity.
+    A scan that exhibits a nonpositive reciprocal raises RangeError with
+    its point.  When every term has equal bounds and the reciprocal is
+    positive, the result is the constant field of the pointwise sum.
     """
     fields = tuple(fields)
     coeffs = tuple(float(c) for c in coeffs)
@@ -283,30 +292,33 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
         if f.box != box:
             raise DomainError(f"{what}: component fields live on different boxes")
 
-    r_lo = r_hi = float(offset)
+    terms, offset = (), float(offset)
     for f, c in zip(fields, coeffs):
-        t1, t2 = c / f.p_plus, c / f.p_minus
+        terms += tuple((c * c_j, p) for c_j, p in f.terms) if f.terms else ((c, f),)
+        offset += c * f.offset  # a primitive's is 0
+
+    p_infinity = None
+    if all(p.p_infinity is not None for _, p in terms):
+        r_inf = offset + sum(c / p.p_infinity for c, p in terms)
+        if r_inf > 0.0:
+            p_infinity = 1.0 / r_inf
+
+    r_lo = r_hi = offset
+    for c, p in terms:
+        t1, t2 = c / p.p_plus, c / p.p_minus
         r_lo += min(t1, t2)
         r_hi += max(t1, t2)
 
-    def fn(pts, fields=fields, coeffs=coeffs, offset=offset):
-        recip = np.full(pts.shape[:-1], float(offset))
-        for f, c in zip(fields, coeffs):
-            recip = recip + c / f(pts)
-        return 1.0 / recip
-
     if r_lo > 0.0:
         lo, hi = 1.0 / r_hi, 1.0 / r_lo
-        if all(f.p_minus == f.p_plus for f in fields):
-            # each component takes its one double everywhere, so fn would
-            # sum r_lo at every point: the constant field lo = hi
-            fn = lambda pts, value=lo: np.full(pts.shape[:-1], value)
+        if all(p.p_minus == p.p_plus for _, p in terms):
+            # each term takes its one double everywhere, so the evaluator
+            # would sum r_lo at every point: the constant field lo = hi
+            return ExponentField(box, lambda pts, value=lo: np.full(pts.shape[:-1], value),
+                                 lo, hi, p_infinity=p_infinity)
     else:
         scan = fields[0].scan_grid
-        with np.errstate(divide="ignore"):
-            recip = np.full(scan.shape, float(offset))
-            for f, c in zip(fields, coeffs):
-                recip = recip + c / f.values_on(scan)
+        recip = _reciprocal(terms, offset, lambda p: p.values_on(scan))
         worst = int(np.argmin(recip))
         if recip.reshape(-1)[worst] <= 0.0:
             point = tuple(scan.coords.reshape(-1, scan.dim)[worst].tolist())
@@ -314,13 +326,7 @@ def reciprocal_affine(fields: Sequence[ExponentField], coeffs: Sequence[float],
         lo = (1.0 / float(recip.max())) * (1.0 - _SCAN_WIDEN)
         hi = (1.0 / float(recip.min())) * (1.0 + _SCAN_WIDEN)
 
-    p_infinity = None
-    if all(f.p_infinity is not None for f in fields):
-        r_inf = offset + sum(c / f.p_infinity for f, c in zip(fields, coeffs))
-        if r_inf > 0.0:
-            p_infinity = 1.0 / r_inf
-
-    return ExponentField(box, fn, lo, hi, p_infinity=p_infinity)
+    return ExponentField(box, None, lo, hi, p_infinity, terms, offset)
 
 
 def dual_exponent(p: ExponentField) -> ExponentField:

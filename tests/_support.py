@@ -81,9 +81,12 @@ def reciprocal_affine_field(box: Box, c: float, d: float) -> ExponentField:
 
 def closure_chain(fields, coeffs, offset: float = 0.0):
     """``x -> 1 / (offset + sum_j coeffs[j] / p_j(x))``, summed from the
-    left through the component fields point by point: the evaluator that
-    `exponent.reciprocal_affine` builds when it does not fold, the
-    reference for the constant fields it folds to."""
+    left through the components point by point, each a field or another
+    chain.  Applied at every level of a chain of reciprocal helpers, each
+    level calling the one below, it is the nested reference for the flat
+    form `exponent.reciprocal_affine` builds: equal to it bit for bit at
+    depth 1 and for the constant fields it folds to, and to rounding
+    deeper."""
     def fn(pts):
         recip = np.full(pts.shape[:-1], float(offset))
         for f, c in zip(fields, coeffs):

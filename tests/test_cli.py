@@ -557,6 +557,35 @@ def test_a_file_that_is_not_utf8_exits_one_and_names_what_was_read(tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["run", "replay"])
+def test_a_file_nested_past_the_recursion_limit_exits_one_and_names_the_fault(tmp_path, capsys,
+                                                                              mode):
+    """A 100,000-deep JSON array, where ``json.loads`` runs out of stack."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    flag, what = ("--config", "config") if mode == "run" else ("--report", "report")
+    rc = main(["norm", mode, flag, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {what} is nested too deeply\n"
+    assert "Traceback" not in err
+
+
+def test_an_exponent_nested_past_the_recursion_limit_exits_one_and_names_the_fault(tmp_path,
+                                                                                   capsys):
+    """400 ``shifted_reciprocal`` kinds, one inside the next: the JSON
+    reads, and the exponent's reader runs out of stack."""
+    exponent = {"kind": "constant", "value": 2.0}
+    for _ in range(400):
+        exponent = {"kind": "shifted_reciprocal", "inner": exponent, "gamma": 1e-4}
+    cfg = {"box": [[0.0, 1.0]], "resolution": 64, "exponent": exponent, "function": CONST_ONE}
+    rc, report, _ = _run(tmp_path, "norm", cfg)
+    err = capsys.readouterr().err
+    assert rc == 1 and report is None
+    assert err == "error: config is nested too deeply\n"
+    assert "Traceback" not in err
+
+
 def test_non_object_config_exits_one(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -389,6 +390,188 @@ def test_reciprocal_of_random_constants_equals_the_closure_chain(terms, offset):
         with pytest.raises(RangeError) as exc:
             reciprocal_affine(fields, coeffs, offset)
         assert str(exc.value) == "derived exponent has nonpositive reciprocal (at point (0.0,))"
+
+
+# -- the flat form --------------------------------------------------------
+
+FLAT_GRIDS = {1: Grid(UNIT, (257,)), 2: Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17))}
+_P = st.floats(1.3, 6.0)
+_UNARY = ("dual", "scale", "nu", "component", "shifted", "t")
+_BINARY = ("harmonic", "blend", "invert")
+
+
+@st.composite
+def _primitive(draw, dim):
+    """The descriptor of an affine, log_decay, piecewise or grid exponent
+    on a box of ``dim`` axes, with values in [0.55, 15]; one in four
+    takes one value."""
+    kind = draw(st.sampled_from(["affine", "log_decay", "piecewise", "grid"]))
+    equal = draw(st.integers(0, 3)) == 0
+    if kind == "affine":
+        slopes = [0.0] * dim if equal else draw(st.lists(st.floats(-1.5, 1.5), min_size=dim,
+                                                         max_size=dim))
+        return {"kind": kind, "base": draw(_P) + 1.5 * sum(map(abs, slopes)), "slopes": slopes}
+    if kind == "log_decay":
+        return {"kind": kind, "p_infinity": draw(_P),
+                "amplitude": 0.0 if equal else draw(st.floats(0.1, 2.0))}
+    shape = (3,) if kind == "piecewise" else tuple(draw(st.lists(
+        st.integers(2, 4), min_size=dim, max_size=dim)))
+    values = np.full(shape, draw(_P)) if equal else np.array(draw(st.lists(
+        _P, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    if kind == "piecewise":
+        return {"kind": kind, "breakpoints": [0.3, 0.6], "values": values.tolist()}
+    return {"kind": kind, "values": values.tolist()}
+
+
+@st.composite
+def _chain(draw, dim, depth, shifts_only=False):
+    """A random chain of depth at most ``depth``: a primitive's descriptor,
+    or (helper, parameter in [0.05, 0.9], components).  Under a shift only
+    shifts and primitives, which the ``shifted_reciprocal`` kind writes."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(_primitive(dim))
+    name = "shifted" if shifts_only else draw(st.sampled_from(_UNARY + _BINARY))
+    parts = tuple(draw(_chain(dim, depth - 1, name == "shifted"))
+                  for _ in range(2 if name in _BINARY else 1))
+    return name, draw(st.floats(0.05, 0.9)), parts
+
+
+def _form(name, u, fields):
+    """The coefficients and offset with which a helper writes 1/p, as the
+    helper computes them."""
+    p = fields[0]
+    if name == "t":
+        spec = QuadrupleSpec((p,), p, (u * p.p_minus,), 2.0 * p.p_plus)
+        a = 1.0 / (1.0 / spec.r - 1.0 / spec.s - spec.gamma)
+        return (a,), -a * (1.0 / spec.s)
+    s = math.inf if u > 0.8 else p.p_plus / u
+    return {"dual": ((-1.0,), 1.0), "scale": ((1.0 / (0.5 + 1.5 * u),), 0.0),
+            "nu": ((1.0,), -1.0 / s), "component": ((-1.0,), 1.0 / (u * p.p_minus)),
+            "shifted": ((1.0,), -(0.6 * u - 0.3)), "harmonic": ((1.0, 1.0), 0.0),
+            "blend": ((1.0 - u, u), 0.0),
+            "invert": ((1.0 / (1.0 - u), -u / (1.0 - u)), 0.0)}[name]
+
+
+def _apply(name, u, fields, inner):
+    """The field a helper builds on ``fields``; a shift reads the
+    descriptor ``inner`` of its component."""
+    p = fields[0]
+    if name == "t":
+        return two_to_one_data(QuadrupleSpec((p,), p, (u * p.p_minus,), 2.0 * p.p_plus))[1]
+    if name == "shifted":
+        return ExponentField.from_descriptor({"kind": "shifted_reciprocal", "inner": inner,
+                                              "gamma": 0.6 * u - 0.3}, p.box)
+    return {"dual": lambda: dual_exponent(p), "scale": lambda: scale_exponent(p, 0.5 + 1.5 * u),
+            "nu": lambda: nu_exponent(p, math.inf if u > 0.8 else p.p_plus / u),
+            "component": lambda: component_exponent(p, u * p.p_minus),
+            "harmonic": lambda: harmonic_combine(fields),
+            "blend": lambda: theta_blend(*fields, u),
+            "invert": lambda: theta_invert(*fields, u)}[name]()
+
+
+def _nested_reciprocal(refs, coeffs, offset, pts):
+    """offset + sum c / ref(pts), summed from the left, and the sum of the
+    magnitudes of its parts, the scale of its rounding."""
+    recip, scale = offset, abs(offset)
+    for ref, c in zip(refs, coeffs):
+        recip, scale = recip + c / ref(pts), scale + abs(c / ref(pts))
+    return recip, scale
+
+
+def _check_chain(chain, box):
+    """The field of ``chain``, its nested reference (`closure_chain` applied
+    at every level), the reference's condition number and the descriptor,
+    if a descriptor writes it.  A helper that refuses is replaced by its
+    first component, once its refusal is checked against the reference.
+
+    The condition number of a level is the magnitude of the parts of its
+    reciprocal over the reciprocal, times one plus its components' worst:
+    near-cancelling reciprocals (the dual of an exponent near 1, a blend
+    inverted near its refusal) lose digits in the nested and the flat sum
+    alike, and the two then agree to 1e-13 only relative to that loss."""
+    if isinstance(chain, dict):
+        p = ExponentField.from_descriptor(chain, box)
+        return p, p, lambda pts: 0.0, chain
+    name, u, parts = chain
+    built = [_check_chain(part, box) for part in parts]
+    fields, refs, conds, descs = zip(*built)
+    coeffs, offset = _form(name, u, fields)
+    scan = fields[0].scan_grid
+    recip, scale = _nested_reciprocal(refs, coeffs, offset, scan.coords)
+    try:
+        derived = _apply(name, u, fields, descs[0])
+    except RangeError as exc:
+        if exc.point is not None:
+            # the point is a scan node where the nested reciprocal is, to
+            # rounding, nonpositive and least
+            at = np.all(scan.coords == exc.point, axis=-1)
+            assert at.sum() == 1
+            tol = 1e-13 * scale.max()
+            assert recip[at][0] <= tol and recip[at][0] <= recip.min() + tol
+        return built[0]
+    assert np.all(recip > -1e-13 * scale)
+    ref = closure_chain(refs, coeffs, offset)
+    assert all(not p.terms and p.fn is not None for _, p in derived.terms)
+    assert (derived.fn is None) == bool(derived.terms)
+
+    def cond(pts):
+        recip, scale = _nested_reciprocal(refs, coeffs, offset, pts)
+        return scale / np.abs(recip) * (1.0 + reduce(np.maximum, [c(pts) for c in conds]))
+
+    _, X, Y, *_ = _pair_sample(box, 2000, 0)
+    exact = all(not f.terms for f in fields)
+    for pts, got in [(g.coords, derived.values_on(g)) for g in (FLAT_GRIDS[box.dim], scan)] + [
+            (pts, derived(pts)) for pts in (X, Y)]:
+        want = ref(pts)
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, cond(pts) / 10.0)
+                          * np.abs(want))
+    on_scan = derived.values_on(scan)
+    assert derived.p_minus <= on_scan.min() and on_scan.max() <= derived.p_plus
+    return derived, ref, cond, {"kind": "shifted_reciprocal", "inner": descs[0],
+                                "gamma": 0.6 * u - 0.3} if name == "shifted" else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data())
+def test_a_derived_exponent_is_one_flat_form_over_primitives_that_agrees_with_the_nested_chain(
+        dim, data):
+    """Random chains of depth at most 3 over every reciprocal helper, the
+    ``shifted_reciprocal`` kind and the ``t`` of `two_to_one_data`: at
+    every level the terms are primitives, the values on a grid, the scan
+    grid and the pair sample agree with the nested closure chains within
+    1e-13 relative, and bit for bit where every component is a primitive
+    (a depth-1 form, or one over folded constants), the bounds hold every
+    scan value, and a refusal names a scan node where the nested
+    reciprocal is nonpositive and least, to rounding."""
+    _check_chain(data.draw(_chain(dim, 3)), FLAT_GRIDS[dim].box)
+
+
+def test_a_primitive_reached_by_two_paths_is_evaluated_once_per_grid():
+    """``p1`` enters theta_blend(theta_invert(p, p1, θ), p1, θ) twice, as
+    two terms, and its evaluator runs once for the grid."""
+    p, p1 = ExponentField.affine(UNIT, 3.0, (1.0,)), ExponentField.affine(UNIT, 2.0, (0.5,))
+    derived = theta_blend(theta_invert(p, p1, 0.4), p1, 0.4)
+    calls = []
+    fn = p1.fn
+    object.__setattr__(p1, "fn", lambda pts: calls.append(1) or fn(pts))
+    derived.values_on(SAMPLE)
+    assert len(calls) == 1
+    assert [q for _, q in derived.terms] == [p, p1, p1]
+
+
+def test_a_deep_shifted_reciprocal_chain_holds_one_term():
+    """150 shifts of 1/p by gamma: one term over the inner primitive, with
+    the offset -150 gamma."""
+    desc, gamma = {"kind": "affine", "base": 2.0, "slopes": [1.0]}, 1e-3
+    for _ in range(150):
+        desc = {"kind": "shifted_reciprocal", "inner": desc, "gamma": gamma}
+    p = ExponentField.from_descriptor(desc, UNIT)
+    assert len(p.terms) == 1 and not p.terms[0][1].terms
+    x = SAMPLE.coords[..., 0]
+    np.testing.assert_allclose(values(p), 1.0 / (1.0 / (2.0 + x) - 150 * gamma), rtol=1e-13)
 
 
 # -- log-Hoelder estimates ------------------------------------------------

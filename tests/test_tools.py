@@ -83,3 +83,25 @@ def test_line_coverage_lists_the_statements_an_in_process_run_never_reaches():
     assert done.returncode == 0, done.stdout + done.stderr
     assert re.search(r"^src/varleb/cli\.py:\d+: sys\.exit\(main\(\)\)$", done.stdout, re.M)
     assert re.search(r"^\d+ of \d+ statements in src/varleb never ran$", done.stdout, re.M)
+
+
+def test_compare_reports_calls_a_leaf_that_moves_only_its_json_type_changed(
+        monkeypatch, tmp_path, capsys):
+    """Two report directories whose one report moves ``x`` from 0 to 0.0 and
+    ``y`` from 1.0 to 1.5: ``x`` reads "changed", with no relative move
+    divided by zero, and ``y`` its relative and absolute move."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # as importing the tools sets them; restored after the test
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import compare_reports
+
+    for side, report in (("parent", '{"x": 0, "y": 1.0}'), ("change", '{"x": 0.0, "y": 1.5}')):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "job.json").write_text(report)
+    compare_reports.compare([{"name": "job", "workload": "norm-batch", "command": "norm"}],
+                            str(tmp_path), {"parent": {"job": 0}, "change": {"job": 0}})
+    assert capsys.readouterr().out.splitlines() == [
+        "norm-batch: 1 of 1 reports moved (1 norm)",
+        "    report.x: 1 moved, largest changed",
+        "    report.y: 1 moved, largest relative 0.33, absolute 0.5",
+        "total: 1 of 1 reports moved"]

@@ -15,9 +15,9 @@ A report moved when its bytes differ with ``wall_time_s`` removed, or its
 exit code differs.  The script prints, per workload, the moved reports by
 command, then per leaf of the moved reports (list indices folded to
 ``[]``) how many moved and the largest move: relative and absolute for
-numbers, "changed" for any other value.  Reports and configs stay under
-``--work`` (default: a new temporary directory).  It exits 0 whatever
-moved, and 1 when a checkout cannot run its jobs.
+numbers that differ in value, "changed" for any other move.  Reports and
+configs stay under ``--work`` (default: a new temporary directory).  It
+exits 0 whatever moved, and 1 when a checkout cannot run its jobs.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ def compare(jobs: list[dict], work: str, codes: dict) -> None:
         for path, a, b in diffs:
             entry = largest.setdefault((workload, path[1:]), [0, 0.0, 0.0, False])
             entry[0] += 1
-            if all(type(v) in (int, float) for v in (a, b)):
+            # a leaf that moves only its JSON type, 0 to 0.0 say, is "changed"
+            if a != b and all(type(v) in (int, float) for v in (a, b)):
                 entry[1] = max(entry[1], abs(a - b) / max(abs(a), abs(b)))
                 entry[2] = max(entry[2], abs(a - b))
             else:
