@@ -8,10 +8,12 @@ to rerun it:
     varleb norm run --config norm.json --out report.json
     varleb norm replay --report report.json
 
-Exit codes: 0 on success, 2 when a mathematical check fails (a bound is
-violated, a gating hypothesis does not hold, or a replay diverges), and
-1 for config, schema, and convergence problems and for a report that
-cannot be written.
+Exit codes, each given by the one ``try`` in ``main``, with no traceback:
+0 on success; 2 when a mathematical check fails (a bound is violated, a
+gating hypothesis does not hold, "hypothesis failure: ...", or a replay
+diverges); 1 with "error: ..." for config, schema and convergence
+problems, a file that cannot be read or written, a config or report
+nested past the recursion limit and a size beyond memory.
 
 Usage errors exit 2 before any file is read: an unknown command or mode,
 a flag of the other mode (``--config`` with ``replay``), or a missing
@@ -41,8 +43,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (REQUIRED, DomainError, HypothesisFailureError, OverflowToInfinityError,
-                     VarlebError, VersionMismatchWarning, block, descriptor, each_axis, integer,
-                     list_of, number, per_axis, read_fields, read_kind)
+                     SchemaError, VarlebError, VersionMismatchWarning, block, descriptor,
+                     each_axis, integer, list_of, number, per_axis, read_fields, read_kind)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
 from .interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
@@ -355,9 +357,9 @@ def _render(obj, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, out_path, quiet: bool) -> bool:
-    """Print the report, or write it to ``out_path``; False, with the
-    error printed, when the file cannot be written.
+def _emit(report: dict, out_path, quiet: bool) -> None:
+    """Print the report, or write it to ``out_path``, raising an OSError
+    that names the path when the file cannot be written.
 
     An existing file is written over in place and then cut to the
     report's length, which on ext4 costs a fraction of truncating it to
@@ -367,7 +369,7 @@ def _emit(report: dict, out_path, quiet: bool) -> bool:
     if not out_path:
         if not quiet:
             print(text)
-        return True
+        return
     data = (text + "\n").encode()
     try:
         fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -380,66 +382,40 @@ def _emit(report: dict, out_path, quiet: bool) -> bool:
         finally:
             os.close(fd)
     except OSError as exc:
-        print(f"error: cannot write report: {out_path}: {exc.strerror or exc}", file=sys.stderr)
-        return False
+        raise OSError(f"cannot write report: {out_path}: {exc.strerror or exc}") from None
     if not quiet:
         print(f"report written to {out_path}")
-    return True
 
 
-def _run(command: str, cfg) -> tuple[dict | None, int]:
-    """Run a command on a config read by its table: the report and exit
-    code, or None and the exit code once the error is printed."""
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``, raising a SchemaError that
+    calls the file ``what`` when it cannot be read."""
+    # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError like JSONDecodeError
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read {what}: {exc}") from None
+
+
+def _run(command: str, cfg) -> tuple[dict, int]:
+    """Run a command on a config read by its table: the report and its
+    exit code."""
     started = time.monotonic()
     run, table = _RUNNERS[command]
-    try:
-        c = read_fields(cfg, table, f"{command} config")
-        results, code = run(c, _grid_from(c))
-    except (HypothesisFailureError, OverflowToInfinityError) as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return None, EXIT_VIOLATION
-    # a float that overflows on its way to an integer raises OverflowError
-    # where NaN raises ValueError
-    except (VarlebError, OSError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_CONFIG
-    except RecursionError:
-        print("error: config is nested too deeply", file=sys.stderr)
-        return None, EXIT_CONFIG
-    # a size beyond memory, such as a resolution of 10**15; numpy names it
-    except MemoryError as exc:
-        print(f"error: cannot allocate: {exc}", file=sys.stderr)
-        return None, EXIT_CONFIG
+    c = read_fields(cfg, table, f"{command} config")
+    results, code = run(c, _grid_from(c))
     return ({"command": command, "config": cfg, "results": results, "warnings": [],
              "provenance": _provenance(cfg.get("seed"), started)}, code)
 
 
-def _execute(command: str, cfg: dict, out_path, quiet: bool) -> int:
-    report, code = _run(command, cfg)
-    if report is not None and not _emit(report, out_path, quiet):
-        return EXIT_CONFIG
-    return code
-
-
-def _replay(command: str, report_path: str, quiet: bool) -> int:
-    # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError like JSONDecodeError
-    try:
-        with open(report_path, "rb") as fh:
-            old = json.loads(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read report: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RecursionError:
-        print("error: report is nested too deeply", file=sys.stderr)
-        return EXIT_CONFIG
-    if not isinstance(old, dict) or not isinstance(old.get("provenance", {}), dict):
-        what = "report" if not isinstance(old, dict) else "report key 'provenance'"
-        print(f"error: {what} must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
+def _replay(command: str, old: dict, quiet: bool) -> int:
+    """Rerun the config of the report ``old``; the exit code of the run,
+    or 2 where its results differ from the stored ones."""
+    if not isinstance(old.get("provenance", {}), dict):
+        raise SchemaError("report key 'provenance' must be a JSON object")
     if old.get("command") != command:
-        print(f"error: report was produced by '{old.get('command')}', "
-              f"not '{command}'", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SchemaError(f"report was produced by '{old.get('command')}', not '{command}'")
     warns = []
     old_version = old.get("provenance", {}).get("version")
     if old_version != __version__:
@@ -447,8 +423,6 @@ def _replay(command: str, report_path: str, quiet: bool) -> int:
         warnings.warn(msg, VersionMismatchWarning)
         warns.append(msg)
     report, code = _run(command, old.get("config", {}))
-    if report is None:
-        return code
     # a stored report may hold a bare Infinity, which _render writes as "inf"
     new, stored = _render(report["results"]), _render(old.get("results"))
     match = new == stored
@@ -538,25 +512,36 @@ def _parse(argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    if args.mode == "replay":
-        return _replay(args.command, args.report, args.quiet)
+    what = _MODE_FLAGS[args.mode][0]  # the file read: "config" or "report"
     try:
-        with open(args.config, "rb") as fh:
-            cfg = json.loads(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        data = _read_json(getattr(args, what), what)
+        if not isinstance(data, dict):
+            raise SchemaError(f"{what} must be a JSON object")
+        if args.mode == "replay":
+            return _replay(args.command, data, args.quiet)
+        for flag, key in _OVERRIDES:
+            value = getattr(args, flag)
+            if value is not None:
+                data[key] = value
+        report, code = _run(args.command, data)
+        _emit(report, args.out, args.quiet)
+        return code
+    except (HypothesisFailureError, OverflowToInfinityError) as exc:
+        print(f"hypothesis failure: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    # a float that overflows on its way to an integer raises OverflowError
+    # where NaN raises ValueError
+    except (VarlebError, OSError, ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # json.loads, a descriptor reader or _render run out of stack
     except RecursionError:
-        print("error: config is nested too deeply", file=sys.stderr)
+        print(f"error: {what} is nested too deeply", file=sys.stderr)
         return EXIT_CONFIG
-    if not isinstance(cfg, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
+    # a size beyond memory, such as a resolution of 10**15; numpy names it
+    except MemoryError as exc:
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for flag, key in _OVERRIDES:
-        value = getattr(args, flag)
-        if value is not None:
-            cfg[key] = value
-    return _execute(args.command, cfg, args.out, args.quiet)
 
 
 if __name__ == "__main__":

@@ -150,7 +150,11 @@ class ExponentField:
 
         def fn(pts, p_inf=p_inf, amp=amp):
             # per-axis terms: a reduction over a short last axis is slow
-            r = np.sqrt(sum(pts[..., i] ** 2 for i in range(pts.shape[-1])))
+            with np.errstate(over="ignore"):
+                r = np.sqrt(sum(pts[..., i] ** 2 for i in range(pts.shape[-1])))
+            far = np.isinf(r)  # squares past the float range: hypot there
+            if far.any():
+                r = np.where(far, np.hypot.reduce(pts, axis=-1), r)
             return p_inf + amp / np.log(math.e + r)
 
         return cls(box, fn, lo, hi, p_infinity=p_inf)
@@ -233,15 +237,11 @@ _EXPONENTS = {
 
 
 def _radial_range(box: Box) -> tuple[float, float]:
-    r2_min = 0.0
-    r2_max = 0.0
-    for a, b in zip(box.lo, box.hi):
-        r2_max += max(a * a, b * b)
-        if a > 0.0:
-            r2_min += a * a
-        elif b < 0.0:
-            r2_min += b * b
-    return math.sqrt(r2_min), math.sqrt(r2_max)
+    """The least and the greatest ``|x|`` over the box."""
+    near = [a if a > 0.0 else b if b < 0.0 else 0.0 for a, b in zip(box.lo, box.hi)]
+    far = [max(a, b, key=abs) for a, b in zip(box.lo, box.hi)]
+    r_min, r_max = _row_norms(np.array([near, far]))
+    return float(r_min), float(r_max)
 
 
 def _multilinear(sample: Grid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:

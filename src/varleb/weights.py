@@ -29,12 +29,11 @@ its grid node), with a padding node of log value ``-inf`` appended, and
 its exponent on the grid.  A (depth, shifted) group is one integer array
 of node rows, one row per cube in scan order padded with the padding
 index (`field.CubeGroup.node_rows`), a row set of each factor.
-`_scan_solves` lists a scan's solves: a depth's sets share one solve in
-scan order until one has another width or passes ``PACK_NODES``; it and
-the rest (all on 257^2 grids) are solved alone.  A cube adds its
-factors' log norms in factor order.  Measures, log sums, the overflow
-test and the argmax (the first maximal cube in scan order) are
-vectorised.
+`_scan_solves` lists a scan's solves: consecutive sets share one solve
+while they have one row width and hold ``PACK_NODES`` nodes at most.
+A cube adds its factors' log norms in factor order.  Measures, log sums,
+the overflow test and the argmax (the first maximal cube in scan order)
+are vectorised.
 
 The geometry of a scan depends only on the grid and the cube family, so
 it is built once per (grid, cube set) by `_scan_plan` and shared by every
@@ -140,25 +139,16 @@ def _build_plan(grid: Grid, cubes: DyadicCubeSet):
 def _scan_solves(plan, n_factors: int) -> list[list[tuple[int, int]]]:
     """The solves of a scan of ``n_factors`` factors over ``plan``, in
     order, each a list of (group, factor) row sets, a group by its index
-    in the plan.  A depth's sets share one solve in scan order while they
-    have one row width and hold at most ``PACK_NODES`` nodes in all; from
-    the first set that does not fit, each of the depth's sets is solved
-    alone, after the solve of the sets before it."""
-    solves = []
-    for i, (group, rows, _) in enumerate(plan):
-        if not group.shifted:  # a new depth
-            pack, nodes = [], 0
+    in the plan.  Consecutive sets share one solve while they have one row
+    width and hold at most ``PACK_NODES`` nodes in all."""
+    solves, width, nodes = [], None, 0
+    for i, (_, rows, _) in enumerate(plan):
         for k in range(n_factors):
-            if pack is not None and nodes + rows.size <= PACK_NODES and (
-                    not pack or rows.shape[1] == width):
-                if not pack:
-                    solves.append(pack)
-                    width = rows.shape[1]
-                pack.append((i, k))
-                nodes += rows.size
-            else:
-                pack = None
-                solves.append([(i, k)])
+            if rows.shape[1] != width or nodes + rows.size > PACK_NODES:
+                solves.append([])
+                width, nodes = rows.shape[1], 0
+            solves[-1].append((i, k))
+            nodes += rows.size
     return solves
 
 

@@ -586,6 +586,37 @@ def test_an_exponent_nested_past_the_recursion_limit_exits_one_and_names_the_fau
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", [500, 700, 900])
+def test_a_report_whose_results_nest_past_the_recursion_limit_exits_one(tmp_path, capsys, depth):
+    """Stored results that ``json.loads`` may still read but that the
+    report writer, two frames a level, cannot walk."""
+    rc, report, out = _run(tmp_path, "norm", _norm_config(16))
+    assert rc == 0
+    out.write_text(json.dumps(dict(report, results=None)).replace(
+        '"results": null', '"results": ' + "[" * depth + "]" * depth))
+    capsys.readouterr()
+    assert main(["norm", "replay", "--report", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: report is nested too deeply\n"
+
+
+def test_a_report_whose_config_nests_past_the_recursion_limit_names_the_report(tmp_path,
+                                                                               capsys):
+    """The replayed config of a valid report with its exponent swapped
+    for 400 ``shifted_reciprocal`` kinds, one inside the next: the fault
+    is the report's, the file that was read."""
+    rc, report, out = _run(tmp_path, "norm", _norm_config(16))
+    assert rc == 0
+    exponent = {"kind": "constant", "value": 2.0}
+    for _ in range(400):
+        exponent = {"kind": "shifted_reciprocal", "inner": exponent, "gamma": 1e-4}
+    report["config"]["exponent"] = exponent
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["norm", "replay", "--report", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: report is nested too deeply\n"
+
+
 def test_non_object_config_exits_one(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")
@@ -1705,6 +1736,64 @@ def test_mutated_configs_exit_cleanly(tmp_path_factory, command, data):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main([command, "run", "--config", str(cfg_path),
                    "--out", str(cfg_path.with_name("report.json")), "--quiet"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_report(tmp_path_factory):
+    """The report of a command's fuzz config, run once per module."""
+    texts = {}
+
+    def report(command):
+        if command not in texts:
+            out = tmp_path_factory.mktemp("valid") / "report.json"
+            cfg_path = _write(out.parent, "config.json", _FUZZ_CONFIGS[command])
+            assert main([command, "run", "--config", cfg_path, "--out", str(out),
+                         "--quiet"]) == 0
+            texts[command] = out.read_text()
+        return json.loads(texts[command])
+    return report
+
+
+_DEEP = "\0nested"  # stands for the old value nested in 600 lists, written as text
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_CONFIGS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_reports_replay_cleanly(tmp_path_factory, fuzz_report, command, data):
+    """A valid report of each command with one value below its command,
+    config, results or provenance mutated as in the config fuzz above, or
+    nested 600 lists deep: its replay exits 0, 1 or 2 with no exception
+    out of ``main`` and no traceback."""
+    report = fuzz_report(command)
+    *parents, key = data.draw(st.sampled_from(
+        [path for path in _fuzz_paths(report)
+         if path[0] in ("command", "config", "results", "provenance")]))
+    node = reduce(operator.getitem, parents, report)
+    old = node[key]
+    mutation = data.draw(st.sampled_from(
+        ["drop", None, math.nan, 1e308, 0, -1.0, -1e308, "nest", _DEEP,
+         *(v for v in _SWAPS if type(v) is not type(old))]))
+    if mutation == "drop":
+        del node[key]
+    else:
+        node[key] = [old] if mutation == "nest" else copy.deepcopy(mutation)
+    text = json.dumps(report)
+    if mutation == _DEEP:
+        text = text.replace(json.dumps(_DEEP), "[" * 600 + json.dumps(old) + "]" * 600)
+    path = tmp_path_factory.mktemp("fuzz") / "report.json"
+    path.write_text(text)
+    err, limit = io.StringIO(), sys.getrecursionlimit()
+    with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore", VersionMismatchWarning)
+        sys.setrecursionlimit(1000)  # Python's default, which hypothesis raises during a test
+        try:
+            rc = main([command, "replay", "--report", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

@@ -598,6 +598,25 @@ def test_log_holder_decay_model_field():
     assert r.c_infinity_estimate == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("lo, hi", [((0.0,), (1e160,)), ((-1e160, 0.0), (0.0, 1e160))],
+                         ids=["1D", "2D"])
+def test_log_decay_reads_the_radius_where_its_square_passes_the_float_range(lo, hi):
+    """p(x) = 2 + 1/log(e + |x|) on a box whose nodes past the origin
+    have squares beyond 1e308: every node reads its ``hypot`` radius, not
+    inf, so p stays above 2 (about 2.0027), and p_- is p at the farthest
+    corner."""
+    box = Box(lo, hi)
+    p = ExponentField.log_decay(box, 2.0, 1.0)
+    grid = Grid(box, (5,) * box.dim)
+    radius = np.hypot.reduce(grid.coords, axis=-1)
+    np.testing.assert_allclose(p.values_on(grid), 2.0 + 1.0 / np.log(math.e + radius),
+                               rtol=1e-15, atol=0.0)
+    far = math.hypot(*(max(abs(a), abs(b)) for a, b in zip(lo, hi)))
+    assert p.p_plus == 3.0
+    assert p.p_minus == pytest.approx(2.0 + 1.0 / math.log(math.e + far), rel=1e-15)
+    assert 2.0027 < p.p_minus < 2.0028
+
+
 def test_log_holder_affine_stays_bounded():
     """An affine exponent is log-Hoelder continuous with local constant
     sup t(-log t) = 1/e; the sampled estimate can never exceed it."""

@@ -105,3 +105,29 @@ def test_compare_reports_calls_a_leaf_that_moves_only_its_json_type_changed(
         "    report.x: 1 moved, largest changed",
         "    report.y: 1 moved, largest relative 0.33, absolute 0.5",
         "total: 1 of 1 reports moved"]
+
+
+def test_line_coverage_traces_the_tests_after_one_that_runs_out_of_stack(tmp_path):
+    """A test that recurses past the limit makes the tracer raise, and
+    CPython then removes it; the tool installs it again before the next
+    test, so a second file that calls into varleb leaves as many
+    statements never run as it does in a run of its own."""
+    (tmp_path / "test_a_recurse.py").write_text(
+        "import pytest\n\n\ndef test_recurses():\n    def down(n):\n        return down(n + 1)\n"
+        "    with pytest.raises(RecursionError):\n        down(0)\n")
+    (tmp_path / "test_b_call.py").write_text(
+        "from varleb import Box\n\n\ndef test_calls():\n"
+        "    assert Box((0.0,), (1.0,)).dim == 1\n")
+
+    def never_run(*files):
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "line_coverage.py"), "-q",
+             "-p", "no:cacheprovider", *files],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        count = re.search(r"^(\d+) of \d+ statements in src/varleb never ran$", done.stdout, re.M)
+        return int(count.group(1)), done.stderr
+
+    both, err = never_run("test_a_recurse.py", "test_b_call.py")
+    assert both == never_run("test_b_call.py")[0]
+    assert "tracer installed again before 1 of 2 tests" in err

@@ -509,7 +509,7 @@ def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
     """A work-count guard: a fall-back to per-cube solves would make one
     call per cube (here 1 + 4 + 16 + 64 + 256 dyadic cubes plus the
     shifted ones) instead of at most one per (depth, shifted) group and
-    factor, fewer where a depth's row sets share a solve."""
+    factor, fewer where row sets share a solve."""
     calls = []
     real = norms_module.lux_rows
 
@@ -529,11 +529,12 @@ def test_cube_scan_makes_one_row_solve_per_group_and_factor(monkeypatch):
     assert sum(calls) == factors * rep.cube_count == factors * len(all_cubes(cubes))
 
 
-@pytest.mark.parametrize("shape, depth, solves", [((4097,), 6, 7), ((257, 257), 4, 18)])
+@pytest.mark.parametrize("shape, depth, solves", [((4097,), 6, 7), ((257, 257), 4, 17)])
 def test_cube_scan_solves_a_depth_at_once_where_it_fits(monkeypatch, shape, depth, solves):
     """A work-count guard on the packing: at 4097 nodes every depth's
-    sets fit ``PACK_NODES`` and make one solve; at 257^2 no dyadic group
-    does, so each (group, factor) set is solved alone, 2 per group."""
+    sets fit ``PACK_NODES`` and make one solve; at 257^2 only the two
+    sets of the depth-1 shifted group fit one solve together, and every
+    other (group, factor) set is solved alone."""
     calls = []
     real = norms_module.lux_rows
 
@@ -553,13 +554,13 @@ def test_cube_scan_solves_a_depth_at_once_where_it_fits(monkeypatch, shape, dept
 
 @pytest.mark.parametrize("shape, depth, budget, sizes", [
     ((33, 65), 2, weights_module.PACK_NODES, [4290, 5610, 7650]),
-    ((65,), 3, 165, [130, 165, 33, 136, 51, 51, 144, 63, 63])], ids=["33x65", "65-budget-165"])
+    ((65,), 3, 165, [130, 165, 33, 136, 102, 144, 126])], ids=["33x65", "65-budget-165"])
 def test_cube_scan_makes_one_block_at_the_size_of_its_largest_solve(monkeypatch, shape, depth,
                                                                      budget, sizes):
     """Every solve of a scan gathers into one working block, made once at
     the size of the scan's largest solve (the last here on 33 x 65, where
     each depth's two groups and two factors are one solve; the second of
-    nine at 65 nodes under a budget of 165): each solve's log|f|,
+    seven at 65 nodes under a budget of 165): each solve's log|f|,
     exponent, log weight and Newton workspace are views of it."""
     seen = []
     real = norms_module.lux_rows
@@ -583,12 +584,12 @@ def test_cube_scan_makes_one_block_at_the_size_of_its_largest_solve(monkeypatch,
 @settings(max_examples=80, deadline=None)
 @given(dim=st.sampled_from([1, 2]), depth=st.integers(0, 4), factors=st.integers(1, 4),
        budget=st.integers(0, 20000), data=st.data())
-def test_scan_solves_pack_each_depth_while_its_sets_fit(dim, depth, factors, budget, data):
+def test_scan_solves_pack_consecutive_sets_while_they_fit(dim, depth, factors, budget, data):
     """`_scan_solves` lists every (group, factor) set once, in scan order
     with factors ascending in a group; a solve of more than one set has
-    one row width and at most ``PACK_NODES`` nodes; a depth's sets share
-    one solve up to the first that does not fit, and every later set of
-    the depth is solved alone."""
+    one row width and at most ``PACK_NODES`` nodes; and a solve ends only
+    where the next set does not fit it: another row width, or more than
+    ``PACK_NODES`` nodes in all."""
     shape = tuple(data.draw(st.integers(2 ** depth + 1, 150 if dim == 1 else 60),
                             label=f"n{axis}") for axis in range(dim))
     box = Box((0.0,) * dim, (1.0,) * dim)
@@ -599,20 +600,13 @@ def test_scan_solves_pack_each_depth_while_its_sets_fit(dim, depth, factors, bud
     assert [s for sets in solves for s in sets] == [(i, k) for i in range(len(plan))
                                                     for k in range(factors)]
     for sets in solves:
-        assert len({plan[i][0].depth for i, _ in sets}) == 1
         if len(sets) > 1:
             assert len({plan[i][1].shape[1] for i, _ in sets}) == 1
             assert sum(plan[i][1].size for i, _ in sets) <= budget
-    for d in range(depth + 1):
-        got = [sets for sets in solves if plan[sets[0][0]][0].depth == d]
-        in_depth = [s for sets in got for s in sets]
-        fit, nodes = 0, 0
-        for i, _ in in_depth:
-            rows = plan[i][1]
-            if nodes + rows.size > budget or rows.shape[1] != plan[in_depth[0][0]][1].shape[1]:
-                break
-            fit, nodes = fit + 1, nodes + rows.size
-        assert got == [in_depth[:fit]] * (fit > 0) + [[s] for s in in_depth[fit:]]
+    for sets, after in zip(solves, solves[1:]):
+        rows = plan[after[0][0]][1]  # the first set of the next solve
+        assert (rows.shape[1] != plan[sets[0][0]][1].shape[1]
+                or sum(plan[i][1].size for i, _ in sets) + rows.size > budget)
 
 
 def _packed_and_alone(scan, budget):
@@ -646,9 +640,9 @@ def _assert_packing_keeps_every_bit(scan, factors, cubes, budget=weights_module.
        three=st.booleans(), budget=st.integers(1, 5000))
 def test_packed_cube_scan_is_bit_identical_to_one_solve_per_set(seed, dim, depth, three,
                                                                 budget):
-    """Packing a depth's row sets into one solve moves no bit of any cube
-    value, under any budget, which also cuts depths between a packed
-    solve and sets solved alone: rows of unequal width (node counts that
+    """Packing row sets into one solve moves no bit of any cube value,
+    under any budget, which also cuts a depth's sets into several solves
+    and sets solved alone: rows of unequal width (node counts that
     are no power of two plus one) and anisotropic 2D grids, with 2
     factors (`ap_constant`) and 3 (`multilinear_constant`, m = 2)."""
     grid, cubes, w, p, rng = _scan_case(seed, dim, depth)

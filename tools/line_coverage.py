@@ -7,13 +7,16 @@ It runs pytest in this process, with the given arguments, under
 first on ``sys.path``.  Only frames whose code lives in ``src/varleb``
 get a line tracer; every other frame is left untraced.  After the run it
 prints, per file and in line order, each statement that never ran as
-``path:line: source``, then a count.  A statement counts as run when a
-line event fell on one of its own lines: all of its lines for a simple
-statement, the header lines for a compound one.  Docstrings, ``def`` and
-``class`` headers, imports and statements that compile to no bytecode are
-not listed.  Child processes (the tests that start the CLI with
-``subprocess``) are not traced, so what only they run is listed as never
-run.  The exit code is pytest's.
+``path:line: source``, then a count.  CPython removes a tracer that
+raises, as it does in a test that runs out of stack, so the tracer is
+installed again before each test where it is gone; stderr says before
+how many.  A statement counts as run when a line event fell on one of
+its own lines: all of its lines for a simple statement, the header lines
+for a compound one.  Docstrings, ``def`` and ``class`` headers, imports
+and statements that compile to no bytecode are not listed.  Child
+processes (the tests that start the CLI with ``subprocess``) are not
+traced, so what only they run is listed as never run.  The exit code is
+pytest's.
 
 It needs only the standard library and pytest, and a traced run takes
 about twice as long as a plain one.
@@ -90,16 +93,29 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
             return line_tracer
         return line_tracer
 
+    class Rearm:
+        """A pytest plugin: the tracer, installed again where it is gone."""
+        tests = rearmed = 0
+
+        def pytest_runtest_logstart(self):
+            Rearm.tests += 1
+            if sys.gettrace() is not tracer:
+                Rearm.rearmed += 1
+                threading.settrace(tracer)
+                sys.settrace(tracer)
+
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import pytest
 
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(args)
+        code = pytest.main(args, plugins=[Rearm()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    print(f"tracer installed again before {Rearm.rearmed} of {Rearm.tests} tests",
+          file=sys.stderr)
     return int(code), hits
 
 
