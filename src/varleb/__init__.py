@@ -20,8 +20,8 @@ from .interp import (BallAverageProduct, EndpointSpace, ExtrapolationBuild, Frac
                      build_extrapolation_family, difference_field,
                      run_extrapolation_workflow, verify_interpolation_bound,
                      verify_interpolation_bounds, verify_mixed_interpolation_bound)
-from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_measure,
-                      ball_sums, maximal_boundedness_probe, maximal_function,
+from .maximal import (ProbeReport, RadiusSweep, ball_mean, ball_sums,
+                      maximal_boundedness_probe, maximal_function,
                       oscillation_average, oscillation_profiles)
 from .norms import holder_constant, mixed_norm, modular, pairing, weighted_norm
 from .rk import (NetReport, RKReport, classify, dilate_family,

@@ -436,25 +436,34 @@ def _replay(command: str, old: dict, quiet: bool) -> int:
     return code
 
 
+_ABSENT = object()  # the value of a key on the side that does not hold it
+
+
+def _differing_leaves(a, b, path: str):
+    """Yield each leaf where the JSON trees ``a`` (stored) and ``b``
+    (replayed) differ as (path, a's value, b's value): at an object its
+    keys on one side only first, `_ABSENT` on the other, then its shared
+    keys, each in sorted order; lists of one length go index by index."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) ^ set(b)):
+            yield f"{path}.{k}", a.get(k, _ABSENT), b.get(k, _ABSENT)
+        for k in sorted(set(a) & set(b)):
+            yield from _differing_leaves(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _differing_leaves(x, y, f"{path}[{i}]")
+    elif type(a) is not type(b) or a != b:
+        yield path, a, b
+
+
 def _replay_diff(old, new) -> str:
     """Say where two JSON result trees differ: how many leaves, the
     first few paths, the keys on one side only, and the largest relative
     difference over numeric leaves."""
-    leaves, one_sided = [], []
-
-    def walk(a, b, path):
-        if isinstance(a, dict) and isinstance(b, dict):
-            one_sided.extend(f"{path}.{k} ({'stored' if k in a else 'replayed'} only)"
-                             for k in sorted(set(a) ^ set(b)))
-            for k in sorted(set(a) & set(b)):
-                walk(a[k], b[k], f"{path}.{k}")
-        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-            for i, (x, y) in enumerate(zip(a, b)):
-                walk(x, y, f"{path}[{i}]")
-        elif type(a) is not type(b) or a != b:
-            leaves.append((path, a, b))
-
-    walk(old, new, "results")
+    diffs = list(_differing_leaves(old, new, "results"))
+    one_sided = [f"{path} ({'replayed' if a is _ABSENT else 'stored'} only)"
+                 for path, a, b in diffs if a is _ABSENT or b is _ABSENT]
+    leaves = [(path, a, b) for path, a, b in diffs if a is not _ABSENT and b is not _ABSENT]
     msg = f"replay mismatch: {len(leaves)} differing leaves"
     if leaves:
         more = ", ..." if len(leaves) > 3 else ""
@@ -522,6 +531,9 @@ def main(argv=None) -> int:
         for flag, key in _OVERRIDES:
             value = getattr(args, flag)
             if value is not None:
+                if key not in _RUNNERS[args.command][1]:
+                    raise SchemaError(f"flag --{flag.replace('_', '-')} does not apply to "
+                                      f"command '{args.command}'")
                 data[key] = value
         report, code = _run(args.command, data)
         _emit(report, args.out, args.quiet)

@@ -149,13 +149,7 @@ class ExponentField:
         lo, hi = sorted((g(r_min), g(r_max)))
 
         def fn(pts, p_inf=p_inf, amp=amp):
-            # per-axis terms: a reduction over a short last axis is slow
-            with np.errstate(over="ignore"):
-                r = np.sqrt(sum(pts[..., i] ** 2 for i in range(pts.shape[-1])))
-            far = np.isinf(r)  # squares past the float range: hypot there
-            if far.any():
-                r = np.where(far, np.hypot.reduce(pts, axis=-1), r)
-            return p_inf + amp / np.log(math.e + r)
+            return p_inf + amp / np.log(math.e + _row_norms(pts))
 
         return cls(box, fn, lo, hi, p_infinity=p_inf)
 
@@ -398,11 +392,13 @@ class LogHolderReport:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``sqrt(sum x^2)`` per row, or ``hypot`` where the squares pass the float range."""
+    """``|x|`` over the last axis: the root of the squares summed axis by axis
+    (a short-axis reduction is slow), or ``hypot`` where they overflow."""
     with np.errstate(over="ignore"):
-        r = np.sqrt(np.sum(x ** 2, axis=1))
+        r = np.sqrt(sum(x[..., i] ** 2 for i in range(x.shape[-1])))
     far = np.isinf(r)
-    r[far] = np.hypot.reduce(x[far], axis=1, initial=0.0)
+    if far.any():
+        r = np.where(far, np.hypot.reduce(x, axis=-1, initial=0.0), r)
     return r
 
 
@@ -455,8 +451,6 @@ def _log_holder_reports(fields: Sequence[ExponentField], budget: int,
     them.  Fields without a declared limit use the value at the far
     corner of the box as the ``p_inf`` proxy.
     """
-    if budget < 1:
-        raise DomainError("budget must be positive")
     far_corner, X, Y, near, neg_log, log_r, pairs_used = _pair_sample(fields[0].box, budget, seed)
     reports = []
     for p in fields:

@@ -343,17 +343,18 @@ def box_mask(grid: Grid, box: Box) -> np.ndarray:
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     if len(center) != grid.dim:
         raise DomainError("ball center dimension does not match grid")
-    r_eff = np.float64(_ball_radius(radius) * BALL_SHRINK)
+    r_eff = np.float64(_open_radius(radius))
     unit = _distance_unit(grid, center)
     with np.errstate(over="ignore"):  # a numpy scalar's ** is C pow, as Python's, but may be inf
         return _squared_distance(grid, center, unit) < (r_eff / unit) ** 2
 
 
-def _ball_radius(radius: float) -> float:
-    """``radius``, refused unless it is above zero, so also when it is NaN."""
+def _open_radius(radius: float) -> float:
+    """``radius * BALL_SHRINK``, the radius that open balls B(x, radius) are
+    tested with; ``radius`` is refused unless above zero, so also when NaN."""
     if not radius > 0.0:
         raise DomainError(f"ball radius must be positive, got {radius}")
-    return radius
+    return radius * BALL_SHRINK
 
 
 def square_unit(top: float, grid: Grid, noun: str) -> float:

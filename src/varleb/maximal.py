@@ -83,14 +83,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .exponent import ExponentField
-from .field import (BALL_SHRINK, DyadicCubeSet, FunctionFamily, Grid, GridFunction,
-                    WeightField, _ball_radius, _shift_slices, refuse_non_finite, square_unit)
+from .field import (DyadicCubeSet, FunctionFamily, Grid, GridFunction, WeightField,
+                    _open_radius, _shift_slices, refuse_non_finite, square_unit)
 from .norms import norm_ratios, weighted_table
 from .weights import WeightConstantReport, gate_constant
 
@@ -190,9 +191,10 @@ def _row_reaches(grid: Grid, r_effs: Sequence[float]) -> list[list[int]]:
     return [reach.tolist() for reach in np.split(k2, ends[:-1])]
 
 
-def _row_reach(grid: Grid, r_eff: float) -> list[int]:
-    """The one-radius case of `_row_reaches`."""
-    return _row_reaches(grid, [r_eff])[0]
+def _open_reaches(grid: Grid, radii: Sequence[float]) -> list[list[int]]:
+    """The `_row_reaches` of the open balls B(x, r) of the ``radii``, each
+    radius refused unless it is positive."""
+    return _row_reaches(grid, [_open_radius(r) for r in radii])
 
 
 def _prefix(arr: np.ndarray) -> np.ndarray:
@@ -234,7 +236,7 @@ def _window(prefix: np.ndarray, k2: int, out: np.ndarray) -> np.ndarray:
 
 def _ball_sums(arr: np.ndarray, reaches: Sequence[list[int]]
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The sums of ``arr`` over the balls of the ``_row_reach`` lists
+    """The sums of ``arr`` over the balls of the `_row_reaches` lists
     ``reaches``, yielded in order, each with a scratch array of the same
     shape; both are the caller's to overwrite until the next ``next``.
 
@@ -333,7 +335,7 @@ def ball_sums(arr: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     ``>= 0``, and each row of a ball is off by at most about (row
     length) x eps x (row total).
     """
-    return next(_ball_sums(arr, [_row_reach(grid, _ball_radius(radius) * BALL_SHRINK)]))[0]
+    return next(_ball_sums(arr, _open_reaches(grid, [radius])))[0]
 
 
 @lru_cache(maxsize=32)
@@ -364,6 +366,9 @@ def _unit_windows(n: int) -> np.ndarray:
 
 
 def _ball_measure(grid: Grid, reach: list[int], out: np.ndarray) -> np.ndarray:
+    """The quadrature measure of the in-box lattice ball ``reach`` at every
+    node, into ``out``: the cell times an exact count of half-step units,
+    in 2D one matrix product over the ball's strips."""
     if grid.dim == 1:
         count = _window(_unit_prefix(grid.shape[0]), reach[0], out)
         return np.multiply(count, 0.5 * grid.steps[0], out=out)
@@ -381,34 +386,10 @@ def _ball_measure(grid: Grid, reach: list[int], out: np.ndarray) -> np.ndarray:
     return out
 
 
-def ball_measure(grid: Grid, radius: float) -> np.ndarray:
-    """The quadrature measure of the in-box open ball B(x, radius) at
-    every node: ``ball_sums(grid.quad_weights, grid, radius)`` up to
-    rounding, and equal to it where the sums are exact (dyadic steps).
-
-    In units of half a step the trapezoid weights are 1 and 2 on each
-    axis, so the measure is the cell, ``h/2`` in 1D and ``(h1/2)(h2/2)``
-    in 2D, times an integer count, rounded once.  In 1D the count is one
-    window of the prefix of the units, cached per node count.  In 2D the
-    lattice ball is the disjoint union of strips, one per row ``m``
-    whose reach exceeds the next row's (``reach[rows] = -1``): the
-    offsets with ``|k1| <= m`` and ``reach[m + 1] < |k2| <= reach[m]``.
-    With ``W[k, j]`` the units of an axis summed over the in-box window
-    ``|l - j| <= k``, a strip counts ``W1[m, i] (W2[reach[m], j] -
-    W2[reach[m + 1], j])`` at node (i, j), so the count is one matrix
-    product over the strips.  It is exact in any summation order, so the
-    measure is one rounded product, the same under both axis flips and
-    for any BLAS; only its top-left quadrant is multiplied, of order
-    (rows / 2) x (strips) x (columns / 2) per radius, and mirrored.
-    """
-    return _ball_measure(grid, _row_reach(grid, _ball_radius(radius) * BALL_SHRINK),
-                         np.empty(grid.shape))
-
-
 def ball_mean(values: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
     """Signed in-box ball average at every node (linear in f) of each function
     f of a ``(..., *grid.shape)`` value stack; its sums and measure share one lattice ball."""
-    reach = _row_reach(grid, _ball_radius(radius) * BALL_SHRINK)
+    [reach] = _open_reaches(grid, [radius])
     num = next(_ball_sums(grid.quad_weights * values, [reach]))[0]
     return num / _ball_measure(grid, reach, np.empty(grid.shape))
 
@@ -443,10 +424,7 @@ def maximal_function(f: GridFunction, qtilde: float, sweep: RadiusSweep) -> Grid
     sweep.validate_for(f.grid)
     refuse_non_finite(f.values, f.grid.size, "the maximal function")
     # radii with the same lattice ball give the same ratio: keep the first
-    reaches: list[list[int]] = []
-    for reach in _row_reaches(f.grid, [r * BALL_SHRINK for r in sweep.radii]):
-        if not reaches or reach != reaches[-1]:
-            reaches.append(reach)
+    reaches = [reach for reach, _ in groupby(_open_reaches(f.grid, sweep.radii))]
     best = np.zeros(f.grid.shape)
     e = _binade(f.values)
     # the generator drops its input after the first chunk; hold no name to it
@@ -558,7 +536,7 @@ def _partner_pieces(signs: tuple[int, ...]) -> tuple:
 
 
 def _offset_list(grid: Grid, reach: list[int]) -> list[tuple[int, ...]]:
-    """The offsets of the `_row_reach` list ``reach``, sorted."""
+    """The offsets of the `_row_reaches` list ``reach``, sorted."""
     if grid.dim == 1:
         return [(k,) for k in range(-reach[0], reach[0] + 1)]
     rows = range(1 - len(reach), len(reach))

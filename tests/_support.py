@@ -15,7 +15,7 @@ import numpy as np
 from varleb import (Box, Cube, DomainError, DyadicCubeSet, ExponentField, FunctionFamily, Grid,
                     GridFunction, RadiusSweep, WeightField)
 from varleb.field import _shift_slices, box_slices, refuse_non_finite, shared_grid
-from varleb.maximal import _binade, _check_qtilde, _offset_list, _row_reach
+from varleb.maximal import _binade, _check_qtilde, _offset_list, _row_reaches
 
 UNIT = Box((0.0,), (1.0,))
 SYM = Box((-1.0,), (1.0,))
@@ -193,7 +193,7 @@ def member_major_oscillation_profiles(values: np.ndarray, grid: Grid, qtilde: fl
     den = np.zeros(grid.shape)  # in half-step units, so every partial sum is exact
     walked: set = set()
     for radius in sweep.radii:
-        offsets = _offset_list(grid, _row_reach(grid, radius * (1.0 + 1e-9)))
+        offsets = _offset_list(grid, _row_reaches(grid, [radius * (1.0 + 1e-9)])[0])
         for delta in offsets[len(offsets) // 2:]:
             if delta in walked:
                 continue

@@ -11,6 +11,7 @@ import math
 import operator
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -1908,6 +1909,18 @@ def test_the_argument_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_p
     assert rc == 0 and report["results"]["norm"] > 0
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("norm", "--seed", "3"), ("modular", "--tol", "1e-8"), ("maximal", "--cube-depth", "2")])
+def test_a_flag_the_command_does_not_take_is_refused_by_name(tmp_path, capsys, command, flag,
+                                                             value):
+    """Such a flag set its key, and the config was then blamed for an
+    unknown key that it does not hold."""
+    cfg = {**_norm_config(16), "qtilde": 1.0} if command == "maximal" else _norm_config(16)
+    rc, report, _ = _run(tmp_path, command, cfg, flag, value)
+    assert rc == 1 and report is None
+    assert capsys.readouterr().err == f"error: flag {flag} does not apply to command '{command}'\n"
+
+
 # ---------------------------------------------------------------------------
 # report text: one walk from the report tree to its bytes
 
@@ -1985,3 +1998,21 @@ def test_a_run_and_its_replay_never_call_json_dumps(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert json.loads(captured.out)["replay_match"]
     assert "Traceback" not in captured.err
+
+
+def test_render_refuses_an_object_that_json_cannot_write():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        cli_module._render({"results": object()})
+
+
+def test_the_module_run_as_a_script_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "absent.json"
+    monkeypatch.setattr(sys, "argv", ["varleb", "norm", "run", "--config", str(missing)])
+    with warnings.catch_warnings():
+        # runpy warns that the package already imported varleb.cli
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("varleb.cli", run_name="__main__")
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == ("error: cannot read config: [Errno 2] No such file or "
+                                       f"directory: '{missing}'\n")

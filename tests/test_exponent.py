@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varleb import (Box, DomainError, ExponentField, Grid, QuadrupleSpec,
-                    RangeError, SchemaError, dual_exponent, harmonic_combine,
-                    nu_exponent, component_exponent, reciprocal_affine, scale_exponent,
-                    theta_blend, theta_invert, two_to_one_data, validate_quadruple)
+                    RangeError, SchemaError, SpecMismatchError, blend_quadruple,
+                    dual_exponent, harmonic_combine, nu_exponent, component_exponent,
+                    reciprocal_affine, scale_exponent, theta_blend, theta_invert,
+                    two_to_one_data, validate_quadruple)
 from varleb.exponent import _log_holder_reports, _pair_sample
 
 from _support import UNIT, closure_chain, rand_exponent
@@ -877,3 +878,34 @@ def test_quadruple_draws_one_log_holder_sample(monkeypatch):
     assert len(made) == 1
     validate_quadruple(spec)  # the sample of the box is cached
     assert len(made) == 1
+
+
+WIDE = Box((0.0,), (2.0,))
+TWO, FOUR = ExponentField.constant(UNIT, 2.0), ExponentField.constant(UNIT, 4.0)
+WIDE_TWO = ExponentField.constant(WIDE, 2.0)
+
+
+@pytest.mark.parametrize("call, error, fault", [
+    (lambda: TWO(np.zeros((3, 2))), DomainError, "point dimension does not match"),
+    (lambda: TWO.values_on(Grid(WIDE, (5,))), DomainError, "grid box does not match"),
+    (lambda: reciprocal_affine((), (), 0.0), DomainError, "need one coefficient per field"),
+    (lambda: reciprocal_affine((TWO, WIDE_TWO), (0.5, 0.5)), DomainError,
+     "derived exponent: component fields live on different boxes"),
+    (lambda: theta_invert(TWO, FOUR, 1.0), DomainError,
+     r"theta must lie in \[0, 1\) for inversion, got 1.0"),
+    (lambda: QuadrupleSpec((WIDE_TWO,), FOUR, (1.2,), 10.0), DomainError,
+     "quadruple exponents live on different boxes"),
+    (lambda: blend_quadruple(QuadrupleSpec((TWO,), FOUR, (1.2,), 10.0),
+                             QuadrupleSpec((TWO, TWO), FOUR, (1.2, 1.2), 10.0), 0.5),
+     SpecMismatchError, "quadruples have different arity"),
+    (lambda: blend_quadruple(QuadrupleSpec((TWO,), FOUR, (1.2,), 10.0),
+                             QuadrupleSpec((WIDE_TWO,), WIDE_TWO, (1.2,), 10.0), 0.5),
+     DomainError, "quadruples live on different boxes"),
+    # 1/r - 1/s - gamma = 1/2 - 1/4 - (1/2 - 1/4)
+    (lambda: two_to_one_data(QuadrupleSpec((TWO,), FOUR, (2.0,), 4.0)), RangeError,
+     r"need 1/r - 1/s - gamma > 0, got 0.0"),
+], ids=["point-dimension", "grid-box", "no-fields", "field-boxes", "theta-invert",
+        "quadruple-boxes", "blend-arity", "blend-boxes", "two-to-one-denominator"])
+def test_each_exponent_refusal_names_its_fault(call, error, fault):
+    with pytest.raises(error, match=fault):
+        call()

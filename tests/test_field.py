@@ -427,3 +427,18 @@ def test_csv_rejects_wrong_grid(tmp_path):
     write_grid_csv(f, str(path))
     with pytest.raises(Exception):
         read_grid_csv(str(path), grid1d(17))
+
+
+@pytest.mark.parametrize("call, fault", [
+    (lambda: Box((0.0,), (1.0, 2.0)), "box lo/hi dimension mismatch"),
+    (lambda: Grid(UNIT, (3, 3)), "grid shape dimension does not match box"),
+    (lambda: Grid(Box((0.0,) * 3, (1.0,) * 3), (2, 2, 2)), "grids support at most two axes"),
+    (lambda: GridFunction(grid1d(5), np.zeros(4)),
+     r"value shape \(4,\) does not match grid shape \(5,\)"),
+    (lambda: box_mask(Grid(Box((0.0, 0.0), (1.0, 1.0)), (3, 3)), UNIT),
+     "region dimension does not match grid"),
+    (lambda: ball_mask(grid1d(5), (0.5, 0.5), 0.1), "ball center dimension does not match grid"),
+], ids=["box-axes", "grid-shape", "three-axes", "value-shape", "region", "ball-center"])
+def test_each_field_refusal_names_its_fault(call, fault):
+    with pytest.raises(DomainError, match=fault):
+        call()

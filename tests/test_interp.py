@@ -728,3 +728,34 @@ def test_workflow_solves_one_batch_per_slot_per_built_theta(monkeypatch):
     built = sum(e.built for e in report.entries)
     assert built == 2
     assert len(calls) - sum(inside) == 2 * built
+
+
+def _refusal_cases():
+    grid = Grid(UNIT, (33,))
+    wide = Box((0.0,), (2.0,))
+    spec = QuadrupleSpec((ExponentField.constant(UNIT, 2.0),), ExponentField.constant(UNIT, 4.0),
+                         (1.2,), 10.0)
+    wide_spec = QuadrupleSpec((ExponentField.constant(wide, 2.0),),
+                              ExponentField.constant(wide, 4.0), (1.2,), 10.0)
+    space = _const_space(grid, [2.0], 2.0)
+    return {
+        "endpoint-box": (lambda: EndpointSpace(
+            (ExponentField.constant(wide, 2.0),), ExponentField.constant(UNIT, 2.0),
+            (unit_weight(grid),), unit_weight(grid)),
+            DomainError, "endpoint exponents live on a different box"),
+        "operator-arity": (lambda: verify_interpolation_bound(Product(2), space, space, 0.5),
+                           ArityMismatchError, "operator arity does not match the endpoint"),
+        "extrapolation-boxes": (lambda: build_extrapolation_family(
+            spec, (unit_weight(grid),), wide_spec, (unit_weight(grid),), 0.5),
+            SpecMismatchError, "target and endpoint live on different boxes"),
+        "workflow-weights": (lambda: run_extrapolation_workflow(
+            Product(1), np.ones((1, 1, 33)), grid, spec, (), spec, (unit_weight(grid),), [0.5]),
+            ArityMismatchError, "0 weights against arity 1"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusal_cases()))
+def test_each_interpolation_refusal_names_its_fault(case):
+    call, error, fault = _refusal_cases()[case]
+    with pytest.raises(error, match=fault):
+        call()

@@ -13,11 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
                     GridFunction, HypothesisFailureError, RadiusSweep, ball_mask,
-                    ball_mean, ball_measure, ball_sums, maximal_boundedness_probe,
+                    ball_mean, ball_sums, maximal_boundedness_probe,
                     maximal_function, oscillation_average, oscillation_profiles)
 import varleb.maximal as maximal_module
-from varleb.field import BALL_SHRINK, _shift_slices, realize_function
-from varleb.maximal import _offset_list, _row_reach, _row_reaches
+from varleb.field import _open_radius, _shift_slices, realize_function
+from varleb.maximal import _ball_measure, _offset_list, _open_reaches, _row_reaches
 
 from _support import (UNIT, family_of, from_callable, grid1d, half_step_cell, half_step_units,
                       member_major_oscillation_profiles, unit_weight, with_radii)
@@ -100,6 +100,12 @@ def grid_and_radius(draw):
     return grid, radius
 
 
+def ball_measure(grid, radius):
+    """The quadrature measure of the open ball B(x, radius) at every node."""
+    [reach] = _open_reaches(grid, [radius])
+    return _ball_measure(grid, reach, np.empty(grid.shape))
+
+
 def brute_ball_sums(arr, grid, radius):
     return np.array([np.sum(arr[ball_mask(grid, grid.coords[idx], radius)])
                      for idx in np.ndindex(*grid.shape)]).reshape(grid.shape)
@@ -162,7 +168,7 @@ def test_ball_sums_error_is_bounded_by_the_row_totals(case, data):
 def two_interval_ball_sums(arr, grid, radius):
     """The earlier form of the row loop: every row offset k1 computes its
     interval twice, once for the rows above and once for the rows below."""
-    reach = _row_reach(grid, radius * BALL_SHRINK)
+    [reach] = _open_reaches(grid, [radius])
     if reach == [0]:
         return arr.copy()
     n = arr.shape[-1]
@@ -232,8 +238,8 @@ def test_ball_sums_of_banded_rows_are_bit_identical_to_the_two_interval_loop(cas
     changes no bit of any ball sum of a sweep."""
     grid, arr, sweep = case
     radii = {}
-    for r in sweep.radii:
-        radii.setdefault(tuple(_row_reach(grid, r * BALL_SHRINK)), r)
+    for r, reach in zip(sweep.radii, _open_reaches(grid, sweep.radii)):
+        radii.setdefault(tuple(reach), r)
     sums = maximal_module._ball_sums(arr, [list(reach) for reach in radii])
     members = arr.reshape((-1,) + grid.shape)
     for r, (got, _) in zip(radii.values(), sums):
@@ -363,7 +369,7 @@ def exact_count_measure(grid, radius):
     lattice offset that passes the membership test ``|k| h < r`` in 1D or
     ``(k1 h1)^2 + (k2 h2)^2 < r^2`` in 2D."""
     units = reduce(np.multiply.outer, map(half_step_units, grid.shape)).astype(np.int64)
-    r_eff = radius * BALL_SHRINK
+    r_eff = _open_radius(radius)
     count = np.zeros(grid.shape, dtype=np.int64)
     for delta in np.ndindex(*(2 * n - 1 for n in grid.shape)):
         delta = tuple(k - (n - 1) for k, n in zip(delta, grid.shape))
@@ -416,7 +422,7 @@ def test_maximal_function_sums_f_once_per_distinct_ball_and_never_the_weights(mo
 
     monkeypatch.setattr(maximal_module, "_ball_sums", counting)
     maximal_function(f, 1.3, sweep)
-    balls = {tuple(_row_reach(g, r * BALL_SHRINK)) for r in sweep.radii}
+    balls = set(map(tuple, _open_reaches(g, sweep.radii)))
     assert len(seen) == 1
     assert sorted(map(tuple, seen[0][1])) == sorted(balls)
     ball_mean(f.values, g, 0.2)
@@ -427,8 +433,7 @@ def test_maximal_function_sums_f_once_per_distinct_ball_and_never_the_weights(mo
 def distinct_balls(grid, sweep):
     """The reach lists of a sweep, a run of equal ones kept once."""
     reaches = []
-    for r in sweep.radii:
-        reach = _row_reach(grid, r * BALL_SHRINK)
+    for reach in _open_reaches(grid, sweep.radii):
         if not reaches or reach != reaches[-1]:
             reaches.append(reach)
     return reaches
@@ -439,7 +444,7 @@ def gathered_ball_measure(grid, radius):
     index arrays over every node, in units of half a step, and scaled
     once by ``(h1/2)(h2/2)``; in 1D the row sums of the units, scaled
     once by ``h/2``."""
-    reach = _row_reach(grid, radius * BALL_SHRINK)
+    [reach] = _open_reaches(grid, [radius])
     if reach == [0]:
         return grid.quad_weights.copy()
     if grid.dim == 1:
@@ -594,7 +599,7 @@ def test_ball_of_one_step_is_the_centre_node():
 
 def looped_row_reach(grid, r_eff):
     """Lattice-ball reach by one membership test settled per row, in 1D
-    and 2D alike: the reference for `_row_reach`."""
+    and 2D alike: the reference for `_row_reaches`."""
     h1, h2 = grid.steps[0], grid.steps[-1]
     if grid.dim == 1:
         def inside(k1, k2):
@@ -624,8 +629,9 @@ def test_row_reach_matches_the_looped_test_at_and_beside_multiples_of_the_step(b
         for k in range(1, 2 * max(shape)):
             r = k * h
             for r_eff in (r, np.nextafter(r, 0.0), np.nextafter(r, math.inf),
-                          r * BALL_SHRINK, r * (1.0 + 1e-9)):
-                assert _row_reach(grid, float(r_eff)) == looped_row_reach(grid, float(r_eff))
+                          _open_radius(r), r * (1.0 + 1e-9)):
+                r_eff = float(r_eff)
+                assert _row_reaches(grid, [r_eff]) == [looped_row_reach(grid, r_eff)]
 
 
 @pytest.mark.parametrize("r_eff", [1.5531753009963172, 0.17096349208237413])
@@ -680,7 +686,7 @@ def test_row_reaches_are_the_looped_test_radius_by_radius(case):
     grid, radii = case
     assert _row_reaches(grid, radii) == [looped_row_reach(grid, r) for r in radii]
     whole_box = [grid.shape[-1] - 1] * (1 if grid.dim == 1 else grid.shape[0])
-    assert _row_reach(grid, math.inf) == whole_box
+    assert _row_reaches(grid, [math.inf])[0] == whole_box
 
 
 def test_an_infinite_radius_on_a_box_near_the_float_range_reaches_the_whole_axis():
@@ -691,7 +697,7 @@ def test_an_infinite_radius_on_a_box_near_the_float_range_reaches_the_whole_axis
     finite."""
     grid = Grid(Box((-1e308,), (1.0,)), (33,))
     assert 2.0 * grid.box.diameter == math.inf
-    assert _row_reach(grid, math.inf) == [32]
+    assert _row_reaches(grid, [math.inf])[0] == [32]
     sweep = RadiusSweep(tuple(grid.max_step * 2.0 ** k for k in range(7)))
     assert sweep.radii[-1] == math.inf
     values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 33))
@@ -703,7 +709,7 @@ def test_oscillation_offsets_are_the_ball_mask_in_row_order():
     g = Grid(Box((0.0, 0.0), (1.3, 0.7)), (21, 15))
     # radii away from every lattice distance, where the two tests agree
     for r in (0.071, 0.21, 0.31):
-        offsets = _offset_list(g, _row_reach(g, r))
+        offsets = _offset_list(g, _row_reaches(g, [r])[0])
         assert offsets == sorted(offsets)
         centre = (10, 7)
         mask = ball_mask(g, g.coords[centre], r)
@@ -918,7 +924,7 @@ def looped_oscillation(vals, grid, qtilde, radius):
     vals = vals / s
     qw = grid.quad_weights
     num, den = np.zeros(grid.shape), np.zeros(grid.shape)
-    for delta in _offset_list(grid, _row_reach(grid, radius * (1.0 + 1e-9))):
+    for delta in _offset_list(grid, _row_reaches(grid, [radius * (1.0 + 1e-9)])[0]):
         dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(grid.shape, delta))
         src = tuple(slice(max(k, 0), n - max(-k, 0)) for n, k in zip(grid.shape, delta))
         num[dst] += qw[src] * np.abs(vals[dst] - vals[src]) ** qtilde
@@ -987,7 +993,7 @@ def test_oscillation_profiles_power_each_offset_pair_once(case):
         list(oscillation_profiles(stack, grid, 1.37, sweep))
     finally:
         maximal_module._shift_slices, maximal_module._partner_pieces = originals
-    largest = _offset_list(grid, _row_reach(grid, sweep.radii[-1] * (1.0 + 1e-9)))
+    largest = _offset_list(grid, _row_reaches(grid, [sweep.radii[-1] * (1.0 + 1e-9)])[0])
     assert len(sliced) == len(set(sliced)) == len(largest) // 2
     assert set(sliced) == set(largest[len(largest) // 2 + 1:])
     assert len(split) == len(largest) // 2
@@ -1153,3 +1159,12 @@ def test_probe_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
         maximal_boundedness_probe(family_of([GridFunction(g, np.ones(g.shape))]),
                                   ExponentField.constant(UNIT, 2.0), unit_weight(g),
                                   qtilde, RadiusSweep.geometric(g, 8), DyadicCubeSet(UNIT, 2))
+
+
+def test_a_probe_corpus_of_zeros_is_refused():
+    grid = grid1d(65)
+    p = ExponentField.constant(UNIT, 2.0)
+    with pytest.raises(DomainError, match="probe corpus contains only zero functions"):
+        maximal_boundedness_probe(family_of([GridFunction(grid, np.zeros(grid.shape))] * 2), p,
+                                  unit_weight(grid), 1.0, RadiusSweep.geometric(grid, 4),
+                                  DyadicCubeSet(UNIT, 2))

@@ -884,3 +884,10 @@ def test_a_warm_gathered_solve_allocates_less_than_one_row_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * rows.size
+
+
+def test_a_solve_past_the_evaluation_limit_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(norms_module, "MAX_EVALUATIONS", 1)
+    grid = grid1d(65)
+    with pytest.raises(ConvergenceError, match=r"above \S+ after 1 evaluations"):
+        weighted_norm(gaussian(grid), ExponentField.affine(UNIT, 2.0, (1.0,)))

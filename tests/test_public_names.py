@@ -13,7 +13,7 @@ PUBLIC = [
     "QuadrupleVerdict", "RKReport", "RadiusSweep", "RangeError", "SchemaError",
     "SpecMismatchError", "ThetaEntry", "TwoToOneReport", "VarlebError", "VersionMismatchWarning",
     "WeightConstantReport", "WeightField", "WorkflowReport", "ap_constant", "apply_operator",
-    "ball_mask", "ball_mean", "ball_measure", "ball_sums", "blend_constant_check",
+    "ball_mask", "ball_mean", "ball_sums", "blend_constant_check",
     "blend_quadruple", "blend_spaces", "box_mask", "build_extrapolation_family", "classify",
     "component_exponent", "containment_check", "difference_field", "dilate_family",
     "dual_exponent", "eps_net_oracle", "equicontinuity_profile", "errors", "exponent",

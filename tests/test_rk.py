@@ -493,3 +493,10 @@ def test_family_profiles_solve_each_family_in_one_row_call(monkeypatch):
             diff = GridFunction(g, fam.values[i] - fam.values[j])
             want = 0.0 if i == j else weighted_norm(diff, p, w).value
             assert d[i, j] == pytest.approx(want, rel=1e-12)
+
+
+def test_a_mollify_ratio_above_one_whose_last_scale_overflows_is_refused():
+    base = _gaussian(Grid(UNIT, (65,)), 20.0, 0.5)
+    with pytest.raises(DomainError, match="mollify ratio 10.0 to the power count - 1 = 399 "
+                                          "leaves the range of positive floats"):
+        mollify_family(base, 400, 0.1, ratio=10.0)

@@ -793,3 +793,17 @@ def test_scan_plan_cache_holds_at_most_its_byte_budget(monkeypatch):
     assert _scan_plan(*large) is not _scan_plan(*large)
     assert list(weights_module._plans) == [keys[1], keys[0]]
     weights_module._plans.clear()
+
+
+ONE_INPUT = QuadrupleSpec((const_p(2.0),), const_p(4.0), (1.2,), 10.0)
+
+
+@pytest.mark.parametrize("call, error, fault", [
+    (lambda: ap_constant(unit_weight(GRID), const_p(2.0), DyadicCubeSet(Box((0.0,), (2.0,)), 1)),
+     DomainError, "cube family root box must lie inside the grid box"),
+    (lambda: blend_constant_check((), (unit_weight(GRID),), ONE_INPUT, ONE_INPUT, 0.5, CUBES),
+     ArityMismatchError, "weight vector arity does not match its quadruple"),
+], ids=["cube-root", "blend-arity"])
+def test_each_weight_refusal_names_its_fault(call, error, fault):
+    with pytest.raises(error, match=fault):
+        call()

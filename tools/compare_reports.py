@@ -15,7 +15,9 @@ A report moved when its bytes differ with ``wall_time_s`` removed, or its
 exit code differs.  The script prints, per workload, the moved reports by
 command, then per leaf of the moved reports (list indices folded to
 ``[]``) how many moved and the largest move: relative and absolute for
-numbers that differ in value, "changed" for any other move.  Reports and
+numbers that differ in value, "changed" for any other move.  The leaves
+are those that ``varleb.cli`` of this script's own checkout walks for
+``replay``, keys on one side only included.  Reports and
 configs stay under ``--work`` (default: a new temporary directory).  It
 exits 0 whatever moved, and 1 when a checkout cannot run its jobs.
 """
@@ -35,7 +37,9 @@ import subprocess
 import sys
 import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALL_TIME = re.compile(rb'"wall_time_s": [-0-9.e]+')
+INDEX = re.compile(r"\[\d+\]")
 
 
 def make_jobs(parent: str, seeds, rounds: int, work: str, names=None) -> list[dict]:
@@ -104,19 +108,10 @@ def read_report(path: str):
     return WALL_TIME.sub(b"", data), report
 
 
-def leaves(a, b, path: str, out: list) -> None:
-    """The differing leaves of two JSON trees: (folded path, a, b)."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            leaves(a.get(key), b.get(key), f"{path}.{key}", out)
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for x, y in zip(a, b):
-            leaves(x, y, path + "[]", out)
-    elif type(a) is not type(b) or a != b:
-        out.append((path, a, b))
-
-
 def compare(jobs: list[dict], work: str, codes: dict) -> None:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from varleb.cli import _differing_leaves
+
     moved = collections.defaultdict(collections.Counter)  # workload -> command -> count
     totals = collections.Counter()
     largest = {}  # (workload, leaf) -> [count, rel, abs, other]
@@ -128,11 +123,11 @@ def compare(jobs: list[dict], work: str, codes: dict) -> None:
         if pa == ch and codes["parent"][name] == codes["change"][name]:
             continue
         moved[workload][job["command"]] += 1
-        diffs = []
-        leaves({"exit_code": codes["parent"][name], "report": ja},
-               {"exit_code": codes["change"][name], "report": jc}, "", diffs)
-        for path, a, b in diffs:
-            entry = largest.setdefault((workload, path[1:]), [0, 0.0, 0.0, False])
+        for path, a, b in _differing_leaves({"exit_code": codes["parent"][name], "report": ja},
+                                            {"exit_code": codes["change"][name], "report": jc},
+                                            ""):
+            entry = largest.setdefault((workload, INDEX.sub("[]", path[1:])),
+                                       [0, 0.0, 0.0, False])
             entry[0] += 1
             # a leaf that moves only its JSON type, 0 to 0.0 say, is "changed"
             if a != b and all(type(v) in (int, float) for v in (a, b)):
