@@ -43,16 +43,16 @@ import numpy as np
 
 from . import __version__
 from .errors import (REQUIRED, DomainError, HypothesisFailureError, OverflowToInfinityError,
-                     SchemaError, VarlebError, VersionMismatchWarning, block, descriptor,
-                     each_axis, integer, list_of, number, per_axis, read_fields, read_kind)
+                     SchemaError, VarlebError, VersionMismatchWarning, block, check_keys,
+                     descriptor, each_axis, integer, list_of, number, per_axis, read_keys,
+                     read_kind)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
-from .field import (Box, DyadicCubeSet, Grid, WeightField, realize_function)
+from .field import Box, DyadicCubeSet, Grid, WeightField, realize_function
 from .interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
                      run_extrapolation_workflow, verify_interpolation_bounds)
 from .maximal import RadiusSweep, maximal_function
 from .norms import modular, norm_ratios, weighted_norm, weighted_table
-from .rk import (classify, dilate_family, modulate_family, mollify_family,
-                 translate_family)
+from .rk import classify, dilate_family, modulate_family, mollify_family, translate_family
 from .weights import ap_constant, multilinear_constant, two_to_one_check
 
 EXIT_OK = 0
@@ -61,25 +61,53 @@ EXIT_VIOLATION = 2
 
 
 # ---------------------------------------------------------------------------
-# config tables and the helpers that build objects from what they read
+# config tables: each key's reader builds the object it names on the grid
 
 
-def _s_value(value, key, where) -> float:
+def _s_value(value, key, where, *_) -> float:
     """The reader of a quadruple's s: a number, or inf as "inf" or null."""
     return math.inf if value in ("Infinity", None) else number(value, key, where)
 
 
-_EXPONENT = descriptor("an exponent")
-_FUNCTION = descriptor("a function")
+def _weight(in_block: bool, many: bool = False):
+    """Reader of a weight, or with ``many`` of a list of weights, whose faults,
+    such as a value that is not positive and finite, name its config key:
+    ``key``, or ``where.key`` in a block, with the index of a list entry."""
+    def at(path: str, desc: dict, grid: Grid) -> WeightField:
+        try:
+            return WeightField(grid, realize_function(desc, grid).values)
+        except DomainError as exc:
+            raise DomainError(f"config key '{path}': {exc}") from None
+
+    def read(value, key, where, grid):
+        path = f"{where}.{key}" if in_block else key
+        if not many:
+            return at(path, _OBJECT(value, key, where), grid)
+        return tuple(at(f"{path}[{j}]", desc, grid)
+                     for j, desc in enumerate(list_of(_OBJECT)(value, key, where)))
+    return read
+
+
+_OBJECT = descriptor("a function", lambda desc, *_: desc)  # checked, left unbuilt
+# realize_function is looked up at each call, as bench/layers.py rebinds it
+_FUNCTION = descriptor("a function", lambda desc, grid: realize_function(desc, grid))
+_EXPONENT = descriptor("an exponent",
+                       lambda desc, grid: ExponentField.from_descriptor(desc, grid.box))
+_WEIGHT, _WEIGHTS = _weight(False), _weight(False, many=True)
 # resolution counts cells per axis; its default depends on the dimension
-_GRID = {"box": (Box.from_pairs, REQUIRED), "resolution": (per_axis(integer), None)}
+_GRID = {"box": (Box.from_pairs, REQUIRED),
+         "resolution": (per_axis(functools.partial(integer, low=1)), None)}
+_CUBE_DEPTH = functools.partial(integer, low=0)
 _QUADRUPLE = block({"p_vec": (list_of(_EXPONENT), REQUIRED), "q": (_EXPONENT, REQUIRED),
                     "r_vec": (list_of(number), REQUIRED), "s": (_s_value, REQUIRED),
-                    "gamma": (number, None)})
-_OPERATOR = descriptor("an operator")
+                    "gamma": (number, None)},
+                   lambda p_vec, q, r_vec, s, gamma:
+                   QuadrupleSpec(tuple(p_vec), q, tuple(r_vec), s, gamma))
 _ENDPOINT = block({"p_vec": (list_of(_EXPONENT), REQUIRED), "q": (_EXPONENT, REQUIRED),
-                   "weights": (list_of(_FUNCTION), REQUIRED), "v": (_FUNCTION, REQUIRED),
-                   "bound": (number, None)})
+                   "weights": (_weight(True, many=True), REQUIRED), "v": (_weight(True), REQUIRED),
+                   "bound": (number, None)},
+                  lambda p_vec, q, weights, v, bound:
+                  EndpointSpace(tuple(p_vec), q, weights, v, bound))
 _MIXED = block({"qtilde": (number, REQUIRED), "offset_count": (integer, 8)})
 _ARITY = {"arity": (integer, REQUIRED)}
 # kind -> (builder, its keys besides "kind")
@@ -88,54 +116,26 @@ _OPERATORS = {
     "ball_average_product": (BallAverageProduct, {**_ARITY, "radius": (number, REQUIRED)}),
     "fractional_kernel": (FractionalKernel, {**_ARITY, "alpha": (number, REQUIRED)}),
 }
+_OPERATOR = descriptor("an operator", lambda desc, grid: read_kind(desc, _OPERATORS, "operator"))
 _MEMBERS = {"base": (_FUNCTION, REQUIRED), "count": (integer, REQUIRED)}
 # kind -> (builder on the grid, its keys besides "kind")
 _FAMILIES = {
-    "translate": (lambda grid, base, count, step:
-                  translate_family(realize_function(base, grid), count, step),
+    "translate": (lambda grid, base, count, step: translate_family(base, count, step),
                   {**_MEMBERS, "step": (number, REQUIRED)}),
     "modulate": (lambda grid, base, count, base_frequency, growth:
-                 modulate_family(realize_function(base, grid), count, base_frequency, growth),
+                 modulate_family(base, count, base_frequency, growth),
                  {**_MEMBERS, "base_frequency": (number, 1.0), "growth": (number, 2.0)}),
-    "dilate": (lambda grid, base, count, ratio:
-               dilate_family(realize_function(base, grid), count, ratio),
+    "dilate": (lambda grid, base, count, ratio: dilate_family(base, count, ratio),
                {**_MEMBERS, "ratio": (number, 0.5)}),
-    "mollify": (lambda grid, base, count, sigma, ratio:
-                mollify_family(realize_function(base, grid), count, sigma, ratio),
+    "mollify": (lambda grid, base, count, sigma, ratio: mollify_family(base, count, sigma, ratio),
                 {**_MEMBERS, "sigma": (number, REQUIRED), "ratio": (number, 0.1)}),
 }
-
-
-def _grid_from(c: dict) -> Grid:
-    box, cells = c["box"], c["resolution"]
-    if cells is None:
-        cells = 4096 if box.dim == 1 else 256
-    # n cells -> n + 1 nodes
-    return Grid(box, tuple(n + 1 for n in each_axis(cells, box.dim, "resolution")))
-
-
-def _weight_from(desc: dict, grid: Grid, key: str) -> WeightField:
-    """The weight of the descriptor at config key ``key``, whose faults,
-    such as a value that is not positive and finite, name the key."""
-    try:
-        return WeightField(grid, realize_function(desc, grid).values)
-    except DomainError as exc:
-        raise DomainError(f"config key '{key}': {exc}") from None
-
-
-def _weights_from(descs: list, grid: Grid, key: str) -> tuple[WeightField, ...]:
-    return tuple(_weight_from(d, grid, f"{key}[{j}]") for j, d in enumerate(descs))
-
-
-def _quadruple_from(q: dict, box: Box) -> QuadrupleSpec:
-    return QuadrupleSpec(tuple(ExponentField.from_descriptor(d, box) for d in q["p_vec"]),
-                         ExponentField.from_descriptor(q["q"], box), tuple(q["r_vec"]), q["s"],
-                         q["gamma"])
+_FAMILY = descriptor("a family", lambda desc, grid: read_kind(desc, _FAMILIES, "family", grid))
 
 
 # ---------------------------------------------------------------------------
 # command runners; each is registered with its config table, takes the
-# config as read by it and the grid of its box and resolution, and returns
+# config as built by it on the grid of its box and resolution, and returns
 # (results, exit_code), which _run wraps in the whole report
 
 _RUNNERS: dict = {}
@@ -143,18 +143,15 @@ _RUNNERS: dict = {}
 
 def _command(name: str, **table):
     def register(run):
-        _RUNNERS[name] = (run, {**_GRID, **table})
+        _RUNNERS[name] = (run, {**_GRID, **table}, table)
         return run
     return register
 
 
 @_command("norm", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
-          weight=(_FUNCTION, None), rel_tol=(number, 1e-10))
+          weight=(_WEIGHT, None), rel_tol=(number, 1e-10))
 def _run_norm(c, grid):
-    p = ExponentField.from_descriptor(c["exponent"], grid.box)
-    f = realize_function(c["function"], grid)
-    w = _weight_from(c["weight"], grid, "weight") if c["weight"] is not None else None
-    res = weighted_norm(f, p, w, rel_tol=c["rel_tol"])
+    res = weighted_norm(c["function"], c["exponent"], c["weight"], rel_tol=c["rel_tol"])
     return ({"norm": res.value, "iterations": res.iterations,
              "bracket": list(res.bracket), "modular_at_value": math.exp(res.log_modular)},
             EXIT_OK)
@@ -162,9 +159,7 @@ def _run_norm(c, grid):
 
 @_command("modular", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED))
 def _run_modular(c, grid):
-    p = ExponentField.from_descriptor(c["exponent"], grid.box)
-    f = realize_function(c["function"], grid)
-    return {"modular": modular(f, p)}, EXIT_OK
+    return {"modular": modular(c["function"], c["exponent"])}, EXIT_OK
 
 
 def _constant_results(rep) -> dict:
@@ -173,37 +168,30 @@ def _constant_results(rep) -> dict:
             "argmax_cube": rep.argmax_cube.label(), "cube_count": rep.cube_count}
 
 
-@_command("weight-constant", exponent=(_EXPONENT, REQUIRED), weight=(_FUNCTION, REQUIRED),
-          cube_depth=(integer, 4), rel_tol=(number, 1e-10))
+@_command("weight-constant", exponent=(_EXPONENT, REQUIRED), weight=(_WEIGHT, REQUIRED),
+          cube_depth=(_CUBE_DEPTH, 4), rel_tol=(number, 1e-10))
 def _run_weight_constant(c, grid):
-    p = ExponentField.from_descriptor(c["exponent"], grid.box)
-    w = _weight_from(c["weight"], grid, "weight")
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = ap_constant(w, p, cubes, c["rel_tol"])
+    rep = ap_constant(c["weight"], c["exponent"], cubes, c["rel_tol"])
     return _constant_results(rep), EXIT_OK
 
 
 @_command("multilinear-constant", quadruple=(_QUADRUPLE, REQUIRED),
-          weights=(list_of(_FUNCTION), REQUIRED), cube_depth=(integer, 4),
-          rel_tol=(number, 1e-10))
+          weights=(_WEIGHTS, REQUIRED), cube_depth=(_CUBE_DEPTH, 4), rel_tol=(number, 1e-10))
 def _run_multilinear_constant(c, grid):
-    spec = _quadruple_from(c["quadruple"], grid.box)
-    w_vec = _weights_from(c["weights"], grid, "weights")
-    verdict = validate_quadruple(spec)
+    verdict = validate_quadruple(c["quadruple"])
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = multilinear_constant(w_vec, spec, cubes, c["rel_tol"])
+    rep = multilinear_constant(c["weights"], c["quadruple"], cubes, c["rel_tol"])
     return ({**_constant_results(rep), "admissible": verdict.admissible,
              "proper": verdict.proper, "gamma": verdict.gamma,
              "clauses": verdict.clauses}, EXIT_OK)
 
 
-@_command("two-to-one", quadruple=(_QUADRUPLE, REQUIRED), weight=(_FUNCTION, REQUIRED),
-          cube_depth=(integer, 4), rel_tol=(number, 1e-10), tol=(number, 1e-6))
+@_command("two-to-one", quadruple=(_QUADRUPLE, REQUIRED), weight=(_WEIGHT, REQUIRED),
+          cube_depth=(_CUBE_DEPTH, 4), rel_tol=(number, 1e-10), tol=(number, 1e-6))
 def _run_two_to_one(c, grid):
-    spec = _quadruple_from(c["quadruple"], grid.box)
-    w = _weight_from(c["weight"], grid, "weight")
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = two_to_one_check(w, spec, cubes, c["rel_tol"])
+    rep = two_to_one_check(c["weight"], c["quadruple"], cubes, c["rel_tol"])
     code = EXIT_OK if rep.rel_error <= c["tol"] else EXIT_VIOLATION
     return ({"lhs_constant": rep.lhs_constant, "rhs_constant": rep.rhs_constant,
              "a": rep.a, "rel_error": rep.rel_error,
@@ -212,12 +200,10 @@ def _run_two_to_one(c, grid):
 
 
 @_command("maximal", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
-          qtilde=(number, REQUIRED), weight=(_FUNCTION, None), radii_count=(integer, 64),
+          qtilde=(number, REQUIRED), weight=(_WEIGHT, None), radii_count=(integer, 64),
           rel_tol=(number, 1e-10))
 def _run_maximal(c, grid):
-    p = ExponentField.from_descriptor(c["exponent"], grid.box)
-    f = realize_function(c["function"], grid)
-    w = _weight_from(c["weight"], grid, "weight") if c["weight"] is not None else None
+    p, f, w = c["exponent"], c["function"], c["weight"]
     sweep = RadiusSweep.geometric(grid, c["radii_count"])
     Mf = maximal_function(f, c["qtilde"], sweep)
     nf = weighted_table(f.values, grid, p, w).solve(rel_tol=c["rel_tol"])
@@ -230,32 +216,20 @@ def _run_maximal(c, grid):
              "dominance_min": dom, "radii_count": len(sweep.radii)}, EXIT_OK)
 
 
-@_command("rk-classify", exponent=(_EXPONENT, REQUIRED), weight=(_FUNCTION, REQUIRED),
-          qtilde=(number, REQUIRED), family=(descriptor("a family"), REQUIRED),
-          cube_depth=(integer, 3), rel_tol=(number, 1e-10), threshold_factor=(number, 1e-2))
+@_command("rk-classify", exponent=(_EXPONENT, REQUIRED), weight=(_WEIGHT, REQUIRED),
+          qtilde=(number, REQUIRED), family=(_FAMILY, REQUIRED), cube_depth=(_CUBE_DEPTH, 3),
+          rel_tol=(number, 1e-10), threshold_factor=(number, 1e-2))
 def _run_rk_classify(c, grid):
-    p = ExponentField.from_descriptor(c["exponent"], grid.box)
-    w = _weight_from(c["weight"], grid, "weight")
-    family = read_kind(c["family"], _FAMILIES, "family", grid)
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = classify(family, p, w, c["qtilde"], cubes=cubes,
+    rep = classify(c["family"], c["exponent"], c["weight"], c["qtilde"], cubes=cubes,
                    threshold_factor=c["threshold_factor"], rel_tol=c["rel_tol"])
     return ({"verdict": rep.verdict, "net_sizes": list(rep.net_sizes),
              "eps_ladder": list(rep.eps_ladder), "plateau": rep.plateau,
-             "growth": rep.growth, "family_size": len(family),
+             "growth": rep.growth, "family_size": len(c["family"]),
              "uniform_bound": rep.uniform.sup,
              "gate_constant": rep.gate.constant,
              "equicontinuity": rep.equicontinuity,
              "vanishing": rep.vanishing}, EXIT_OK)
-
-
-def _endpoint_from(c: dict, key: str, grid: Grid) -> EndpointSpace:
-    e = c[key]
-    p_vec = tuple(ExponentField.from_descriptor(d, grid.box) for d in e["p_vec"])
-    w_vec = _weights_from(e["weights"], grid, f"{key}.weights")
-    v = _weight_from(e["v"], grid, f"{key}.v")
-    return EndpointSpace(p_vec, ExponentField.from_descriptor(e["q"], grid.box), w_vec, v,
-                         e["bound"])
 
 
 @_command("interp-verify", operator=(_OPERATOR, REQUIRED), endpoint0=(_ENDPOINT, REQUIRED),
@@ -263,11 +237,9 @@ def _endpoint_from(c: dict, key: str, grid: Grid) -> EndpointSpace:
           seed=(integer, 0), safety=(number, 1.05), slack=(number, 1e-6),
           rel_tol=(number, 1e-10), mixed=(_MIXED, None))
 def _run_interp_verify(c, grid):
-    op = read_kind(c["operator"], _OPERATORS, "operator")
-    s0, s1 = _endpoint_from(c, "endpoint0", grid), _endpoint_from(c, "endpoint1", grid)
     kwargs = {key: c[key] for key in ("trials", "seed", "safety", "slack", "rel_tol")}
-    rep, *mixed = verify_interpolation_bounds(op, s0, s1, c["theta"], **(c["mixed"] or {}),
-                                              **kwargs)
+    rep, *mixed = verify_interpolation_bounds(c["operator"], c["endpoint0"], c["endpoint1"],
+                                              c["theta"], **(c["mixed"] or {}), **kwargs)
     results = {"passed": rep.passed, "worst_ratio": rep.worst_ratio,
                "violations": rep.violations, "certificates": rep.certificates,
                "trials": rep.trials}
@@ -280,33 +252,30 @@ def _run_interp_verify(c, grid):
     return results, code
 
 
-@_command("extrapolate", target=(_QUADRUPLE, REQUIRED), weights=(list_of(_FUNCTION), REQUIRED),
-          endpoint1=(_QUADRUPLE, REQUIRED), weights1=(list_of(_FUNCTION), REQUIRED),
+@_command("extrapolate", target=(_QUADRUPLE, REQUIRED), weights=(_WEIGHTS, REQUIRED),
+          endpoint1=(_QUADRUPLE, REQUIRED), weights1=(_WEIGHTS, REQUIRED),
           thetas=(list_of(number), REQUIRED), operator=(_OPERATOR, REQUIRED),
-          family=(descriptor("a family"), REQUIRED), cube_depth=(integer, 3),
+          family=(_FAMILY, REQUIRED), cube_depth=(_CUBE_DEPTH, 3),
           qtilde=(number, None), rel_tol=(number, 1e-10), roundtrip_tol=(number, 1e-10))
 def _run_extrapolate(c, grid):
-    target = _quadruple_from(c["target"], grid.box)
-    spec1 = _quadruple_from(c["endpoint1"], grid.box)
-    w_vec = _weights_from(c["weights"], grid, "weights")
-    w1_vec = _weights_from(c["weights1"], grid, "weights1")
-    op = read_kind(c["operator"], _OPERATORS, "operator")
-    family = read_kind(c["family"], _FAMILIES, "family", grid)
+    target, family = c["target"], c["family"]
     # the family in each of the target's slots, a view; the workflow refuses a wrong arity first
     inputs = np.broadcast_to(family.values[:, None], (len(family), target.m, *grid.shape))
     cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = run_extrapolation_workflow(
-        op, inputs, grid, target, w_vec, spec1, w1_vec, tuple(c["thetas"]), qtilde=c["qtilde"],
-        cubes=cubes, roundtrip_tol=c["roundtrip_tol"], rel_tol=c["rel_tol"])
+        c["operator"], inputs, grid, target, c["weights"], c["endpoint1"], c["weights1"],
+        tuple(c["thetas"]), qtilde=c["qtilde"], cubes=cubes, roundtrip_tol=c["roundtrip_tol"],
+        rel_tol=c["rel_tol"])
     bad = [e for e in rep.entries if e.built and not e.roundtrip_ok]
     code = EXIT_VIOLATION if bad else EXIT_OK
     return ({"qtilde": rep.qtilde, "verdict": rep.verdict,
              "net_sizes": list(rep.rk.net_sizes), "entries": rep.entries}, code)
 
 
-# flags that override config keys when given
-_OVERRIDES = (("seed", "seed"), ("resolution", "resolution"),
-              ("cube_depth", "cube_depth"), ("tol", "rel_tol"))
+# the flags of run that override a config key: flag -> (config key, type, help)
+_OVERRIDES = {"seed": ("seed", int, None), "resolution": ("resolution", int, None),
+              "cube_depth": ("cube_depth", int, None),
+              "tol": ("rel_tol", float, "run: override the norm solver rel_tol")}
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +369,18 @@ def _read_json(path, what: str):
 
 def _run(command: str, cfg) -> tuple[dict, int]:
     """Run a command on a config read by its table: the report and its
-    exit code."""
+    exit code. Every key is checked before any is read; box and resolution
+    are read into the grid, and the other keys are built on it."""
     started = time.monotonic()
-    run, table = _RUNNERS[command]
-    c = read_fields(cfg, table, f"{command} config")
-    results, code = run(c, _grid_from(c))
+    run, keys, table = _RUNNERS[command]
+    where = f"{command} config"
+    check_keys(cfg, keys, where)
+    box, cells = read_keys(cfg, _GRID, where).values()
+    if cells is None:
+        cells = 4096 if box.dim == 1 else 256
+    # n cells -> n + 1 nodes
+    grid = Grid(box, tuple(n + 1 for n in each_axis(cells, box.dim, "resolution")))
+    results, code = run(read_keys(cfg, table, where, grid), grid)
     return ({"command": command, "config": cfg, "results": results, "warnings": [],
              "provenance": _provenance(cfg.get("seed"), started)}, code)
 
@@ -478,8 +454,7 @@ def _replay_diff(old, new) -> str:
 
 
 # the flags of each mode, its required one first
-_MODE_FLAGS = {"run": ("config", "out", "seed", "resolution", "cube_depth", "tol"),
-               "replay": ("report",)}
+_MODE_FLAGS = {"run": ("config", "out", *_OVERRIDES), "replay": ("report",)}
 
 
 @functools.cache
@@ -494,10 +469,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("mode", choices=_MODE_FLAGS, help="run a config or replay a report")
     parser.add_argument("--config", help="run: JSON config path")
     parser.add_argument("--out", help="run: write the report here instead of stdout")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--resolution", type=int)
-    parser.add_argument("--cube-depth", dest="cube_depth", type=int)
-    parser.add_argument("--tol", type=float, help="run: override the norm solver rel_tol")
+    for flag, (_, kind, text) in _OVERRIDES.items():
+        parser.add_argument("--" + flag.replace("_", "-"), type=kind, help=text)
     parser.add_argument("--report", help="replay: previously written report")
     parser.add_argument("--quiet", action="store_true")
     return parser
@@ -528,7 +501,7 @@ def main(argv=None) -> int:
             raise SchemaError(f"{what} must be a JSON object")
         if args.mode == "replay":
             return _replay(args.command, data, args.quiet)
-        for flag, key in _OVERRIDES:
+        for flag, (key, *_) in _OVERRIDES.items():
             value = getattr(args, flag)
             if value is not None:
                 if key not in _RUNNERS[args.command][1]:

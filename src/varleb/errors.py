@@ -86,18 +86,23 @@ class VersionMismatchWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # config schema: every config block is a table ``key -> (reader, default)``;
-# a reader takes ``(value, key, where)`` and returns the value read, or raises
-# SchemaError naming ``where`` and ``key``.  A kind table maps each descriptor
-# kind to ``(builder, table)``, the table's keys the builder's parameters after
-# its context (the grid or the box).
+# a reader takes ``(value, key, where, *context)``, the context the box for
+# exponents and the grid for functions, families and CLI configs, and returns
+# the object the value names, or raises SchemaError naming ``where`` and
+# ``key``.  A kind table maps each descriptor kind to ``(builder, table)``,
+# the table's keys the builder's parameters after its context.
 
 REQUIRED = object()
 
 
-def read_fields(desc, table: dict, where: str) -> dict:
-    """Check ``desc`` against ``table`` and return every key of the table,
-    read by its reader, or its default when absent (REQUIRED: the key must
-    be present; None: the code that uses the key says what absence means)."""
+def read_fields(desc, table: dict, where: str, *context) -> dict:
+    """``read_keys`` of ``desc`` once ``check_keys`` has passed it."""
+    check_keys(desc, table, where)
+    return read_keys(desc, table, where, *context)
+
+
+def check_keys(desc, table: dict, where: str) -> None:
+    """Refuse ``desc`` unless it is an object of keys of ``table`` with every REQUIRED one."""
     if not isinstance(desc, dict):
         raise SchemaError(f"{where} must be a JSON object")
     unknown = desc.keys() - table.keys()
@@ -107,27 +112,34 @@ def read_fields(desc, table: dict, where: str) -> dict:
                if default is REQUIRED and key not in desc]
     if missing:
         raise SchemaError(f"missing keys {sorted(missing)} in {where}")
-    return {key: reader(desc[key], key, where) if key in desc else default
+
+
+def read_keys(desc: dict, table: dict, where: str, *context) -> dict:
+    """Every key of ``table``, read in table order from the checked ``desc``
+    by its reader on ``context``, or its default when absent (REQUIRED: the
+    key must be present; None: the code that uses the key says what absence
+    means)."""
+    return {key: reader(desc[key], key, where, *context) if key in desc else default
             for key, (reader, default) in table.items()}
 
 
 def read_kind(desc, kinds: dict, noun: str, *context):
     """Build a tagged descriptor: ``builder(*context, **keys)`` of the
     entry ``(builder, table)`` of its ``kind`` in ``kinds``, with the rest
-    of the descriptor read by the table."""
+    of the descriptor read by the table on the context."""
     kind = desc.get("kind") if isinstance(desc, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
         raise SchemaError(f"{noun} needs a 'kind' among {sorted(kinds)}")
     build, table = kinds[kind]
     rest = {key: value for key, value in desc.items() if key != "kind"}
-    return build(*context, **read_fields(rest, table, f"{noun} '{kind}'"))
+    return build(*context, **read_fields(rest, table, f"{noun} '{kind}'", *context))
 
 
 def _refuse(noun: str, value, key: str, where: str):
     raise SchemaError(f"{where} key '{key}' must be {noun}, got {value!r}")
 
 
-def number(value, key: str, where: str) -> float:
+def number(value, key: str, where: str, *_) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         if value in ("inf", "-inf"):  # a report's echo of an infinite config leaf
             return float(value)
@@ -137,51 +149,55 @@ def number(value, key: str, where: str) -> float:
     return float(value)
 
 
-def integer(value, key: str, where: str) -> int:
+def integer(value, key: str, where: str, *_, low=-math.inf) -> int:
+    """An integer; ``functools.partial(integer, low=n)`` reads one of at least n."""
     if not number(value, key, where).is_integer():
         _refuse("an integer", value, key, where)
     if abs(value) > 2 ** 53:  # the largest integers JSON carries exactly (RFC 8259)
         _refuse("an integer of at most 2**53 in magnitude", value, key, where)
+    if value < low:
+        _refuse(f"at least {low}", value, key, where)
     return int(value)
 
 
-def string(value, key: str, where: str) -> str:
+def string(value, key: str, where: str, *_) -> str:
     if not isinstance(value, str):
         _refuse("a string", value, key, where)
     return value
 
 
-def array(value, key: str, where: str):
+def array(value, key: str, where: str, *_):
     """A number, or a list of numbers or of such lists."""
     return (list_of(array) if isinstance(value, (list, tuple)) else number)(value, key, where)
 
 
-def descriptor(noun: str):
-    """Reader of a JSON object left to its kind table; ``noun``: "an exponent"."""
-    def read(value, key, where):
+def descriptor(noun: str, build):
+    """Reader of a JSON object built by ``build(value, *context)``; ``noun``: "an exponent"."""
+    def read(value, key, where, *context):
         if not isinstance(value, dict):
             _refuse(f"{noun} descriptor object", value, key, where)
-        return value
+        return build(value, *context)
     return read
 
 
-def block(table: dict):
-    """Reader of a JSON object read by ``table``; its faults name the key."""
-    return lambda value, key, where: read_fields(value, table, key)
+def block(table: dict, build=dict):
+    """Reader of a JSON object read by ``table`` on the context and built by
+    ``build(**keys)``; its faults name the key."""
+    return lambda value, key, where, *context: build(**read_fields(value, table, key, *context))
 
 
 def list_of(reader):
-    def read(value, key, where):
+    def read(value, key, where, *context):
         if not isinstance(value, (list, tuple)):
             _refuse("a list", value, key, where)
-        return [reader(v, key, where) for v in value]
+        return [reader(v, key, where, *context) for v in value]
     return read
 
 
 def per_axis(reader):
     """Reader of one value for every axis, or a list of one per axis."""
-    return lambda value, key, where: (list_of(reader) if isinstance(value, (list, tuple))
-                                      else reader)(value, key, where)
+    return lambda value, key, where, *context: (list_of(reader) if isinstance(
+        value, (list, tuple)) else reader)(value, key, where, *context)
 
 
 def each_axis(value, dim: int, key: str) -> list:

@@ -77,9 +77,7 @@ class ExponentField:
 
     def __post_init__(self):
         if not (0.0 < self.p_minus <= self.p_plus < math.inf):
-            raise RangeError(
-                f"exponent bounds [{self.p_minus}, {self.p_plus}] leave the class P0"
-            )
+            raise RangeError(f"exponent bounds [{self.p_minus}, {self.p_plus}] leave the class P0")
 
     # -- evaluation --------------------------------------------------
 
@@ -207,11 +205,10 @@ class ExponentField:
         return read_kind(desc, _EXPONENTS, "exponent", box)
 
 
-def _shifted_reciprocal(box: Box, inner: dict, gamma: float) -> ExponentField:
+def _shifted_reciprocal(box: Box, inner: ExponentField, gamma: float) -> ExponentField:
     """``1/p = 1/inner - gamma``: how an output exponent with a constant
     smoothing offset from the input is written down."""
-    return reciprocal_affine((ExponentField.from_descriptor(inner, box),), (1.0,), -gamma,
-                             what="shifted reciprocal exponent")
+    return reciprocal_affine((inner,), (1.0,), -gamma, what="shifted reciprocal exponent")
 
 
 # kind -> (builder, its keys besides "kind")
@@ -225,8 +222,9 @@ _EXPONENTS = {
                                             "values": (list_of(number), REQUIRED)}),
     "grid": (ExponentField.from_grid, {"values": (array, REQUIRED),
                                        "resolution": (list_of(integer), None)}),
-    "shifted_reciprocal": (_shifted_reciprocal, {"inner": (descriptor("an exponent"), REQUIRED),
-                                                 "gamma": (number, REQUIRED)}),
+    "shifted_reciprocal": (_shifted_reciprocal, {
+        "inner": (descriptor("an exponent", ExponentField.from_descriptor), REQUIRED),
+        "gamma": (number, REQUIRED)}),
 }
 
 

@@ -26,6 +26,7 @@ Functions are extended by zero outside the box wherever a construction
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ class Box:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]], key: str = "box",
-                   where: str = "") -> "Box":
+                   where: str = "", *_) -> "Box":
         """The box of a list of [lo, hi] pairs; with the reader signature
         of ``errors``, the reader of box-valued config keys."""
         if not isinstance(pairs, (list, tuple)) or not all(
@@ -197,9 +198,7 @@ class GridFunction:
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
-            raise DomainError(
-                f"value shape {values.shape} does not match grid shape {grid.shape}"
-            )
+            raise DomainError(f"value shape {values.shape} does not match grid shape {grid.shape}")
         self.grid = grid
         self.values = values
 
@@ -532,23 +531,23 @@ def _sine(grid: Grid, frequency, phase: float, amplitude: float) -> np.ndarray:
         return amplitude * np.sin(arg)
 
 
-def _dilate(grid: Grid, inner: dict, scale: float) -> np.ndarray:
+def _dilate(grid: Grid, inner: np.ndarray, scale: float) -> np.ndarray:
     if scale <= 0:
         raise SchemaError("dilate scale must be positive")
     if grid.dim != 1:
         raise SchemaError("dilate descriptors are 1D only")
     x = grid.axes[0]
-    return np.interp(x / scale, x, realize_function(inner, grid).values, left=0.0, right=0.0)
+    return np.interp(x / scale, x, inner, left=0.0, right=0.0)
 
 
 def _fold(kind: str, op, grid: Grid, terms: list) -> np.ndarray:
     """The values of the ``terms`` of a ``kind`` descriptor, folded from the left by ``op``."""
     if not terms:
         raise SchemaError(f"'{kind}' needs a nonempty 'terms' list")
-    return reduce(op, (realize_function(t, grid).values for t in terms))
+    return reduce(op, terms)
 
 
-_FUNCTION = descriptor("a function")
+_FUNCTION = descriptor("a function", lambda desc, grid: realize_function(desc, grid).values)
 _TERMS = {"terms": (list_of(_FUNCTION), REQUIRED)}
 # kind -> (builder, its keys besides "kind")
 _FUNCTIONS = {
@@ -563,7 +562,7 @@ _FUNCTIONS = {
     "sine": (_sine, {"frequency": (per_axis(number), 1.0), "phase": (number, 0.0),
                      "amplitude": (number, 1.0)}),
     "translate": (lambda grid, inner, shift: shift_function(
-        realize_function(inner, grid), each_axis(shift, grid.dim, "shift")).values,
+        GridFunction(grid, inner), each_axis(shift, grid.dim, "shift")).values,
         {"inner": (_FUNCTION, REQUIRED), "shift": (per_axis(number), REQUIRED)}),
     "dilate": (_dilate, {"inner": (_FUNCTION, REQUIRED), "scale": (number, REQUIRED)}),
     "sum": (partial(_fold, "sum", operator.add), _TERMS),
@@ -669,16 +668,30 @@ def _simple_functions(grid: Grid, rng: np.random.Generator, count: int) -> np.nd
 
 
 def read_grid_csv(path: str, grid: Grid) -> GridFunction:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][-1:] != ["value"]:
-        raise SchemaError(f"{path}: expected a 'x[,y],value' CSV header")
-    body = np.array([[float(c) for c in row] for row in rows[1:]])
-    if body.shape[0] != grid.size or body.shape[1] != grid.dim + 1:
-        raise SchemaError(
-            f"{path}: got {body.shape[0]} rows of width {body.shape[1]}, "
-            f"grid wants {grid.size} rows of width {grid.dim + 1}"
-        )
+    """The function of the CSV file at ``path``; a fault of the file raises
+    a SchemaError that names the path and, for a fault within a line, the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        rows = csv.reader(io.StringIO(data.decode(), newline=""))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}: line {line}: not UTF-8 text: {exc}") from None
+    body = []
+    try:
+        header = next(rows, [])
+        if header[-1:] != ["value"]:
+            raise SchemaError(f"{path}: expected a 'x[,y],value' CSV header")
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"row width {len(row)}, header width {len(header)}")
+            body += map(float, row)
+    except (ValueError, csv.Error) as exc:
+        raise SchemaError(f"{path}: line {rows.line_num}: {exc}") from None
+    body = np.array(body).reshape(-1, len(header))
+    if body.shape != (grid.size, grid.dim + 1):
+        raise SchemaError(f"{path}: got {body.shape[0]} rows of width {body.shape[1]}, "
+                          f"grid wants {grid.size} rows of width {grid.dim + 1}")
     coords = grid.coords.reshape(-1, grid.dim)
     scale = max(grid.box.widths)
     if not np.allclose(body[:, : grid.dim], coords, atol=1e-9 * scale, rtol=0.0):

@@ -1921,6 +1921,66 @@ def test_a_flag_the_command_does_not_take_is_refused_by_name(tmp_path, capsys, c
     assert capsys.readouterr().err == f"error: flag {flag} does not apply to command '{command}'\n"
 
 
+@pytest.mark.parametrize("command, top, flags, fault", [
+    ("norm", {"resolution": 0}, (), "norm config key 'resolution' must be at least 1, got 0"),
+    ("norm", {"resolution": -3}, (), "norm config key 'resolution' must be at least 1, got -3"),
+    ("modular", {"resolution": [8, 0]}, (),
+     "modular config key 'resolution' must be at least 1, got 0"),
+    ("norm", {}, ("--resolution", "0"), "norm config key 'resolution' must be at least 1, got 0"),
+    ("weight-constant", {"cube_depth": -1}, (),
+     "weight-constant config key 'cube_depth' must be at least 0, got -1"),
+    ("rk-classify", {}, ("--cube-depth", "-2"),
+     "rk-classify config key 'cube_depth' must be at least 0, got -2"),
+], ids=["resolution-0", "resolution-negative", "resolution-axis-0", "resolution-flag",
+        "cube-depth-negative", "cube-depth-flag"])
+def test_a_resolution_or_cube_depth_below_its_least_names_the_config_key(tmp_path, capsys,
+                                                                         command, top, flags,
+                                                                         fault):
+    """Such a value was refused by the grid or the cube family, in the
+    words of a library parameter, with no config key named."""
+    rc, report, _ = _run(tmp_path, command, {**_FUZZ_CONFIGS[command], **top}, *flags)
+    assert rc == 1 and report is None
+    assert capsys.readouterr().err == f"error: {fault}\n"
+
+
+def test_every_key_is_checked_before_any_is_read(tmp_path, capsys):
+    """An unknown key is named before a bad box is read, and every missing
+    key is listed at once, the box among them."""
+    rc, _, _ = _run(tmp_path, "norm", {**_norm_config(16), "box": "wide", "bogus": 1})
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown keys ['bogus'] in norm config\n"
+    cfg = {key: value for key, value in _norm_config(16).items()
+           if key not in ("box", "exponent")}
+    rc, _, _ = _run(tmp_path, "norm", cfg)
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: missing keys ['box', 'exponent'] in "
+                                       "norm config\n")
+
+
+@pytest.mark.parametrize("command", sorted(cli_module._RUNNERS))
+def test_a_runner_receives_every_descriptor_built(tmp_path, monkeypatch, command):
+    """The config a runner is given holds the objects its keys name: no
+    descriptor object is left for the runner to build, only the mixed
+    block's plain numbers."""
+    seen = {}
+    run, *tables = cli_module._RUNNERS[command]
+
+    def spy(c, grid):
+        seen.update(c)
+        return run(c, grid)
+
+    monkeypatch.setitem(cli_module._RUNNERS, command, (spy, *tables))
+    rc, _, _ = _run(tmp_path, command, _FUZZ_CONFIGS[command])
+    assert rc in (0, 2) and seen
+
+    def objects(value):
+        if isinstance(value, (list, tuple)):
+            return any(objects(v) for v in value)
+        return isinstance(value, dict)
+
+    assert [key for key, value in seen.items() if key != "mixed" and objects(value)] == []
+
+
 # ---------------------------------------------------------------------------
 # report text: one walk from the report tree to its bytes
 

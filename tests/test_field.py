@@ -1,6 +1,7 @@
 """Grids, quadrature, regions, cube families, descriptors, and CSV input."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +421,37 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(back.values, f.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("row, fault", [
+    (b"0.25", "row width 1, header width 2"),
+    (b"0.25,abc", "could not convert string to float: 'abc'"),
+    (b"0.25,", "could not convert string to float: ''"),
+    (b"0.25,\xff", "not UTF-8 text"),
+    (b"0.25," + b"1" * 200_000, "field larger than field limit"),
+], ids=["short-row", "text-cell", "empty-cell", "non-utf8-byte", "oversized-cell"])
+def test_csv_fault_names_the_file_and_the_line(tmp_path, row, fault):
+    """Each of these faults was reported in numpy's, the codec's or the csv
+    module's words, with neither the file nor the line named; the csv
+    module's error escaped the CLI's error boundary as a traceback."""
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"\n".join([b"x,value", b"0.0,1.0", row, b"0.5,1.0", b"0.75,1.0",
+                                 b"1.0,1.0"]) + b"\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: line 3: {fault}")):
+        read_grid_csv(str(path), grid1d(5))
+
+
+def test_nested_function_kinds_equal_their_composition_by_hand_bit_for_bit():
+    g = Grid(SYM, (257,))
+    gauss = {"kind": "gaussian", "center": [0.2], "width": 0.3}
+    sine = {"kind": "sine", "frequency": 1.5, "phase": 0.25}
+    desc = {"kind": "translate", "shift": 0.3, "inner": {
+        "kind": "dilate", "scale": 0.7, "inner": {"kind": "sum", "terms": [gauss, sine]}}}
+    x = g.axes[0]
+    summed = realize_function(gauss, g).values + realize_function(sine, g).values
+    dilated = GridFunction(g, np.interp(x / 0.7, x, summed, left=0.0, right=0.0))
+    assert np.array_equal(realize_function(desc, g).values,
+                          shift_function(dilated, [0.3]).values)
+
+
 def test_csv_rejects_wrong_grid(tmp_path):
     g = grid1d(33)
     f = from_callable(g, lambda pts: pts[..., 0])
@@ -427,6 +459,14 @@ def test_csv_rejects_wrong_grid(tmp_path):
     write_grid_csv(f, str(path))
     with pytest.raises(Exception):
         read_grid_csv(str(path), grid1d(17))
+
+
+def test_csv_of_a_header_alone_has_no_rows_for_the_grid(tmp_path):
+    """Such a file raised an IndexError, which ended the CLI in a traceback."""
+    path = tmp_path / "f.csv"
+    path.write_text("x,value\n")
+    with pytest.raises(SchemaError, match="got 0 rows of width 2, grid wants 5 rows of width 2"):
+        read_grid_csv(str(path), grid1d(5))
 
 
 @pytest.mark.parametrize("call, fault", [
@@ -438,7 +478,10 @@ def test_csv_rejects_wrong_grid(tmp_path):
     (lambda: box_mask(Grid(Box((0.0, 0.0), (1.0, 1.0)), (3, 3)), UNIT),
      "region dimension does not match grid"),
     (lambda: ball_mask(grid1d(5), (0.5, 0.5), 0.1), "ball center dimension does not match grid"),
-], ids=["box-axes", "grid-shape", "three-axes", "value-shape", "region", "ball-center"])
+    (lambda: Grid(UNIT, (1,)), "need at least 2 nodes per axis"),
+    (lambda: DyadicCubeSet(UNIT, -1), "max_depth must be nonnegative"),
+], ids=["box-axes", "grid-shape", "three-axes", "value-shape", "region", "ball-center",
+        "one-node", "negative-depth"])
 def test_each_field_refusal_names_its_fault(call, fault):
     with pytest.raises(DomainError, match=fault):
         call()
