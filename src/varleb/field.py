@@ -35,8 +35,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (REQUIRED, DomainError, SchemaError, descriptor, each_axis, list_of,
-                     number, per_axis, read_kind, string)
+from .errors import (REQUIRED, DomainError, SchemaError, _refuse, descriptor, each_axis,
+                     list_of, number, per_axis, read_kind, string)
 
 BALL_SHRINK = 1.0 - 1e-12
 _BOX_EDGE_TOL = 1e-12
@@ -61,15 +61,17 @@ class Box:
                 raise DomainError(f"degenerate box axis [{a}, {b}]")
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[float]], key: str = "box",
-                   where: str = "", *_) -> "Box":
+    def from_pairs(cls, pairs: Sequence[Sequence[float]], key: str, where: str, *_) -> "Box":
         """The box of a list of [lo, hi] pairs; with the reader signature
         of ``errors``, the reader of box-valued config keys."""
         if not isinstance(pairs, (list, tuple)) or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
-            raise SchemaError(f"{key} must be a list of [lo, hi] pairs")
-        return cls(tuple(number(p[0], "lo", f"{key} pair") for p in pairs),
-                   tuple(number(p[1], "hi", f"{key} pair") for p in pairs))
+            _refuse("a list of [lo, hi] pairs", pairs, key, where)
+        if not pairs:
+            _refuse("a nonempty list of [lo, hi] pairs", pairs, key, where)
+        pair = f"{where} key '{key}' pair"
+        return cls(tuple(number(p[0], "lo", pair) for p in pairs),
+                   tuple(number(p[1], "hi", pair) for p in pairs))
 
     @property
     def dim(self) -> int:
@@ -607,21 +609,11 @@ def shift_function(f: GridFunction, shift: Sequence[float]) -> GridFunction:
     return GridFunction(f.grid, vals)
 
 
-def random_simple_function(grid: Grid, rng: np.random.Generator) -> GridFunction:
-    """Random finite sum of scaled box indicators.
-
-    Uses one to eight boxes with coefficients log-uniform in
-    [1e-2, 1e2]; always returns a function that is nonzero somewhere.
-    It is the one-function draw of `_simple_functions`, so a seed gives
-    the same functions whether they are drawn one at a time or in a
-    batch, and leaves the generator in the same state.
-    """
-    return GridFunction(grid, _simple_functions(grid, rng, 1)[0])
-
-
 def _simple_functions(grid: Grid, rng: np.random.Generator, count: int) -> np.ndarray:
     """The ``(count, *grid.shape)`` values of ``count`` random simple
-    functions (`random_simple_function`), drawn one after another.
+    functions, drawn one after another: each a finite sum of one to eight
+    scaled box indicators, with coefficients log-uniform in [1e-2, 1e2]
+    and either sign, and nonzero somewhere.
 
     Per function the generator gives the term count, then one
     ``rng.random`` block of the terms' doubles, row by row: two box

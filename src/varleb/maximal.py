@@ -89,11 +89,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .exponent import ExponentField
-from .field import (DyadicCubeSet, FunctionFamily, Grid, GridFunction, WeightField,
-                    _open_radius, _shift_slices, refuse_non_finite, square_unit)
-from .norms import norm_ratios, weighted_table
-from .weights import WeightConstantReport, gate_constant
+from .field import Grid, GridFunction, _open_radius, _shift_slices, refuse_non_finite, square_unit
 
 # balls summed together by one pass over their distinct row half-widths
 _BALLS_PER_CHUNK = 4
@@ -541,33 +537,3 @@ def _offset_list(grid: Grid, reach: list[int]) -> list[tuple[int, ...]]:
         return [(k,) for k in range(-reach[0], reach[0] + 1)]
     rows = range(1 - len(reach), len(reach))
     return [(k1, k2) for k1 in rows for k2 in range(-reach[abs(k1)], reach[abs(k1)] + 1)]
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    gate: WeightConstantReport
-    qtilde: float
-    ratios: tuple[float, ...]
-    max_ratio: float
-
-
-def maximal_boundedness_probe(corpus: FunctionFamily, p: ExponentField,
-                              w: WeightField, qtilde: float, sweep: RadiusSweep,
-                              cubes: DyadicCubeSet, rel_tol: float = 1e-10) -> ProbeReport:
-    """Empirical norm ratios ``||M_q f|| / ||f||`` under the gating
-    weight condition ``w^qtilde`` in the class at exponent ``p/qtilde``.
-
-    The gate is `weights.gate_constant`: DomainError for a qtilde that
-    is not finite and positive, HypothesisFailureError when qtilde is not
-    below p_- or the gate constant overflows.
-    """
-    gate = gate_constant(w, p, qtilde, cubes, rel_tol)
-    grid = corpus.grid
-    fn = weighted_table(corpus.values, grid, p, w).solve(rel_tol=rel_tol).log_value
-    live = np.flatnonzero(fn > -math.inf)
-    if not live.size:
-        raise DomainError("probe corpus contains only zero functions")
-    mf = FunctionFamily.fill(grid, live.size, lambda k: maximal_function(
-        GridFunction(grid, corpus.values[live[k]]), qtilde, sweep).values)
-    ratios = norm_ratios(mf.values, grid, p, w, fn[live], rel_tol)[1].tolist()
-    return ProbeReport(gate, qtilde, tuple(ratios), max(ratios))

@@ -437,9 +437,3 @@ def holder_constant(p: ExponentField) -> float:
     ``1/p_- - 1/p_+ + 1`` (equal to 1 exactly when p is constant, and
     invariant under duality)."""
     return 1.0 / p.p_minus - 1.0 / p.p_plus + 1.0
-
-
-def pairing(f: GridFunction, g: GridFunction) -> float:
-    """``int |f g|`` over the shared grid."""
-    grid = shared_grid((f, g), "pairing factors")
-    return float(np.sum(grid.quad_weights * np.abs(f.values * g.values)))

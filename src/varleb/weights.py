@@ -218,10 +218,10 @@ def ap_constant(w: WeightField, p: ExponentField, cubes: DyadicCubeSet,
 
 def gate_constant(w: WeightField, p: ExponentField, qtilde: float, cubes: DyadicCubeSet,
                   rel_tol: float = 1e-10) -> WeightConstantReport:
-    """The gate of the compactness criterion and the maximal probe: the
-    constant of ``w^qtilde`` at exponent ``p/qtilde``.  A qtilde that is
-    not finite and positive is a DomainError; one at or above ``p_-``, or
-    an overflowing constant, fails the hypothesis (HypothesisFailureError)."""
+    """The gate of the compactness criterion: the constant of ``w^qtilde``
+    at exponent ``p/qtilde``.  A qtilde that is not finite and positive is
+    a DomainError; one at or above ``p_-``, or an overflowing constant,
+    fails the hypothesis (HypothesisFailureError)."""
     if not 0.0 < qtilde < math.inf:
         raise DomainError(f"qtilde must be a finite positive constant, got {qtilde}")
     if qtilde >= p.p_minus:

@@ -14,7 +14,8 @@ import numpy as np
 
 from varleb import (Box, Cube, DomainError, DyadicCubeSet, ExponentField, FunctionFamily, Grid,
                     GridFunction, RadiusSweep, WeightField)
-from varleb.field import _shift_slices, box_slices, refuse_non_finite, shared_grid
+from varleb.field import (_shift_slices, _simple_functions, box_slices, refuse_non_finite,
+                          shared_grid)
 from varleb.maximal import _binade, _check_qtilde, _offset_list, _row_reaches
 
 UNIT = Box((0.0,), (1.0,))
@@ -96,10 +97,17 @@ def closure_chain(fields, coeffs, offset: float = 0.0):
     return fn
 
 
+def simple_function(grid: Grid, rng: np.random.Generator) -> GridFunction:
+    """One random simple function, a `field._simple_functions` draw of
+    one: a seed gives the same functions drawn one at a time or in a
+    batch, and leaves the generator in the same state."""
+    return GridFunction(grid, _simple_functions(grid, rng, 1)[0])
+
+
 def reference_simple_function(grid, rng, max_terms=8):
-    """``random_simple_function`` as it was built through ``Box`` and
+    """A random simple function as it was built through ``Box`` and
     ``box_slices``, one function and one term at a time: the reference
-    for the draws, values and generator state of it and of the batched
+    for the draws, values and generator state of the batched
     `field._simple_functions`."""
     n_terms = int(rng.integers(1, max_terms + 1))
     vals = np.zeros(grid.shape)
@@ -115,10 +123,10 @@ def reference_simple_function(grid, rng, max_terms=8):
         coeff = 10.0 ** rng.uniform(-2.0, 2.0)
         if rng.random() < 0.5:
             coeff = -coeff
-        vals[box_slices(grid, Box.from_pairs(pairs))] += coeff
+        vals[box_slices(grid, Box.from_pairs(pairs, "box", "simple function"))] += coeff
     if not vals.any():
-        vals[box_slices(grid, Box.from_pairs([[a, (a + b) / 2] for a, b in
-                                              zip(grid.box.lo, grid.box.hi)]))] += 1.0
+        vals[box_slices(grid, Box.from_pairs([[a, (a + b) / 2] for a, b in zip(
+            grid.box.lo, grid.box.hi)], "box", "simple function"))] += 1.0
     return GridFunction(grid, vals)
 
 

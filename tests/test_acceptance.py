@@ -8,6 +8,7 @@ are stated inline next to the quantity they bound.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -18,16 +19,15 @@ from varleb import (Box, DyadicCubeSet, EndpointSpace, ExponentField, Grid,
                     GridFunction, Product, QuadrupleSpec, RadiusSweep,
                     WeightField, blend_constant_check, build_extrapolation_family,
                     classify, containment_check, dual_exponent, harmonic_combine,
-                    holder_constant, maximal_boundedness_probe,
-                    maximal_function, modular, mollify_family, modulate_family,
-                    pairing, random_simple_function, reciprocal_affine,
+                    holder_constant, maximal_function, modular, mollify_family,
+                    modulate_family, reciprocal_affine,
                     run_extrapolation_workflow, scale_exponent, translate_family,
                     two_to_one_check, verify_interpolation_bound,
                     verify_mixed_interpolation_bound, weighted_norm)
-from varleb.rk import FunctionFamily
+from varleb.cli import main
 
-from _support import (UNIT, abs_power, family_of, grid1d, rand_exponent, rand_weight,
-                      unit_weight, with_radii)
+from _support import (UNIT, abs_power, grid1d, rand_exponent, rand_weight, simple_function,
+                      unit_weight, with_radii, write_grid_csv)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -54,7 +54,7 @@ def test_criterion_01_homogeneity_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        f = random_simple_function(g, rng)
+        f = simple_function(g, rng)
         p = rand_exponent(UNIT, rng)
         s = float(rng.uniform(0.4, 2.2))
         lhs = weighted_norm(abs_power(f, s), p, rel_tol=1e-11).value
@@ -78,7 +78,7 @@ def test_criterion_02_modular_norm_sandwich():
     violations = 0
     margin = math.inf
     for _ in range(200):
-        f = random_simple_function(g, rng)
+        f = simple_function(g, rng)
         p = rand_exponent(UNIT, rng)
         rho = modular(f, p)
         nrm = weighted_norm(f, p, rel_tol=1e-11).value
@@ -108,8 +108,8 @@ def test_criterion_03_quasi_triangle_inequality():
     violations = 0
     worst = 0.0
     for _ in range(200):
-        f = random_simple_function(g, rng)
-        h = random_simple_function(g, rng)
+        f = simple_function(g, rng)
+        h = simple_function(g, rng)
         p = rand_exponent(UNIT, rng)
         c = max(2.0 ** (1.0 / p.p_minus), 2.0 ** (p.p_plus / p.p_minus))
         lhs = weighted_norm(f + h, p, rel_tol=1e-10).value
@@ -129,6 +129,11 @@ def test_criterion_03_quasi_triangle_inequality():
 # 4. Hoelder inequality, constant and variable exponents
 
 
+def _pairing(f: GridFunction, h: GridFunction) -> float:
+    """``int |f h|`` over the grid they share."""
+    return float(np.sum(f.grid.quad_weights * np.abs(f.values * h.values)))
+
+
 def test_criterion_04_holder_inequality():
     g = grid1d(513)
     rng = np.random.default_rng(404)
@@ -137,24 +142,24 @@ def test_criterion_04_holder_inequality():
     worst_const = 0.0
     worst_var = 0.0
     for _ in range(500):
-        f = random_simple_function(g, rng)
-        h = random_simple_function(g, rng)
+        f = simple_function(g, rng)
+        h = simple_function(g, rng)
         p = ExponentField.constant(UNIT, float(rng.uniform(1.05, 6.0)))
         bound = (1.0 + 1e-10) * (weighted_norm(f, p, rel_tol=1e-12).value
                                  * weighted_norm(h, dual_exponent(p), rel_tol=1e-12).value)
-        ratio = pairing(f, h) / max(bound, 1e-300)
+        ratio = _pairing(f, h) / max(bound, 1e-300)
         worst_const = max(worst_const, ratio)
         if ratio > 1.0:
             const_viol += 1
     for _ in range(500):
-        f = random_simple_function(g, rng)
-        h = random_simple_function(g, rng)
+        f = simple_function(g, rng)
+        h = simple_function(g, rng)
         p = rand_exponent(UNIT, rng, lo=1.25, hi=5.0)
         c_h = holder_constant(p)
         bound = c_h * (1.0 + 1e-8) * (
             weighted_norm(f, p, rel_tol=1e-11).value
             * weighted_norm(h, dual_exponent(p), rel_tol=1e-11).value)
-        ratio = pairing(f, h) / max(bound, 1e-300)
+        ratio = _pairing(f, h) / max(bound, 1e-300)
         worst_var = max(worst_var, ratio)
         if ratio > 1.0:
             var_viol += 1
@@ -293,9 +298,9 @@ def test_criterion_07_class_containment():
 # 8. maximal operator: analytic profile and stable norm ratios
 
 
-def _probe_corpus(grid: Grid) -> FunctionFamily:
+def _probe_corpus(grid: Grid) -> list[GridFunction]:
     x = grid.coords[..., 0]
-    return family_of([
+    return [
         _gaussian(grid, 1.0 / 0.25, center=1.0),
         _gaussian(grid, 1.0 / 0.04, center=3.0),
         _gaussian(grid, 1.0 / 0.64, center=6.0),
@@ -308,10 +313,26 @@ def _probe_corpus(grid: Grid) -> FunctionFamily:
                                     np.exp(-1.0 / np.maximum(1e-12, 1.0 - (x - 4.0) ** 2)),
                                     0.0)),
         GridFunction(grid, 0.1 + x / 10.0),
-    ])
+    ]
 
 
-def test_criterion_08_maximal_profile_and_ratio_stability():
+def _maximal_ratio(tmp_path, f: GridFunction) -> float:
+    """``||M f|| / ||f||`` of the ``maximal`` command on [0, 8] at
+    qtilde = 1 over 48 radii, with p(x) = 2 + x/8 and no weight, for ``f``
+    read from a ``grid_csv`` file."""
+    csv_path, cfg_path, out_path = (tmp_path / name for name in
+                                    ("f.csv", "config.json", "report.json"))
+    write_grid_csv(f, str(csv_path))
+    cfg_path.write_text(json.dumps({
+        "box": [[0.0, 8.0]], "resolution": f.grid.shape[0] - 1, "qtilde": 1.0,
+        "radii_count": 48, "exponent": {"kind": "affine", "base": 2.0, "slopes": [0.125]},
+        "function": {"kind": "grid_csv", "path": str(csv_path)}}))
+    assert main(["maximal", "run", "--config", str(cfg_path), "--out", str(out_path),
+                 "--quiet"]) == 0
+    return json.loads(out_path.read_text())["results"]["ratio"]
+
+
+def test_criterion_08_maximal_profile_and_ratio_stability(tmp_path):
     # analytic anchor: the sup over balls of chi_[0,1] at x >= 1 is
     # attained at radius r = x, giving exactly 1/(2x)
     g = Grid(Box((-0.5,), (8.5,)), (8193,))
@@ -327,14 +348,8 @@ def test_criterion_08_maximal_profile_and_ratio_stability():
 
     # empirical norm ratios stay within 5% under resolution doubling
     box = Box((0.0,), (8.0,))
-    cubes = DyadicCubeSet(box, 3)
-    ratios = {}
-    for n in (2049, 4097):
-        grid = Grid(box, (n,))
-        p = ExponentField.affine(box, 2.0, (0.125,))
-        rep = maximal_boundedness_probe(_probe_corpus(grid), p, unit_weight(grid), 1.0,
-                                        RadiusSweep.geometric(grid, 48), cubes)
-        ratios[n] = rep.ratios
+    ratios = {n: [_maximal_ratio(tmp_path, f) for f in _probe_corpus(Grid(box, (n,)))]
+              for n in (2049, 4097)}
     drift = max(abs(f / c - 1.0) for c, f in zip(ratios[2049], ratios[4097]))
     ok = max_dev <= 1e-3 and drift <= 0.05
     _report(8, "maximal operator", ok,

@@ -190,6 +190,31 @@ def test_maximal_command_reports_dominance_and_ratio(tmp_path):
     assert 1.0 <= res["ratio"] < 10.0
 
 
+@pytest.mark.parametrize("function", [
+    {"kind": "indicator", "box": [[0.0, 1.0]]},
+    {"kind": "sum", "terms": [{"kind": "indicator", "box": [[0.0, 1.0]]}] * 2},
+    {"kind": "sum", "terms": [{"kind": "indicator", "box": [[0.0, 1.0]]}] * 5}],
+    ids=["one", "two", "five"])
+def test_maximal_of_a_constant_function_reads_ratio_one(tmp_path, function):
+    """M f = f for a constant f, so ||M f|| / ||f|| = 1 at any level."""
+    cfg = {"box": [[0.0, 1.0]], "resolution": 1024, "qtilde": 1.0, "radii_count": 16,
+           "exponent": {"kind": "constant", "value": 2.0}, "function": function}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    assert rc == 0
+    assert report["results"]["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_maximal_of_an_indicator_reads_a_finite_ratio_above_one(tmp_path):
+    """chi_[0,1] inside [-0.5, 8.5]: M chi decays like 1/(2|x|) off the
+    support, so ||M chi|| / ||chi|| is finite and above 1."""
+    cfg = {"box": [[-0.5, 8.5]], "resolution": 2048, "qtilde": 1.0, "radii_count": 32,
+           "exponent": {"kind": "constant", "value": 2.0},
+           "function": {"kind": "indicator", "box": [[0.0, 1.0]]}}
+    rc, report, _ = _run(tmp_path, "maximal", cfg)
+    assert rc == 0
+    assert 1.0 < report["results"]["ratio"] < math.inf
+
+
 def _bump_maximal(amplitude):
     return {"box": [[0.0, 1.0], [0.0, 1.0]], "resolution": 32, "qtilde": 2.0, "radii_count": 8,
             "exponent": {"kind": "constant", "value": 3.0},
@@ -1045,8 +1070,14 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
     ({"function": {"kind": "sum"}}, "missing keys ['terms']"),
     ({"function": {"kind": "sum", "terms": []}}, "'sum' needs a nonempty 'terms' list"),
     ({"exponent": {"kind": "constant"}}, "missing keys ['value']"),
-    ({"box": 5}, "box must be a list of [lo, hi] pairs"),
-    ({"box": [0.0, 1.0]}, "box must be a list of [lo, hi] pairs"),
+    ({"box": 5}, "norm config key 'box' must be a list of [lo, hi] pairs, got 5"),
+    ({"box": [0.0, 1.0]},
+     "norm config key 'box' must be a list of [lo, hi] pairs, got [0.0, 1.0]"),
+    ({"box": []}, "norm config key 'box' must be a nonempty list of [lo, hi] pairs, got []"),
+    ({"function": {"kind": "indicator", "box": [[0.5]]}},
+     "function 'indicator' key 'box' must be a list of [lo, hi] pairs, got [[0.5]]"),
+    ({"function": {"kind": "indicator", "box": [["0", 1.0]]}},
+     "function 'indicator' key 'box' pair key 'lo' must be a number, got '0'"),
     ({"function": dict(_GAUSS, center=[0.1, 0.2, 0.3])},
      "center has 3 coordinates, expected 1"),
     ({"exponent": {"kind": "affine", "base": 2.0, "slopes": 1.0}},
@@ -1080,7 +1111,8 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
     ({"exponent": {"kind": "grid", "values": [[2.0, 3.0], [2.0, 3.0]]}},
      "exponent 'grid' key 'values' of shape (2, 2) does not have the box's 1 axes"),
 ], ids=["translate-shift", "dilate-scale", "grid_csv-path", "indicator-box", "sum-terms",
-        "sum-no-terms", "constant-value", "box-int", "box-flat", "center-length",
+        "sum-no-terms", "constant-value", "box-int", "box-flat", "box-empty",
+        "indicator-box-pair", "indicator-box-lo", "center-length",
         "affine-slopes-type", "shifted-reciprocal-inner-type", "grid_csv-path-stdin", "grid_csv-path-fd",
         "scan-resolution-int", "scan-resolution-string", "scan-resolution-null",
         "scan-resolution-list", "exponent-box",
@@ -1473,7 +1505,7 @@ def _interp_config(arity=1, **top):
     ("norm", dict(_norm_config(), resolution="128"),
      "norm config key 'resolution' must be a number, got '128'"),
     ("norm", dict(_norm_config(), box=[[0.0, None]]),
-     "box pair key 'hi' must be a number, got None"),
+     "norm config key 'box' pair key 'hi' must be a number, got None"),
     ("interp-verify", _interp_config(theta=None),
      "interp-verify config key 'theta' must be a number, got None"),
     ("interp-verify", _interp_config(operator={"kind": "product", "arity": None}),

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid, GridFunction,
-                    SchemaError, WeightField, ball_mask, ball_mean, box_mask,
-                    random_simple_function, read_grid_csv, realize_function,
-                    shift_function)
+                    SchemaError, WeightField, ball_mask, ball_mean, box_mask, read_grid_csv,
+                    realize_function, shift_function)
 from varleb import field
 from varleb.field import shared_grid
 
@@ -263,19 +262,6 @@ def test_shift_function_past_the_grid_leaves_only_zeros(shift):
     assert not s.values.any()
 
 
-@pytest.mark.parametrize("grid", [grid1d(129), grid1d(257, SYM), Grid(UNIT, (4,)),
-                                  Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17))],
-                         ids=["1d-129", "1d-257-sym", "1d-4", "2d-33x17"])
-def test_random_simple_function_matches_reference(grid):
-    """Same values and the same generator stream, draw after draw."""
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(40):
-        f = random_simple_function(grid, rng)
-        g = reference_simple_function(grid, ref)
-        assert np.array_equal(f.values, g.values)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
 @pytest.mark.parametrize("grid, fallbacks", [
     (grid1d(257, SYM), False), (Grid(UNIT, (4,)), True),
     (Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17)), False),
@@ -471,6 +457,7 @@ def test_csv_of_a_header_alone_has_no_rows_for_the_grid(tmp_path):
 
 @pytest.mark.parametrize("call, fault", [
     (lambda: Box((0.0,), (1.0, 2.0)), "box lo/hi dimension mismatch"),
+    (lambda: Box((), ()), "box must have at least one axis"),
     (lambda: Grid(UNIT, (3, 3)), "grid shape dimension does not match box"),
     (lambda: Grid(Box((0.0,) * 3, (1.0,) * 3), (2, 2, 2)), "grids support at most two axes"),
     (lambda: GridFunction(grid1d(5), np.zeros(4)),
@@ -480,7 +467,7 @@ def test_csv_of_a_header_alone_has_no_rows_for_the_grid(tmp_path):
     (lambda: ball_mask(grid1d(5), (0.5, 0.5), 0.1), "ball center dimension does not match grid"),
     (lambda: Grid(UNIT, (1,)), "need at least 2 nodes per axis"),
     (lambda: DyadicCubeSet(UNIT, -1), "max_depth must be nonnegative"),
-], ids=["box-axes", "grid-shape", "three-axes", "value-shape", "region", "ball-center",
+], ids=["box-axes", "box-no-axis", "grid-shape", "three-axes", "value-shape", "region", "ball-center",
         "one-node", "negative-depth"])
 def test_each_field_refusal_names_its_fault(call, fault):
     with pytest.raises(DomainError, match=fault):

@@ -14,8 +14,7 @@ from varleb import interp, norms
 from varleb.errors import (ArityMismatchError, DomainError, RangeError,
                            SchemaError, SpecMismatchError)
 from varleb.exponent import ExponentField, QuadrupleSpec
-from varleb.field import (Box, Grid, GridFunction, WeightField,
-                          random_simple_function)
+from varleb.field import Box, Grid, GridFunction, WeightField
 from varleb.interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
                            _corpus_ratios, _draw_corpus, _slot_log_norms, apply_operator,
                            blend_spaces, build_extrapolation_family,
@@ -25,7 +24,7 @@ from varleb.interp import (BallAverageProduct, EndpointSpace, FractionalKernel, 
 from varleb.norms import weighted_norm
 from varleb.rk import mollify_family
 
-from _support import SYM, UNIT, rand_exponent, rand_weight, unit_weight
+from _support import SYM, UNIT, rand_exponent, rand_weight, simple_function, unit_weight
 
 
 def _const_space(grid: Grid, p_values, q_value, bound=None) -> EndpointSpace:
@@ -369,7 +368,7 @@ def test_corpus_ratios_match_a_per_trial_norm_loop(m, trials, seed, weighted, sc
     space = EndpointSpace(tuple(rand_exponent(g.box, rng) for _ in range(m)),
                           rand_exponent(g.box, rng),
                           tuple(weight() for _ in range(m)), weight())
-    corpus = np.array([[random_simple_function(g, rng).values for _ in range(m)]
+    corpus = np.array([[simple_function(g, rng).values for _ in range(m)]
                        for _ in range(trials)])
     if zero < trials:  # one trial with a zero input
         corpus[zero, 0] = 0.0

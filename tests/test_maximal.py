@@ -1,5 +1,7 @@
-"""Maximal operator, oscillation averages, and the boundedness probe."""
+"""Maximal operator, oscillation averages, and the operator module's layering."""
 
+import ast
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -11,16 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varleb import (Box, DomainError, DyadicCubeSet, ExponentField, Grid,
-                    GridFunction, HypothesisFailureError, RadiusSweep, ball_mask,
-                    ball_mean, ball_sums, maximal_boundedness_probe,
-                    maximal_function, oscillation_average, oscillation_profiles)
+from varleb import (Box, DomainError, Grid, GridFunction, RadiusSweep, ball_mask, ball_mean,
+                    ball_sums, maximal_function, oscillation_average, oscillation_profiles)
 import varleb.maximal as maximal_module
 from varleb.field import _open_radius, _shift_slices, realize_function
 from varleb.maximal import _ball_measure, _offset_list, _open_reaches, _row_reaches
 
-from _support import (UNIT, family_of, from_callable, grid1d, half_step_cell, half_step_units,
-                      member_major_oscillation_profiles, unit_weight, with_radii)
+from _support import (from_callable, grid1d, half_step_cell, half_step_units,
+                      member_major_oscillation_profiles, with_radii)
 
 
 def indicator(grid, lo, hi):
@@ -1113,58 +1113,19 @@ def test_oscillation_profiles_refuse_a_radius_below_the_step():
         next(oscillation_profiles(np.ones((2, 65)), g, 0.0, RadiusSweep((g.max_step,))))
 
 
-# -- boundedness probe ---------------------------------------------------------
+# -- layering ------------------------------------------------------------------
 
 
-def test_probe_constant_corpus_unit_ratios():
-    g = grid1d(1025)
-    p = ExponentField.constant(UNIT, 2.0)
-    w = unit_weight(g)
-    corpus = family_of(GridFunction(g, np.full(g.shape, c)) for c in (1.0, 2.0, 5.0))
-    rep = maximal_boundedness_probe(corpus, p, w, 1.0,
-                                    RadiusSweep.geometric(g, 16),
-                                    DyadicCubeSet(UNIT, 3))
-    assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
-    assert all(r == pytest.approx(1.0, abs=1e-9) for r in rep.ratios)
-
-
-def test_probe_indicator_ratio_finite():
-    g = Grid(Box((-0.5,), (8.5,)), (2049,))
-    box = g.box
-    p = ExponentField.constant(box, 2.0)
-    w = unit_weight(g)
-    rep = maximal_boundedness_probe(family_of([indicator(g, 0.0, 1.0)]), p, w, 1.0,
-                                    RadiusSweep.geometric(g, 32),
-                                    DyadicCubeSet(box, 3))
-    assert math.isfinite(rep.max_ratio)
-    assert rep.max_ratio > 1.0
-    assert math.isfinite(rep.gate.constant)
-
-
-def test_probe_gate_rejects_large_qtilde():
-    g = grid1d(257)
-    p = ExponentField.constant(UNIT, 2.0)
-    w = unit_weight(g)
-    corpus = family_of([GridFunction(g, np.ones(g.shape))])
-    with pytest.raises(HypothesisFailureError):
-        maximal_boundedness_probe(corpus, p, w, 2.5,
-                                  RadiusSweep.geometric(g, 8),
-                                  DyadicCubeSet(UNIT, 2))
-
-
-@pytest.mark.parametrize("qtilde", [0.0, -1.0, math.nan])
-def test_probe_gate_refuses_a_qtilde_that_is_not_finite_and_positive(qtilde):
-    g = grid1d(129)
-    with pytest.raises(DomainError, match="qtilde must be a finite positive constant"):
-        maximal_boundedness_probe(family_of([GridFunction(g, np.ones(g.shape))]),
-                                  ExponentField.constant(UNIT, 2.0), unit_weight(g),
-                                  qtilde, RadiusSweep.geometric(g, 8), DyadicCubeSet(UNIT, 2))
-
-
-def test_a_probe_corpus_of_zeros_is_refused():
-    grid = grid1d(65)
-    p = ExponentField.constant(UNIT, 2.0)
-    with pytest.raises(DomainError, match="probe corpus contains only zero functions"):
-        maximal_boundedness_probe(family_of([GridFunction(grid, np.zeros(grid.shape))] * 2), p,
-                                  unit_weight(grid), 1.0, RadiusSweep.geometric(grid, 4),
-                                  DyadicCubeSet(UNIT, 2))
+def test_the_maximal_module_imports_only_errors_and_field_from_the_package():
+    """The operators rest on grids and errors alone, below the solver
+    layers (`exponent`, `norms`, `weights`), so they can grow without them."""
+    tree = ast.parse(inspect.getsource(maximal_module))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                a.name for a in node.names]
+            found |= {name.split(".", 1)[-1] for name in names if name.split(".")[0] == "varleb"}
+    assert found == {"errors", "field"}

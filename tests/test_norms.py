@@ -1,4 +1,4 @@
-"""Modulars, Luxemburg norms, mixed norms, pairings and the Hoelder constant."""
+"""Modulars, Luxemburg norms, mixed norms and the Hoelder constant."""
 
 import math
 import re
@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from varleb import (Box, ConvergenceError, DomainError, DyadicCubeSet, ExponentField, Grid,
                     GridFunction, WeightField, ap_constant, holder_constant, mixed_norm,
-                    modular, pairing, random_simple_function, realize_function,
-                    scale_exponent, weighted_norm)
+                    modular, realize_function, scale_exponent, weighted_norm)
 
 import varleb.norms as norms_module
 from varleb.field import box_mask
 from varleb.norms import NodeTable, lux_flat, lux_rows, weighted_norms, weighted_table
 
 from _support import (UNIT, abs_power, from_callable, grid1d, rand_exponent, rand_weight,
-                      unit_weight)
+                      simple_function, unit_weight)
 
 
 def gaussian(grid, center=0.5, width=0.2):
@@ -210,7 +209,7 @@ def _random_case(seed, n):
     rng = np.random.default_rng(seed)
     g = grid1d(n)
     if rng.random() < 0.5:
-        f = random_simple_function(g, rng)
+        f = simple_function(g, rng)
     else:
         x = g.coords[..., 0]
         width = rng.uniform(0.02, 0.5)
@@ -290,7 +289,7 @@ def test_weighted_norm_is_homogeneous_in_the_weight_in_log_terms(seed, k, zero):
     through the batched rows and through `lux_flat` alike."""
     rng = np.random.default_rng(seed)
     g = grid1d(int(rng.integers(17, 300)), Box((0.0,), (float(rng.uniform(0.5, 3.0)),)))
-    f = random_simple_function(g, rng).values
+    f = simple_function(g, rng).values
     if zero and f[g.size // 3:].any():
         f[: g.size // 3] = 0.0
     p, w = rand_exponent(g.box, rng), rand_weight(g, rng, spread=2.0)
@@ -361,19 +360,12 @@ def test_mixed_norm_rejects_bad_inner():
         mixed_norm(GridFunction(grid1d(65), np.ones(65)), 2.0, p)
 
 
-# -- pairing and the Hoelder constant ---------------------------------------
+# -- the Hoelder constant ---------------------------------------------
 
 
 def test_holder_constant_of_an_affine_exponent():
     p = ExponentField.affine(UNIT, 2.0, (1.0,))
     assert holder_constant(p) == pytest.approx(1.0 / 2.0 - 1.0 / 3.0 + 1.0)
-
-
-def test_pairing_requires_shared_grid():
-    f = GridFunction(grid1d(65), np.ones(65))
-    h = GridFunction(grid1d(129), np.ones(129))
-    with pytest.raises(DomainError, match="pairing factors live on different grids"):
-        pairing(f, h)
 
 
 @settings(max_examples=40, deadline=None)
