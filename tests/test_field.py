@@ -15,7 +15,7 @@ from varleb import field
 from varleb.field import shared_grid
 
 from _support import (UNIT, SYM, all_cubes, from_callable, grid1d, reference_simple_function,
-                      write_grid_csv)
+                      simple_function, write_grid_csv)
 
 
 # -- boxes and grids ----------------------------------------------------
@@ -260,6 +260,20 @@ def test_shift_function_past_the_grid_leaves_only_zeros(shift):
     g = grid1d(11)
     s = shift_function(GridFunction(g, np.arange(1.0, 12.0)), (shift,))
     assert not s.values.any()
+
+
+@pytest.mark.parametrize("grid", [grid1d(129), grid1d(257, SYM), Grid(UNIT, (4,)),
+                                  Grid(Box((0.0, -1.0), (1.0, 2.0)), (33, 17))],
+                         ids=["1d-129", "1d-257-sym", "1d-4", "2d-33x17"])
+def test_simple_function_matches_reference_draw_after_draw(grid):
+    """Draws of one keep the values and the generator stream of the
+    reference, draw after draw."""
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(40):
+        f = simple_function(grid, rng)
+        g = reference_simple_function(grid, ref)
+        assert np.array_equal(f.values, g.values)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("grid, fallbacks", [
