@@ -44,8 +44,7 @@ import numpy as np
 from . import __version__
 from .errors import (REQUIRED, DomainError, HypothesisFailureError, OverflowToInfinityError,
                      SchemaError, VarlebError, VersionMismatchWarning, block, check_keys,
-                     descriptor, each_axis, integer, list_of, number, per_axis, read_keys,
-                     read_kind)
+                     descriptor, integer, list_of, number, per_axis, read_keys, read_kind)
 from .exponent import ExponentField, QuadrupleSpec, validate_quadruple
 from .field import Box, DyadicCubeSet, Grid, WeightField, realize_function
 from .interp import (BallAverageProduct, EndpointSpace, FractionalKernel, Product,
@@ -94,10 +93,13 @@ _FUNCTION = descriptor("a function", lambda desc, grid: realize_function(desc, g
 _EXPONENT = descriptor("an exponent",
                        lambda desc, grid: ExponentField.from_descriptor(desc, grid.box))
 _WEIGHT, _WEIGHTS = _weight(False), _weight(False, many=True)
-# resolution counts cells per axis; its default depends on the dimension
-_GRID = {"box": (Box.from_pairs, REQUIRED),
-         "resolution": (per_axis(functools.partial(integer, low=1)), None)}
-_CUBE_DEPTH = functools.partial(integer, low=0)
+# resolution counts cells per axis and is read on the box; _run gives its default
+_CELLS = per_axis(functools.partial(integer, low=1))
+_GRID = {"box": (Box.from_pairs, REQUIRED), "resolution": (_CELLS, None)}
+_CUBES = (lambda value, key, where, grid:
+               DyadicCubeSet(grid.box, integer(value, key, where, low=0)))
+_SWEEP = (lambda value, key, where, grid:
+          RadiusSweep.geometric(grid, integer(value, key, where)))
 _QUADRUPLE = block({"p_vec": (list_of(_EXPONENT), REQUIRED), "q": (_EXPONENT, REQUIRED),
                     "r_vec": (list_of(number), REQUIRED), "s": (_s_value, REQUIRED),
                     "gamma": (number, None)},
@@ -169,29 +171,26 @@ def _constant_results(rep) -> dict:
 
 
 @_command("weight-constant", exponent=(_EXPONENT, REQUIRED), weight=(_WEIGHT, REQUIRED),
-          cube_depth=(_CUBE_DEPTH, 4), rel_tol=(number, 1e-10))
+          cube_depth=(_CUBES, 4), rel_tol=(number, 1e-10))
 def _run_weight_constant(c, grid):
-    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = ap_constant(c["weight"], c["exponent"], cubes, c["rel_tol"])
+    rep = ap_constant(c["weight"], c["exponent"], c["cube_depth"], c["rel_tol"])
     return _constant_results(rep), EXIT_OK
 
 
 @_command("multilinear-constant", quadruple=(_QUADRUPLE, REQUIRED),
-          weights=(_WEIGHTS, REQUIRED), cube_depth=(_CUBE_DEPTH, 4), rel_tol=(number, 1e-10))
+          weights=(_WEIGHTS, REQUIRED), cube_depth=(_CUBES, 4), rel_tol=(number, 1e-10))
 def _run_multilinear_constant(c, grid):
     verdict = validate_quadruple(c["quadruple"])
-    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = multilinear_constant(c["weights"], c["quadruple"], cubes, c["rel_tol"])
+    rep = multilinear_constant(c["weights"], c["quadruple"], c["cube_depth"], c["rel_tol"])
     return ({**_constant_results(rep), "admissible": verdict.admissible,
              "proper": verdict.proper, "gamma": verdict.gamma,
              "clauses": verdict.clauses}, EXIT_OK)
 
 
 @_command("two-to-one", quadruple=(_QUADRUPLE, REQUIRED), weight=(_WEIGHT, REQUIRED),
-          cube_depth=(_CUBE_DEPTH, 4), rel_tol=(number, 1e-10), tol=(number, 1e-6))
+          cube_depth=(_CUBES, 4), rel_tol=(number, 1e-10), tol=(number, 1e-6))
 def _run_two_to_one(c, grid):
-    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = two_to_one_check(c["weight"], c["quadruple"], cubes, c["rel_tol"])
+    rep = two_to_one_check(c["weight"], c["quadruple"], c["cube_depth"], c["rel_tol"])
     code = EXIT_OK if rep.rel_error <= c["tol"] else EXIT_VIOLATION
     return ({"lhs_constant": rep.lhs_constant, "rhs_constant": rep.rhs_constant,
              "a": rep.a, "rel_error": rep.rel_error,
@@ -200,11 +199,10 @@ def _run_two_to_one(c, grid):
 
 
 @_command("maximal", exponent=(_EXPONENT, REQUIRED), function=(_FUNCTION, REQUIRED),
-          qtilde=(number, REQUIRED), weight=(_WEIGHT, None), radii_count=(integer, 64),
+          qtilde=(number, REQUIRED), weight=(_WEIGHT, None), radii_count=(_SWEEP, 64),
           rel_tol=(number, 1e-10))
 def _run_maximal(c, grid):
-    p, f, w = c["exponent"], c["function"], c["weight"]
-    sweep = RadiusSweep.geometric(grid, c["radii_count"])
+    p, f, w, sweep = c["exponent"], c["function"], c["weight"], c["radii_count"]
     Mf = maximal_function(f, c["qtilde"], sweep)
     nf = weighted_table(f.values, grid, p, w).solve(rel_tol=c["rel_tol"])
     if not math.isfinite(nf.log_value[0]):
@@ -217,11 +215,10 @@ def _run_maximal(c, grid):
 
 
 @_command("rk-classify", exponent=(_EXPONENT, REQUIRED), weight=(_WEIGHT, REQUIRED),
-          qtilde=(number, REQUIRED), family=(_FAMILY, REQUIRED), cube_depth=(_CUBE_DEPTH, 3),
+          qtilde=(number, REQUIRED), family=(_FAMILY, REQUIRED), cube_depth=(_CUBES, 3),
           rel_tol=(number, 1e-10), threshold_factor=(number, 1e-2))
 def _run_rk_classify(c, grid):
-    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
-    rep = classify(c["family"], c["exponent"], c["weight"], c["qtilde"], cubes=cubes,
+    rep = classify(c["family"], c["exponent"], c["weight"], c["qtilde"], cubes=c["cube_depth"],
                    threshold_factor=c["threshold_factor"], rel_tol=c["rel_tol"])
     return ({"verdict": rep.verdict, "net_sizes": list(rep.net_sizes),
              "eps_ladder": list(rep.eps_ladder), "plateau": rep.plateau,
@@ -255,17 +252,16 @@ def _run_interp_verify(c, grid):
 @_command("extrapolate", target=(_QUADRUPLE, REQUIRED), weights=(_WEIGHTS, REQUIRED),
           endpoint1=(_QUADRUPLE, REQUIRED), weights1=(_WEIGHTS, REQUIRED),
           thetas=(list_of(number), REQUIRED), operator=(_OPERATOR, REQUIRED),
-          family=(_FAMILY, REQUIRED), cube_depth=(_CUBE_DEPTH, 3),
+          family=(_FAMILY, REQUIRED), cube_depth=(_CUBES, 3),
           qtilde=(number, None), rel_tol=(number, 1e-10), roundtrip_tol=(number, 1e-10))
 def _run_extrapolate(c, grid):
     target, family = c["target"], c["family"]
     # the family in each of the target's slots, a view; the workflow refuses a wrong arity first
     inputs = np.broadcast_to(family.values[:, None], (len(family), target.m, *grid.shape))
-    cubes = DyadicCubeSet(grid.box, c["cube_depth"])
     rep = run_extrapolation_workflow(
         c["operator"], inputs, grid, target, c["weights"], c["endpoint1"], c["weights1"],
-        tuple(c["thetas"]), qtilde=c["qtilde"], cubes=cubes, roundtrip_tol=c["roundtrip_tol"],
-        rel_tol=c["rel_tol"])
+        tuple(c["thetas"]), qtilde=c["qtilde"], cubes=c["cube_depth"],
+        roundtrip_tol=c["roundtrip_tol"], rel_tol=c["rel_tol"])
     bad = [e for e in rep.entries if e.built and not e.roundtrip_ok]
     code = EXIT_VIOLATION if bad else EXIT_OK
     return ({"qtilde": rep.qtilde, "verdict": rep.verdict,
@@ -369,17 +365,16 @@ def _read_json(path, what: str):
 
 def _run(command: str, cfg) -> tuple[dict, int]:
     """Run a command on a config read by its table: the report and its
-    exit code. Every key is checked before any is read; box and resolution
-    are read into the grid, and the other keys are built on it."""
+    exit code. Every key is checked before any is read; box, then
+    resolution on it, are read into the grid, and the other keys are built
+    on the grid."""
     started = time.monotonic()
     run, keys, table = _RUNNERS[command]
     where = f"{command} config"
     check_keys(cfg, keys, where)
-    box, cells = read_keys(cfg, _GRID, where).values()
-    if cells is None:
-        cells = 4096 if box.dim == 1 else 256
-    # n cells -> n + 1 nodes
-    grid = Grid(box, tuple(n + 1 for n in each_axis(cells, box.dim, "resolution")))
+    box = Box.from_pairs(cfg["box"], "box", where)
+    cells = _CELLS(cfg.get("resolution", 4096 if box.dim == 1 else 256), "resolution", where, box)
+    grid = Grid(box, tuple(n + 1 for n in cells))  # n cells -> n + 1 nodes
     results, code = run(read_keys(cfg, table, where, grid), grid)
     return ({"command": command, "config": cfg, "results": results, "warnings": [],
              "provenance": _provenance(cfg.get("seed"), started)}, code)

@@ -89,8 +89,9 @@ class VersionMismatchWarning(UserWarning):
 # a reader takes ``(value, key, where, *context)``, the context the box for
 # exponents and the grid for functions, families and CLI configs, and returns
 # the object the value names, or raises SchemaError naming ``where`` and
-# ``key``.  A kind table maps each descriptor kind to ``(builder, table)``,
-# the table's keys the builder's parameters after its context.
+# ``key``.  A default is read by the key's reader like a given value.  A kind
+# table maps each descriptor kind to ``(builder, table)``, the table's keys
+# the builder's parameters after its context.
 
 REQUIRED = object()
 
@@ -115,11 +116,12 @@ def check_keys(desc, table: dict, where: str) -> None:
 
 
 def read_keys(desc: dict, table: dict, where: str, *context) -> dict:
-    """Every key of ``table``, read in table order from the checked ``desc``
-    by its reader on ``context``, or its default when absent (REQUIRED: the
-    key must be present; None: the code that uses the key says what absence
-    means)."""
-    return {key: reader(desc[key], key, where, *context) if key in desc else default
+    """Every key of ``table``, read in table order by its reader on
+    ``context`` from the checked ``desc``, or from its default when absent
+    (REQUIRED: the key is present; None: read as None, and the code that
+    uses the key says what absence means)."""
+    return {key: None if default is None and key not in desc
+            else reader(desc.get(key, default), key, where, *context)
             for key, (reader, default) in table.items()}
 
 
@@ -195,16 +197,12 @@ def list_of(reader):
 
 
 def per_axis(reader):
-    """Reader of one value for every axis, or a list of one per axis."""
-    return lambda value, key, where, *context: (list_of(reader) if isinstance(
-        value, (list, tuple)) else reader)(value, key, where, *context)
-
-
-def each_axis(value, dim: int, key: str) -> list:
-    """A value of ``key`` read by ``per_axis`` as a list of one per axis."""
-    if not isinstance(value, (list, tuple)):
-        return [value] * dim
-    if len(value) != dim:
-        raise SchemaError(f"{key} has {len(value)} coordinates, expected {dim} "
-                          "(one per grid axis)")
-    return list(value)
+    """Reader of the list of one value per axis of the context (a grid or
+    a box): one value, repeated for every axis, or a list of one per axis."""
+    def read(value, key, where, context):
+        if not isinstance(value, (list, tuple)):
+            return [reader(value, key, where, context)] * context.dim
+        if len(value) != context.dim:
+            _refuse(f"one value or a list of {context.dim}", value, key, where)
+        return list_of(reader)(value, key, where, context)
+    return read

@@ -422,7 +422,7 @@ def _pair_sample(box: Box, budget: int, seed: int) -> tuple:
     draws = rng.uniform(size=(budget, 2 * dim + 1))
     x_rand = lo + draws[:, :dim] * np.array(box.widths)
     direction = draws[:, dim: 2 * dim] - 0.5
-    norms = np.maximum(np.sqrt(np.sum(direction ** 2, axis=1)), 1e-12)
+    norms = np.maximum(_row_norms(direction), 1e-12)
     direction = direction / norms[:, None]
     d_rand = diam * np.exp(draws[:, -1] * (math.log(1e-9) - math.log(0.5)) + math.log(0.5))
     y_rand = np.clip(x_rand + direction * d_rand[:, None], lo, hi)

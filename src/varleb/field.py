@@ -35,8 +35,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (REQUIRED, DomainError, SchemaError, _refuse, descriptor, each_axis,
-                     list_of, number, per_axis, read_kind, string)
+from .errors import (REQUIRED, DomainError, SchemaError, _refuse, descriptor, list_of, number,
+                     per_axis, read_kind, string)
 
 BALL_SHRINK = 1.0 - 1e-12
 _BOX_EDGE_TOL = 1e-12
@@ -70,8 +70,11 @@ class Box:
         if not pairs:
             _refuse("a nonempty list of [lo, hi] pairs", pairs, key, where)
         pair = f"{where} key '{key}' pair"
-        return cls(tuple(number(p[0], "lo", pair) for p in pairs),
-                   tuple(number(p[1], "hi", pair) for p in pairs))
+        try:
+            return cls(tuple(number(p[0], "lo", pair) for p in pairs),
+                       tuple(number(p[1], "hi", pair) for p in pairs))
+        except DomainError:  # a degenerate axis
+            _refuse("a list of finite [lo, hi] pairs with lo < hi", pairs, key, where)
 
     @property
     def dim(self) -> int:
@@ -495,7 +498,7 @@ def _radial(grid: Grid, center) -> np.ndarray:
     """Distance of every node from ``center``; None is the box center.
     The squares are formed in the `_distance_unit`, and the root is
     scaled back by it, exactly."""
-    center = each_axis(grid.box.center if center is None else center, grid.dim, "center")
+    center = grid.box.center if center is None else center
     unit = _distance_unit(grid, center)
     r = np.sqrt(_squared_distance(grid, center, unit))
     return r if unit == 1.0 else r * unit
@@ -528,7 +531,7 @@ def _bump(grid: Grid, center, radius: float, amplitude: float) -> np.ndarray:
 def _sine(grid: Grid, frequency, phase: float, amplitude: float) -> np.ndarray:
     arg = phase
     with np.errstate(over="ignore", invalid="ignore"):  # inf args give NaN, refused where used
-        for axis, om in enumerate(each_axis(frequency, grid.dim, "frequency")):
+        for axis, om in enumerate(frequency):
             arg = arg + 2.0 * np.pi * om * grid.coords[..., axis]
         return amplitude * np.sin(arg)
 
@@ -563,9 +566,9 @@ _FUNCTIONS = {
                      "amplitude": (number, 1.0)}),
     "sine": (_sine, {"frequency": (per_axis(number), 1.0), "phase": (number, 0.0),
                      "amplitude": (number, 1.0)}),
-    "translate": (lambda grid, inner, shift: shift_function(
-        GridFunction(grid, inner), each_axis(shift, grid.dim, "shift")).values,
-        {"inner": (_FUNCTION, REQUIRED), "shift": (per_axis(number), REQUIRED)}),
+    "translate": (lambda grid, inner, shift:
+                  shift_function(GridFunction(grid, inner), shift).values,
+                  {"inner": (_FUNCTION, REQUIRED), "shift": (per_axis(number), REQUIRED)}),
     "dilate": (_dilate, {"inner": (_FUNCTION, REQUIRED), "scale": (number, REQUIRED)}),
     "sum": (partial(_fold, "sum", operator.add), _TERMS),
     "product": (partial(_fold, "product", operator.mul), _TERMS),

@@ -44,10 +44,10 @@ its cubes.  The rows are read-only int32 (intp only on a grid of 2^31
 nodes or more), half the memory of intp rows; a solve copies them once
 to intp in its Newton workspace, which the gathers read.  A plan holds
 about 4 bytes per node per group, 2 depth + 1 groups: 2.1 MB for a
-257^2, depth-4 family, 32 MB for 1025^2.  A scan holds its whole plan,
-where it built one group's rows at a time before.  Between scans the
-plans used last are kept up to ``PLAN_CACHE_BYTES`` (16 MiB) in all,
-the oldest dropped first; a larger plan is dropped after its scan.
+257^2, depth-4 family, 32 MB for 1025^2.  A scan holds its whole plan.
+Between scans the plans used last are kept up to ``PLAN_CACHE_BYTES``
+(16 MiB) in all, the oldest dropped first; a larger plan is dropped
+after its scan.
 
 The scan makes one working block of four float rows, at the size of
 its largest solve.  A solve casts each set's rows to intp in the

@@ -30,9 +30,9 @@ import varleb.exponent as exponent_module
 import varleb.field as field_module
 import varleb.interp as interp_module
 import varleb.norms as norms_module
-from varleb import Box, Grid, realize_function
+from varleb import Box, DyadicCubeSet, Grid, RadiusSweep, realize_function
 from varleb.cli import main
-from varleb.errors import VersionMismatchWarning
+from varleb.errors import REQUIRED, VersionMismatchWarning
 from varleb.interp import Violation
 
 from _support import write_grid_csv
@@ -1060,6 +1060,7 @@ def test_nan_amplitude_exits_one_and_names_the_fault(tmp_path, capsys):
 
 
 _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
+_SQUARE = [[0.0, 1.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("patch, fault", [
@@ -1079,7 +1080,21 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
     ({"function": {"kind": "indicator", "box": [["0", 1.0]]}},
      "function 'indicator' key 'box' pair key 'lo' must be a number, got '0'"),
     ({"function": dict(_GAUSS, center=[0.1, 0.2, 0.3])},
-     "center has 3 coordinates, expected 1"),
+     "function 'gaussian' key 'center' must be one value or a list of 1, got [0.1, 0.2, 0.3]"),
+    ({"box": [[1.0, 0.0]]},
+     "norm config key 'box' must be a list of finite [lo, hi] pairs with lo < hi, "
+     "got [[1.0, 0.0]]"),
+    ({"function": {"kind": "indicator", "box": [[1.0, 0.5]]}},
+     "function 'indicator' key 'box' must be a list of finite [lo, hi] pairs with lo < hi, "
+     "got [[1.0, 0.5]]"),
+    ({"box": _SQUARE, "function": dict(_GAUSS, center=[0.1, 0.2, 0.3])},
+     "function 'gaussian' key 'center' must be one value or a list of 2, got [0.1, 0.2, 0.3]"),
+    ({"box": _SQUARE, "function": {"kind": "sine", "frequency": [1.0]}},
+     "function 'sine' key 'frequency' must be one value or a list of 2, got [1.0]"),
+    ({"box": _SQUARE, "function": {"kind": "translate", "inner": CONST_ONE, "shift": [0.1] * 3}},
+     "function 'translate' key 'shift' must be one value or a list of 2, got [0.1, 0.1, 0.1]"),
+    ({"box": _SQUARE, "resolution": [8, 8, 8]},
+     "norm config key 'resolution' must be one value or a list of 2, got [8, 8, 8]"),
     ({"exponent": {"kind": "affine", "base": 2.0, "slopes": 1.0}},
      "exponent 'affine' key 'slopes' must be a list"),
     ({"exponent": {"kind": "shifted_reciprocal", "inner": 5, "gamma": 0.1}},
@@ -1112,7 +1127,9 @@ _GAUSS = {"kind": "gaussian", "center": [0.5], "width": 0.2}
      "exponent 'grid' key 'values' of shape (2, 2) does not have the box's 1 axes"),
 ], ids=["translate-shift", "dilate-scale", "grid_csv-path", "indicator-box", "sum-terms",
         "sum-no-terms", "constant-value", "box-int", "box-flat", "box-empty",
-        "indicator-box-pair", "indicator-box-lo", "center-length",
+        "indicator-box-pair", "indicator-box-lo", "center-length", "box-reversed",
+        "indicator-box-reversed", "center-length-2d", "frequency-length", "shift-length",
+        "resolution-length",
         "affine-slopes-type", "shifted-reciprocal-inner-type", "grid_csv-path-stdin", "grid_csv-path-fd",
         "scan-resolution-int", "scan-resolution-string", "scan-resolution-null",
         "scan-resolution-list", "exponent-box",
@@ -1990,10 +2007,30 @@ def test_every_key_is_checked_before_any_is_read(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(cli_module._RUNNERS))
+def test_a_default_written_out_gives_the_results_of_one_left_out(tmp_path, command):
+    """A default is read by its key's reader like a given value: a config
+    that writes out every defaulted key, resolution among them, gives the
+    result bytes of the same config without those keys."""
+    table = cli_module._RUNNERS[command][1]
+    defaults = {key: default for key, (_, default) in table.items()
+                if default is not REQUIRED and default is not None}
+    bare = {key: value for key, value in _FUZZ_CONFIGS[command].items()
+            if key not in defaults and key != "resolution"}
+    full = {**bare, **defaults, "resolution": 4096 if len(bare["box"]) == 1 else 256}
+    outcomes = []
+    for cfg in (bare, full):
+        rc, report, _ = _run(tmp_path, command, cfg)
+        assert rc in (0, 2)
+        outcomes.append((rc, cli_module._render(report["results"])))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("command", sorted(cli_module._RUNNERS))
 def test_a_runner_receives_every_descriptor_built(tmp_path, monkeypatch, command):
     """The config a runner is given holds the objects its keys name: no
     descriptor object is left for the runner to build, only the mixed
-    block's plain numbers."""
+    block's plain numbers, and no cube depth or radius count is left for
+    it to make into a cube family or radius sweep."""
     seen = {}
     run, *tables = cli_module._RUNNERS[command]
 
@@ -2011,6 +2048,9 @@ def test_a_runner_receives_every_descriptor_built(tmp_path, monkeypatch, command
         return isinstance(value, dict)
 
     assert [key for key, value in seen.items() if key != "mixed" and objects(value)] == []
+    # the cube family and the radius sweep are built by their readers too
+    for key, kind in {"cube_depth": DyadicCubeSet, "radii_count": RadiusSweep}.items():
+        assert key not in seen or isinstance(seen[key], kind), key
 
 
 # ---------------------------------------------------------------------------
